@@ -51,7 +51,10 @@
 //!   is sent an in-band [`Response::Error`] and dropped (the session
 //!   survives); a subscriber that disconnects with undelivered
 //!   episodes has them re-injected into the engine's pending pool so
-//!   nothing is lost.
+//!   nothing is lost. While *no* subscription exists nothing drains
+//!   that pool, so every checkpoint trims it to the newest half of the
+//!   subscriber bound (`serve.backlog_trimmed`): memory stays bounded
+//!   and a first subscriber is not handed more than its queue holds.
 //! * **Shutdown** — a [`Request::Shutdown`] spills the finished backlog
 //!   into the warehouse (durable), acknowledges, then flips the shared
 //!   flag and nudges the listener awake with a loop-back connection.
@@ -289,6 +292,8 @@ struct ServeMetrics {
     notifications_pushed: Arc<Counter>,
     /// Subscribers dropped for falling behind their queue bound.
     subscribers_dropped: Arc<Counter>,
+    /// Undelivered episodes discarded by [`trim_backlog`].
+    backlog_trimmed: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -317,6 +322,7 @@ impl ServeMetrics {
             subscribers_active: registry.gauge("serve.subscribers_active"),
             notifications_pushed: registry.counter("serve.notifications_pushed"),
             subscribers_dropped: registry.counter("serve.subscribers_dropped"),
+            backlog_trimmed: registry.counter("serve.backlog_trimmed"),
             registry,
         }
     }
@@ -959,6 +965,28 @@ fn notify_subscribers(shared: &Shared, engine: &mut ParallelEngine) {
     }
 }
 
+/// Bounds the undelivered-episode pool while nobody subscribes: with a
+/// subscription every ingest barrier drains it, without one nothing
+/// does, and a first subscriber handed more than its queue bound in one
+/// barrier would be dropped as lagged on arrival. Keeps the newest
+/// half-bound (drain order is episode time, oldest first). Runs at
+/// `Checkpoint`, under the core lock a `Subscribe` needs to register.
+fn trim_backlog(shared: &Shared, engine: &mut ParallelEngine) {
+    let subscribed = !shared
+        .subscriptions
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .is_empty();
+    if subscribed {
+        return;
+    }
+    let mut pool = engine.drain();
+    let excess = pool.len().saturating_sub(SUBSCRIBER_QUEUE_BOUND / 2);
+    pool.drain(..excess);
+    shared.metrics.backlog_trimmed.add(excess as u64);
+    engine.requeue_pending(pool);
+}
+
 /// Executes one request. Ingest, checkpoint, shutdown, and
 /// subscription registration serialize on the core mutex; the query
 /// ops acquire their read set under it and evaluate *outside* it.
@@ -1058,6 +1086,7 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
         }
         Request::Checkpoint => {
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
+            trim_backlog(shared, &mut core.engine);
             let mut warehouse = shared.warehouse.write().unwrap_or_else(|p| p.into_inner());
             match warehouse.force(&mut core.engine) {
                 Ok(spilled) => {

@@ -380,3 +380,62 @@ fn lagging_subscriber_is_dropped_in_band() {
     client.shutdown().expect("shutdown");
     server.join().expect("join");
 }
+
+/// No subscriber for a long time, then one: the undelivered pool is
+/// trimmed at every `Checkpoint` to the newest half of the subscriber
+/// queue bound, so the first subscriber is handed a backlog it can
+/// hold — not everything since the server started, which used to trip
+/// the bound on its first barrier and get it dropped as "lagged".
+#[test]
+fn first_subscriber_after_a_long_silence_survives_the_backlog() {
+    const BOUND: usize = 4096; // the server's per-subscriber queue bound
+    let tmp = TempDir::new("backlog");
+    let server =
+        Server::start(ServerConfig::new(engine_config(), &tmp.0).with_sessions(3)).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // 3× the bound in episodes (two per closed visit), checkpointed as
+    // an operator would, nobody listening.
+    let mut batches: Vec<Vec<StreamEvent>> =
+        (0..6u64).map(|b| closed_visits(b * 1024, 1024)).collect();
+    for batch in &batches {
+        client.ingest_batch(batch.clone()).expect("ingest");
+        client.checkpoint().expect("checkpoint");
+    }
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(
+        snapshot.counter("serve.backlog_trimmed"),
+        Some((3 * BOUND - BOUND / 2) as u64),
+        "everything but the newest half-bound was trimmed"
+    );
+
+    let mut sub =
+        Subscriber::subscribe(server.addr(), &WireQuery::filtered(Predicate::True)).expect("sub");
+    batches.push(closed_visits(100_000, 2));
+    client
+        .ingest_batch(batches[6].clone())
+        .expect("ingest once more");
+
+    // The push path proper first (a lagged subscription would answer
+    // with the in-band error here), then the unsubscribe hand-off.
+    let mut received = Vec::new();
+    let deadline = Instant::now() + StdDuration::from_secs(10);
+    while received.is_empty() && Instant::now() < deadline {
+        if let Some((_, episodes)) = sub.poll(StdDuration::from_millis(200)).expect("poll") {
+            received.extend(episodes);
+        }
+    }
+    for (_, episodes) in sub.unsubscribe().expect("the subscription survived") {
+        received.extend(episodes);
+    }
+    assert!(received.len() <= BOUND);
+    // Exactly once, and the newest: the tail of the full replay.
+    let replay = replay_episodes(&batches);
+    let kept = BOUND / 2 + 4;
+    assert_eq!(sorted(received), replay[replay.len() - kept..]);
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(snapshot.counter("serve.subscribers_dropped"), Some(0));
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}

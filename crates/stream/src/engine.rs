@@ -430,8 +430,8 @@ impl ShardedEngine {
             out.extend(shard.take_pending());
         }
         if !out.is_empty() {
-            // Pending episodes ride the live snapshot; removing them
-            // changes the queryable cut.
+            // Handing episodes out is a new epoch (the one stamped on
+            // the delta a subscriber receives).
             self.dirty = true;
         }
         out.sort_by_key(|a| a.sort_key());
@@ -499,8 +499,9 @@ impl ShardedEngine {
 
     /// A snapshot-consistent cut of the live state: every open visit's
     /// trajectory prefix (requires
-    /// [`EngineConfig::with_live_queries`]) plus the episodes finalized
-    /// but not yet drained. See [`crate::live_query`] for the
+    /// [`EngineConfig::with_live_queries`]), rebuilt from scratch at
+    /// every cut — the reference [`crate::ParallelEngine`]'s patched
+    /// cut is tested against. See [`crate::live_query`] for the
     /// consistency model and the query surface.
     ///
     /// The cut is **epoch-cached**: while nothing mutates the engine,

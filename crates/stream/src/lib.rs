@@ -26,10 +26,11 @@
 //!   the identical surface and (provably) identical output;
 //! * [`live_index`] — [`LiveIndex`]: incrementally maintained postings
 //!   over the open-visit population (cell → visits, moving object →
-//!   visits, span-start order), updated per accepted event;
+//!   visits, span-start order), updated per accepted event
+//!   ([`ShardedEngine`]) or per touched visit at each cut
+//!   ([`ParallelEngine`]);
 //! * [`live_query`] — [`LiveSnapshot`]: snapshot-consistent cuts of the
-//!   live state (open-visit trajectory prefixes + undrained episodes),
-//!   queryable with `sitm_query::Predicate` through the live index —
+//!   live state (open-visit trajectory prefixes), queryable with `sitm_query::Predicate` through the live index —
 //!   candidate narrowing with a full re-check, exactly like the
 //!   warehouse — and federated across engines and warehouses via
 //!   `sitm_query::TrajectorySource`;

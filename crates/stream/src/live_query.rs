@@ -2,23 +2,24 @@
 //!
 //! The batch query stack (`sitm-query`) sees trajectories only after
 //! their visits close and drain. This module makes the *live* state
-//! visible too: every open visit's trajectory prefix plus every episode
-//! that is finalized but not yet drained — the moving-object meta-model's
-//! "spatio-temporal predicates over live trajectories" served straight
-//! from the engine.
+//! visible too: every open visit's trajectory prefix — the
+//! moving-object meta-model's "spatio-temporal predicates over live
+//! trajectories" served straight from the engine. (Finalized episodes
+//! are not part of a snapshot: `drain` is the one way to get them.)
 //!
 //! ## Snapshot consistency
 //!
 //! A [`LiveSnapshot`] is a *consistent cut*: both engines produce it by
 //! flushing, then capturing every shard's state at one point in the
 //! command order, so an event is either entirely visible (its effects on
-//! the prefix, the open runs, and the pending episodes all present) or
-//! entirely absent. For [`crate::ParallelEngine`] the cut is a quiesce
-//! point of the work-stealing scheduler: every event ingested before the
-//! call is applied and deposited before the capture, everything after is
+//! the prefix and the postings both present) or entirely absent. For
+//! [`crate::ParallelEngine`] the cut is a quiesce point of the
+//! work-stealing scheduler: every event ingested before the call is
+//! applied and deposited before the capture, everything after is
 //! excluded — the same contract the sequential engine gets from its
-//! in-line flush. Draining at the same cut (`drain` right after
-//! `live_snapshot`) yields exactly the snapshot's `pending` set.
+//! in-line flush. A snapshot is immutable once handed out: a reader
+//! holding the `Arc` of an earlier cut keeps seeing that cut, whatever
+//! the engine ingests or cuts afterwards.
 //!
 //! Prefix visibility requires interval retention
 //! ([`crate::EngineConfig::with_live_queries`]); without it, open visits
@@ -27,16 +28,21 @@
 //!
 //! ## The live index and its consistency model
 //!
-//! Each shard maintains a [`LiveIndex`] *incrementally* — cell postings,
-//! moving-object postings, and a span-start order are updated as events
-//! are accepted, never rebuilt per query (see [`crate::live_index`]).
-//! A snapshot carries the union of the shard indexes **from the same
-//! cut** as its visits: because the index is advanced inside the same
-//! event application that extends the prefixes, an index captured at a
-//! quiesce point can neither lead nor trail the visible trajectories.
+//! A snapshot carries a [`LiveIndex`] — cell postings, moving-object
+//! postings, and a span-start order (see [`crate::live_index`]) — **from
+//! the same cut** as its visits, so the index can neither lead nor
+//! trail the visible trajectories. The two engines get there
+//! differently. [`crate::ShardedEngine`] (the from-scratch reference)
+//! advances each shard's index inside the event application that
+//! extends the prefix, and rebuilds the whole snapshot at every cut.
+//! [`crate::ParallelEngine`] *patches* at the cut: at the quiesce point
+//! it re-derives the prefix and the postings of exactly the visits its
+//! workers touched since the previous cut, and shares everything else
+//! (each visit behind its own `Arc`, the index behind one) with the
+//! previous snapshot — a cut costs what changed, not what is open.
 //! There is no "mid-update" window a caller can observe; the
-//! drain-point consistency tests pin indexed results == scan results at
-//! every cut, including cuts taken between incremental drains.
+//! differential tests pin patched == rebuilt == batch prefix and
+//! indexed results == scan results at every cut.
 //!
 //! [`LiveSnapshot::candidates`] narrows a `sitm_query::Predicate` to a
 //! [`CandidateSet`] exactly like `TrajectoryDb::candidates` does on the
@@ -63,12 +69,13 @@
 //! `sitm_query::federated_*`, with every indexed source narrowed through
 //! its own postings.
 
-use sitm_core::{SemanticTrajectory, TimeInterval, Timestamp};
+use std::sync::Arc;
+
+use sitm_core::{SemanticTrajectory, Timestamp};
 use sitm_query::{CandidateSet, Predicate, TrajId, TrajectorySource};
 
 use crate::event::VisitKey;
 use crate::live_index::LiveIndex;
-use crate::shard::EmittedEpisode;
 
 /// One open visit's queryable prefix.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +92,6 @@ pub struct LiveVisit {
 pub struct ShardLive {
     /// Open visits with a queryable prefix, ordered by visit key.
     pub visits: Vec<LiveVisit>,
-    /// Episodes finalized but not yet drained.
-    pub pending: Vec<EmittedEpisode>,
     /// The shard's high-water mark.
     pub watermark: Option<Timestamp>,
     /// Open visits without a queryable prefix (retention off, no interval
@@ -96,53 +101,67 @@ pub struct ShardLive {
     pub index: LiveIndex,
 }
 
-/// A consistent cut of an engine's live state: the union of every
-/// shard's open-visit prefixes and undrained episodes.
+/// A consistent cut of an engine's live state: every open visit's
+/// prefix, and the postings over them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LiveSnapshot {
-    /// Open visits with queryable prefixes, ordered by visit key.
-    pub visits: Vec<LiveVisit>,
-    /// Episodes finalized but not yet drained, in the engine's
-    /// deterministic drain order.
-    pub pending: Vec<EmittedEpisode>,
+    /// Open visits with queryable prefixes, ordered by visit key. Each
+    /// sits behind its own `Arc` so consecutive cuts share the visits
+    /// that did not change between them.
+    pub visits: Vec<Arc<LiveVisit>>,
     /// The engine watermark at the cut (minimum across populated shards).
     pub watermark: Option<Timestamp>,
     /// Open visits that could not be queried (see [`ShardLive::unqueryable`]).
     pub unqueryable: usize,
-    /// Union of the shard indexes at the cut.
-    index: LiveIndex,
+    /// The postings at the cut.
+    index: Arc<LiveIndex>,
     /// True when every visit in `visits` is covered by `index`, which is
     /// what makes candidate narrowing sound. Hand-assembled snapshots
     /// without postings fall back to scanning.
     index_complete: bool,
-    /// The persistent id map (ROADMAP follow-on): visit key → position
-    /// in the sorted `visits` vector, built **once** at snapshot
-    /// assembly. Candidate translation used to binary-search `visits`
-    /// for every posting entry of every query; now each lookup is one
-    /// O(1) probe of a map that persists for the snapshot's lifetime.
-    positions: std::collections::HashMap<u64, TrajId>,
+    /// The visit keys, in `visits` order: translating a posting entry
+    /// into a position is a binary search over this contiguous column,
+    /// not a pointer chase through `visits`.
+    keys: Vec<u64>,
 }
+
+/// One contribution to an assembled snapshot: visits, watermark,
+/// unqueryable count, postings.
+type Part = (Vec<Arc<LiveVisit>>, Option<Timestamp>, usize, LiveIndex);
 
 impl LiveSnapshot {
     /// Assembles the engine-level snapshot from per-shard cuts.
     pub fn from_shards(shards: Vec<ShardLive>) -> LiveSnapshot {
+        LiveSnapshot::assemble(shards.into_iter().map(|shard| {
+            let visits = shard.visits.into_iter().map(Arc::new).collect();
+            (visits, shard.watermark, shard.unqueryable, shard.index)
+        }))
+    }
+
+    /// Merges snapshots from several engines (multi-site federation).
+    /// Each input keeps its own cut; the merge is the plain union.
+    pub fn merge(parts: impl IntoIterator<Item = LiveSnapshot>) -> LiveSnapshot {
+        LiveSnapshot::assemble(parts.into_iter().map(|p| {
+            let index = Arc::unwrap_or_clone(p.index);
+            (p.visits, p.watermark, p.unqueryable, index)
+        }))
+    }
+
+    fn assemble(parts: impl Iterator<Item = Part>) -> LiveSnapshot {
         let mut visits = Vec::new();
-        let mut pending = Vec::new();
         let mut unqueryable = 0;
         let mut watermark: Option<Timestamp> = None;
         let mut index = LiveIndex::new();
-        for shard in shards {
-            visits.extend(shard.visits);
-            pending.extend(shard.pending);
-            unqueryable += shard.unqueryable;
-            index.absorb(shard.index);
-            watermark = match (watermark, shard.watermark) {
+        for (part_visits, part_watermark, part_unqueryable, part_index) in parts {
+            visits.extend(part_visits);
+            unqueryable += part_unqueryable;
+            index.absorb(part_index);
+            watermark = match (watermark, part_watermark) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
         }
         visits.sort_by_key(|v| v.visit);
-        pending.sort_by_key(|e| e.sort_key());
         // Candidate narrowing is sound only when postings cover every
         // visit AND keys are unique: a key duplicated across merged
         // snapshots (overlapping engines, replicated feeds) would
@@ -150,44 +169,39 @@ impl LiveSnapshot {
         // merges keep the scan path.
         let duplicated = visits.windows(2).any(|w| w[0].visit == w[1].visit);
         let index_complete = !duplicated && visits.iter().all(|v| index.contains(v.visit.0));
-        let positions = visits
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.visit.0, i as TrajId))
-            .collect();
-        LiveSnapshot {
+        LiveSnapshot::from_parts(
             visits,
-            pending,
+            watermark,
+            unqueryable,
+            Arc::new(index),
+            index_complete,
+        )
+    }
+
+    /// `visits` in key order. The work-stealing engine calls this
+    /// directly, with `index` built over exactly those visits
+    /// (`index_complete`) and both shared with its patched view rather
+    /// than copied.
+    pub(crate) fn from_parts(
+        visits: Vec<Arc<LiveVisit>>,
+        watermark: Option<Timestamp>,
+        unqueryable: usize,
+        index: Arc<LiveIndex>,
+        index_complete: bool,
+    ) -> LiveSnapshot {
+        LiveSnapshot {
+            keys: visits.iter().map(|v| v.visit.0).collect(),
+            visits,
             watermark,
             unqueryable,
             index,
             index_complete,
-            positions,
         }
     }
 
-    /// Merges snapshots from several engines (multi-site federation).
-    /// Each input keeps its own cut; the merge is the plain union.
-    pub fn merge(parts: impl IntoIterator<Item = LiveSnapshot>) -> LiveSnapshot {
-        let shards = parts
-            .into_iter()
-            .map(|p| ShardLive {
-                visits: p.visits,
-                pending: p.pending,
-                watermark: p.watermark,
-                unqueryable: p.unqueryable,
-                index: p.index,
-            })
-            .collect();
-        LiveSnapshot::from_shards(shards)
-    }
-
-    /// Position of a visit key in the sorted `visits` vector — one
-    /// probe of the persistent id map built at snapshot assembly (the
-    /// per-query binary search this replaces was the last repeated
-    /// translation cost on the live query path).
+    /// Position of a visit key in the key-sorted `visits` vector.
     fn position(&self, key: u64) -> Option<TrajId> {
-        self.positions.get(&key).copied()
+        self.keys.binary_search(&key).ok().map(|i| i as TrajId)
     }
 
     /// Translates a posting (visit keys) into snapshot positions.
@@ -265,7 +279,7 @@ impl LiveSnapshot {
             CandidateSet::All => self.matching_scan(predicate),
             CandidateSet::Ids(ids) => ids
                 .into_iter()
-                .map(|id| &self.visits[id as usize])
+                .map(|id| &*self.visits[id as usize])
                 .filter(|v| predicate.matches(&v.trajectory))
                 .collect(),
         }
@@ -289,6 +303,7 @@ impl LiveSnapshot {
     pub fn matching_scan(&self, predicate: &Predicate) -> Vec<&LiveVisit> {
         self.visits
             .iter()
+            .map(|v| &**v)
             .filter(|v| predicate.matches(&v.trajectory))
             .collect()
     }
@@ -299,16 +314,6 @@ impl LiveSnapshot {
             .iter()
             .filter(|v| predicate.matches(&v.trajectory))
             .count()
-    }
-
-    /// Undrained episodes whose time interval overlaps the window — the
-    /// interval-query face of the live state. (Pending episodes are a
-    /// drain buffer, not a standing population, so this stays a scan.)
-    pub fn episodes_overlapping(&self, window: TimeInterval) -> Vec<&EmittedEpisode> {
-        self.pending
-            .iter()
-            .filter(|e| e.episode.time.overlaps(window))
-            .collect()
     }
 }
 
@@ -342,7 +347,9 @@ impl TrajectorySource for LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_core::{Annotation, AnnotationSet, Episode, PresenceInterval, Trace, TransitionTaken};
+    use sitm_core::{
+        Annotation, AnnotationSet, PresenceInterval, TimeInterval, Trace, TransitionTaken,
+    };
     use sitm_graph::{LayerIdx, NodeId};
     use sitm_space::CellRef;
 
@@ -370,7 +377,7 @@ mod tests {
 
     /// A ShardLive whose index covers its visits (the shape engines
     /// produce).
-    fn shard_live(visits: Vec<LiveVisit>, pending: Vec<EmittedEpisode>) -> ShardLive {
+    fn shard_live(visits: Vec<LiveVisit>) -> ShardLive {
         let mut index = LiveIndex::new();
         for v in &visits {
             for interval in v.trajectory.trace().intervals() {
@@ -379,23 +386,9 @@ mod tests {
         }
         ShardLive {
             visits,
-            pending,
             watermark: None,
             unqueryable: 0,
             index,
-        }
-    }
-
-    fn pending(v: u64, start: i64, end: i64) -> EmittedEpisode {
-        EmittedEpisode {
-            visit: VisitKey(v),
-            moving_object: format!("mo-{v}"),
-            predicate: 0,
-            episode: Episode {
-                range: 0..1,
-                time: TimeInterval::new(Timestamp(start), Timestamp(end)),
-                annotations: AnnotationSet::from_iter([Annotation::goal("ep")]),
-            },
         }
     }
 
@@ -405,43 +398,28 @@ mod tests {
             ShardLive {
                 watermark: Some(Timestamp(40)),
                 unqueryable: 1,
-                ..shard_live(vec![live(5, 1, 0)], vec![pending(5, 20, 30)])
+                ..shard_live(vec![live(5, 1, 0)])
             },
             ShardLive {
                 watermark: Some(Timestamp(25)),
-                ..shard_live(vec![live(2, 2, 0)], vec![pending(2, 0, 10)])
+                ..shard_live(vec![live(2, 2, 0)])
             },
-            shard_live(vec![], vec![]),
+            shard_live(vec![]),
         ]);
         assert_eq!(snapshot.visits.len(), 2);
         assert_eq!(snapshot.visits[0].visit, VisitKey(2), "sorted by key");
-        assert_eq!(snapshot.pending[0].visit, VisitKey(2), "drain order");
         assert_eq!(snapshot.watermark, Some(Timestamp(25)), "min across Some");
         assert_eq!(snapshot.unqueryable, 1);
         assert!(snapshot.index_complete, "shards carried their postings");
     }
 
     #[test]
-    fn predicate_and_interval_faces() {
-        let snapshot = LiveSnapshot::from_shards(vec![shard_live(
-            vec![live(1, 1, 0), live(2, 2, 0)],
-            vec![pending(1, 0, 10), pending(2, 50, 60)],
-        )]);
-        let p = Predicate::VisitedCell(cell(1));
-        assert_eq!(snapshot.count_matching(&p), 1);
-        assert_eq!(snapshot.matching(&p)[0].visit, VisitKey(1));
-        let window = TimeInterval::new(Timestamp(5), Timestamp(20));
-        let eps = snapshot.episodes_overlapping(window);
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].visit, VisitKey(1));
-    }
-
-    #[test]
     fn indexed_candidates_narrow_and_match_the_scan_path() {
-        let snapshot = LiveSnapshot::from_shards(vec![shard_live(
-            vec![live(1, 1, 0), live(2, 2, 100), live(3, 1, 200)],
-            vec![],
-        )]);
+        let snapshot = LiveSnapshot::from_shards(vec![shard_live(vec![
+            live(1, 1, 0),
+            live(2, 2, 100),
+            live(3, 1, 200),
+        ])]);
         let predicates = [
             Predicate::VisitedCell(cell(1)),
             Predicate::MovingObject("mo-2".into()),
@@ -487,7 +465,6 @@ mod tests {
         // lose matches, so candidates must degrade to All.
         let snapshot = LiveSnapshot::from_shards(vec![ShardLive {
             visits: vec![live(1, 1, 0)],
-            pending: vec![],
             watermark: None,
             unqueryable: 0,
             index: LiveIndex::new(),
@@ -506,9 +483,8 @@ mod tests {
         // overlapping engines): a duplicated key cannot be narrowed
         // soundly, so the merge must disable the index path — and the
         // indexed entry points must still count both copies.
-        let a = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0)], vec![])]);
-        let b =
-            LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 0)], vec![])]);
+        let a = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0)])]);
+        let b = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 0)])]);
         let merged = LiveSnapshot::merge([a, b]);
         assert_eq!(merged.visits.len(), 3);
         assert!(
@@ -525,11 +501,11 @@ mod tests {
     fn merge_unions_engine_snapshots_and_source_walks_all() {
         let a = LiveSnapshot::from_shards(vec![ShardLive {
             watermark: Some(Timestamp(10)),
-            ..shard_live(vec![live(1, 1, 0)], vec![])
+            ..shard_live(vec![live(1, 1, 0)])
         }]);
         let b = LiveSnapshot::from_shards(vec![ShardLive {
             unqueryable: 2,
-            ..shard_live(vec![live(2, 1, 0)], vec![])
+            ..shard_live(vec![live(2, 1, 0)])
         }]);
         let merged = LiveSnapshot::merge([a, b]);
         assert_eq!(merged.visits.len(), 2);

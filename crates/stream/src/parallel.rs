@@ -33,17 +33,18 @@
 //!   `channel_depth × batch_capacity × workers`; a producer outrunning
 //!   the workers blocks instead of ballooning memory.
 //! * **Sharded deposits** — what a slice *produces* (counters, drained
-//!   episodes, finished trajectories, watermark advances) lands in the
-//!   depositing worker's own `Deposit` behind its own lock, and
-//!   live-index maintenance rides a dedicated index lock; the scheduler
-//!   mutex guards only *routing* state (visit cells, deques, fences).
-//!   Workers therefore contend on the scheduler lock only to acquire
-//!   and release visits, never to record results — the deposit path
-//!   that used to serialize every worker through the one big mutex
-//!   (ROADMAP perf follow-on from the work-stealing rewrite). Barriers
-//!   merge the per-worker deposits after quiescing; merge order is
-//!   worker index, and every consumer sorts by a deterministic global
-//!   key, so the sharding is invisible in the output.
+//!   episodes, finished trajectories, watermark advances, and the key
+//!   of the visit if the slice opened it, accepted an interval into it
+//!   or closed it) lands in the depositing worker's own `Deposit`
+//!   behind its own lock; the scheduler mutex guards only *routing*
+//!   state (visit cells, deques, fences). Workers therefore contend on
+//!   the scheduler lock only to acquire and release visits, never to
+//!   record results — the deposit path that used to serialize every
+//!   worker through the one big mutex (ROADMAP perf follow-on from the
+//!   work-stealing rewrite). Barriers merge the per-worker deposits
+//!   after quiescing; merge order is worker index, and every consumer
+//!   sorts by a deterministic global key, so the sharding is invisible
+//!   in the output.
 //! * **Barriers** — `flush`/`drain`/`take_finished`/`finish`/
 //!   `checkpoint`/`live_snapshot`/`stats` quiesce: they push the router
 //!   buffer, then wait until every queued event is applied and
@@ -55,23 +56,31 @@
 //!   engine would use), so `watermark()` and checkpoint frames are
 //!   byte-compatible with [`ShardedEngine`]: checkpoints written by
 //!   either engine restore into the other.
-//! * **Live index** — with retention on, workers feed the shared
-//!   [`crate::LiveIndex`] (its own lock, taken while the visit is still
-//!   held so per-visit op order is preserved) as part of each deposit,
-//!   so `live_snapshot()` carries postings from the same cut as the
-//!   visible prefixes.
+//! * **Live view** — the engine thread owns what `live_snapshot()`
+//!   shows: every open visit's prefix behind its own `Arc`, and the
+//!   [`crate::LiveIndex`] over them behind one. Workers never see it.
+//!   At a cut (dispatch + quiesce, like every barrier) the engine
+//!   collects the touched keys from the deposits and, for each, forgets
+//!   the visit and re-derives it from its cell if it is still open —
+//!   an order-free patch, so a visit stolen between workers or closed
+//!   and re-opened between two cuts needs no op ordering. Every other
+//!   visit is shared with the previous snapshot, so a cut costs what
+//!   changed since the last one, not what is open and not what was ever
+//!   emitted. A deposit lists at most `TOUCHED_BOUND` keys; past that
+//!   (nobody has cut for a long time) the next cut runs the same patch
+//!   over every open visit instead.
 //!
-//! Lock order: a worker never holds two of {scheduler, index, deposit}
-//! at once; the engine thread may take index or a deposit *while*
-//! holding the scheduler (barriers and `finish`), which cannot cycle
-//! because workers only ever block on the scheduler empty-handed.
+//! Lock order: a worker never holds the scheduler and a deposit at
+//! once; the engine thread may take a deposit *while* holding the
+//! scheduler (barriers and `finish`), which cannot cycle because
+//! workers only ever block on the scheduler empty-handed.
 //!
 //! A worker that panics marks the scheduler; subsequent engine calls
 //! panic with a clear message rather than silently dropping data.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -82,7 +91,7 @@ use crate::checkpoint::{encode_shard, Checkpointer};
 use crate::engine::{shard_of, EngineConfig, EngineError, EngineStats};
 use crate::event::{StreamEvent, VisitKey};
 use crate::live_index::LiveIndex;
-use crate::live_query::{LiveSnapshot, LiveVisit, ShardLive};
+use crate::live_query::{LiveSnapshot, LiveVisit};
 use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::VisitState;
 
@@ -146,6 +155,12 @@ impl Scheduler {
             shutdown: false,
             panicked: false,
             fences: vec![BTreeSet::new(); shards],
+        }
+    }
+
+    fn panic_if_worker_died(&self) {
+        if self.panicked {
+            panic!("shard worker died (panicked); engine state is lost");
         }
     }
 
@@ -241,13 +256,30 @@ struct Deposit {
     /// Running high-water mark per *hash shard* (monotonic; merged by
     /// per-slot max across deposits).
     shard_watermarks: Vec<Option<Timestamp>>,
+    /// Visits a slice opened, extended or closed since the last
+    /// live-snapshot cut took this list — all that cut has to
+    /// re-derive. Unordered, may repeat; holding more than
+    /// [`TOUCHED_BOUND`] keys means the list is incomplete.
+    touched: Vec<u64>,
 }
+
+/// Keys a deposit lists before it gives up (nobody is cutting
+/// snapshots, so listing on is only memory): the next cut then
+/// re-derives every open visit, which costs no more than patching this
+/// many would.
+const TOUCHED_BOUND: usize = 4096;
 
 impl Deposit {
     fn new(shards: usize) -> Deposit {
         Deposit {
             shard_watermarks: vec![None; shards],
             ..Deposit::default()
+        }
+    }
+
+    fn touch(&mut self, key: u64) {
+        if self.touched.len() <= TOUCHED_BOUND {
+            self.touched.push(key);
         }
     }
 }
@@ -259,6 +291,13 @@ struct ParallelMetrics {
     events_fenced: Arc<sitm_obs::Counter>,
     visits_routed: Arc<sitm_obs::Counter>,
     visits_stolen: Arc<sitm_obs::Counter>,
+    /// Live-snapshot cuts that missed the epoch cache.
+    snapshot_cuts: Arc<sitm_obs::Counter>,
+    /// Open visits those cuts re-derived (prefix re-cloned, postings
+    /// rebuilt); every other visit was shared with the previous cut.
+    snapshot_visits_recloned: Arc<sitm_obs::Counter>,
+    /// Episodes emitted but not drained, as of the last barrier.
+    pending_episodes: Arc<sitm_obs::Gauge>,
     /// Ready-deque depth per worker.
     queue_depth: Vec<Arc<sitm_obs::Gauge>>,
 }
@@ -270,6 +309,9 @@ impl ParallelMetrics {
             events_fenced: registry.counter("engine.events_fenced"),
             visits_routed: registry.counter("engine.visits_routed"),
             visits_stolen: registry.counter("engine.visits_stolen"),
+            snapshot_cuts: registry.counter("engine.snapshot_cuts"),
+            snapshot_visits_recloned: registry.counter("engine.snapshot_visits_recloned"),
+            pending_episodes: registry.gauge("engine.pending_episodes"),
             queue_depth: (0..workers)
                 .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))
                 .collect(),
@@ -286,15 +328,40 @@ struct Shared {
     /// One deposit per worker — slice output lands here, off the
     /// scheduler lock.
     deposits: Vec<Mutex<Deposit>>,
-    /// Online postings over open visits (retention on only). A
-    /// dedicated lock: updated while the producing worker still holds
-    /// the visit, so per-visit op order is preserved without riding the
-    /// scheduler mutex.
-    index: Mutex<LiveIndex>,
     /// Workers park here when no visit is ready.
     work: Condvar,
     /// The engine thread parks here (quiesce, backpressure).
     quiet: Condvar,
+}
+
+impl Shared {
+    /// Waits until every pushed event is applied and deposited.
+    fn quiesce(&self) -> MutexGuard<'_, Scheduler> {
+        let mut guard = lock(&self.state);
+        loop {
+            guard.panic_if_worker_died();
+            if guard.quiesced() {
+                return guard;
+            }
+            guard = self
+                .quiet
+                .wait(guard)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    /// Visits every deposit in worker order (the caller holds the
+    /// quiesce guard, so none is mid-update) and republishes the
+    /// undrained-episode count the visit leaves behind.
+    fn sweep_deposits(&self, mut f: impl FnMut(&mut Deposit)) {
+        let mut pending = 0;
+        for deposit in &self.deposits {
+            let mut deposit = lock(deposit);
+            f(&mut deposit);
+            pending += deposit.pending.len();
+        }
+        self.metrics.pending_episodes.set(pending as i64);
+    }
 }
 
 /// Locks a mutex, recovering from poison so `Drop` can always shut the
@@ -313,17 +380,6 @@ struct Resident {
     closed_at: Option<Timestamp>,
 }
 
-/// Index maintenance recorded during a slice, applied to the shared
-/// [`LiveIndex`] before the visit is released (same cut as the state it
-/// indexes).
-enum IndexOp {
-    Observe {
-        object: String,
-        interval: sitm_core::PresenceInterval,
-    },
-    Remove,
-}
-
 /// Everything one application slice produced.
 #[derive(Default)]
 struct SliceOutput {
@@ -331,7 +387,9 @@ struct SliceOutput {
     watermark: Option<Timestamp>,
     pending: Vec<EmittedEpisode>,
     finished: Vec<(u64, SemanticTrajectory)>,
-    index_ops: Vec<IndexOp>,
+    /// The slice opened the visit, accepted an interval into it, or
+    /// closed it: what a live snapshot shows of it may have changed.
+    touched: bool,
 }
 
 impl SliceOutput {
@@ -378,6 +436,7 @@ fn apply_visit_event(
                 return;
             }
             out.stats.visits_opened += 1;
+            out.touched = true;
             resident.state = Some(VisitState::new(
                 moving_object,
                 annotations,
@@ -391,7 +450,7 @@ fn apply_visit_event(
             let state = resident.state.as_mut().expect("ensured above");
             let before = state.retained_intervals().len();
             state.apply_fix(cell, at, ctx, scratch, &mut out.stats.anomalies);
-            record_accepted(state, before, ctx, out);
+            out.touched |= state.retained_intervals().len() != before;
             collect_episodes(key, state, scratch, out);
         }
         StreamEvent::Presence { interval, .. } => {
@@ -400,7 +459,7 @@ fn apply_visit_event(
             let state = resident.state.as_mut().expect("ensured above");
             let before = state.retained_intervals().len();
             state.apply_presence(interval, ctx, scratch, &mut out.stats.anomalies);
-            record_accepted(state, before, ctx, out);
+            out.touched |= state.retained_intervals().len() != before;
             collect_episodes(key, state, scratch, out);
         }
         StreamEvent::VisitClosed { at, .. } => {
@@ -417,10 +476,8 @@ fn apply_visit_event(
                 }
             }
             out.stats.visits_closed += 1;
+            out.touched = true;
             resident.closed_at = Some(at);
-            if ctx.retain_intervals {
-                out.index_ops.push(IndexOp::Remove);
-            }
             collect_episodes(key, &state, scratch, out);
         }
     }
@@ -437,31 +494,13 @@ fn ensure_open(
     if resident.state.is_none() {
         out.stats.anomalies.implicit_opens += 1;
         out.stats.visits_opened += 1;
+        out.touched = true;
         resident.state = Some(VisitState::new(
             format!("implicit-{key}"),
             sitm_core::AnnotationSet::from_iter([sitm_core::Annotation::goal("streamed")]),
             ctx,
             &mut out.stats.anomalies,
         ));
-    }
-}
-
-/// Queues live-index observations for the intervals this apply accepted
-/// (visible as growth of the retained slice).
-fn record_accepted(
-    state: &VisitState,
-    before: usize,
-    ctx: &crate::shard::ShardCtx<'_>,
-    out: &mut SliceOutput,
-) {
-    if !ctx.retain_intervals {
-        return;
-    }
-    for interval in &state.retained_intervals()[before..] {
-        out.index_ops.push(IndexOp::Observe {
-            object: state.moving_object.clone(),
-            interval: interval.clone(),
-        });
     }
 }
 
@@ -487,24 +526,11 @@ fn collect_episodes(
     }
 }
 
-/// Applies a slice's index ops to the shared index. Must run while the
-/// producing thread still holds the visit, so per-visit op order is
-/// preserved across worker migrations.
-fn apply_index_ops(index: &Mutex<LiveIndex>, key: u64, ops: Vec<IndexOp>) {
-    if ops.is_empty() {
-        return;
-    }
-    let mut index = lock(index);
-    for op in ops {
-        match op {
-            IndexOp::Observe { object, interval } => index.observe(key, &object, &interval),
-            IndexOp::Remove => index.remove(key),
-        }
-    }
-}
-
-/// Folds a slice's remaining output into a deposit.
+/// Folds a slice's output into a deposit.
 fn absorb_into_deposit(deposit: &mut Deposit, key: u64, out: SliceOutput, shards: usize) {
+    if out.touched {
+        deposit.touch(key);
+    }
     deposit.stats.absorb(&out.stats);
     deposit.pending.extend(out.pending);
     deposit.finished.extend(out.finished);
@@ -516,8 +542,8 @@ fn absorb_into_deposit(deposit: &mut Deposit, key: u64, out: SliceOutput, shards
 
 /// The worker body: take a ready visit (own deque first, then steal a
 /// cold one), apply its queued events outside every lock, publish the
-/// results (index under the index lock, the rest into this worker's own
-/// deposit), then re-enter the scheduler only for cell bookkeeping.
+/// results into this worker's own deposit, then re-enter the scheduler
+/// only for cell bookkeeping.
 fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
     let ctx = config.ctx();
     let mut scratch: Vec<(usize, Episode)> = Vec::new();
@@ -561,9 +587,8 @@ fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
             }
 
             // Publish while the visit is still held (it cannot be
-            // re-acquired until `held` clears below): index first, then
-            // this worker's deposit — neither touches the scheduler.
-            apply_index_ops(&shared.index, key, std::mem::take(&mut out.index_ops));
+            // re-acquired until `held` clears below), off the scheduler
+            // lock.
             absorb_into_deposit(&mut lock(&shared.deposits[worker]), key, out, config.shards);
 
             guard = lock(&shared.state);
@@ -599,6 +624,20 @@ fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
     }
 }
 
+/// What a live snapshot shows, kept by the engine thread between cuts
+/// and patched at each one.
+#[derive(Default)]
+struct LiveView {
+    /// Every visit open at the last cut: its prefix, or `None` while it
+    /// has no queryable one. Snapshots share the `Arc`s.
+    visits: BTreeMap<u64, Option<Arc<LiveVisit>>>,
+    /// Postings over exactly those visits. Shared with the snapshots
+    /// handed out and patched through `Arc::make_mut`: a reader still
+    /// holding an earlier snapshot costs the next patch one index copy
+    /// and keeps its own postings unchanged.
+    index: Arc<LiveIndex>,
+}
+
 /// Work-stealing online trajectory-ingestion engine: the same surface
 /// and the same output as [`crate::ShardedEngine`], with visits applied
 /// concurrently, rebalanced across workers under skew, and results
@@ -616,8 +655,10 @@ pub struct ParallelEngine {
     /// Mutations since the epoch was last stamped.
     dirty: bool,
     /// The live snapshot memoized for `epoch` — a cache hit skips the
-    /// dispatch + quiesce barrier *and* the open-visit clone entirely.
+    /// dispatch + quiesce barrier entirely.
     snapshot_cache: Option<(u64, Arc<LiveSnapshot>)>,
+    /// What the last cut showed; the next one patches it.
+    view: LiveView,
 }
 
 impl ParallelEngine {
@@ -647,7 +688,6 @@ impl ParallelEngine {
         {
             let mut guard = lock(&engine.shared.state);
             let mut seed = lock(&engine.shared.deposits[0]);
-            let mut index = lock(&engine.shared.index);
             for (i, shard) in shards.into_iter().enumerate() {
                 let parts = shard.into_parts();
                 seed.shard_watermarks[i] = parts.watermark;
@@ -655,9 +695,9 @@ impl ParallelEngine {
                 seed.pending.extend(parts.pending);
                 seed.finished.extend(parts.finished);
                 for (key, state) in parts.visits {
-                    for interval in state.retained_intervals() {
-                        index.observe(key, &state.moving_object, interval);
-                    }
+                    // The first cut derives the restored visit like any
+                    // other touched one.
+                    seed.touch(key);
                     let mut cell = VisitCell::new(i);
                     cell.state = Some(state);
                     guard.visits.insert(key, cell);
@@ -684,7 +724,6 @@ impl ParallelEngine {
             deposits: (0..workers)
                 .map(|_| Mutex::new(Deposit::new(config.shards)))
                 .collect(),
-            index: Mutex::new(LiveIndex::new()),
             work: Condvar::new(),
             quiet: Condvar::new(),
         });
@@ -718,6 +757,7 @@ impl ParallelEngine {
             epoch: 0,
             dirty: false,
             snapshot_cache: None,
+            view: LiveView::default(),
         }
     }
 
@@ -735,12 +775,6 @@ impl ParallelEngine {
     /// (see [`crate::ShardedEngine::advance_sequence_to`]).
     pub fn advance_sequence_to(&mut self, sequence: u64) {
         self.sequence = self.sequence.max(sequence);
-    }
-
-    fn panic_if_worker_died(s: &Scheduler) {
-        if s.panicked {
-            panic!("shard worker died (panicked); engine state is lost");
-        }
     }
 
     /// Routes one event toward the scheduler. Events are buffered on
@@ -779,14 +813,14 @@ impl ParallelEngine {
         let shards = self.config.shards;
         let mut guard = lock(&self.shared.state);
         while guard.queued_events >= bound {
-            Self::panic_if_worker_died(&guard);
+            guard.panic_if_worker_died();
             guard = self
                 .shared
                 .quiet
                 .wait(guard)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        Self::panic_if_worker_died(&guard);
+        guard.panic_if_worker_died();
         let batch = events.len() as u64;
         let mut routed = 0u64;
         for event in events {
@@ -815,26 +849,10 @@ impl ParallelEngine {
         self.shared.work.notify_all();
     }
 
-    /// Waits until every pushed event is applied and deposited.
-    fn quiesce(&self) -> MutexGuard<'_, Scheduler> {
-        let mut guard = lock(&self.shared.state);
-        loop {
-            Self::panic_if_worker_died(&guard);
-            if guard.quiesced() {
-                return guard;
-            }
-            guard = self
-                .shared
-                .quiet
-                .wait(guard)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
     /// Applies every buffered event now (a full barrier).
     pub fn flush(&mut self) {
         self.dispatch();
-        drop(self.quiesce());
+        drop(self.shared.quiesce());
     }
 
     /// Flushes, then returns every episode finalized since the last
@@ -842,15 +860,14 @@ impl ParallelEngine {
     /// [`crate::ShardedEngine::drain`].
     pub fn drain(&mut self) -> Vec<EmittedEpisode> {
         self.dispatch();
-        let guard = self.quiesce();
+        let guard = self.shared.quiesce();
         let mut out = Vec::new();
-        for deposit in &self.shared.deposits {
-            out.append(&mut lock(deposit).pending);
-        }
+        self.shared
+            .sweep_deposits(|deposit| out.append(&mut deposit.pending));
         drop(guard);
         if !out.is_empty() {
-            // Pending episodes ride the live snapshot; removing them
-            // changes the queryable cut.
+            // Handing episodes out is a new epoch (the one stamped on
+            // the delta a subscriber receives).
             self.dirty = true;
         }
         out.sort_by_key(|a| a.sort_key());
@@ -866,6 +883,10 @@ impl ParallelEngine {
             return;
         }
         self.dirty = true;
+        self.shared
+            .metrics
+            .pending_episodes
+            .add(episodes.len() as i64);
         lock(&self.shared.deposits[0]).pending.extend(episodes);
     }
 
@@ -875,15 +896,10 @@ impl ParallelEngine {
     /// [`EngineConfig::with_warehouse`] is on.
     pub fn take_finished(&mut self) -> Vec<SemanticTrajectory> {
         self.dispatch();
-        let guard = self.quiesce();
+        let guard = self.shared.quiesce();
         let mut out: Vec<SemanticTrajectory> = Vec::new();
-        for deposit in &self.shared.deposits {
-            out.extend(
-                std::mem::take(&mut lock(deposit).finished)
-                    .into_iter()
-                    .map(|(_, t)| t),
-            );
-        }
+        self.shared
+            .sweep_deposits(|deposit| out.extend(deposit.finished.drain(..).map(|(_, t)| t)));
         drop(guard);
         sitm_store::sort_run(&mut out);
         out
@@ -895,7 +911,7 @@ impl ParallelEngine {
     pub fn finish(&mut self) -> Vec<EmittedEpisode> {
         self.dirty = true;
         self.dispatch();
-        let mut guard = self.quiesce();
+        let mut guard = self.shared.quiesce();
         let ctx = self.config.ctx();
         let shards = self.config.shards;
         let mut keys: Vec<u64> = guard
@@ -945,19 +961,16 @@ impl ParallelEngine {
                     .events_fenced
                     .add(out.stats.anomalies.after_close);
             }
-            // Engine-thread deposit: index first (workers are
-            // quiescent, but the order mirrors the worker path), then
-            // deposit 0 — safe while holding the scheduler because
-            // workers never block on the scheduler holding either lock.
-            apply_index_ops(&self.shared.index, key, std::mem::take(&mut out.index_ops));
+            // Engine-thread deposit into deposit 0 — safe while holding
+            // the scheduler because workers never block on the
+            // scheduler holding a deposit.
             absorb_into_deposit(&mut lock(&self.shared.deposits[0]), key, out, shards);
             guard.settle_cell(key, shard, was_fence, self.config.fence_capacity.max(1));
         }
-        drop(guard);
         let mut out = Vec::new();
-        for deposit in &self.shared.deposits {
-            out.append(&mut lock(deposit).pending);
-        }
+        self.shared
+            .sweep_deposits(|deposit| out.append(&mut deposit.pending));
+        drop(guard);
         out.sort_by_key(|a| a.sort_key());
         out
     }
@@ -966,14 +979,11 @@ impl ParallelEngine {
     /// max — each deposit's slots are monotonic).
     fn merged_watermarks(&self) -> Vec<Option<Timestamp>> {
         let mut merged = vec![None; self.config.shards];
-        for deposit in &self.shared.deposits {
-            let deposit = lock(deposit);
+        self.shared.sweep_deposits(|deposit| {
             for (slot, w) in merged.iter_mut().zip(&deposit.shard_watermarks) {
-                if let Some(t) = w {
-                    *slot = Some(slot.map_or(*t, |m: Timestamp| m.max(*t)));
-                }
+                *slot = (*slot).max(*w);
             }
-        }
+        });
         merged
     }
 
@@ -993,12 +1003,13 @@ impl ParallelEngine {
 
     /// A snapshot-consistent cut of the live state across every worker
     /// (see [`crate::live_query`] for the consistency model). The
-    /// snapshot carries the scheduler's live index from the same cut.
+    /// snapshot carries the live index from the same cut.
     ///
     /// The cut is **epoch-cached**: while nothing mutates the engine,
     /// repeated calls share one [`Arc`]'d snapshot — no dispatch, no
-    /// quiesce barrier, no open-visit clone. Any ingest invalidates the
-    /// cache, so the first call after a mutation pays the full cut.
+    /// quiesce barrier. Any ingest invalidates the cache, so the first
+    /// call after a mutation pays a cut — which re-derives only the
+    /// visits touched since the previous one.
     pub fn live_snapshot(&mut self) -> Arc<LiveSnapshot> {
         self.live_snapshot_cached().0
     }
@@ -1019,40 +1030,63 @@ impl ParallelEngine {
     }
 
     /// Cuts a fresh snapshot (the cache-miss path): dispatch, quiesce,
-    /// clone every open visit's retained prefix plus the live index.
+    /// patch the view for the visits touched since the last cut, hand
+    /// out shared pointers to it.
     fn cut_live_snapshot(&mut self) -> LiveSnapshot {
         self.dispatch();
-        let guard = self.quiesce();
-        let shards = self.config.shards;
-        let watermarks = self.merged_watermarks();
-        let mut per_shard: Vec<ShardLive> = (0..shards)
-            .map(|i| ShardLive {
-                visits: Vec::new(),
-                pending: Vec::new(),
-                watermark: watermarks[i],
-                unqueryable: 0,
-                index: LiveIndex::new(),
-            })
-            .collect();
-        for (key, cell) in &guard.visits {
-            let Some(state) = &cell.state else { continue };
-            let shard = shard_of(VisitKey(*key), shards);
-            match state.live_trajectory() {
-                Some(trajectory) => per_shard[shard].visits.push(LiveVisit {
-                    visit: VisitKey(*key),
-                    trajectory,
-                }),
-                None => per_shard[shard].unqueryable += 1,
+        let guard = self.shared.quiesce();
+        let watermark = self.merged_watermarks().into_iter().flatten().min();
+        let mut touched = Vec::new();
+        let mut complete = true;
+        self.shared.sweep_deposits(|deposit| {
+            complete &= deposit.touched.len() <= TOUCHED_BOUND;
+            touched.append(&mut deposit.touched);
+        });
+        if !complete {
+            // A list overflowed: start from nothing and patch every
+            // open visit — the same loop over a longer list.
+            self.view = LiveView::default();
+            touched = guard
+                .visits
+                .iter()
+                .filter(|(_, cell)| cell.state.is_some())
+                .map(|(key, _)| *key)
+                .collect();
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut recloned = 0;
+        if !touched.is_empty() {
+            let index = Arc::make_mut(&mut self.view.index);
+            for key in touched {
+                // Order-free: forget the visit, then re-derive it if
+                // its cell is (still, or again) open.
+                self.view.visits.remove(&key);
+                index.remove(key);
+                let Some(state) = guard.visits.get(&key).and_then(|cell| cell.state.as_ref())
+                else {
+                    continue;
+                };
+                for interval in state.retained_intervals() {
+                    index.observe(key, &state.moving_object, interval);
+                }
+                let visit = state.live_trajectory().map(|trajectory| {
+                    Arc::new(LiveVisit {
+                        visit: VisitKey(key),
+                        trajectory,
+                    })
+                });
+                self.view.visits.insert(key, visit);
+                recloned += 1;
             }
         }
-        for deposit in &self.shared.deposits {
-            per_shard[0]
-                .pending
-                .extend(lock(deposit).pending.iter().cloned());
-        }
-        per_shard[0].index = lock(&self.shared.index).clone();
         drop(guard);
-        LiveSnapshot::from_shards(per_shard)
+        self.shared.metrics.snapshot_cuts.inc();
+        self.shared.metrics.snapshot_visits_recloned.add(recloned);
+        let visits: Vec<Arc<LiveVisit>> = self.view.visits.values().flatten().cloned().collect();
+        let unqueryable = self.view.visits.len() - visits.len();
+        let index = Arc::clone(&self.view.index);
+        LiveSnapshot::from_parts(visits, watermark, unqueryable, index, true)
     }
 
     /// The engine watermark (minimum across populated hash shards).
@@ -1063,7 +1097,7 @@ impl ParallelEngine {
     /// matching [`crate::ShardedEngine::watermark`]'s only-applied
     /// semantics (it does not flush shard inboxes either).
     pub fn watermark(&self) -> Option<Timestamp> {
-        let guard = self.quiesce();
+        let guard = self.shared.quiesce();
         let min = self.merged_watermarks().into_iter().flatten().min();
         drop(guard);
         min
@@ -1075,16 +1109,15 @@ impl ParallelEngine {
     /// reported around events still sitting in its batches.
     pub fn stats(&mut self) -> EngineStats {
         self.dispatch();
-        let guard = self.quiesce();
+        let guard = self.shared.quiesce();
         let open_visits = guard
             .visits
             .values()
             .filter(|cell| cell.state.is_some())
             .count() as u64;
         let mut total = ShardStats::default();
-        for deposit in &self.shared.deposits {
-            total.absorb(&lock(deposit).stats);
-        }
+        self.shared
+            .sweep_deposits(|deposit| total.absorb(&deposit.stats));
         drop(guard);
         let mut stats = EngineStats::default();
         stats.absorb_shard(&total, open_visits);
@@ -1099,7 +1132,7 @@ impl ParallelEngine {
         self.sequence += 1;
         let sequence = self.sequence;
         let shards = self.config.shards;
-        let guard = self.quiesce();
+        let guard = self.shared.quiesce();
         let watermarks = self.merged_watermarks();
         let mut snapshots: Vec<ShardSnapshot> = (0..shards)
             .map(|i| ShardSnapshot {
@@ -1111,11 +1144,6 @@ impl ParallelEngine {
                 stats: ShardStats::default(),
             })
             .collect();
-        // Counters are engine-global here; recorded on shard 0 so the
-        // aggregate (the only cross-engine observable) round-trips.
-        for deposit in &self.shared.deposits {
-            snapshots[0].stats.absorb(&lock(deposit).stats);
-        }
         let mut keys: Vec<u64> = guard.visits.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
@@ -1127,8 +1155,11 @@ impl ParallelEngine {
                 snapshots[shard].closed.push((key, at));
             }
         }
-        for deposit in &self.shared.deposits {
-            let deposit = lock(deposit);
+        self.shared.sweep_deposits(|deposit| {
+            // Counters are engine-global here; recorded on shard 0 so
+            // the aggregate (the only cross-engine observable)
+            // round-trips.
+            snapshots[0].stats.absorb(&deposit.stats);
             for episode in &deposit.pending {
                 snapshots[shard_of(episode.visit, shards)]
                     .pending
@@ -1139,7 +1170,7 @@ impl ParallelEngine {
                     .finished
                     .push((*key, trajectory.clone()));
             }
-        }
+        });
         drop(guard);
         for snapshot in &mut snapshots {
             snapshot.pending.sort_by_key(|e| e.sort_key());

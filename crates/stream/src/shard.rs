@@ -399,9 +399,8 @@ impl Shard {
     }
 
     /// The shard's contribution to a live-query snapshot: every open
-    /// visit's trajectory prefix (when intervals are retained), plus a
-    /// copy of the finalized-but-undrained episodes. Visits without a
-    /// queryable prefix yet are counted, not silently dropped.
+    /// visit's trajectory prefix (when intervals are retained). Visits
+    /// without a queryable prefix yet are counted, not silently dropped.
     pub fn live_state(&self) -> ShardLive {
         let mut visits = Vec::new();
         let mut unqueryable = 0usize;
@@ -416,7 +415,6 @@ impl Shard {
         }
         ShardLive {
             visits,
-            pending: self.pending.clone(),
             watermark: self.watermark,
             unqueryable,
             index: self.live_index.clone(),
@@ -694,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn live_state_exposes_prefixes_and_pending() {
+    fn live_state_exposes_prefixes() {
         let preds = preds();
         let retaining = ShardCtx {
             retain_intervals: true,
@@ -716,7 +714,6 @@ mod tests {
         assert_eq!(live.visits.len(), 1);
         assert_eq!(live.visits[0].visit, VisitKey(3));
         assert_eq!(live.visits[0].trajectory.trace().len(), 2);
-        assert_eq!(live.pending.len(), 1, "cell-1 run closed by cell-0 stay");
         assert_eq!(live.unqueryable, 0);
         assert_eq!(live.watermark, Some(Timestamp(10)));
         // Without retention the visit is counted as unqueryable instead.

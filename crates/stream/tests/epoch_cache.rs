@@ -159,12 +159,12 @@ fn check_cache_contract(engine: &mut impl Runtime) {
         "the rebuilt snapshot sees the newly opened visits"
     );
 
-    // Drain-with-episodes invalidates (pending rides the snapshot);
-    // an empty drain afterwards does not.
+    // Drain-with-episodes is a new epoch (the one a subscriber's delta
+    // is stamped with), so it invalidates; an empty drain does not.
     let drained = engine.drain();
     assert!(!drained.is_empty(), "closed visits emitted episodes");
     let (post_drain, hit) = engine.snapshot_cached();
-    assert!(!hit, "a non-empty drain changes snapshot-visible state");
+    assert!(!hit, "a non-empty drain advances the epoch");
     let e2 = engine.epoch();
     assert!(e2 > e1);
     assert!(engine.drain().is_empty());
@@ -176,7 +176,7 @@ fn check_cache_contract(engine: &mut impl Runtime) {
     // re-emits exactly what went back, in deterministic order.
     engine.requeue(drained.clone());
     let (_, hit) = engine.snapshot_cached();
-    assert!(!hit, "requeued episodes are snapshot-visible again");
+    assert!(!hit, "a requeue advances the epoch");
     let redrained = engine.drain();
     let mut expect = drained;
     expect.sort_by_key(EmittedEpisode::sort_key);

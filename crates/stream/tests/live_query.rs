@@ -6,11 +6,20 @@
 //! intervals ingested so far for every still-open visit) — for both
 //! engines, including the empty-shard case (more shards than visits)
 //! and a single-hot-shard skew (one visit receiving almost all events).
+//!
+//! [`ParallelEngine`] patches its snapshot at each cut (only the visits
+//! touched since the previous one are re-derived); [`ShardedEngine`]
+//! rebuilds from scratch. The second half of this file holds the two
+//! equal at every cut of feeds built to break a patch — re-opened keys,
+//! implicit opens, fence eviction, restore, the touched-list overflow —
+//! and pins what a cut costs by counting, not timing.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
     Timestamp, Trace, TransitionTaken,
@@ -19,13 +28,14 @@ use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
-use sitm_query::{federated_count, Predicate, TrajectorySource};
+use sitm_query::{federated_count, CandidateSet, Predicate, TrajectorySource};
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
     dataset_events, resume_parallel_from_log, EngineConfig, LiveSnapshot, ParallelEngine,
     ShardedEngine, StreamEvent, VisitKey,
 };
+use std::sync::Arc;
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -129,16 +139,8 @@ fn query_predicates(model: &LouvreModel, events: &[StreamEvent]) -> Vec<Predicat
 }
 
 /// Checks one engine's snapshot against the batch prefix reference at
-/// one cut point. `drained` is what the engine handed out right after
-/// the snapshot; it must equal the snapshot's pending set
-/// (snapshot-consistent drain).
-fn check_cut(
-    model: &LouvreModel,
-    events: &[StreamEvent],
-    cut: usize,
-    snapshot: &LiveSnapshot,
-    drained: &[sitm_stream::EmittedEpisode],
-) {
+/// one cut point.
+fn check_cut(model: &LouvreModel, events: &[StreamEvent], cut: usize, snapshot: &LiveSnapshot) {
     let reference = batch_prefixes(&events[..cut]);
     assert_eq!(
         snapshot.visits.len(),
@@ -192,11 +194,6 @@ fn check_cut(
             "cut {cut}: federated count diverged"
         );
     }
-    assert_eq!(
-        drained,
-        snapshot.pending.as_slice(),
-        "cut {cut}: drain was not snapshot-consistent"
-    );
 }
 
 proptest! {
@@ -227,11 +224,11 @@ proptest! {
 
             let snapshot = sequential.live_snapshot();
             let drained = sequential.drain();
-            check_cut(&model, &events, cut, &snapshot, &drained);
+            check_cut(&model, &events, cut, &snapshot);
 
             let snapshot = parallel.live_snapshot();
             let parallel_drained = parallel.drain();
-            check_cut(&model, &events, cut, &snapshot, &parallel_drained);
+            check_cut(&model, &events, cut, &snapshot);
             prop_assert_eq!(drained, parallel_drained, "engines drained differently");
         }
     }
@@ -253,8 +250,7 @@ fn empty_shards_are_invisible_to_live_queries() {
     let snapshot = engine.live_snapshot();
     assert_eq!(snapshot.visits.len(), 1);
     assert_eq!(snapshot.count_matching(&Predicate::True), 1);
-    let drained = engine.drain();
-    check_cut(&model, &events, cut, &snapshot, &drained);
+    check_cut(&model, &events, cut, &snapshot);
     // After the close the live view empties.
     engine.ingest_all(events[events.len() - 1..].iter().cloned());
     let empty = engine.live_snapshot();
@@ -322,7 +318,6 @@ fn single_hot_shard_skew_stays_consistent() {
     let cut = events.len();
     engine.ingest_all(events.iter().cloned());
     let snapshot = engine.live_snapshot();
-    let drained = engine.drain();
     assert_eq!(snapshot.visits.len(), 6, "all six visits still open");
 
     let reference = batch_prefixes(&events[..cut]);
@@ -339,7 +334,6 @@ fn single_hot_shard_skew_stays_consistent() {
         1,
         "only the hot visit (4000s dwell) clears 450s; cold visits dwell 99s"
     );
-    assert_eq!(drained, snapshot.pending);
 }
 
 #[test]
@@ -467,4 +461,414 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     restored.ingest_all(events[cut..].iter().cloned());
     assert_eq!(restored.finish(), reference.finish());
     let _ = std::fs::remove_file(&path);
+}
+
+// ---- patched (ParallelEngine) == rebuilt (ShardedEngine) at every cut ----
+
+fn cell(n: usize) -> CellRef {
+    CellRef::new(
+        sitm_graph::LayerIdx::from_index(0),
+        sitm_graph::NodeId::from_index(n),
+    )
+}
+
+const CHURN_CELLS: usize = 4;
+const CHURN_LATENESS: i64 = 50;
+
+fn churn_config(shards: usize) -> EngineConfig {
+    EngineConfig::new(vec![
+        (
+            sitm_core::IntervalPredicate::in_cells([cell(1)]),
+            label("one"),
+        ),
+        (sitm_core::IntervalPredicate::any(), label("whole")),
+    ])
+    .with_shards(shards)
+    .with_batch_capacity(3)
+    .with_allowed_lateness(Duration::seconds(CHURN_LATENESS))
+    .with_live_queries()
+}
+
+fn stay(key: u64, c: usize, start: i64, end: i64) -> StreamEvent {
+    StreamEvent::Presence {
+        visit: VisitKey(key),
+        interval: PresenceInterval::new(
+            TransitionTaken::Unknown,
+            cell(c),
+            Timestamp(start),
+            Timestamp(end),
+        ),
+    }
+}
+
+/// A feed built to hit what a patch can get wrong. Every key lives
+/// several lives, 10 000 s apart: a life may start without its open
+/// (implicit open), takes stays and raw fixes, may close, and a closed
+/// life may be followed by a straggler inside the lateness horizon
+/// (fenced) — the next life's first event then retires the fence and
+/// re-opens the same key. The last life of a key may stay open.
+fn churn_feed(seed: u64, keys: u64) -> Vec<StreamEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut events = Vec::new();
+    for key in 0..keys {
+        for life in 0..rng.random_range(1..4i64) {
+            let base = life * 10_000 + key as i64;
+            if rng.random_bool(0.7) {
+                events.push(StreamEvent::VisitOpened {
+                    visit: VisitKey(key),
+                    moving_object: format!("mo-{}", key % 5),
+                    annotations: label("visit"),
+                    at: Timestamp(base),
+                });
+            }
+            let mut t = base;
+            for _ in 0..rng.random_range(0..5) {
+                let c = rng.random_range(0..CHURN_CELLS);
+                if rng.random_bool(0.3) {
+                    events.push(StreamEvent::Fix {
+                        visit: VisitKey(key),
+                        cell: cell(c),
+                        at: Timestamp(t),
+                    });
+                } else {
+                    events.push(stay(key, c, t, t + 20));
+                }
+                t += 30;
+            }
+            if rng.random_bool(0.75) {
+                events.push(StreamEvent::VisitClosed {
+                    visit: VisitKey(key),
+                    at: Timestamp(t),
+                });
+                if rng.random_bool(0.5) {
+                    events.push(stay(key, 0, t + 10, t + 20));
+                }
+            }
+        }
+    }
+    events
+}
+
+/// Seeded Fisher–Yates over a window: events travel at most `reach`
+/// places, so feeds stay mostly causal (lives really open, extend,
+/// close and re-open) while order within the window is arbitrary.
+fn shuffle_locally(events: &mut [StreamEvent], seed: u64, reach: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..events.len() {
+        let j = rng.random_range(i..(i + reach).min(events.len()));
+        events.swap(i, j);
+    }
+}
+
+/// Every predicate shape the live index can narrow, over the churn
+/// feed's cells, objects and time axis.
+fn indexable_shapes() -> Vec<Predicate> {
+    let window = |a: i64, b: i64| TimeInterval::new(Timestamp(a), Timestamp(b));
+    let mut shapes = vec![
+        Predicate::SequenceContains(vec![cell(0), cell(1)]),
+        Predicate::VisitedCell(cell(1)).and(Predicate::MovingObject("mo-2".into())),
+        Predicate::VisitedCell(cell(2)).or(Predicate::MovingObject("mo-4".into())),
+        Predicate::VisitedCell(cell(3)).and(Predicate::MinTotalDwell(Duration::seconds(30))),
+    ];
+    for c in 0..CHURN_CELLS {
+        shapes.push(Predicate::VisitedCell(cell(c)));
+        shapes.push(Predicate::MinStayIn(cell(c), Duration::seconds(10)));
+        shapes.push(Predicate::StayOverlaps(cell(c), window(10_000, 10_200)));
+    }
+    for object in 0..5 {
+        shapes.push(Predicate::MovingObject(format!("mo-{object}")));
+    }
+    for end in [0, 60, 10_050, 20_100, 40_000] {
+        shapes.push(Predicate::SpanOverlaps(window(end - 100, end)));
+    }
+    shapes
+}
+
+fn candidates_of(snapshot: &LiveSnapshot) -> Vec<CandidateSet> {
+    indexable_shapes()
+        .iter()
+        .map(|p| snapshot.candidates(p))
+        .collect()
+}
+
+/// The differential at one cut: the patched snapshot equals the rebuilt
+/// one field for field (visits, `unqueryable`, watermark, postings),
+/// narrows every indexable shape to the same candidates, and answers
+/// them like its own scan path.
+fn assert_patched_equals_rebuilt(patched: &LiveSnapshot, rebuilt: &LiveSnapshot, at: &str) {
+    assert_eq!(patched.visits, rebuilt.visits, "{at}: visits diverged");
+    assert_eq!(
+        patched.unqueryable, rebuilt.unqueryable,
+        "{at}: unqueryable"
+    );
+    assert_eq!(patched.watermark, rebuilt.watermark, "{at}: watermark");
+    assert_eq!(patched, rebuilt, "{at}: postings diverged");
+    assert_eq!(candidates_of(patched), candidates_of(rebuilt), "{at}");
+    for p in indexable_shapes() {
+        assert!(
+            patched.candidates(&p) != CandidateSet::All,
+            "{at}: {p} must narrow through the patched index"
+        );
+        let keys = |visits: Vec<&sitm_stream::LiveVisit>| -> Vec<u64> {
+            visits.iter().map(|v| v.visit.0).collect()
+        };
+        assert_eq!(
+            keys(patched.matching(&p)),
+            keys(patched.matching_scan(&p)),
+            "{at}: indexed != scan for {p}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cuts after random prefixes of a shuffled churn feed: at each, the
+    /// patched snapshot equals the from-scratch one; one cut goes
+    /// through checkpoint → restore first; and the snapshot a reader
+    /// kept from the previous cut is still what it was.
+    #[test]
+    fn patched_snapshot_equals_rebuilt_at_every_cut(
+        seed in 0u64..1_000_000,
+        keys in 4u64..14,
+        shards in 1usize..5,
+        reach in 1usize..12,
+        cuts in proptest::collection::vec(1usize..9, 3..10),
+        restore_at in 0usize..10,
+    ) {
+        let mut events = churn_feed(seed, keys);
+        // Lives in time order across keys, then locally shuffled.
+        events.sort_by_key(StreamEvent::time);
+        shuffle_locally(&mut events, seed ^ 0x5eed, reach);
+
+        let mut rebuilt = ShardedEngine::new(churn_config(shards)).expect("engine");
+        let mut patched = ParallelEngine::new(churn_config(shards)).expect("engine");
+        // What a reader holding the previous cut's `Arc` must still see.
+        let mut held: Option<(Arc<LiveSnapshot>, Arc<LiveSnapshot>, Vec<CandidateSet>)> = None;
+
+        let mut fed = 0;
+        let mut step = 0;
+        while fed < events.len() {
+            let next = (fed + cuts[step % cuts.len()]).min(events.len());
+            rebuilt.ingest_all(events[fed..next].iter().cloned());
+            patched.ingest_all(events[fed..next].iter().cloned());
+            fed = next;
+
+            if step == restore_at {
+                let frames = patched.checkpoint_frames();
+                let frames: Vec<&CheckpointFrame> = frames.iter().collect();
+                patched = ParallelEngine::restore(churn_config(shards), &frames).expect("restore");
+            }
+            let at = format!("seed {seed}, after {fed} events");
+            let now_patched = patched.live_snapshot();
+            let now_rebuilt = rebuilt.live_snapshot();
+            assert_patched_equals_rebuilt(&now_patched, &now_rebuilt, &at);
+
+            if let Some((old_patched, old_rebuilt, old_candidates)) = held.take() {
+                prop_assert_eq!(&*old_patched, &*old_rebuilt, "{}: a held snapshot changed", at);
+                prop_assert_eq!(candidates_of(&old_patched), old_candidates);
+            }
+            let candidates = candidates_of(&now_patched);
+            held = Some((now_patched, now_rebuilt, candidates));
+            step += 1;
+        }
+        prop_assert_eq!(patched.finish(), rebuilt.finish(), "episodes diverged");
+    }
+}
+
+#[test]
+fn close_straggler_expiry_and_reopen_between_two_cuts() {
+    // One key, all between two cuts: close, a straggler inside the
+    // horizon (fenced), then a stay past it that retires the fence and
+    // re-opens the key implicitly under a new identity. The patch must
+    // end with the new life's prefix and postings, not the old one's.
+    let mut rebuilt = ShardedEngine::new(churn_config(2)).unwrap();
+    let mut patched = ParallelEngine::new(churn_config(2)).unwrap();
+    let first_life = vec![
+        StreamEvent::VisitOpened {
+            visit: VisitKey(7),
+            moving_object: "mo-2".into(),
+            annotations: label("visit"),
+            at: Timestamp(0),
+        },
+        stay(7, 1, 0, 20),
+        stay(8, 2, 5, 25), // a bystander the patch must leave alone
+    ];
+    rebuilt.ingest_all(first_life.clone());
+    patched.ingest_all(first_life);
+    let before = patched.live_snapshot();
+    assert_patched_equals_rebuilt(&before, &rebuilt.live_snapshot(), "first life");
+    assert_eq!(
+        before.count_matching(&Predicate::MovingObject("mo-2".into())),
+        1
+    );
+
+    let churn = vec![
+        StreamEvent::VisitClosed {
+            visit: VisitKey(7),
+            at: Timestamp(30),
+        },
+        stay(7, 3, 40, 45),   // within 30 + 50: fenced
+        stay(7, 3, 500, 520), // past it: re-opens as implicit-7
+    ];
+    rebuilt.ingest_all(churn.clone());
+    patched.ingest_all(churn);
+    let after = patched.live_snapshot();
+    assert_patched_equals_rebuilt(&after, &rebuilt.live_snapshot(), "second life");
+    let reopened = after.matching(&Predicate::VisitedCell(cell(3)));
+    assert_eq!(reopened.len(), 1);
+    assert_eq!(reopened[0].trajectory.moving_object, "implicit-7");
+    assert_eq!(reopened[0].trajectory.trace().len(), 1, "the new life only");
+    assert_eq!(
+        after.count_matching(&Predicate::MovingObject("mo-2".into())),
+        0,
+        "the old life's postings are gone"
+    );
+    assert!(
+        Arc::ptr_eq(&before.visits[1], &after.visits[1]),
+        "the untouched bystander is shared between the cuts, not re-cloned"
+    );
+    assert_eq!(
+        before.visits[0].trajectory.moving_object, "mo-2",
+        "held cut"
+    );
+}
+
+#[test]
+fn fence_eviction_reopens_identically_in_both_engines() {
+    // One shard, one remembered fence: closing B evicts A's older
+    // fence, so a straggler for A re-opens it while B's is fenced.
+    // Cuts sit between the closes and the stragglers, where the two
+    // runtimes' fence sets agree (see `EngineConfig::fence_capacity`).
+    let config = || churn_config(1).with_fence_capacity(1);
+    let mut rebuilt = ShardedEngine::new(config()).unwrap();
+    let mut patched = ParallelEngine::new(config()).unwrap();
+    let steps: Vec<Vec<StreamEvent>> = vec![
+        vec![stay(1, 0, 0, 10), stay(2, 1, 0, 10), stay(3, 2, 0, 10)],
+        vec![
+            StreamEvent::VisitClosed {
+                visit: VisitKey(1),
+                at: Timestamp(20),
+            },
+            StreamEvent::VisitClosed {
+                visit: VisitKey(2),
+                at: Timestamp(30),
+            },
+        ],
+        vec![stay(1, 3, 40, 45), stay(2, 3, 40, 45)],
+    ];
+    for (i, step) in steps.into_iter().enumerate() {
+        rebuilt.ingest_all(step.clone());
+        patched.ingest_all(step);
+        let snapshot = patched.live_snapshot();
+        assert_patched_equals_rebuilt(&snapshot, &rebuilt.live_snapshot(), &format!("step {i}"));
+    }
+    let open: Vec<u64> = patched
+        .live_snapshot()
+        .visits
+        .iter()
+        .map(|v| v.visit.0)
+        .collect();
+    assert_eq!(
+        open,
+        vec![1, 3],
+        "A re-opened (fence evicted), B stayed fenced"
+    );
+}
+
+/// `closed` visits that open, stay and close (two episodes each under
+/// `churn_config`), keyed from `base`.
+fn closed_visits(base: u64, closed: u64) -> Vec<StreamEvent> {
+    let mut events = Vec::new();
+    for key in base..base + closed {
+        let t = key as i64;
+        events.push(StreamEvent::VisitOpened {
+            visit: VisitKey(key),
+            moving_object: format!("gone-{key}"),
+            annotations: label("visit"),
+            at: Timestamp(t),
+        });
+        events.push(stay(key, 1, t, t + 5));
+        events.push(StreamEvent::VisitClosed {
+            visit: VisitKey(key),
+            at: Timestamp(t + 6),
+        });
+    }
+    events
+}
+
+fn counter(registry: &sitm_obs::MetricsRegistry, name: &str) -> u64 {
+    registry
+        .snapshot()
+        .counter(name)
+        .unwrap_or_else(|| panic!("{name} is not registered"))
+}
+
+/// What a cut costs, counted rather than timed: 200 open visits beside
+/// 5 000 closed ones (10 000 episodes nobody drained), then one fix.
+/// The cut after it re-derives exactly that one visit.
+#[test]
+fn a_cut_reclones_only_the_visits_touched_since_the_last_one() {
+    let registry = sitm_obs::MetricsRegistry::new();
+    let config = |registry: &sitm_obs::MetricsRegistry| {
+        // One worker, so one deposit takes every touch below.
+        churn_config(1)
+            .with_batch_capacity(64)
+            .with_metrics(registry.clone())
+    };
+    let mut engine = ParallelEngine::new(config(&registry)).unwrap();
+    let mut rebuilt = ShardedEngine::new(config(&sitm_obs::MetricsRegistry::new())).unwrap();
+
+    let mut feed = closed_visits(1_000, 5_000);
+    feed.extend((0..200u64).map(|key| stay(key, (key % 3) as usize, 0, 10)));
+    engine.ingest_all(feed.clone());
+    rebuilt.ingest_all(feed);
+
+    // 5 200 visits were touched, far past what a deposit lists, and
+    // the open ones last: this cut takes the overflow path — the same
+    // patch over every open visit — and must still equal the
+    // from-scratch snapshot.
+    let first = engine.live_snapshot();
+    assert_patched_equals_rebuilt(&first, &rebuilt.live_snapshot(), "overflowed cut");
+    assert_eq!(first.visits.len(), 200);
+    assert_eq!(counter(&registry, "engine.snapshot_cuts"), 1);
+    assert_eq!(counter(&registry, "engine.snapshot_visits_recloned"), 200);
+    assert_eq!(
+        registry.snapshot().gauge("engine.pending_episodes"),
+        Some(10_000),
+        "the backlog the cut did not touch"
+    );
+
+    let nudge = StreamEvent::Fix {
+        visit: VisitKey(17),
+        cell: cell(3),
+        at: Timestamp(50),
+    };
+    engine.ingest(nudge.clone());
+    engine.ingest(stay(17, 3, 60, 70)); // closes the fix into an interval
+    rebuilt.ingest_all([nudge, stay(17, 3, 60, 70)]);
+    let second = engine.live_snapshot();
+    assert_patched_equals_rebuilt(&second, &rebuilt.live_snapshot(), "patched cut");
+    assert_eq!(counter(&registry, "engine.snapshot_cuts"), 2);
+    assert_eq!(
+        counter(&registry, "engine.snapshot_visits_recloned"),
+        201,
+        "the second cut re-derived exactly the one visit that changed"
+    );
+    let shared = first
+        .visits
+        .iter()
+        .zip(&second.visits)
+        .filter(|(a, b)| Arc::ptr_eq(a, b))
+        .count();
+    assert_eq!(
+        shared, 199,
+        "every other prefix is the previous cut's allocation"
+    );
+
+    // No ingest since: a cache hit, no cut at all.
+    let (third, hit) = engine.live_snapshot_cached();
+    assert!(hit && Arc::ptr_eq(&second, &third));
+    assert_eq!(counter(&registry, "engine.snapshot_cuts"), 2);
+    assert_eq!(counter(&registry, "engine.snapshot_visits_recloned"), 201);
 }
