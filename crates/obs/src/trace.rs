@@ -29,7 +29,7 @@
 //!   [`DETAIL_SAMPLE_EVERY`] — or on every request whose context came
 //!   off the wire, since that caller asked for this request's
 //!   breakdown. `BENCH_10.json`'s `trace_overhead` group pins the
-//!   resulting default-config tax at ≤ 5% of a served point-query RTT.
+//!   resulting default-config tax at ≤ 1 µs per served point query.
 //! * [`encode_traces`] / [`decode_traces`] — a versioned codec in the
 //!   [`crate::codec`] discipline: every read bounds-checked, counts
 //!   capped by remaining bytes, depth capped ([`MAX_SPAN_DEPTH`]),

@@ -13,7 +13,18 @@
 //! One client drives one session; concurrency comes from running one
 //! client per thread (`bench_serve` drives N of them against one
 //! server).
+//!
+//! A round trip is one socket write and (for a reply that fits the
+//! 64 KiB read buffer) one socket read, with no allocation in steady
+//! state: the client owns an output buffer the request is encoded into
+//! behind its reserved frame header, and the connection is a frame
+//! reader (see [`crate::wire`]) that owns the stream, its read buffer
+//! and the payload buffer the response is decoded from. Whatever the
+//! reader had buffered is dropped with the connection on reconnect, so
+//! bytes of a dead session never reach a new one; either message
+//! buffer is freed after a message that grew it past 1 MiB.
 
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
@@ -28,7 +39,7 @@ use sitm_stream::{EmittedEpisode, StreamEvent};
 use crate::proto::{
     decode_response, encode_request, ExplainReport, Request, Response, ServerStats, StatsRollup,
 };
-use crate::wire::{read_frame, read_frame_or_idle, write_frame, write_traced_frame};
+use crate::wire::{begin_frame, finish_frame, release_if_large, write_frame, FrameReader};
 use crate::ServeError;
 
 /// Client-side transport counters (see [`Client::stats`]). These count
@@ -52,7 +63,12 @@ pub struct ClientStats {
 /// A blocking, reconnect-safe connection to a [`crate::Server`].
 pub struct Client {
     addr: SocketAddr,
-    stream: Option<TcpStream>,
+    /// The connection: the reader owns the stream (and whatever it has
+    /// buffered from it — both go when the connection does); requests
+    /// are written through [`FrameReader::get_ref`].
+    conn: Option<FrameReader<TcpStream>>,
+    /// The request frame, assembled in place and reused across calls.
+    out: Vec<u8>,
     stats: ClientStats,
 }
 
@@ -61,7 +77,8 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, ServeError> {
         let mut client = Client {
             addr,
-            stream: None,
+            conn: None,
+            out: Vec::new(),
             stats: ClientStats::default(),
         };
         client.ensure_connected()?;
@@ -80,14 +97,14 @@ impl Client {
         self.stats
     }
 
-    fn ensure_connected(&mut self) -> Result<&mut TcpStream, ServeError> {
-        if self.stream.is_none() {
+    fn ensure_connected(&mut self) -> Result<(), ServeError> {
+        if self.conn.is_none() {
             let stream = TcpStream::connect(self.addr)?;
             stream.set_nodelay(true)?;
-            self.stream = Some(stream);
+            self.conn = Some(FrameReader::new(stream));
             self.stats.reconnects += 1;
         }
-        Ok(self.stream.as_mut().expect("just connected"))
+        Ok(())
     }
 
     /// One request/response round trip (see the module docs for the
@@ -115,55 +132,61 @@ impl Client {
         ctx: Option<TraceContext>,
     ) -> Result<Response, ServeError> {
         self.stats.requests += 1;
-        let mut payload = Vec::new();
-        encode_request(&mut payload, request);
-        if payload.len() > sitm_store::segment::MAX_PAYLOAD as usize {
-            self.stats.oversized_refused += 1;
-            return Err(ServeError::Protocol(format!(
-                "request of {} bytes exceeds the frame bound; split the batch",
-                payload.len()
-            )));
+        begin_frame(&mut self.out, ctx);
+        encode_request(&mut self.out, request);
+        let sent = match finish_frame(&mut self.out) {
+            Ok(()) => self.send_frame(),
+            Err(_) => {
+                self.stats.oversized_refused += 1;
+                Err(ServeError::Protocol(format!(
+                    "request frame of {} bytes exceeds the frame bound; split the batch",
+                    self.out.len()
+                )))
+            }
+        };
+        release_if_large(&mut self.out);
+        sent?;
+        // Receive side: never retried (the request may have applied).
+        // The response is decoded from the reader's payload buffer.
+        let conn = self.conn.as_mut().expect("connected by the send");
+        let decoded = conn
+            .read()
+            .map(|frame| decode_response(&mut frame.payload()));
+        match decoded {
+            Ok(Ok(response)) => Ok(response),
+            Ok(Err(err)) => {
+                self.stats.decode_errors += 1;
+                Err(err.into())
+            }
+            Err(err) => {
+                self.conn = None;
+                Err(ServeError::Wire(err))
+            }
         }
-        // Send side: a connect *or* write failure is retried once on a
-        // fresh connection — in either case the server cannot have
-        // observed the request yet.
+    }
+
+    /// Writes the assembled request frame with one `write_all`. Send
+    /// side: a connect *or* write failure is retried once on a fresh
+    /// connection — in either case the server cannot have observed the
+    /// request yet.
+    fn send_frame(&mut self) -> Result<(), ServeError> {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            let sent = match self.ensure_connected() {
-                Ok(stream) => match ctx {
-                    Some(ctx) => write_traced_frame(stream, ctx, &payload).map_err(ServeError::Io),
-                    None => write_frame(stream, &payload).map_err(ServeError::Io),
-                },
-                Err(err) => Err(err),
-            };
+            let sent = self.ensure_connected().and_then(|()| {
+                let mut socket = self.conn.as_ref().expect("just connected").get_ref();
+                socket.write_all(&self.out).map_err(ServeError::Io)
+            });
             match sent {
-                Ok(()) => break,
+                Ok(()) => return Ok(()),
                 Err(err) => {
-                    self.stream = None;
+                    self.conn = None;
                     if attempt >= 2 {
                         return Err(err);
                     }
                 }
             }
         }
-        // Receive side: never retried (the request may have applied).
-        let stream = self.stream.as_mut().expect("connected above");
-        let frame = match read_frame(stream) {
-            Ok(frame) => frame,
-            Err(err) => {
-                self.stream = None;
-                return Err(ServeError::Wire(err));
-            }
-        };
-        let response = match decode_response(&mut frame.as_slice()) {
-            Ok(response) => response,
-            Err(err) => {
-                self.stats.decode_errors += 1;
-                return Err(err.into());
-            }
-        };
-        Ok(response)
     }
 
     fn expect_error(response: Response) -> ServeError {
@@ -276,7 +299,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         match self.call(&Request::Shutdown)? {
             Response::ShuttingDown => {
-                self.stream = None;
+                self.conn = None;
                 Ok(())
             }
             other => Err(Self::expect_error(other)),
@@ -302,7 +325,7 @@ pub type Notification = (u64, Vec<EmittedEpisode>);
 /// per-subscriber queue, which surfaces here as [`ServeError::Remote`]
 /// from [`Subscriber::poll`] ("subscription lagged…").
 pub struct Subscriber {
-    stream: TcpStream,
+    conn: FrameReader<TcpStream>,
     epoch: u64,
 }
 
@@ -312,14 +335,15 @@ impl Subscriber {
     /// receives carries an epoch strictly greater than
     /// [`Subscriber::epoch`].
     pub fn subscribe(addr: SocketAddr, query: &WireQuery) -> Result<Subscriber, ServeError> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        let mut conn = FrameReader::new(stream);
         let mut payload = Vec::new();
         encode_request(&mut payload, &Request::Subscribe(query.clone()));
-        write_frame(&mut stream, &payload)?;
-        let frame = read_frame(&mut stream).map_err(ServeError::Wire)?;
-        match decode_response(&mut frame.as_slice())? {
-            Response::Subscribed { epoch } => Ok(Subscriber { stream, epoch }),
+        write_frame(&mut conn.get_ref(), &payload)?;
+        let response = decode_response(&mut conn.read()?.payload())?;
+        match response {
+            Response::Subscribed { epoch } => Ok(Subscriber { conn, epoch }),
             Response::Error(message) => Err(ServeError::Remote(message)),
             other => Err(ServeError::Protocol(format!(
                 "unexpected response to subscribe: {other:?}"
@@ -337,17 +361,16 @@ impl Subscriber {
     /// live); a lagged-and-dropped subscription surfaces as
     /// [`ServeError::Remote`].
     pub fn poll(&mut self, timeout: StdDuration) -> Result<Option<Notification>, ServeError> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        match read_frame_or_idle(&mut self.stream) {
-            Ok(None) => Ok(None),
-            Ok(Some(frame)) => match decode_response(&mut frame.as_slice())? {
-                Response::Notification { epoch, episodes } => Ok(Some((epoch, episodes))),
-                Response::Error(message) => Err(ServeError::Remote(message)),
-                other => Err(ServeError::Protocol(format!(
-                    "unexpected frame on subscription: {other:?}"
-                ))),
-            },
-            Err(err) => Err(ServeError::Wire(err)),
+        self.conn.get_ref().set_read_timeout(Some(timeout))?;
+        let Some(frame) = self.conn.read_or_idle()? else {
+            return Ok(None);
+        };
+        match decode_response(&mut frame.payload())? {
+            Response::Notification { epoch, episodes } => Ok(Some((epoch, episodes))),
+            Response::Error(message) => Err(ServeError::Remote(message)),
+            other => Err(ServeError::Protocol(format!(
+                "unexpected frame on subscription: {other:?}"
+            ))),
         }
     }
 
@@ -356,12 +379,12 @@ impl Subscriber {
     pub fn unsubscribe(mut self) -> Result<Vec<Notification>, ServeError> {
         let mut payload = Vec::new();
         encode_request(&mut payload, &Request::Unsubscribe);
-        write_frame(&mut self.stream, &payload)?;
-        self.stream.set_read_timeout(None)?;
+        write_frame(&mut self.conn.get_ref(), &payload)?;
+        self.conn.get_ref().set_read_timeout(None)?;
         let mut drained = Vec::new();
         loop {
-            let frame = read_frame(&mut self.stream).map_err(ServeError::Wire)?;
-            match decode_response(&mut frame.as_slice())? {
+            let response = decode_response(&mut self.conn.read()?.payload())?;
+            match response {
                 Response::Notification { epoch, episodes } => drained.push((epoch, episodes)),
                 Response::Unsubscribed => return Ok(drained),
                 Response::Error(message) => return Err(ServeError::Remote(message)),

@@ -16,7 +16,9 @@
 //!   torture-tests, so torn and corrupted frames are detected before
 //!   any decoding; a second marker (`0x5B`) carries an optional
 //!   16-byte trace-context prefix so one trace id follows a request
-//!   across federation hops;
+//!   across federation hops; a message is assembled in place and
+//!   leaves in one write, and arrives through a buffered reader in
+//!   (usually) one read, with per-connection buffers reused;
 //! * [`proto`] — the request/response vocabulary ([`Request`],
 //!   [`Response`]) and its fully validated payload codec: ingest
 //!   batches of [`sitm_stream::StreamEvent`]s, warehouse and federated
@@ -58,6 +60,7 @@
 //! flusher, and the warehouse, plus the serve tier's own instruments:
 //! per-op `serve.requests.{op}` counters and `serve.handle_ns.{op}`
 //! histograms, `serve.bytes_in`/`serve.bytes_out`,
+//! `serve.socket_reads`/`serve.socket_writes` (syscalls per request),
 //! `serve.errors`/`serve.frame_errors`/`serve.bad_requests`, a
 //! `serve.sessions_active` gauge, and the federated-latency split
 //! `serve.snapshot_build_ns`/`serve.evaluate_ns`. [`Request::Metrics`]
@@ -95,8 +98,8 @@ pub use proto::{
 };
 pub use server::{Server, ServerConfig};
 pub use wire::{
-    read_frame, read_message, read_message_or_idle, write_frame, write_traced_frame, WireError,
-    WireMessage, TRACED_FRAME_MARKER, TRACE_ENVELOPE_BYTES,
+    read_frame, read_message, write_frame, write_traced_frame, WireError, WireMessage,
+    TRACED_FRAME_MARKER, TRACE_ENVELOPE_BYTES,
 };
 
 use sitm_store::CodecError;

@@ -23,7 +23,20 @@
 //! * **Session workers** — a fixed pool. Each worker serves one
 //!   connection at a time: read frame → decode → execute against the
 //!   shared core → encode → write frame, until the client closes
-//!   (or a graceful shutdown drains it). A malformed or torn frame is a
+//!   (or a graceful shutdown drains it). The session owns two buffers
+//!   for as long as it lives (see [`crate::wire`]): a frame reader
+//!   (64 KiB read buffer + the payload buffer requests are decoded
+//!   from by reference) and the output buffer every reply is encoded
+//!   into behind its reserved header, so a request costs one socket
+//!   read and a reply one socket write (`serve.socket_reads` /
+//!   `serve.socket_writes` count them) and neither allocates in
+//!   steady state; either message buffer is freed after a message
+//!   that grew it past 1 MiB. Requests a client pipelined are answered
+//!   from the read buffer, in order. A read timeout means "idle" only
+//!   when it fires with that buffer empty, before the first byte of a
+//!   frame — the session then flushes notifications and polls the
+//!   shutdown flag; inside a frame it only spends the stall patience.
+//!   A malformed or torn frame is a
 //!   **per-session** failure: the worker answers with
 //!   [`Response::Error`] when the transport still works, closes that
 //!   one connection, and moves on — the listener and every other
@@ -78,7 +91,6 @@ use sitm_obs::timeseries::{rate_per_sec, Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT
 use sitm_obs::trace::{self, TraceContext, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sitm_query::{Predicate, SegmentedDb, TrajectorySource};
-use sitm_store::segment::FRAME_OVERHEAD;
 use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIOD_SECONDS};
 use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
 
@@ -86,7 +98,7 @@ use crate::proto::{
     decode_request, encode_response, ExplainReport, Request, Response, ServerStats, StatsRollup,
     WirePlan,
 };
-use crate::wire::{read_message_or_idle, write_frame, WireError};
+use crate::wire::{begin_frame, finish_frame, release_if_large, CountedIo, FrameReader, WireError};
 use crate::ServeError;
 
 /// Server construction parameters.
@@ -268,8 +280,15 @@ struct ServeMetrics {
     /// Well-framed payloads that failed request decoding (the session
     /// survives these).
     bad_requests: Arc<Counter>,
+    /// Frame bytes read and written, envelopes included — what crossed
+    /// the wire, traced or not.
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
+    /// `read`/`write` calls made on session sockets (timeouts that
+    /// found nothing included): with `serve.requests.*` they answer
+    /// "how many syscalls does a request cost".
+    socket_reads: Arc<Counter>,
+    socket_writes: Arc<Counter>,
     sessions_active: Arc<Gauge>,
     /// Federated-query latency decomposition: cutting the live
     /// snapshot vs evaluating against it + the warehouse.
@@ -312,6 +331,8 @@ impl ServeMetrics {
             bad_requests: registry.counter("serve.bad_requests"),
             bytes_in: registry.counter("serve.bytes_in"),
             bytes_out: registry.counter("serve.bytes_out"),
+            socket_reads: registry.counter("serve.socket_reads"),
+            socket_writes: registry.counter("serve.socket_writes"),
             sessions_active: registry.gauge("serve.sessions_active"),
             snapshot_build_ns: registry.histogram("serve.snapshot_build_ns"),
             evaluate_ns: registry.histogram("serve.evaluate_ns"),
@@ -646,7 +667,7 @@ struct SessionState {
 /// Serves one connection until the client closes, a fatal transport
 /// error occurs, or shutdown drains it. Malformed input never panics
 /// and never takes the server down — worst case, this one session ends.
-fn run_session(shared: &Shared, mut stream: TcpStream, idle_poll: StdDuration) {
+fn run_session(shared: &Shared, stream: TcpStream, idle_poll: StdDuration) {
     let metrics = &shared.metrics;
     metrics.sessions_active.add(1);
     // Decrement on *every* exit path (early returns included).
@@ -661,7 +682,7 @@ fn run_session(shared: &Shared, mut stream: TcpStream, idle_poll: StdDuration) {
         id: shared.next_session_id.fetch_add(1, Ordering::Relaxed),
         subscription: None,
     };
-    session_loop(shared, &mut stream, idle_poll, &mut session);
+    session_loop(shared, &stream, idle_poll, &mut session);
     teardown_session(shared, &mut session);
 }
 
@@ -696,7 +717,7 @@ fn teardown_session(shared: &Shared, session: &mut SessionState) {
 /// the session. `Err` means the transport failed and the session ends.
 fn flush_notifications(
     shared: &Shared,
-    stream: &mut TcpStream,
+    replies: &mut ReplyWriter<'_>,
     session: &mut SessionState,
 ) -> std::io::Result<()> {
     let Some(sub) = &session.subscription else {
@@ -706,7 +727,7 @@ fn flush_notifications(
     for (epoch, episodes) in batches {
         shared.metrics.notifications_pushed.inc();
         respond(
-            stream,
+            replies,
             &Response::Notification { epoch, episodes },
             &shared.metrics,
         )?;
@@ -723,7 +744,7 @@ fn flush_notifications(
         shared.metrics.subscriptions_active.add(-1);
         shared.metrics.subscribers_dropped.inc();
         respond(
-            stream,
+            replies,
             &Response::Error(
                 "subscription lagged: the notification queue overflowed and was dropped; \
                  re-subscribe to resume"
@@ -735,22 +756,40 @@ fn flush_notifications(
     Ok(())
 }
 
+/// A session's write half: the (counted) socket and the output buffer
+/// every reply of the session is assembled in.
+struct ReplyWriter<'a> {
+    socket: CountedIo<'a, &'a TcpStream>,
+    out: Vec<u8>,
+}
+
 fn session_loop(
     shared: &Shared,
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     idle_poll: StdDuration,
     session: &mut SessionState,
 ) {
     let metrics = &shared.metrics;
     let _ = stream.set_read_timeout(Some(idle_poll));
     let _ = stream.set_nodelay(true);
+    // Both halves borrow the one socket (`&TcpStream` is `Read` and
+    // `Write`); the buffers they own live exactly as long as the
+    // session.
+    let mut requests = FrameReader::new(CountedIo::new(stream, &metrics.socket_reads));
+    let replies = &mut ReplyWriter {
+        socket: CountedIo::new(stream, &metrics.socket_writes),
+        out: Vec::new(),
+    };
     loop {
-        let message = match read_message_or_idle(&mut *stream) {
-            Ok(Some(message)) => message,
+        let (decoded, trace_context) = match requests.read_or_idle() {
+            Ok(Some(frame)) => {
+                metrics.bytes_in.add(frame.wire_len as u64);
+                (decode_request(&mut frame.payload()), frame.trace)
+            }
             Ok(None) => {
                 // Idle: push queued notifications, then the safe
                 // drain point between frames.
-                if flush_notifications(shared, stream, session).is_err() {
+                if flush_notifications(shared, replies, session).is_err() {
                     return;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -765,17 +804,14 @@ fn session_loop(
                 // frame-error count per torn connection.
                 metrics.frame_errors.inc();
                 let _ = respond(
-                    stream,
+                    replies,
                     &Response::Error(format!("bad frame: {err}")),
                     metrics,
                 );
                 return;
             }
         };
-        metrics
-            .bytes_in
-            .add((message.payload.len() + FRAME_OVERHEAD) as u64);
-        let request = match decode_request(&mut message.payload.as_slice()) {
+        let request = match decoded {
             Ok(request) => request,
             Err(err) => {
                 // A well-framed but undecodable payload: the stream is
@@ -783,7 +819,7 @@ fn session_loop(
                 // session survives the error response.
                 metrics.bad_requests.inc();
                 if respond(
-                    stream,
+                    replies,
                     &Response::Error(format!("bad request: {err}")),
                     metrics,
                 )
@@ -812,7 +848,7 @@ fn session_loop(
         // locally-generated traces sample detail 1-in-N. With tracing
         // disabled (capacity 0) `begin` returns `None` and every
         // child-span call below stays inert.
-        let _root = match message.trace {
+        let _root = match trace_context {
             Some(ctx) => shared.recorder.begin_detailed(OP_NAMES[op], ctx),
             None => shared
                 .recorder
@@ -834,16 +870,16 @@ fn session_loop(
             // The handler already unregistered the subscription, so
             // its queue is quiescent: flush what's left to the client,
             // then drop it — nothing re-injects on a clean unsubscribe.
-            if flush_notifications(shared, stream, session).is_err() {
+            if flush_notifications(shared, replies, session).is_err() {
                 return;
             }
             if session.subscription.take().is_some() {
                 metrics.subscriptions_active.add(-1);
             }
-        } else if flush_notifications(shared, stream, session).is_err() {
+        } else if flush_notifications(shared, replies, session).is_err() {
             return;
         }
-        if respond(stream, &response, metrics).is_err() {
+        if respond(replies, &response, metrics).is_err() {
             return;
         }
         if is_shutdown {
@@ -857,35 +893,40 @@ fn session_loop(
     }
 }
 
+/// Encodes `response` straight after the header reserved in the
+/// session's output buffer and sends the frame with one `write_all`.
 fn respond(
-    stream: &mut TcpStream,
+    replies: &mut ReplyWriter<'_>,
     response: &Response,
     metrics: &ServeMetrics,
 ) -> std::io::Result<()> {
     let _wire = trace::child("wire_write");
-    let mut buf = Vec::new();
-    encode_response(&mut buf, response);
+    let out = &mut replies.out;
+    begin_frame(out, None);
+    encode_response(out, response);
     let mut is_error = matches!(response, Response::Error(_));
-    if buf.len() > sitm_store::segment::MAX_PAYLOAD as usize {
+    if finish_frame(out).is_err() {
         // A result set too large for one frame must not kill the
         // session (or, worse, panic the worker): downgrade to an
         // in-band error telling the caller to page.
-        buf.clear();
+        begin_frame(out, None);
         encode_response(
-            &mut buf,
+            out,
             &Response::Error(
                 "response exceeds the frame bound; narrow the query or add a limit/offset page"
                     .into(),
             ),
         );
+        finish_frame(out)?;
         is_error = true;
     }
     if is_error {
         metrics.errors.inc();
     }
-    metrics.bytes_out.add((buf.len() + FRAME_OVERHEAD) as u64);
-    write_frame(stream, &buf)?;
-    stream.flush()
+    metrics.bytes_out.add(out.len() as u64);
+    let sent = replies.socket.write_all(out);
+    release_if_large(out);
+    sent
 }
 
 /// Acquires the consistent read set for a federated query/explain:

@@ -221,12 +221,15 @@ fn documented_names_are_a_subset_of_an_exercised_registry() {
     emitted.extend(snapshot.histograms.iter().map(|(n, _)| n.clone()));
 
     let documented = documented_catalog();
-    // The patched-cut and backlog instruments are part of the contract.
+    // The patched-cut, backlog and syscall-count instruments are part
+    // of the contract.
     for name in [
         "engine.snapshot_cuts",
         "engine.snapshot_visits_recloned",
         "engine.pending_episodes",
         "serve.backlog_trimmed",
+        "serve.socket_reads",
+        "serve.socket_writes",
     ] {
         assert!(
             documented.iter().any(|n| n == name),

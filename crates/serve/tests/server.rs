@@ -334,3 +334,91 @@ fn client_reconnects_after_connection_loss() {
     );
     peer.join().expect("peer thread");
 }
+
+/// "How many syscalls does a request cost" is answered by the server's
+/// own counters: 1 000 back-to-back point queries on one connection are
+/// exactly 1 000 socket writes (one per reply), and one socket read
+/// each — give or take the one read the session is blocked in at either
+/// end of the window (a read counts when it starts), plus one per idle
+/// poll that found nothing in between.
+#[test]
+fn a_request_costs_one_socket_write_and_one_socket_read() {
+    let tmp = TempDir::new("syscalls");
+    let registry = sitm_obs::MetricsRegistry::default();
+    let config = ServerConfig::new(engine_config(), &tmp.0).with_metrics(registry.clone());
+    let idle_poll = config.idle_poll;
+    let server = Server::start(config).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ingest_batch(feed(0, 4, 8)).expect("ingest");
+    client.checkpoint().expect("checkpoint");
+
+    let reads = registry.counter("serve.socket_reads");
+    let writes = registry.counter("serve.socket_writes");
+    let (reads_before, writes_before) = (reads.get(), writes.get());
+    let started = std::time::Instant::now();
+    for v in 0..1_000u64 {
+        let rows = client
+            .query_federated(&WireQuery::filtered(Predicate::MovingObject(format!(
+                "mo-{}",
+                v % 12
+            ))))
+            .expect("point query");
+        assert_eq!(rows.len(), 1);
+    }
+    let idle_polls = (started.elapsed().as_nanos() / idle_poll.as_nanos()) as u64;
+    assert_eq!(writes.get() - writes_before, 1_000, "one write per reply");
+    let reads = reads.get() - reads_before;
+    assert!(
+        (999..=1_001 + idle_polls).contains(&reads),
+        "one read per request (±1 in flight, +{idle_polls} idle polls), got {reads}"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// `serve.bytes_in` is bytes on the wire, traced or not: the 16 context
+/// bytes of a traced envelope are part of the frame the server read.
+#[test]
+fn bytes_in_counts_traced_and_plain_frames_as_written() {
+    use sitm_obs::trace::TraceContext;
+    use sitm_serve::{encode_request, read_frame, write_frame, write_traced_frame, Request};
+    use std::io::Write as _;
+
+    let tmp = TempDir::new("bytes-in");
+    let registry = sitm_obs::MetricsRegistry::default();
+    let server =
+        Server::start(ServerConfig::new(engine_config(), &tmp.0).with_metrics(registry.clone()))
+            .expect("start server");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+
+    let mut payload = Vec::new();
+    encode_request(
+        &mut payload,
+        &Request::Query(WireQuery::filtered(Predicate::MovingObject("mo-1".into()))),
+    );
+    let mut written = 0;
+    for n in 0..10u64 {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload).expect("plain frame");
+        let ctx = TraceContext {
+            trace_id: n + 1,
+            parent_span_id: 1,
+        };
+        write_traced_frame(&mut frame, ctx, &payload).expect("traced frame");
+        stream.write_all(&frame).expect("send both");
+        written += frame.len() as u64;
+        read_frame(&mut stream).expect("reply to the plain one");
+        read_frame(&mut stream).expect("reply to the traced one");
+    }
+    assert_eq!(
+        written,
+        10 * (2 * (9 + payload.len() as u64) + 16),
+        "the traced twin is 16 bytes longer"
+    );
+    assert_eq!(registry.counter("serve.bytes_in").get(), written);
+
+    drop(stream);
+    server.shutdown();
+    server.join().expect("join");
+}

@@ -428,6 +428,272 @@ fn torn_traced_frame_at_every_offset_never_kills_the_server() {
     server.join().expect("join");
 }
 
+/// One open visit of `object` with `stays` presence intervals in
+/// cell 1: `1 + stays` events, visible to federated queries at once.
+fn open_visit(visit: u64, object: &str, stays: usize) -> Vec<StreamEvent> {
+    let mut events = vec![StreamEvent::VisitOpened {
+        visit: VisitKey(visit),
+        moving_object: object.into(),
+        annotations: AnnotationSet::from_iter([Annotation::goal("visit")]),
+        at: Timestamp(0),
+    }];
+    events.extend((0..stays as i64).map(|i| StreamEvent::Presence {
+        visit: VisitKey(visit),
+        interval: sitm_core::PresenceInterval::new(
+            sitm_core::TransitionTaken::Unknown,
+            cell(1),
+            Timestamp(10 * i),
+            Timestamp(10 * i + 5),
+        ),
+    }));
+    events
+}
+
+fn plain_frame(request: &Request) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_request(&mut payload, request);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("frame");
+    frame
+}
+
+/// A client MAY send several frames before reading: 64 mixed requests
+/// leave in one `write_all`, and 64 replies come back in request
+/// order, each the answer its position in the sequence calls for — a
+/// point query ahead of the ingest that creates its visitor finds
+/// nobody, the same query behind it finds them, and every `Stats`
+/// counts exactly the batches ahead of it.
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    use sitm_obs::trace::TraceContext;
+    use sitm_serve::write_traced_frame;
+
+    let tmp = TempDir::new("pipelined");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start server");
+
+    let point = |batch: usize| {
+        Request::QueryFederated(WireQuery {
+            predicate: Predicate::MovingObject(format!("mo-{batch}")),
+            order: None,
+            offset: 0,
+            limit: Some(3),
+        })
+    };
+    let mut pipeline = Vec::new();
+    for batch in 0..16 {
+        // 128 visits x (opened + 3 stays) = one 512-event ingest.
+        let ingest = Request::IngestBatch(
+            (0..128)
+                .flat_map(|v| open_visit((batch * 128 + v) as u64, &format!("mo-{batch}"), 3))
+                .collect(),
+        );
+        pipeline.extend(plain_frame(&point(batch)));
+        pipeline.extend(plain_frame(&ingest));
+        if batch == 7 {
+            // One of the 64 rides the traced envelope.
+            let mut payload = Vec::new();
+            encode_request(&mut payload, &point(batch));
+            let ctx = TraceContext {
+                trace_id: 77,
+                parent_span_id: 1,
+            };
+            write_traced_frame(&mut pipeline, ctx, &payload).expect("traced frame");
+        } else {
+            pipeline.extend(plain_frame(&point(batch)));
+        }
+        pipeline.extend(plain_frame(&Request::Stats));
+    }
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(StdDuration::from_secs(30)))
+        .expect("timeout");
+    stream
+        .write_all(&pipeline)
+        .expect("one write for 64 requests");
+    for batch in 0..16u64 {
+        let mut next = || {
+            let frame = read_frame(&mut stream).expect("a reply per request");
+            decode_response(&mut frame.as_slice()).expect("well-framed reply")
+        };
+        match next() {
+            Response::Trajectories(rows) => assert!(rows.is_empty(), "batch {batch}: too early"),
+            other => panic!("batch {batch}: expected no rows yet, got {other:?}"),
+        }
+        assert_eq!(next(), Response::Ingested { events: 512 }, "batch {batch}");
+        match next() {
+            Response::Trajectories(rows) => {
+                assert_eq!(rows.len(), 3, "batch {batch}");
+                assert!(rows
+                    .iter()
+                    .all(|row| row.moving_object == format!("mo-{batch}")));
+            }
+            other => panic!("batch {batch}: expected the visitor's rows, got {other:?}"),
+        }
+        match next() {
+            Response::Stats { stats, .. } => {
+                assert_eq!(stats.events, 512 * (batch + 1), "batch {batch}");
+            }
+            other => panic!("batch {batch}: expected stats, got {other:?}"),
+        }
+    }
+    drop(stream);
+    server.shutdown();
+    server.join().expect("join");
+}
+
+/// Two frames in one write where the *second* is torn or bit-flipped at
+/// every byte offset: the first is answered as if it had come alone,
+/// the tear costs exactly one `serve.frame_errors` and that one
+/// session — a session opened before the torture serves on, on the
+/// connection it already had.
+#[test]
+fn a_torn_second_frame_costs_its_session_after_the_first_is_answered() {
+    let tmp = TempDir::new("torn-second");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0).with_sessions(2))
+        .expect("start server");
+    let mut bystander = Client::connect(server.addr()).expect("second session");
+    bystander.server_stats().expect("bystander before");
+
+    let first = plain_frame(&Request::Stats);
+    let second = request_frame();
+    let torn = (0..second.len()).map(|cut| second[..cut].to_vec());
+    let flipped = (0..second.len()).map(|i| {
+        let mut corrupt = second.clone();
+        corrupt[i] ^= 0x01;
+        corrupt
+    });
+    for (case, damaged) in torn.chain(flipped).enumerate() {
+        let mut bytes = first.clone();
+        bytes.extend(damaged);
+        let responses = send_raw(server.addr(), &bytes);
+        assert!(
+            matches!(responses.first(), Some(Response::Stats { .. })),
+            "case {case}: the intact first frame is answered, got {responses:?}"
+        );
+        assert!(
+            responses.len() <= 2
+                && responses[1..]
+                    .iter()
+                    .all(|r| matches!(r, Response::Error(_))),
+            "case {case}: the damaged frame yields at most one error, got {responses:?}"
+        );
+    }
+
+    let stats = bystander.server_stats().expect("bystander after");
+    assert_eq!(stats.visits_opened, 0, "no damaged ingest half-applied");
+    assert_eq!(
+        bystander.stats().reconnects,
+        0,
+        "the bystander's session was never touched"
+    );
+    let snapshot = bystander.metrics().expect("metrics");
+    // Cut 0 leaves only the intact frame: no error. Every other cut
+    // and every flip is one tear.
+    assert_eq!(
+        snapshot.counter("serve.frame_errors"),
+        Some((2 * second.len() - 1) as u64),
+        "exactly one serve.frame_errors per damaged connection"
+    );
+    assert_eq!(snapshot.counter("serve.bad_requests").unwrap_or(0), 0);
+    bystander.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// The idle rule with a buffered reader: a request trickled one byte
+/// at a time, with pauses longer than the session's idle poll between
+/// bytes, still parses — a timeout is "idle" only before the first
+/// byte of a frame; inside one it only spends patience.
+#[test]
+fn a_request_trickled_slower_than_the_idle_poll_still_parses() {
+    let tmp = TempDir::new("trickle");
+    let mut config = ServerConfig::new(engine_config(), &tmp.0);
+    config.idle_poll = StdDuration::from_millis(2);
+    let server = Server::start(config).expect("start server");
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // Idle for several polls first, then the frame, byte by byte.
+    std::thread::sleep(StdDuration::from_millis(10));
+    for byte in plain_frame(&Request::Stats) {
+        stream.write_all(&[byte]).expect("one byte");
+        std::thread::sleep(StdDuration::from_millis(6));
+    }
+    let frame = read_frame(&mut stream).expect("response");
+    assert!(matches!(
+        decode_response(&mut frame.as_slice()).expect("decodes"),
+        Response::Stats { .. }
+    ));
+    drop(stream);
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(snapshot.counter("serve.frame_errors").unwrap_or(0), 0);
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// Replies at both ends of the size range the buffers care about: one
+/// larger than the read buffer and than the retained-buffer bound
+/// round-trips intact (and the next, small one does too — the buffers
+/// were released, not corrupted), and one over the frame bound is
+/// still downgraded to the in-band "page it" error on a session that
+/// lives on — as it does past a request the client refuses to send.
+#[test]
+fn large_replies_round_trip_and_over_bound_replies_downgrade_in_band() {
+    let tmp = TempDir::new("large-replies");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // 30 open visits whose names are 600 KB each: 18 MB of rows, past
+    // the 16 MiB frame bound, ingested in frames that fit it.
+    let name = |v: u64| format!("{v:02}-{}", "x".repeat(600_000));
+    for batch in 0..3u64 {
+        let events = (batch * 10..batch * 10 + 10)
+            .flat_map(|v| open_visit(v, &name(v), 1))
+            .collect();
+        client.ingest_batch(events).expect("ingest");
+    }
+
+    let page = |limit| WireQuery {
+        predicate: Predicate::True,
+        order: Some((sitm_query::SortKey::MovingObject, true)),
+        offset: 0,
+        limit,
+    };
+    let rows = client.query_federated(&page(Some(2))).expect("1.2 MB page");
+    let names: Vec<&str> = rows.iter().map(|r| r.moving_object.as_str()).collect();
+    assert_eq!(names, [name(0), name(1)]);
+
+    match client.query_federated(&page(None)) {
+        Err(sitm_serve::ServeError::Remote(message)) => {
+            assert!(message.contains("limit/offset page"), "{message}")
+        }
+        other => panic!("expected the in-band paging error, got {other:?}"),
+    }
+    let rows = client.query_federated(&page(Some(1))).expect("small page");
+    assert_eq!(rows.len(), 1);
+
+    // The mirror case: a request over the bound is refused before a
+    // byte of it is written, and the connection is as good as before.
+    let too_big = (100..130)
+        .flat_map(|v| open_visit(v, &name(v), 1))
+        .collect();
+    assert!(matches!(
+        client.ingest_batch(too_big),
+        Err(sitm_serve::ServeError::Protocol(_))
+    ));
+    assert_eq!(client.stats().oversized_refused, 1);
+    assert_eq!(client.server_stats().expect("stats").visits_opened, 30);
+    assert_eq!(client.stats().reconnects, 0, "one session throughout");
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(snapshot.counter("serve.errors"), Some(1));
+    assert_eq!(snapshot.counter("serve.frame_errors").unwrap_or(0), 0);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
 /// End-of-exchange sanity for the full loop: a live server answers a
 /// well-formed raw frame with a well-formed response frame.
 #[test]

@@ -115,15 +115,29 @@ pub fn write_header_v3(buf: &mut Vec<u8>) {
     buf.extend_from_slice(MAGIC_V3);
 }
 
+/// The header layout, in one place: `marker | payload_len u32 LE |
+/// crc u32 LE`. [`write_frame`] appends it ahead of a payload; the
+/// network tier patches it over the bytes it reserved ahead of a
+/// message encoded in place (and passes its second marker).
+pub fn frame_header(marker: u8, payload_len: u32, crc: u32) -> [u8; FRAME_OVERHEAD] {
+    let mut header = [0u8; FRAME_OVERHEAD];
+    header[0] = marker;
+    header[1..5].copy_from_slice(&payload_len.to_le_bytes());
+    header[5..9].copy_from_slice(&crc.to_le_bytes());
+    header
+}
+
 /// Appends one frame.
 pub fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     assert!(
         payload.len() <= MAX_PAYLOAD as usize,
         "payload exceeds MAX_PAYLOAD"
     );
-    buf.push(FRAME_MARKER);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(&frame_header(
+        FRAME_MARKER,
+        payload.len() as u32,
+        crc32(payload),
+    ));
     buf.extend_from_slice(payload);
 }
 
