@@ -25,7 +25,7 @@
 //! `warehouse/paged_rescan_cold` (the same scan with the cache
 //! disabled; 4–6× by host) is printed as a report;
 //! `warehouse/content_sorted_limit`
-//! orders by a content key (`TotalDwell`) from the segment-v3 sort
+//! orders by a content key (`TotalDwell`) from the segments' sort
 //! columns and must decode no more rows than it returns (it used to
 //! decode every candidate); `serve/stats_rollup` times the Stats op's
 //! rollup-served per-cell/per-period breakdowns over the wire. The
@@ -35,7 +35,7 @@
 //! missed the lazy path.
 //!
 //! From BENCH_8: the cold-scale warehouse groups. A 12-segment
-//! warehouse is reopened cold for every measurement so the format-v2
+//! warehouse is reopened cold for every measurement so the segments'
 //! offset directories — not decoded trajectories — answer the work:
 //! `warehouse/cold_open` (header-only open; asserted ≥ 5× faster than
 //! `warehouse/eager_open_baseline`, which opens *and* decodes every
@@ -284,7 +284,7 @@ fn main() {
     ));
     drop(pruned_db);
 
-    // ---- Cold-scale warehouse (segment format v2) -----------------------
+    // ---- Cold-scale warehouse ------------------------------------------------
     // A 12-segment warehouse built once on disk, then reopened *cold*
     // for every group below: the offset directories, rollups, and the
     // global object index are all that `open` reads, so the groups
@@ -328,9 +328,8 @@ fn main() {
     };
 
     // Lazy open (headers only: zone map + directory + rollup frames)
-    // vs the eager baseline that also decodes every trajectory — the
-    // pre-v2 open cost. The ≥ 5× acceptance gate is asserted after the
-    // JSON is written.
+    // vs the eager baseline that also decodes every trajectory. The
+    // ≥ 5× acceptance gate is asserted after the JSON is written.
     results.push((
         "warehouse/cold_open".into(),
         time_ns(19, || cold_open().len()),
@@ -400,7 +399,7 @@ fn main() {
     // (A page large enough that frame fetches — not the shared
     // plan/order step — dominate the run.) Cold disables the row-decode
     // cache (`row_cache_bytes: 0`), so every run re-seeks and re-decodes
-    // its frames — the pre-v3 cost of a repeated scan. Warm uses the
+    // its frames. Warm uses the
     // default budget: after one priming pass the rows are resident, and
     // the re-scan's `query.trajectories_decoded` delta must be exactly
     // zero (the gate); the cold/warm clock ratio is printed after the
@@ -454,7 +453,7 @@ fn main() {
     drop(warm_db);
 
     // Content-key sorted/limited query, cold: the ordering comes from
-    // the segment-v3 sort columns, so — like the directory-served keys —
+    // the segments' sort columns, so — like the directory-served keys —
     // only the returned page is ever decoded (this used to materialize
     // every candidate).
     let content_registry = sitm_obs::MetricsRegistry::new();

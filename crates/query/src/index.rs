@@ -114,8 +114,7 @@ impl CandidateSet {
 ///
 /// Storage is `Arc`-shared: [`TrajectoryDb::build_shared`] indexes a
 /// collection *without copying it*, so a warehouse segment's single
-/// decoded run can back both the segment cache and its postings (the
-/// pre-v2 design cloned the vector per consumer).
+/// decoded run can back both the segment cache and its postings.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryDb {
     items: Arc<Vec<SemanticTrajectory>>,

@@ -350,16 +350,12 @@ impl Query {
     /// * content-derived keys ([`SortKey::TotalDwell`],
     ///   [`SortKey::MovingObject`], [`SortKey::TraceLength`]): the sort
     ///   key is read from the segments' persisted **sort columns**
-    ///   (format v3; dwell seconds, trace length, and an index into the
-    ///   zone map's sorted object set per row), so ordering + paging
-    ///   again decide which frames to decode before any trajectory is
-    ///   materialized. Only when a segment lacks columns (a v2 file not
-    ///   yet fully decoded) does the query fall back to materializing
-    ///   every candidate.
+    ///   (dwell seconds, trace length, and an index into the zone map's
+    ///   sorted object set per row), so ordering + paging again decide
+    ///   which frames to decode before any trajectory is materialized.
     ///
-    /// Rows past the page are never materialized on the pushed-down
-    /// paths. Results are cloned out (cold frames decode to owned
-    /// values anyway).
+    /// Rows past the page are never materialized. Results are cloned
+    /// out (cold frames decode to owned values anyway).
     ///
     /// # Panics
     ///
@@ -426,31 +422,8 @@ impl Query {
                     entries.into_iter().map(|(_, gid)| gid).collect()
                 }
                 SortKey::TotalDwell | SortKey::MovingObject | SortKey::TraceLength => {
-                    let columns: Vec<Option<&SortColumns>> =
+                    let columns: Vec<&SortColumns> =
                         segments.iter().map(|s| s.sort_columns()).collect();
-                    if columns.iter().any(|c| c.is_none()) {
-                        // A segment without columns (a v2 file not yet
-                        // fully decoded) forces the fallback:
-                        // materialize the candidates, sort, page.
-                        let mut hits: Vec<(TrajId, SemanticTrajectory)> = ids
-                            .into_iter()
-                            .map(|gid| (gid, fetch(gid)))
-                            .filter(|(_, t)| self.predicate.matches(t))
-                            .collect();
-                        hits.sort_by(|a, b| {
-                            let ord = key.compare(&a.1, &b.1).then(a.0.cmp(&b.0));
-                            if ascending {
-                                ord
-                            } else {
-                                ord.reverse()
-                            }
-                        });
-                        let page = hits.into_iter().skip(self.offset).map(|(_, t)| t);
-                        return match self.limit {
-                            Some(n) => page.take(n).collect(),
-                            None => page.collect(),
-                        };
-                    }
                     // Column-served ordering, decoding nothing. Sorting
                     // every candidate by (column key, position) and then
                     // lazily filtering below is identical to
@@ -469,8 +442,7 @@ impl Query {
                                 .iter()
                                 .map(|&gid| {
                                     let (si, local) = locate(gid);
-                                    let c = columns[si].expect("checked above");
-                                    (objects[si][c.object[local] as usize], gid)
+                                    (objects[si][columns[si].object[local] as usize], gid)
                                 })
                                 .collect();
                             entries.sort_unstable();
@@ -486,7 +458,7 @@ impl Query {
                                 .iter()
                                 .map(|&gid| {
                                     let (si, local) = locate(gid);
-                                    let c = columns[si].expect("checked above");
+                                    let c = columns[si];
                                     let v = match key {
                                         SortKey::TotalDwell => c.dwell[local],
                                         _ => c.trace_len[local] as i64,

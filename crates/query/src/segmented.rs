@@ -43,7 +43,7 @@
 //! differential tests demand *exact* equality (ids included) against a
 //! [`TrajectoryDb`] built from the same iteration.
 //!
-//! ## Lazy residency (segment format v3)
+//! ## Lazy residency
 //!
 //! Segments open **cold**: `SegmentStore::open` reads only header
 //! frames (zone map, offset directory, sort columns, rollup), so
@@ -365,25 +365,30 @@ impl SegmentedDb {
     /// Flushes one batch of finished trajectories as a new immutable
     /// segment (sorted into the canonical run order), then runs
     /// size-tiered compaction to its fixed point. An empty batch is a
-    /// no-op. Durable on return.
+    /// no-op. Durable on return — and when the append commits but a
+    /// merge behind it fails, the batch is durable *and* the error is
+    /// returned.
     pub fn flush(&mut self, trajectories: Vec<SemanticTrajectory>) -> Result<(), WarehouseError> {
         if trajectories.is_empty() {
             return Ok(());
         }
-        self.store.append_segment(trajectories)?;
-        self.store.compact_size_tiered()?;
+        let outcome = self
+            .store
+            .append_segment(trajectories)
+            .and_then(|()| self.store.compact_size_tiered());
+        // A merge can fail behind a committed append (or behind an
+        // earlier merge of the same cascade): the parts follow whatever
+        // the store holds now, and the error is still the caller's.
         self.rebuild_parts();
-        Ok(())
+        outcome.map(|_| ())
     }
 
     /// Forces size-tiered compaction now (normally [`SegmentedDb::flush`]
     /// already runs it). Returns the number of merges performed.
     pub fn compact(&mut self) -> Result<usize, WarehouseError> {
-        let merges = self.store.compact_size_tiered()?;
-        if merges > 0 {
-            self.rebuild_parts();
-        }
-        Ok(merges)
+        let merges = self.store.compact_size_tiered();
+        self.rebuild_parts();
+        merges
     }
 
     /// The live segments (id, zone map, sorted run), in iteration order.
@@ -455,15 +460,42 @@ impl SegmentedDb {
     /// per segment, then the surviving segments' postings shifted by
     /// their base offsets. Soundness invariant (property-tested in
     /// `tests/segmented_proptests.rs`): every trajectory matching `p`
-    /// is in the returned set.
+    /// is in the returned set. Counts one query in the `query.*`
+    /// pruning instruments.
     pub fn candidates(&self, p: &Predicate) -> CandidateSet {
         let _prune = sitm_obs::trace::child_detail("prune");
+        let (plan, candidates) = self.prune(p);
+        let scanned = plan.segments - plan.pruned - plan.object_pruned;
+        self.metrics.segments_scanned.add(scanned as u64);
+        self.metrics.zone_pruned.add(plan.pruned as u64);
+        self.metrics.bloom_pruned.add(plan.bloom_pruned as u64);
+        self.metrics.object_pruned.add(plan.object_pruned as u64);
+        let surviving = plan.candidates.unwrap_or(plan.total);
+        self.metrics.candidates.record(surviving as u64);
+        candidates
+    }
+
+    /// Plans `p` against the warehouse without executing it: the same
+    /// pruning pass [`SegmentedDb::candidates`] runs, reported instead
+    /// of counted — no `query.*` instrument moves.
+    pub fn explain(&self, p: &Predicate) -> SegmentedPlan {
+        self.prune(p).0
+    }
+
+    /// The one pruning pass: object index, then zone maps (with the
+    /// Bloom attribution), then the surviving segments' postings.
+    /// Returns what each stage rejected beside what is left.
+    fn prune(&self, p: &Predicate) -> (SegmentedPlan, CandidateSet) {
         let mut ids: Vec<TrajId> = Vec::new();
+        let mut plan = SegmentedPlan {
+            segments: self.parts.len(),
+            pruned: 0,
+            bloom_pruned: 0,
+            object_pruned: 0,
+            candidates: None,
+            total: self.total,
+        };
         let mut narrowed = false;
-        let mut scanned = 0u64;
-        let mut zone_pruned = 0u64;
-        let mut bloom_pruned = 0u64;
-        let mut object_pruned = 0u64;
         let object_filter = self.object_segment_filter(p);
         let can_narrow = index_can_narrow(p);
         let segments = self.store.segments();
@@ -473,22 +505,21 @@ impl SegmentedDb {
             if let Some(filter) = &object_filter {
                 if !filter.contains(&part.id) {
                     narrowed = true;
-                    object_pruned += 1;
+                    plan.object_pruned += 1;
                     continue;
                 }
             }
             let zone = &segments[idx].zone_map;
             if !zone_may_match(zone, p) {
                 narrowed = true;
-                zone_pruned += 1;
+                plan.pruned += 1;
                 // Only already-pruned segments are re-probed, so the
                 // bloom attribution costs nothing on survivors.
                 if zone_bloom_rejects(zone, p) {
-                    bloom_pruned += 1;
+                    plan.bloom_pruned += 1;
                 }
                 continue;
             }
-            scanned += 1;
             if !can_narrow {
                 // Every segment would answer All; say so without
                 // hydrating cold postings.
@@ -505,55 +536,11 @@ impl SegmentedDb {
                 }
             }
         }
-        self.metrics.segments_scanned.add(scanned);
-        self.metrics.zone_pruned.add(zone_pruned);
-        self.metrics.bloom_pruned.add(bloom_pruned);
-        self.metrics.object_pruned.add(object_pruned);
-        self.metrics.candidates.record(ids.len() as u64);
-        if narrowed {
-            CandidateSet::Ids(ids)
-        } else {
-            CandidateSet::All
+        if !narrowed {
+            return (plan, CandidateSet::All);
         }
-    }
-
-    /// Plans `p` against the warehouse without executing it, reporting
-    /// how many segments zone maps pruned and how many candidates
-    /// survive.
-    pub fn explain(&self, p: &Predicate) -> SegmentedPlan {
-        let object_filter = self.object_segment_filter(p);
-        let survives_object = |part: &SegmentPart| match &object_filter {
-            Some(filter) => filter.contains(&part.id),
-            None => true,
-        };
-        let object_pruned = self.parts.iter().filter(|p| !survives_object(p)).count();
-        let segments = self.store.segments();
-        let pruned = self
-            .parts
-            .iter()
-            .enumerate()
-            .filter(|(i, part)| survives_object(part) && !zone_may_match(&segments[*i].zone_map, p))
-            .count();
-        let bloom_pruned = self
-            .parts
-            .iter()
-            .enumerate()
-            .filter(|(i, part)| {
-                survives_object(part) && zone_bloom_rejects(&segments[*i].zone_map, p)
-            })
-            .count();
-        let candidates = match self.candidates(p) {
-            CandidateSet::All => None,
-            CandidateSet::Ids(ids) => Some(ids.len()),
-        };
-        SegmentedPlan {
-            segments: self.parts.len(),
-            pruned,
-            bloom_pruned,
-            object_pruned,
-            candidates,
-            total: self.total,
-        }
+        plan.candidates = Some(ids.len());
+        (plan, CandidateSet::Ids(ids))
     }
 
     /// Matches via the two-stage index path (candidates re-checked).
@@ -696,15 +683,15 @@ mod tests {
             .0
     }
 
-    #[test]
-    fn zone_pruning_is_sound_for_every_leaf() {
+    /// Two trajectories and every predicate shape over them, with
+    /// whether a zone map over both may match it.
+    fn leaf_cases() -> (Vec<SemanticTrajectory>, Vec<(Predicate, bool)>) {
         let trajs = vec![
             traj("a", &[(1, 0, 100)], "visit"),
             traj("b", &[(2, 50, 300)], "buy"),
         ];
-        let zone = ZoneMap::build(&trajs);
         let window = TimeInterval::new(Timestamp(0), Timestamp(400));
-        let cases = [
+        let cases = vec![
             (Predicate::True, true),
             (Predicate::VisitedCell(cell(1)), true),
             (Predicate::VisitedCell(cell(9)), false),
@@ -744,6 +731,13 @@ mod tests {
             ),
             (Predicate::Or(vec![]), false),
         ];
+        (trajs, cases)
+    }
+
+    #[test]
+    fn zone_pruning_is_sound_for_every_leaf() {
+        let (trajs, cases) = leaf_cases();
+        let zone = ZoneMap::build(&trajs);
         for (p, expected) in cases {
             assert_eq!(zone_may_match(&zone, &p), expected, "for {p}");
             if !expected {
@@ -991,5 +985,115 @@ mod tests {
             0
         );
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn explain_reports_what_one_candidates_call_counts() {
+        let tmp = TempDir::new("explain-counts");
+        let registry = MetricsRegistry::new();
+        let mut db = open(&tmp).with_metrics(&registry);
+        let (trajs, cases) = leaf_cases();
+        // One segment per trajectory, so every pruning stage has
+        // something to reject.
+        for t in trajs {
+            db.flush(vec![t]).unwrap();
+        }
+        assert_eq!(db.segments().len(), 2);
+        let counters = || {
+            [
+                "query.segments_scanned",
+                "query.zone_pruned",
+                "query.bloom_pruned",
+                "query.object_pruned",
+            ]
+            .map(|name| registry.counter(name).get())
+        };
+        let samples = registry.histogram("query.candidates");
+        for (p, _) in cases {
+            let before = (counters(), samples.count());
+            let plan = db.explain(&p);
+            assert_eq!(
+                (counters(), samples.count()),
+                before,
+                "planning {p} moved a per-query instrument"
+            );
+            let candidates = db.candidates(&p);
+            let after = counters();
+            let moved: Vec<usize> = (0..4).map(|i| (after[i] - before.0[i]) as usize).collect();
+            assert_eq!(
+                moved,
+                [
+                    plan.segments - plan.pruned - plan.object_pruned,
+                    plan.pruned,
+                    plan.bloom_pruned,
+                    plan.object_pruned
+                ],
+                "for {p}"
+            );
+            assert_eq!(samples.count(), before.1 + 1, "one sample a query, for {p}");
+            let narrowed = match candidates {
+                CandidateSet::All => None,
+                CandidateSet::Ids(ids) => Some(ids.len()),
+            };
+            assert_eq!(plan.candidates, narrowed, "for {p}");
+        }
+    }
+
+    #[test]
+    fn a_merge_failing_behind_a_committed_append_leaves_the_index_whole() {
+        let tmp = TempDir::new("failed-merge");
+        let row = |i: usize| {
+            traj(
+                &format!("mo-{i}"),
+                &[(i % 5, i as i64, i as i64 + 10)],
+                "visit",
+            )
+        };
+        {
+            // Three 4-row segments and three 1-row segments: each tier
+            // one short of the fanout (4).
+            let mut db = open(&tmp);
+            for s in 0..3 {
+                db.flush((0..4).map(|i| row(s * 4 + i)).collect()).unwrap();
+            }
+            for i in 12..15 {
+                db.flush(vec![row(i)]).unwrap();
+            }
+            assert_eq!(db.segments().len(), 6);
+        }
+        // Rot one byte of segment 0's body. It opens (headers only).
+        let path = tmp.0.join(sitm_store::warehouse::segment_file_name(0));
+        let pristine = std::fs::read(&path).unwrap();
+        let mut rotten = pristine.clone();
+        let n = rotten.len();
+        rotten[n - 2] ^= 0xFF;
+        std::fs::write(&path, &rotten).unwrap();
+        let mut db = open(&tmp);
+        // The 16th row fills tier 0: that merge succeeds and makes a
+        // fourth 4-row segment, and the merge it cascades into must
+        // read segment 0.
+        let error = db
+            .flush(vec![row(15)])
+            .expect_err("the cascading merge fails");
+        assert!(
+            matches!(error, WarehouseError::CorruptSegment { id: 0, .. }),
+            "{error}"
+        );
+        // The batch is durable and the index follows the store.
+        assert_eq!(db.segments().len(), 4);
+        assert_eq!(db.len(), 16);
+        assert_eq!(
+            db.count_matching(&Predicate::MovingObject("mo-15".into())),
+            1,
+            "the row committed by the failed flush is served"
+        );
+        // With the file healed, a scan walks every part of the index
+        // (a stale one ran past the store's segment list here).
+        std::fs::write(&path, &pristine).unwrap();
+        assert_eq!(db.count_matching(&Predicate::True), 16);
+        drop(db);
+        let db = open(&tmp);
+        assert_eq!(db.segments().len(), 4);
+        assert_eq!(db.len(), 16, "a reopen agrees");
     }
 }

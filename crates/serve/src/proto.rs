@@ -274,7 +274,7 @@ pub struct ExplainReport {
     /// Cumulative `query.trajectories_decoded` at explain time.
     pub trajectories_decoded: u64,
     /// Cumulative `store.lazy_opens`: segments opened headers-only
-    /// (format v2/v3) since the server started.
+    /// since the server started.
     pub lazy_opens: u64,
     /// Cumulative `query.row_cache_hits`: single-row reads served from
     /// the warehouse's bounded row-decode cache since the server

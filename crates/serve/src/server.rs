@@ -90,7 +90,7 @@ use sitm_obs::health::HealthReport;
 use sitm_obs::timeseries::{rate_per_sec, Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY};
 use sitm_obs::trace::{self, TraceContext, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use sitm_query::{Predicate, SegmentedDb, TrajectorySource};
+use sitm_query::{CandidateSet, Predicate, SegmentedDb, TrajectorySource};
 use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIOD_SECONDS};
 use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
 
@@ -1259,9 +1259,10 @@ fn build_health(shared: &Shared) -> HealthReport {
     }
 }
 
-/// Plans `predicate` over live ∪ warehouse: per-source access paths
-/// (the federation's `federated_explain`) plus the warehouse's
-/// zone-map / Bloom pruning counters ([`SegmentedDb::explain`]).
+/// Plans `predicate` over live ∪ warehouse: the live tier's access
+/// path (what `federated_explain` reports for it), then the warehouse's
+/// access path and zone-map / Bloom pruning counts from one
+/// [`SegmentedDb::explain`].
 /// Evaluates outside the core lock, like the query ops, and records
 /// its snapshot acquisition into `serve.explain_snapshot_ns` so plans
 /// don't pollute the query path's `serve.snapshot_build_ns`.
@@ -1276,22 +1277,25 @@ fn explain(shared: &Shared, predicate: &Predicate) -> ExplainReport {
     let db: &SegmentedDb = warehouse.db();
     let eval = Instant::now();
     let _eval_span = trace::child("evaluate");
-    let plans: Vec<WirePlan> = {
-        let sources: [&dyn TrajectorySource; 2] = [&*snapshot, db];
-        sitm_query::federated_explain(predicate, &sources)
-            .into_iter()
-            .map(|plan| WirePlan {
-                candidates: match plan.access {
-                    sitm_query::AccessPath::FullScan => None,
-                    sitm_query::AccessPath::IndexCandidates { candidates } => {
-                        Some(candidates as u64)
-                    }
-                },
-                total: plan.total as u64,
-            })
-            .collect()
+    // One plan per source, in federation order. The warehouse is
+    // planned once: its `SegmentedPlan` carries the candidate count the
+    // wire plan needs beside the pruning counts, and planning it moves
+    // no per-query instrument.
+    let live = match TrajectorySource::candidates(&*snapshot, predicate) {
+        CandidateSet::All => None,
+        CandidateSet::Ids(ids) => Some(ids.len() as u64),
     };
     let segmented = db.explain(predicate);
+    let plans = vec![
+        WirePlan {
+            candidates: live,
+            total: snapshot.len_hint() as u64,
+        },
+        WirePlan {
+            candidates: segmented.candidates.map(|c| c as u64),
+            total: segmented.total as u64,
+        },
+    ];
     let evaluate_ns = u64::try_from(eval.elapsed().as_nanos()).unwrap_or(u64::MAX);
     shared.metrics.evaluate_ns.record(evaluate_ns);
     // Cold-tier I/O attribution: cumulative counters at explain time

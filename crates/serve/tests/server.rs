@@ -422,3 +422,96 @@ fn bytes_in_counts_traced_and_plain_frames_as_written() {
     server.shutdown();
     server.join().expect("join");
 }
+
+/// `Explain` plans and does not execute: the per-query pruning
+/// instruments count queries, so a served plan leaves all five where
+/// they were and a served query moves them exactly once.
+#[test]
+fn explain_moves_no_per_query_pruning_instrument() {
+    let tmp = TempDir::new("explain-metrics");
+    let registry = sitm_obs::MetricsRegistry::default();
+    let server =
+        Server::start(ServerConfig::new(engine_config(), &tmp.0).with_metrics(registry.clone()))
+            .expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // Two spills: two segments to prune among.
+    client.ingest_batch(feed(0, 3, 0)).expect("ingest");
+    client.checkpoint().expect("checkpoint");
+    client.ingest_batch(feed(3, 2, 1)).expect("ingest");
+    client.checkpoint().expect("checkpoint");
+
+    let instruments = || {
+        let segments: u64 = [
+            "query.segments_scanned",
+            "query.zone_pruned",
+            "query.object_pruned",
+        ]
+        .iter()
+        .map(|name| registry.counter(name).get())
+        .sum();
+        (
+            segments,
+            registry.counter("query.bloom_pruned").get(),
+            registry.histogram("query.candidates").count(),
+        )
+    };
+    for predicate in [
+        Predicate::MovingObject("mo-1".into()),
+        Predicate::VisitedCell(cell(9)),
+        Predicate::True,
+    ] {
+        let before = instruments();
+        let report = client.explain(&predicate).expect("explain");
+        assert_eq!(report.segments, 2);
+        assert_eq!(report.plans.len(), 2, "live tier, then warehouse");
+        assert_eq!(
+            instruments(),
+            before,
+            "planning {predicate} counted a query"
+        );
+
+        client
+            .query_federated(&WireQuery::filtered(predicate.clone()))
+            .expect("query");
+        let after = instruments();
+        // Every segment lands in exactly one of scanned / zone-pruned /
+        // object-pruned, once a query.
+        assert_eq!(after.0 - before.0, report.segments, "for {predicate}");
+        assert_eq!(after.1 - before.1, report.bloom_pruned, "for {predicate}");
+        assert_eq!(after.2 - before.2, 1, "one candidates sample a query");
+    }
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// A warehouse holding a segment file of any other format is refused
+/// at start with a typed error — not parsed by guesswork, not a panic.
+#[test]
+fn a_segment_file_of_another_format_refuses_the_start() {
+    let tmp = TempDir::new("foreign-magic");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ingest_batch(feed(0, 3, 0)).expect("ingest");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+
+    let path = tmp.0.join(sitm_store::warehouse::segment_file_name(0));
+    let pristine = std::fs::read(&path).expect("the spilled segment");
+    assert_eq!(&pristine[..8], b"SITMSEG3");
+    // Two older formats, a newer one, and the current magic one bit off.
+    for magic in [b"SITMSEG1", b"SITMSEG2", b"SITMSEG4", b"SITMSEGs"] {
+        let mut forged = pristine.clone();
+        forged[..8].copy_from_slice(magic);
+        std::fs::write(&path, &forged).expect("forge");
+        match Server::start(ServerConfig::new(engine_config(), &tmp.0)) {
+            Err(sitm_serve::ServeError::Warehouse(_)) => {}
+            Err(other) => panic!("magic {magic:?}: expected a warehouse error, got {other}"),
+            Ok(_) => panic!("magic {magic:?}: a foreign segment file was served"),
+        }
+    }
+    std::fs::write(&path, &pristine).expect("heal");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start again");
+    server.shutdown();
+    server.join().expect("join");
+}

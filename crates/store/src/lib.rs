@@ -15,8 +15,9 @@
 //!   delta-encoded timestamps and fully validated decoding;
 //! * [`checkpoint`] — [`CheckpointFrame`]: the per-shard snapshot record
 //!   streaming engines persist, plus torn-checkpoint detection;
-//! * [`segment`] — the CRC-framed segment format and its scanner, whose
-//!   `valid_len` is the torn-write truncation point;
+//! * [`segment`] — the CRC frame (one writer, one validator) every
+//!   durable artifact is made of, and the log scanner whose `valid_len`
+//!   is the torn-write truncation point;
 //! * [`log`] — [`LogStore`]: an append-only, crash-recoverable record
 //!   log with fsync durability and atomic compaction;
 //! * [`warehouse`] — the warehouse tier: immutable sorted segment files

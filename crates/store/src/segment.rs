@@ -1,38 +1,33 @@
-//! CRC-framed segment format and torn-write recovery.
+//! CRC frames, the log header, and torn-write recovery.
 //!
-//! A segment is a header followed by frames:
+//! Every durable artifact in this crate is a magic followed by frames:
 //!
 //! ```text
-//! header  := magic "SITMSEG1" (8 bytes)
 //! frame   := marker 0x5A | payload_len u32 LE | crc32(payload) u32 LE | payload
 //! ```
 //!
-//! The scanner walks frames front to back and stops at the **first**
-//! anomaly — a wrong marker, a length overrunning the buffer or the
-//! 16 MiB bound, or a checksum mismatch. Everything before the anomaly is
-//! returned; the anomaly offset tells the log store where to truncate.
-//! This is the standard WAL tail-repair contract: a crash mid-append
-//! loses at most the record being written, never an earlier one
-//! (property-tested with random truncation and byte flips).
+//! Record logs ([`crate::log`]: checkpoints, the warehouse manifest, the
+//! object index) open with the magic `SITMSEG1` ([`MAGIC`]); warehouse
+//! segment files open with `SITMSEG3` and a fixed run of header frames,
+//! a layout only `warehouse::format` knows. The frame itself has one
+//! writer, [`frame_header`], and one validator, [`read_frame`]: every
+//! reader in the crate — the log scanner here, the segment files'
+//! headers-only open, single-row read and whole-run decode — calls it,
+//! so a damaged frame gets the same verdict wherever it is met.
+//!
+//! The scanner walks a log's frames front to back and stops at the
+//! **first** anomaly — a wrong marker, a length overrunning the buffer
+//! or the 16 MiB bound, or a checksum mismatch. Everything before the
+//! anomaly is returned; the anomaly offset tells the log store where to
+//! truncate. This is the standard WAL tail-repair contract: a crash
+//! mid-append loses at most the record being written, never an earlier
+//! one (property-tested with random truncation and byte flips).
 
 use crate::crc::crc32;
 
-/// Segment magic, also serving as a format version. Version 1 carries
-/// no offset directory: frames are discovered only by scanning front to
-/// back. The log store keeps writing v1 (its records are always read
-/// sequentially anyway).
+/// The magic every record log opens with. Frames behind it are
+/// discovered only by scanning front to back.
 pub const MAGIC: &[u8; 8] = b"SITMSEG1";
-
-/// Version-2 segment magic: the file carries an offset directory frame
-/// (see `warehouse`), so readers can open headers only and seek
-/// straight to individual trajectory frames.
-pub const MAGIC_V2: &[u8; 8] = b"SITMSEG2";
-
-/// Version-3 segment magic: in addition to the v2 header frames, the
-/// file persists a sort-column frame (fixed-width per-row content sort
-/// keys; see `warehouse`) between the directory and rollup frames, so
-/// content-key ordering never decodes unreturned rows.
-pub const MAGIC_V3: &[u8; 8] = b"SITMSEG3";
 
 /// Frame marker byte preceding every frame.
 pub const FRAME_MARKER: u8 = 0x5A;
@@ -87,7 +82,7 @@ impl std::fmt::Display for Corruption {
     }
 }
 
-/// Result of scanning a segment buffer.
+/// Result of scanning a log buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutcome<'a> {
     /// Payloads of every intact frame, in order.
@@ -100,19 +95,9 @@ pub struct ScanOutcome<'a> {
     pub corruption: Option<Corruption>,
 }
 
-/// Appends the segment header to an empty buffer.
+/// Appends the log header to an empty buffer.
 pub fn write_header(buf: &mut Vec<u8>) {
     buf.extend_from_slice(MAGIC);
-}
-
-/// Appends the version-2 segment header to an empty buffer.
-pub fn write_header_v2(buf: &mut Vec<u8>) {
-    buf.extend_from_slice(MAGIC_V2);
-}
-
-/// Appends the version-3 segment header to an empty buffer.
-pub fn write_header_v3(buf: &mut Vec<u8>) {
-    buf.extend_from_slice(MAGIC_V3);
 }
 
 /// The header layout, in one place: `marker | payload_len u32 LE |
@@ -141,84 +126,77 @@ pub fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
-/// Scans a segment buffer, validating the header and every frame.
-/// Accepts any format version — the frame layout is identical; the
-/// versions differ only in which frames a writer emits.
+/// Decodes the header of the frame that starts `data` — the one place
+/// that reads the layout [`frame_header`] writes: marker, then header
+/// present, then the [`MAX_PAYLOAD`] bound. Returns the declared
+/// payload length and checksum; the body is not looked at, so a reader
+/// that has only the header bytes in hand (a file-backed open) learns
+/// here how many more to fetch before calling [`read_frame`]. `offset`
+/// is where the frame sits in its file, for the verdict.
+pub(crate) fn parse_frame_header(data: &[u8], offset: usize) -> Result<(usize, u32), Corruption> {
+    let Some(&marker) = data.first() else {
+        return Err(Corruption::Torn { offset });
+    };
+    if marker != FRAME_MARKER {
+        return Err(Corruption::BadMarker { offset });
+    }
+    if data.len() < FRAME_OVERHEAD {
+        return Err(Corruption::Torn { offset });
+    }
+    let len = u32::from_le_bytes(data[1..5].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(data[5..9].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD {
+        return Err(Corruption::Oversized {
+            offset,
+            declared: len,
+        });
+    }
+    Ok((len as usize, crc))
+}
+
+/// Validates the frame that starts `data` — the reader twin of
+/// [`frame_header`]: marker, header present, [`MAX_PAYLOAD`] (before
+/// anything is sized by the declared length), body present, checksum.
+/// Returns the payload, borrowed, and the frame's whole length; or the
+/// first anomaly, placed at `offset` — where the caller says the frame
+/// sits in its file. Bytes after the frame are ignored, and nothing is
+/// allocated.
+pub fn read_frame(data: &[u8], offset: usize) -> Result<(&[u8], usize), Corruption> {
+    let (len, crc) = parse_frame_header(data, offset)?;
+    let Some(payload) = data.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
+        return Err(Corruption::Torn { offset });
+    };
+    if crc32(payload) != crc {
+        return Err(Corruption::BadChecksum { offset });
+    }
+    Ok((payload, FRAME_OVERHEAD + len))
+}
+
+/// Scans a log buffer, validating the header and every frame.
 pub fn scan(data: &[u8]) -> ScanOutcome<'_> {
-    if data.len() < MAGIC.len()
-        || (&data[..MAGIC.len()] != MAGIC
-            && &data[..MAGIC.len()] != MAGIC_V2
-            && &data[..MAGIC.len()] != MAGIC_V3)
-    {
-        return ScanOutcome {
-            payloads: Vec::new(),
-            valid_len: 0,
-            corruption: Some(Corruption::BadHeader),
-        };
-    }
-    let mut payloads = Vec::new();
-    let mut offset = MAGIC.len();
-    while offset < data.len() {
-        let frame_start = offset;
-        if data[offset] != FRAME_MARKER {
-            return ScanOutcome {
-                payloads,
-                valid_len: frame_start,
-                corruption: Some(Corruption::BadMarker {
-                    offset: frame_start,
-                }),
-            };
-        }
-        if data.len() - offset < FRAME_OVERHEAD {
-            return ScanOutcome {
-                payloads,
-                valid_len: frame_start,
-                corruption: Some(Corruption::Torn {
-                    offset: frame_start,
-                }),
-            };
-        }
-        let len = u32::from_le_bytes(data[offset + 1..offset + 5].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[offset + 5..offset + 9].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD {
-            return ScanOutcome {
-                payloads,
-                valid_len: frame_start,
-                corruption: Some(Corruption::Oversized {
-                    offset: frame_start,
-                    declared: len,
-                }),
-            };
-        }
-        let body_start = offset + FRAME_OVERHEAD;
-        let body_end = body_start + len as usize;
-        if body_end > data.len() {
-            return ScanOutcome {
-                payloads,
-                valid_len: frame_start,
-                corruption: Some(Corruption::Torn {
-                    offset: frame_start,
-                }),
-            };
-        }
-        let payload = &data[body_start..body_end];
-        if crc32(payload) != crc {
-            return ScanOutcome {
-                payloads,
-                valid_len: frame_start,
-                corruption: Some(Corruption::BadChecksum {
-                    offset: frame_start,
-                }),
-            };
-        }
-        payloads.push(payload);
-        offset = body_end;
-    }
-    ScanOutcome {
-        payloads,
-        valid_len: data.len(),
+    let mut outcome = ScanOutcome {
+        payloads: Vec::new(),
+        valid_len: 0,
         corruption: None,
+    };
+    if !data.starts_with(MAGIC) {
+        outcome.corruption = Some(Corruption::BadHeader);
+        return outcome;
     }
+    outcome.valid_len = MAGIC.len();
+    while outcome.valid_len < data.len() {
+        match read_frame(&data[outcome.valid_len..], outcome.valid_len) {
+            Ok((payload, frame_len)) => {
+                outcome.payloads.push(payload);
+                outcome.valid_len += frame_len;
+            }
+            Err(anomaly) => {
+                outcome.corruption = Some(anomaly);
+                break;
+            }
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -260,28 +238,91 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_scans_with_the_same_frame_layout() {
-        let mut buf = Vec::new();
-        write_header_v2(&mut buf);
-        write_frame(&mut buf, b"zone");
-        write_frame(&mut buf, b"dir");
-        let out = scan(&buf);
-        assert_eq!(out.payloads, vec![b"zone".as_slice(), b"dir"]);
-        assert_eq!(out.corruption, None);
-        assert_eq!(out.valid_len, buf.len());
-    }
-
-    #[test]
     fn v3_header_scans_with_the_same_frame_layout() {
-        let mut buf = Vec::new();
-        write_header_v3(&mut buf);
+        // Segment files open with their own magic (`warehouse::format`),
+        // so the log scanner refuses one — but the frames behind that
+        // magic are the frames of a log, read by the same validator.
+        let mut buf = b"SITMSEG3".to_vec();
         write_frame(&mut buf, b"zone");
         write_frame(&mut buf, b"dir");
         write_frame(&mut buf, b"sort");
-        let out = scan(&buf);
-        assert_eq!(out.payloads, vec![b"zone".as_slice(), b"dir", b"sort"]);
-        assert_eq!(out.corruption, None);
-        assert_eq!(out.valid_len, buf.len());
+        assert_eq!(scan(&buf).corruption, Some(Corruption::BadHeader));
+        let mut payloads = Vec::new();
+        let mut offset = 8;
+        while offset < buf.len() {
+            let (payload, frame_len) = read_frame(&buf[offset..], offset).unwrap();
+            payloads.push(payload);
+            offset += frame_len;
+        }
+        assert_eq!(payloads, vec![b"zone".as_slice(), b"dir", b"sort"]);
+        assert_eq!(offset, buf.len());
+    }
+
+    /// One damaged frame behind one intact frame: every way a frame can
+    /// be wrong, and the verdict it must get.
+    fn damaged_frames() -> Vec<(&'static str, Vec<u8>, Corruption)> {
+        let intact = segment(&[b"first"]);
+        let offset = intact.len();
+        let mut whole = intact.clone();
+        write_frame(&mut whole, b"second");
+        let mut cases = Vec::new();
+        let mut bad_marker = whole.clone();
+        bad_marker[offset] = 0x00;
+        cases.push(("marker", bad_marker, Corruption::BadMarker { offset }));
+        // The header torn at each of its 9 bytes (0 of them present is
+        // a clean end, not a frame).
+        for present in 1..FRAME_OVERHEAD {
+            let torn = whole[..offset + present].to_vec();
+            cases.push(("torn header", torn, Corruption::Torn { offset }));
+        }
+        let torn_body = whole[..whole.len() - 1].to_vec();
+        cases.push(("torn body", torn_body, Corruption::Torn { offset }));
+        // One past the bound, with not a byte of body behind it: the
+        // bound is checked before the length sizes anything.
+        let mut oversized = intact.clone();
+        oversized.extend_from_slice(&frame_header(FRAME_MARKER, MAX_PAYLOAD + 1, 0));
+        let declared = MAX_PAYLOAD + 1;
+        cases.push((
+            "oversized",
+            oversized,
+            Corruption::Oversized { offset, declared },
+        ));
+        let mut bad_crc = whole.clone();
+        *bad_crc.last_mut().unwrap() ^= 0x01;
+        cases.push(("checksum", bad_crc, Corruption::BadChecksum { offset }));
+        cases
+    }
+
+    #[test]
+    fn read_frame_gives_every_kind_of_damage_its_verdict() {
+        let first_end = MAGIC.len() + FRAME_OVERHEAD + 5;
+        for (what, buf, verdict) in damaged_frames() {
+            assert_eq!(
+                read_frame(&buf[MAGIC.len()..], MAGIC.len()),
+                Ok((b"first".as_slice(), FRAME_OVERHEAD + 5)),
+                "{what}: the intact frame in front still reads"
+            );
+            assert_eq!(
+                read_frame(&buf[first_end..], first_end),
+                Err(verdict),
+                "{what}"
+            );
+        }
+        // No bytes, no frame.
+        assert_eq!(read_frame(&[], 7), Err(Corruption::Torn { offset: 7 }));
+        // A payload at exactly the bound is legal.
+        assert!(parse_frame_header(&frame_header(FRAME_MARKER, MAX_PAYLOAD, 0), 0).is_ok());
+    }
+
+    #[test]
+    fn scan_stops_at_the_validators_verdict() {
+        let first_end = MAGIC.len() + FRAME_OVERHEAD + 5;
+        for (what, buf, verdict) in damaged_frames() {
+            let out = scan(&buf);
+            assert_eq!(out.payloads, vec![b"first".as_slice()], "{what}");
+            assert_eq!(out.valid_len, first_end, "{what}");
+            assert_eq!(out.corruption, Some(verdict), "{what}");
+        }
     }
 
     #[test]

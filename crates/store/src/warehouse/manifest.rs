@@ -1,0 +1,136 @@
+//! What the warehouse directory holds besides segment files: the
+//! records of `manifest.log` ([`ManifestRecord`]: which segments are
+//! live) and `objindex.log` ([`ObjectIndexRecord`]: which segments hold
+//! which moving object), and the segment files' names.
+
+use crate::codec::CodecError;
+use crate::log::Record;
+use crate::varint;
+
+/// One live segment, as the manifest records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentRef {
+    /// Segment id (names the file via [`segment_file_name`]).
+    pub id: u64,
+    /// Trajectories in the segment (validated against the file at open).
+    pub records: u64,
+}
+
+/// One complete snapshot of the live segment set. The newest intact
+/// record in the manifest log is the warehouse's authoritative state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ManifestRecord {
+    /// Monotonically increasing manifest sequence.
+    pub sequence: u64,
+    /// Live segments, in warehouse iteration order.
+    pub segments: Vec<SegmentRef>,
+}
+
+impl Record for ManifestRecord {
+    fn encode_record(&self, buf: &mut Vec<u8>) {
+        varint::encode_u64(buf, self.sequence);
+        varint::encode_u64(buf, self.segments.len() as u64);
+        for s in &self.segments {
+            varint::encode_u64(buf, s.id);
+            varint::encode_u64(buf, s.records);
+        }
+    }
+
+    fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let sequence = varint::decode_u64(buf)?;
+        let count = varint::decode_u64(buf)?;
+        if count > buf.len() as u64 {
+            return Err(CodecError::LengthOverrun {
+                declared: count,
+                available: buf.len(),
+            });
+        }
+        let mut segments = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let id = varint::decode_u64(buf)?;
+            let records = varint::decode_u64(buf)?;
+            segments.push(SegmentRef { id, records });
+        }
+        Ok(ManifestRecord { sequence, segments })
+    }
+}
+
+/// The file name a segment id maps to.
+pub fn segment_file_name(id: u64) -> String {
+    format!("seg-{id:08}.seg")
+}
+
+/// Parses a segment id back out of a file name (GC uses this to spot
+/// orphans).
+pub fn parse_segment_file_name(name: &str) -> Option<u64> {
+    name.strip_prefix("seg-")?
+        .strip_suffix(".seg")?
+        .parse()
+        .ok()
+}
+
+/// One complete snapshot of the cross-segment object index, stamped
+/// with the manifest sequence it reflects. Persisted in `objindex.log`
+/// so a warm reopen skips the rebuild; an out-of-sequence (or absent,
+/// or torn) record just means the index is rebuilt from zone maps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObjectIndexRecord {
+    /// The manifest sequence this snapshot reflects.
+    pub sequence: u64,
+    /// Object id → sorted segment ids holding it.
+    pub entries: Vec<(String, Vec<u64>)>,
+}
+
+impl Record for ObjectIndexRecord {
+    fn encode_record(&self, buf: &mut Vec<u8>) {
+        varint::encode_u64(buf, self.sequence);
+        varint::encode_u64(buf, self.entries.len() as u64);
+        for (object, segments) in &self.entries {
+            varint::encode_u64(buf, object.len() as u64);
+            buf.extend_from_slice(object.as_bytes());
+            varint::encode_u64(buf, segments.len() as u64);
+            for id in segments {
+                varint::encode_u64(buf, *id);
+            }
+        }
+    }
+
+    fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let sequence = varint::decode_u64(buf)?;
+        let count = varint::decode_u64(buf)?;
+        if count > buf.len() as u64 {
+            return Err(CodecError::LengthOverrun {
+                declared: count,
+                available: buf.len(),
+            });
+        }
+        let mut entries = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let olen = varint::decode_u64(buf)?;
+            if olen > buf.len() as u64 {
+                return Err(CodecError::LengthOverrun {
+                    declared: olen,
+                    available: buf.len(),
+                });
+            }
+            let (head, tail) = buf.split_at(olen as usize);
+            let object = std::str::from_utf8(head)
+                .map_err(|_| CodecError::BadUtf8)?
+                .to_string();
+            *buf = tail;
+            let seg_count = varint::decode_u64(buf)?;
+            if seg_count > buf.len() as u64 {
+                return Err(CodecError::LengthOverrun {
+                    declared: seg_count,
+                    available: buf.len(),
+                });
+            }
+            let mut segments = Vec::with_capacity(seg_count as usize);
+            for _ in 0..seg_count {
+                segments.push(varint::decode_u64(buf)?);
+            }
+            entries.push((object, segments));
+        }
+        Ok(ObjectIndexRecord { sequence, entries })
+    }
+}

@@ -1,0 +1,488 @@
+//! Unit tests of every file of the warehouse module. They stay in one
+//! `warehouse::tests` module because the test floor names them by that
+//! path.
+
+use super::index::SORT_COLUMN_ROW_BYTES;
+use super::*;
+use crate::log::Record;
+use crate::segment;
+use sitm_core::{
+    Annotation, AnnotationSet, PresenceInterval, TimeInterval, Timestamp, Trace, TransitionTaken,
+};
+use sitm_graph::{LayerIdx, NodeId};
+use sitm_space::CellRef;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static NEXT: AtomicU64 = AtomicU64::new(0);
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("sitm-warehouse-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn cell(n: usize) -> CellRef {
+    CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
+}
+
+fn traj(mo: &str, c: usize, start: i64) -> SemanticTrajectory {
+    let mut stay = PresenceInterval::new(
+        TransitionTaken::Unknown,
+        cell(c),
+        Timestamp(start),
+        Timestamp(start + 60),
+    );
+    stay.annotations.insert(Annotation::goal("browsing"));
+    SemanticTrajectory::new(
+        mo,
+        Trace::new(vec![stay]).unwrap(),
+        AnnotationSet::from_iter([Annotation::goal("visit")]),
+    )
+    .unwrap()
+}
+
+#[test]
+fn zone_map_round_trips_and_aggregates() {
+    let trajs = vec![traj("a", 1, 0), traj("b", 2, 100)];
+    let map = ZoneMap::build(&trajs);
+    assert_eq!(map.len, 2);
+    assert_eq!(
+        map.span,
+        Some(TimeInterval::new(Timestamp(0), Timestamp(160)))
+    );
+    assert!(map.cells.contains(&cell(1)) && map.cells.contains(&cell(2)));
+    assert!(map.objects.contains("a") && map.objects.contains("b"));
+    assert!(map.traj_annotations.contains(&Annotation::goal("visit")));
+    assert!(map.stay_annotations.contains(&Annotation::goal("browsing")));
+    // Blooms agree with the exact sets (no false negatives) and
+    // reject what the sets don't hold.
+    assert!(map.may_contain_cell(&cell(1)) && map.may_contain_object("a"));
+    assert!(!map.may_contain_cell(&cell(9)) && !map.may_contain_object("z"));
+    assert!(!map.bloom_rejects_cell(&cell(2)));
+    assert!(!map.bloom_rejects_object("b"));
+    let mut buf = Vec::new();
+    map.encode(&mut buf);
+    let mut cursor: &[u8] = &buf;
+    let back = ZoneMap::decode(&mut cursor).unwrap();
+    assert!(cursor.is_empty());
+    assert_eq!(back, map);
+    // Truncations always error: the filters are part of the frame.
+    for cut in 0..buf.len() {
+        assert!(ZoneMap::decode(&mut &buf[..cut]).is_err(), "cut {cut}");
+    }
+}
+
+#[test]
+fn empty_zone_map_round_trips() {
+    let map = ZoneMap::build(&[]);
+    assert_eq!(map.len, 0);
+    assert_eq!(map.span, None);
+    let mut buf = Vec::new();
+    map.encode(&mut buf);
+    assert_eq!(ZoneMap::decode(&mut buf.as_slice()).unwrap(), map);
+}
+
+#[test]
+fn sort_run_is_canonical_and_total() {
+    let mut a = vec![traj("b", 2, 100), traj("a", 1, 0), traj("c", 1, 0)];
+    let mut b = vec![traj("c", 1, 0), traj("b", 2, 100), traj("a", 1, 0)];
+    sort_run(&mut a);
+    sort_run(&mut b);
+    assert_eq!(a, b, "order is independent of input permutation");
+    assert_eq!(a[0].start(), Timestamp(0));
+    assert_eq!(a[2].start(), Timestamp(100));
+}
+
+#[test]
+fn manifest_record_round_trips() {
+    let r = ManifestRecord {
+        sequence: 9,
+        segments: vec![
+            SegmentRef { id: 0, records: 5 },
+            SegmentRef { id: 3, records: 1 },
+        ],
+    };
+    let mut buf = Vec::new();
+    r.encode_record(&mut buf);
+    let mut cursor: &[u8] = &buf;
+    assert_eq!(ManifestRecord::decode_record(&mut cursor).unwrap(), r);
+    assert!(cursor.is_empty());
+    assert_eq!(segment_file_name(3), "seg-00000003.seg");
+    assert_eq!(parse_segment_file_name("seg-00000003.seg"), Some(3));
+    assert_eq!(parse_segment_file_name("manifest.log"), None);
+}
+
+#[test]
+fn append_reopen_preserves_segments() {
+    let tmp = TempDir::new("append");
+    {
+        let (mut store, report) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        assert!(report.is_clean());
+        store
+            .append_segment(vec![traj("a", 1, 0), traj("b", 2, 100)])
+            .unwrap();
+        store.append_segment(vec![traj("c", 3, 200)]).unwrap();
+        assert_eq!(store.segments().len(), 2);
+        assert_eq!(store.len(), 3);
+    }
+    let (store, report) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    assert!(report.is_clean());
+    assert_eq!(store.segments().len(), 2);
+    assert_eq!(store.len(), 3);
+    // Reopen is headers-only: nothing decoded until asked.
+    assert!(store.segments().iter().all(|s| !s.is_loaded()));
+    assert_eq!(
+        store.segments()[0].trajectories().unwrap()[0].moving_object,
+        "a"
+    );
+    assert_eq!(
+        store.segments()[1].trajectories().unwrap()[0].moving_object,
+        "c"
+    );
+    assert!(store.segments().iter().all(|s| s.is_loaded()));
+    // Row-level reads agree with the cached run.
+    assert_eq!(
+        store.segments()[0]
+            .read_trajectory(1)
+            .unwrap()
+            .moving_object,
+        "b"
+    );
+}
+
+#[test]
+fn empty_append_is_a_noop() {
+    let tmp = TempDir::new("empty");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    let seq = store.sequence();
+    store.append_segment(Vec::new()).unwrap();
+    assert!(store.is_empty());
+    assert_eq!(store.sequence(), seq);
+}
+
+#[test]
+fn unreferenced_segment_files_are_garbage_collected() {
+    let tmp = TempDir::new("gc");
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store.append_segment(vec![traj("a", 1, 0)]).unwrap();
+    }
+    // A stray file from a crash between segment write and manifest
+    // append.
+    let orphan = tmp.0.join(segment_file_name(99));
+    std::fs::write(&orphan, b"SITMSEG1").unwrap();
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    assert!(!orphan.exists(), "orphan collected");
+    assert_eq!(store.len(), 1, "referenced segment survives");
+    // And the orphan's id is burned, never reused.
+    assert!(store.next_id > 99);
+}
+
+#[test]
+fn size_tiered_compaction_merges_small_runs() {
+    let tmp = TempDir::new("tiered");
+    let config = WarehouseConfig {
+        fanout: 3,
+        ..WarehouseConfig::default()
+    };
+    let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    for i in 0..3 {
+        store
+            .append_segment(vec![traj(&format!("mo-{i}"), 1, i * 100)])
+            .unwrap();
+    }
+    assert_eq!(store.segments().len(), 3);
+    let merges = store.compact_size_tiered().unwrap();
+    assert_eq!(merges, 1);
+    assert_eq!(store.segments().len(), 1);
+    assert_eq!(store.len(), 3);
+    let run = store.segments()[0].trajectories().unwrap().clone();
+    assert!(run.windows(2).all(|w| w[0].start() <= w[1].start()));
+    // The victims' files are gone; the merged one survives reopen.
+    drop(store);
+    let (store, report) = SegmentStore::open(&tmp.0, config).unwrap();
+    assert!(report.is_clean());
+    assert_eq!(store.segments().len(), 1);
+    assert_eq!(store.len(), 3);
+}
+
+#[test]
+fn manifest_log_stays_bounded() {
+    let tmp = TempDir::new("bounded");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    for i in 0..8 {
+        store
+            .append_segment(vec![traj(&format!("mo-{i}"), 1, i * 100)])
+            .unwrap();
+    }
+    // With keep=2/every=1 the log holds exactly two records; record
+    // size grows with the segment count, but the *count* of records
+    // is pinned at 2 (vs 8 for an append-only log).
+    assert_eq!(store.manifest.len(), 2);
+    drop(store);
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    assert_eq!(store.segments().len(), 8);
+}
+
+#[test]
+fn corrupt_segment_body_surfaces_at_lazy_decode() {
+    let tmp = TempDir::new("corrupt");
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store.append_segment(vec![traj("a", 1, 0)]).unwrap();
+    }
+    // Flip a byte near the end of the file — inside the trajectory
+    // region, past the header frames. A headers-only open succeeds
+    // (the point of lazy loading: unread bytes cost nothing, and
+    // their rot is caught exactly when they are first read).
+    let path = tmp.0.join(segment_file_name(0));
+    let mut data = std::fs::read(&path).unwrap();
+    let n = data.len();
+    data[n - 2] ^= 0xFF;
+    std::fs::write(&path, &data).unwrap();
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    match store.segments()[0].trajectories() {
+        Err(WarehouseError::CorruptSegment { id: 0, .. }) => {}
+        other => panic!("expected CorruptSegment at decode, got {other:?}"),
+    }
+    match store.segments()[0].read_trajectory(0) {
+        Err(WarehouseError::CorruptSegment { id: 0, .. }) => {}
+        other => panic!("expected CorruptSegment at row read, got {other:?}"),
+    }
+}
+
+#[test]
+fn corrupt_segment_headers_are_refused_at_open() {
+    let tmp = TempDir::new("corrupt-head");
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store.append_segment(vec![traj("a", 1, 0)]).unwrap();
+    }
+    // Flip a byte in the directory region (just past the zone-map
+    // frame): the headers-only open must refuse the file.
+    let path = tmp.0.join(segment_file_name(0));
+    let mut data = std::fs::read(&path).unwrap();
+    let zone_payload_len = u32::from_le_bytes(data[9..13].try_into().unwrap()) as usize;
+    let dir_frame = 8 + segment::FRAME_OVERHEAD + zone_payload_len;
+    data[dir_frame + segment::FRAME_OVERHEAD + 10] ^= 0xFF;
+    std::fs::write(&path, &data).unwrap();
+    match SegmentStore::open(&tmp.0, WarehouseConfig::default()) {
+        Err(WarehouseError::CorruptSegment { id: 0, .. }) => {}
+        other => panic!("expected CorruptSegment at open, got {other:?}"),
+    }
+}
+
+#[test]
+fn directory_round_trips_and_validates() {
+    let entries = vec![
+        DirectoryEntry {
+            offset: 100,
+            len: 40,
+            start: -5,
+            end: 60,
+        },
+        DirectoryEntry {
+            offset: 140,
+            len: 25,
+            start: 10,
+            end: 90,
+        },
+    ];
+    let dir = SegmentDirectory { entries };
+    let mut buf = Vec::new();
+    dir.encode(&mut buf);
+    assert_eq!(buf.len(), SegmentDirectory::encoded_len(2));
+    let mut cursor: &[u8] = &buf;
+    let back = SegmentDirectory::decode(&mut cursor).unwrap();
+    assert!(cursor.is_empty());
+    assert_eq!(back, dir);
+    // Truncations always error (fixed width leaves no legacy
+    // boundary).
+    for cut in 0..buf.len() {
+        assert!(
+            SegmentDirectory::decode(&mut &buf[..cut]).is_err(),
+            "cut {cut}"
+        );
+    }
+    assert!(dir.validate(100, 165, 2).is_ok());
+    assert!(dir.validate(100, 165, 3).is_err(), "count mismatch");
+    assert!(dir.validate(99, 165, 2).is_err(), "gap before first entry");
+    assert!(dir.validate(100, 164, 2).is_err(), "truncated file");
+    assert!(dir.validate(100, 166, 2).is_err(), "trailing bytes");
+}
+
+#[test]
+fn rollup_round_trips_and_matches_recompute() {
+    let trajs = vec![traj("a", 1, 0), traj("b", 2, 100), traj("c", 1, 4000)];
+    let rollup = SegmentRollup::build(&trajs, 3600);
+    // Cell 1 hosts two trajectories with one 60s stay each.
+    let c1 = rollup.cells.get(&cell(1)).unwrap();
+    assert_eq!(c1.trajectories, 2);
+    assert_eq!(c1.stays, 2);
+    assert_eq!(c1.dwell_seconds, 120);
+    // Spans: [0,60] and [100,160] land in bucket 0; [4000,4060] in
+    // bucket 3600.
+    assert_eq!(rollup.periods.get(&0), Some(&2));
+    assert_eq!(rollup.periods.get(&3600), Some(&1));
+    let mut buf = Vec::new();
+    rollup.encode(&mut buf);
+    let mut cursor: &[u8] = &buf;
+    let back = SegmentRollup::decode(&mut cursor).unwrap();
+    assert!(cursor.is_empty());
+    assert_eq!(back, rollup);
+    // A disabled period axis stays empty.
+    assert!(SegmentRollup::build(&trajs, 0).periods.is_empty());
+}
+
+#[test]
+fn object_index_is_maintained_and_persisted() {
+    let tmp = TempDir::new("objindex");
+    let config = WarehouseConfig {
+        fanout: 2,
+        ..WarehouseConfig::default()
+    };
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+        store.append_segment(vec![traj("a", 1, 0)]).unwrap();
+        store.append_segment(vec![traj("b", 2, 100)]).unwrap();
+        assert_eq!(store.object_index_len(), 2);
+        assert_eq!(
+            store.object_segments("a"),
+            Some(&BTreeSet::from([0])),
+            "object a lives in segment 0 only"
+        );
+        assert_eq!(store.object_segments("nobody"), None);
+        // Compaction swaps victim ids for the merged id.
+        store.compact_size_tiered().unwrap();
+        assert_eq!(store.segments().len(), 1);
+        let merged = store.segments()[0].id;
+        assert_eq!(store.object_segments("a"), Some(&BTreeSet::from([merged])));
+        assert_eq!(store.object_segments("b"), Some(&BTreeSet::from([merged])));
+    }
+    // Reopen adopts the persisted snapshot (sequence matches) and
+    // it equals a from-scratch rebuild.
+    let (store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    let rebuilt = SegmentStore::rebuild_object_index(store.segments());
+    assert_eq!(store.object_index, rebuilt);
+    // A stale snapshot (wrong sequence) is ignored and rebuilt.
+    drop(store);
+    std::fs::remove_file(tmp.0.join("objindex.log")).unwrap();
+    let (store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    assert_eq!(store.object_index, rebuilt, "rebuilt from zone maps");
+}
+
+#[test]
+fn sort_columns_round_trip_and_validate() {
+    let trajs = vec![
+        traj("carol", 3, 50),
+        traj("alice", 1, 0),
+        traj("bob", 2, 100),
+    ];
+    let columns = SortColumns::build(&trajs);
+    assert_eq!(columns.len(), 3);
+    // Per-row values match the decoded keys.
+    for (i, t) in trajs.iter().enumerate() {
+        assert_eq!(columns.dwell[i], t.trace().dwell_total().as_seconds());
+        assert_eq!(columns.trace_len[i], t.trace().len() as u32);
+    }
+    // The object column indexes into the zone map's sorted object
+    // set: row order carol, alice, bob → indexes 2, 0, 1.
+    let map = ZoneMap::build(&trajs);
+    let objects: Vec<&str> = map.objects.iter().map(|s| s.as_str()).collect();
+    assert_eq!(objects, vec!["alice", "bob", "carol"]);
+    assert_eq!(columns.object, vec![2, 0, 1]);
+    let mut buf = Vec::new();
+    columns.encode(&mut buf);
+    assert_eq!(buf.len(), 8 + 3 * SORT_COLUMN_ROW_BYTES);
+    let mut cursor: &[u8] = &buf;
+    let back = SortColumns::decode(&mut cursor).unwrap();
+    assert!(cursor.is_empty());
+    assert_eq!(back, columns);
+    // Truncations always error (fixed width, no legacy boundary).
+    for cut in 0..buf.len() {
+        assert!(SortColumns::decode(&mut &buf[..cut]).is_err(), "cut {cut}");
+    }
+    assert!(columns.validate(3, 3).is_ok());
+    assert!(columns.validate(2, 3).is_err(), "row-count mismatch");
+    assert!(
+        columns.validate(3, 2).is_err(),
+        "object index out of bounds"
+    );
+    // The empty column set is valid for an empty segment.
+    assert!(SortColumns::default().validate(0, 0).is_ok());
+}
+
+#[test]
+fn row_cache_evicts_within_budget_and_invalidates() {
+    let registry = MetricsRegistry::new();
+    let cache = RowCache::new(100, &registry);
+    let t = traj("a", 1, 0);
+    cache.insert(0, 0, &t, 40);
+    cache.insert(0, 1, &t, 40);
+    assert_eq!(cache.bytes(), 80);
+    assert_eq!(cache.get(0, 0), Some(t.clone()));
+    // A third row breaks the budget; the sweep spares the just-hit
+    // row 0 (hot) and evicts untouched segment 0 row 1.
+    cache.insert(1, 0, &t, 40);
+    assert_eq!(cache.bytes(), 80);
+    assert_eq!(cache.get(0, 1), None);
+    assert_eq!(cache.get(0, 0), Some(t.clone()));
+    assert_eq!(cache.get(1, 0), Some(t.clone()));
+    // An oversized row is never admitted.
+    cache.insert(2, 0, &t, 101);
+    assert_eq!(cache.get(2, 0), None);
+    // Compaction retiring segment 0 drops its rows wholesale.
+    cache.invalidate_segment(0);
+    assert_eq!(cache.bytes(), 40);
+    assert_eq!(cache.get(0, 0), None);
+    assert_eq!(cache.get(1, 0), Some(t.clone()));
+    let snap = registry.snapshot();
+    assert_eq!(snap.gauge("query.row_cache_bytes"), Some(40));
+    assert_eq!(snap.counter("query.row_cache_evicted_bytes"), Some(40));
+    assert!(snap.counter("query.row_cache_hits").unwrap() >= 4);
+    assert!(snap.counter("query.row_cache_misses").unwrap() >= 3);
+}
+
+#[test]
+fn zero_budget_disables_the_row_cache() {
+    let registry = MetricsRegistry::new();
+    let cache = RowCache::new(0, &registry);
+    let t = traj("a", 1, 0);
+    cache.insert(0, 0, &t, 1);
+    assert_eq!(cache.get(0, 0), None);
+    assert_eq!(cache.bytes(), 0);
+    // A disabled cache stays silent: no hit/miss accounting.
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("query.row_cache_hits"), Some(0));
+    assert_eq!(snap.counter("query.row_cache_misses"), Some(0));
+}
+
+#[test]
+fn warm_rows_are_served_from_the_cache_without_io() {
+    let tmp = TempDir::new("warm-rows");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    let trajs = vec![traj("a", 1, 0), traj("b", 2, 100)];
+    store.append_segment(trajs.clone()).unwrap();
+    drop(store);
+    // Reopen cold so rows are not pre-cached by the append.
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    let s = &store.segments()[0];
+    assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
+    // Deleting the file proves the second read touches no disk.
+    std::fs::remove_file(tmp.0.join(segment_file_name(0))).unwrap();
+    assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
+    // An uncached row now fails at the filesystem.
+    assert!(s.read_trajectory(1).is_err());
+}

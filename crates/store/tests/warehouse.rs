@@ -17,8 +17,9 @@ use sitm_core::{
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
-use sitm_store::warehouse::{segment_file_name, SegmentStore, WarehouseConfig};
-use sitm_store::{segment, CompactionPolicy};
+use sitm_store::segment::Corruption;
+use sitm_store::warehouse::{segment_file_name, SegmentStore, WarehouseConfig, WarehouseError};
+use sitm_store::{crc32, segment, CompactionPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -201,11 +202,10 @@ fn referenced_v3_segment_header_region_tortured_at_every_offset() {
     //   corruption — altered data is never served.
     let pristine = TempDir::new("v3-pristine");
     let config = WarehouseConfig::default();
+    let rows = [traj("ta", 1, 0), traj("tb", 2, 100)];
     {
         let (mut store, _) = SegmentStore::open(&pristine.0, config).unwrap();
-        store
-            .append_segment(vec![traj("ta", 1, 0), traj("tb", 2, 100)])
-            .unwrap();
+        store.append_segment(rows.to_vec()).unwrap();
     }
     let data = std::fs::read(pristine.0.join(segment_file_name(0))).unwrap();
     assert_eq!(&data[..8], b"SITMSEG3", "new segments are format v3");
@@ -246,10 +246,111 @@ fn referenced_v3_segment_header_region_tortured_at_every_offset() {
             .unwrap_or_else(|e| panic!("flip at {pos}: body flips must not block open: {e}"));
         let seg = &store.segments()[0];
         assert!(!seg.is_loaded(), "flip at {pos}: open decoded nothing");
-        assert!(
-            seg.trajectories().is_err(),
-            "flip at {pos}: corrupt body must surface at first decode"
+        // Row reads are isolated: only the row whose frame holds the
+        // flipped byte fails; the other comes back pristine.
+        let entries = &seg.directory().entries;
+        let damaged = entries
+            .iter()
+            .position(|e| (e.offset..e.offset + e.len as u64).contains(&(pos as u64)))
+            .expect("every body byte belongs to one row's frame");
+        let row_error = seg
+            .read_trajectory(damaged)
+            .expect_err("the damaged row must not be served");
+        assert_eq!(
+            seg.read_trajectory(1 - damaged).unwrap(),
+            rows[1 - damaged],
+            "flip at {pos}: the other row is untouched"
         );
+        let run_error = seg
+            .trajectories()
+            .expect_err("corrupt body must surface at first decode");
+        // One frame validator behind both lazy paths: the same damage
+        // is the same error, whichever path meets it.
+        assert_eq!(
+            row_error.to_string(),
+            run_error.to_string(),
+            "flip at {pos}"
+        );
+        let offset = entries[damaged].offset as usize;
+        let expected = if pos == offset {
+            Some(Corruption::BadMarker { offset })
+        } else if pos >= offset + segment::FRAME_OVERHEAD {
+            Some(Corruption::BadChecksum { offset })
+        } else {
+            None // a length or checksum field: some refusal, kind varies
+        };
+        if let Some(expected) = expected {
+            for error in [&row_error, &run_error] {
+                assert!(
+                    matches!(
+                        error,
+                        WarehouseError::CorruptSegment { id: 0, corruption } if *corruption == expected
+                    ),
+                    "flip at {pos}: expected {expected:?}, got {error}"
+                );
+            }
+        }
+    }
+}
+
+/// Length and CRC-32 of the segment file `segment_file_bytes_are_pinned`
+/// writes, recorded from the commit before the v1/v2 read paths were
+/// deleted.
+const GOLDEN_LEN: usize = 405;
+const GOLDEN_CRC: u32 = 3_501_075_661;
+
+/// The bytes of the segment format, pinned: a change to one byte of
+/// what `append_segment` writes fails here.
+#[test]
+fn segment_file_bytes_are_pinned() {
+    let tmp = TempDir::new("golden");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    store
+        .append_segment(vec![
+            traj("golden-c", 3, 500),
+            traj("golden-a", 1, 0),
+            traj("golden-b", 2, 100),
+        ])
+        .unwrap();
+    let data = std::fs::read(tmp.0.join(segment_file_name(0))).unwrap();
+    assert_eq!(
+        (data.len(), crc32(&data)),
+        (GOLDEN_LEN, GOLDEN_CRC),
+        "the segment format changed"
+    );
+}
+
+#[test]
+fn any_magic_but_the_current_one_is_refused_at_open() {
+    let pristine = TempDir::new("magic-pristine");
+    let config = WarehouseConfig::default();
+    {
+        let (mut store, _) = SegmentStore::open(&pristine.0, config).unwrap();
+        store.append_segment(vec![traj("ta", 1, 0)]).unwrap();
+    }
+    let data = std::fs::read(pristine.0.join(segment_file_name(0))).unwrap();
+    assert_eq!(&data[..8], b"SITMSEG3");
+    // Older formats, a newer one, and every single-bit damage of the
+    // current magic.
+    let mut magics: Vec<[u8; 8]> = vec![*b"SITMSEG1", *b"SITMSEG2", *b"SITMSEG4"];
+    for bit in 0..64 {
+        let mut magic = *b"SITMSEG3";
+        magic[bit / 8] ^= 1 << (bit % 8);
+        magics.push(magic);
+    }
+    let torn = TempDir::new("magic-torn");
+    for magic in magics {
+        copy_dir(&pristine.0, &torn.0);
+        let mut forged = data.clone();
+        forged[..8].copy_from_slice(&magic);
+        std::fs::write(torn.0.join(segment_file_name(0)), &forged).unwrap();
+        match SegmentStore::open(&torn.0, config) {
+            Err(WarehouseError::CorruptSegment {
+                id: 0,
+                corruption: Corruption::BadHeader,
+            }) => {}
+            other => panic!("magic {magic:?}: expected BadHeader at open, got {other:?}"),
+        }
     }
 }
 

@@ -579,7 +579,7 @@ pub fn resume_from_log(
     Ok((resume_engine(config, &frames)?, log, report))
 }
 
-/// [`resume_from_log`] for the thread-per-shard [`ParallelEngine`].
+/// [`resume_from_log`] for the work-stealing [`ParallelEngine`].
 pub fn resume_parallel_from_log(
     config: EngineConfig,
     path: impl AsRef<std::path::Path>,

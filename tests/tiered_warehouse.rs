@@ -298,7 +298,7 @@ fn both_runtimes_build_identical_warehouses_live_included() {
 
 #[test]
 fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
-    // The format-v2 cold-scale contract: reopening a many-segment
+    // The cold-scale contract: reopening a many-segment
     // warehouse reads headers only, fully-pruned point queries keep
     // `query.segment_bytes_read` at zero, and a sorted/limited pushdown
     // decodes exactly the returned page.
