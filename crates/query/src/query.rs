@@ -29,11 +29,12 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
 use sitm_space::CellRef;
 
-use sitm_store::warehouse::SortColumns;
+use sitm_store::encode_trajectory;
 
 use crate::federation::{federated_for_each, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
@@ -125,6 +126,71 @@ impl fmt::Display for QueryPlan {
         }
         write!(f, " filter {}", self.residual)
     }
+}
+
+/// One row the segmented paging core hands its sink.
+enum PageRow<'a> {
+    /// A row of a hydrated segment, borrowed: the decoded trajectory
+    /// and its stored encoding.
+    Resident(&'a SemanticTrajectory, &'a [u8]),
+    /// A row read out of a cold segment: decoded from its frame, or
+    /// cloned out of the row cache.
+    Read(SemanticTrajectory),
+}
+
+impl PageRow<'_> {
+    fn trajectory(&self) -> &SemanticTrajectory {
+        match self {
+            PageRow::Resident(t, _) => t,
+            PageRow::Read(t) => t,
+        }
+    }
+}
+
+/// Visits `ids` in `(key, global position)` order — descending is that
+/// order reversed wholesale — until `visit` breaks, sorting no further
+/// than the page reaches: with `reach = offset + limit`, the first
+/// `reach` candidates of the order are selected and sorted, which is
+/// the whole page unless `visit` rejects some of them. If that head
+/// runs dry with the page still short, the rest is sorted then and the
+/// walk goes on (correct, not fast). `reach: None` sorts everything.
+fn walk_ordered<K: Ord>(
+    ids: &[TrajId],
+    key: impl Fn(TrajId) -> K,
+    ascending: bool,
+    reach: Option<usize>,
+    visit: &mut dyn FnMut(TrajId) -> ControlFlow<()>,
+) {
+    // Positions are distinct, so the order is total and an unstable
+    // sort is deterministic.
+    let directed = |a: &(K, TrajId), b: &(K, TrajId)| {
+        if ascending {
+            a.cmp(b)
+        } else {
+            b.cmp(a)
+        }
+    };
+    let order_span = sitm_obs::trace::child_detail("order_page");
+    let mut entries: Vec<(K, TrajId)> = ids.iter().map(|&gid| (key(gid), gid)).collect();
+    let head = match reach {
+        Some(reach) if reach < entries.len() => {
+            entries.select_nth_unstable_by(reach, directed);
+            reach
+        }
+        _ => entries.len(),
+    };
+    let (head, tail) = entries.split_at_mut(head);
+    head.sort_unstable_by(directed);
+    drop(order_span);
+    let _fetch = sitm_obs::trace::child_detail("fetch_rows");
+    if head.iter().try_for_each(|&(_, gid)| visit(gid)).is_break() {
+        return;
+    }
+    {
+        let _order = sitm_obs::trace::child_detail("order_page");
+        tail.sort_unstable_by(directed);
+    }
+    let _ = tail.iter().try_for_each(|&(_, gid)| visit(gid));
 }
 
 /// A declarative trajectory query: predicate + ordering + truncation.
@@ -354,8 +420,22 @@ impl Query {
     ///   sorted object set per row), so ordering + paging again decide
     ///   which frames to decode before any trajectory is materialized.
     ///
-    /// Rows past the page are never materialized. Results are cloned
-    /// out (cold frames decode to owned values anyway).
+    /// **Ordering stops where the page ends.** With a `limit`, only the
+    /// first `offset + limit` candidates of the order are selected and
+    /// sorted; the rest stay unordered unless the predicate re-check
+    /// rejects so many of those that the page is still short, and only
+    /// then is the remainder sorted and the walk continued. Without a
+    /// `limit` every candidate is sorted.
+    ///
+    /// **Rows are borrowed until they are returned.** A row of a
+    /// hydrated segment is re-checked and skipped by reference
+    /// ([`sitm_store::warehouse::Segment::resident_row`]); a row of a
+    /// cold segment is read alone (row cache, else one frame). The one
+    /// paging core feeds two sinks: this method *owns* what the page
+    /// holds — a clone per hydrated row, the value just read per cold
+    /// row — and [`Query::execute_segmented_encoded`] copies the page's
+    /// stored bytes and owns nothing. `query.rows_materialized` counts
+    /// the owned values either made.
     ///
     /// # Panics
     ///
@@ -363,9 +443,50 @@ impl Query {
     /// policy as [`SegmentedDb`] hydration; headers were validated at
     /// open).
     pub fn execute_segmented(&self, db: &SegmentedDb) -> Vec<SemanticTrajectory> {
+        let mut out = Vec::new();
+        self.page_segmented(db, &mut |row| {
+            out.push(match row {
+                PageRow::Resident(t, _) => {
+                    db.rows_materialized().inc();
+                    t.clone()
+                }
+                PageRow::Read(t) => t,
+            })
+        });
+        out
+    }
+
+    /// [`Query::execute_segmented`] with a byte sink: appends the
+    /// page's rows to `out`, each as `sitm_store::encode_trajectory`
+    /// writes it, in result order, and returns how many there are —
+    /// byte for byte what encoding `execute_segmented`'s rows one after
+    /// another would append. A row of a hydrated segment is copied out
+    /// of the segment's stored bytes (its frame payload *is* that
+    /// encoding) and never cloned; a row read from a cold segment is
+    /// encoded from the value just read.
+    ///
+    /// # Panics
+    ///
+    /// As [`Query::execute_segmented`].
+    pub fn execute_segmented_encoded(&self, db: &SegmentedDb, out: &mut Vec<u8>) -> usize {
+        let mut rows = 0;
+        self.page_segmented(db, &mut |row| {
+            match row {
+                PageRow::Resident(_, stored) => out.extend_from_slice(stored),
+                PageRow::Read(t) => encode_trajectory(out, &t),
+            }
+            rows += 1;
+        });
+        rows
+    }
+
+    /// The paging core behind both segmented entry points: candidates →
+    /// order as far as the page reaches → lazily fetch, re-check, skip
+    /// → hand each row of the page to `emit`, in result order.
+    fn page_segmented<'a>(&self, db: &'a SegmentedDb, emit: &mut dyn FnMut(PageRow<'a>)) {
         let segments = db.store().segments();
         if segments.is_empty() {
-            return Vec::new();
+            return;
         }
         // Global position → (segment, local index) via cumulative bases.
         let mut bases: Vec<TrajId> = Vec::with_capacity(segments.len());
@@ -381,124 +502,98 @@ impl Query {
             };
             (si, (gid - bases[si]) as usize)
         };
-        let fetch = |gid: TrajId| -> SemanticTrajectory {
-            let (si, local) = locate(gid);
-            segments[si]
-                .read_trajectory(local)
-                .unwrap_or_else(|e| panic!("segment {} corrupt mid-query: {e}", segments[si].id))
-        };
         // Candidate positions, ascending == warehouse order (object
         // index + zone maps + per-segment postings already applied).
         let ids: Vec<TrajId> = match db.candidates(&self.predicate) {
             CandidateSet::All => (0..db.len() as TrajId).collect(),
             CandidateSet::Ids(ids) => ids,
         };
-        let directory_key = |key: SortKey, gid: TrajId| -> i64 {
+        if self.limit == Some(0) {
+            return;
+        }
+        // One candidate: fetch (borrowed when resident), re-check,
+        // skip or emit. Breaks once the page is full.
+        let (mut skipped, mut emitted) = (0, 0);
+        let mut visit = |gid: TrajId| -> ControlFlow<()> {
             let (si, local) = locate(gid);
-            let e = segments[si].directory().entries[local];
-            match key {
-                SortKey::Start => e.start,
-                SortKey::End => e.end,
-                SortKey::SpanDuration => e.end - e.start,
-                _ => unreachable!("content-derived key has no directory column"),
-            }
-        };
-        // The frame-visit order: warehouse order when unsorted, or
-        // (directory key, global position) — `execute`'s exact ordering
-        // contract (ties keep id order; descending reverses wholesale).
-        let order_span = sitm_obs::trace::child_detail("order_page");
-        let ordered: Vec<TrajId> = match self.order {
-            None => ids,
-            Some((key, ascending)) => match key {
-                SortKey::Start | SortKey::End | SortKey::SpanDuration => {
-                    let mut entries: Vec<(i64, TrajId)> = ids
-                        .iter()
-                        .map(|&gid| (directory_key(key, gid), gid))
-                        .collect();
-                    entries.sort_unstable();
-                    if !ascending {
-                        entries.reverse();
-                    }
-                    entries.into_iter().map(|(_, gid)| gid).collect()
+            let segment = &segments[si];
+            let row = match segment.resident_row(local) {
+                Some((t, stored)) => PageRow::Resident(t, stored),
+                None => {
+                    db.rows_materialized().inc();
+                    PageRow::Read(segment.read_trajectory(local).unwrap_or_else(|e| {
+                        panic!("segment {} corrupt mid-query: {e}", segment.id)
+                    }))
                 }
-                SortKey::TotalDwell | SortKey::MovingObject | SortKey::TraceLength => {
-                    let columns: Vec<&SortColumns> =
-                        segments.iter().map(|s| s.sort_columns()).collect();
-                    // Column-served ordering, decoding nothing. Sorting
-                    // every candidate by (column key, position) and then
-                    // lazily filtering below is identical to
-                    // filter-then-sort: dropping non-matches preserves
-                    // the relative order of what remains.
-                    match key {
-                        SortKey::MovingObject => {
-                            // The object column indexes into the zone
-                            // map's sorted object set, so the globally
-                            // comparable string is resident.
-                            let objects: Vec<Vec<&str>> = segments
-                                .iter()
-                                .map(|s| s.zone_map.objects.iter().map(|o| o.as_str()).collect())
-                                .collect();
-                            let mut entries: Vec<(&str, TrajId)> = ids
-                                .iter()
-                                .map(|&gid| {
-                                    let (si, local) = locate(gid);
-                                    (objects[si][columns[si].object[local] as usize], gid)
-                                })
-                                .collect();
-                            entries.sort_unstable();
-                            if !ascending {
-                                entries.reverse();
-                            }
-                            entries.into_iter().map(|(_, gid)| gid).collect()
-                        }
-                        _ => {
-                            // Dwell is persisted in seconds — the exact
-                            // value `Duration` ordering compares.
-                            let mut entries: Vec<(i64, TrajId)> = ids
-                                .iter()
-                                .map(|&gid| {
-                                    let (si, local) = locate(gid);
-                                    let c = columns[si];
-                                    let v = match key {
-                                        SortKey::TotalDwell => c.dwell[local],
-                                        _ => c.trace_len[local] as i64,
-                                    };
-                                    (v, gid)
-                                })
-                                .collect();
-                            entries.sort_unstable();
-                            if !ascending {
-                                entries.reverse();
-                            }
-                            entries.into_iter().map(|(_, gid)| gid).collect()
-                        }
-                    }
-                }
-            },
-        };
-        drop(order_span);
-        // Lazily decode in visit order until the page is full.
-        let _fetch = sitm_obs::trace::child_detail("fetch_rows");
-        let mut out = Vec::new();
-        let mut skipped = 0;
-        for gid in ordered {
-            if self.limit == Some(0) {
-                break;
-            }
-            let t = fetch(gid);
-            if !self.predicate.matches(&t) {
-                continue;
+            };
+            if !self.predicate.matches(row.trajectory()) {
+                return ControlFlow::Continue(());
             }
             if skipped < self.offset {
                 skipped += 1;
-                continue;
+                return ControlFlow::Continue(());
             }
-            out.push(t);
-            if Some(out.len()) == self.limit {
-                break;
+            emit(row);
+            emitted += 1;
+            if Some(emitted) == self.limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        // The frame-visit order: warehouse order when unsorted, or
+        // (key, global position) — `execute`'s exact ordering contract
+        // (ties keep id order; descending reverses wholesale). Sorting
+        // every candidate by a resident key and lazily filtering is
+        // identical to filter-then-sort: dropping non-matches preserves
+        // the relative order of what remains.
+        let reach = self.limit.map(|n| self.offset.saturating_add(n));
+        let Some((key, ascending)) = self.order else {
+            let _fetch = sitm_obs::trace::child_detail("fetch_rows");
+            let _ = ids.into_iter().try_for_each(visit);
+            return;
+        };
+        match key {
+            // Span keys sit in the directory entries.
+            SortKey::Start | SortKey::End | SortKey::SpanDuration => {
+                let directory_key = |gid: TrajId| -> i64 {
+                    let (si, local) = locate(gid);
+                    let e = segments[si].directory().entries[local];
+                    match key {
+                        SortKey::Start => e.start,
+                        SortKey::End => e.end,
+                        _ => e.end - e.start,
+                    }
+                };
+                walk_ordered(&ids, directory_key, ascending, reach, &mut visit)
+            }
+            // Content keys sit in the sort columns. Dwell is persisted
+            // in seconds — the exact value `Duration` ordering compares.
+            SortKey::TotalDwell | SortKey::TraceLength => {
+                let column_key = |gid: TrajId| -> i64 {
+                    let (si, local) = locate(gid);
+                    let c = segments[si].sort_columns();
+                    match key {
+                        SortKey::TotalDwell => c.dwell[local],
+                        _ => c.trace_len[local] as i64,
+                    }
+                };
+                walk_ordered(&ids, column_key, ascending, reach, &mut visit)
+            }
+            // The object column indexes into the zone map's sorted
+            // object set, so the globally comparable string is resident.
+            SortKey::MovingObject => {
+                let objects: Vec<Vec<&str>> = segments
+                    .iter()
+                    .map(|s| s.zone_map.objects.iter().map(|o| o.as_str()).collect())
+                    .collect();
+                let object_key = |gid: TrajId| -> &str {
+                    let (si, local) = locate(gid);
+                    objects[si][segments[si].sort_columns().object[local] as usize]
+                };
+                walk_ordered(&ids, object_key, ascending, reach, &mut visit)
             }
         }
-        out
     }
 
     /// Number of matches, skipping sort/paging work.

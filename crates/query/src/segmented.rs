@@ -54,12 +54,19 @@
 //! ([`TrajectoryDb`]) hydrate on first contact — when pruning leaves
 //! the segment in a query's surviving set — from one decode pass whose
 //! storage is `Arc`-shared between the store's segment cache and the
-//! postings ([`TrajectoryDb::build_shared`]); there is exactly one
-//! resident copy of a segment's run, ever. A fully-pruned query
-//! therefore reads ~zero segment bytes (`query.segment_bytes_read`).
-//! Single-row seeks land in the store's bounded **row-decode cache**
-//! (see `sitm_store::warehouse`), so repeated paged scans over hot
-//! segments re-decode nothing (`query.row_cache_hits`). Hydration
+//! postings ([`TrajectoryDb::build_shared`]). A hydrated segment holds
+//! two things, together or not at all: that one decoded run, which
+//! serves the postings and every predicate re-check, and the stored
+//! bytes it was decoded from (≈ a tenth of the run's size), which serve
+//! replies — a paged [`crate::Query`] borrows a resident row to check
+//! or skip it and copies its stored encoding to return it
+//! ([`Segment::resident_row`]), cloning nothing. A fully-pruned query
+//! reads ~zero segment bytes (`query.segment_bytes_read`).
+//! Single-row seeks into segments still cold land in the store's
+//! bounded **row-decode cache** (see `sitm_store::warehouse`), so
+//! repeated paged scans over them re-decode nothing
+//! (`query.row_cache_hits`); hydration itself leaves that cache alone.
+//! Hydration
 //! **panics** if the segment body turns out corrupt
 //! (`Segment::trajectories` errors): header corruption is refused at
 //! open, and the query surface is infallible by signature, so body
@@ -211,6 +218,9 @@ struct QueryMetrics {
     bloom_pruned: Arc<Counter>,
     object_pruned: Arc<Counter>,
     candidates: Arc<Histogram>,
+    /// Rows [`crate::Query`]'s paging core turned into an owned value
+    /// (a clone out of a hydrated run or the row cache, or a decode).
+    rows_materialized: Arc<Counter>,
 }
 
 impl QueryMetrics {
@@ -221,6 +231,7 @@ impl QueryMetrics {
             bloom_pruned: registry.counter("query.bloom_pruned"),
             object_pruned: registry.counter("query.object_pruned"),
             candidates: registry.histogram("query.candidates"),
+            rows_materialized: registry.counter("query.rows_materialized"),
         }
     }
 }
@@ -399,6 +410,12 @@ impl SegmentedDb {
     /// The underlying store.
     pub fn store(&self) -> &SegmentStore {
         &self.store
+    }
+
+    /// The `query.rows_materialized` instrument the paging core in
+    /// `query.rs` charges.
+    pub(crate) fn rows_materialized(&self) -> &Counter {
+        &self.metrics.rows_materialized
     }
 
     /// Total trajectories across every segment.
@@ -1037,6 +1054,104 @@ mod tests {
             };
             assert_eq!(plan.candidates, narrowed, "for {p}");
         }
+    }
+
+    /// The partial ordering's correctness path: when the re-check
+    /// rejects the candidates at the head of the order, the sorted head
+    /// (`offset + limit` candidates) runs dry before the page fills and
+    /// the walk must carry on, in order, through the rest.
+    #[test]
+    fn a_page_the_sorted_head_cannot_fill_continues_into_the_tail() {
+        use crate::{Query, SortKey};
+        let tmp = TempDir::new("tail");
+        // Every row visits cells 1 and 2, so every row is a candidate
+        // of the three predicates below; four rows match each. The
+        // first four walk 1→2 directly (the rest detour through 3);
+        // the last four stay 60 s in cell 1 (the rest 5 s). 120 rows:
+        // enough that selecting a head leaves the rest unordered.
+        const ROWS: usize = 120;
+        let rows: Vec<SemanticTrajectory> = (0..ROWS)
+            .map(|i| {
+                let t = i as i64 * 100;
+                let long = if i >= ROWS - 4 { 60 } else { 5 };
+                let mut stays = vec![(1, t, t + long)];
+                if i >= 4 {
+                    stays.push((3, t + 60, t + 65));
+                }
+                stays.push((2, t + 70, t + 75));
+                traj(&format!("mo-{i:03}"), &stays, "visit")
+            })
+            .collect();
+        let mut db = open(&tmp);
+        db.flush(rows[..100].to_vec()).unwrap();
+        db.flush(rows[100..].to_vec()).unwrap();
+        assert_eq!(db.segments().len(), 2);
+        let long_stay = Predicate::MinStayIn(cell(1), Duration::seconds(30));
+        let long_dwell =
+            Predicate::VisitedCell(cell(1)).and(Predicate::MinTotalDwell(Duration::seconds(65)));
+        let direct = Predicate::SequenceContains(vec![cell(1), cell(2)]);
+        // (predicate, order, offset, limit, the page). In every case
+        // the first `offset + limit` rows of the order are rejected.
+        let cases = [
+            (&long_stay, (SortKey::Start, true), 1, 2, vec![117, 118]),
+            (
+                &long_stay,
+                (SortKey::MovingObject, true),
+                0,
+                3,
+                vec![116, 117, 118],
+            ),
+            (
+                &long_dwell,
+                (SortKey::TotalDwell, true),
+                0,
+                2,
+                vec![116, 117],
+            ),
+            (&long_dwell, (SortKey::End, true), 2, 5, vec![118, 119]),
+            (&direct, (SortKey::Start, false), 1, 2, vec![2, 1]),
+            (&direct, (SortKey::TraceLength, false), 0, 1, vec![3]),
+        ];
+        let check = |db: &SegmentedDb, state: &str| {
+            let reference = TrajectoryDb::build(rows.clone());
+            for (p, (key, ascending), offset, limit, page) in &cases {
+                let candidates = match db.candidates(p) {
+                    CandidateSet::Ids(ids) => ids.len(),
+                    CandidateSet::All => db.len(),
+                };
+                assert_eq!(candidates, ROWS, "{state}: every row is a candidate of {p}");
+                assert_eq!(
+                    rows.iter().filter(|t| p.matches(t)).count(),
+                    4,
+                    "{state}: four match {p}"
+                );
+                let q = Query::new()
+                    .filter((*p).clone())
+                    .order_by(*key, *ascending)
+                    .offset(*offset)
+                    .limit(*limit);
+                let got = q.execute_segmented(db);
+                let want: Vec<SemanticTrajectory> =
+                    page.iter().map(|&i: &usize| rows[i].clone()).collect();
+                assert_eq!(got, want, "{state}: {p} by {key:?}");
+                let eager: Vec<SemanticTrajectory> = q
+                    .execute(&reference)
+                    .into_iter()
+                    .map(|m| m.trajectory.clone())
+                    .collect();
+                assert_eq!(got, eager, "{state}: {p} by {key:?} vs Query::execute");
+                let mut encoded = Vec::new();
+                assert_eq!(q.execute_segmented_encoded(db, &mut encoded), got.len());
+                let mut expected = Vec::new();
+                for t in &got {
+                    sitm_store::encode_trajectory(&mut expected, t);
+                }
+                assert_eq!(encoded, expected, "{state}: {p} by {key:?}, byte sink");
+            }
+        };
+        check(&db, "hydrated");
+        drop(db);
+        check(&open(&tmp), "reopened");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! every `Predicate` variant, the candidate superset derived from zone
 //! maps + per-segment postings never loses a match, and the
 //! index-served results equal both the scan path and an in-memory
-//! [`TrajectoryDb`] over the same trajectories.
+//! [`TrajectoryDb`] over the same trajectories — and, for random page
+//! shapes over hydrated, cold and mixed warehouses, that the segmented
+//! pushdown returns `Query::execute`'s page from both of its sinks.
 
 use proptest::prelude::*;
 
@@ -12,7 +14,7 @@ use sitm_core::{
     Timestamp, Trace, TransitionTaken,
 };
 use sitm_graph::{LayerIdx, NodeId};
-use sitm_query::{CandidateSet, Predicate, SegmentedDb, TrajectoryDb};
+use sitm_query::{CandidateSet, Predicate, Query, SegmentedDb, SortKey, TrajectoryDb};
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use std::path::PathBuf;
@@ -107,6 +109,10 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
         (0usize..6, 0i64..40)
             .prop_map(|(c, s)| Predicate::MinStayIn(cell(c), Duration::seconds(s))),
         (0u8..5).prop_map(|m| Predicate::MovingObject(format!("mo-{m}"))),
+        // Candidates (the cell's postings) a strict superset of the
+        // matches: the shape that makes a sorted page outrun its head.
+        (0usize..6, 0i64..120).prop_map(|(c, s)| Predicate::VisitedCell(cell(c))
+            .and(Predicate::MinTotalDwell(Duration::seconds(s)))),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
@@ -115,6 +121,25 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
             prop::collection::vec(inner, 0..4).prop_map(Predicate::Or),
         ]
     })
+}
+
+/// Random page shapes: no order or any sort key in either direction,
+/// offsets and limits from nothing to past the corpus.
+fn page_strategy() -> impl Strategy<Value = (Option<(SortKey, bool)>, usize, Option<usize>)> {
+    const KEYS: [SortKey; 6] = [
+        SortKey::Start,
+        SortKey::End,
+        SortKey::SpanDuration,
+        SortKey::TotalDwell,
+        SortKey::MovingObject,
+        SortKey::TraceLength,
+    ];
+    (
+        prop::option::of((0usize..KEYS.len(), any::<bool>())),
+        0usize..56,
+        prop::option::of(0usize..56),
+    )
+        .prop_map(|(order, offset, limit)| (order.map(|(k, asc)| (KEYS[k], asc)), offset, limit))
 }
 
 /// Builds a warehouse from `trajs` split into `splits + 1` flush
@@ -191,6 +216,62 @@ proptest! {
             .map(|t| t.moving_object.clone())
             .collect();
         prop_assert_eq!(&indexed, &from_ref, "segmented vs in-memory diverged for {}", pred.clone());
+    }
+
+    /// The segmented pushdown — partial ordering, borrowed skips, both
+    /// sinks — returns exactly `Query::execute`'s page, whether the
+    /// segments it walks are hydrated, cold, or some of each.
+    #[test]
+    fn segmented_pages_equal_execute_in_every_residency(
+        // Up to 48 rows: past the size below which selecting the head
+        // of an order happens to sort all of it.
+        trajs in prop::collection::vec(trajectory_strategy(), 0..48),
+        splits in prop::collection::vec(0usize..16, 0..3),
+        pred in predicate_strategy(),
+        pages in prop::collection::vec(page_strategy(), 1..4),
+    ) {
+        let tmp = TempDir::new();
+        let hydrated = build_segmented(&tmp, &trajs, &splits);
+        let reference = TrajectoryDb::build(hydrated.iter().cloned().collect());
+        let reopen = || SegmentedDb::open(&tmp.0, WarehouseConfig::default()).expect("reopen").0;
+        let mixed = reopen();
+        for segment in mixed.segments().iter().step_by(2) {
+            segment.trajectories().expect("hydrate");
+        }
+        for (order, offset, limit) in pages {
+            let mut q = Query::new().filter(pred.clone()).offset(offset);
+            if let Some((key, ascending)) = order {
+                q = q.order_by(key, ascending);
+            }
+            if let Some(n) = limit {
+                q = q.limit(n);
+            }
+            let eager: Vec<SemanticTrajectory> = q
+                .execute(&reference)
+                .into_iter()
+                .map(|m| m.trajectory.clone())
+                .collect();
+            let mut eager_bytes = Vec::new();
+            for t in &eager {
+                sitm_store::encode_trajectory(&mut eager_bytes, t);
+            }
+            // A fresh cold warehouse per page: a narrowing predicate
+            // hydrates what it touches.
+            for (state, db) in [("hydrated", &hydrated), ("mixed", &mixed), ("cold", &reopen())] {
+                prop_assert_eq!(
+                    &q.execute_segmented(db), &eager,
+                    "{} pushdown diverged for {} {:?} offset {} limit {:?}",
+                    state, pred.clone(), order, offset, limit
+                );
+                let mut bytes = Vec::new();
+                prop_assert_eq!(q.execute_segmented_encoded(db, &mut bytes), eager.len());
+                prop_assert_eq!(
+                    &bytes, &eager_bytes,
+                    "{} byte sink diverged for {} {:?} offset {} limit {:?}",
+                    state, pred.clone(), order, offset, limit
+                );
+            }
+        }
     }
 
     /// The warehouse preserves content as a multiset across arbitrary

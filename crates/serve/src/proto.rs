@@ -458,6 +458,16 @@ pub fn decode_episode(buf: &mut &[u8]) -> Result<EmittedEpisode, CodecError> {
     })
 }
 
+/// Opens a [`Response::Trajectories`] payload: the tag and the row
+/// count, behind which the rows follow, each as `encode_trajectory`
+/// writes it. The server's warehouse `Query` arm appends rows it never
+/// decoded (the stored encoding, copied out of resident segments)
+/// behind this header; [`encode_response`] encodes owned rows behind it.
+pub(crate) fn begin_trajectories(buf: &mut Vec<u8>, rows: u64) {
+    buf.push(RESP_TRAJECTORIES);
+    varint::encode_u64(buf, rows);
+}
+
 /// Encodes a response into a frame payload.
 pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
     match resp {
@@ -466,8 +476,7 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             varint::encode_u64(buf, *events);
         }
         Response::Trajectories(rows) => {
-            buf.push(RESP_TRAJECTORIES);
-            varint::encode_u64(buf, rows.len() as u64);
+            begin_trajectories(buf, rows.len() as u64);
             for t in rows {
                 encode_trajectory(buf, t);
             }

@@ -31,7 +31,13 @@
 //!   read and a reply one socket write (`serve.socket_reads` /
 //!   `serve.socket_writes` count them) and neither allocates in
 //!   steady state; either message buffer is freed after a message
-//!   that grew it past 1 MiB. Requests a client pipelined are answered
+//!   that grew it past 1 MiB. A warehouse `Query` adds a third buffer
+//!   under the same rule: its page is collected as bytes — each row of
+//!   a hydrated segment copied in the encoding the segment file
+//!   already holds, which is the encoding the reply carries — and
+//!   framed as the `Trajectories` reply those rows make, so a page
+//!   costs the rows it returns: nothing skipped or returned is cloned
+//!   or encoded again. Requests a client pipelined are answered
 //!   from the read buffer, in order. A read timeout means "idle" only
 //!   when it fires with that buffer empty, before the first byte of a
 //!   frame — the session then flushes notifications and polls the
@@ -95,8 +101,8 @@ use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIO
 use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
 
 use crate::proto::{
-    decode_request, encode_response, ExplainReport, Request, Response, ServerStats, StatsRollup,
-    WirePlan,
+    begin_trajectories, decode_request, encode_response, ExplainReport, Request, Response,
+    ServerStats, StatsRollup, WirePlan,
 };
 use crate::wire::{begin_frame, finish_frame, release_if_large, CountedIo, FrameReader, WireError};
 use crate::ServeError;
@@ -728,7 +734,7 @@ fn flush_notifications(
         shared.metrics.notifications_pushed.inc();
         respond(
             replies,
-            &Response::Notification { epoch, episodes },
+            &Reply::Message(Response::Notification { epoch, episodes }),
             &shared.metrics,
         )?;
     }
@@ -745,10 +751,9 @@ fn flush_notifications(
         shared.metrics.subscribers_dropped.inc();
         respond(
             replies,
-            &Response::Error(
+            &Reply::error(
                 "subscription lagged: the notification queue overflowed and was dropped; \
-                 re-subscribe to resume"
-                    .into(),
+                 re-subscribe to resume",
             ),
             &shared.metrics,
         )?;
@@ -756,11 +761,32 @@ fn flush_notifications(
     Ok(())
 }
 
-/// A session's write half: the (counted) socket and the output buffer
-/// every reply of the session is assembled in.
+/// A session's write half: the (counted) socket, the output buffer
+/// every reply of the session is assembled in, and the buffer a
+/// warehouse `Query` collects its page's row bytes in.
 struct ReplyWriter<'a> {
     socket: CountedIo<'a, &'a TcpStream>,
     out: Vec<u8>,
+    /// The rows of a [`Reply::Page`], end to end, each in its stored
+    /// encoding. Filled by the handler, framed by [`respond`], and —
+    /// like `out` — reused across replies and freed past 1 MiB.
+    page: Vec<u8>,
+}
+
+/// What a handler answers with.
+enum Reply {
+    /// A message to encode.
+    Message(Response),
+    /// A warehouse `Query` page: `rows` trajectories, already in their
+    /// wire encoding, in the session's [`ReplyWriter::page`]. On the
+    /// wire it is the [`Response::Trajectories`] of those rows.
+    Page { rows: u64 },
+}
+
+impl Reply {
+    fn error(text: impl Into<String>) -> Reply {
+        Reply::Message(Response::Error(text.into()))
+    }
 }
 
 fn session_loop(
@@ -779,6 +805,7 @@ fn session_loop(
     let replies = &mut ReplyWriter {
         socket: CountedIo::new(stream, &metrics.socket_writes),
         out: Vec::new(),
+        page: Vec::new(),
     };
     loop {
         let (decoded, trace_context) = match requests.read_or_idle() {
@@ -803,11 +830,7 @@ fn session_loop(
                 // works, then drop this session only. Exactly one
                 // frame-error count per torn connection.
                 metrics.frame_errors.inc();
-                let _ = respond(
-                    replies,
-                    &Response::Error(format!("bad frame: {err}")),
-                    metrics,
-                );
+                let _ = respond(replies, &Reply::error(format!("bad frame: {err}")), metrics);
                 return;
             }
         };
@@ -820,7 +843,7 @@ fn session_loop(
                 metrics.bad_requests.inc();
                 if respond(
                     replies,
-                    &Response::Error(format!("bad request: {err}")),
+                    &Reply::error(format!("bad request: {err}")),
                     metrics,
                 )
                 .is_err()
@@ -855,9 +878,9 @@ fn session_loop(
                 .begin(OP_NAMES[op], TraceContext::generate()),
         };
         let started = Instant::now();
-        let response = {
+        let reply = {
             let _handle = trace::child("handle");
-            handle_request(shared, request, session)
+            handle_request(shared, request, session, &mut replies.page)
         };
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         metrics.ops[op].handle_ns.record(elapsed_ns);
@@ -866,7 +889,7 @@ fn session_loop(
                 .registry
                 .record_slow_with(OP_NAMES[op], elapsed_ns, || detail.unwrap_or_default());
         }
-        if matches!(response, Response::Unsubscribed) {
+        if matches!(reply, Reply::Message(Response::Unsubscribed)) {
             // The handler already unregistered the subscription, so
             // its queue is quiescent: flush what's left to the client,
             // then drop it — nothing re-injects on a clean unsubscribe.
@@ -879,7 +902,7 @@ fn session_loop(
         } else if flush_notifications(shared, replies, session).is_err() {
             return;
         }
-        if respond(replies, &response, metrics).is_err() {
+        if respond(replies, &reply, metrics).is_err() {
             return;
         }
         if is_shutdown {
@@ -893,18 +916,27 @@ fn session_loop(
     }
 }
 
-/// Encodes `response` straight after the header reserved in the
-/// session's output buffer and sends the frame with one `write_all`.
+/// Encodes `reply` straight after the header reserved in the session's
+/// output buffer — a message through [`encode_response`], a page by
+/// copying its already-encoded rows behind the `Trajectories` header —
+/// and sends the frame with one `write_all`.
 fn respond(
     replies: &mut ReplyWriter<'_>,
-    response: &Response,
+    reply: &Reply,
     metrics: &ServeMetrics,
 ) -> std::io::Result<()> {
     let _wire = trace::child("wire_write");
     let out = &mut replies.out;
     begin_frame(out, None);
-    encode_response(out, response);
-    let mut is_error = matches!(response, Response::Error(_));
+    match reply {
+        Reply::Message(response) => encode_response(out, response),
+        Reply::Page { rows } => {
+            begin_trajectories(out, *rows);
+            out.extend_from_slice(&replies.page);
+            release_if_large(&mut replies.page);
+        }
+    }
+    let mut is_error = matches!(reply, Reply::Message(Response::Error(_)));
     if finish_frame(out).is_err() {
         // A result set too large for one frame must not kill the
         // session (or, worse, panic the worker): downgrade to an
@@ -1033,8 +1065,13 @@ fn trim_backlog(shared: &Shared, engine: &mut ParallelEngine) {
 /// ops acquire their read set under it and evaluate *outside* it.
 /// Every failure becomes a [`Response::Error`]; nothing here may panic
 /// on bad input.
-fn handle_request(shared: &Shared, request: Request, session: &mut SessionState) -> Response {
-    match request {
+fn handle_request(
+    shared: &Shared,
+    request: Request,
+    session: &mut SessionState,
+    page: &mut Vec<u8>,
+) -> Reply {
+    Reply::Message(match request {
         Request::IngestBatch(events) => {
             let n = events.len() as u64;
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
@@ -1051,10 +1088,15 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
             // On this arm the handler *is* the evaluation (no snapshot
             // cut, no flush), so the coarse `handle` span already tells
             // the whole story — `evaluate` rides the detail tier.
+            // The page is collected as bytes: rows of hydrated segments
+            // are copied in their stored encoding, never cloned, never
+            // re-encoded; `respond` frames them as `Trajectories`.
             let query = wire_query.to_query();
             let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());
             let _eval = trace::child_detail("evaluate");
-            Response::Trajectories(query.execute_segmented(warehouse.db()))
+            page.clear();
+            let rows = query.execute_segmented_encoded(warehouse.db(), page);
+            return Reply::Page { rows: rows as u64 };
         }
         Request::QueryFederated(wire_query) => {
             let query = wire_query.to_query();
@@ -1202,7 +1244,7 @@ fn handle_request(shared: &Shared, request: Request, session: &mut SessionState)
             let limit = usize::try_from(limit).unwrap_or(usize::MAX).min(4096);
             Response::Traces(shared.recorder.recent(limit))
         }
-    }
+    })
 }
 
 /// Stamps "a checkpoint committed now" for Health's checkpoint age.

@@ -694,6 +694,87 @@ fn large_replies_round_trip_and_over_bound_replies_downgrade_in_band() {
     server.join().expect("join");
 }
 
+/// The warehouse twin of the test above: a `Query` reply is assembled
+/// from stored row bytes rather than encoded from rows, and the frame
+/// bound holds on that path too — in band, on a session that lives on.
+#[test]
+fn an_over_bound_page_of_stored_rows_downgrades_in_band() {
+    let tmp = TempDir::new("large-stored-rows");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // 30 closed visits of 600 KB each — one stay reached through a
+    // transition with a very long name, which no segment header
+    // repeats — spilled into one 18 MB segment.
+    for batch in 0..3u64 {
+        let events = (batch * 10..batch * 10 + 10)
+            .flat_map(|v| {
+                [
+                    StreamEvent::VisitOpened {
+                        visit: VisitKey(v),
+                        moving_object: format!("mo-{v:02}"),
+                        annotations: AnnotationSet::from_iter([Annotation::goal("visit")]),
+                        at: Timestamp(0),
+                    },
+                    StreamEvent::Presence {
+                        visit: VisitKey(v),
+                        interval: sitm_core::PresenceInterval::new(
+                            sitm_core::TransitionTaken::Named("x".repeat(600_000)),
+                            cell(1),
+                            Timestamp(0),
+                            Timestamp(5),
+                        ),
+                    },
+                    StreamEvent::VisitClosed {
+                        visit: VisitKey(v),
+                        at: Timestamp(10),
+                    },
+                ]
+            })
+            .collect();
+        client.ingest_batch(events).expect("ingest");
+    }
+    let (spilled, in_warehouse, _) = client.checkpoint().expect("checkpoint");
+    assert_eq!((spilled, in_warehouse), (30, 30));
+
+    let page = |predicate, limit| WireQuery {
+        predicate,
+        order: Some((sitm_query::SortKey::MovingObject, true)),
+        offset: 0,
+        limit,
+    };
+    // A narrowing predicate consults the postings: the segment is
+    // resident from here on, and its rows are served as stored.
+    let rows = client
+        .query(&page(Predicate::VisitedCell(cell(1)), Some(2)))
+        .expect("1.2 MB page");
+    let names: Vec<&str> = rows.iter().map(|r| r.moving_object.as_str()).collect();
+    assert_eq!(names, ["mo-00", "mo-01"]);
+
+    match client.query(&page(Predicate::True, None)) {
+        Err(sitm_serve::ServeError::Remote(message)) => {
+            assert!(message.contains("limit/offset page"), "{message}")
+        }
+        other => panic!("expected the in-band paging error, got {other:?}"),
+    }
+    let rows = client
+        .query(&page(Predicate::True, Some(1)))
+        .expect("small page");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(client.stats().reconnects, 0, "one session throughout");
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(snapshot.counter("serve.errors"), Some(1));
+    assert_eq!(snapshot.counter("serve.frame_errors").unwrap_or(0), 0);
+    assert_eq!(
+        snapshot.counter("query.rows_materialized").unwrap_or(0),
+        0,
+        "every page, the refused one included, was copied, not cloned"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
 /// End-of-exchange sanity for the full loop: a live server answers a
 /// well-formed raw frame with a well-formed response frame.
 #[test]

@@ -86,9 +86,10 @@ pub fn encode_str(buf: &mut impl BufMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Decodes a string written by [`encode_str`], validating the declared
-/// length against the remaining buffer and the bytes as UTF-8.
-pub fn decode_str(buf: &mut &[u8]) -> Result<String, CodecError> {
+/// Splits one [`encode_str`] string off the front of `buf`, borrowed:
+/// the declared length is checked against the remaining buffer and the
+/// bytes as UTF-8. The one validator behind every string decode.
+fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
     let len = varint::decode_u64(buf)?;
     if len > buf.remaining() as u64 {
         return Err(CodecError::LengthOverrun {
@@ -97,11 +98,15 @@ pub fn decode_str(buf: &mut &[u8]) -> Result<String, CodecError> {
         });
     }
     let (head, tail) = buf.split_at(len as usize);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| CodecError::BadUtf8)?
-        .to_string();
+    let s = std::str::from_utf8(head).map_err(|_| CodecError::BadUtf8)?;
     *buf = tail;
     Ok(s)
+}
+
+/// Decodes a string written by [`encode_str`], validating the declared
+/// length against the remaining buffer and the bytes as UTF-8.
+pub fn decode_str(buf: &mut &[u8]) -> Result<String, CodecError> {
+    take_str(buf).map(str::to_string)
 }
 
 /// Consumes one tag byte — the discriminant every tagged union in the
@@ -150,7 +155,7 @@ pub fn decode_annotations(buf: &mut &[u8]) -> Result<AnnotationSet, CodecError> 
     }
     let mut set = AnnotationSet::new();
     for _ in 0..count {
-        let kind = AnnotationKind::parse(&decode_str(buf)?);
+        let kind = AnnotationKind::parse(take_str(buf)?);
         let value = decode_str(buf)?;
         set.insert(Annotation::new(kind, value));
     }

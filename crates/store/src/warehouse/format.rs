@@ -9,6 +9,12 @@
 //! [`Segment::read_trajectory`] and [`Segment::trajectories`] read rows
 //! through the directory. Frames are validated by
 //! [`segment::read_frame`], here as everywhere.
+//!
+//! A hydrated segment keeps two things, together or not at all: the
+//! decoded run (what predicates and the per-segment postings read) and
+//! the stored bytes that run was decoded from (what a served page is
+//! copied out of — a row's frame payload *is* its wire encoding).
+//! [`Segment::resident_row`] hands out one row of both.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -173,6 +179,23 @@ impl LazyIoMetrics {
     }
 }
 
+/// What a hydrated segment holds: the decoded run beside the stored
+/// bytes it was decoded from. One value behind one `OnceLock`, so the
+/// two are resident together or not at all.
+#[derive(Debug)]
+struct Resident {
+    /// The sorted run (`Arc` so per-segment indexes borrow the same
+    /// storage instead of cloning it).
+    run: Arc<Vec<SemanticTrajectory>>,
+    /// File bytes from offset `base` to the end of the last trajectory
+    /// frame: either the region [`Segment::decode_all`] read — every
+    /// frame of it validated by [`Segment::decode_row`] — or the file
+    /// image [`Segment::create`] encoded from `run` and wrote.
+    bytes: Vec<u8>,
+    /// File offset of `bytes[0]` (directory offsets are file offsets).
+    base: u64,
+}
+
 /// One live segment: headers resident (zone map, offset directory,
 /// sort columns, rollup), trajectories decoded **lazily** — a segment
 /// every query prunes costs ~zero bytes read for its entire lifetime.
@@ -190,10 +213,9 @@ pub struct Segment {
     rollup: SegmentRollup,
     /// Backing file (the source of every lazy read).
     path: PathBuf,
-    /// The sorted run, decoded at most once and shared from then on
-    /// (`Arc` so per-segment indexes borrow the same storage instead of
-    /// cloning it).
-    loaded: OnceLock<Arc<Vec<SemanticTrajectory>>>,
+    /// The run and its stored bytes, read and decoded at most once and
+    /// shared from then on.
+    loaded: OnceLock<Resident>,
     pub(super) io: LazyIoMetrics,
     /// The store-wide bounded row-decode cache (shared by every
     /// segment of the owning store).
@@ -203,8 +225,9 @@ pub struct Segment {
 impl Segment {
     /// Writes `trajectories` (sorted into the canonical run order) as
     /// the segment file at `path`, fsynced, and returns the segment —
-    /// its run pre-cached, so a freshly flushed segment serves queries
-    /// without re-reading its own file — and the bytes written.
+    /// its run and the file image just written both resident, so a
+    /// freshly flushed segment serves queries without re-reading its
+    /// own file — and the bytes written.
     pub(super) fn create(
         path: PathBuf,
         id: u64,
@@ -219,6 +242,7 @@ impl Segment {
         let mut file = File::create(&path)?;
         file.write_all(&buf)?;
         file.sync_all()?;
+        let written = buf.len();
         let segment = Segment {
             id,
             zone_map,
@@ -226,11 +250,15 @@ impl Segment {
             sort_columns,
             rollup,
             path,
-            loaded: OnceLock::from(Arc::new(trajectories)),
+            loaded: OnceLock::from(Resident {
+                run: Arc::new(trajectories),
+                bytes: buf,
+                base: 0,
+            }),
             io,
             cache,
         };
-        Ok((segment, buf.len()))
+        Ok((segment, written))
     }
 
     /// Opens the segment file at `path` reading headers only: the magic
@@ -320,14 +348,35 @@ impl Segment {
     /// The full sorted run, decoding (and caching) it on first call.
     /// Concurrent callers race benignly: one result wins the cache.
     /// Fails only on bitrot/tampering in the trajectory region — open
-    /// already validated the headers.
+    /// already validated the headers — and then nothing stays resident.
     pub fn trajectories(&self) -> Result<&Arc<Vec<SemanticTrajectory>>, WarehouseError> {
-        if let Some(run) = self.loaded.get() {
-            return Ok(run);
+        if let Some(resident) = self.loaded.get() {
+            return Ok(&resident.run);
         }
         let _hydrate = sitm_obs::trace::child_detail("segment_hydrate");
-        let run = Arc::new(self.decode_all()?);
-        Ok(self.loaded.get_or_init(|| run))
+        let resident = self.decode_all()?;
+        Ok(&self.loaded.get_or_init(|| resident).run)
+    }
+
+    /// Row `i` of a hydrated segment, borrowed: the decoded trajectory
+    /// and its stored encoding — the payload of the row's frame, which
+    /// is `encode_trajectory` of that trajectory and therefore the
+    /// bytes a reply carries for it. `None` when the segment is not
+    /// hydrated (or `i` is not a row of it): the caller reads the row
+    /// with [`Segment::read_trajectory`], which names the error.
+    ///
+    /// The slice is cut with the directory's offsets — validated
+    /// against the file at open — out of bytes every frame of which
+    /// was validated and decoded at hydration, or that this store
+    /// encoded and wrote itself when it created the segment.
+    pub fn resident_row(&self, i: usize) -> Option<(&SemanticTrajectory, &[u8])> {
+        let resident = self.loaded.get()?;
+        let entry = self.directory.entries.get(i)?;
+        let frame = usize::try_from(entry.offset.checked_sub(resident.base)?).ok()?;
+        let payload = resident.bytes.get(
+            frame.checked_add(segment::FRAME_OVERHEAD)?..frame.checked_add(entry.len as usize)?,
+        )?;
+        Some((resident.run.get(i)?, payload))
     }
 
     /// Decodes trajectory `i` alone: one directory-guided seek + one
@@ -341,8 +390,8 @@ impl Segment {
             id: self.id,
             what: "trajectory index out of range",
         };
-        if let Some(run) = self.loaded.get() {
-            return run.get(i).cloned().ok_or_else(out_of_range);
+        if let Some(resident) = self.loaded.get() {
+            return resident.run.get(i).cloned().ok_or_else(out_of_range);
         }
         let entry = self.directory.entries.get(i).ok_or_else(out_of_range)?;
         if let Some(t) = self.cache.get(self.id, i) {
@@ -360,12 +409,19 @@ impl Segment {
         Ok(t)
     }
 
-    /// Reads and decodes the whole trajectory region in one pass.
-    fn decode_all(&self) -> Result<Vec<SemanticTrajectory>, WarehouseError> {
+    /// Reads the whole trajectory region in one pass, validates and
+    /// decodes every frame of it, and returns the run together with the
+    /// region it came from. The row cache is not touched: a hydrated
+    /// segment answers every read from `loaded`, ahead of the cache.
+    fn decode_all(&self) -> Result<Resident, WarehouseError> {
         let entries = &self.directory.entries;
         let mut trajectories = Vec::with_capacity(entries.len());
         let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
-            return Ok(trajectories);
+            return Ok(Resident {
+                run: Arc::new(trajectories),
+                bytes: Vec::new(),
+                base: 0,
+            });
         };
         let first = first.offset;
         let total = (last.offset + last.len as u64 - first) as usize;
@@ -374,17 +430,16 @@ impl Segment {
         let mut region = vec![0u8; total];
         file.read_exact(&mut region)?;
         self.io.bytes_read.add(total as u64);
-        for (i, entry) in entries.iter().enumerate() {
+        for entry in entries {
             let start = (entry.offset - first) as usize;
-            let t = self.decode_row(entry, &region[start..start + entry.len as usize])?;
-            // Full decodes seed the row cache too, so rows stay warm
-            // even after the run's Arc is dropped; the sweep simply
-            // evicts what the budget cannot hold.
-            self.cache.insert(self.id, i, &t, entry.len as u64);
-            trajectories.push(t);
+            trajectories.push(self.decode_row(entry, &region[start..start + entry.len as usize])?);
         }
         self.io.decoded.add(trajectories.len() as u64);
-        Ok(trajectories)
+        Ok(Resident {
+            run: Arc::new(trajectories),
+            bytes: region,
+            base: first,
+        })
     }
 
     /// Validates `frame` — the bytes the directory says hold one row —

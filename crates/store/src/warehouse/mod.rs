@@ -61,10 +61,15 @@
 //! ## The row-decode cache
 //!
 //! Directory-guided single-row seeks ([`Segment::read_trajectory`])
-//! and full decodes populate a **store-wide bounded row cache** keyed
+//! populate a **store-wide bounded row cache** keyed
 //! by `(segment id, row index)` with a configurable byte budget
 //! ([`WarehouseConfig::row_cache_bytes`], default 16 MiB, `0`
-//! disables). Repeated paged scans over the same hot rows decode each
+//! disables). Only they do: a full decode ([`Segment::trajectories`])
+//! makes the segment resident, and a resident segment answers every
+//! read from its own run ([`Segment::resident_row`] borrows a row and
+//! its stored bytes) before the cache is consulted, so seeding the
+//! cache from it would only evict rows of segments still cold.
+//! Repeated paged scans over the same hot rows decode each
 //! row once; cold rows are evicted second-chance (CLOCK) when the
 //! budget overflows — a hit marks its row hot instead of refiling a
 //! strict-LRU order, keeping the warm path allocation-free — and a

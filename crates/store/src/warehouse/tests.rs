@@ -261,6 +261,10 @@ fn corrupt_segment_body_surfaces_at_lazy_decode() {
         Err(WarehouseError::CorruptSegment { id: 0, .. }) => {}
         other => panic!("expected CorruptSegment at row read, got {other:?}"),
     }
+    // A failed hydration leaves nothing behind: neither the run nor
+    // the bytes it would have been decoded from.
+    assert!(!store.segments()[0].is_loaded());
+    assert!(store.segments()[0].resident_row(0).is_none());
 }
 
 #[test]
@@ -485,4 +489,87 @@ fn warm_rows_are_served_from_the_cache_without_io() {
     assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
     // An uncached row now fails at the filesystem.
     assert!(s.read_trajectory(1).is_err());
+}
+
+#[test]
+fn a_resident_row_is_the_decoded_row_beside_its_stored_encoding() {
+    let tmp = TempDir::new("resident-row");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    store
+        .append_segment(vec![traj("b", 2, 100), traj("a", 1, 0), traj("c", 3, 50)])
+        .unwrap();
+    let check = |s: &Segment| {
+        let run = Arc::clone(s.trajectories().unwrap());
+        for (i, t) in run.iter().enumerate() {
+            let (row, stored) = s.resident_row(i).expect("hydrated");
+            let mut encoded = Vec::new();
+            crate::codec::encode_trajectory(&mut encoded, t);
+            assert_eq!(row, t);
+            assert_eq!(
+                stored, encoded,
+                "row {i}: the frame payload is the row's encoding"
+            );
+        }
+        assert!(s.resident_row(run.len()).is_none(), "past the last row");
+    };
+    // Written by this store: the bytes are the file image it wrote.
+    check(&store.segments()[0]);
+    drop(store);
+    // Reopened: cold until hydrated, then the bytes are the region read.
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    assert!(store.segments()[0].resident_row(0).is_none(), "cold");
+    check(&store.segments()[0]);
+}
+
+#[test]
+fn hydration_leaves_the_row_cache_to_single_row_reads() {
+    let tmp = TempDir::new("hydrate-cache");
+    let a = vec![traj("a0", 1, 0), traj("a1", 1, 10)];
+    let b = vec![traj("b0", 2, 0), traj("b1", 2, 10), traj("b2", 2, 20)];
+    let row_bytes = {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store.append_segment(a.clone()).unwrap();
+        store.append_segment(b).unwrap();
+        store.segments()[0].directory().entries[0].len as usize
+    };
+    // A budget of two rows, over a history of five.
+    let config = WarehouseConfig {
+        row_cache_bytes: 2 * row_bytes,
+        ..WarehouseConfig::default()
+    };
+    let registry = MetricsRegistry::new();
+    let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    store.set_metrics(&registry);
+    let (seg_a, seg_b) = (&store.segments()[0], &store.segments()[1]);
+    assert_eq!(
+        seg_a.read_trajectory(0).unwrap(),
+        a[0],
+        "read cold, now cached"
+    );
+    let cache = || {
+        let snap = registry.snapshot();
+        (
+            snap.gauge("query.row_cache_bytes").unwrap(),
+            snap.counter("query.row_cache_evicted_bytes").unwrap(),
+        )
+    };
+    let before = cache();
+    assert_eq!(before, (row_bytes as i64, 0));
+    // Hydrating B decodes three rows. None of them enters the cache —
+    // B's reads are answered from its resident run from now on — so
+    // nothing is admitted and A's row is not swept out to make room.
+    seg_b.trajectories().unwrap();
+    assert_eq!(
+        cache(),
+        before,
+        "a full decode moved a row-cache instrument"
+    );
+    let hits = registry.counter("query.row_cache_hits").get();
+    let decoded = registry.counter("query.trajectories_decoded").get();
+    assert_eq!(seg_a.read_trajectory(0).unwrap(), a[0]);
+    assert_eq!(registry.counter("query.row_cache_hits").get(), hits + 1);
+    assert_eq!(
+        registry.counter("query.trajectories_decoded").get(),
+        decoded
+    );
 }

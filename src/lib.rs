@@ -124,8 +124,8 @@
 //! | `snapshot_rebuild` | live | the engine rebuilding a live snapshot on epoch-cache miss † |
 //! | `evaluate` | query | federated / segmented evaluation outside the locks († on the warehouse-only `Query` op) |
 //! | `prune` | query | object-index → Bloom → zone-map candidate pruning † |
-//! | `order_page` | query | sort-column / directory ordering of the candidate page † |
-//! | `fetch_rows` | query | decoding exactly the rows the page returns † |
+//! | `order_page` | query | ordering the candidates by sort-column / directory keys, as far as the page reaches † |
+//! | `fetch_rows` | query | walking the order to the page: rows re-checked and skipped by reference, the page's rows copied (cold rows read) † |
 //! | `row_read` | store | one directory-guided single-row segment read (cache miss) † |
 //! | `segment_hydrate` | store | a segment's first full decode † |
 //! | `wire_write` | serve | encoding + writing the response frame |
