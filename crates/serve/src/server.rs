@@ -1053,11 +1053,8 @@ fn trim_backlog(shared: &Shared, engine: &mut ParallelEngine) {
     if subscribed {
         return;
     }
-    let mut pool = engine.drain();
-    let excess = pool.len().saturating_sub(SUBSCRIBER_QUEUE_BOUND / 2);
-    pool.drain(..excess);
-    shared.metrics.backlog_trimmed.add(excess as u64);
-    engine.requeue_pending(pool);
+    let trimmed = engine.trim_pending(SUBSCRIBER_QUEUE_BOUND / 2);
+    shared.metrics.backlog_trimmed.add(trimmed as u64);
 }
 
 /// Executes one request. Ingest, checkpoint, shutdown, and

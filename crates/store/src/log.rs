@@ -263,7 +263,6 @@ impl<R: Record> LogStore<R> {
     /// fresh segment beside the log, fsyncs it, and renames it over the
     /// original. On success the store points at the new file.
     pub fn compact(&mut self, records: &[R]) -> Result<(), StoreError> {
-        let tmp_path = self.path.with_extension("tmp");
         let mut buf = Vec::new();
         segment::write_header(&mut buf);
         for r in records {
@@ -271,9 +270,30 @@ impl<R: Record> LogStore<R> {
             r.encode_record(&mut self.scratch);
             segment::write_frame(&mut buf, &self.scratch);
         }
+        self.replace_file(&buf, records.len())
+    }
+
+    /// [`LogStore::compact`] to the one record whose encoding the
+    /// caller already holds, borrowed: for a record that is a view of a
+    /// structure the caller keeps anyway, so building an owned `R` only
+    /// to encode and drop it would copy the structure for nothing.
+    /// `payload` must be what [`Record::encode_record`] writes for that
+    /// record — it is what the next [`LogStore::open`] decodes.
+    pub fn compact_encoded(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        let mut buf =
+            Vec::with_capacity(segment::MAGIC.len() + segment::FRAME_OVERHEAD + payload.len());
+        segment::write_header(&mut buf);
+        segment::write_frame(&mut buf, payload);
+        self.replace_file(&buf, 1)
+    }
+
+    /// Replaces the log file with `image` (a header and `records`
+    /// frames): tmp-write, fsync, rename, directory fsync.
+    fn replace_file(&mut self, image: &[u8], records: usize) -> Result<(), StoreError> {
+        let tmp_path = self.path.with_extension("tmp");
         {
             let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&buf)?;
+            tmp.write_all(image)?;
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
@@ -283,8 +303,8 @@ impl<R: Record> LogStore<R> {
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;
-        self.bytes = buf.len() as u64;
-        self.records = records.len();
+        self.bytes = image.len() as u64;
+        self.records = records;
         // The rename itself lives in the directory entry; without this
         // fsync a power failure can resurrect the pre-compaction file
         // even though compact() already returned success. (Unix only:

@@ -3,9 +3,13 @@
 //! The one place that knows how a `seg-NNNNNNNN.seg` file is laid out
 //! (the module docs of [`super`] describe it): the magic, the four
 //! header frames and their order, where the trajectory frames start.
-//! [`encode_segment_file`] writes that layout; [`Segment::open`] reads
-//! the headers back in that order and refuses a file that is anything
-//! else;
+//! [`encode_segment_file`] — the assembler — is the one writer of that
+//! layout, and it takes rows already encoded. It has two feeders:
+//! [`Segment::create`] encodes a batch once into one arena, orders it,
+//! and hands over the arena's slices; [`Segment::merge`] hands over the
+//! payloads its victims already hold and encodes nothing.
+//! [`Segment::open`] reads the headers back in the assembler's order
+//! and refuses a file that is anything else;
 //! [`Segment::read_trajectory`] and [`Segment::trajectories`] read rows
 //! through the directory. Frames are validated by
 //! [`segment::read_frame`], here as everywhere.
@@ -13,11 +17,13 @@
 //! A hydrated segment keeps two things, together or not at all: the
 //! decoded run (what predicates and the per-segment postings read) and
 //! the stored bytes that run was decoded from (what a served page is
-//! copied out of — a row's frame payload *is* its wire encoding).
-//! [`Segment::resident_row`] hands out one row of both.
+//! copied out of, and what a merge copies into the next file — a row's
+//! frame payload *is* its encoding). [`Segment::resident_row`] hands
+//! out one row of both.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -35,78 +41,134 @@ use crate::segment::{self, Corruption};
 /// an older format, a newer one, a damaged one — is refused at open.
 const MAGIC: &[u8; 8] = b"SITMSEG3";
 
+/// A row's span as the directory stores it: `(start, end)` in seconds,
+/// read once (`start()`/`end()` each fold the whole trace).
+fn span_seconds(t: &SemanticTrajectory) -> (i64, i64) {
+    let span = t.span();
+    (span.start.as_seconds(), span.end.as_seconds())
+}
+
 /// Sorts trajectories into the canonical in-segment order: span start,
 /// span end, then encoded bytes as a total tiebreak. Every segment is
 /// one such sorted run, which makes segment order (and therefore every
 /// differential comparison against an in-memory `sitm_query`-style
 /// collection) deterministic regardless of flush timing or merge order.
+///
+/// Each row's span is read once and cached, a permutation of row
+/// indexes is sorted on those keys, and a row is encoded only when its
+/// span ties with another's — the bytes decide nothing else. Rows that
+/// tie on all three keys are equal, so their relative order is not
+/// observable. The rows are then moved into place, not cloned.
 pub fn sort_run(trajectories: &mut [SemanticTrajectory]) {
-    trajectories.sort_by_cached_key(|t| {
-        let mut bytes = Vec::new();
-        encode_trajectory(&mut bytes, t);
-        (t.start(), t.end(), bytes)
-    });
+    let spans: Vec<(i64, i64)> = trajectories.iter().map(span_seconds).collect();
+    let mut order: Vec<usize> = (0..trajectories.len()).collect();
+    order.sort_unstable_by_key(|&i| spans[i]);
+    let mut bytes = Vec::new();
+    let mut tied: Vec<(Range<usize>, usize)> = Vec::new();
+    for run in order.chunk_by_mut(|&a, &b| spans[a] == spans[b]) {
+        if run.len() < 2 {
+            continue;
+        }
+        bytes.clear();
+        tied.clear();
+        for &i in run.iter() {
+            let from = bytes.len();
+            encode_trajectory(&mut bytes, &trajectories[i]);
+            tied.push((from..bytes.len(), i));
+        }
+        tied.sort_unstable_by(|a, b| bytes[a.0.clone()].cmp(&bytes[b.0.clone()]));
+        for (slot, (_, i)) in run.iter_mut().zip(&tied) {
+            *slot = *i;
+        }
+    }
+    permute(trajectories, &mut order);
 }
 
-/// Serializes one segment (magic, zone map, offset directory, sort
-/// columns, rollup, trajectories) into a buffer, returning the encoded
-/// file plus the directory and sort columns describing it.
-fn encode_segment_file(
-    zone_map: &ZoneMap,
-    rollup: &SegmentRollup,
-    trajectories: &[SemanticTrajectory],
-) -> (Vec<u8>, SegmentDirectory, SortColumns) {
-    // Encode the trajectory payloads first: the directory needs their
-    // lengths, and the header frames' sizes must be known before any
-    // offset is final (which is why the directory is fixed-width).
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(trajectories.len());
-    for t in trajectories {
-        let mut p = Vec::new();
-        encode_trajectory(&mut p, t);
-        payloads.push(p);
+/// Moves `rows[order[i]]` to position `i` for every `i`, in place, by
+/// walking each cycle of the permutation once. `order` is consumed (it
+/// is the identity afterwards).
+fn permute<T>(rows: &mut [T], order: &mut [usize]) {
+    for first in 0..rows.len() {
+        // `first`'s own row is carried along its cycle: each swap puts
+        // the right row at `at` and parks the carried one at the next
+        // position to fill — its own, when the cycle closes.
+        let mut at = first;
+        loop {
+            let from = std::mem::replace(&mut order[at], at);
+            if from == first {
+                break;
+            }
+            rows.swap(at, from);
+            at = from;
+        }
     }
+}
+
+/// One row as the assembler takes it: the two span columns of its
+/// directory entry and its encoding, the payload of its frame.
+struct StoredRow<'a> {
+    start: i64,
+    end: i64,
+    payload: &'a [u8],
+}
+
+/// What a segment's header frames hold besides the directory (which
+/// falls out of assembling): [`Segment::create`] computes them from
+/// its rows, [`Segment::merge`] from its victims' own.
+struct Headers {
+    zone_map: ZoneMap,
+    rollup: SegmentRollup,
+    sort_columns: SortColumns,
+}
+
+/// The assembler: serializes one segment (magic, zone map, offset
+/// directory, sort columns, rollup, one frame per row) into a buffer
+/// and returns it with the directory describing it. `rows` are in run
+/// order and already encoded; nothing here looks inside one.
+fn encode_segment_file(headers: &Headers, rows: &[StoredRow<'_>]) -> (Vec<u8>, SegmentDirectory) {
+    // The header frames' sizes must be known before any offset is
+    // final (which is why the directory is fixed-width).
     let mut zone_payload = Vec::new();
-    zone_map.encode(&mut zone_payload);
-    let sort_columns = SortColumns::build(trajectories);
+    headers.zone_map.encode(&mut zone_payload);
     let mut sort_payload = Vec::new();
-    sort_columns.encode(&mut sort_payload);
+    headers.sort_columns.encode(&mut sort_payload);
     let mut rollup_payload = Vec::new();
-    rollup.encode(&mut rollup_payload);
+    headers.rollup.encode(&mut rollup_payload);
     let headers_end = MAGIC.len()
         + segment::FRAME_OVERHEAD
         + zone_payload.len()
         + segment::FRAME_OVERHEAD
-        + SegmentDirectory::encoded_len(trajectories.len())
+        + SegmentDirectory::encoded_len(rows.len())
         + segment::FRAME_OVERHEAD
         + sort_payload.len()
         + segment::FRAME_OVERHEAD
         + rollup_payload.len();
     let mut directory = SegmentDirectory::default();
+    directory.entries.reserve_exact(rows.len());
     let mut offset = headers_end as u64;
-    for (t, p) in trajectories.iter().zip(&payloads) {
-        let len = (segment::FRAME_OVERHEAD + p.len()) as u32;
-        let span = t.span();
+    for row in rows {
+        let len = (segment::FRAME_OVERHEAD + row.payload.len()) as u32;
         directory.entries.push(DirectoryEntry {
             offset,
             len,
-            start: span.start.as_seconds(),
-            end: span.end.as_seconds(),
+            start: row.start,
+            end: row.end,
         });
         offset += len as u64;
     }
     let mut buf = Vec::with_capacity(offset as usize);
     buf.extend_from_slice(MAGIC);
     segment::write_frame(&mut buf, &zone_payload);
-    let mut directory_payload = Vec::new();
+    let mut directory_payload = Vec::with_capacity(SegmentDirectory::encoded_len(rows.len()));
     directory.encode(&mut directory_payload);
     segment::write_frame(&mut buf, &directory_payload);
     segment::write_frame(&mut buf, &sort_payload);
     segment::write_frame(&mut buf, &rollup_payload);
     debug_assert_eq!(buf.len(), headers_end);
-    for p in &payloads {
-        segment::write_frame(&mut buf, p);
+    for row in rows {
+        segment::write_frame(&mut buf, row.payload);
     }
-    (buf, directory, sort_columns)
+    (buf, directory)
 }
 
 /// A segment file being opened: its header frames, read in sequence.
@@ -190,7 +252,8 @@ struct Resident {
     /// File bytes from offset `base` to the end of the last trajectory
     /// frame: either the region [`Segment::decode_all`] read — every
     /// frame of it validated by [`Segment::decode_row`] — or the file
-    /// image [`Segment::create`] encoded from `run` and wrote.
+    /// image [`Segment::create`] or [`Segment::merge`] assembled beside
+    /// `run` and wrote.
     bytes: Vec<u8>,
     /// File offset of `bytes[0]` (directory offsets are file offsets).
     base: u64,
@@ -228,37 +291,188 @@ impl Segment {
     /// its run and the file image just written both resident, so a
     /// freshly flushed segment serves queries without re-reading its
     /// own file — and the bytes written.
+    ///
+    /// Every row is encoded exactly once (charged to `encoded`), into
+    /// one arena; the order is decided on `(start, end, arena slice)` —
+    /// [`sort_run`]'s total order — and the assembler frames the same
+    /// slices.
     pub(super) fn create(
         path: PathBuf,
         id: u64,
         mut trajectories: Vec<SemanticTrajectory>,
         io: LazyIoMetrics,
         cache: RowCache,
+        encoded: &Counter,
     ) -> Result<(Segment, usize), WarehouseError> {
-        sort_run(&mut trajectories);
+        // Row `i`'s encoding is `arena[bounds[i]..bounds[i + 1]]`.
+        let mut arena = Vec::new();
+        let mut bounds = vec![0];
+        let mut spans = Vec::with_capacity(trajectories.len());
+        for t in &trajectories {
+            spans.push(span_seconds(t));
+            encode_trajectory(&mut arena, t);
+            bounds.push(arena.len());
+        }
+        encoded.add(trajectories.len() as u64);
+        let payload = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+        let mut order: Vec<usize> = (0..trajectories.len()).collect();
+        order.sort_unstable_by(|&a, &b| (spans[a], payload(a)).cmp(&(spans[b], payload(b))));
+        let rows: Vec<StoredRow<'_>> = order
+            .iter()
+            .map(|&i| StoredRow {
+                start: spans[i].0,
+                end: spans[i].1,
+                payload: payload(i),
+            })
+            .collect();
+        permute(&mut trajectories, &mut order);
         let zone_map = ZoneMap::build(&trajectories);
-        let rollup = SegmentRollup::build(&trajectories, DEFAULT_ROLLUP_PERIOD_SECONDS);
-        let (buf, directory, sort_columns) = encode_segment_file(&zone_map, &rollup, &trajectories);
+        let headers = Headers {
+            rollup: SegmentRollup::build(&trajectories, DEFAULT_ROLLUP_PERIOD_SECONDS),
+            sort_columns: SortColumns::build(&trajectories, &zone_map.objects),
+            zone_map,
+        };
+        let (segment, image) = Segment::write(path, id, headers, &rows, io, cache)?;
+        Ok(segment.hydrated(trajectories, image))
+    }
+
+    /// Merges `victims` — each one sorted run — into the segment file
+    /// at `path`, fsynced: byte for byte the file [`Segment::create`]
+    /// writes for their rows together, without encoding or cloning one.
+    ///
+    /// * Cold victims are hydrated first, through
+    ///   [`Segment::trajectories`] (every frame validated and decoded).
+    /// * The order is decided on `(directory start, directory end,
+    ///   stored payload, victim, row)`: [`sort_run`]'s order over
+    ///   columns and bytes already resident.
+    /// * The zone map is the union of the victims' (blooms rebuilt over
+    ///   the merged sets, so they are sized as a build would size
+    ///   them), the rollup their sum; dwell and trace-length columns
+    ///   are gathered and the object column re-ranked against the
+    ///   merged object set.
+    /// * The assembler frames the victims' stored payloads.
+    /// * Once the file is durable the decoded rows are *moved* out of
+    ///   the victims, which are left cold; a run something else still
+    ///   shares (a hydrated query-side index) is cloned instead.
+    ///
+    /// An error before that last step leaves every victim as it was
+    /// (hydrated, if it was cold).
+    pub(super) fn merge(
+        path: PathBuf,
+        id: u64,
+        victims: &mut [&mut Segment],
+        io: LazyIoMetrics,
+        cache: RowCache,
+    ) -> Result<(Segment, usize), WarehouseError> {
+        let mut order = Vec::new();
+        for (v, victim) in victims.iter().enumerate() {
+            victim.trajectories()?;
+            for (r, entry) in victim.directory.entries.iter().enumerate() {
+                let (_, payload) = victim.resident_row(r).ok_or(WarehouseError::Inconsistent {
+                    id: victim.id,
+                    what: "hydrated segment lacks a row its directory lists",
+                })?;
+                order.push((entry.start, entry.end, payload, v, r));
+            }
+        }
+        // Stable, so the victims' runs are found and merged, not
+        // re-sorted.
+        order.sort();
+        // The merged order must take each victim's rows in the order
+        // that victim stores them: that is what "sorted run" means, and
+        // what lets the rows be moved out front to back below.
+        let mut next = vec![0; victims.len()];
+        for &(.., v, r) in &order {
+            if r != next[v] {
+                return Err(WarehouseError::Inconsistent {
+                    id: victims[v].id,
+                    what: "segment rows are not in run order",
+                });
+            }
+            next[v] += 1;
+        }
+        let zone_map = ZoneMap::union(victims.iter().map(|v| &v.zone_map));
+        let mut rollup = SegmentRollup::new(DEFAULT_ROLLUP_PERIOD_SECONDS);
+        for victim in victims.iter() {
+            rollup.merge(&victim.rollup);
+        }
+        let parts: Vec<_> = victims
+            .iter()
+            .map(|v| (&v.sort_columns, &v.zone_map.objects))
+            .collect();
+        let headers = Headers {
+            sort_columns: SortColumns::gather(
+                &parts,
+                &zone_map.objects,
+                order.iter().map(|&(.., v, r)| (v, r)),
+            ),
+            zone_map,
+            rollup,
+        };
+        let rows: Vec<StoredRow<'_>> = order
+            .iter()
+            .map(|&(start, end, payload, ..)| StoredRow {
+                start,
+                end,
+                payload,
+            })
+            .collect();
+        let sources: Vec<usize> = order.iter().map(|&(.., v, _)| v).collect();
+        let (segment, image) = Segment::write(path, id, headers, &rows, io, cache)?;
+        let mut runs: Vec<_> = victims
+            .iter_mut()
+            .map(|victim| {
+                let resident = victim.loaded.take().expect("hydrated above");
+                Arc::try_unwrap(resident.run)
+                    .unwrap_or_else(|shared| shared.to_vec())
+                    .into_iter()
+            })
+            .collect();
+        let run = sources
+            .into_iter()
+            .map(|v| runs[v].next().expect("one row per ordered entry"))
+            .collect();
+        Ok(segment.hydrated(run, image))
+    }
+
+    /// Assembles the file over `rows`, writes it at `path` and fsyncs
+    /// it. Returns the segment, still cold, and the image written.
+    fn write(
+        path: PathBuf,
+        id: u64,
+        headers: Headers,
+        rows: &[StoredRow<'_>],
+        io: LazyIoMetrics,
+        cache: RowCache,
+    ) -> Result<(Segment, Vec<u8>), WarehouseError> {
+        let (image, directory) = encode_segment_file(&headers, rows);
         let mut file = File::create(&path)?;
-        file.write_all(&buf)?;
+        file.write_all(&image)?;
         file.sync_all()?;
-        let written = buf.len();
         let segment = Segment {
             id,
-            zone_map,
+            zone_map: headers.zone_map,
             directory,
-            sort_columns,
-            rollup,
+            sort_columns: headers.sort_columns,
+            rollup: headers.rollup,
             path,
-            loaded: OnceLock::from(Resident {
-                run: Arc::new(trajectories),
-                bytes: buf,
-                base: 0,
-            }),
+            loaded: OnceLock::new(),
             io,
             cache,
         };
-        Ok((segment, written))
+        Ok((segment, image))
+    }
+
+    /// Makes a segment just written resident: `run` is its rows in run
+    /// order, `image` the whole file. Returns it with the bytes written.
+    fn hydrated(mut self, run: Vec<SemanticTrajectory>, image: Vec<u8>) -> (Segment, usize) {
+        let written = image.len();
+        self.loaded = OnceLock::from(Resident {
+            run: Arc::new(run),
+            bytes: image,
+            base: 0,
+        });
+        (self, written)
     }
 
     /// Opens the segment file at `path` reading headers only: the magic

@@ -5,7 +5,7 @@
 //! [`SortColumns`] (per-row content sort keys). Each is one header
 //! frame of a segment file; `format` fixes their order.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use sitm_core::{AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_space::CellRef;
@@ -55,33 +55,112 @@ pub fn object_bloom_hash(id: &str) -> u64 {
     fnv1a(id.as_bytes())
 }
 
+/// `span` widened to cover `other`.
+fn cover(span: Option<TimeInterval>, other: TimeInterval) -> Option<TimeInterval> {
+    Some(match span {
+        None => other,
+        Some(s) => TimeInterval::new(s.start.min(other.start), s.end.max(other.end)),
+    })
+}
+
+/// Adds to `set` whatever of `other` it lacks. Annotations repeat from
+/// row to row, so the common case is a probe and no clone.
+fn absorb(set: &mut AnnotationSet, other: &AnnotationSet) {
+    for a in other.iter() {
+        if !set.contains(a) {
+            set.insert(a.clone());
+        }
+    }
+}
+
 impl ZoneMap {
     /// Builds the map over a run of trajectories.
+    ///
+    /// Cells and object ids are collected as plain runs (`CellRef`s by
+    /// value, ids borrowed), sorted and deduplicated once, and the sets
+    /// bulk-built from the sorted result — no tree insert and no id
+    /// clone per row, one clone per *distinct* id.
     pub fn build(trajectories: &[SemanticTrajectory]) -> ZoneMap {
-        let mut map = ZoneMap {
-            len: trajectories.len() as u64,
-            ..ZoneMap::default()
-        };
+        let mut span = None;
+        let mut cells = Vec::new();
+        let mut objects = Vec::with_capacity(trajectories.len());
+        let mut traj_annotations = AnnotationSet::new();
+        let mut stay_annotations = AnnotationSet::new();
         for t in trajectories {
-            let span = t.span();
-            map.span = Some(match map.span {
-                None => span,
-                Some(s) => TimeInterval::new(s.start.min(span.start), s.end.max(span.end)),
-            });
-            map.objects.insert(t.moving_object.clone());
-            for a in t.annotations().iter() {
-                map.traj_annotations.insert(a.clone());
-            }
+            span = cover(span, t.span());
+            objects.push(t.moving_object.as_str());
+            absorb(&mut traj_annotations, t.annotations());
             for stay in t.trace().intervals() {
-                map.cells.insert(stay.cell);
-                for a in stay.annotations.iter() {
-                    map.stay_annotations.insert(a.clone());
-                }
+                cells.push(stay.cell);
+                absorb(&mut stay_annotations, &stay.annotations);
             }
         }
-        map.cell_bloom = Bloom::build(map.cells.iter().map(cell_bloom_hash));
-        map.object_bloom = Bloom::build(map.objects.iter().map(|o| object_bloom_hash(o)));
-        map
+        ZoneMap::from_runs(
+            trajectories.len() as u64,
+            span,
+            cells,
+            objects,
+            traj_annotations,
+            stay_annotations,
+        )
+    }
+
+    /// The map of the rows of all of `maps` together — what
+    /// [`ZoneMap::build`] returns for those rows, derived without them.
+    pub(super) fn union<'a>(maps: impl IntoIterator<Item = &'a ZoneMap>) -> ZoneMap {
+        let mut len = 0;
+        let mut span = None;
+        let mut cells = Vec::new();
+        let mut objects = Vec::new();
+        let mut traj_annotations = AnnotationSet::new();
+        let mut stay_annotations = AnnotationSet::new();
+        for map in maps {
+            len += map.len;
+            if let Some(other) = map.span {
+                span = cover(span, other);
+            }
+            cells.extend(&map.cells);
+            objects.extend(map.objects.iter().map(String::as_str));
+            absorb(&mut traj_annotations, &map.traj_annotations);
+            absorb(&mut stay_annotations, &map.stay_annotations);
+        }
+        ZoneMap::from_runs(
+            len,
+            span,
+            cells,
+            objects,
+            traj_annotations,
+            stay_annotations,
+        )
+    }
+
+    /// Finishes a map from unsorted, repeating runs of cells and object
+    /// ids: sort, dedup, bulk-build the sets (see [`ZoneMap::decode`]
+    /// for why from sorted input), then the blooms over the sets.
+    fn from_runs(
+        len: u64,
+        span: Option<TimeInterval>,
+        mut cells: Vec<CellRef>,
+        mut objects: Vec<&str>,
+        traj_annotations: AnnotationSet,
+        stay_annotations: AnnotationSet,
+    ) -> ZoneMap {
+        cells.sort_unstable();
+        cells.dedup();
+        objects.sort_unstable();
+        objects.dedup();
+        let cells: BTreeSet<CellRef> = cells.into_iter().collect();
+        let objects: BTreeSet<String> = objects.into_iter().map(str::to_owned).collect();
+        ZoneMap {
+            len,
+            span,
+            cell_bloom: Bloom::build(cells.iter().map(cell_bloom_hash)),
+            object_bloom: Bloom::build(objects.iter().map(|o| object_bloom_hash(o))),
+            cells,
+            objects,
+            traj_annotations,
+            stay_annotations,
+        }
     }
 
     /// Membership test for cell point predicates: the bloom answers a
@@ -236,6 +315,12 @@ pub struct DirectoryEntry {
 /// computed, so variable-width encoding would be self-referential).
 const DIRECTORY_ENTRY_BYTES: usize = 8 + 4 + 8 + 8;
 
+/// Most rows one segment can hold: the directory is one frame, and a
+/// frame's payload is bounded by [`segment::MAX_PAYLOAD`]. (The sort
+/// columns, 16 bytes a row, fit wherever the directory does.)
+pub(super) const MAX_SEGMENT_ROWS: usize =
+    (segment::MAX_PAYLOAD as usize - 8) / DIRECTORY_ENTRY_BYTES;
+
 /// The segment's offset directory: entry `i` locates the
 /// frame of trajectory `i` of the sorted run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -371,34 +456,57 @@ pub struct SortColumns {
     pub object: Vec<u32>,
 }
 
+/// Position of `object` in `ranked`, a sorted object set that holds it.
+fn rank(ranked: &[&str], object: &str) -> u32 {
+    ranked
+        .binary_search(&object)
+        .expect("the object set covers every row it is ranked for") as u32
+}
+
 impl SortColumns {
-    /// Builds the columns over a run of trajectories (the same run the
-    /// zone map summarizes, so the object indexes line up with
-    /// [`ZoneMap::objects`]).
-    pub fn build(trajectories: &[SemanticTrajectory]) -> SortColumns {
-        let objects: BTreeSet<&str> = trajectories
-            .iter()
-            .map(|t| t.moving_object.as_str())
-            .collect();
-        let index: BTreeMap<&str, u32> = objects
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| (o, i as u32))
-            .collect();
-        SortColumns {
-            dwell: trajectories
-                .iter()
-                .map(|t| t.trace().dwell_total().as_seconds())
-                .collect(),
-            trace_len: trajectories
-                .iter()
-                .map(|t| t.trace().len() as u32)
-                .collect(),
-            object: trajectories
-                .iter()
-                .map(|t| index[t.moving_object.as_str()])
-                .collect(),
+    /// Builds the columns over a run of trajectories. `objects` is the
+    /// object set of the zone map over the same run, which the object
+    /// column indexes: each row's id is looked up in it by binary
+    /// search.
+    ///
+    /// # Panics
+    ///
+    /// If a row's moving object is not in `objects` — the set was not
+    /// built over these rows.
+    pub fn build(trajectories: &[SemanticTrajectory], objects: &BTreeSet<String>) -> SortColumns {
+        let ranked: Vec<&str> = objects.iter().map(String::as_str).collect();
+        let mut columns = SortColumns::default();
+        for t in trajectories {
+            columns.dwell.push(t.trace().dwell_total().as_seconds());
+            columns.trace_len.push(t.trace().len() as u32);
+            columns.object.push(rank(&ranked, &t.moving_object));
         }
+        columns
+    }
+
+    /// The columns of a merge: row `i` of the result is row `r` of
+    /// `parts[p]` for the `i`-th `(p, r)` of `rows`. Dwell and trace
+    /// length are copied; the object column, an index into its own
+    /// part's object set (the second of each pair), is re-ranked against
+    /// `objects`, the merged set (a superset of every part's).
+    pub(super) fn gather(
+        parts: &[(&SortColumns, &BTreeSet<String>)],
+        objects: &BTreeSet<String>,
+        rows: impl Iterator<Item = (usize, usize)>,
+    ) -> SortColumns {
+        let ranked: Vec<&str> = objects.iter().map(String::as_str).collect();
+        let reranked: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|(_, own)| own.iter().map(|o| rank(&ranked, o)).collect())
+            .collect();
+        let mut columns = SortColumns::default();
+        for (p, r) in rows {
+            let part = parts[p].0;
+            columns.dwell.push(part.dwell[r]);
+            columns.trace_len.push(part.trace_len[r]);
+            columns.object.push(reranked[p][part.object[r] as usize]);
+        }
+        columns
     }
 
     /// Rows the columns cover.

@@ -81,18 +81,40 @@ pub struct ObjectIndexRecord {
     pub entries: Vec<(String, Vec<u64>)>,
 }
 
-impl Record for ObjectIndexRecord {
-    fn encode_record(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, self.sequence);
-        varint::encode_u64(buf, self.entries.len() as u64);
-        for (object, segments) in &self.entries {
+impl ObjectIndexRecord {
+    /// Encodes the record `{ sequence, entries }` from borrowed entries
+    /// (object id → ascending segment ids, objects ascending) — the one
+    /// writer of the record's layout, so the store can persist its live
+    /// index without first copying it into an owned record.
+    pub(super) fn encode_entries<'a, S>(
+        buf: &mut Vec<u8>,
+        sequence: u64,
+        entries: impl ExactSizeIterator<Item = (&'a str, S)>,
+    ) where
+        S: ExactSizeIterator<Item = u64>,
+    {
+        varint::encode_u64(buf, sequence);
+        varint::encode_u64(buf, entries.len() as u64);
+        for (object, segments) in entries {
             varint::encode_u64(buf, object.len() as u64);
             buf.extend_from_slice(object.as_bytes());
             varint::encode_u64(buf, segments.len() as u64);
             for id in segments {
-                varint::encode_u64(buf, *id);
+                varint::encode_u64(buf, id);
             }
         }
+    }
+}
+
+impl Record for ObjectIndexRecord {
+    fn encode_record(&self, buf: &mut Vec<u8>) {
+        ObjectIndexRecord::encode_entries(
+            buf,
+            self.sequence,
+            self.entries
+                .iter()
+                .map(|(object, segments)| (object.as_str(), segments.iter().copied())),
+        );
     }
 
     fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {

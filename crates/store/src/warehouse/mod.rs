@@ -33,7 +33,36 @@
 //! the per-segment pruning metadata a query consults *before* touching
 //! any trajectory. Trajectories are sorted by [`sort_run`]'s canonical
 //! total order (span start, span end, encoded bytes), so every segment
-//! is one sorted run and compaction is a merge of runs.
+//! is one sorted run.
+//!
+//! A file is built in three steps, and a row is encoded in exactly one
+//! of them. **Encode once**: an append ([`SegmentStore::append_segment`])
+//! encodes every row of its batch into one arena — the
+//! `store.rows_encoded` counter moves by the batch's rows. **Order**: a
+//! permutation of row indexes is sorted on `(start, end, arena slice)`
+//! and the rows moved into that order; zone map, rollup and sort
+//! columns are built over them. **Assemble**: one function lays the
+//! header frames and one frame per arena slice into the file image,
+//! which is written, fsynced, and kept resident beside the rows.
+//!
+//! Compaction ([`SegmentStore::replace_segments`], `Segment::merge`)
+//! feeds the same assembler and encodes nothing, because everything it
+//! needs is already in its victims. *Merged*: the victims' directory
+//! span columns and stored payloads are ordered as `(start, end,
+//! payload, victim, row)` — the canonical order, read off columns and
+//! bytes — which interleaves the victims' runs; the zone map is the
+//! union of theirs (its Blooms rebuilt over the merged sets, so they
+//! are sized as a fresh build's) and the rollup the sum of theirs.
+//! *Gathered*: the dwell and trace-length columns row by row, and the
+//! object column re-ranked from each victim's object set to the merged
+//! one. *Copied*: every row's stored payload, verbatim, into its new
+//! frame — cold victims are hydrated first (each frame CRC-checked and
+//! decoded, as any full read), so only validated bytes are copied.
+//! *Moved*: once the merged file is fsynced, the decoded rows leave
+//! the victims for the merged segment, which starts out resident; only
+//! a run that a hydrated query-side index still shares is cloned
+//! instead. The result is, byte for byte, the file an append of the
+//! same rows would have written (`tests/segment_build.rs`).
 //!
 //! Frame 1 is the [`SegmentDirectory`]: one fixed-width entry per
 //! trajectory carrying the byte offset and length of its frame plus its
@@ -127,9 +156,11 @@
 //! trajectory-warehouse literature:
 //!
 //! * `format.rs` — *facts*: the segment file's layout (the only code
-//!   that knows it) and the [`Segment`] that reads rows out of one;
+//!   that knows it: one assembler, fed by `Segment::create` and
+//!   `Segment::merge`) and the [`Segment`] that reads rows out of one;
 //! * `index.rs` — *dimension indexes*: [`ZoneMap`] and its Bloom
-//!   hashes, [`SegmentDirectory`], [`SortColumns`];
+//!   hashes, [`SegmentDirectory`], [`SortColumns`] — each built from
+//!   rows, and merged or gathered from others of its kind;
 //! * `rollup.rs` — *aggregates*: [`CellRollup`], [`SegmentRollup`];
 //! * `row_cache.rs` — the bounded row-decode cache;
 //! * `manifest.rs` — [`ManifestRecord`], [`ObjectIndexRecord`], file
@@ -160,6 +191,7 @@ mod row_cache;
 mod tests;
 
 pub use format::{sort_run, Segment};
+use index::MAX_SEGMENT_ROWS;
 pub use index::{
     cell_bloom_hash, object_bloom_hash, DirectoryEntry, SegmentDirectory, SortColumns, ZoneMap,
 };
@@ -197,6 +229,15 @@ pub enum WarehouseError {
         /// What went wrong.
         what: &'static str,
     },
+    /// An append or a merge asked for one segment of more rows than a
+    /// segment file can hold (its directory is one frame). Nothing was
+    /// written.
+    SegmentTooLarge {
+        /// Rows asked for.
+        rows: usize,
+        /// Most rows one segment holds.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for WarehouseError {
@@ -210,6 +251,9 @@ impl std::fmt::Display for WarehouseError {
             }
             WarehouseError::Inconsistent { id, what } => {
                 write!(f, "segment {id} inconsistent with manifest: {what}")
+            }
+            WarehouseError::SegmentTooLarge { rows, limit } => {
+                write!(f, "{rows} rows do not fit one segment (limit {limit})")
             }
         }
     }
@@ -276,6 +320,9 @@ struct StoreMetrics {
     segments_built: Arc<Counter>,
     segments_compacted: Arc<Counter>,
     segment_bytes_written: Arc<Counter>,
+    /// Rows encoded to build a segment: one per appended row, none per
+    /// merged row.
+    rows_encoded: Arc<Counter>,
     manifest_records: Arc<Counter>,
     gc_sweeps: Arc<Counter>,
     /// Segments opened headers-only (no trajectory decoded at open).
@@ -288,6 +335,7 @@ impl StoreMetrics {
             segments_built: registry.counter("store.segments_built"),
             segments_compacted: registry.counter("store.segments_compacted"),
             segment_bytes_written: registry.counter("store.segment_bytes_written"),
+            rows_encoded: registry.counter("store.rows_encoded"),
             manifest_records: registry.counter("store.manifest_records"),
             gc_sweeps: registry.counter("store.gc_sweeps"),
             lazy_opens: registry.counter("store.lazy_opens"),
@@ -306,6 +354,9 @@ pub struct SegmentStore {
     /// The live cross-segment object index.
     object_index: BTreeMap<String, BTreeSet<u64>>,
     policy: WarehouseConfig,
+    /// Most rows one segment may hold: [`MAX_SEGMENT_ROWS`], except in
+    /// this module's tests, which lower it to reach the refusals.
+    row_limit: usize,
     metrics: StoreMetrics,
     lazy_io: LazyIoMetrics,
     /// The store-wide bounded row-decode cache every segment shares.
@@ -435,6 +486,7 @@ impl SegmentStore {
                 objindex,
                 object_index,
                 policy,
+                row_limit: MAX_SEGMENT_ROWS,
                 metrics,
                 lazy_io,
                 row_cache,
@@ -528,26 +580,31 @@ impl SegmentStore {
         self.sequence
     }
 
-    /// Writes one segment file (sorted, zone-mapped, fsynced) without
-    /// touching the manifest. Returns the loaded segment.
-    fn write_segment(
-        &mut self,
-        trajectories: Vec<SemanticTrajectory>,
-    ) -> Result<Segment, WarehouseError> {
+    /// Refuses a segment of `rows` rows when one file cannot hold them.
+    fn check_rows(&self, rows: usize) -> Result<(), WarehouseError> {
+        if rows > self.row_limit {
+            return Err(WarehouseError::SegmentTooLarge {
+                rows,
+                limit: self.row_limit,
+            });
+        }
+        Ok(())
+    }
+
+    /// Burns the next segment id and names its file.
+    fn next_segment(&mut self) -> (u64, PathBuf) {
         let id = self.next_id;
         self.next_id += 1;
-        let path = self.dir.join(segment_file_name(id));
-        let (segment, bytes) = Segment::create(
-            path,
-            id,
-            trajectories,
-            self.lazy_io.clone(),
-            self.row_cache.clone(),
-        )?;
+        (id, self.dir.join(segment_file_name(id)))
+    }
+
+    /// What follows a new segment file's own fsync, before the manifest
+    /// may name it: its directory entry is made durable too.
+    fn segment_written(&self, bytes: usize) -> Result<(), WarehouseError> {
         sync_dir(&self.dir)?;
         self.metrics.segments_built.inc();
         self.metrics.segment_bytes_written.add(bytes as u64);
-        Ok(segment)
+        Ok(())
     }
 
     /// Commits the current segment set as a new manifest record,
@@ -591,15 +648,17 @@ impl SegmentStore {
     /// one record; a crash mid-rewrite only costs the next open a
     /// rebuild from zone maps.
     fn persist_object_index(&mut self) -> Result<(), WarehouseError> {
-        let record = ObjectIndexRecord {
-            sequence: self.sequence,
-            entries: self
-                .object_index
+        // Encoded straight from the live index: an owned record would
+        // clone every object id and posting list only to be dropped.
+        let mut payload = Vec::new();
+        ObjectIndexRecord::encode_entries(
+            &mut payload,
+            self.sequence,
+            self.object_index
                 .iter()
-                .map(|(o, ids)| (o.clone(), ids.iter().copied().collect()))
-                .collect(),
-        };
-        self.objindex.compact(&[record])?;
+                .map(|(object, ids)| (object.as_str(), ids.iter().copied())),
+        );
+        self.objindex.compact_encoded(&payload)?;
         Ok(())
     }
 
@@ -626,7 +685,8 @@ impl SegmentStore {
 
     /// Appends one immutable segment holding `trajectories` (sorted into
     /// the canonical run order) and commits the manifest. An empty batch
-    /// is a no-op.
+    /// is a no-op; one of more rows than a segment holds is refused with
+    /// [`WarehouseError::SegmentTooLarge`] before any file is created.
     pub fn append_segment(
         &mut self,
         trajectories: Vec<SemanticTrajectory>,
@@ -634,7 +694,17 @@ impl SegmentStore {
         if trajectories.is_empty() {
             return Ok(());
         }
-        let segment = self.write_segment(trajectories)?;
+        self.check_rows(trajectories.len())?;
+        let (id, path) = self.next_segment();
+        let (segment, bytes) = Segment::create(
+            path,
+            id,
+            trajectories,
+            self.lazy_io.clone(),
+            self.row_cache.clone(),
+            &self.metrics.rows_encoded,
+        )?;
+        self.segment_written(bytes)?;
         for o in &segment.zone_map.objects {
             self.object_index
                 .entry(o.clone())
@@ -646,29 +716,45 @@ impl SegmentStore {
     }
 
     /// Replaces the segments named in `victims` with one merged segment
-    /// holding their union, re-sorted into a single run. The merged
-    /// segment takes the position of the first victim. Victim files are
-    /// deleted only once **no retained manifest record** references
-    /// them (the garbage sweep run on every commit), so a torn newest
-    /// record always recovers to a manifest whose files are all on
-    /// disk.
+    /// holding their union as a single run (`Segment::merge`: stored
+    /// payloads copied, decoded rows moved, nothing re-encoded). The
+    /// merged segment takes the position of the first victim. Victim
+    /// files are deleted only once **no retained manifest record**
+    /// references them (the garbage sweep run on every commit), so a
+    /// torn newest record always recovers to a manifest whose files are
+    /// all on disk. A victim set of more rows than a segment holds is
+    /// refused with [`WarehouseError::SegmentTooLarge`] before any file
+    /// is created; an error before the merged file is durable leaves
+    /// every victim live and readable.
     pub fn replace_segments(&mut self, victims: &[u64]) -> Result<(), WarehouseError> {
         if victims.len() < 2 {
             return Ok(());
         }
         let victim_set: BTreeSet<u64> = victims.iter().copied().collect();
-        let mut merged = Vec::new();
-        for s in &self.segments {
-            if victim_set.contains(&s.id) {
-                merged.extend(s.trajectories()?.iter().cloned());
-            }
-        }
+        let is_victim = |s: &Segment| victim_set.contains(&s.id);
+        self.check_rows(
+            self.segments
+                .iter()
+                .filter(|s| is_victim(s))
+                .map(Segment::len)
+                .sum(),
+        )?;
         let position = self
             .segments
             .iter()
-            .position(|s| victim_set.contains(&s.id))
+            .position(is_victim)
             .unwrap_or(self.segments.len());
-        let segment = self.write_segment(merged)?;
+        let (id, path) = self.next_segment();
+        let mut sources: Vec<&mut Segment> =
+            self.segments.iter_mut().filter(|s| is_victim(s)).collect();
+        let (segment, bytes) = Segment::merge(
+            path,
+            id,
+            &mut sources,
+            self.lazy_io.clone(),
+            self.row_cache.clone(),
+        )?;
+        self.segment_written(bytes)?;
         // Incremental object-index maintenance: every victim id is
         // swapped for the merged id wherever it appears, and the merged
         // segment's own objects are added (a superset of the victims').
@@ -684,7 +770,7 @@ impl SegmentStore {
                 .insert(segment.id);
         }
         self.object_index.retain(|_, ids| !ids.is_empty());
-        self.segments.retain(|s| !victim_set.contains(&s.id));
+        self.segments.retain(|s| !is_victim(s));
         self.segments
             .insert(position.min(self.segments.len()), segment);
         // Retired ids never serve reads again (and are never reused):
@@ -698,22 +784,18 @@ impl SegmentStore {
     }
 
     /// Size-tiered compaction plan: the ids of one tier's segments that
-    /// should merge now (`None` when every tier is under the fanout).
-    /// Tiers are log₂ buckets of record count; the lowest over-full tier
-    /// merges first, so small flush segments coalesce before anything
-    /// large is rewritten.
+    /// should merge now (`None` when no tier is due). Tiers are log₂
+    /// buckets of record count; the lowest over-full tier merges first,
+    /// so small flush segments coalesce before anything large is
+    /// rewritten. A tier whose rows together would not fit one segment
+    /// is never proposed: its segments are as large as segments get.
     pub fn plan_size_tiered(&self) -> Option<Vec<u64>> {
-        let fanout = self.policy.fanout.max(2);
-        let mut tiers: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for s in &self.segments {
-            let len = s.len().max(1) as u64;
-            let tier = 63 - len.leading_zeros(); // log2 bucket
-            tiers.entry(tier).or_default().push(s.id);
-        }
-        tiers
-            .into_iter()
-            .find(|(_, ids)| ids.len() >= fanout)
-            .map(|(_, ids)| ids)
+        let sizes: Vec<(u64, u64)> = self
+            .segments
+            .iter()
+            .map(|s| (s.id, s.len() as u64))
+            .collect();
+        plan_tiers(&sizes, self.policy.fanout, self.row_limit as u64)
     }
 
     /// Runs size-tiered compaction to a fixed point: while any tier holds
@@ -727,6 +809,24 @@ impl SegmentStore {
         }
         Ok(merges)
     }
+}
+
+/// The tier choice of [`SegmentStore::plan_size_tiered`] over `(id,
+/// rows)` pairs in warehouse order: the lowest log₂ tier holding at
+/// least `fanout` segments whose rows sum to at most `row_limit` —
+/// every merge it proposes can be written as one segment.
+fn plan_tiers(segments: &[(u64, u64)], fanout: usize, row_limit: u64) -> Option<Vec<u64>> {
+    let mut tiers: BTreeMap<u32, (Vec<u64>, u64)> = BTreeMap::new();
+    for &(id, rows) in segments {
+        let tier = 63 - rows.max(1).leading_zeros(); // log2 bucket
+        let (ids, total) = tiers.entry(tier).or_default();
+        ids.push(id);
+        *total = total.saturating_add(rows);
+    }
+    tiers
+        .into_values()
+        .find(|(ids, total)| ids.len() >= fanout.max(2) && *total <= row_limit)
+        .map(|(ids, _)| ids)
 }
 
 impl std::fmt::Debug for SegmentStore {

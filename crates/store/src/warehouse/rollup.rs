@@ -3,7 +3,7 @@
 //! file), so Stats-style GROUP BY answers merge header frames and decode
 //! nothing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use sitm_core::SemanticTrajectory;
 use sitm_space::CellRef;
@@ -66,23 +66,39 @@ impl SegmentRollup {
     /// Builds the rollup over a run of trajectories.
     pub fn build(trajectories: &[SemanticTrajectory], period_seconds: u64) -> SegmentRollup {
         let mut rollup = SegmentRollup::new(period_seconds);
+        let mut stays = Vec::new();
         for t in trajectories {
-            rollup.add(t);
+            rollup.fold(t, &mut stays);
         }
         rollup
     }
 
     /// Folds one trajectory into the rollup.
+    ///
+    /// The row's stays are sorted by cell in a scratch `Vec` (which
+    /// [`SegmentRollup::build`] reuses from row to row), so each
+    /// distinct cell costs one map probe that takes its stays, its
+    /// dwell and its one trajectory together — no set of touched cells
+    /// is built per row.
     pub fn add(&mut self, t: &SemanticTrajectory) {
-        let mut touched: BTreeSet<CellRef> = BTreeSet::new();
-        for stay in t.trace().intervals() {
-            let slot = self.cells.entry(stay.cell).or_default();
-            slot.stays += 1;
-            slot.dwell_seconds += stay.duration().as_seconds().max(0) as u64;
-            touched.insert(stay.cell);
-        }
-        for cell in touched {
-            self.cells.entry(cell).or_default().trajectories += 1;
+        self.fold(t, &mut Vec::new());
+    }
+
+    /// [`SegmentRollup::add`] through the caller's scratch.
+    fn fold(&mut self, t: &SemanticTrajectory, stays: &mut Vec<(CellRef, u64)>) {
+        stays.clear();
+        stays.extend(
+            t.trace()
+                .intervals()
+                .iter()
+                .map(|stay| (stay.cell, stay.duration().as_seconds().max(0) as u64)),
+        );
+        stays.sort_unstable();
+        for of_cell in stays.chunk_by(|a, b| a.0 == b.0) {
+            let slot = self.cells.entry(of_cell[0].0).or_default();
+            slot.trajectories += 1;
+            slot.stays += of_cell.len() as u64;
+            slot.dwell_seconds += of_cell.iter().map(|(_, dwell)| dwell).sum::<u64>();
         }
         if self.period_seconds > 0 {
             let span = t.span();

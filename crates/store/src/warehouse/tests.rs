@@ -394,7 +394,8 @@ fn sort_columns_round_trip_and_validate() {
         traj("alice", 1, 0),
         traj("bob", 2, 100),
     ];
-    let columns = SortColumns::build(&trajs);
+    let map = ZoneMap::build(&trajs);
+    let columns = SortColumns::build(&trajs, &map.objects);
     assert_eq!(columns.len(), 3);
     // Per-row values match the decoded keys.
     for (i, t) in trajs.iter().enumerate() {
@@ -403,7 +404,6 @@ fn sort_columns_round_trip_and_validate() {
     }
     // The object column indexes into the zone map's sorted object
     // set: row order carol, alice, bob → indexes 2, 0, 1.
-    let map = ZoneMap::build(&trajs);
     let objects: Vec<&str> = map.objects.iter().map(|s| s.as_str()).collect();
     assert_eq!(objects, vec!["alice", "bob", "carol"]);
     assert_eq!(columns.object, vec![2, 0, 1]);
@@ -572,4 +572,82 @@ fn hydration_leaves_the_row_cache_to_single_row_reads() {
         registry.counter("query.trajectories_decoded").get(),
         decoded
     );
+}
+
+#[test]
+fn the_planner_never_proposes_a_merge_that_cannot_be_framed() {
+    let limit = MAX_SEGMENT_ROWS as u64;
+    let tier = |from: u64, rows: u64| (from..from + 4).map(move |id| (id, rows));
+    // Four 200 k-row segments share a tier and would merge into 800 k
+    // rows, past what one directory frame holds: left alone.
+    let large: Vec<(u64, u64)> = tier(0, 200_000).collect();
+    assert!(4 * 200_000 > limit);
+    assert_eq!(plan_tiers(&large, 4, limit), None);
+    // The same tier within the limit merges, whole.
+    let fits: Vec<(u64, u64)> = tier(0, 140_000).collect();
+    assert_eq!(plan_tiers(&fits, 4, limit), Some(vec![0, 1, 2, 3]));
+    // A blocked tier does not block the others.
+    let both: Vec<(u64, u64)> = tier(0, 200_000).chain(tier(4, 3_000)).collect();
+    assert_eq!(plan_tiers(&both, 4, limit), Some(vec![4, 5, 6, 7]));
+    // Under the fanout nothing is due; a fanout below 2 means 2.
+    assert_eq!(plan_tiers(&fits[..3], 4, limit), None);
+    assert_eq!(plan_tiers(&fits[..2], 0, limit), Some(vec![0, 1]));
+}
+
+#[test]
+fn an_over_limit_segment_is_refused_before_any_file_is_created() {
+    let tmp = TempDir::new("too-large");
+    let config = WarehouseConfig {
+        fanout: 2,
+        ..WarehouseConfig::default()
+    };
+    let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    store.row_limit = 3;
+    store
+        .append_segment(vec![traj("a", 1, 0), traj("b", 2, 100)])
+        .unwrap();
+    store
+        .append_segment(vec![traj("c", 1, 200), traj("d", 2, 300)])
+        .unwrap();
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&tmp.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let (before, sequence, next_id) = (files(), store.sequence(), store.next_id);
+    // The two segments share a tier, but their four rows do not fit:
+    // the planner does not propose them, and a direct call is refused.
+    assert_eq!(store.plan_size_tiered(), None);
+    assert_eq!(store.compact_size_tiered().unwrap(), 0);
+    match store.replace_segments(&[0, 1]) {
+        Err(WarehouseError::SegmentTooLarge { rows: 4, limit: 3 }) => {}
+        other => panic!("expected SegmentTooLarge, got {other:?}"),
+    }
+    match store.append_segment((0..4).map(|i| traj("e", 1, i)).collect()) {
+        Err(WarehouseError::SegmentTooLarge { rows: 4, limit: 3 }) => {}
+        other => panic!("expected SegmentTooLarge, got {other:?}"),
+    }
+    assert_eq!(files(), before, "nothing was created");
+    assert_eq!((store.sequence(), store.next_id), (sequence, next_id));
+    // The victims are still live and answer.
+    assert_eq!(store.segments().len(), 2);
+    assert_eq!(store.object_segments("a"), Some(&BTreeSet::from([0])));
+    assert_eq!(
+        store.segments()[1].trajectories().unwrap()[1].moving_object,
+        "d"
+    );
+    assert_eq!(
+        store.segments()[0]
+            .read_trajectory(0)
+            .unwrap()
+            .moving_object,
+        "a"
+    );
+    // With room, the same merge goes through.
+    store.row_limit = 4;
+    assert_eq!(store.compact_size_tiered().unwrap(), 1);
+    assert_eq!(store.len(), 4);
 }

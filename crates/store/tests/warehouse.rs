@@ -403,3 +403,58 @@ fn torn_tail_after_compaction_still_recovers() {
     assert!(report.is_clean());
     assert_eq!(fingerprint(&store), vec!["a", "b", "c"]);
 }
+
+#[test]
+fn torn_merged_segment_before_manifest_commit_is_invisible_at_every_offset() {
+    // A crash while compaction writes the merged file: the file exists,
+    // cut anywhere, and no manifest record names it yet. Recovery must
+    // serve the pre-merge manifest with every victim readable (a merge
+    // never touches its victims' files) and collect the torn file.
+    let pristine = TempDir::new("merge-pristine");
+    let config = WarehouseConfig::default();
+    let pre_merge_state;
+    {
+        let (mut store, _) = SegmentStore::open(&pristine.0, config).unwrap();
+        for i in 0..3 {
+            store
+                .append_segment(vec![
+                    traj(&format!("mo-{i}a"), 1, i * 100),
+                    traj(&format!("mo-{i}b"), 2, i * 100 + 10),
+                ])
+                .unwrap();
+        }
+        pre_merge_state = fingerprint(&store);
+    }
+    // What the merge would have written, taken from a copy that ran it.
+    let merged = TempDir::new("merge-done");
+    copy_dir(&pristine.0, &merged.0);
+    let (merged_name, merged_file) = {
+        let (mut store, _) = SegmentStore::open(&merged.0, config).unwrap();
+        store.replace_segments(&[0, 1, 2]).unwrap();
+        let name = segment_file_name(store.segments()[0].id);
+        (name.clone(), std::fs::read(merged.0.join(name)).unwrap())
+    };
+
+    let torn = TempDir::new("merge-torn");
+    for cut in 0..=merged_file.len() {
+        copy_dir(&pristine.0, &torn.0);
+        std::fs::write(torn.0.join(&merged_name), &merged_file[..cut]).unwrap();
+        let (store, report) = SegmentStore::open(&torn.0, config)
+            .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
+        assert!(report.is_clean(), "cut at {cut}: manifest itself is clean");
+        assert_eq!(
+            store.segments().len(),
+            3,
+            "cut at {cut}: pre-merge segment set"
+        );
+        assert_eq!(
+            fingerprint(&store),
+            pre_merge_state,
+            "cut at {cut}: every victim readable"
+        );
+        assert!(
+            !torn.0.join(&merged_name).exists(),
+            "cut at {cut}: torn merged file collected"
+        );
+    }
+}

@@ -855,10 +855,9 @@ impl ParallelEngine {
         drop(self.shared.quiesce());
     }
 
-    /// Flushes, then returns every episode finalized since the last
-    /// drain, in the same deterministic global order as
-    /// [`crate::ShardedEngine::drain`].
-    pub fn drain(&mut self) -> Vec<EmittedEpisode> {
+    /// Flushes, then empties the pending pool: every episode finalized
+    /// and not yet handed out, in deposit order (unsorted).
+    fn take_pending(&mut self) -> Vec<EmittedEpisode> {
         self.dispatch();
         let guard = self.shared.quiesce();
         let mut out = Vec::new();
@@ -870,8 +869,37 @@ impl ParallelEngine {
             // the delta a subscriber receives).
             self.dirty = true;
         }
+        out
+    }
+
+    /// Flushes, then returns every episode finalized since the last
+    /// drain, in the same deterministic global order as
+    /// [`crate::ShardedEngine::drain`].
+    pub fn drain(&mut self) -> Vec<EmittedEpisode> {
+        let mut out = self.take_pending();
         out.sort_by_key(|a| a.sort_key());
         out
+    }
+
+    /// Flushes, then bounds the pending pool to its `keep` newest
+    /// episodes — the last `keep` a [`ParallelEngine::drain`] would
+    /// return — and returns how many were dropped. The same barrier as
+    /// a drain followed by a [`ParallelEngine::requeue_pending`] of its
+    /// tail, and the same epoch and `engine.pending_episodes` effects,
+    /// but the pool is only partitioned around the cut
+    /// (`select_nth_unstable`), not sorted: the next drain sorts what
+    /// is left anyway.
+    pub fn trim_pending(&mut self, keep: usize) -> usize {
+        let mut pool = self.take_pending();
+        let excess = pool.len().saturating_sub(keep);
+        if excess == pool.len() {
+            pool.clear();
+        } else if excess > 0 {
+            pool.select_nth_unstable_by_key(excess, |a| a.sort_key());
+            pool.drain(..excess);
+        }
+        self.requeue_pending(pool);
+        excess
     }
 
     /// Returns drained episodes to the pending pool (the undo of
@@ -1470,5 +1498,72 @@ mod tests {
         assert_eq!(restored.take_finished(), expected);
         assert!(restored.take_finished().is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `trim_pending` against what it replaced in the server's
+    /// `Checkpoint` arm — drain (sorted), drop the head, requeue the
+    /// tail — on a pool three times the serve tier's subscriber queue
+    /// bound (4096), with episode times drawn from few values so most
+    /// keys tie on time and are split by visit.
+    #[test]
+    fn trim_pending_keeps_what_drain_sort_requeue_kept() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use sitm_core::{Episode, TimeInterval};
+
+        const POOL: usize = 3 * 4096;
+        let mut rng = StdRng::seed_from_u64(20190326);
+        let pool: Vec<EmittedEpisode> = (0..POOL as u64)
+            .map(|visit| {
+                let start = rng.random_range(0..40i64);
+                EmittedEpisode {
+                    visit: VisitKey(visit),
+                    moving_object: format!("mo-{visit}"),
+                    predicate: rng.random_range(0..2usize),
+                    episode: Episode {
+                        range: 0..1,
+                        time: TimeInterval::new(
+                            Timestamp(start),
+                            Timestamp(start + rng.random_range(0..3i64)),
+                        ),
+                        annotations: label("one"),
+                    },
+                }
+            })
+            .collect();
+        let pending = |engine: &ParallelEngine| {
+            engine
+                .config()
+                .metrics
+                .snapshot()
+                .gauge("engine.pending_episodes")
+        };
+        // Each engine counts into a registry of its own.
+        let private = || config(2).with_metrics(sitm_obs::MetricsRegistry::new());
+        for keep in [0, 1, 2048, POOL - 1, POOL, POOL + 7] {
+            let mut reference = ParallelEngine::new(private()).unwrap();
+            reference.requeue_pending(pool.clone());
+            let before = reference.epoch();
+            let mut drained = reference.drain();
+            let excess = drained.len().saturating_sub(keep);
+            drained.drain(..excess);
+            reference.requeue_pending(drained);
+
+            let mut engine = ParallelEngine::new(private()).unwrap();
+            engine.requeue_pending(pool.clone());
+            assert_eq!(engine.epoch(), before);
+            assert_eq!(engine.trim_pending(keep), excess, "keep {keep}: dropped");
+            assert_eq!(pending(&engine), pending(&reference), "keep {keep}: gauge");
+            assert_eq!(pending(&engine), Some((POOL - excess) as i64));
+            assert_eq!(engine.epoch(), reference.epoch(), "keep {keep}: epoch");
+            // The same set is kept, and the next drain hands it out in
+            // the same order.
+            assert_eq!(engine.drain(), reference.drain(), "keep {keep}: kept");
+        }
+        // Nothing pending: nothing dropped, and no new epoch.
+        let mut idle = ParallelEngine::new(private()).unwrap();
+        let epoch = idle.epoch();
+        assert_eq!(idle.trim_pending(8), 0);
+        assert_eq!(idle.epoch(), epoch);
     }
 }
