@@ -17,8 +17,8 @@
 //! tracks the uniform `parallel_4` instead. The differential tests
 //! prove the output identical either way; run this bench on a
 //! multi-core box to see the scaling. The `live_query` group compares
-//! `count_matching` (live-index candidates + re-check) against
-//! `count_matching_scan` (predicate over every open prefix); the
+//! `count_matching` (live-index candidates + re-check) against the
+//! query crate's test oracle (predicate over every open prefix); the
 //! indexed path is the ≥ 5× win the live index exists for, and is
 //! core-count independent.
 
@@ -28,7 +28,7 @@ use std::hint::black_box;
 use sitm_bench::stream_feeds::{louvre_feed as feed, skewed_feed, stream_config as config};
 use sitm_core::Duration;
 use sitm_louvre::{build_louvre, zone_key};
-use sitm_query::Predicate;
+use sitm_query::{Predicate, Query};
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{resume_from_log, ParallelEngine, ShardedEngine, StreamEvent};
 
@@ -166,8 +166,9 @@ fn bench_live_query(c: &mut Criterion) {
     group.bench_function("indexed_count", |b| {
         b.iter(|| open_snapshot.count_matching(black_box(&selective)));
     });
+    let scan = Query::new().filter(selective.clone());
     group.bench_function("scan_count", |b| {
-        b.iter(|| open_snapshot.count_matching_scan(black_box(&selective)));
+        b.iter(|| black_box(&scan).oracle(&[&*open_snapshot], false).len());
     });
     group.finish();
 }

@@ -204,6 +204,8 @@ fn main() {
         .moving_object
         .clone();
     let selective = Predicate::MovingObject(target);
+    // The index-free reference: the query crate's test oracle.
+    let scan = Query::new().filter(selective.clone());
     // With the epoch cache and no ingest between reads, this group
     // times the *cached* cut — an `Arc` clone, the serving hot path —
     // not a per-call rebuild.
@@ -217,7 +219,7 @@ fn main() {
     ));
     results.push((
         "stream/live_query/scan_count".into(),
-        time_ns(199, || snapshot.count_matching_scan(&selective)),
+        time_ns(199, || scan.oracle(&[&*snapshot], false).len()),
     ));
     drop(engine);
 
@@ -274,13 +276,14 @@ fn main() {
     }
     let target = history[history.len() / 2].moving_object.clone();
     let point = Predicate::MovingObject(target);
+    let scan = Query::new().filter(point.clone());
     results.push((
         "warehouse/pruned_count".into(),
         time_ns(199, || pruned_db.count_matching(&point)),
     ));
     results.push((
         "warehouse/scan_count".into(),
-        time_ns(199, || pruned_db.count_matching_scan(&point)),
+        time_ns(199, || scan.oracle(&[&pruned_db], false).len()),
     ));
     drop(pruned_db);
 

@@ -17,7 +17,8 @@
 //! sound, never complete-in-itself.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use sitm_core::{Annotation, SemanticTrajectory, TimeInterval};
 use sitm_space::CellRef;
@@ -45,6 +46,20 @@ impl CandidateSet {
             CandidateSet::All => total,
             CandidateSet::Ids(ids) => ids.len(),
         }
+    }
+
+    /// The candidate positions inside `range`, ascending. `All` is the
+    /// range itself, walked, never materialised.
+    pub(crate) fn within(&self, range: Range<TrajId>) -> impl Iterator<Item = TrajId> + '_ {
+        let (all, ids) = match self {
+            CandidateSet::All => (range, &[][..]),
+            CandidateSet::Ids(ids) => {
+                let from = ids.partition_point(|&id| id < range.start);
+                let len = ids[from..].partition_point(|&id| id < range.end);
+                (0..0, &ids[from..from + len])
+            }
+        };
+        all.chain(ids.iter().copied())
     }
 
     /// Set intersection (`All` is the identity).
@@ -239,58 +254,69 @@ impl TrajectoryDb {
         ids
     }
 
-    /// Derives a candidate superset for `p` from the indexes.
+    /// Derives a candidate superset for `p` from the indexes: the
+    /// shared boolean walk ([`Predicate::narrow`]) over this
+    /// collection's leaf lookups.
     ///
     /// Soundness invariant (property-tested): every trajectory matching
     /// `p` is in the returned set. The set may contain non-matches; the
     /// engine re-filters.
     pub fn candidates(&self, p: &Predicate) -> CandidateSet {
-        match p {
-            Predicate::True | Predicate::MinTotalDwell(_) | Predicate::Not(_) => CandidateSet::All,
+        p.narrow(&mut |leaf| self.leaf_candidates(leaf))
+    }
+
+    /// Can a [`TrajectoryDb`]'s indexes narrow `p` at all? `false`
+    /// means [`TrajectoryDb::candidates`] answers [`CandidateSet::All`]
+    /// over *any* collection, so consulting one (and, for a warehouse
+    /// segment, hydrating it to do so) is pure waste. Asked of the
+    /// empty collection, where every indexed leaf is an empty posting
+    /// and every other leaf is `All` — the decision cannot drift from
+    /// the lookups because it *is* the lookups.
+    pub fn can_narrow(p: &Predicate) -> bool {
+        static EMPTY: OnceLock<TrajectoryDb> = OnceLock::new();
+        EMPTY.get_or_init(TrajectoryDb::default).candidates(p) != CandidateSet::All
+    }
+
+    /// The index lookup for one non-boolean predicate node.
+    fn leaf_candidates(&self, leaf: &Predicate) -> CandidateSet {
+        let ids = match leaf {
             Predicate::VisitedCell(cell) | Predicate::MinStayIn(cell, _) => {
-                CandidateSet::Ids(self.with_cell(*cell).to_vec())
+                self.with_cell(*cell).to_vec()
             }
-            Predicate::SequenceContains(cells) => cells
-                .iter()
-                .map(|c| CandidateSet::Ids(self.with_cell(*c).to_vec()))
-                .fold(CandidateSet::All, CandidateSet::intersect),
-            Predicate::SpanOverlaps(window) => CandidateSet::Ids(self.spans_overlapping(*window)),
-            Predicate::StayOverlaps(cell, window) => match self.stay_trees.get(cell) {
-                None => CandidateSet::Ids(Vec::new()),
-                Some(tree) => {
-                    let mut ids = tree.overlapping(*window);
-                    ids.sort_unstable();
-                    ids.dedup();
-                    CandidateSet::Ids(ids)
-                }
-            },
+            Predicate::SequenceContains(cells) => {
+                return cells
+                    .iter()
+                    .map(|c| CandidateSet::Ids(self.with_cell(*c).to_vec()))
+                    .fold(CandidateSet::All, CandidateSet::intersect)
+            }
+            Predicate::SpanOverlaps(window) => self.spans_overlapping(*window),
+            Predicate::StayOverlaps(cell, window) => {
+                let mut ids = self
+                    .stay_trees
+                    .get(cell)
+                    .map_or_else(Vec::new, |tree| tree.overlapping(*window));
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            }
             Predicate::HasTrajAnnotation(a) => {
-                CandidateSet::Ids(self.traj_ann_postings.get(a).cloned().unwrap_or_default())
+                self.traj_ann_postings.get(a).cloned().unwrap_or_default()
             }
             Predicate::HasStayAnnotation(a) => {
-                CandidateSet::Ids(self.stay_ann_postings.get(a).cloned().unwrap_or_default())
+                self.stay_ann_postings.get(a).cloned().unwrap_or_default()
             }
             Predicate::MovingObject(id) => {
-                CandidateSet::Ids(self.object_postings.get(id).cloned().unwrap_or_default())
+                self.object_postings.get(id).cloned().unwrap_or_default()
             }
-            Predicate::And(parts) => parts
-                .iter()
-                .map(|q| self.candidates(q))
-                .fold(CandidateSet::All, CandidateSet::intersect),
-            Predicate::Or(parts) => {
-                if parts.is_empty() {
-                    return CandidateSet::Ids(Vec::new());
-                }
-                let mut acc = CandidateSet::Ids(Vec::new());
-                for q in parts {
-                    acc = acc.union(self.candidates(q));
-                    if acc == CandidateSet::All {
-                        break;
-                    }
-                }
-                acc
-            }
-        }
+            // No posting answers a dwell bound; the boolean nodes never
+            // reach a leaf lookup.
+            Predicate::MinTotalDwell(_)
+            | Predicate::True
+            | Predicate::Not(_)
+            | Predicate::And(_)
+            | Predicate::Or(_) => return CandidateSet::All,
+        };
+        CandidateSet::Ids(ids)
     }
 }
 

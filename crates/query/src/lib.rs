@@ -16,13 +16,14 @@
 //! * [`predicate`] — [`Predicate`]: a boolean algebra over the "where"
 //!   (cells, paths), "when" (windows), and "what" (annotations) of a
 //!   trajectory;
-//! * [`query`] — [`Query`]: a fluent builder with index-backed execution,
-//!   `EXPLAIN`-style plans, ordering and paging;
+//! * [`query`] — [`Query`]: a fluent builder, `EXPLAIN`-style plans,
+//!   and the crate's **one executor** — the paging core every
+//!   `execute*`, count and byte-sink entry point is a sink over;
 //! * [`aggregate`] — GROUP BY operators: dwell/detection/flow matrices,
 //!   occupancy series, annotation grouping;
-//! * [`federation`] — [`TrajectorySource`] and the `federated_*` entry
-//!   points: one predicate evaluated over the union of many trajectory
-//!   collections (warehouse + live streaming-engine state);
+//! * [`federation`] — [`TrajectorySource`]: the positional face every
+//!   trajectory collection (in-memory, warehouse, live streaming-engine
+//!   state) shows the executor, so one query runs over their union;
 //! * [`segmented`] — [`SegmentedDb`]: the warehouse rewritten around
 //!   `sitm-store`'s immutable on-disk segment tier — Bloom-fronted
 //!   zone-map pruning plus per-segment postings behind the same query
@@ -36,21 +37,36 @@
 //! the predicate on every candidate, so results are always identical to a
 //! full scan (property-tested in `tests/proptests.rs`).
 //!
-//! ## Index-served selection on both sides of the federation
+//! ## One executor, many sinks, one oracle
 //!
-//! Selection is index-served on *every* participant that has indexes,
-//! not just the warehouse: [`TrajectorySource::candidates`] lets a
-//! source narrow a predicate to a sound candidate superset before any
-//! trajectory is materialized. [`TrajectoryDb`] answers from its
-//! postings and interval trees; `sitm-stream`'s `LiveSnapshot` answers
-//! from the live postings its shards maintain incrementally per event.
-//! `federated_*` and [`Query::execute_federated`] route through those
-//! candidates and re-check the predicate, so indexed and scanned paths
-//! are result-identical by construction; [`Query::explain_source`] and
-//! [`federation::federated_explain`] report which path each source will
-//! take. Consistency of a live source is the snapshot's: the index
-//! rides the same consistent cut as the visible trajectory prefixes
-//! (see `sitm_stream::live_query` for the model).
+//! *Filter → order → skip → take* is written once. A
+//! [`TrajectorySource`] is positional — `len_hint()` rows, a sound
+//! candidate superset per predicate ([`TrajectorySource::candidates`]),
+//! a row by position ([`TrajectorySource::row`]: borrowed when
+//! resident, with its stored encoding when the source holds one, owned
+//! when it had to be read) and a batch of sort keys for candidate
+//! positions ([`TrajectorySource::sort_keys`]) — and the paging core
+//! (documented on [`Query`]) runs over any list of them: per-source
+//! candidates, ordering no further than the page reaches, a re-check on
+//! each fetched row, offset, limit. [`Query::execute`],
+//! [`Query::execute_segmented`], [`Query::execute_federated`], their
+//! byte sinks, [`Query::count`], [`federated_count`] and the
+//! `count_matching` methods are sinks of a few lines over it, and
+//! [`Query::explain`] plans any source without counting as a query.
+//! Selection is index-served on *every* participant that has indexes:
+//! [`TrajectoryDb`] answers from its postings and interval trees,
+//! [`SegmentedDb`] from its object index, zone maps and per-segment
+//! postings, `sitm-stream`'s `LiveSnapshot` from the live postings its
+//! shards maintain incrementally per event — all three through the one
+//! boolean walk, [`Predicate::narrow`]. Consistency of a live source is
+//! the snapshot's: the index rides the same consistent cut as the
+//! visible trajectory prefixes (see `sitm_stream::live_query`).
+//!
+//! The naive scan survives only as the test oracle — a
+//! `#[doc(hidden)]` method on [`Query`] that concatenates every row,
+//! filters, stable-sorts, skips and takes, sharing nothing with the
+//! core — which every differential test (and the `*_scan` bench
+//! groups) compares against.
 
 pub mod aggregate;
 pub mod federation;
@@ -61,9 +77,7 @@ pub mod query;
 pub mod segmented;
 pub mod wire;
 
-pub use federation::{
-    federated_count, federated_explain, federated_for_each, federated_matching, TrajectorySource,
-};
+pub use federation::{federated_count, Row, SortKeys, TrajectorySource};
 
 pub use aggregate::{
     detection_counts_by_cell, dwell_by_cell, flow_matrix, group_by_annotation, occupancy, top_k,

@@ -13,6 +13,8 @@ use std::fmt;
 use sitm_core::{Annotation, AnnotationSet, Duration, SemanticTrajectory, TimeInterval};
 use sitm_space::CellRef;
 
+use crate::index::CandidateSet;
+
 /// What a predicate can conclude from an episode *delta* — the
 /// attributes an emitted episode carries (moving object, its own
 /// annotation set, its time span) without the parent trajectory's
@@ -208,6 +210,34 @@ impl Predicate {
         span: TimeInterval,
     ) -> bool {
         self.eval_delta(moving_object, annotations, span) != DeltaVerdict::NoMatch
+    }
+
+    /// The boolean walk every index consultation shares: folds the
+    /// candidate sets `leaf` answers for the non-boolean nodes into one
+    /// for the whole predicate. `And` intersects from
+    /// [`CandidateSet::All`]; `Or` unions and stops at the first `All`
+    /// (an empty `Or` matches nothing, so it narrows to no candidates);
+    /// `Not` and `True` cannot narrow and are `All` without asking.
+    /// Sound whenever every `leaf` answer is a superset of that leaf's
+    /// matches.
+    pub fn narrow(&self, leaf: &mut dyn FnMut(&Predicate) -> CandidateSet) -> CandidateSet {
+        match self {
+            Predicate::True | Predicate::Not(_) => CandidateSet::All,
+            Predicate::And(parts) => parts
+                .iter()
+                .fold(CandidateSet::All, |acc, q| acc.intersect(q.narrow(leaf))),
+            Predicate::Or(parts) => {
+                let mut acc = CandidateSet::Ids(Vec::new());
+                for q in parts {
+                    acc = acc.union(q.narrow(leaf));
+                    if acc == CandidateSet::All {
+                        break;
+                    }
+                }
+                acc
+            }
+            p => leaf(p),
+        }
     }
 
     /// `self AND other`, flattening nested conjunctions.

@@ -22,21 +22,24 @@
 //! assert_eq!(hits.len(), 1);
 //! ```
 //!
-//! Execution consults the database's indexes for a candidate superset
-//! ([`TrajectoryDb::candidates`]), re-checks the predicate on each
-//! candidate, then sorts and truncates. [`Query::explain`] reports the
-//! chosen access path without running the query.
+//! Every entry point runs the crate's **one paging core** (its
+//! contract is documented on [`Query`]): per-source candidates from the
+//! source's own indexes, ordering no further than the page reaches, a
+//! re-check of the predicate on each fetched row, then offset and
+//! limit. [`Query::explain`] reports the access path a source would
+//! take without running the query.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::ControlFlow;
 
 use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
+use sitm_obs::trace::{child_detail, ChildSpan};
 use sitm_space::CellRef;
 
 use sitm_store::encode_trajectory;
 
-use crate::federation::{federated_for_each, TrajectorySource};
+use crate::federation::{federated_count, Row, SortKeys, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
 use crate::predicate::Predicate;
 use crate::segmented::SegmentedDb;
@@ -59,6 +62,21 @@ pub enum SortKey {
 }
 
 impl SortKey {
+    /// The key of `t` as the integer the paging core orders by (every
+    /// key but [`SortKey::MovingObject`], which orders by the string).
+    pub(crate) fn integer(self, t: &SemanticTrajectory) -> i64 {
+        match self {
+            SortKey::Start => t.start().0,
+            SortKey::End => t.end().0,
+            SortKey::SpanDuration => t.span().duration().0,
+            SortKey::TotalDwell => t.trace().dwell_total().0,
+            SortKey::TraceLength => t.trace().len() as i64,
+            SortKey::MovingObject => unreachable!("moving objects order as strings"),
+        }
+    }
+
+    /// The comparison the oracle sorts by — written against the model's
+    /// own types, apart from the core's integer keys.
     fn compare(self, a: &SemanticTrajectory, b: &SemanticTrajectory) -> Ordering {
         match self {
             SortKey::Start => a.start().cmp(&b.start()),
@@ -128,50 +146,146 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// One row the segmented paging core hands its sink.
-enum PageRow<'a> {
-    /// A row of a hydrated segment, borrowed: the decoded trajectory
-    /// and its stored encoding.
-    Resident(&'a SemanticTrajectory, &'a [u8]),
-    /// A row read out of a cold segment: decoded from its frame, or
-    /// cloned out of the row cache.
-    Read(SemanticTrajectory),
+/// How rows with equal sort keys are ordered — the one thing the two
+/// documented ordering contracts differ in. The entry point picks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ties {
+    /// `(key, source, position)` order, reversed wholesale on a
+    /// descending sort: [`Query::execute`], [`Query::execute_segmented`]
+    /// and the served `Query`.
+    Reversed,
+    /// Ascending `(source, position)` in both directions — what a
+    /// stable sort of the concatenated sources leaves:
+    /// [`Query::execute_federated`] and the served `QueryFederated`.
+    SourceOrder,
 }
 
-impl PageRow<'_> {
-    fn trajectory(&self) -> &SemanticTrajectory {
-        match self {
-            PageRow::Resident(t, _) => t,
-            PageRow::Read(t) => t,
+/// One run of the paging core: what to select, how to order it, which
+/// page of the order to emit.
+pub(crate) struct Page<'q> {
+    predicate: &'q Predicate,
+    order: Option<(SortKey, bool)>,
+    ties: Ties,
+    offset: usize,
+    limit: Option<usize>,
+}
+
+impl<'q> Page<'q> {
+    /// Every match, in source order.
+    pub(crate) fn unordered(predicate: &'q Predicate) -> Page<'q> {
+        Page {
+            predicate,
+            order: None,
+            ties: Ties::SourceOrder,
+            offset: 0,
+            limit: None,
+        }
+    }
+
+    /// The paging core (contract on [`Query`]): hands `emit` each row
+    /// of the page — `(source, position, row)` — in result order.
+    pub(crate) fn run<'a>(
+        &self,
+        sources: &[&'a dyn TrajectorySource],
+        emit: &mut dyn FnMut(usize, TrajId, Row<'a>),
+    ) {
+        // Before any index is consulted: an empty page prunes, counts
+        // and hydrates nothing.
+        if self.limit == Some(0) {
+            return;
+        }
+        // One candidate: fetch (borrowed when resident), re-check,
+        // skip or emit. Breaks once the page is full.
+        let (mut skipped, mut emitted) = (0, 0);
+        let mut visit = |source: usize, position: TrajId| -> ControlFlow<()> {
+            let row = sources[source].row(position);
+            if !self.predicate.matches(row.trajectory()) {
+                return ControlFlow::Continue(());
+            }
+            if skipped < self.offset {
+                skipped += 1;
+                return ControlFlow::Continue(());
+            }
+            emit(source, position, row);
+            emitted += 1;
+            if Some(emitted) == self.limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let Some((key, ascending)) = self.order else {
+            // Source order: a later source is not even consulted once
+            // the page is full.
+            for (s, source) in sources.iter().enumerate() {
+                let candidates = source.candidates(self.predicate);
+                let _fetch = child_detail("fetch_rows");
+                let mut positions = candidates.within(0..source.len_hint() as TrajId);
+                if positions.try_for_each(|at| visit(s, at)).is_break() {
+                    return;
+                }
+            }
+            return;
+        };
+        let candidates: Vec<CandidateSet> = sources
+            .iter()
+            .map(|source| source.candidates(self.predicate))
+            .collect();
+        let order_span = child_detail("order_page");
+        let entries = sources
+            .iter()
+            .zip(&candidates)
+            .map(|(source, candidates)| candidates.cardinality(source.len_hint()))
+            .sum();
+        let mut keys = SortKeys::with_capacity(key, entries);
+        for (s, (source, candidates)) in sources.iter().zip(&candidates).enumerate() {
+            source.sort_keys(key, candidates, s as u32, &mut keys);
+        }
+        let reach = self.limit.map(|n| self.offset.saturating_add(n));
+        let direction = (ascending, !ascending && self.ties == Ties::SourceOrder);
+        match keys {
+            SortKeys::Int(keys) => walk_ordered(keys, direction, reach, order_span, &mut visit),
+            SortKeys::Object(keys) => walk_ordered(keys, direction, reach, order_span, &mut visit),
         }
     }
 }
 
-/// Visits `ids` in `(key, global position)` order — descending is that
-/// order reversed wholesale — until `visit` breaks, sorting no further
+/// Visits `entries` in order until `visit` breaks, sorting no further
 /// than the page reaches: with `reach = offset + limit`, the first
-/// `reach` candidates of the order are selected and sorted, which is
-/// the whole page unless `visit` rejects some of them. If that head
-/// runs dry with the page still short, the rest is sorted then and the
-/// walk goes on (correct, not fast). `reach: None` sorts everything.
+/// `reach` entries of the order are selected and sorted, which is the
+/// whole page unless `visit` rejects some of them. If that head runs
+/// dry with the page still short, the rest is sorted then and the walk
+/// goes on (correct, not fast). `reach: None` sorts everything.
+///
+/// The one comparator behind both [`Ties`] rules orders whole entries
+/// — `(key, source, position)` — and a descending sort is that order
+/// reversed wholesale, ties included. `direction` is `(ascending,
+/// ties_ascend)`; the second keeps the ties of a descending sort in
+/// ascending `(source, position)` order instead: their places are
+/// stored complemented, so the reversal puts them back. `order_span`
+/// is the `order_page` span the caller opened around key extraction; it
+/// closes when the head is sorted.
 fn walk_ordered<K: Ord>(
-    ids: &[TrajId],
-    key: impl Fn(TrajId) -> K,
-    ascending: bool,
+    mut entries: Vec<(K, u32, TrajId)>,
+    (ascending, ties_ascend): (bool, bool),
     reach: Option<usize>,
-    visit: &mut dyn FnMut(TrajId) -> ControlFlow<()>,
+    order_span: ChildSpan,
+    visit: &mut dyn FnMut(usize, TrajId) -> ControlFlow<()>,
 ) {
-    // Positions are distinct, so the order is total and an unstable
-    // sort is deterministic.
-    let directed = |a: &(K, TrajId), b: &(K, TrajId)| {
+    if ties_ascend {
+        for (_, source, at) in &mut entries {
+            (*source, *at) = (!*source, !*at);
+        }
+    }
+    // `(source, position)` is distinct per entry, so the order is total
+    // and an unstable sort is deterministic.
+    let directed = |a: &(K, u32, TrajId), b: &(K, u32, TrajId)| {
         if ascending {
             a.cmp(b)
         } else {
             b.cmp(a)
         }
     };
-    let order_span = sitm_obs::trace::child_detail("order_page");
-    let mut entries: Vec<(K, TrajId)> = ids.iter().map(|&gid| (key(gid), gid)).collect();
     let head = match reach {
         Some(reach) if reach < entries.len() => {
             entries.select_nth_unstable_by(reach, directed);
@@ -182,18 +296,62 @@ fn walk_ordered<K: Ord>(
     let (head, tail) = entries.split_at_mut(head);
     head.sort_unstable_by(directed);
     drop(order_span);
-    let _fetch = sitm_obs::trace::child_detail("fetch_rows");
-    if head.iter().try_for_each(|&(_, gid)| visit(gid)).is_break() {
+    let _fetch = child_detail("fetch_rows");
+    let mut walk = |run: &[(K, u32, TrajId)]| {
+        run.iter().try_for_each(|&(_, source, at)| {
+            let (source, at) = if ties_ascend {
+                (!source, !at)
+            } else {
+                (source, at)
+            };
+            visit(source as usize, at)
+        })
+    };
+    if walk(head).is_break() {
         return;
     }
     {
-        let _order = sitm_obs::trace::child_detail("order_page");
+        let _order = child_detail("order_page");
         tail.sort_unstable_by(directed);
     }
-    let _ = tail.iter().try_for_each(|&(_, gid)| visit(gid));
+    let _ = walk(tail);
 }
 
 /// A declarative trajectory query: predicate + ordering + truncation.
+///
+/// # Execution: the one paging core
+///
+/// Every `execute*` method, every `count` and both byte sinks run the
+/// same core over a list of [`TrajectorySource`]s and differ only in
+/// what they do with the rows it hands them:
+///
+/// 1. **candidates** — each source narrows the predicate through its
+///    own indexes ([`TrajectorySource::candidates`]: a sound superset,
+///    ascending positions). A `limit` of 0 returns before this step.
+/// 2. **order** — without an `order_by`, sources are walked one after
+///    another in position order and the walk stops when the page is
+///    full. With one, every candidate contributes a `(key, source,
+///    position)` entry ([`TrajectorySource::sort_keys`] — a warehouse
+///    reads them off its offset directories and sort columns, decoding
+///    nothing); only the first `offset + limit` entries of the order
+///    are selected and sorted. The rest stay unordered unless the
+///    re-check rejects so many of those that the page is still short —
+///    only then is the remainder sorted and the walk continued.
+///    Sorting candidates and filtering lazily equals filter-then-sort:
+///    dropping non-matches preserves the order of what remains.
+/// 3. **fetch → re-check → skip → emit** — each row is fetched alone
+///    ([`TrajectorySource::row`]: borrowed when resident, read when
+///    not), the full predicate re-checked on it, `offset` matches
+///    skipped by reference, and the page's rows handed to the sink.
+///    Nothing is cloned or encoded before a sink asks.
+///
+/// **Ties.** Rows with equal keys are ordered by `(source, position)`.
+/// Over one collection — [`Query::execute`],
+/// [`Query::execute_segmented`] and their byte sink — a descending
+/// sort is the ascending order reversed wholesale, ties included. Over
+/// a federation — [`Query::execute_federated`] and its byte sink —
+/// ties keep ascending `(source, position)` order in both directions,
+/// as a stable sort of the concatenated sources would leave them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     predicate: Predicate,
@@ -294,148 +452,52 @@ impl Query {
         &self.predicate
     }
 
-    /// Plans the query against `db` without executing it.
-    pub fn explain(&self, db: &TrajectoryDb) -> QueryPlan {
-        let access = match db.candidates(&self.predicate) {
-            CandidateSet::All => AccessPath::FullScan,
-            CandidateSet::Ids(ids) => AccessPath::IndexCandidates {
-                candidates: ids.len(),
-            },
-        };
+    /// Plans the query against `source` — an in-memory
+    /// [`TrajectoryDb`], the warehouse, a streaming engine's live
+    /// snapshot — without executing it: [`AccessPath::IndexCandidates`]
+    /// when the source's own indexes can narrow the predicate,
+    /// [`AccessPath::FullScan`] otherwise. Moves no per-query
+    /// instrument ([`TrajectorySource::plan`]).
+    pub fn explain(&self, source: &dyn TrajectorySource) -> QueryPlan {
         QueryPlan {
-            access,
-            residual: self.predicate.clone(),
-            total: db.len(),
-        }
-    }
-
-    /// Plans the query against any [`TrajectorySource`] — the warehouse
-    /// *or* a streaming engine's live snapshot. Reports
-    /// [`AccessPath::IndexCandidates`] when the source's own indexes can
-    /// narrow the predicate (for `sitm-stream`'s `LiveSnapshot` that is
-    /// the incrementally maintained live index; see its `live_query`
-    /// module for exactly when the live path is indexable) and
-    /// [`AccessPath::FullScan`] otherwise.
-    pub fn explain_source(&self, source: &dyn TrajectorySource) -> QueryPlan {
-        let access = match source.candidates(&self.predicate) {
-            CandidateSet::All => AccessPath::FullScan,
-            CandidateSet::Ids(ids) => AccessPath::IndexCandidates {
-                candidates: ids.len(),
+            access: match source.plan(&self.predicate) {
+                None => AccessPath::FullScan,
+                Some(candidates) => AccessPath::IndexCandidates { candidates },
             },
-        };
-        QueryPlan {
-            access,
             residual: self.predicate.clone(),
             total: source.len_hint(),
         }
     }
 
-    /// Runs the full query — predicate, ordering, paging — over the
-    /// union of many sources, narrowing each source through its own
-    /// indexes. Results are cloned out (sources may be ephemeral
-    /// snapshots). Without an `order_by`, results keep source order;
-    /// with one, ties keep source order (the sort is stable), unlike
-    /// [`Query::execute`]'s id tiebreak which has no cross-source
-    /// meaning.
-    pub fn execute_federated(&self, sources: &[&dyn TrajectorySource]) -> Vec<SemanticTrajectory> {
-        let mut hits: Vec<SemanticTrajectory> = Vec::new();
-        federated_for_each(&self.predicate, sources, |_, t| hits.push(t.clone()));
-        if let Some((key, ascending)) = self.order {
-            hits.sort_by(|a, b| {
-                let ord = key.compare(a, b);
-                if ascending {
-                    ord
-                } else {
-                    ord.reverse()
-                }
-            });
-        }
-        let hits: Vec<SemanticTrajectory> = hits.into_iter().skip(self.offset).collect();
-        match self.limit {
-            Some(n) => hits.into_iter().take(n).collect(),
-            None => hits,
+    fn page(&self, ties: Ties) -> Page<'_> {
+        Page {
+            predicate: &self.predicate,
+            order: self.order,
+            ties,
+            offset: self.offset,
+            limit: self.limit,
         }
     }
 
-    /// Runs the query: candidates → residual filter → sort → page.
+    /// Runs the query over one in-memory collection, borrowing the
+    /// hits (the core and its ordering contract: see [`Query`]).
     pub fn execute<'a>(&self, db: &'a TrajectoryDb) -> Vec<Match<'a>> {
-        let mut hits: Vec<Match<'a>> = match db.candidates(&self.predicate) {
-            CandidateSet::All => db
-                .trajectories()
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| self.predicate.matches(t))
-                .map(|(i, t)| Match {
-                    id: i as TrajId,
-                    trajectory: t,
-                })
-                .collect(),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .filter_map(|id| db.get(id).map(|t| (id, t)))
-                .filter(|(_, t)| self.predicate.matches(t))
-                .map(|(id, t)| Match { id, trajectory: t })
-                .collect(),
-        };
-        if let Some((key, ascending)) = self.order {
-            hits.sort_by(|a, b| {
-                let ord = key
-                    .compare(a.trajectory, b.trajectory)
-                    .then(a.id.cmp(&b.id));
-                if ascending {
-                    ord
-                } else {
-                    ord.reverse()
-                }
+        let mut hits = Vec::new();
+        self.page(Ties::Reversed)
+            .run(&[db], &mut |_, id, row| match row {
+                Row::Resident(trajectory, _) => hits.push(Match { id, trajectory }),
+                Row::Read(_) => unreachable!("a TrajectoryDb's rows are resident"),
             });
-        }
-        let hits: Vec<Match<'a>> = hits.into_iter().skip(self.offset).collect();
-        match self.limit {
-            Some(n) => hits.into_iter().take(n).collect(),
-            None => hits,
-        }
+        hits
     }
 
-    /// Runs the full query — predicate, ordering, paging — directly
-    /// against a [`SegmentedDb`] warehouse, pushing the sort and the
-    /// page down onto the segments' **offset directories**.
-    ///
-    /// Result-identical (same trajectories, same order) to
+    /// Runs the query against a [`SegmentedDb`] warehouse and owns the
+    /// page: result-identical (same trajectories, same order) to
     /// [`Query::execute`] over an eager [`TrajectoryDb`] built from the
-    /// warehouse's iteration order — global positions are the id
-    /// tiebreak — but cold segments are touched per *frame*, not per
-    /// segment:
-    ///
-    /// * no `order_by`: candidates stream in warehouse order and the
-    ///   scan stops as soon as the page is full;
-    /// * `order_by` [`SortKey::Start`] / [`SortKey::End`] /
-    ///   [`SortKey::SpanDuration`]: the sort key is read from the
-    ///   directory entries (span start/end are recorded per frame), so
-    ///   ordering + paging decide *which* frames to decode before any
-    ///   trajectory is materialized;
-    /// * content-derived keys ([`SortKey::TotalDwell`],
-    ///   [`SortKey::MovingObject`], [`SortKey::TraceLength`]): the sort
-    ///   key is read from the segments' persisted **sort columns**
-    ///   (dwell seconds, trace length, and an index into the zone map's
-    ///   sorted object set per row), so ordering + paging again decide
-    ///   which frames to decode before any trajectory is materialized.
-    ///
-    /// **Ordering stops where the page ends.** With a `limit`, only the
-    /// first `offset + limit` candidates of the order are selected and
-    /// sorted; the rest stay unordered unless the predicate re-check
-    /// rejects so many of those that the page is still short, and only
-    /// then is the remainder sorted and the walk continued. Without a
-    /// `limit` every candidate is sorted.
-    ///
-    /// **Rows are borrowed until they are returned.** A row of a
-    /// hydrated segment is re-checked and skipped by reference
-    /// ([`sitm_store::warehouse::Segment::resident_row`]); a row of a
-    /// cold segment is read alone (row cache, else one frame). The one
-    /// paging core feeds two sinks: this method *owns* what the page
-    /// holds — a clone per hydrated row, the value just read per cold
-    /// row — and [`Query::execute_segmented_encoded`] copies the page's
-    /// stored bytes and owns nothing. `query.rows_materialized` counts
-    /// the owned values either made.
+    /// warehouse's iteration order, but cold segments are touched per
+    /// returned *frame*, not per segment (the core: see [`Query`]). A
+    /// hydrated row is cloned, a cold row is the value just read;
+    /// `query.rows_materialized` counts both.
     ///
     /// # Panics
     ///
@@ -443,17 +505,17 @@ impl Query {
     /// policy as [`SegmentedDb`] hydration; headers were validated at
     /// open).
     pub fn execute_segmented(&self, db: &SegmentedDb) -> Vec<SemanticTrajectory> {
-        let mut out = Vec::new();
-        self.page_segmented(db, &mut |row| {
-            out.push(match row {
-                PageRow::Resident(t, _) => {
-                    db.rows_materialized().inc();
-                    t.clone()
-                }
-                PageRow::Read(t) => t,
-            })
-        });
-        out
+        self.owned(&[db], Ties::Reversed)
+    }
+
+    /// Runs the query over the union of many sources and owns the page
+    /// (sources may be ephemeral snapshots): only the rows of the page
+    /// are cloned. Without an `order_by`, results keep source order;
+    /// with one, ties keep source order in both directions — unlike
+    /// [`Query::execute`]'s position tiebreak, which has no
+    /// cross-source meaning (see [`Query`]).
+    pub fn execute_federated(&self, sources: &[&dyn TrajectorySource]) -> Vec<SemanticTrajectory> {
+        self.owned(sources, Ties::SourceOrder)
     }
 
     /// [`Query::execute_segmented`] with a byte sink: appends the
@@ -462,154 +524,95 @@ impl Query {
     /// byte for byte what encoding `execute_segmented`'s rows one after
     /// another would append. A row of a hydrated segment is copied out
     /// of the segment's stored bytes (its frame payload *is* that
-    /// encoding) and never cloned; a row read from a cold segment is
-    /// encoded from the value just read.
+    /// encoding) and never cloned; any other row is encoded from the
+    /// borrow or from the value just read.
     ///
     /// # Panics
     ///
     /// As [`Query::execute_segmented`].
     pub fn execute_segmented_encoded(&self, db: &SegmentedDb, out: &mut Vec<u8>) -> usize {
+        self.encoded(&[db], Ties::Reversed, out)
+    }
+
+    /// [`Query::execute_federated`] with the same byte sink as
+    /// [`Query::execute_segmented_encoded`]: the federated page, each
+    /// row as `sitm_store::encode_trajectory` writes it, nothing
+    /// cloned.
+    ///
+    /// # Panics
+    ///
+    /// As [`Query::execute_segmented`], when a source is a warehouse.
+    pub fn execute_federated_encoded(
+        &self,
+        sources: &[&dyn TrajectorySource],
+        out: &mut Vec<u8>,
+    ) -> usize {
+        self.encoded(sources, Ties::SourceOrder, out)
+    }
+
+    /// The owning sink.
+    fn owned(&self, sources: &[&dyn TrajectorySource], ties: Ties) -> Vec<SemanticTrajectory> {
+        let mut out = Vec::new();
+        self.page(ties).run(sources, &mut |source, _, row| {
+            out.push(sources[source].materialize(row))
+        });
+        out
+    }
+
+    /// The byte sink.
+    fn encoded(&self, sources: &[&dyn TrajectorySource], ties: Ties, out: &mut Vec<u8>) -> usize {
         let mut rows = 0;
-        self.page_segmented(db, &mut |row| {
+        self.page(ties).run(sources, &mut |_, _, row| {
             match row {
-                PageRow::Resident(_, stored) => out.extend_from_slice(stored),
-                PageRow::Read(t) => encode_trajectory(out, &t),
+                Row::Resident(_, Some(stored)) => out.extend_from_slice(stored),
+                row => encode_trajectory(out, row.trajectory()),
             }
             rows += 1;
         });
         rows
     }
 
-    /// The paging core behind both segmented entry points: candidates →
-    /// order as far as the page reaches → lazily fetch, re-check, skip
-    /// → hand each row of the page to `emit`, in result order.
-    fn page_segmented<'a>(&self, db: &'a SegmentedDb, emit: &mut dyn FnMut(PageRow<'a>)) {
-        let segments = db.store().segments();
-        if segments.is_empty() {
-            return;
-        }
-        // Global position → (segment, local index) via cumulative bases.
-        let mut bases: Vec<TrajId> = Vec::with_capacity(segments.len());
-        let mut acc: TrajId = 0;
-        for s in segments {
-            bases.push(acc);
-            acc += s.len() as TrajId;
-        }
-        let locate = |gid: TrajId| -> (usize, usize) {
-            let si = match bases.binary_search(&gid) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            (si, (gid - bases[si]) as usize)
-        };
-        // Candidate positions, ascending == warehouse order (object
-        // index + zone maps + per-segment postings already applied).
-        let ids: Vec<TrajId> = match db.candidates(&self.predicate) {
-            CandidateSet::All => (0..db.len() as TrajId).collect(),
-            CandidateSet::Ids(ids) => ids,
-        };
-        if self.limit == Some(0) {
-            return;
-        }
-        // One candidate: fetch (borrowed when resident), re-check,
-        // skip or emit. Breaks once the page is full.
-        let (mut skipped, mut emitted) = (0, 0);
-        let mut visit = |gid: TrajId| -> ControlFlow<()> {
-            let (si, local) = locate(gid);
-            let segment = &segments[si];
-            let row = match segment.resident_row(local) {
-                Some((t, stored)) => PageRow::Resident(t, stored),
-                None => {
-                    db.rows_materialized().inc();
-                    PageRow::Read(segment.read_trajectory(local).unwrap_or_else(|e| {
-                        panic!("segment {} corrupt mid-query: {e}", segment.id)
-                    }))
-                }
-            };
-            if !self.predicate.matches(row.trajectory()) {
-                return ControlFlow::Continue(());
-            }
-            if skipped < self.offset {
-                skipped += 1;
-                return ControlFlow::Continue(());
-            }
-            emit(row);
-            emitted += 1;
-            if Some(emitted) == self.limit {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        // The frame-visit order: warehouse order when unsorted, or
-        // (key, global position) — `execute`'s exact ordering contract
-        // (ties keep id order; descending reverses wholesale). Sorting
-        // every candidate by a resident key and lazily filtering is
-        // identical to filter-then-sort: dropping non-matches preserves
-        // the relative order of what remains.
-        let reach = self.limit.map(|n| self.offset.saturating_add(n));
-        let Some((key, ascending)) = self.order else {
-            let _fetch = sitm_obs::trace::child_detail("fetch_rows");
-            let _ = ids.into_iter().try_for_each(visit);
-            return;
-        };
-        match key {
-            // Span keys sit in the directory entries.
-            SortKey::Start | SortKey::End | SortKey::SpanDuration => {
-                let directory_key = |gid: TrajId| -> i64 {
-                    let (si, local) = locate(gid);
-                    let e = segments[si].directory().entries[local];
-                    match key {
-                        SortKey::Start => e.start,
-                        SortKey::End => e.end,
-                        _ => e.end - e.start,
-                    }
-                };
-                walk_ordered(&ids, directory_key, ascending, reach, &mut visit)
-            }
-            // Content keys sit in the sort columns. Dwell is persisted
-            // in seconds — the exact value `Duration` ordering compares.
-            SortKey::TotalDwell | SortKey::TraceLength => {
-                let column_key = |gid: TrajId| -> i64 {
-                    let (si, local) = locate(gid);
-                    let c = segments[si].sort_columns();
-                    match key {
-                        SortKey::TotalDwell => c.dwell[local],
-                        _ => c.trace_len[local] as i64,
-                    }
-                };
-                walk_ordered(&ids, column_key, ascending, reach, &mut visit)
-            }
-            // The object column indexes into the zone map's sorted
-            // object set, so the globally comparable string is resident.
-            SortKey::MovingObject => {
-                let objects: Vec<Vec<&str>> = segments
-                    .iter()
-                    .map(|s| s.zone_map.objects.iter().map(|o| o.as_str()).collect())
-                    .collect();
-                let object_key = |gid: TrajId| -> &str {
-                    let (si, local) = locate(gid);
-                    objects[si][segments[si].sort_columns().object[local] as usize]
-                };
-                walk_ordered(&ids, object_key, ascending, reach, &mut visit)
-            }
-        }
-    }
-
     /// Number of matches, skipping sort/paging work.
     pub fn count(&self, db: &TrajectoryDb) -> usize {
-        match db.candidates(&self.predicate) {
-            CandidateSet::All => db
-                .trajectories()
-                .iter()
-                .filter(|t| self.predicate.matches(t))
-                .count(),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .filter_map(|id| db.get(id))
-                .filter(|t| self.predicate.matches(t))
-                .count(),
+        federated_count(&self.predicate, &[db])
+    }
+
+    /// The test oracle: the page this query denotes, computed the naive
+    /// way — every row of every source fetched and concatenated, the
+    /// predicate evaluated on each, a stable sort by
+    /// [`SortKey`]'s model-level comparison, skip, take. It shares
+    /// nothing with the paging core: no candidates, no integer keys, no
+    /// partial ordering. `reverse_ties` picks the tie rule the entry
+    /// point under test documents: `true` reverses the whole ascending
+    /// order on a descending sort ([`Query::execute`],
+    /// [`Query::execute_segmented`]), `false` keeps ties in source
+    /// order in both directions ([`Query::execute_federated`]).
+    #[doc(hidden)]
+    pub fn oracle<'a>(
+        &self,
+        sources: &[&'a dyn TrajectorySource],
+        reverse_ties: bool,
+    ) -> Vec<Row<'a>> {
+        let mut rows: Vec<Row<'a>> = sources
+            .iter()
+            .flat_map(|source| (0..source.len_hint() as TrajId).map(|at| source.row(at)))
+            .filter(|row| self.predicate.matches(row.trajectory()))
+            .collect();
+        if let Some((key, ascending)) = self.order {
+            let by_key = |a: &Row<'a>, b: &Row<'a>| key.compare(a.trajectory(), b.trajectory());
+            if ascending {
+                rows.sort_by(by_key);
+            } else if reverse_ties {
+                rows.sort_by(by_key);
+                rows.reverse();
+            } else {
+                rows.sort_by(|a, b| by_key(b, a));
+            }
         }
+        rows.into_iter()
+            .skip(self.offset)
+            .take(self.limit.unwrap_or(usize::MAX))
+            .collect()
     }
 }
 

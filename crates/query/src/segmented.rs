@@ -101,9 +101,10 @@ use sitm_store::warehouse::{
 };
 use sitm_store::RecoveryReport;
 
-use crate::federation::TrajectorySource;
+use crate::federation::{federated_count, Row, SortKeys, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
 use crate::predicate::Predicate;
+use crate::query::SortKey;
 
 /// Can any trajectory summarized by `zone` possibly match `p`?
 ///
@@ -179,8 +180,6 @@ struct SegmentPart {
     id: u64,
     /// Trajectory count (from the offset directory — no decode).
     len: usize,
-    /// Global position of the segment's first trajectory.
-    base: TrajId,
     /// Per-segment postings over the segment's sorted run, hydrated on
     /// first contact from the segment's `Arc`-shared decode.
     db: OnceLock<TrajectoryDb>,
@@ -236,25 +235,15 @@ impl QueryMetrics {
     }
 }
 
-/// Can the per-segment postings narrow `p` at all? `false` means every
-/// segment would answer [`CandidateSet::All`], so consulting them (and
-/// hydrating cold segments to do it) is pure waste. Mirrors
-/// [`TrajectoryDb::candidates`]'s `All` cases, conservatively.
-fn index_can_narrow(p: &Predicate) -> bool {
-    match p {
-        Predicate::True | Predicate::MinTotalDwell(_) | Predicate::Not(_) => false,
-        Predicate::And(parts) => parts.iter().any(index_can_narrow),
-        Predicate::Or(parts) => parts.is_empty() || parts.iter().all(index_can_narrow),
-        _ => true,
-    }
-}
-
 /// A durable, segment-backed trajectory warehouse with the
 /// [`TrajectoryDb`] query surface and the [`TrajectorySource`]
 /// federation face.
 pub struct SegmentedDb {
     store: SegmentStore,
     parts: Vec<SegmentPart>,
+    /// Global position of each part's first trajectory — a column of
+    /// its own, because every fetched row binary-searches it.
+    bases: Vec<TrajId>,
     total: usize,
     metrics: QueryMetrics,
 }
@@ -270,6 +259,7 @@ impl SegmentedDb {
         let mut db = SegmentedDb {
             store,
             parts: Vec::new(),
+            bases: Vec::new(),
             total: 0,
             metrics: QueryMetrics::bind(MetricsRegistry::global()),
         };
@@ -299,22 +289,16 @@ impl SegmentedDb {
                 .into_iter()
                 .map(|p| (p.id, p))
                 .collect();
+        self.bases.clear();
         self.total = 0;
         for segment in self.store.segments() {
-            let base = self.total as TrajId;
+            self.bases.push(self.total as TrajId);
             self.total += segment.len();
-            let part = match reusable.remove(&segment.id) {
-                Some(mut part) => {
-                    part.base = base;
-                    part
-                }
-                None => SegmentPart {
-                    id: segment.id,
-                    len: segment.len(),
-                    base,
-                    db: OnceLock::new(),
-                },
-            };
+            let part = reusable.remove(&segment.id).unwrap_or_else(|| SegmentPart {
+                id: segment.id,
+                len: segment.len(),
+                db: OnceLock::new(),
+            });
             self.parts.push(part);
         }
     }
@@ -342,6 +326,12 @@ impl SegmentedDb {
     /// index can answer. Sound: a segment outside the returned set
     /// provably contains no match (the index is exact, not
     /// probabilistic — every flush/compaction rewrites its postings).
+    ///
+    /// Its own boolean walk, not [`Predicate::narrow`]: the algebra
+    /// differs. "Cannot answer" is not "every segment" here — an `And`
+    /// skips the arms the index cannot answer (they constrain nothing)
+    /// and an `Or` needs every arm answered, where `narrow` treats an
+    /// unanswerable arm as `All` in both.
     fn object_segment_filter(&self, p: &Predicate) -> Option<BTreeSet<u64>> {
         match p {
             Predicate::MovingObject(id) => {
@@ -412,12 +402,6 @@ impl SegmentedDb {
         &self.store
     }
 
-    /// The `query.rows_materialized` instrument the paging core in
-    /// `query.rs` charges.
-    pub(crate) fn rows_materialized(&self) -> &Counter {
-        &self.metrics.rows_materialized
-    }
-
     /// Total trajectories across every segment.
     pub fn len(&self) -> usize {
         self.total
@@ -431,12 +415,20 @@ impl SegmentedDb {
     /// Trajectory by global position (warehouse iteration order).
     /// Hydrates the owning segment.
     pub fn get(&self, id: TrajId) -> Option<&SemanticTrajectory> {
-        let part_idx = match self.parts.binary_search_by(|p| p.base.cmp(&id)) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        self.part_db(part_idx).get(id - self.parts[part_idx].base)
+        let (part_idx, local) = self.locate(id)?;
+        self.part_db(part_idx).get(local as TrajId)
+    }
+
+    /// Global position → (segment index, index within the segment).
+    fn locate(&self, id: TrajId) -> Option<(usize, usize)> {
+        // Empty segments share a base with their successor; the last
+        // part at or below `id` is the one that can hold it.
+        let part_idx = self
+            .bases
+            .partition_point(|&base| base <= id)
+            .checked_sub(1)?;
+        let local = (id - self.bases[part_idx]) as usize;
+        (local < self.parts[part_idx].len).then_some((part_idx, local))
     }
 
     /// Every trajectory, in warehouse order (segments in manifest
@@ -514,9 +506,10 @@ impl SegmentedDb {
         };
         let mut narrowed = false;
         let object_filter = self.object_segment_filter(p);
-        let can_narrow = index_can_narrow(p);
+        let can_narrow = TrajectoryDb::can_narrow(p);
         let segments = self.store.segments();
         for (idx, part) in self.parts.iter().enumerate() {
+            let base = self.bases[idx];
             // Stage 0: the global object index — exact, cross-segment,
             // cheaper than any zone probe.
             if let Some(filter) = &object_filter {
@@ -540,16 +533,16 @@ impl SegmentedDb {
             if !can_narrow {
                 // Every segment would answer All; say so without
                 // hydrating cold postings.
-                ids.extend(part.base..part.base + part.len as TrajId);
+                ids.extend(base..base + part.len as TrajId);
                 continue;
             }
             match self.part_db(idx).candidates(p) {
                 CandidateSet::All => {
-                    ids.extend(part.base..part.base + part.len as TrajId);
+                    ids.extend(base..base + part.len as TrajId);
                 }
                 CandidateSet::Ids(local) => {
                     narrowed = true;
-                    ids.extend(local.into_iter().map(|i| i + part.base));
+                    ids.extend(local.into_iter().map(|i| i + base));
                 }
             }
         }
@@ -560,43 +553,11 @@ impl SegmentedDb {
         (plan, CandidateSet::Ids(ids))
     }
 
-    /// Matches via the two-stage index path (candidates re-checked).
-    /// Identical results, in warehouse order, to
-    /// [`SegmentedDb::matching_scan`].
-    pub fn matching(&self, p: &Predicate) -> Vec<&SemanticTrajectory> {
-        match self.candidates(p) {
-            CandidateSet::All => self.matching_scan(p),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .filter_map(|id| self.get(id))
-                .filter(|t| p.matches(t))
-                .collect(),
-        }
-    }
-
-    /// Match count via the index path (equals
-    /// [`SegmentedDb::count_matching_scan`]).
+    /// Match count: the paging core over this one source, so
+    /// candidates are pruned, re-checked and counted by reference — a
+    /// cold row is read alone, nothing is hydrated to be counted.
     pub fn count_matching(&self, p: &Predicate) -> usize {
-        match self.candidates(p) {
-            CandidateSet::All => self.count_matching_scan(p),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .filter_map(|id| self.get(id))
-                .filter(|t| p.matches(t))
-                .count(),
-        }
-    }
-
-    /// The index-free reference: evaluates `p` against every
-    /// trajectory in every segment. Kept public as the differential
-    /// baseline the pruned path is tested (and benchmarked) against.
-    pub fn matching_scan(&self, p: &Predicate) -> Vec<&SemanticTrajectory> {
-        self.iter().filter(|t| p.matches(t)).collect()
-    }
-
-    /// Scan-path twin of [`SegmentedDb::count_matching`].
-    pub fn count_matching_scan(&self, p: &Predicate) -> usize {
-        self.iter().filter(|t| p.matches(t)).count()
+        federated_count(p, &[self])
     }
 }
 
@@ -610,31 +571,100 @@ impl std::fmt::Debug for SegmentedDb {
 }
 
 impl TrajectorySource for SegmentedDb {
-    fn for_each_trajectory(&self, f: &mut dyn FnMut(&SemanticTrajectory)) {
-        for t in self.iter() {
-            f(t);
-        }
-    }
-
     fn len_hint(&self) -> usize {
         self.total
+    }
+
+    /// A row of a hydrated segment is borrowed beside its stored bytes;
+    /// a row of a cold segment is read alone (row cache, else one
+    /// frame) and counted in `query.rows_materialized`.
+    ///
+    /// # Panics
+    ///
+    /// If the segment body turns out corrupt (the one place a query
+    /// discovers it; see the module docs).
+    fn row(&self, position: TrajId) -> Row<'_> {
+        let (idx, local) = self
+            .locate(position)
+            .unwrap_or_else(|| panic!("position {position} of {}", self.total));
+        let segment = &self.store.segments()[idx];
+        match segment.resident_row(local) {
+            Some((row, stored)) => Row::Resident(row, Some(stored)),
+            None => {
+                self.metrics.rows_materialized.inc();
+                Row::Read(
+                    segment.read_trajectory(local).unwrap_or_else(|e| {
+                        panic!("segment {} corrupt mid-query: {e}", segment.id)
+                    }),
+                )
+            }
+        }
     }
 
     fn candidates(&self, predicate: &Predicate) -> CandidateSet {
         SegmentedDb::candidates(self, predicate)
     }
 
-    fn for_each_candidate(&self, predicate: &Predicate, f: &mut dyn FnMut(&SemanticTrajectory)) {
-        match SegmentedDb::candidates(self, predicate) {
-            CandidateSet::All => self.for_each_trajectory(f),
-            CandidateSet::Ids(ids) => {
-                for id in ids {
-                    if let Some(t) = self.get(id) {
-                        f(t);
+    fn plan(&self, predicate: &Predicate) -> Option<usize> {
+        self.explain(predicate).candidates
+    }
+
+    /// Keys come from the header frames, so ordering decides which
+    /// frames a page needs before any row is decoded: span keys sit in
+    /// the directory entries, content keys in the sort columns (dwell
+    /// is persisted in seconds — the exact value `Duration` ordering
+    /// compares), and the object column indexes into the zone map's
+    /// sorted object set, so the globally comparable string is
+    /// resident.
+    fn sort_keys<'a>(
+        &'a self,
+        key: SortKey,
+        candidates: &CandidateSet,
+        source: u32,
+        out: &mut SortKeys<'a>,
+    ) {
+        for (&base, segment) in self.bases.iter().zip(self.store.segments()) {
+            let run = candidates.within(base..base + segment.len() as TrajId);
+            let locals = run.map(|at| (at, (at - base) as usize));
+            let (directory, columns) = (&segment.directory().entries, segment.sort_columns());
+            match out {
+                SortKeys::Int(entries) => entries.extend(locals.map(|(at, local)| {
+                    let value = match key {
+                        SortKey::Start => directory[local].start,
+                        SortKey::End => directory[local].end,
+                        SortKey::SpanDuration => directory[local].end - directory[local].start,
+                        SortKey::TotalDwell => columns.dwell[local],
+                        SortKey::TraceLength => columns.trace_len[local] as i64,
+                        SortKey::MovingObject => unreachable!("moving objects order as strings"),
+                    };
+                    (value, source, at)
+                })),
+                SortKeys::Object(entries) => {
+                    let mut locals = locals.peekable();
+                    if locals.peek().is_none() {
+                        continue;
                     }
+                    let objects: Vec<&str> = segment
+                        .zone_map
+                        .objects
+                        .iter()
+                        .map(String::as_str)
+                        .collect();
+                    entries.extend(
+                        locals.map(|(at, local)| {
+                            (objects[columns.object[local] as usize], source, at)
+                        }),
+                    );
                 }
             }
         }
+    }
+
+    fn materialize(&self, row: Row<'_>) -> SemanticTrajectory {
+        if matches!(row, Row::Resident(..)) {
+            self.metrics.rows_materialized.inc();
+        }
+        row.into_owned()
     }
 }
 
@@ -698,6 +728,21 @@ mod tests {
         SegmentedDb::open(&tmp.0, WarehouseConfig::default())
             .expect("open")
             .0
+    }
+
+    /// The moving objects matching `p`, through the index path.
+    fn matching(db: &SegmentedDb, p: &Predicate) -> Vec<String> {
+        let hits = crate::Query::new().filter(p.clone()).execute_segmented(db);
+        hits.into_iter().map(|t| t.moving_object).collect()
+    }
+
+    /// The same through the index-free reference (the oracle).
+    fn scanned(db: &SegmentedDb, p: &Predicate) -> Vec<String> {
+        let rows = crate::Query::new().filter(p.clone()).oracle(&[db], true);
+        let names = rows
+            .iter()
+            .map(|row| row.trajectory().moving_object.clone());
+        names.collect()
     }
 
     /// Two trajectories and every predicate shape over them, with
@@ -788,7 +833,7 @@ mod tests {
         ] {
             let plan = db.explain(&p);
             assert!(plan.bloom_pruned <= plan.pruned, "for {p}");
-            assert_eq!(db.matching(&p).len(), db.matching_scan(&p).len(), "{p}");
+            assert_eq!(matching(&db, &p), scanned(&db, &p), "{p}");
         }
         // A wholly absent object is pruned by the *global object index*
         // before any zone map or bloom filter is consulted.
@@ -886,18 +931,9 @@ mod tests {
             Predicate::True,
             Predicate::VisitedCell(cell(1)).not(),
         ] {
-            let indexed: Vec<&str> = db
-                .matching(&p)
-                .iter()
-                .map(|t| t.moving_object.as_str())
-                .collect();
-            let scanned: Vec<&str> = db
-                .matching_scan(&p)
-                .iter()
-                .map(|t| t.moving_object.as_str())
-                .collect();
-            assert_eq!(indexed, scanned, "diverged for {p}");
-            assert_eq!(db.count_matching(&p), db.count_matching_scan(&p));
+            let scanned = scanned(&db, &p);
+            assert_eq!(matching(&db, &p), scanned, "diverged for {p}");
+            assert_eq!(db.count_matching(&p), scanned.len());
         }
     }
 
@@ -923,16 +959,14 @@ mod tests {
         assert_eq!(cells[&cell(2)].trajectories, 1);
         assert_eq!(db.rollup_occupancy()[&0], 2, "both spans touch period 0");
         // Fully-pruned queries touch nothing.
-        assert!(db
-            .matching(&Predicate::MovingObject("nobody".into()))
-            .is_empty());
-        assert!(db.matching(&Predicate::VisitedCell(cell(9))).is_empty());
+        assert!(matching(&db, &Predicate::MovingObject("nobody".into())).is_empty());
+        assert!(matching(&db, &Predicate::VisitedCell(cell(9))).is_empty());
         assert!(
             db.segments().iter().all(|s| !s.is_loaded()),
             "pruned queries decode nothing"
         );
         // A one-segment point query hydrates only its segment.
-        assert_eq!(db.matching(&Predicate::MovingObject("a".into())).len(), 1);
+        assert_eq!(matching(&db, &Predicate::MovingObject("a".into())).len(), 1);
         let loaded: Vec<bool> = db.segments().iter().map(|s| s.is_loaded()).collect();
         assert_eq!(loaded, vec![true, false]);
     }
@@ -984,15 +1018,11 @@ mod tests {
         .unwrap();
         let reference = TrajectoryDb::build(db.iter().cloned().collect());
         let p = Predicate::VisitedCell(cell(1));
-        let from_seg: Vec<String> = crate::federation::federated_matching(&p, &[&db])
-            .into_iter()
-            .map(|t| t.moving_object)
-            .collect();
-        let from_db: Vec<String> = crate::federation::federated_matching(&p, &[&reference])
-            .into_iter()
-            .map(|t| t.moving_object)
-            .collect();
-        assert_eq!(from_seg, from_db);
+        let q = crate::Query::new().filter(p);
+        assert_eq!(
+            q.execute_federated(&[&db]),
+            q.execute_federated(&[&reference])
+        );
         assert_eq!(TrajectorySource::len_hint(&db), 2);
         // An empty warehouse federates as nothing.
         let empty_tmp = TempDir::new("federate-empty");

@@ -1,6 +1,8 @@
 //! Federated execution with full query semantics: sorted and limited
 //! queries over unions of indexed and unindexed sources must equal the
-//! hand-computed union — and the index path must never change results.
+//! oracle's naive union — and the index path must never change results.
+//! (The random differential over every source kind is
+//! `tests/one_executor.rs` at the workspace root.)
 
 use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
@@ -8,8 +10,7 @@ use sitm_core::{
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_query::{
-    federated_count, federated_explain, federated_matching, AccessPath, Predicate, Query, SortKey,
-    TrajectoryDb, TrajectorySource,
+    federated_count, AccessPath, Predicate, Query, SortKey, TrajectoryDb, TrajectorySource,
 };
 use sitm_space::CellRef;
 
@@ -54,102 +55,42 @@ fn live() -> Vec<SemanticTrajectory> {
     ]
 }
 
-/// Reference implementation: scan the union, filter, stable-sort, page.
-fn naive(
-    q: &Query,
-    sources: &[&dyn TrajectorySource],
-    key: Option<(SortKey, bool)>,
-    offset: usize,
-    limit: Option<usize>,
-) -> Vec<String> {
-    let mut hits: Vec<SemanticTrajectory> = Vec::new();
-    for source in sources {
-        source.for_each_trajectory(&mut |t| {
-            if q.predicate().matches(t) {
-                hits.push(t.clone());
-            }
-        });
-    }
-    if let Some((key, ascending)) = key {
-        // Mirror the executor's tie rule: stable sort, reversed
-        // comparison for descending.
-        hits.sort_by(|a, b| {
-            let ord = match key {
-                SortKey::Start => a.start().cmp(&b.start()),
-                SortKey::End => a.end().cmp(&b.end()),
-                SortKey::SpanDuration => a.span().duration().cmp(&b.span().duration()),
-                SortKey::TotalDwell => a.trace().dwell_total().cmp(&b.trace().dwell_total()),
-                SortKey::MovingObject => a.moving_object.cmp(&b.moving_object),
-                SortKey::TraceLength => a.trace().len().cmp(&b.trace().len()),
-            };
-            if ascending {
-                ord
-            } else {
-                ord.reverse()
-            }
-        });
-    }
-    let page: Vec<SemanticTrajectory> = match limit {
-        Some(n) => hits.into_iter().skip(offset).take(n).collect(),
-        None => hits.into_iter().skip(offset).collect(),
-    };
-    page.into_iter().map(|t| t.moving_object).collect()
-}
-
-/// One case: the query, plus the ordering/paging to mirror by hand.
-type Case = (Query, Option<(SortKey, bool)>, usize, Option<usize>);
-
 #[test]
 fn sorted_and_limited_federated_queries_match_the_naive_union() {
     let db = warehouse();
     let live = live();
     let sources: Vec<&dyn TrajectorySource> = vec![&live, &db];
 
-    let cases: Vec<Case> = vec![
-        (
-            Query::new().visited(cell(1)).order_by(SortKey::Start, true),
-            Some((SortKey::Start, true)),
-            0,
-            None,
-        ),
-        (
-            Query::new()
-                .visited(cell(1))
-                .order_by(SortKey::SpanDuration, false)
-                .limit(2),
-            Some((SortKey::SpanDuration, false)),
-            0,
-            Some(2),
-        ),
-        (
-            Query::new()
-                .goal("visit")
-                .order_by(SortKey::MovingObject, true)
-                .offset(2)
-                .limit(3),
-            Some((SortKey::MovingObject, true)),
-            2,
-            Some(3),
-        ),
-        (
-            Query::new()
-                .during(TimeInterval::new(Timestamp(0), Timestamp(45)))
-                .order_by(SortKey::End, false),
-            Some((SortKey::End, false)),
-            0,
-            None,
-        ),
+    let window = TimeInterval::new(Timestamp(0), Timestamp(45));
+    let cases = [
+        Query::new().visited(cell(1)).order_by(SortKey::Start, true),
+        Query::new()
+            .visited(cell(1))
+            .order_by(SortKey::SpanDuration, false)
+            .limit(2),
+        Query::new()
+            .goal("visit")
+            .order_by(SortKey::MovingObject, true)
+            .offset(2)
+            .limit(3),
+        Query::new().during(window).order_by(SortKey::End, false),
         // Unsorted with a limit: first-k in source order.
-        (Query::new().visited(cell(2)).limit(2), None, 0, Some(2)),
+        Query::new().visited(cell(2)).limit(2),
     ];
-    for (q, key, offset, limit) in cases {
+    for q in cases {
         let got: Vec<String> = q
             .execute_federated(&sources)
             .into_iter()
             .map(|t| t.moving_object)
             .collect();
-        let want = naive(&q, &sources, key, offset, limit);
-        assert_eq!(got, want, "query {:?} diverged", q);
+        // The federated tie rule: a stable sort, ties in source order.
+        let want: Vec<String> = q
+            .oracle(&sources, false)
+            .iter()
+            .map(|row| row.trajectory().moving_object.clone())
+            .collect();
+        assert!(!want.is_empty(), "query {q:?} selects something");
+        assert_eq!(got, want, "query {q:?} diverged");
     }
 }
 
@@ -168,7 +109,7 @@ fn federated_primitives_agree_with_execute_federated() {
         let q = Query::new().filter(p.clone());
         let executed = q.execute_federated(&sources).len();
         assert_eq!(executed, federated_count(&p, &sources), "{p}");
-        assert_eq!(executed, federated_matching(&p, &sources).len(), "{p}");
+        assert_eq!(executed, q.oracle(&sources, false).len(), "{p}");
     }
 }
 
@@ -178,17 +119,14 @@ fn explain_source_and_federated_explain_report_both_paths() {
     let live = live();
     let sources: Vec<&dyn TrajectorySource> = vec![&live, &db];
     let q = Query::new().visited(cell(2));
-    let live_plan = q.explain_source(sources[0]);
+    let live_plan = q.explain(sources[0]);
     assert_eq!(live_plan.access, AccessPath::FullScan);
     assert_eq!(live_plan.total, 3);
-    let db_plan = q.explain_source(sources[1]);
+    let db_plan = q.explain(sources[1]);
     assert_eq!(
         db_plan.access,
         AccessPath::IndexCandidates { candidates: 3 }
     );
-    let plans = federated_explain(q.predicate(), &sources);
-    assert_eq!(plans.len(), 2);
-    assert_eq!(plans[0].access, live_plan.access);
-    assert_eq!(plans[1].access, db_plan.access);
-    assert!(plans[1].selectivity_bound() < 1.0);
+    assert_eq!(db_plan.total, 4);
+    assert!(db_plan.selectivity_bound() < 1.0);
 }

@@ -5,7 +5,7 @@
 //! index-served results equal both the scan path and an in-memory
 //! [`TrajectoryDb`] over the same trajectories — and, for random page
 //! shapes over hydrated, cold and mixed warehouses, that the segmented
-//! pushdown returns `Query::execute`'s page from both of its sinks.
+//! pushdown returns the oracle's page from both of its sinks.
 
 use proptest::prelude::*;
 
@@ -192,19 +192,20 @@ proptest! {
             }
         }
 
-        // Index-served results equal the scan path exactly.
-        let indexed: Vec<String> = db
-            .matching(&pred)
-            .iter()
-            .map(|t| t.moving_object.clone())
+        // Index-served results equal the scan path (the oracle) exactly.
+        let matching = Query::new().filter(pred.clone());
+        let indexed: Vec<String> = matching
+            .execute_segmented(&db)
+            .into_iter()
+            .map(|t| t.moving_object)
             .collect();
-        let scanned: Vec<String> = db
-            .matching_scan(&pred)
+        let scanned: Vec<String> = matching
+            .oracle(&[&db], true)
             .iter()
-            .map(|t| t.moving_object.clone())
+            .map(|row| row.trajectory().moving_object.clone())
             .collect();
         prop_assert_eq!(&indexed, &scanned, "index vs scan diverged for {}", pred.clone());
-        prop_assert_eq!(db.count_matching(&pred), db.count_matching_scan(&pred));
+        prop_assert_eq!(db.count_matching(&pred), scanned.len());
 
         // And the whole warehouse answers exactly like an in-memory
         // TrajectoryDb over the same trajectories in the same order.
@@ -219,8 +220,11 @@ proptest! {
     }
 
     /// The segmented pushdown — partial ordering, borrowed skips, both
-    /// sinks — returns exactly `Query::execute`'s page, whether the
-    /// segments it walks are hydrated, cold, or some of each.
+    /// sinks — returns exactly the oracle's page over an eager
+    /// `TrajectoryDb` (a descending sort reverses the ascending order
+    /// wholesale, ties included — `Query::execute`'s contract, which
+    /// must return that page too), whether the segments it walks are
+    /// hydrated, cold, or some of each.
     #[test]
     fn segmented_pages_equal_execute_in_every_residency(
         // Up to 48 rows: past the size below which selecting the head
@@ -247,10 +251,17 @@ proptest! {
                 q = q.limit(n);
             }
             let eager: Vec<SemanticTrajectory> = q
-                .execute(&reference)
+                .oracle(&[&reference], true)
                 .into_iter()
-                .map(|m| m.trajectory.clone())
+                .map(|row| row.into_owned())
                 .collect();
+            let executed: Vec<&SemanticTrajectory> =
+                q.execute(&reference).iter().map(|m| m.trajectory).collect();
+            prop_assert_eq!(
+                executed, eager.iter().collect::<Vec<_>>(),
+                "execute diverged for {} {:?} offset {} limit {:?}",
+                pred.clone(), order, offset, limit
+            );
             let mut eager_bytes = Vec::new();
             for t in &eager {
                 sitm_store::encode_trajectory(&mut eager_bytes, t);

@@ -81,10 +81,12 @@
 //!
 //! Consistency over the wire is exactly the in-process contract:
 //! `QueryFederated` evaluates over a snapshot-consistent live cut
-//! unioned with the newest committed warehouse manifest, via the same
-//! `Query::execute_federated` the embedded API uses — the differential
-//! test in `tests/server.rs` pins served results == in-process results
-//! on identical input.
+//! unioned with the newest committed warehouse manifest, by the same
+//! paging core — under the same ordering contract — as the embedded
+//! `Query::execute_federated` (its byte sink,
+//! `Query::execute_federated_encoded`, assembles the reply); the
+//! differential test in `tests/server.rs` pins served results ==
+//! in-process results on identical input.
 
 pub mod client;
 pub mod proto;

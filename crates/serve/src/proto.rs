@@ -113,8 +113,8 @@ pub enum Request {
     /// history; sorted/limited paging applies).
     Query(WireQuery),
     /// Execute a query over **live ∪ warehouse** — the engine's
-    /// snapshot-consistent live cut federated with the segment tier via
-    /// `Query::execute_federated`.
+    /// snapshot-consistent live cut federated with the segment tier,
+    /// under `Query::execute_federated`'s ordering contract.
     QueryFederated(WireQuery),
     /// Plan a predicate without executing it: per-source access paths
     /// plus the warehouse's zone-map / Bloom pruning counts.

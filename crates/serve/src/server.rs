@@ -96,7 +96,7 @@ use sitm_obs::health::HealthReport;
 use sitm_obs::timeseries::{rate_per_sec, Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY};
 use sitm_obs::trace::{self, TraceContext, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use sitm_query::{CandidateSet, Predicate, SegmentedDb, TrajectorySource};
+use sitm_query::{Predicate, SegmentedDb, TrajectorySource, WireQuery};
 use sitm_store::warehouse::{SegmentRollup, WarehouseConfig, DEFAULT_ROLLUP_PERIOD_SECONDS};
 use sitm_stream::{EmittedEpisode, EngineConfig, Flusher, LiveSnapshot, ParallelEngine};
 
@@ -763,7 +763,7 @@ fn flush_notifications(
 
 /// A session's write half: the (counted) socket, the output buffer
 /// every reply of the session is assembled in, and the buffer a
-/// warehouse `Query` collects its page's row bytes in.
+/// `Query` / `QueryFederated` collects its page's row bytes in.
 struct ReplyWriter<'a> {
     socket: CountedIo<'a, &'a TcpStream>,
     out: Vec<u8>,
@@ -777,7 +777,7 @@ struct ReplyWriter<'a> {
 enum Reply {
     /// A message to encode.
     Message(Response),
-    /// A warehouse `Query` page: `rows` trajectories, already in their
+    /// A `Query` / `QueryFederated` page: `rows` trajectories, already in their
     /// wire encoding, in the session's [`ReplyWriter::page`]. On the
     /// wire it is the [`Response::Trajectories`] of those rows.
     Page { rows: u64 },
@@ -961,6 +961,57 @@ fn respond(
     sent
 }
 
+/// Answers both query ops: the page is collected as bytes in the
+/// session's page buffer by the query crate's one paging core — a row
+/// of a hydrated segment copied in its stored encoding, any other row
+/// encoded from the borrow, nothing cloned — and [`respond`] frames it
+/// as `Trajectories`. The ops differ only in their sources and tie
+/// rule (PROTOCOL.md §Requests).
+///
+/// `Query` is warehouse-only: the immutable segment tier needs no core
+/// lock at all — concurrent queries share the read side — and the
+/// handler *is* the evaluation (no snapshot cut, no flush), so the
+/// coarse `handle` span already tells the whole story and `evaluate`
+/// rides the detail tier. `QueryFederated` carries the RTT
+/// decomposition: acquiring the live snapshot (cache hit: an `Arc`
+/// clone; miss: quiesce + cut) vs evaluating over live ∪ warehouse,
+/// both outside the core lock; the remainder of the client-observed
+/// RTT is wire + framing.
+fn query_page(
+    shared: &Shared,
+    wire_query: &WireQuery,
+    federated: bool,
+    page: &mut Vec<u8>,
+) -> Reply {
+    let query = wire_query.to_query();
+    page.clear();
+    let rows = if federated {
+        let build = Instant::now();
+        let (snapshot, _cached, warehouse) = {
+            let _cut = trace::child("snapshot_cut");
+            acquire_read_set(shared)
+        };
+        let build_ns = u64::try_from(build.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        shared.metrics.snapshot_build_ns.record(build_ns);
+        let eval = Instant::now();
+        let rows = {
+            let _eval = trace::child("evaluate");
+            query.execute_federated_encoded(&[&*snapshot, warehouse.db()], page)
+        };
+        let eval_ns = u64::try_from(eval.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        shared.metrics.evaluate_ns.record(eval_ns);
+        // The snapshot Arc is shared with the engine's cache: our
+        // clone drops here without freeing anything, so evaluate_ns
+        // does not carry the cut's dealloc.
+        rows
+    } else {
+        let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());
+        let _eval = trace::child_detail("evaluate");
+        query.execute_segmented_encoded(warehouse.db(), page)
+    };
+    Reply::Page { rows: rows as u64 }
+}
+
 /// Acquires the consistent read set for a federated query/explain:
 /// under the core lock, clone the engine's epoch-cached snapshot `Arc`
 /// and take the warehouse read guard; then release the core. Taking
@@ -1076,54 +1127,8 @@ fn handle_request(
             notify_subscribers(shared, &mut core.engine);
             Response::Ingested { events: n }
         }
-        Request::Query(wire_query) => {
-            // Warehouse-only: the immutable segment tier needs no core
-            // lock at all — concurrent queries share the read side.
-            // Served by the segment pushdown (`Query::execute_segmented`):
-            // ordering/paging ride the offset directories, so cold
-            // segments are touched per returned frame, not per segment.
-            // On this arm the handler *is* the evaluation (no snapshot
-            // cut, no flush), so the coarse `handle` span already tells
-            // the whole story — `evaluate` rides the detail tier.
-            // The page is collected as bytes: rows of hydrated segments
-            // are copied in their stored encoding, never cloned, never
-            // re-encoded; `respond` frames them as `Trajectories`.
-            let query = wire_query.to_query();
-            let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());
-            let _eval = trace::child_detail("evaluate");
-            page.clear();
-            let rows = query.execute_segmented_encoded(warehouse.db(), page);
-            return Reply::Page { rows: rows as u64 };
-        }
-        Request::QueryFederated(wire_query) => {
-            let query = wire_query.to_query();
-            // The federated RTT decomposition: acquiring the live
-            // snapshot (cache hit: an Arc clone; miss: quiesce + cut)
-            // vs evaluating over live ∪ warehouse, both outside the
-            // core lock. The remainder of the client-observed RTT is
-            // wire + framing.
-            let build = Instant::now();
-            let (snapshot, _cached, warehouse) = {
-                let _cut = trace::child("snapshot_cut");
-                acquire_read_set(shared)
-            };
-            let build_ns = u64::try_from(build.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shared.metrics.snapshot_build_ns.record(build_ns);
-            let eval = Instant::now();
-            let trajectories = {
-                let _eval = trace::child("evaluate");
-                query.execute_federated(&[
-                    &*snapshot as &dyn TrajectorySource,
-                    warehouse.db() as &dyn TrajectorySource,
-                ])
-            };
-            let eval_ns = u64::try_from(eval.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shared.metrics.evaluate_ns.record(eval_ns);
-            // The snapshot Arc is shared with the engine's cache: our
-            // clone drops here without freeing anything, so evaluate_ns
-            // no longer carries the cut's dealloc.
-            Response::Trajectories(trajectories)
-        }
+        Request::Query(wire_query) => return query_page(shared, &wire_query, false, page),
+        Request::QueryFederated(wire_query) => return query_page(shared, &wire_query, true, page),
         Request::Explain(predicate) => Response::Explained(explain(shared, &predicate)),
         Request::Stats => {
             let stats = {
@@ -1136,7 +1141,9 @@ fn handle_request(
             // component-wise.
             let (snapshot, _cached, warehouse) = acquire_read_set(shared);
             let mut merged = SegmentRollup::new(DEFAULT_ROLLUP_PERIOD_SECONDS);
-            snapshot.for_each_trajectory(&mut |t| merged.add(t));
+            for visit in &snapshot.visits {
+                merged.add(&visit.trajectory);
+            }
             for (cell, agg) in warehouse.db().rollup_cells() {
                 merged.cells.entry(cell).or_default().merge(&agg);
             }
@@ -1299,7 +1306,7 @@ fn build_health(shared: &Shared) -> HealthReport {
 }
 
 /// Plans `predicate` over live ∪ warehouse: the live tier's access
-/// path (what `federated_explain` reports for it), then the warehouse's
+/// path (`TrajectorySource::plan`), then the warehouse's
 /// access path and zone-map / Bloom pruning counts from one
 /// [`SegmentedDb::explain`].
 /// Evaluates outside the core lock, like the query ops, and records
@@ -1320,14 +1327,10 @@ fn explain(shared: &Shared, predicate: &Predicate) -> ExplainReport {
     // planned once: its `SegmentedPlan` carries the candidate count the
     // wire plan needs beside the pruning counts, and planning it moves
     // no per-query instrument.
-    let live = match TrajectorySource::candidates(&*snapshot, predicate) {
-        CandidateSet::All => None,
-        CandidateSet::Ids(ids) => Some(ids.len() as u64),
-    };
     let segmented = db.explain(predicate);
     let plans = vec![
         WirePlan {
-            candidates: live,
+            candidates: snapshot.plan(predicate).map(|c| c as u64),
             total: snapshot.len_hint() as u64,
         },
         WirePlan {

@@ -10,7 +10,9 @@
 //!   core turned into an owned value): a deep page over hydrated
 //!   segments moves it by nothing when served and by exactly the page
 //!   through `execute_segmented`; a cold page moves it by the rows
-//!   read.
+//!   read. `QueryFederated` replies through the same byte sink: served
+//!   it clones nothing, `execute_federated` clones exactly the page —
+//!   and a `limit 0` page, through either op, touches nothing at all.
 
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -23,14 +25,14 @@ use sitm_core::{
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_obs::MetricsRegistry;
 use sitm_query::wire::WireQuery;
-use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectoryDb};
+use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectoryDb, TrajectorySource};
 use sitm_serve::{
     encode_request, encode_response, read_frame, write_frame, Client, Request, Response, Server,
     ServerConfig,
 };
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::EngineConfig;
+use sitm_stream::{EngineConfig, ShardedEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -108,6 +110,23 @@ fn row(i: usize, extra: Option<usize>) -> SemanticTrajectory {
     .expect("non-empty")
 }
 
+/// Row `i` of a large warehouse: one 5 s stay in cell 1 from `i`.
+fn small(i: usize) -> SemanticTrajectory {
+    let s = i as i64;
+    SemanticTrajectory::new(
+        format!("mo-{}", i % 97),
+        Trace::new(vec![PresenceInterval::new(
+            TransitionTaken::Unknown,
+            cell(1),
+            Timestamp(s),
+            Timestamp(s + 5),
+        )])
+        .expect("one stay"),
+        AnnotationSet::from_iter([Annotation::goal("visit")]),
+    )
+    .expect("non-empty")
+}
+
 /// Flushes each batch as one segment. Batch sizes in different size
 /// tiers keep compaction from merging them.
 fn write_warehouse(dir: &Path, batches: Vec<Vec<SemanticTrajectory>>) {
@@ -132,6 +151,32 @@ fn served_payload(stream: &mut TcpStream, query: &WireQuery) -> Vec<u8> {
     encode_request(&mut payload, &Request::Query(query.clone()));
     write_frame(stream, &payload).expect("send");
     read_frame(stream).expect("reply")
+}
+
+/// Five visits left open: the live tier of a federated query. Each
+/// stays in cell 1 from before any warehouse row of [`small`] starts.
+fn open_visits() -> Vec<StreamEvent> {
+    (0..5u64)
+        .flat_map(|v| {
+            [
+                StreamEvent::VisitOpened {
+                    visit: VisitKey(v),
+                    moving_object: format!("live-{v}"),
+                    annotations: AnnotationSet::from_iter([Annotation::goal("visit")]),
+                    at: Timestamp(-10),
+                },
+                StreamEvent::Presence {
+                    visit: VisitKey(v),
+                    interval: PresenceInterval::new(
+                        TransitionTaken::Unknown,
+                        cell(1),
+                        Timestamp(-10 + v as i64),
+                        Timestamp(-1),
+                    ),
+                },
+            ]
+        })
+        .collect()
 }
 
 /// What the reply must be: the encoded rows of `execute_segmented`.
@@ -316,21 +361,6 @@ fn a_page_costs_the_rows_it_returns() {
     // 20 000 one-stay rows in two segments (16 000 + 4 000: two size
     // tiers, so they stay two).
     let seed = TempDir::new("cost-seed");
-    let small = |i: usize| {
-        let s = i as i64;
-        SemanticTrajectory::new(
-            format!("mo-{}", i % 97),
-            Trace::new(vec![PresenceInterval::new(
-                TransitionTaken::Unknown,
-                cell(1),
-                Timestamp(s),
-                Timestamp(s + 5),
-            )])
-            .expect("one stay"),
-            AnnotationSet::from_iter([Annotation::goal("visit")]),
-        )
-        .expect("non-empty")
-    };
     write_warehouse(
         &seed.0,
         vec![
@@ -393,4 +423,118 @@ fn a_page_costs_the_rows_it_returns() {
         1_101,
         "exactly the page, not the 19 000 skipped"
     );
+}
+
+/// The federated twin of the test above, over hydrated segments beside
+/// a live snapshot: `execute_federated` clones the rows of the page —
+/// not every match, as it did when it sorted clones — and the served
+/// `QueryFederated` clones none: warehouse rows leave as their stored
+/// bytes, live rows are encoded from the borrow.
+#[test]
+fn a_federated_page_clones_only_the_page() {
+    // 2 000 rows in two segments (1 600 + 400: two size tiers).
+    let seed = TempDir::new("federated-seed");
+    write_warehouse(
+        &seed.0,
+        vec![
+            (0..1_600).map(small).collect(),
+            (1_600..2_000).map(small).collect(),
+        ],
+    );
+    let hydrate = shaped(Predicate::VisitedCell(cell(1)), None, 0, Some(1));
+    // The live rows start first, so the deep page is all warehouse
+    // rows and the first page is the five live rows and five more.
+    let by_start = |offset, limit| {
+        shaped(
+            Predicate::True,
+            Some((SortKey::Start, true)),
+            offset,
+            Some(limit),
+        )
+    };
+    let (deep, first) = (by_start(1_905, 100), by_start(0, 10));
+
+    let served_dir = TempDir::copy_of(&seed, "federated-served");
+    let server = Server::start(ServerConfig::new(engine_config(), &served_dir.0)).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ingest_batch(open_visits()).expect("ingest");
+    // (Warehouse-only: a federated page of one row is full after the
+    // first live row and never consults the warehouse.)
+    assert_eq!(client.query(&hydrate).expect("hydrate").len(), 1);
+    let served_deep = client.query_federated(&deep).expect("deep page");
+    let served_first = client.query_federated(&first).expect("first page");
+    assert_eq!(served_deep.len(), 100);
+    assert_eq!(served_deep[0].start(), Timestamp(1_900));
+    assert_eq!(served_first[4].moving_object, "live-4");
+    assert_eq!(
+        client
+            .metrics()
+            .expect("metrics")
+            .counter("query.rows_materialized")
+            .unwrap_or(0),
+        0,
+        "no row of a served federated page is cloned"
+    );
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+
+    // In process: the owned sink clones exactly the page.
+    let registry = MetricsRegistry::new();
+    let local = open_db(&seed.0, &registry);
+    let mut engine = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    engine.ingest_all(open_visits());
+    let snapshot = engine.live_snapshot();
+    let sources: [&dyn TrajectorySource; 2] = [&*snapshot, &local];
+    let counter = registry.counter("query.rows_materialized");
+    assert_eq!(hydrate.to_query().execute_segmented(&local).len(), 1);
+    assert_eq!(counter.get(), 1, "one clone for the one row returned");
+    assert_eq!(deep.to_query().execute_federated(&sources), served_deep);
+    assert_eq!(
+        counter.get(),
+        101,
+        "exactly the page, not the 2 005 matches"
+    );
+    assert_eq!(first.to_query().execute_federated(&sources), served_first);
+    assert_eq!(
+        counter.get(),
+        106,
+        "the instrument is the warehouse's: the page's five live rows are not its clones"
+    );
+}
+
+/// An empty page is decided before anything is consulted: on a
+/// reopened (cold) warehouse, `limit 0` with a predicate that would
+/// hydrate the segment it survives in opens, decodes and reads nothing
+/// — through both served ops.
+#[test]
+fn a_limit_zero_page_is_free_through_both_served_ops() {
+    let seed = TempDir::new("empty-page-seed");
+    write_warehouse(&seed.0, vec![(0..40).map(|i| row(i, None)).collect()]);
+    let server = Server::start(ServerConfig::new(engine_config(), &seed.0)).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let touched = |client: &mut Client| {
+        let snapshot = client.metrics().expect("metrics");
+        [
+            "store.lazy_opens",
+            "query.trajectories_decoded",
+            "query.segment_bytes_read",
+            "query.segments_scanned",
+        ]
+        .map(|name| snapshot.counter(name).unwrap_or(0))
+    };
+    let point = |limit| shaped(Predicate::MovingObject("mo-3".into()), None, 0, Some(limit));
+    let before = touched(&mut client);
+    assert!(client.query(&point(0)).expect("query").is_empty());
+    assert!(client
+        .query_federated(&point(0))
+        .expect("federated")
+        .is_empty());
+    assert_eq!(touched(&mut client), before, "an empty page costs nothing");
+    assert_eq!(client.query(&point(1)).expect("query").len(), 1);
+    assert!(
+        touched(&mut client).iter().all(|&n| n > 0),
+        "the same page with room for a row hydrates its segment"
+    );
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
 }

@@ -14,13 +14,14 @@ use std::time::Duration as StdDuration;
 use sitm_core::{Annotation, AnnotationSet, IntervalPredicate, Timestamp};
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
-use sitm_query::Predicate;
+use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{
     decode_response, encode_request, encode_response, read_frame, write_frame, Client, Request,
     Response, Server, ServerConfig,
 };
 use sitm_space::CellRef;
-use sitm_stream::{EngineConfig, StreamEvent, VisitKey};
+use sitm_store::warehouse::WarehouseConfig;
+use sitm_stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -771,6 +772,101 @@ fn an_over_bound_page_of_stored_rows_downgrades_in_band() {
         "every page, the refused one included, was copied, not cloned"
     );
 
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+}
+
+/// `QueryFederated` replies through the same byte sink as `Query`: the
+/// payload is byte for byte `Response::Trajectories` of
+/// `Query::execute_federated`'s rows over an identically fed pipeline
+/// — spilled rows copied as stored, live rows encoded from the borrow
+/// — for every sort key in both directions, with tied keys (every
+/// visit starts at 0 and stays in cell 1), and pages from inside the
+/// union to past its end.
+#[test]
+fn a_federated_page_is_the_encoding_of_execute_federated_rows() {
+    let tmp_server = TempDir::new("federated-bytes-server");
+    let tmp_local = TempDir::new("federated-bytes-local");
+    let server =
+        Server::start(ServerConfig::new(engine_config(), &tmp_server.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut reference = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    let (db, _) = SegmentedDb::open(&tmp_local.0, WarehouseConfig::default()).expect("open");
+    let mut flusher = Flusher::new(db);
+
+    // Twelve visits of 1–3 stays, closed and spilled in two segments,
+    // then six left open: the union has both tiers and equal keys.
+    let closed = |range: std::ops::Range<u64>| -> Vec<StreamEvent> {
+        range
+            .flat_map(|v| {
+                let mut events = open_visit(v, &format!("mo-{}", v % 4), 1 + v as usize % 3);
+                events.push(StreamEvent::VisitClosed {
+                    visit: VisitKey(v),
+                    at: Timestamp(40),
+                });
+                events
+            })
+            .collect()
+    };
+    for batch in [closed(0..8), closed(8..12)] {
+        client.ingest_batch(batch.clone()).expect("ingest");
+        reference.ingest_all(batch);
+        let (spilled, _, _) = client.checkpoint().expect("checkpoint");
+        assert_eq!(spilled, flusher.poll(&mut reference).expect("spill") as u64);
+    }
+    let open: Vec<StreamEvent> = (12..18)
+        .flat_map(|v| open_visit(v, &format!("mo-{}", v % 4), 1 + v as usize % 3))
+        .collect();
+    client.ingest_batch(open.clone()).expect("ingest");
+    reference.ingest_all(open);
+    let snapshot = reference.live_snapshot();
+    let sources: [&dyn TrajectorySource; 2] = [&*snapshot, flusher.db()];
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut orders = vec![None];
+    for key in [
+        SortKey::Start,
+        SortKey::End,
+        SortKey::SpanDuration,
+        SortKey::TotalDwell,
+        SortKey::MovingObject,
+        SortKey::TraceLength,
+    ] {
+        orders.extend([Some((key, true)), Some((key, false))]);
+    }
+    let mut checked = 0;
+    for predicate in [Predicate::True, Predicate::MovingObject("mo-1".into())] {
+        for order in &orders {
+            for (offset, limit) in [
+                (0, None),
+                (0, Some(0)),
+                (3, Some(7)),
+                (16, Some(5)),
+                (30, None),
+            ] {
+                let query = WireQuery {
+                    predicate: predicate.clone(),
+                    order: *order,
+                    offset,
+                    limit,
+                };
+                stream
+                    .write_all(&plain_frame(&Request::QueryFederated(query.clone())))
+                    .expect("send");
+                let rows = query.to_query().execute_federated(&sources);
+                let mut expected = Vec::new();
+                encode_response(&mut expected, &Response::Trajectories(rows));
+                assert_eq!(
+                    read_frame(&mut stream).expect("reply"),
+                    expected,
+                    "reply bytes for {query:?}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 130);
+    drop(stream);
     client.shutdown().expect("shutdown");
     server.join().expect("join");
 }

@@ -46,33 +46,34 @@
 //!
 //! [`LiveSnapshot::candidates`] narrows a `sitm_query::Predicate` to a
 //! [`CandidateSet`] exactly like `TrajectoryDb::candidates` does on the
-//! warehouse side: lookups return *sound supersets* and
-//! [`LiveSnapshot::matching`] / [`LiveSnapshot::count_matching`]
-//! re-check the full predicate on each candidate, so indexed results are
-//! always identical to the scan path ([`LiveSnapshot::matching_scan`]).
-//! If a snapshot's index does not cover every visit (hand-assembled
-//! snapshots, pre-index producers), candidate narrowing degrades to
-//! [`CandidateSet::All`] — a full scan — rather than losing matches.
+//! warehouse side — the same boolean walk (`Predicate::narrow`) over
+//! this snapshot's postings. Lookups return *sound supersets* and
+//! `sitm-query`'s paging core re-checks the full predicate on each
+//! candidate, so indexed results are always identical to a scan of
+//! every open prefix (differentially tested against the query crate's
+//! oracle). If a snapshot's index does not cover every visit
+//! (hand-assembled snapshots, pre-index producers), candidate narrowing
+//! degrades to [`CandidateSet::All`] — a full scan — rather than losing
+//! matches.
 //!
-//! `sitm_query::Query::explain_source` reports the access path this
-//! produces: `IndexCandidates { .. }` whenever the snapshot's index
-//! covers all visits **and** the predicate has an indexable leaf
-//! (`VisitedCell`, `MinStayIn`, `StayOverlaps`, `SequenceContains`,
-//! `SpanOverlaps`, `MovingObject`, or any `And`/`Or` over those);
-//! `FullScan` otherwise.
+//! `sitm_query::Query::explain` reports the access path this produces:
+//! `IndexCandidates { .. }` whenever the snapshot's index covers all
+//! visits **and** the predicate has an indexable leaf (`VisitedCell`,
+//! `MinStayIn`, `StayOverlaps`, `SequenceContains`, `SpanOverlaps`,
+//! `MovingObject`, or any `And`/`Or` over those); `FullScan` otherwise.
 //!
 //! Federation: [`LiveSnapshot`] implements
-//! [`sitm_query::TrajectorySource`] — including its index-consulting
-//! `candidates`/`for_each_candidate` face — so one `sitm_query::Predicate`
-//! can be evaluated over the union of several engines' live state and
-//! any number of warehouse [`sitm_query::TrajectoryDb`]s via
-//! `sitm_query::federated_*`, with every indexed source narrowed through
-//! its own postings.
+//! [`sitm_query::TrajectorySource`] — positions are indexes into
+//! `visits`, every row is resident — so one `sitm_query::Query` can be
+//! evaluated over the union of several engines' live state and any
+//! number of warehouses (`Query::execute_federated`,
+//! `sitm_query::federated_count`), with every indexed source narrowed
+//! through its own postings and nothing cloned but the page.
 
 use std::sync::Arc;
 
 use sitm_core::{SemanticTrajectory, Timestamp};
-use sitm_query::{CandidateSet, Predicate, TrajId, TrajectorySource};
+use sitm_query::{federated_count, CandidateSet, Predicate, Row, TrajId, TrajectorySource};
 
 use crate::event::VisitKey;
 use crate::live_index::LiveIndex;
@@ -216,26 +217,19 @@ impl LiveSnapshot {
     }
 
     /// Derives a candidate superset for `p` from the live postings —
-    /// the streaming twin of `TrajectoryDb::candidates`. Soundness
-    /// invariant (differentially tested): every open visit matching `p`
-    /// is in the returned set; the set may contain non-matches and the
-    /// caller re-filters. Returns [`CandidateSet::All`] whenever the
-    /// index cannot narrow (unindexable leaves, or an index that does
-    /// not cover every visit).
+    /// the streaming twin of `TrajectoryDb::candidates`: the same
+    /// boolean walk (`Predicate::narrow`) over this snapshot's leaf
+    /// lookups. Soundness invariant (differentially tested): every open
+    /// visit matching `p` is in the returned set; the set may contain
+    /// non-matches and the caller re-filters. Returns
+    /// [`CandidateSet::All`] whenever the index cannot narrow
+    /// (unindexable leaves, or an index that does not cover every
+    /// visit).
     pub fn candidates(&self, p: &Predicate) -> CandidateSet {
         if !self.index_complete {
             return CandidateSet::All;
         }
-        self.candidates_inner(p)
-    }
-
-    fn candidates_inner(&self, p: &Predicate) -> CandidateSet {
-        match p {
-            Predicate::True
-            | Predicate::MinTotalDwell(_)
-            | Predicate::Not(_)
-            | Predicate::HasTrajAnnotation(_)
-            | Predicate::HasStayAnnotation(_) => CandidateSet::All,
+        p.narrow(&mut |leaf| match leaf {
             Predicate::VisitedCell(cell) | Predicate::MinStayIn(cell, _) => {
                 self.posting(self.index.visits_in_cell(*cell))
             }
@@ -250,97 +244,38 @@ impl LiveSnapshot {
                 .posting(self.index.visits_in_cell(*cell))
                 .intersect(self.posting(self.index.visits_started_by(window.end))),
             Predicate::MovingObject(id) => self.posting(self.index.visits_of_object(id)),
-            Predicate::And(parts) => parts
-                .iter()
-                .map(|q| self.candidates_inner(q))
-                .fold(CandidateSet::All, CandidateSet::intersect),
-            Predicate::Or(parts) => {
-                if parts.is_empty() {
-                    return CandidateSet::Ids(Vec::new());
-                }
-                let mut acc = CandidateSet::Ids(Vec::new());
-                for q in parts {
-                    acc = acc.union(self.candidates_inner(q));
-                    if acc == CandidateSet::All {
-                        break;
-                    }
-                }
-                acc
-            }
-        }
+            // The live index keeps no annotation postings, nothing
+            // answers a dwell bound, and the boolean nodes never reach
+            // a leaf lookup.
+            Predicate::HasTrajAnnotation(_)
+            | Predicate::HasStayAnnotation(_)
+            | Predicate::MinTotalDwell(_)
+            | Predicate::True
+            | Predicate::Not(_)
+            | Predicate::And(_)
+            | Predicate::Or(_) => CandidateSet::All,
+        })
     }
 
-    /// Open visits whose prefix satisfies the predicate, served through
-    /// the live index (candidates narrowed, then re-checked). Identical
-    /// results, in the same visit-key order, as
-    /// [`LiveSnapshot::matching_scan`].
-    pub fn matching(&self, predicate: &Predicate) -> Vec<&LiveVisit> {
-        match self.candidates(predicate) {
-            CandidateSet::All => self.matching_scan(predicate),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .map(|id| &*self.visits[id as usize])
-                .filter(|v| predicate.matches(&v.trajectory))
-                .collect(),
-        }
-    }
-
-    /// Number of open visits whose prefix satisfies the predicate
-    /// (index-narrowed; equals [`LiveSnapshot::count_matching_scan`]).
+    /// Number of open visits whose prefix satisfies the predicate:
+    /// `sitm-query`'s paging core over this one source (candidates
+    /// narrowed through the live index, then re-checked by reference).
     pub fn count_matching(&self, predicate: &Predicate) -> usize {
-        match self.candidates(predicate) {
-            CandidateSet::All => self.count_matching_scan(predicate),
-            CandidateSet::Ids(ids) => ids
-                .into_iter()
-                .filter(|&id| predicate.matches(&self.visits[id as usize].trajectory))
-                .count(),
-        }
-    }
-
-    /// The index-free reference: evaluates the predicate against every
-    /// open prefix. Kept public as the differential baseline the
-    /// indexed path is tested (and benchmarked) against.
-    pub fn matching_scan(&self, predicate: &Predicate) -> Vec<&LiveVisit> {
-        self.visits
-            .iter()
-            .map(|v| &**v)
-            .filter(|v| predicate.matches(&v.trajectory))
-            .collect()
-    }
-
-    /// Scan-path twin of [`LiveSnapshot::count_matching`].
-    pub fn count_matching_scan(&self, predicate: &Predicate) -> usize {
-        self.visits
-            .iter()
-            .filter(|v| predicate.matches(&v.trajectory))
-            .count()
+        federated_count(predicate, &[self])
     }
 }
 
 impl TrajectorySource for LiveSnapshot {
-    fn for_each_trajectory(&self, f: &mut dyn FnMut(&SemanticTrajectory)) {
-        for v in &self.visits {
-            f(&v.trajectory);
-        }
-    }
-
     fn len_hint(&self) -> usize {
         self.visits.len()
     }
 
-    fn candidates(&self, predicate: &Predicate) -> CandidateSet {
-        LiveSnapshot::candidates(self, predicate)
+    fn row(&self, position: TrajId) -> Row<'_> {
+        Row::Resident(&self.visits[position as usize].trajectory, None)
     }
 
-    fn for_each_candidate(&self, predicate: &Predicate, f: &mut dyn FnMut(&SemanticTrajectory)) {
-        match LiveSnapshot::candidates(self, predicate) {
-            CandidateSet::All => self.for_each_trajectory(f),
-            CandidateSet::Ids(ids) => {
-                for id in ids {
-                    f(&self.visits[id as usize].trajectory);
-                }
-            }
-        }
+    fn candidates(&self, predicate: &Predicate) -> CandidateSet {
+        LiveSnapshot::candidates(self, predicate)
     }
 }
 
@@ -431,16 +366,18 @@ mod tests {
             Predicate::True,
         ];
         for p in predicates {
-            let indexed: Vec<u64> = snapshot.matching(&p).iter().map(|v| v.visit.0).collect();
-            let scanned: Vec<u64> = snapshot
-                .matching_scan(&p)
-                .iter()
-                .map(|v| v.visit.0)
+            // Index path (the paging core) against the scan (the oracle).
+            let q = sitm_query::Query::new().filter(p.clone());
+            let indexed = q.execute_federated(&[&snapshot]);
+            let scanned: Vec<SemanticTrajectory> = q
+                .oracle(&[&snapshot], false)
+                .into_iter()
+                .map(Row::into_owned)
                 .collect();
             assert_eq!(indexed, scanned, "indexed != scan for {p}");
             assert_eq!(
                 snapshot.count_matching(&p),
-                snapshot.count_matching_scan(&p),
+                scanned.len(),
                 "count diverged for {p}"
             );
         }
@@ -494,7 +431,11 @@ mod tests {
         let p = Predicate::VisitedCell(cell(1));
         assert_eq!(merged.candidates(&p), CandidateSet::All);
         assert_eq!(merged.count_matching(&p), 2, "both copies visible");
-        assert_eq!(merged.count_matching(&p), merged.count_matching_scan(&p));
+        let scan = sitm_query::Query::new().filter(p.clone());
+        assert_eq!(
+            merged.count_matching(&p),
+            scan.oracle(&[&merged], false).len()
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
-use sitm_query::{federated_count, CandidateSet, Predicate, TrajectorySource};
+use sitm_query::{federated_count, CandidateSet, Predicate, Query, Row, TrajectorySource};
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
@@ -36,6 +36,21 @@ use sitm_stream::{
     ShardedEngine, StreamEvent, VisitKey,
 };
 use std::sync::Arc;
+
+/// The open prefixes matching `p`, served through the live index
+/// (candidates narrowed, then re-checked by the paging core).
+fn indexed(snapshot: &LiveSnapshot, p: &Predicate) -> Vec<SemanticTrajectory> {
+    Query::new()
+        .filter(p.clone())
+        .execute_federated(&[snapshot])
+}
+
+/// The same through the index-free reference: the query crate's oracle
+/// evaluates `p` against every open prefix.
+fn scanned(snapshot: &LiveSnapshot, p: &Predicate) -> Vec<SemanticTrajectory> {
+    let rows = Query::new().filter(p.clone()).oracle(&[snapshot], false);
+    rows.into_iter().map(Row::into_owned).collect()
+}
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -167,23 +182,15 @@ fn check_cut(model: &LouvreModel, events: &[StreamEvent], cut: usize, snapshot: 
         // Drain-point index consistency: the incrementally maintained
         // live index, captured mid-stream between drains, must answer
         // exactly like the index-free scan — ids and counts.
+        let scanned = scanned(snapshot, &predicate);
         assert_eq!(
-            snapshot.count_matching_scan(&predicate),
+            scanned.len(),
             batch_count,
             "cut {cut}: scan path diverged for {predicate}"
         );
-        let indexed: Vec<u64> = snapshot
-            .matching(&predicate)
-            .iter()
-            .map(|v| v.visit.0)
-            .collect();
-        let scanned: Vec<u64> = snapshot
-            .matching_scan(&predicate)
-            .iter()
-            .map(|v| v.visit.0)
-            .collect();
         assert_eq!(
-            indexed, scanned,
+            indexed(snapshot, &predicate),
+            scanned,
             "cut {cut}: indexed matches diverged for {predicate}"
         );
         // The federation entry point sees the same union (and routes
@@ -358,15 +365,13 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
     // side — and the candidate count bounds the population.
     let hall = zone_cell(&model, 60886);
     let query = Query::new().visited(hall);
-    let plan = query.explain_source(&*snapshot as &dyn TrajectorySource);
+    let plan = query.explain(&*snapshot);
     match plan.access {
         AccessPath::IndexCandidates { candidates } => {
             assert!(candidates <= snapshot.visits.len());
             assert_eq!(
                 candidates,
-                snapshot
-                    .matching(&sitm_query::Predicate::VisitedCell(hall))
-                    .len(),
+                snapshot.count_matching(&sitm_query::Predicate::VisitedCell(hall)),
                 "cell postings are exact for VisitedCell"
             );
         }
@@ -377,7 +382,7 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
         .filter(sitm_query::Predicate::MinTotalDwell(
             sitm_core::Duration::minutes(1),
         ))
-        .explain_source(&*snapshot as &dyn TrajectorySource);
+        .explain(&*snapshot);
     assert_eq!(scan_plan.access, AccessPath::FullScan);
 
     // Sorted + limited federated execution over live state ∪ warehouse:
@@ -395,16 +400,11 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
         .offset(1)
         .limit(3);
     let fed = q.execute_federated(&sources);
-    let mut naive: Vec<sitm_core::SemanticTrajectory> = Vec::new();
-    for source in &sources {
-        source.for_each_trajectory(&mut |t| {
-            if q.predicate().matches(t) {
-                naive.push(t.clone());
-            }
-        });
-    }
-    naive.sort_by_key(|t| t.start());
-    let naive: Vec<sitm_core::SemanticTrajectory> = naive.into_iter().skip(1).take(3).collect();
+    let naive: Vec<sitm_core::SemanticTrajectory> = q
+        .oracle(&sources, false)
+        .into_iter()
+        .map(Row::into_owned)
+        .collect();
     assert_eq!(
         fed, naive,
         "federated sort/offset/limit must match the naive union"
@@ -609,12 +609,9 @@ fn assert_patched_equals_rebuilt(patched: &LiveSnapshot, rebuilt: &LiveSnapshot,
             patched.candidates(&p) != CandidateSet::All,
             "{at}: {p} must narrow through the patched index"
         );
-        let keys = |visits: Vec<&sitm_stream::LiveVisit>| -> Vec<u64> {
-            visits.iter().map(|v| v.visit.0).collect()
-        };
         assert_eq!(
-            keys(patched.matching(&p)),
-            keys(patched.matching_scan(&p)),
+            indexed(patched, &p),
+            scanned(patched, &p),
             "{at}: indexed != scan for {p}"
         );
     }
@@ -715,10 +712,10 @@ fn close_straggler_expiry_and_reopen_between_two_cuts() {
     patched.ingest_all(churn);
     let after = patched.live_snapshot();
     assert_patched_equals_rebuilt(&after, &rebuilt.live_snapshot(), "second life");
-    let reopened = after.matching(&Predicate::VisitedCell(cell(3)));
+    let reopened = indexed(&after, &Predicate::VisitedCell(cell(3)));
     assert_eq!(reopened.len(), 1);
-    assert_eq!(reopened[0].trajectory.moving_object, "implicit-7");
-    assert_eq!(reopened[0].trajectory.trace().len(), 1, "the new life only");
+    assert_eq!(reopened[0].moving_object, "implicit-7");
+    assert_eq!(reopened[0].trace().len(), 1, "the new life only");
     assert_eq!(
         after.count_matching(&Predicate::MovingObject("mo-2".into())),
         0,

@@ -73,8 +73,9 @@
 //!   plans (including zone-map/Bloom pruning counts), trigger
 //!   checkpoints, and shut the pipeline down gracefully — served
 //!   results are differentially pinned equal to the in-process
-//!   `Query::execute_federated` on identical input. See `PROTOCOL.md`
-//!   for the wire format.
+//!   `Query::execute_federated` on identical input (both are sinks of
+//!   [`query`]'s one paging core). See `PROTOCOL.md` for the wire
+//!   format.
 //!
 //! ## Observability: metrics across the whole path
 //!
@@ -153,9 +154,10 @@
 //! sound candidate supersets (zone maps + per-segment postings, live
 //! postings) and re-check every candidate, so indexed, pruned, and
 //! scanned paths are result-identical — differentially tested against
-//! an in-memory `TrajectoryDb` at every flush/compaction point,
-//! including sorted/limited `Query::execute_federated` over the
-//! live ∪ warehouse union.
+//! the query crate's naive oracle over an in-memory `TrajectoryDb` at
+//! every flush/compaction point, including sorted/limited
+//! `Query::execute_federated` over the live ∪ warehouse union
+//! (`tests/tiered_warehouse.rs`, `tests/one_executor.rs`).
 //!
 //! ## Quickstart
 //!

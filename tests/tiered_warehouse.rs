@@ -15,8 +15,7 @@ use sitm::core::{
 };
 use sitm::graph::{LayerIdx, NodeId};
 use sitm::query::{
-    federated_count, federated_matching, Predicate, Query, SegmentedDb, SortKey, TrajectoryDb,
-    TrajectorySource,
+    federated_count, Predicate, Query, Row, SegmentedDb, SortKey, TrajectoryDb, TrajectorySource,
 };
 use sitm::space::CellRef;
 use sitm::store::warehouse::WarehouseConfig;
@@ -122,6 +121,11 @@ fn predicates() -> Vec<Predicate> {
     ]
 }
 
+/// An oracle page as owned rows.
+fn owned(rows: Vec<Row<'_>>) -> Vec<SemanticTrajectory> {
+    rows.into_iter().map(Row::into_owned).collect()
+}
+
 /// Asserts the warehouse is indistinguishable from an in-memory
 /// `TrajectoryDb` over the same trajectories, standalone and federated
 /// with the given live source.
@@ -129,12 +133,13 @@ fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: 
     let reference = TrajectoryDb::build(seg.iter().cloned().collect());
     for p in predicates() {
         // Standalone: federated evaluation over just the warehouse.
-        let from_seg: Vec<SemanticTrajectory> = federated_matching(&p, &[seg]);
-        let from_ref: Vec<SemanticTrajectory> = federated_matching(&p, &[&reference]);
+        let matching = Query::new().filter(p.clone());
+        let from_seg = matching.execute_federated(&[seg]);
+        let from_ref = owned(matching.oracle(&[&reference], false));
         assert_eq!(from_seg, from_ref, "{context}: warehouse diverged for {p}");
         assert_eq!(
             federated_count(&p, &[seg]),
-            federated_count(&p, &[&reference]),
+            from_ref.len(),
             "{context}: counts diverged for {p}"
         );
 
@@ -147,7 +152,7 @@ fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: 
             .order_by(SortKey::Start, true)
             .limit(8);
         let federated_seg = query.execute_federated(&[live, seg]);
-        let federated_ref = query.execute_federated(&[live, &reference]);
+        let federated_ref = owned(query.oracle(&[live, &reference], false));
         assert_eq!(
             federated_seg, federated_ref,
             "{context}: sorted/limited federation diverged for {p}"
@@ -159,13 +164,14 @@ fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: 
             .limit(5);
         assert_eq!(
             paged.execute_federated(&[live, seg]),
-            paged.execute_federated(&[live, &reference]),
+            owned(paged.oracle(&[live, &reference], false)),
             "{context}: paged federation diverged for {p}"
         );
 
         // Pushdown: `execute_segmented` (directory-ordered, paged,
-        // lazily decoded) must return exactly what `execute` returns
-        // over the eager reference, for every sort key and page shape.
+        // lazily decoded) must return exactly what the oracle returns
+        // over the eager reference (descending ties reversed), for
+        // every sort key and page shape.
         for (order, offset, limit) in [
             (None, 0, None),
             (None, 1, Some(4)),
@@ -184,11 +190,7 @@ fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: 
                 q = q.limit(n);
             }
             let pushed = q.execute_segmented(seg);
-            let eager: Vec<SemanticTrajectory> = q
-                .execute(&reference)
-                .into_iter()
-                .map(|m| m.trajectory.clone())
-                .collect();
+            let eager = owned(q.oracle(&[&reference], true));
             assert_eq!(
                 pushed, eager,
                 "{context}: pushdown diverged for {p} order {order:?} offset {offset} limit {limit:?}"
@@ -421,7 +423,13 @@ fn zone_map_pruning_skips_segments_without_losing_matches() {
     let window = Predicate::SpanOverlaps(TimeInterval::new(Timestamp(20_000), Timestamp(21_000)));
     let plan = db.explain(&window);
     assert_eq!(plan.pruned, 5, "five of six segments are span-disjoint");
-    assert_eq!(db.count_matching(&window), db.count_matching_scan(&window));
+    assert_eq!(
+        db.count_matching(&window),
+        Query::new()
+            .filter(window.clone())
+            .oracle(&[&db], false)
+            .len()
+    );
     assert!(db.count_matching(&window) > 0);
     // A moving-object point query prunes by the *global object index*
     // before any per-segment zone map or Bloom filter is consulted.
