@@ -1,14 +1,13 @@
-//! Streaming-ingestion benchmarks: event throughput by shard count
-//! (sequential vs work-stealing parallel), skewed-ingest behaviour
-//! under Zipf visit/cell distributions, live-query latency (indexed vs
-//! scan), and checkpoint/restore latency.
+//! Streaming-ingestion benchmarks: event throughput by worker count,
+//! skewed-ingest behaviour under Zipf visit/cell distributions,
+//! live-query latency (indexed vs scan), and checkpoint/restore latency.
 //!
-//! **Parallel speedup caveat:** parallel-over-sequential wins only
-//! materialize with ≥ 2 physical cores. On a single-core host
-//! (`nproc == 1` — the CI container this repo grew up in) the workers
-//! time-slice one CPU, so `parallel/*` and `skewed_ingest/parallel_*`
-//! land at ~0.6–1.0× sequential (scheduler overhead, no concurrency to
-//! win); that is hardware-bound, not a runtime defect. What the skewed
+//! **Parallel speedup caveat:** wins over one worker only materialize
+//! with ≥ 2 physical cores. On a single-core host (`nproc == 1` — the
+//! CI container this repo grew up in) the workers time-slice one CPU,
+//! so `parallel/*` and `skewed_ingest/parallel_*` land at ~0.6–1.0×
+//! `parallel/1` (scheduler overhead, no concurrency to win); that is
+//! hardware-bound, not a runtime defect. What the skewed
 //! group demonstrates *regardless of cores* is the routing change: the
 //! old static hash router pinned every visit of a hot shard to one
 //! worker, so `skewed/parallel_4` used to collapse to one busy worker
@@ -30,48 +29,19 @@ use sitm_core::Duration;
 use sitm_louvre::{build_louvre, zone_key};
 use sitm_query::{Predicate, Query};
 use sitm_store::{CheckpointFrame, LogStore};
-use sitm_stream::{resume_from_log, ParallelEngine, ShardedEngine, StreamEvent};
+use sitm_stream::{resume_from_log, ParallelEngine, StreamEvent};
 
-fn bench_ingest_throughput(c: &mut Criterion) {
-    let model = build_louvre();
-    let events = feed(&model);
-    let mut group = c.benchmark_group("stream/ingest");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(events.len() as u64));
-    for shards in [1usize, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let mut engine = ShardedEngine::new(config(&model, shards)).expect("engine");
-                    engine.ingest_all(black_box(events.iter().cloned()));
-                    engine.finish().len()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Sequential vs parallel ingest on the same 500-visit workload. The
-/// parallel engine is constructed inside the timed body on purpose:
-/// worker spawn + join is part of what a deployment pays per engine, and
-/// excluding it would flatter small feeds.
+/// Ingest of the same 500-visit workload by worker count. The engine
+/// is constructed inside the timed body on purpose: worker spawn + join
+/// is part of what a deployment pays per engine, and excluding it would
+/// flatter small feeds.
 fn bench_parallel_ingest(c: &mut Criterion) {
     let model = build_louvre();
     let events = feed(&model);
     let mut group = c.benchmark_group("stream/parallel_ingest");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_function("sequential/1", |b| {
-        b.iter(|| {
-            let mut engine = ShardedEngine::new(config(&model, 1)).expect("engine");
-            engine.ingest_all(black_box(events.iter().cloned()));
-            engine.finish().len()
-        });
-    });
-    for workers in [1usize, 2, 4] {
+    for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parallel", workers),
             &workers,
@@ -97,13 +67,6 @@ fn bench_skewed_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream/skewed_ingest");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events.len() as u64));
-    group.bench_function("sequential_1", |b| {
-        b.iter(|| {
-            let mut engine = ShardedEngine::new(config(&model, 1)).expect("engine");
-            engine.ingest_all(black_box(events.iter().cloned()));
-            engine.finish().len()
-        });
-    });
     for workers in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("parallel", workers),
@@ -182,7 +145,7 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
     // Engine loaded with the first half of the day: open visits, open
     // runs, pending episodes — a representative snapshot.
     let load = |shards: usize| {
-        let mut engine = ShardedEngine::new(config(&model, shards)).expect("engine");
+        let mut engine = ParallelEngine::new(config(&model, shards)).expect("engine");
         engine.ingest_all(events[..events.len() / 2].iter().cloned());
         engine.flush();
         engine
@@ -208,7 +171,7 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let (engine, _log, _report) =
+                    let (mut engine, _log, _report) =
                         resume_from_log(config(&model, shards), &path).expect("restore");
                     black_box(engine.stats().open_visits)
                 });
@@ -221,7 +184,6 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_ingest_throughput,
     bench_parallel_ingest,
     bench_skewed_ingest,
     bench_live_query,

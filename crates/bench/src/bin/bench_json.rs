@@ -66,7 +66,7 @@
 //! The wall-clock numbers carry the same caveat as `bench_stream`: on a
 //! single-core container the parallel groups measure scheduler overhead
 //! with no cores to win, so compare `skewed_ingest/parallel_4` against
-//! `skewed_ingest/sequential_1` only on multi-core hosts. The
+//! `skewed_ingest/parallel_1` only on multi-core hosts. The
 //! `live_query/indexed_count` vs `live_query/scan_count` ratio (≥ 5×
 //! acceptance target) and the `warehouse/pruned_count` vs
 //! `warehouse/scan_count` ratio (pruned must win on the selective
@@ -84,7 +84,7 @@ use sitm_core::SemanticTrajectory;
 use sitm_louvre::build_louvre;
 use sitm_query::{Predicate, Query, SegmentedDb, SortKey};
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{Flusher, ParallelEngine, ShardedEngine, StreamEvent};
+use sitm_stream::{Flusher, ParallelEngine, StreamEvent};
 
 /// The observability tax's budget: what recording a span tree may add
 /// to one served warehouse point query (traced − untraced median RTT).
@@ -146,15 +146,7 @@ fn main() {
     let skewed = skewed_feed(400, 20_000, 1.2);
     let mut results: Vec<(String, u64)> = Vec::new();
 
-    // Uniform ingest, sequential vs work-stealing parallel.
-    results.push((
-        "stream/ingest/sequential_8".into(),
-        time_ns(5, || {
-            let mut engine = ShardedEngine::new(config(&model, 8)).expect("engine");
-            engine.ingest_all(louvre.iter().cloned());
-            engine.finish().len()
-        }),
-    ));
+    // Uniform ingest, one worker vs four.
     for workers in [1usize, 4] {
         results.push((
             format!("stream/parallel_ingest/parallel_{workers}"),
@@ -167,14 +159,6 @@ fn main() {
     }
 
     // Zipf-skewed ingest: the work-stealing router's target case.
-    results.push((
-        "stream/skewed_ingest/sequential_1".into(),
-        time_ns(5, || {
-            let mut engine = ShardedEngine::new(config(&model, 1)).expect("engine");
-            engine.ingest_all(skewed.iter().cloned());
-            engine.finish().len()
-        }),
-    ));
     for workers in [1usize, 4] {
         results.push((
             format!("stream/skewed_ingest/parallel_{workers}"),
@@ -225,7 +209,7 @@ fn main() {
 
     // ---- Warehouse tier -------------------------------------------------
     // The spilled history: every closed Louvre visit as a trajectory.
-    let mut source = ShardedEngine::new(config(&model, 4).with_warehouse()).expect("engine");
+    let mut source = ParallelEngine::new(config(&model, 4).with_warehouse()).expect("engine");
     source.ingest_all(louvre.iter().cloned());
     source.finish();
     let history: Vec<SemanticTrajectory> = source.take_finished();
@@ -255,7 +239,7 @@ fn main() {
         "warehouse/flush_throughput".into(),
         time_ns(3, || {
             let mut engine =
-                ShardedEngine::new(config(&model, 4).with_warehouse()).expect("engine");
+                ParallelEngine::new(config(&model, 4).with_warehouse()).expect("engine");
             let mut flusher = Flusher::new(warehouses.fresh()).with_min_batch(64);
             for chunk in louvre.chunks(louvre.len() / 8) {
                 engine.ingest_all(chunk.iter().cloned());

@@ -1,9 +1,9 @@
 //! Concurrent-session equivalence: M writer clients and K query
 //! clients hammer one server from separate threads, and the final
-//! state must equal a **single-threaded in-process replay** of the
-//! same events — the same differential idiom
-//! `tests/parallel_equivalence.rs` uses to pin the parallel engine to
-//! the sequential one, lifted to the network tier.
+//! state must equal an **in-process replay** of the same events fed by
+//! one thread — the same differential idiom
+//! `tests/parallel_equivalence.rs` uses to pin N workers to one, lifted
+//! to the network tier.
 //!
 //! Determinism argument: each writer owns a disjoint visit-key range
 //! and sends its own visits' events in order, so per-visit event order
@@ -23,7 +23,7 @@ use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{Client, Server, ServerConfig};
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
+use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -164,14 +164,14 @@ fn concurrent_writers_and_readers_equal_single_threaded_replay() {
     }
 
     // Barrier: spill everything closed, then compare against the
-    // single-threaded replay.
+    // in-process replay.
     let mut client = Client::connect(addr).expect("connect");
     let (spilled, warehouse_total, _) = client.checkpoint().expect("checkpoint");
     assert_eq!(spilled, WRITERS * PER_WRITER);
     assert_eq!(warehouse_total, WRITERS * PER_WRITER);
 
-    // Single-threaded replay: same events, one engine, one flush.
-    let mut reference = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    // In-process replay: same events, one feeding thread, one flush.
+    let mut reference = ParallelEngine::new(engine_config().with_warehouse()).expect("engine");
     for w in 0..WRITERS {
         reference.ingest_all(writer_feed(w, PER_WRITER));
     }

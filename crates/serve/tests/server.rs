@@ -18,7 +18,7 @@ use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{Client, Server, ServerConfig};
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
+use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -140,7 +140,7 @@ fn served_results_equal_in_process_federation() {
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // In-process reference: same events, same flush points.
-    let mut reference = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    let mut reference = ParallelEngine::new(engine_config().with_warehouse()).expect("engine");
     let mut ref_flusher = Flusher::new(
         SegmentedDb::open(&tmp_local.0, WarehouseConfig::default())
             .expect("open")

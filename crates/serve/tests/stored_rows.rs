@@ -32,7 +32,7 @@ use sitm_serve::{
 };
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{EngineConfig, ShardedEngine, StreamEvent, VisitKey};
+use sitm_stream::{EngineConfig, ParallelEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -481,7 +481,7 @@ fn a_federated_page_clones_only_the_page() {
     // In process: the owned sink clones exactly the page.
     let registry = MetricsRegistry::new();
     let local = open_db(&seed.0, &registry);
-    let mut engine = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    let mut engine = ParallelEngine::new(engine_config().with_warehouse()).expect("engine");
     engine.ingest_all(open_visits());
     let snapshot = engine.live_snapshot();
     let sources: [&dyn TrajectorySource; 2] = [&*snapshot, &local];

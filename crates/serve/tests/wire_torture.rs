@@ -21,7 +21,7 @@ use sitm_serve::{
 };
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{EngineConfig, Flusher, ShardedEngine, StreamEvent, VisitKey};
+use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -790,7 +790,7 @@ fn a_federated_page_is_the_encoding_of_execute_federated_rows() {
     let server =
         Server::start(ServerConfig::new(engine_config(), &tmp_server.0)).expect("start server");
     let mut client = Client::connect(server.addr()).expect("connect");
-    let mut reference = ShardedEngine::new(engine_config().with_warehouse()).expect("engine");
+    let mut reference = ParallelEngine::new(engine_config().with_warehouse()).expect("engine");
     let (db, _) = SegmentedDb::open(&tmp_local.0, WarehouseConfig::default()).expect("open");
     let mut flusher = Flusher::new(db);
 

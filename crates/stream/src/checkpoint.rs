@@ -1,6 +1,6 @@
 //! Checkpoint encoding and crash recovery.
 //!
-//! Shard state serializes into the opaque payload of a
+//! Per-shard engine state serializes into the opaque payload of a
 //! [`sitm_store::CheckpointFrame`] using the store's varint/annotation
 //! codecs, and rides the CRC-framed [`LogStore`] for durability: a torn
 //! write mid-checkpoint is detected by the store's scanner (truncated
@@ -25,7 +25,7 @@ use sitm_store::{
     CompactionPolicy, LogStore, RecoveryReport, StoreError,
 };
 
-use crate::engine::{EngineConfig, EngineError, ShardedEngine};
+use crate::engine::{EngineConfig, EngineError};
 use crate::event::VisitKey;
 use crate::parallel::ParallelEngine;
 use crate::segmenter::SegmenterSnapshot;
@@ -379,22 +379,19 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
 }
 
 /// Decodes and validates one complete checkpoint against `config` —
-/// shard count, predicate arity, retention reconciliation — and
-/// restores the shards. The single restore body behind both
-/// [`ShardedEngine::restore`] and [`ParallelEngine::restore`], so a
-/// validation added for one engine cannot be forgotten for the other.
-/// Returns the shards in shard order plus the checkpoint's sequence.
+/// shard count, predicate arity, retention reconciliation. Returns the
+/// shard snapshots in shard order plus the checkpoint's sequence.
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
     frames: &[&CheckpointFrame],
-) -> Result<(Vec<crate::shard::Shard>, u64), EngineError> {
+) -> Result<(Vec<ShardSnapshot>, u64), EngineError> {
     if frames.len() != config.shards {
         return Err(EngineError::ShardCountMismatch {
             configured: config.shards,
             recorded: frames.len(),
         });
     }
-    let mut shards = Vec::with_capacity(frames.len());
+    let mut snapshots = Vec::with_capacity(frames.len());
     let mut sequence = 0;
     for frame in frames {
         sequence = frame.sequence;
@@ -406,13 +403,13 @@ pub(crate) fn decode_checkpoint(
             });
         }
         crate::engine::reconcile_retention(&mut snapshot, config);
-        shards.push(crate::shard::Shard::restore(snapshot, &config.predicates));
+        snapshots.push(snapshot);
     }
-    Ok((shards, sequence))
+    Ok((snapshots, sequence))
 }
 
 /// Appends one checkpoint's frames and fsyncs — the non-compacting
-/// commit path shared by both engines' `checkpoint` and the
+/// commit path shared by the engine's `checkpoint` and the
 /// [`Checkpointer`]'s deferred-compaction commits.
 pub(crate) fn append_and_sync(
     log: &mut LogStore<CheckpointFrame>,
@@ -511,59 +508,17 @@ impl Checkpointer {
 
 // --- recovery --------------------------------------------------------------
 
-/// The resume surface both engines share, so every `resume_*` entry
-/// point runs the same recovery body.
-trait ResumableEngine: Sized {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError>;
-    fn restore_from(config: EngineConfig, frames: &[&CheckpointFrame])
-        -> Result<Self, EngineError>;
-    fn advance(&mut self, sequence: u64);
-}
-
-impl ResumableEngine for ShardedEngine {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError> {
-        ShardedEngine::new(config)
-    }
-    fn restore_from(
-        config: EngineConfig,
-        frames: &[&CheckpointFrame],
-    ) -> Result<Self, EngineError> {
-        ShardedEngine::restore(config, frames)
-    }
-    fn advance(&mut self, sequence: u64) {
-        self.advance_sequence_to(sequence);
-    }
-}
-
-impl ResumableEngine for ParallelEngine {
-    fn fresh(config: EngineConfig) -> Result<Self, EngineError> {
-        ParallelEngine::new(config)
-    }
-    fn restore_from(
-        config: EngineConfig,
-        frames: &[&CheckpointFrame],
-    ) -> Result<Self, EngineError> {
-        ParallelEngine::restore(config, frames)
-    }
-    fn advance(&mut self, sequence: u64) {
-        self.advance_sequence_to(sequence);
-    }
-}
-
 /// The common recovery body: rebuild from the newest complete
 /// checkpoint (or fresh when none exists), then raise the sequence past
 /// every durable frame — torn checkpoints included, whose numbers must
 /// never be reused or the next checkpoint would collide with the stale
 /// frames and read as incomplete at the following recovery.
-fn resume_engine<E: ResumableEngine>(
-    config: EngineConfig,
-    frames: &[CheckpointFrame],
-) -> Result<E, EngineError> {
+fn resume(config: EngineConfig, frames: &[CheckpointFrame]) -> Result<ParallelEngine, EngineError> {
     let mut engine = match latest_complete_checkpoint(frames) {
-        Some(chosen) => E::restore_from(config, &chosen)?,
-        None => E::fresh(config)?,
+        Some(chosen) => ParallelEngine::restore(config, &chosen)?,
+        None => ParallelEngine::new(config)?,
     };
-    engine.advance(frames.iter().map(|f| f.sequence).max().unwrap_or(0));
+    engine.advance_sequence_to(frames.iter().map(|f| f.sequence).max().unwrap_or(0));
     Ok(engine)
 }
 
@@ -574,18 +529,9 @@ fn resume_engine<E: ResumableEngine>(
 pub fn resume_from_log(
     config: EngineConfig,
     path: impl AsRef<std::path::Path>,
-) -> Result<(ShardedEngine, LogStore<CheckpointFrame>, RecoveryReport), EngineError> {
-    let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-    Ok((resume_engine(config, &frames)?, log, report))
-}
-
-/// [`resume_from_log`] for the work-stealing [`ParallelEngine`].
-pub fn resume_parallel_from_log(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
 ) -> Result<(ParallelEngine, LogStore<CheckpointFrame>, RecoveryReport), EngineError> {
     let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-    Ok((resume_engine(config, &frames)?, log, report))
+    Ok((resume(config, &frames)?, log, report))
 }
 
 /// [`resume_from_log`], but through a compacting [`Checkpointer`]
@@ -594,19 +540,9 @@ pub fn resume_compacting(
     config: EngineConfig,
     path: impl AsRef<std::path::Path>,
     policy: CompactionPolicy,
-) -> Result<(ShardedEngine, Checkpointer, RecoveryReport), EngineError> {
-    let (checkpointer, frames, report) = Checkpointer::open(path, policy)?;
-    Ok((resume_engine(config, &frames)?, checkpointer, report))
-}
-
-/// [`resume_compacting`] for the [`ParallelEngine`].
-pub fn resume_parallel_compacting(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
-    policy: CompactionPolicy,
 ) -> Result<(ParallelEngine, Checkpointer, RecoveryReport), EngineError> {
     let (checkpointer, frames, report) = Checkpointer::open(path, policy)?;
-    Ok((resume_engine(config, &frames)?, checkpointer, report))
+    Ok((resume(config, &frames)?, checkpointer, report))
 }
 
 #[cfg(test)]
@@ -670,7 +606,7 @@ mod tests {
 
     #[test]
     fn payload_round_trips() {
-        let mut engine = ShardedEngine::new(config()).unwrap();
+        let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest(StreamEvent::VisitOpened {
             visit: VisitKey(1),
             moving_object: "mo".into(),
@@ -686,7 +622,7 @@ mod tests {
         assert_eq!(seq, 1);
         drop(log);
 
-        let (restored, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut restored, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
         assert!(report.is_clean());
         let stats = restored.stats();
         assert_eq!(stats.presences, 2);
@@ -695,7 +631,7 @@ mod tests {
 
     #[test]
     fn predicate_mismatch_is_rejected() {
-        let mut engine = ShardedEngine::new(config()).unwrap();
+        let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest(presence(3, 1, 0));
         let tmp = TempPath::new("mismatch");
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
@@ -715,7 +651,7 @@ mod tests {
 
     #[test]
     fn shard_mismatch_is_rejected() {
-        let mut engine = ShardedEngine::new(config()).unwrap();
+        let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest(presence(3, 1, 0));
         let tmp = TempPath::new("shards");
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
@@ -733,7 +669,7 @@ mod tests {
     fn torn_higher_sequence_is_never_reused() {
         let tmp = TempPath::new("seq-guard");
         {
-            let mut engine = ShardedEngine::new(config()).unwrap();
+            let mut engine = ParallelEngine::new(config()).unwrap();
             engine.ingest(presence(1, 1, 0));
             let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
             assert_eq!(engine.checkpoint(&mut log).unwrap(), 1);
@@ -766,14 +702,14 @@ mod tests {
         assert_eq!(seq, 3, "torn sequence 2 is burned, not reused");
         drop(log);
         // The new checkpoint is complete and wins the next recovery.
-        let (again, _, _) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut again, _, _) = resume_from_log(config(), &tmp.0).unwrap();
         assert_eq!(again.stats().presences, 2);
     }
 
     #[test]
     fn empty_log_starts_fresh() {
         let tmp = TempPath::new("fresh");
-        let (engine, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        let (mut engine, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(engine.stats().events, 0);
     }

@@ -1,6 +1,6 @@
 //! The live → warehouse spill pipeline.
 //!
-//! With [`crate::EngineConfig::with_warehouse`] on, each engine retains
+//! With [`crate::EngineConfig::with_warehouse`] on, the engine retains
 //! every closed visit's completed trajectory until `take_finished`
 //! collects it — which bounds nothing by itself. A [`Flusher`] closes
 //! the loop: it periodically drains the finished backlog out of the
@@ -47,29 +47,7 @@ use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sitm_query::SegmentedDb;
 use sitm_store::warehouse::WarehouseError;
 
-use crate::engine::ShardedEngine;
 use crate::parallel::ParallelEngine;
-
-/// An engine that can hand over its finished-visit backlog — the drain
-/// side of the live → warehouse pipeline, implemented by both runtimes
-/// so one [`Flusher`] serves either.
-pub trait FinishedSource {
-    /// Flushes, then takes every completed-but-unflushed trajectory in
-    /// deterministic global order.
-    fn take_finished(&mut self) -> Vec<SemanticTrajectory>;
-}
-
-impl FinishedSource for ShardedEngine {
-    fn take_finished(&mut self) -> Vec<SemanticTrajectory> {
-        ShardedEngine::take_finished(self)
-    }
-}
-
-impl FinishedSource for ParallelEngine {
-    fn take_finished(&mut self) -> Vec<SemanticTrajectory> {
-        ParallelEngine::take_finished(self)
-    }
-}
 
 /// Drains finished visits from a streaming engine into the segment
 /// tier, bounding engine memory (see the module docs for the data path
@@ -129,7 +107,7 @@ impl Flusher {
     /// carry from earlier polls) into the warehouse once the batch
     /// threshold is met. Returns the number of trajectories made
     /// durable by this call (0 when the batch is still accumulating).
-    pub fn poll(&mut self, engine: &mut impl FinishedSource) -> Result<usize, WarehouseError> {
+    pub fn poll(&mut self, engine: &mut ParallelEngine) -> Result<usize, WarehouseError> {
         self.carry.extend(engine.take_finished());
         if self.carry.len() < self.min_batch {
             self.backlog_gauge.set(self.carry.len() as i64);
@@ -140,7 +118,7 @@ impl Flusher {
 
     /// Drains the engine, then spills everything in hand regardless of
     /// the batch threshold (end-of-stream / shutdown).
-    pub fn force(&mut self, engine: &mut impl FinishedSource) -> Result<usize, WarehouseError> {
+    pub fn force(&mut self, engine: &mut ParallelEngine) -> Result<usize, WarehouseError> {
         self.carry.extend(engine.take_finished());
         self.spill()
     }
@@ -269,7 +247,7 @@ mod tests {
     #[test]
     fn poll_spills_finished_visits_and_bounds_the_engine() {
         let tmp = TempDir::new("poll");
-        let mut engine = ShardedEngine::new(config()).unwrap();
+        let mut engine = ParallelEngine::new(config()).unwrap();
         let mut flusher = Flusher::new(open_db(&tmp));
         let events = feed(9);
         let third = events.len() / 3;
@@ -297,7 +275,7 @@ mod tests {
     #[test]
     fn min_batch_holds_small_spills() {
         let tmp = TempDir::new("batch");
-        let mut engine = ShardedEngine::new(config()).unwrap();
+        let mut engine = ParallelEngine::new(config()).unwrap();
         let mut flusher = Flusher::new(open_db(&tmp)).with_min_batch(100);
         engine.ingest_all(feed(4));
         engine.flush();
@@ -305,30 +283,5 @@ mod tests {
         assert_eq!(flusher.backlog(), 4, "carried, not lost");
         assert_eq!(flusher.force(&mut engine).unwrap(), 4);
         assert_eq!(flusher.db().len(), 4);
-    }
-
-    #[test]
-    fn one_flusher_serves_both_runtimes_identically() {
-        let events = feed(8);
-        let tmp_seq = TempDir::new("seq");
-        let tmp_par = TempDir::new("par");
-
-        let mut seq = ShardedEngine::new(config()).unwrap();
-        seq.ingest_all(events.iter().cloned());
-        seq.finish();
-        let mut f = Flusher::new(open_db(&tmp_seq));
-        f.force(&mut seq).unwrap();
-        let seq_db = f.into_db().unwrap();
-
-        let mut par = ParallelEngine::new(config()).unwrap();
-        par.ingest_all(events.iter().cloned());
-        par.finish();
-        let mut f = Flusher::new(open_db(&tmp_par));
-        f.force(&mut par).unwrap();
-        let par_db = f.into_db().unwrap();
-
-        let seq_all: Vec<SemanticTrajectory> = seq_db.iter().cloned().collect();
-        let par_all: Vec<SemanticTrajectory> = par_db.iter().cloned().collect();
-        assert_eq!(seq_all, par_all, "identical warehouses from either runtime");
     }
 }

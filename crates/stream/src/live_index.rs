@@ -1,12 +1,11 @@
-//! Online postings over the open-visit population of one shard.
+//! Online postings over an engine's open-visit population.
 //!
 //! The warehouse side of the query stack answers predicates through
 //! `sitm_query::TrajectoryDb`'s inverted indexes; before this module the
 //! live side answered them by scanning every retained prefix. A
-//! [`LiveIndex`] closes that gap: each shard (as events are accepted)
-//! and the work-stealing engine (for the visits touched since its last
-//! snapshot cut) maintains three posting structures *incrementally*,
-//! never rebuilt per query:
+//! [`LiveIndex`] closes that gap: the engine maintains three posting
+//! structures *incrementally* — for the visits touched since its last
+//! snapshot cut — never rebuilt per query:
 //!
 //! * **cell postings** — cell → open visits with at least one accepted
 //!   stay there (serves `VisitedCell`, `MinStayIn`, `StayOverlaps`, and
@@ -116,8 +115,8 @@ impl LiveIndex {
     /// Folds another index in (postings union), consuming it — an empty
     /// receiver adopts the donor wholesale, so the common
     /// one-index-per-engine merge is a move, not a rebuild. Visit
-    /// populations are expected to be disjoint (each visit lives on one
-    /// shard).
+    /// populations are expected to be disjoint (each visit lives in one
+    /// engine).
     pub fn absorb(&mut self, other: LiveIndex) {
         if self.entries.is_empty() {
             *self = other;

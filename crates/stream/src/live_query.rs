@@ -1,4 +1,4 @@
-//! Live queries over in-flight shard state.
+//! Live queries over in-flight engine state.
 //!
 //! The batch query stack (`sitm-query`) sees trajectories only after
 //! their visits close and drain. This module makes the *live* state
@@ -9,15 +9,12 @@
 //!
 //! ## Snapshot consistency
 //!
-//! A [`LiveSnapshot`] is a *consistent cut*: both engines produce it by
-//! flushing, then capturing every shard's state at one point in the
-//! command order, so an event is either entirely visible (its effects on
-//! the prefix and the postings both present) or entirely absent. For
-//! [`crate::ParallelEngine`] the cut is a quiesce point of the
-//! work-stealing scheduler: every event ingested before the call is
-//! applied and deposited before the capture, everything after is
-//! excluded — the same contract the sequential engine gets from its
-//! in-line flush. A snapshot is immutable once handed out: a reader
+//! A [`LiveSnapshot`] is a *consistent cut*: [`crate::ParallelEngine`]
+//! takes it at a quiesce point of its work-stealing scheduler — every
+//! event ingested before the call is applied and deposited before the
+//! capture, everything after is excluded — so an event is either
+//! entirely visible (its effects on the prefix and the postings both
+//! present) or entirely absent. A snapshot is immutable once handed out: a reader
 //! holding the `Arc` of an earlier cut keeps seeing that cut, whatever
 //! the engine ingests or cuts afterwards.
 //!
@@ -31,18 +28,16 @@
 //! A snapshot carries a [`LiveIndex`] — cell postings, moving-object
 //! postings, and a span-start order (see [`crate::live_index`]) — **from
 //! the same cut** as its visits, so the index can neither lead nor
-//! trail the visible trajectories. The two engines get there
-//! differently. [`crate::ShardedEngine`] (the from-scratch reference)
-//! advances each shard's index inside the event application that
-//! extends the prefix, and rebuilds the whole snapshot at every cut.
-//! [`crate::ParallelEngine`] *patches* at the cut: at the quiesce point
-//! it re-derives the prefix and the postings of exactly the visits its
-//! workers touched since the previous cut, and shares everything else
-//! (each visit behind its own `Arc`, the index behind one) with the
-//! previous snapshot — a cut costs what changed, not what is open.
-//! There is no "mid-update" window a caller can observe; the
-//! differential tests pin patched == rebuilt == batch prefix and
-//! indexed results == scan results at every cut.
+//! trail the visible trajectories. The engine *patches* at the cut: at
+//! the quiesce point it re-derives the prefix and the postings of
+//! exactly the visits its workers touched since the previous cut, and
+//! shares everything else (each visit behind its own `Arc`, the index
+//! behind one) with the previous snapshot — a cut costs what changed,
+//! not what is open. There is no "mid-update" window a caller can
+//! observe; the differential tests pin patched == rebuilt (every open
+//! visit re-derived into an empty view,
+//! `ParallelEngine::rebuilt_snapshot`) == batch prefix and indexed
+//! results == scan results at every cut.
 //!
 //! [`LiveSnapshot::candidates`] narrows a `sitm_query::Predicate` to a
 //! [`CandidateSet`] exactly like `TrajectoryDb::candidates` does on the
@@ -88,20 +83,6 @@ pub struct LiveVisit {
     pub trajectory: SemanticTrajectory,
 }
 
-/// One shard's contribution to a live snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardLive {
-    /// Open visits with a queryable prefix, ordered by visit key.
-    pub visits: Vec<LiveVisit>,
-    /// The shard's high-water mark.
-    pub watermark: Option<Timestamp>,
-    /// Open visits without a queryable prefix (retention off, no interval
-    /// accepted yet, or an empty annotation set).
-    pub unqueryable: usize,
-    /// The shard's incremental postings at the same cut.
-    pub index: LiveIndex,
-}
-
 /// A consistent cut of an engine's live state: every open visit's
 /// prefix, and the postings over them.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -112,7 +93,8 @@ pub struct LiveSnapshot {
     pub visits: Vec<Arc<LiveVisit>>,
     /// The engine watermark at the cut (minimum across populated shards).
     pub watermark: Option<Timestamp>,
-    /// Open visits that could not be queried (see [`ShardLive::unqueryable`]).
+    /// Open visits without a queryable prefix (retention off, no
+    /// interval accepted yet, or an empty annotation set).
     pub unqueryable: usize,
     /// The postings at the cut.
     index: Arc<LiveIndex>,
@@ -126,63 +108,48 @@ pub struct LiveSnapshot {
     keys: Vec<u64>,
 }
 
-/// One contribution to an assembled snapshot: visits, watermark,
-/// unqueryable count, postings.
-type Part = (Vec<Arc<LiveVisit>>, Option<Timestamp>, usize, LiveIndex);
-
 impl LiveSnapshot {
-    /// Assembles the engine-level snapshot from per-shard cuts.
-    pub fn from_shards(shards: Vec<ShardLive>) -> LiveSnapshot {
-        LiveSnapshot::assemble(shards.into_iter().map(|shard| {
-            let visits = shard.visits.into_iter().map(Arc::new).collect();
-            (visits, shard.watermark, shard.unqueryable, shard.index)
-        }))
+    /// A snapshot of `visits` (in any order) with `index` as its
+    /// postings; no watermark, nothing unqueryable. Candidate narrowing
+    /// is used only when `index` covers every visit and no key repeats;
+    /// otherwise every query scans.
+    pub fn new(mut visits: Vec<Arc<LiveVisit>>, index: LiveIndex) -> LiveSnapshot {
+        visits.sort_by_key(|v| v.visit);
+        // A key duplicated across merged snapshots (overlapping
+        // engines, replicated feeds) would binary-search to a single
+        // position and lose its twin.
+        let duplicated = visits.windows(2).any(|w| w[0].visit == w[1].visit);
+        let index_complete = !duplicated && visits.iter().all(|v| index.contains(v.visit.0));
+        LiveSnapshot::from_parts(visits, None, 0, Arc::new(index), index_complete)
     }
 
     /// Merges snapshots from several engines (multi-site federation).
-    /// Each input keeps its own cut; the merge is the plain union.
+    /// Each input keeps its own cut; the merge is the plain union, its
+    /// watermark the smallest of the inputs'.
     pub fn merge(parts: impl IntoIterator<Item = LiveSnapshot>) -> LiveSnapshot {
-        LiveSnapshot::assemble(parts.into_iter().map(|p| {
-            let index = Arc::unwrap_or_clone(p.index);
-            (p.visits, p.watermark, p.unqueryable, index)
-        }))
-    }
-
-    fn assemble(parts: impl Iterator<Item = Part>) -> LiveSnapshot {
         let mut visits = Vec::new();
+        let mut index = LiveIndex::new();
         let mut unqueryable = 0;
         let mut watermark: Option<Timestamp> = None;
-        let mut index = LiveIndex::new();
-        for (part_visits, part_watermark, part_unqueryable, part_index) in parts {
-            visits.extend(part_visits);
-            unqueryable += part_unqueryable;
-            index.absorb(part_index);
-            watermark = match (watermark, part_watermark) {
+        for part in parts {
+            visits.extend(part.visits);
+            index.absorb(Arc::unwrap_or_clone(part.index));
+            unqueryable += part.unqueryable;
+            watermark = match (watermark, part.watermark) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
         }
-        visits.sort_by_key(|v| v.visit);
-        // Candidate narrowing is sound only when postings cover every
-        // visit AND keys are unique: a key duplicated across merged
-        // snapshots (overlapping engines, replicated feeds) would
-        // binary-search to a single position and lose its twin, so such
-        // merges keep the scan path.
-        let duplicated = visits.windows(2).any(|w| w[0].visit == w[1].visit);
-        let index_complete = !duplicated && visits.iter().all(|v| index.contains(v.visit.0));
-        LiveSnapshot::from_parts(
-            visits,
+        LiveSnapshot {
             watermark,
             unqueryable,
-            Arc::new(index),
-            index_complete,
-        )
+            ..LiveSnapshot::new(visits, index)
+        }
     }
 
-    /// `visits` in key order. The work-stealing engine calls this
-    /// directly, with `index` built over exactly those visits
-    /// (`index_complete`) and both shared with its patched view rather
-    /// than copied.
+    /// `visits` in key order. The engine's cut calls this directly,
+    /// with `index` built over exactly those visits (`index_complete`)
+    /// and both shared with its patched view rather than copied.
     pub(crate) fn from_parts(
         visits: Vec<Arc<LiveVisit>>,
         watermark: Option<Timestamp>,
@@ -310,51 +277,21 @@ mod tests {
         }
     }
 
-    /// A ShardLive whose index covers its visits (the shape engines
-    /// produce).
-    fn shard_live(visits: Vec<LiveVisit>) -> ShardLive {
+    /// A snapshot whose index covers its visits (the shape the engine
+    /// produces).
+    fn snapshot_of(visits: Vec<LiveVisit>) -> LiveSnapshot {
         let mut index = LiveIndex::new();
         for v in &visits {
             for interval in v.trajectory.trace().intervals() {
                 index.observe(v.visit.0, &v.trajectory.moving_object, interval);
             }
         }
-        ShardLive {
-            visits,
-            watermark: None,
-            unqueryable: 0,
-            index,
-        }
-    }
-
-    #[test]
-    fn from_shards_merges_sorts_and_takes_min_watermark() {
-        let snapshot = LiveSnapshot::from_shards(vec![
-            ShardLive {
-                watermark: Some(Timestamp(40)),
-                unqueryable: 1,
-                ..shard_live(vec![live(5, 1, 0)])
-            },
-            ShardLive {
-                watermark: Some(Timestamp(25)),
-                ..shard_live(vec![live(2, 2, 0)])
-            },
-            shard_live(vec![]),
-        ]);
-        assert_eq!(snapshot.visits.len(), 2);
-        assert_eq!(snapshot.visits[0].visit, VisitKey(2), "sorted by key");
-        assert_eq!(snapshot.watermark, Some(Timestamp(25)), "min across Some");
-        assert_eq!(snapshot.unqueryable, 1);
-        assert!(snapshot.index_complete, "shards carried their postings");
+        LiveSnapshot::new(visits.into_iter().map(Arc::new).collect(), index)
     }
 
     #[test]
     fn indexed_candidates_narrow_and_match_the_scan_path() {
-        let snapshot = LiveSnapshot::from_shards(vec![shard_live(vec![
-            live(1, 1, 0),
-            live(2, 2, 100),
-            live(3, 1, 200),
-        ])]);
+        let snapshot = snapshot_of(vec![live(1, 1, 0), live(2, 2, 100), live(3, 1, 200)]);
         let predicates = [
             Predicate::VisitedCell(cell(1)),
             Predicate::MovingObject("mo-2".into()),
@@ -398,14 +335,9 @@ mod tests {
 
     #[test]
     fn incomplete_index_falls_back_to_scanning() {
-        // A hand-assembled shard cut without postings: narrowing would
+        // A hand-assembled snapshot without postings: narrowing would
         // lose matches, so candidates must degrade to All.
-        let snapshot = LiveSnapshot::from_shards(vec![ShardLive {
-            visits: vec![live(1, 1, 0)],
-            watermark: None,
-            unqueryable: 0,
-            index: LiveIndex::new(),
-        }]);
+        let snapshot = LiveSnapshot::new(vec![Arc::new(live(1, 1, 0))], LiveIndex::new());
         assert!(!snapshot.index_complete);
         assert_eq!(
             snapshot.candidates(&Predicate::VisitedCell(cell(1))),
@@ -420,8 +352,8 @@ mod tests {
         // overlapping engines): a duplicated key cannot be narrowed
         // soundly, so the merge must disable the index path — and the
         // indexed entry points must still count both copies.
-        let a = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0)])]);
-        let b = LiveSnapshot::from_shards(vec![shard_live(vec![live(1, 1, 0), live(2, 2, 0)])]);
+        let a = snapshot_of(vec![live(1, 1, 0)]);
+        let b = snapshot_of(vec![live(1, 1, 0), live(2, 2, 0)]);
         let merged = LiveSnapshot::merge([a, b]);
         assert_eq!(merged.visits.len(), 3);
         assert!(
@@ -440,18 +372,21 @@ mod tests {
 
     #[test]
     fn merge_unions_engine_snapshots_and_source_walks_all() {
-        let a = LiveSnapshot::from_shards(vec![ShardLive {
-            watermark: Some(Timestamp(10)),
-            ..shard_live(vec![live(1, 1, 0)])
-        }]);
-        let b = LiveSnapshot::from_shards(vec![ShardLive {
+        let a = LiveSnapshot {
+            watermark: Some(Timestamp(40)),
+            unqueryable: 1,
+            ..snapshot_of(vec![live(5, 1, 0)])
+        };
+        let b = LiveSnapshot {
+            watermark: Some(Timestamp(25)),
             unqueryable: 2,
-            ..shard_live(vec![live(2, 1, 0)])
-        }]);
-        let merged = LiveSnapshot::merge([a, b]);
+            ..snapshot_of(vec![live(2, 1, 0)])
+        };
+        let merged = LiveSnapshot::merge([a, b, snapshot_of(vec![])]);
         assert_eq!(merged.visits.len(), 2);
-        assert_eq!(merged.unqueryable, 2);
-        assert_eq!(merged.watermark, Some(Timestamp(10)));
+        assert_eq!(merged.visits[0].visit, VisitKey(2), "sorted by key");
+        assert_eq!(merged.unqueryable, 3);
+        assert_eq!(merged.watermark, Some(Timestamp(25)), "min across Some");
         assert!(merged.index_complete, "merge carries the postings along");
         assert_eq!(
             sitm_query::federated_count(&Predicate::VisitedCell(cell(1)), &[&merged]),

@@ -17,11 +17,12 @@
 //! its queued events are applied. Stealing moves whole **cold** visits
 //! — visits that are queued but not held, so none of their events are
 //! mid-application anywhere. A visit's history is therefore applied in
-//! arrival order by a single worker at a time, which is exactly the
-//! per-visit ordering guarantee the sequential engine provides; thread
-//! interleavings remain invisible in the output (property-tested in
-//! `tests/parallel_equivalence.rs` for 1/2/4/8 workers, shuffled feeds,
-//! skewed feeds, and crash/restore mid-stream).
+//! arrival order by a single worker at a time, and every per-visit
+//! decision is a pure function of that history; thread interleavings
+//! remain invisible in the output (property-tested in
+//! `tests/parallel_equivalence.rs` against batch `maximal_episodes` and
+//! the one-worker engine for 1/2/4/8 workers, shuffled feeds, skewed
+//! feeds, and crash/restore mid-stream).
 //!
 //! ## Design
 //!
@@ -46,16 +47,15 @@
 //!   sorts by a deterministic global key, so the sharding is invisible
 //!   in the output.
 //! * **Barriers** — `flush`/`drain`/`take_finished`/`finish`/
-//!   `checkpoint`/`live_snapshot`/`stats` quiesce: they push the router
-//!   buffer, then wait until every queued event is applied and
-//!   deposited. A barrier therefore reflects exactly the events
-//!   ingested before the call — the same consistent cut the sequential
-//!   engine gets from its in-line flush (see [`crate::live_query`]).
-//! * **Sequential-equivalent accounting** — watermarks are still kept
-//!   per *hash shard* (the `config.shards` partitions the sequential
-//!   engine would use), so `watermark()` and checkpoint frames are
-//!   byte-compatible with [`ShardedEngine`]: checkpoints written by
-//!   either engine restore into the other.
+//!   `checkpoint`/`live_snapshot`/`stats`/`watermark` quiesce: they push
+//!   the router buffer, then wait until every queued event is applied
+//!   and deposited. A barrier therefore reflects exactly the events
+//!   ingested before the call (see [`crate::live_query`]).
+//! * **Hash-shard accounting** — watermarks, fence caps and checkpoint
+//!   frames are kept per *hash shard* (the `config.shards` partitions
+//!   of `shard_of`), never per worker, so what `watermark()` reports and
+//!   what a checkpoint writes do not depend on which worker applied
+//!   which visit.
 //! * **Live view** — the engine thread owns what `live_snapshot()`
 //!   shows: every open visit's prefix behind its own `Arc`, and the
 //!   [`crate::LiveIndex`] over them behind one. Workers never see it.
@@ -77,8 +77,6 @@
 //!
 //! A worker that panics marks the scheduler; subsequent engine calls
 //! panic with a clear message rather than silently dropping data.
-//!
-//! [`ShardedEngine`]: crate::ShardedEngine
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -139,9 +137,8 @@ struct Scheduler {
     shutdown: bool,
     /// A worker died mid-slice; engine state is no longer trustworthy.
     panicked: bool,
-    /// Live close fences per hash shard, ordered by close instant —
-    /// the incremental twin of the sequential shard's `closed_order`,
-    /// so capacity eviction is O(log n) per close, never a sweep.
+    /// Live close fences per hash shard, ordered by close instant, so
+    /// capacity eviction is O(log n) per close, never a sweep.
     fences: Vec<BTreeSet<(Timestamp, u64)>>,
 }
 
@@ -187,11 +184,10 @@ impl Scheduler {
     /// synthesized close): records fence transitions in the per-shard
     /// ordered set, drops dead cells on the spot, and enforces the
     /// fence capacity by evicting the smallest close instants — O(log
-    /// n) per close like the sequential shard's `closed_order` bound,
-    /// never a stop-the-world sweep. Fencing itself is event-time
-    /// deterministic, so reclamation below the cap is behaviorally
-    /// invisible; above it, eviction timing is the documented
-    /// divergence window of [`EngineConfig::fence_capacity`].
+    /// n) per close, never a stop-the-world sweep. Fencing itself is
+    /// event-time deterministic, so reclamation below the cap is
+    /// behaviorally invisible; above it, see
+    /// [`EngineConfig::fence_capacity`].
     fn settle_cell(
         &mut self,
         key: u64,
@@ -398,12 +394,10 @@ impl SliceOutput {
     }
 }
 
-/// Applies one event to one visit — the per-visit core of
-/// `Shard::apply`, kept behaviorally identical (the differential
-/// property tests compare the two engines event for event): same
-/// anomaly accounting, same implicit-open identity, same fence
-/// semantics, same episode provenance, same finished-trajectory
-/// retention.
+/// Applies one event to one visit: the late-event fence, explicit and
+/// implicit opens, fixes and presences, closes, anomaly accounting,
+/// episode provenance and finished-trajectory retention — every rule a
+/// visit's history is judged by, in one place.
 fn apply_visit_event(
     key: u64,
     event: StreamEvent,
@@ -421,8 +415,8 @@ fn apply_visit_event(
             return;
         }
         // Past the lateness horizon of the close: retire the fence
-        // (mirror of `Shard::apply`; the event falls through to the
-        // normal open / implicit-open handling).
+        // (the event falls through to the normal open / implicit-open
+        // handling).
         resident.closed_at = None;
     }
     match event {
@@ -469,8 +463,9 @@ fn apply_visit_event(
             };
             state.close(ctx, scratch, &mut out.stats.anomalies);
             if ctx.retain_finished {
-                // Mirror of `Shard::apply`: the completed trajectory
-                // heads for the warehouse tier.
+                // The completed trajectory heads for the warehouse
+                // tier. A visit that accepted nothing has no trace
+                // (Def. 3.1) and produces no record.
                 if let Some(trajectory) = state.live_trajectory() {
                     out.finished.push((key, trajectory));
                 }
@@ -483,8 +478,8 @@ fn apply_visit_event(
     }
 }
 
-/// Mirror of `Shard::ensure_visit`: an observation for a visit never
-/// opened adopts it with the same synthetic identity.
+/// An observation for a visit never opened opens it implicitly, under
+/// the synthetic identity `implicit-{key}`, rather than dropping data.
 fn ensure_open(
     key: u64,
     resident: &mut Resident,
@@ -504,7 +499,8 @@ fn ensure_open(
     }
 }
 
-/// Mirror of `Shard::collect`.
+/// Moves the episodes the last event finalized into the slice output,
+/// tagged with their visit.
 fn collect_episodes(
     key: u64,
     state: &VisitState,
@@ -638,8 +634,68 @@ struct LiveView {
     index: Arc<LiveIndex>,
 }
 
-/// Work-stealing online trajectory-ingestion engine: the same surface
-/// and the same output as [`crate::ShardedEngine`], with visits applied
+impl LiveView {
+    /// Forgets each of `keys` (each listed once), then re-derives it from
+    /// its cell if that is (still, or again) open — order-free, so a
+    /// visit stolen, or closed and re-opened, between two cuts needs no
+    /// op ordering. Returns how many visits it re-derived.
+    fn rederive(&mut self, scheduler: &Scheduler, keys: &[u64]) -> u64 {
+        if keys.is_empty() {
+            return 0;
+        }
+        let index = Arc::make_mut(&mut self.index);
+        let mut recloned = 0;
+        for &key in keys {
+            self.visits.remove(&key);
+            index.remove(key);
+            let Some(state) = scheduler
+                .visits
+                .get(&key)
+                .and_then(|cell| cell.state.as_ref())
+            else {
+                continue;
+            };
+            for interval in state.retained_intervals() {
+                index.observe(key, &state.moving_object, interval);
+            }
+            let visit = state.live_trajectory().map(|trajectory| {
+                Arc::new(LiveVisit {
+                    visit: VisitKey(key),
+                    trajectory,
+                })
+            });
+            self.visits.insert(key, visit);
+            recloned += 1;
+        }
+        recloned
+    }
+
+    /// Hands out the view as a snapshot, sharing every prefix and the
+    /// postings.
+    fn snapshot(&self, watermark: Option<Timestamp>) -> LiveSnapshot {
+        let visits: Vec<Arc<LiveVisit>> = self.visits.values().flatten().cloned().collect();
+        let unqueryable = self.visits.len() - visits.len();
+        LiveSnapshot::from_parts(
+            visits,
+            watermark,
+            unqueryable,
+            Arc::clone(&self.index),
+            true,
+        )
+    }
+}
+
+/// The keys of every open visit.
+fn open_keys(scheduler: &Scheduler) -> Vec<u64> {
+    scheduler
+        .visits
+        .iter()
+        .filter(|(_, cell)| cell.state.is_some())
+        .map(|(key, _)| *key)
+        .collect()
+}
+
+/// Work-stealing online trajectory-ingestion engine: visits applied
 /// concurrently, rebalanced across workers under skew, and results
 /// deposited through per-worker accumulators instead of one shared
 /// mutex.
@@ -676,42 +732,41 @@ impl ParallelEngine {
     /// (ordered by shard). The configuration must match the one the
     /// checkpoint was taken under — including interval retention, which
     /// is the operator's contract just like the predicate table.
-    /// Checkpoints are runtime-portable: frames written by either
-    /// engine restore into either (restored visits are seeded onto
-    /// their hash shard's worker and rebalance from there).
+    /// Each frame's visits and fences become scheduler cells homed on
+    /// that shard's worker (they rebalance from there); its episodes,
+    /// finished backlog, watermark and counters go to deposit 0, so a
+    /// checkpoint of the restored engine carries every frame's counters
+    /// summed on shard 0.
     pub fn restore(config: EngineConfig, frames: &[&CheckpointFrame]) -> Result<Self, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        let (shards, sequence) = crate::checkpoint::decode_checkpoint(&config, frames)?;
-        let engine = Self::create(config);
-        {
-            let mut guard = lock(&engine.shared.state);
-            let mut seed = lock(&engine.shared.deposits[0]);
-            for (i, shard) in shards.into_iter().enumerate() {
-                let parts = shard.into_parts();
-                seed.shard_watermarks[i] = parts.watermark;
-                seed.stats.absorb(&parts.stats);
-                seed.pending.extend(parts.pending);
-                seed.finished.extend(parts.finished);
-                for (key, state) in parts.visits {
-                    // The first cut derives the restored visit like any
-                    // other touched one.
-                    seed.touch(key);
-                    let mut cell = VisitCell::new(i);
-                    cell.state = Some(state);
-                    guard.visits.insert(key, cell);
-                }
-                for (key, at) in parts.closed {
-                    let mut cell = VisitCell::new(i);
-                    cell.closed_at = Some(at);
-                    guard.visits.insert(key, cell);
-                    guard.fences[i].insert((at, key));
-                }
+        let (snapshots, sequence) = crate::checkpoint::decode_checkpoint(&config, frames)?;
+        let mut engine = Self::create(config);
+        engine.sequence = sequence;
+        let mut guard = lock(&engine.shared.state);
+        let mut seed = lock(&engine.shared.deposits[0]);
+        for (i, snapshot) in snapshots.into_iter().enumerate() {
+            seed.shard_watermarks[i] = snapshot.watermark;
+            seed.stats.absorb(&snapshot.stats);
+            seed.pending.extend(snapshot.pending);
+            seed.finished.extend(snapshot.finished);
+            for (key, visit) in snapshot.visits {
+                // The first cut derives the restored visit like any
+                // other touched one.
+                seed.touch(key);
+                let mut cell = VisitCell::new(i);
+                cell.state = Some(VisitState::restore(visit, &engine.config.predicates));
+                guard.visits.insert(key, cell);
+            }
+            for (key, at) in snapshot.closed {
+                let mut cell = VisitCell::new(i);
+                cell.closed_at = Some(at);
+                guard.visits.insert(key, cell);
+                guard.fences[i].insert((at, key));
             }
         }
-        let mut engine = engine;
-        engine.sequence = sequence;
+        drop((guard, seed));
         Ok(engine)
     }
 
@@ -771,8 +826,12 @@ impl ParallelEngine {
         self.handles.len()
     }
 
-    /// Raises the checkpoint sequence counter to at least `sequence`
-    /// (see [`crate::ShardedEngine::advance_sequence_to`]).
+    /// Raises the checkpoint sequence counter to at least `sequence`.
+    ///
+    /// Recovery calls this with the highest sequence present in the log —
+    /// including torn checkpoints that were *not* restored — so the next
+    /// checkpoint never reuses a sequence number whose stale frames would
+    /// make it look incomplete (or duplicated) to a later recovery.
     pub fn advance_sequence_to(&mut self, sequence: u64) {
         self.sequence = self.sequence.max(sequence);
     }
@@ -873,8 +932,8 @@ impl ParallelEngine {
     }
 
     /// Flushes, then returns every episode finalized since the last
-    /// drain, in the same deterministic global order as
-    /// [`crate::ShardedEngine::drain`].
+    /// drain, in one deterministic global order
+    /// ([`EmittedEpisode::sort_key`]), whatever the worker count.
     pub fn drain(&mut self) -> Vec<EmittedEpisode> {
         let mut out = self.take_pending();
         out.sort_by_key(|a| a.sort_key());
@@ -919,9 +978,13 @@ impl ParallelEngine {
     }
 
     /// Flushes, then takes every visit trajectory completed since the
-    /// last take, in the same deterministic global order as
-    /// [`crate::ShardedEngine::take_finished`]. Empty unless
-    /// [`EngineConfig::with_warehouse`] is on.
+    /// last take, in deterministic global order (span start, span end,
+    /// encoded bytes — [`sitm_store::sort_run`]'s canonical order, so
+    /// any worker count hands a warehouse flusher the identical batch).
+    /// Empty unless [`EngineConfig::with_warehouse`] is on. The
+    /// exactly-once contract mirrors `drain`'s: trajectories taken
+    /// before a checkpoint are never re-emitted after restore, untaken
+    /// ones reappear.
     pub fn take_finished(&mut self) -> Vec<SemanticTrajectory> {
         self.dispatch();
         let guard = self.shared.quiesce();
@@ -934,20 +997,14 @@ impl ParallelEngine {
     }
 
     /// End-of-stream: closes every open visit (at its hash shard's
-    /// watermark, exactly like the sequential `close_all`), then
-    /// drains.
+    /// watermark), then drains.
     pub fn finish(&mut self) -> Vec<EmittedEpisode> {
         self.dirty = true;
         self.dispatch();
         let mut guard = self.shared.quiesce();
         let ctx = self.config.ctx();
         let shards = self.config.shards;
-        let mut keys: Vec<u64> = guard
-            .visits
-            .iter()
-            .filter(|(_, cell)| cell.state.is_some())
-            .map(|(key, _)| *key)
-            .collect();
+        let mut keys = open_keys(&guard);
         keys.sort_unstable();
         let mut scratch = Vec::new();
         // One deposit sweep up front: the synthesized closes stamp each
@@ -1063,7 +1120,7 @@ impl ParallelEngine {
     fn cut_live_snapshot(&mut self) -> LiveSnapshot {
         self.dispatch();
         let guard = self.shared.quiesce();
-        let watermark = self.merged_watermarks().into_iter().flatten().min();
+        let watermark = self.min_watermark();
         let mut touched = Vec::new();
         let mut complete = true;
         self.shared.sweep_deposits(|deposit| {
@@ -1074,61 +1131,52 @@ impl ParallelEngine {
             // A list overflowed: start from nothing and patch every
             // open visit — the same loop over a longer list.
             self.view = LiveView::default();
-            touched = guard
-                .visits
-                .iter()
-                .filter(|(_, cell)| cell.state.is_some())
-                .map(|(key, _)| *key)
-                .collect();
+            touched = open_keys(&guard);
         }
         touched.sort_unstable();
         touched.dedup();
-        let mut recloned = 0;
-        if !touched.is_empty() {
-            let index = Arc::make_mut(&mut self.view.index);
-            for key in touched {
-                // Order-free: forget the visit, then re-derive it if
-                // its cell is (still, or again) open.
-                self.view.visits.remove(&key);
-                index.remove(key);
-                let Some(state) = guard.visits.get(&key).and_then(|cell| cell.state.as_ref())
-                else {
-                    continue;
-                };
-                for interval in state.retained_intervals() {
-                    index.observe(key, &state.moving_object, interval);
-                }
-                let visit = state.live_trajectory().map(|trajectory| {
-                    Arc::new(LiveVisit {
-                        visit: VisitKey(key),
-                        trajectory,
-                    })
-                });
-                self.view.visits.insert(key, visit);
-                recloned += 1;
-            }
-        }
+        let recloned = self.view.rederive(&guard, &touched);
         drop(guard);
         self.shared.metrics.snapshot_cuts.inc();
         self.shared.metrics.snapshot_visits_recloned.add(recloned);
-        let visits: Vec<Arc<LiveVisit>> = self.view.visits.values().flatten().cloned().collect();
-        let unqueryable = self.view.visits.len() - visits.len();
-        let index = Arc::clone(&self.view.index);
-        LiveSnapshot::from_parts(visits, watermark, unqueryable, index, true)
+        self.view.snapshot(watermark)
     }
 
-    /// The engine watermark (minimum across populated hash shards).
-    /// Quiesces first, so every event already handed to the scheduler
-    /// is counted — the behaviour of the old channel router, whose
-    /// report command queued behind outstanding batches. Events still
-    /// sitting in the caller-side router buffer are not counted,
-    /// matching [`crate::ShardedEngine::watermark`]'s only-applied
-    /// semantics (it does not flush shard inboxes either).
-    pub fn watermark(&self) -> Option<Timestamp> {
+    /// The reference the patched cut is tested against: quiesces, then
+    /// re-derives every open visit into an empty view — the overflow
+    /// path of a cut, without the patched view, the touched lists or
+    /// the `engine.snapshot_*` counters, so the next real cut is
+    /// unaffected.
+    #[doc(hidden)]
+    pub fn rebuilt_snapshot(&mut self) -> LiveSnapshot {
+        self.dispatch();
         let guard = self.shared.quiesce();
-        let min = self.merged_watermarks().into_iter().flatten().min();
+        let watermark = self.min_watermark();
+        let mut view = LiveView::default();
+        view.rederive(&guard, &open_keys(&guard));
+        drop(guard);
+        view.snapshot(watermark)
+    }
+
+    /// The engine watermark: the minimum across populated hash shards of
+    /// their high-water marks, i.e. the instant up to which every shard
+    /// has seen its events. A shard that has never received an event
+    /// does not hold it back; `None` only until the first event is
+    /// applied anywhere. A barrier, like [`ParallelEngine::stats`]: the
+    /// router buffer is pushed and every outstanding event applied
+    /// first.
+    pub fn watermark(&mut self) -> Option<Timestamp> {
+        self.dispatch();
+        let guard = self.shared.quiesce();
+        let min = self.min_watermark();
         drop(guard);
         min
+    }
+
+    /// The smallest populated hash shard's high-water mark (the caller
+    /// holds the quiesce guard).
+    fn min_watermark(&self) -> Option<Timestamp> {
+        self.merged_watermarks().into_iter().flatten().min()
     }
 
     /// Aggregated counters. This is a barrier: the router buffer is
@@ -1153,8 +1201,9 @@ impl ParallelEngine {
     }
 
     /// Flushes and captures one complete checkpoint as frames (one per
-    /// hash shard, sharing a fresh sequence) — byte-compatible with the
-    /// sequential engine's frames, so checkpoints stay runtime-portable.
+    /// hash shard, sharing a fresh sequence), without touching a log —
+    /// the building block behind [`ParallelEngine::checkpoint`] and
+    /// [`Checkpointer::commit`]'s compacting commit path.
     pub fn checkpoint_frames(&mut self) -> Vec<CheckpointFrame> {
         self.dispatch();
         self.sequence += 1;
@@ -1218,9 +1267,14 @@ impl ParallelEngine {
             .collect()
     }
 
-    /// Persists a consistent snapshot into `log`, then fsyncs. Same
-    /// recovery contract as [`crate::ShardedEngine::checkpoint`]:
-    /// exactly-once relative to `drain`.
+    /// Persists a consistent snapshot into `log` (one
+    /// [`CheckpointFrame`] per hash shard sharing a fresh sequence
+    /// number), then fsyncs. Returns the sequence.
+    ///
+    /// Pending (finalized but undrained) episodes are included, so the
+    /// recovery contract is exactly-once relative to `drain`: episodes
+    /// drained before the checkpoint are never re-emitted, episodes not
+    /// yet drained reappear after restore.
     pub fn checkpoint(&mut self, log: &mut LogStore<CheckpointFrame>) -> Result<u64, EngineError> {
         let frames = self.checkpoint_frames();
         let sequence = frames[0].sequence;
@@ -1241,8 +1295,8 @@ impl ParallelEngine {
 impl Drop for ParallelEngine {
     /// Signals shutdown and joins the workers, which drain every
     /// already-pushed event first. Events still sitting in the router
-    /// buffer are dropped — like the sequential engine, dropping
-    /// without `drain`/`finish`/`checkpoint` abandons unflushed work. A
+    /// buffer are dropped — dropping without
+    /// `drain`/`finish`/`checkpoint` abandons unflushed work. A
     /// worker that panicked is joined and ignored (its panic already
     /// surfaced on the engine thread if any call touched it).
     fn drop(&mut self) {
@@ -1262,7 +1316,6 @@ impl Drop for ParallelEngine {
 mod tests {
     use super::*;
     use crate::event::{sort_feed, VisitKey};
-    use crate::ShardedEngine;
     use sitm_core::{
         Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, TransitionTaken,
     };
@@ -1317,9 +1370,11 @@ mod tests {
         events
     }
 
+    /// The one-worker engine applies every visit on one thread: the
+    /// sequential reference every worker count must match.
     #[test]
     fn matches_sequential_engine_for_every_worker_count() {
-        let mut reference = ShardedEngine::new(config(2)).unwrap();
+        let mut reference = ParallelEngine::new(config(1)).unwrap();
         reference.ingest_all(feed());
         let expected = reference.finish();
         for workers in [1usize, 2, 4, 8] {
@@ -1362,9 +1417,9 @@ mod tests {
         assert_eq!(stats.anomalies.total(), 0);
     }
 
-    /// Regression for the ROADMAP item this PR closes: `stats()` must
-    /// flush the router buffer first, so counts reflect every ingested
-    /// event — the old channel router reported around buffered batches.
+    /// `stats()` and `watermark()` must push the router buffer first,
+    /// so they reflect every ingested event — the old channel router
+    /// reported around buffered batches.
     #[test]
     fn stats_barrier_flushes_the_router_buffer() {
         // Batch capacity far above the feed size: every event sits in
@@ -1372,7 +1427,17 @@ mod tests {
         let mut engine = ParallelEngine::new(config(2).with_batch_capacity(10_000)).unwrap();
         let events = feed();
         let total = events.len() as u64;
+        let mut applied = ParallelEngine::new(config(2)).unwrap();
+        applied.ingest_all(events.iter().cloned());
+        applied.flush();
+        let expected = applied.watermark();
+        assert!(expected.is_some());
         engine.ingest_all(events);
+        assert_eq!(
+            engine.watermark(),
+            expected,
+            "watermark() must observe buffered events"
+        );
         let stats = engine.stats();
         assert_eq!(stats.events, total, "stats() must observe buffered events");
         assert_eq!(stats.visits_opened, 12);
@@ -1381,11 +1446,11 @@ mod tests {
 
     /// Regression for the sharded-deposit rework: deposits accumulate
     /// per worker and merge only at barriers, so counters and drained
-    /// episodes must still agree with the sequential engine when work
+    /// episodes must still agree with the one-worker engine when work
     /// is spread across many workers (each with its own accumulator).
     #[test]
     fn sharded_deposits_merge_to_sequential_totals() {
-        let mut reference = ShardedEngine::new(config(2)).unwrap();
+        let mut reference = ParallelEngine::new(config(1)).unwrap();
         reference.ingest_all(feed());
         reference.flush();
         let expected_stats = reference.stats();
@@ -1406,7 +1471,7 @@ mod tests {
 
     #[test]
     fn take_finished_matches_sequential_and_is_exactly_once() {
-        let mut reference = ShardedEngine::new(config(2).with_warehouse()).unwrap();
+        let mut reference = ParallelEngine::new(config(1).with_warehouse()).unwrap();
         reference.ingest_all(feed());
         reference.flush();
         let expected = reference.take_finished();
@@ -1416,7 +1481,7 @@ mod tests {
             "drain is exactly-once"
         );
 
-        for workers in [1usize, 4] {
+        for workers in [2usize, 8] {
             let mut engine = ParallelEngine::new(config(workers).with_warehouse()).unwrap();
             engine.ingest_all(feed());
             assert_eq!(engine.take_finished(), expected, "{workers} workers");
@@ -1460,7 +1525,7 @@ mod tests {
             engine.checkpoint(&mut log).unwrap();
         }
         let (mut restored, _log, report) =
-            crate::checkpoint::resume_parallel_from_log(config(4), &path).unwrap();
+            crate::checkpoint::resume_from_log(config(4), &path).unwrap();
         assert!(report.is_clean());
         restored.ingest_all(events[mid..].iter().cloned());
         delivered.extend(restored.finish());
@@ -1493,7 +1558,7 @@ mod tests {
             engine.checkpoint(&mut log).unwrap();
         }
         let (mut restored, _log, report) =
-            crate::checkpoint::resume_parallel_from_log(config(4).with_warehouse(), &path).unwrap();
+            crate::checkpoint::resume_from_log(config(4).with_warehouse(), &path).unwrap();
         assert!(report.is_clean());
         assert_eq!(restored.take_finished(), expected);
         assert!(restored.take_finished().is_empty());

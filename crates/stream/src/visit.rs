@@ -138,9 +138,10 @@ impl VisitState {
     }
 
     /// The intervals retained for live queries (empty unless
-    /// [`ShardCtx::retain_intervals`] is set). The engines diff this
-    /// slice around each event to feed the incremental
-    /// [`crate::LiveIndex`] without widening the apply signatures.
+    /// [`ShardCtx::retain_intervals`] is set). The engine compares this
+    /// slice's length around each event to learn whether the event
+    /// changed what a live snapshot shows, without widening the apply
+    /// signatures.
     pub fn retained_intervals(&self) -> &[PresenceInterval] {
         &self.intervals
     }
@@ -314,9 +315,7 @@ mod tests {
         ShardCtx {
             predicates,
             drop_instantaneous,
-            batch_capacity: 1,
             allowed_lateness: Duration::hours(1),
-            fence_capacity: 65_536,
             retain_intervals: false,
             retain_finished: false,
         }

@@ -16,7 +16,7 @@ use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
 use sitm_store::{segment, CheckpointFrame, CompactionPolicy, LogStore};
 use sitm_stream::{
-    resume_parallel_compacting, EngineConfig, EngineStats, ShardedEngine, StreamEvent, VisitKey,
+    resume_compacting, EngineConfig, EngineStats, ParallelEngine, StreamEvent, VisitKey,
 };
 
 fn cell(n: usize) -> CellRef {
@@ -109,12 +109,12 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
     let mut compacted_sizes: Vec<u64> = Vec::new();
     {
         let (mut engine, mut checkpointer, report) =
-            resume_parallel_compacting(config(), &compacted.0, CompactionPolicy::default())
+            resume_compacting(config(), &compacted.0, CompactionPolicy::default())
                 .expect("fresh open");
         assert!(report.is_clean());
         let (mut naive_log, _, _) =
             LogStore::<CheckpointFrame>::open(&uncompacted.0).expect("naive log");
-        let mut naive = ShardedEngine::new(config()).expect("naive engine");
+        let mut naive = ParallelEngine::new(config()).expect("naive engine");
 
         for cycle in 0..CYCLES {
             let slice = &events[cycle * chunk..(cycle + 1) * chunk];
@@ -158,7 +158,7 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
     for cut in tail_start..data.len() {
         std::fs::write(&torn.0, &data[..cut]).expect("write torn copy");
         let (mut engine, _ckpt, _report) =
-            resume_parallel_compacting(config(), &torn.0, CompactionPolicy::default())
+            resume_compacting(config(), &torn.0, CompactionPolicy::default())
                 .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
         assert_eq!(
             engine.stats(),
@@ -168,7 +168,7 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
     }
     // The intact file lands on the newest checkpoint.
     let (mut engine, _ckpt, report) =
-        resume_parallel_compacting(config(), &compacted.0, CompactionPolicy::default())
+        resume_compacting(config(), &compacted.0, CompactionPolicy::default())
             .expect("intact recovery");
     assert!(report.is_clean());
     assert_eq!(engine.stats(), expected[CYCLES - 1]);
@@ -184,8 +184,7 @@ fn torn_compaction_sequence_is_never_reused() {
     let mid = events.len() / 2;
     {
         let (mut engine, mut ckpt, _) =
-            resume_parallel_compacting(config(), &log.0, CompactionPolicy::default())
-                .expect("open");
+            resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("open");
         engine.ingest_all(events[..mid].iter().cloned());
         engine.checkpoint_into(&mut ckpt).expect("commit 1");
         engine.ingest_all(events[mid..].iter().cloned());
@@ -197,7 +196,7 @@ fn torn_compaction_sequence_is_never_reused() {
     std::fs::write(&log.0, &data[..cut]).expect("tear");
 
     let (mut engine, mut ckpt, _) =
-        resume_parallel_compacting(config(), &log.0, CompactionPolicy::default()).expect("resume");
+        resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("resume");
     let before = engine.stats();
     engine.ingest_all(events[mid..].iter().cloned());
     let seq = engine.checkpoint_into(&mut ckpt).expect("commit 3");
@@ -205,8 +204,7 @@ fn torn_compaction_sequence_is_never_reused() {
     drop((engine, ckpt));
 
     let (mut restored, _, _) =
-        resume_parallel_compacting(config(), &log.0, CompactionPolicy::default())
-            .expect("final resume");
+        resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("final resume");
     assert!(restored.stats().events > before.events, "newest state won");
 }
 
@@ -218,8 +216,7 @@ fn deferred_compaction_appends_then_rewrites() {
     let chunk = events.len() / 6;
     let log = TempLog::new("deferred");
     let policy = CompactionPolicy { keep: 2, every: 3 };
-    let (mut engine, mut ckpt, _) =
-        resume_parallel_compacting(config(), &log.0, policy).expect("open");
+    let (mut engine, mut ckpt, _) = resume_compacting(config(), &log.0, policy).expect("open");
 
     let mut frame_counts = Vec::new();
     for cycle in 0..6 {
@@ -233,8 +230,7 @@ fn deferred_compaction_appends_then_rewrites() {
     assert_eq!(frame_counts, vec![2, 4, 4, 6, 8, 4]);
     // Recovery still lands on the newest checkpoint.
     drop((engine, ckpt));
-    let (mut restored, _, report) =
-        resume_parallel_compacting(config(), &log.0, policy).expect("resume");
+    let (mut restored, _, report) = resume_compacting(config(), &log.0, policy).expect("resume");
     assert!(report.is_clean());
     assert_eq!(restored.stats().visits_opened, 18);
 }

@@ -1,4 +1,4 @@
-//! The epoch-cached snapshot contract, on both runtimes:
+//! The epoch-cached snapshot contract:
 //!
 //! * `live_snapshot` between ingest barriers returns the **same**
 //!   `Arc` (pointer-equal — zero rebuild, zero copy);
@@ -17,10 +17,7 @@ use sitm_core::{
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
-use sitm_stream::{
-    EmittedEpisode, EngineConfig, LiveSnapshot, ParallelEngine, ShardedEngine, StreamEvent,
-    VisitKey,
-};
+use sitm_stream::{EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent, VisitKey};
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -70,68 +67,16 @@ fn events(base: u64, count: u64) -> Vec<StreamEvent> {
     out
 }
 
-/// The runtime-agnostic surface this contract is stated over.
-trait Runtime {
-    fn feed(&mut self, events: Vec<StreamEvent>);
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool);
-    fn epoch(&mut self) -> u64;
-    fn drain(&mut self) -> Vec<EmittedEpisode>;
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>);
-    fn take_finished(&mut self) -> usize;
-}
-
-impl Runtime for ShardedEngine {
-    fn feed(&mut self, events: Vec<StreamEvent>) {
-        self.ingest_all(events);
-    }
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool) {
-        self.live_snapshot_cached()
-    }
-    fn epoch(&mut self) -> u64 {
-        ShardedEngine::epoch(self)
-    }
-    fn drain(&mut self) -> Vec<EmittedEpisode> {
-        ShardedEngine::drain(self)
-    }
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
-        self.requeue_pending(episodes);
-    }
-    fn take_finished(&mut self) -> usize {
-        ShardedEngine::take_finished(self).len()
-    }
-}
-
-impl Runtime for ParallelEngine {
-    fn feed(&mut self, events: Vec<StreamEvent>) {
-        self.ingest_all(events);
-    }
-    fn snapshot_cached(&mut self) -> (Arc<LiveSnapshot>, bool) {
-        self.live_snapshot_cached()
-    }
-    fn epoch(&mut self) -> u64 {
-        ParallelEngine::epoch(self)
-    }
-    fn drain(&mut self) -> Vec<EmittedEpisode> {
-        ParallelEngine::drain(self)
-    }
-    fn requeue(&mut self, episodes: Vec<EmittedEpisode>) {
-        self.requeue_pending(episodes);
-    }
-    fn take_finished(&mut self) -> usize {
-        ParallelEngine::take_finished(self).len()
-    }
-}
-
-fn check_cache_contract(engine: &mut impl Runtime) {
-    engine.feed(events(0, 4));
+fn check_cache_contract(engine: &mut ParallelEngine) {
+    engine.ingest_all(events(0, 4));
     let e0 = engine.epoch();
 
     // First cut after a mutation: a miss that fills the cache.
-    let (first, hit) = engine.snapshot_cached();
+    let (first, hit) = engine.live_snapshot_cached();
     assert!(!hit, "first snapshot after ingest must be a cache miss");
     // Re-reads between barriers: pointer-equal hits, stable epoch.
     for _ in 0..3 {
-        let (again, hit) = engine.snapshot_cached();
+        let (again, hit) = engine.live_snapshot_cached();
         assert!(hit, "no mutation since the cut — must hit");
         assert!(
             Arc::ptr_eq(&first, &again),
@@ -142,16 +87,19 @@ fn check_cache_contract(engine: &mut impl Runtime) {
 
     // Checkpoint-shaped read: the finished backlog is not part of a
     // snapshot, so taking it keeps the cache warm.
-    assert!(engine.take_finished() > 0, "closed visits were retained");
-    let (after_take, hit) = engine.snapshot_cached();
+    assert!(
+        !engine.take_finished().is_empty(),
+        "closed visits were retained"
+    );
+    let (after_take, hit) = engine.live_snapshot_cached();
     assert!(hit, "take_finished must not invalidate the snapshot cache");
     assert!(Arc::ptr_eq(&first, &after_take));
 
     // Ingest invalidates: new epoch, new allocation, new content.
-    engine.feed(events(100, 2));
+    engine.ingest_all(events(100, 2));
     let e1 = engine.epoch();
     assert!(e1 > e0, "ingest must advance the epoch");
-    let (second, hit) = engine.snapshot_cached();
+    let (second, hit) = engine.live_snapshot_cached();
     assert!(!hit, "post-ingest snapshot must be rebuilt");
     assert!(!Arc::ptr_eq(&first, &second));
     assert!(
@@ -163,19 +111,19 @@ fn check_cache_contract(engine: &mut impl Runtime) {
     // is stamped with), so it invalidates; an empty drain does not.
     let drained = engine.drain();
     assert!(!drained.is_empty(), "closed visits emitted episodes");
-    let (post_drain, hit) = engine.snapshot_cached();
+    let (post_drain, hit) = engine.live_snapshot_cached();
     assert!(!hit, "a non-empty drain advances the epoch");
     let e2 = engine.epoch();
     assert!(e2 > e1);
     assert!(engine.drain().is_empty());
-    let (after_empty, hit) = engine.snapshot_cached();
+    let (after_empty, hit) = engine.live_snapshot_cached();
     assert!(hit, "an empty drain must not invalidate");
     assert!(Arc::ptr_eq(&post_drain, &after_empty));
 
     // Requeue: the undo of a drain — invalidates, and the next drain
     // re-emits exactly what went back, in deterministic order.
-    engine.requeue(drained.clone());
-    let (_, hit) = engine.snapshot_cached();
+    engine.requeue_pending(drained.clone());
+    let (_, hit) = engine.live_snapshot_cached();
     assert!(!hit, "a requeue advances the epoch");
     let redrained = engine.drain();
     let mut expect = drained;
@@ -183,9 +131,10 @@ fn check_cache_contract(engine: &mut impl Runtime) {
     assert_eq!(redrained, expect, "requeue → drain must round-trip");
 }
 
+/// One worker: every visit applied on one thread.
 #[test]
 fn sequential_engine_epoch_cache_contract() {
-    let mut engine = ShardedEngine::new(config()).expect("engine");
+    let mut engine = ParallelEngine::new(config().with_shards(1)).expect("engine");
     check_cache_contract(&mut engine);
 }
 
@@ -196,34 +145,18 @@ fn parallel_engine_epoch_cache_contract() {
 }
 
 /// The cached cut is *correct*, not just cheap: a hit must equal what
-/// a fresh rebuild would produce — on the parallel runtime this pins
-/// that skipping dispatch/quiesce on a clean engine loses nothing.
+/// a fresh rebuild would produce — skipping dispatch/quiesce on a
+/// clean engine loses nothing.
 #[test]
 fn cache_hits_match_a_forced_rebuild() {
-    let mut parallel = ParallelEngine::new(config()).expect("engine");
-    let mut sequential = ShardedEngine::new(config()).expect("engine");
+    let mut engine = ParallelEngine::new(config()).expect("engine");
     for base in [0u64, 50, 200] {
-        let batch = events(base, 3);
-        parallel.feed(batch.clone());
-        sequential.feed(batch);
-        let (cached, _) = parallel.snapshot_cached();
-        let (hit, was_hit) = parallel.snapshot_cached();
+        engine.ingest_all(events(base, 3));
+        let (cached, _) = engine.live_snapshot_cached();
+        let (hit, was_hit) = engine.live_snapshot_cached();
         assert!(was_hit);
-        let (reference, _) = sequential.snapshot_cached();
-        assert_eq!(cached.visits.len(), reference.visits.len());
-        assert_eq!(hit.visits.len(), reference.visits.len());
-        let mut a: Vec<String> = cached
-            .visits
-            .iter()
-            .map(|v| v.trajectory.moving_object.clone())
-            .collect();
-        let mut b: Vec<String> = reference
-            .visits
-            .iter()
-            .map(|v| v.trajectory.moving_object.clone())
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "cached cut diverged from the reference runtime");
+        let reference = engine.rebuilt_snapshot();
+        assert_eq!(*cached, reference, "cached cut diverged from a rebuild");
+        assert_eq!(*hit, reference);
     }
 }

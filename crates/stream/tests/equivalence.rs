@@ -1,7 +1,7 @@
 //! The batch-equivalence contract, property-tested.
 //!
 //! For arbitrary generated Louvre days, replaying the dataset as an
-//! interleaved event stream through [`ShardedEngine`] must yield — for
+//! interleaved event stream through [`ParallelEngine`] must yield — for
 //! every visit and every predicate — episode lists identical to the batch
 //! path (`maximal_episodes` over the completed trajectory), for shard
 //! counts 1, 2, and 8, and across a crash/checkpoint-restore in the
@@ -23,7 +23,7 @@ use sitm_louvre::{
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_from_log, visit_trajectories, EngineConfig, ShardedEngine, VisitKey,
+    dataset_events, resume_from_log, visit_trajectories, EngineConfig, ParallelEngine, VisitKey,
 };
 
 /// Builds a consistent scaled-down calibration from free parameters.
@@ -171,7 +171,7 @@ proptest! {
             let config = EngineConfig::new(predicates(&model))
                 .with_shards(shards)
                 .with_batch_capacity(batch_capacity);
-            let mut engine = ShardedEngine::new(config).expect("non-zero shards");
+            let mut engine = ParallelEngine::new(config).expect("non-zero shards");
             engine.ingest_all(events.iter().cloned());
             let emitted = engine.finish();
             let streamed = group_streamed(&emitted);
@@ -198,7 +198,7 @@ proptest! {
         let events = dataset_events(&model, &dataset);
         let preds = predicates(&model);
 
-        let mut engine = ShardedEngine::new(
+        let mut engine = ParallelEngine::new(
             EngineConfig::new(predicates(&model)).with_shards(2),
         ).expect("engine");
         engine.ingest_all(events);
@@ -248,7 +248,7 @@ proptest! {
         let cut = events.len() * cut_permille / 1000;
 
         // Reference: one uninterrupted run.
-        let mut oneshot = ShardedEngine::new(
+        let mut oneshot = ParallelEngine::new(
             EngineConfig::new(predicates(&model)).with_shards(shards),
         ).expect("engine");
         oneshot.ingest_all(events.iter().cloned());
@@ -259,7 +259,7 @@ proptest! {
         let log_path = TempLog::new(seed ^ (cut as u64) << 32 ^ shards as u64);
         let mut delivered;
         {
-            let mut engine = ShardedEngine::new(
+            let mut engine = ParallelEngine::new(
                 EngineConfig::new(predicates(&model)).with_shards(shards),
             ).expect("engine");
             engine.ingest_all(events[..cut].iter().cloned());

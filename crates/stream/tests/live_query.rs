@@ -3,16 +3,18 @@
 //! At every drain point of a seeded Louvre replay, evaluating a
 //! `sitm_query::Predicate` over [`LiveSnapshot`] must equal evaluating
 //! the same predicate over the batch-built trajectory *prefixes* (the
-//! intervals ingested so far for every still-open visit) — for both
-//! engines, including the empty-shard case (more shards than visits)
-//! and a single-hot-shard skew (one visit receiving almost all events).
+//! intervals ingested so far for every still-open visit) — for any
+//! worker count, including the empty-shard case (more shards than
+//! visits) and a single-hot-shard skew (one visit receiving almost all
+//! events).
 //!
 //! [`ParallelEngine`] patches its snapshot at each cut (only the visits
-//! touched since the previous one are re-derived); [`ShardedEngine`]
-//! rebuilds from scratch. The second half of this file holds the two
-//! equal at every cut of feeds built to break a patch — re-opened keys,
-//! implicit opens, fence eviction, restore, the touched-list overflow —
-//! and pins what a cut costs by counting, not timing.
+//! touched since the previous one are re-derived);
+//! `ParallelEngine::rebuilt_snapshot` re-derives every open visit from
+//! scratch. The second half of this file holds the two equal at every
+//! cut of feeds built to break a patch — re-opened keys, implicit
+//! opens, fence eviction, restore, the touched-list overflow — and pins
+//! what a cut costs by counting, not timing.
 
 use std::collections::BTreeMap;
 
@@ -32,8 +34,8 @@ use sitm_query::{federated_count, CandidateSet, Predicate, Query, Row, Trajector
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_parallel_from_log, EngineConfig, LiveSnapshot, ParallelEngine,
-    ShardedEngine, StreamEvent, VisitKey,
+    dataset_events, resume_from_log, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,
+    VisitKey,
 };
 use std::sync::Arc;
 
@@ -218,7 +220,7 @@ proptest! {
         let events = dataset_events(&model, &dataset);
         prop_assert!(!events.is_empty());
 
-        let mut sequential = ShardedEngine::new(config(&model, shards)).expect("engine");
+        let mut sequential = ParallelEngine::new(config(&model, 1)).expect("engine");
         let mut parallel = ParallelEngine::new(config(&model, shards)).expect("engine");
 
         // Five drain points through the day, plus the end.
@@ -236,7 +238,7 @@ proptest! {
             let snapshot = parallel.live_snapshot();
             let parallel_drained = parallel.drain();
             check_cut(&model, &events, cut, &snapshot);
-            prop_assert_eq!(drained, parallel_drained, "engines drained differently");
+            prop_assert_eq!(drained, parallel_drained, "{} workers != 1 worker", shards);
         }
     }
 }
@@ -444,7 +446,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     )])
     .with_shards(2)
     .with_batch_capacity(4);
-    let (mut restored, _log, report) = resume_parallel_from_log(plain, &path).unwrap();
+    let (mut restored, _log, report) = resume_from_log(plain, &path).unwrap();
     assert!(report.is_clean());
     let snapshot = restored.live_snapshot();
     assert!(
@@ -463,7 +465,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     let _ = std::fs::remove_file(&path);
 }
 
-// ---- patched (ParallelEngine) == rebuilt (ShardedEngine) at every cut ----
+// ---- patched (`live_snapshot`) == rebuilt (`rebuilt_snapshot`) at every cut ----
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(
@@ -622,8 +624,9 @@ proptest! {
 
     /// Cuts after random prefixes of a shuffled churn feed: at each, the
     /// patched snapshot equals the from-scratch one; one cut goes
-    /// through checkpoint → restore first; and the snapshot a reader
-    /// kept from the previous cut is still what it was.
+    /// through checkpoint → restore first; the snapshot a reader kept
+    /// from the previous cut is still what it was; and the episodes
+    /// are those of one uninterrupted one-worker run.
     #[test]
     fn patched_snapshot_equals_rebuilt_at_every_cut(
         seed in 0u64..1_000_000,
@@ -638,16 +641,14 @@ proptest! {
         events.sort_by_key(StreamEvent::time);
         shuffle_locally(&mut events, seed ^ 0x5eed, reach);
 
-        let mut rebuilt = ShardedEngine::new(churn_config(shards)).expect("engine");
         let mut patched = ParallelEngine::new(churn_config(shards)).expect("engine");
         // What a reader holding the previous cut's `Arc` must still see.
-        let mut held: Option<(Arc<LiveSnapshot>, Arc<LiveSnapshot>, Vec<CandidateSet>)> = None;
+        let mut held: Option<(Arc<LiveSnapshot>, LiveSnapshot, Vec<CandidateSet>)> = None;
 
         let mut fed = 0;
         let mut step = 0;
         while fed < events.len() {
             let next = (fed + cuts[step % cuts.len()]).min(events.len());
-            rebuilt.ingest_all(events[fed..next].iter().cloned());
             patched.ingest_all(events[fed..next].iter().cloned());
             fed = next;
 
@@ -658,18 +659,20 @@ proptest! {
             }
             let at = format!("seed {seed}, after {fed} events");
             let now_patched = patched.live_snapshot();
-            let now_rebuilt = rebuilt.live_snapshot();
+            let now_rebuilt = patched.rebuilt_snapshot();
             assert_patched_equals_rebuilt(&now_patched, &now_rebuilt, &at);
 
             if let Some((old_patched, old_rebuilt, old_candidates)) = held.take() {
-                prop_assert_eq!(&*old_patched, &*old_rebuilt, "{}: a held snapshot changed", at);
+                prop_assert_eq!(&*old_patched, &old_rebuilt, "{}: a held snapshot changed", at);
                 prop_assert_eq!(candidates_of(&old_patched), old_candidates);
             }
             let candidates = candidates_of(&now_patched);
             held = Some((now_patched, now_rebuilt, candidates));
             step += 1;
         }
-        prop_assert_eq!(patched.finish(), rebuilt.finish(), "episodes diverged");
+        let mut uninterrupted = ParallelEngine::new(churn_config(1)).expect("engine");
+        uninterrupted.ingest_all(events);
+        prop_assert_eq!(patched.finish(), uninterrupted.finish(), "episodes diverged");
     }
 }
 
@@ -679,7 +682,6 @@ fn close_straggler_expiry_and_reopen_between_two_cuts() {
     // horizon (fenced), then a stay past it that retires the fence and
     // re-opens the key implicitly under a new identity. The patch must
     // end with the new life's prefix and postings, not the old one's.
-    let mut rebuilt = ShardedEngine::new(churn_config(2)).unwrap();
     let mut patched = ParallelEngine::new(churn_config(2)).unwrap();
     let first_life = vec![
         StreamEvent::VisitOpened {
@@ -691,10 +693,9 @@ fn close_straggler_expiry_and_reopen_between_two_cuts() {
         stay(7, 1, 0, 20),
         stay(8, 2, 5, 25), // a bystander the patch must leave alone
     ];
-    rebuilt.ingest_all(first_life.clone());
     patched.ingest_all(first_life);
     let before = patched.live_snapshot();
-    assert_patched_equals_rebuilt(&before, &rebuilt.live_snapshot(), "first life");
+    assert_patched_equals_rebuilt(&before, &patched.rebuilt_snapshot(), "first life");
     assert_eq!(
         before.count_matching(&Predicate::MovingObject("mo-2".into())),
         1
@@ -708,10 +709,9 @@ fn close_straggler_expiry_and_reopen_between_two_cuts() {
         stay(7, 3, 40, 45),   // within 30 + 50: fenced
         stay(7, 3, 500, 520), // past it: re-opens as implicit-7
     ];
-    rebuilt.ingest_all(churn.clone());
     patched.ingest_all(churn);
     let after = patched.live_snapshot();
-    assert_patched_equals_rebuilt(&after, &rebuilt.live_snapshot(), "second life");
+    assert_patched_equals_rebuilt(&after, &patched.rebuilt_snapshot(), "second life");
     let reopened = indexed(&after, &Predicate::VisitedCell(cell(3)));
     assert_eq!(reopened.len(), 1);
     assert_eq!(reopened[0].moving_object, "implicit-7");
@@ -732,14 +732,10 @@ fn close_straggler_expiry_and_reopen_between_two_cuts() {
 }
 
 #[test]
-fn fence_eviction_reopens_identically_in_both_engines() {
+fn fence_eviction_reopens_and_patches_like_a_rebuild() {
     // One shard, one remembered fence: closing B evicts A's older
     // fence, so a straggler for A re-opens it while B's is fenced.
-    // Cuts sit between the closes and the stragglers, where the two
-    // runtimes' fence sets agree (see `EngineConfig::fence_capacity`).
-    let config = || churn_config(1).with_fence_capacity(1);
-    let mut rebuilt = ShardedEngine::new(config()).unwrap();
-    let mut patched = ParallelEngine::new(config()).unwrap();
+    let mut patched = ParallelEngine::new(churn_config(1).with_fence_capacity(1)).unwrap();
     let steps: Vec<Vec<StreamEvent>> = vec![
         vec![stay(1, 0, 0, 10), stay(2, 1, 0, 10), stay(3, 2, 0, 10)],
         vec![
@@ -755,10 +751,10 @@ fn fence_eviction_reopens_identically_in_both_engines() {
         vec![stay(1, 3, 40, 45), stay(2, 3, 40, 45)],
     ];
     for (i, step) in steps.into_iter().enumerate() {
-        rebuilt.ingest_all(step.clone());
         patched.ingest_all(step);
         let snapshot = patched.live_snapshot();
-        assert_patched_equals_rebuilt(&snapshot, &rebuilt.live_snapshot(), &format!("step {i}"));
+        let rebuilt = patched.rebuilt_snapshot();
+        assert_patched_equals_rebuilt(&snapshot, &rebuilt, &format!("step {i}"));
     }
     let open: Vec<u64> = patched
         .live_snapshot()
@@ -814,19 +810,17 @@ fn a_cut_reclones_only_the_visits_touched_since_the_last_one() {
             .with_metrics(registry.clone())
     };
     let mut engine = ParallelEngine::new(config(&registry)).unwrap();
-    let mut rebuilt = ShardedEngine::new(config(&sitm_obs::MetricsRegistry::new())).unwrap();
 
     let mut feed = closed_visits(1_000, 5_000);
     feed.extend((0..200u64).map(|key| stay(key, (key % 3) as usize, 0, 10)));
-    engine.ingest_all(feed.clone());
-    rebuilt.ingest_all(feed);
+    engine.ingest_all(feed);
 
     // 5 200 visits were touched, far past what a deposit lists, and
     // the open ones last: this cut takes the overflow path — the same
     // patch over every open visit — and must still equal the
-    // from-scratch snapshot.
+    // from-scratch snapshot, which counts as no cut.
     let first = engine.live_snapshot();
-    assert_patched_equals_rebuilt(&first, &rebuilt.live_snapshot(), "overflowed cut");
+    assert_patched_equals_rebuilt(&first, &engine.rebuilt_snapshot(), "overflowed cut");
     assert_eq!(first.visits.len(), 200);
     assert_eq!(counter(&registry, "engine.snapshot_cuts"), 1);
     assert_eq!(counter(&registry, "engine.snapshot_visits_recloned"), 200);
@@ -841,11 +835,10 @@ fn a_cut_reclones_only_the_visits_touched_since_the_last_one() {
         cell: cell(3),
         at: Timestamp(50),
     };
-    engine.ingest(nudge.clone());
+    engine.ingest(nudge);
     engine.ingest(stay(17, 3, 60, 70)); // closes the fix into an interval
-    rebuilt.ingest_all([nudge, stay(17, 3, 60, 70)]);
     let second = engine.live_snapshot();
-    assert_patched_equals_rebuilt(&second, &rebuilt.live_snapshot(), "patched cut");
+    assert_patched_equals_rebuilt(&second, &engine.rebuilt_snapshot(), "patched cut");
     assert_eq!(counter(&registry, "engine.snapshot_cuts"), 2);
     assert_eq!(
         counter(&registry, "engine.snapshot_visits_recloned"),

@@ -1,18 +1,17 @@
-//! The differential contract of the parallel runtime, property-tested.
+//! The differential contract of the work-stealing runtime,
+//! property-tested.
 //!
-//! For arbitrary generated Louvre days, three independent implementations
-//! must agree per visit and per predicate, episodes compared
-//! order-insensitively within each (visit, predicate) group:
+//! For arbitrary generated Louvre days, `ParallelEngine` at 1/2/4/8
+//! workers must agree with batch `maximal_episodes` over each completed
+//! trajectory, per visit and per predicate, episodes compared
+//! order-insensitively within each (visit, predicate) group.
 //!
-//! * `ParallelEngine` (thread-per-shard, for 1/2/4/8 workers),
-//! * `ShardedEngine` (the sequential reference),
-//! * batch `maximal_episodes` over each completed trajectory.
-//!
-//! Randomized event interleavings (seeded Fisher–Yates shuffles that
-//! break global time order but not per-visit causality, plus fully
-//! arbitrary shuffles) must leave parallel == sequential, anomalies
-//! included. A crash/checkpoint/restore mid-stream — including restoring
-//! a sequential checkpoint into a parallel engine and vice versa — must
+//! Arbitrary event interleavings — seeded Fisher–Yates shuffles that
+//! break per-visit causality and trigger the anomaly paths — have no
+//! batch twin, so there N workers must equal the one-worker engine
+//! (every visit applied on one thread): the same drains, the same
+//! anomaly and event counters, and a watermark equal to the one
+//! computed from the feed. A crash/checkpoint/restore mid-stream must
 //! lose and duplicate nothing.
 
 use std::collections::BTreeMap;
@@ -21,6 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sitm_core::Timestamp;
 use sitm_core::{
     maximal_episodes, Annotation, AnnotationSet, Duration, Episode, IntervalPredicate,
     SemanticTrajectory,
@@ -32,8 +32,8 @@ use sitm_louvre::{
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_from_log, resume_parallel_from_log, visit_trajectories, EmittedEpisode,
-    EngineConfig, ParallelEngine, ShardedEngine, StreamEvent, VisitKey,
+    dataset_events, resume_from_log, visit_trajectories, EmittedEpisode, EngineConfig,
+    ParallelEngine, StreamEvent, VisitKey,
 };
 
 fn calibration(singles: usize, doubles: usize, mean_dets: usize) -> PaperCalibration {
@@ -132,6 +132,19 @@ fn batch_reference(
     reference
 }
 
+/// What `watermark()` must report after `events` on `shards` hash
+/// shards: the smallest high-water mark among the shards an event was
+/// routed to (the engine routes by FNV-1a of the visit key).
+fn expected_watermark(events: &[StreamEvent], shards: usize) -> Option<Timestamp> {
+    let mut high_water = vec![None; shards];
+    for event in events {
+        let shard = sitm_store::fnv1a(&event.visit().0.to_le_bytes()) % shards as u64;
+        let slot = &mut high_water[shard as usize];
+        *slot = (*slot).max(Some(event.time()));
+    }
+    high_water.into_iter().flatten().min()
+}
+
 /// Seeded Fisher–Yates.
 fn shuffle(events: &mut [StreamEvent], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -160,8 +173,8 @@ impl Drop for TempLog {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The headline differential: parallel == sequential == batch for
-    /// every worker count, on a well-formed feed.
+    /// The headline differential: parallel == sequential (one worker)
+    /// == batch for every worker count, on a well-formed feed.
     #[test]
     fn parallel_equals_sequential_equals_batch(
         seed in 0u64..1_000_000,
@@ -178,21 +191,19 @@ proptest! {
 
         let reference = batch_reference(&trajectories, &predicates(&model));
 
-        let mut sequential = ShardedEngine::new(config(&model, 4, batch_capacity))
-            .expect("engine");
-        sequential.ingest_all(events.iter().cloned());
-        let sequential_out = grouped(&sequential.finish());
-        prop_assert_eq!(&sequential_out, &reference, "sequential diverged from batch");
-
+        // The one-worker run comes first; every later count must equal it.
+        let mut sequential: Option<Vec<EmittedEpisode>> = None;
         for workers in [1usize, 2, 4, 8] {
             let mut parallel = ParallelEngine::new(config(&model, workers, batch_capacity))
                 .expect("engine");
             parallel.ingest_all(events.iter().cloned());
-            let parallel_out = grouped(&parallel.finish());
+            let emitted = parallel.finish();
             prop_assert_eq!(
-                &parallel_out, &reference,
+                &grouped(&emitted), &reference,
                 "{} workers diverged from batch", workers
             );
+            let expected = sequential.get_or_insert_with(|| emitted.clone());
+            prop_assert_eq!(&emitted, expected, "{} workers != 1 worker", workers);
             let stats = parallel.stats();
             prop_assert_eq!(stats.anomalies.total(), 0, "well-formed feed");
             prop_assert_eq!(stats.open_visits, 0, "finish closed everything");
@@ -201,8 +212,9 @@ proptest! {
     }
 
     /// Arbitrary interleavings — including causality-breaking ones that
-    /// trigger the anomaly paths — leave the two engines byte-identical
-    /// (same episodes, same anomaly counters, same incremental drains).
+    /// trigger the anomaly paths — leave N workers byte-identical to
+    /// one (same episodes, same anomaly counters, same incremental
+    /// drains).
     #[test]
     fn shuffled_feeds_keep_parallel_and_sequential_identical(
         seed in 0u64..1_000_000,
@@ -218,7 +230,7 @@ proptest! {
         shuffle(&mut events, shuffle_seed);
         let cut = events.len() * cut_permille / 1000;
 
-        let mut sequential = ShardedEngine::new(config(&model, workers, 8)).expect("engine");
+        let mut sequential = ParallelEngine::new(config(&model, 1, 8)).expect("engine");
         let mut parallel = ParallelEngine::new(config(&model, workers, 8)).expect("engine");
 
         sequential.ingest_all(events[..cut].iter().cloned());
@@ -236,20 +248,17 @@ proptest! {
         prop_assert_eq!(s.visits_opened, p.visits_opened);
         prop_assert_eq!(s.visits_closed, p.visits_closed);
         prop_assert_eq!(s.episodes, p.episodes);
-        prop_assert_eq!(sequential.watermark(), parallel.watermark());
+        prop_assert_eq!(parallel.watermark(), expected_watermark(&events, workers));
     }
 
-    /// Crash/checkpoint/restore mid-stream loses and duplicates nothing,
-    /// and checkpoints are portable across runtimes: a parallel engine's
-    /// checkpoint restores into a sequential engine and vice versa.
+    /// Crash/checkpoint/restore mid-stream loses and duplicates nothing.
     #[test]
-    fn crash_restore_is_exact_and_runtime_portable(
+    fn crash_restore_is_exact(
         seed in 0u64..1_000_000,
         singles in 5usize..14,
         k in 2usize..6,
         cut_permille in 0usize..1000,
         workers in 1usize..9,
-        cross in proptest::bool::ANY,
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, 1, k);
@@ -271,23 +280,12 @@ proptest! {
             engine.checkpoint(&mut log).expect("checkpoint");
             // Engine dropped here without seeing events[cut..]: the crash.
         }
-        // Restore into the *other* runtime half the time.
-        let rest = if cross {
-            let (mut restored, _log, report) = resume_from_log(
-                config(&model, workers, 8), &log_path.0,
-            ).expect("sequential restore of parallel checkpoint");
-            prop_assert!(report.is_clean());
-            restored.ingest_all(events[cut..].iter().cloned());
-            restored.finish()
-        } else {
-            let (mut restored, _log, report) = resume_parallel_from_log(
-                config(&model, workers, 8), &log_path.0,
-            ).expect("parallel restore");
-            prop_assert!(report.is_clean());
-            restored.ingest_all(events[cut..].iter().cloned());
-            restored.finish()
-        };
-        delivered.extend(rest);
+        let (mut restored, _log, report) = resume_from_log(
+            config(&model, workers, 8), &log_path.0,
+        ).expect("restore");
+        prop_assert!(report.is_clean());
+        restored.ingest_all(events[cut..].iter().cloned());
+        delivered.extend(restored.finish());
         delivered.sort_by_key(|a| a.sort_key());
         prop_assert_eq!(delivered, expected);
     }
@@ -368,14 +366,15 @@ fn hot_shard_feed() -> Vec<StreamEvent> {
 
 /// The acceptance differential for the work-stealing router: under
 /// single-hot-shard skew, every worker count produces byte-identical
-/// episodes, stats, and watermarks to the sequential engine — while
-/// cold visits are free to be stolen by idle workers.
+/// episodes and stats to the one-worker engine, and the watermark its
+/// hash shards imply — while cold visits are free to be stolen by idle
+/// workers.
 #[test]
 fn single_hot_shard_skew_is_byte_identical_for_all_worker_counts() {
     let model = build_louvre();
     let events = hot_shard_feed();
-    for workers in [1usize, 2, 4, 8] {
-        let mut sequential = ShardedEngine::new(config(&model, workers, 8)).expect("engine");
+    for workers in [2usize, 4, 8] {
+        let mut sequential = ParallelEngine::new(config(&model, 1, 8)).expect("engine");
         let mut parallel = ParallelEngine::new(config(&model, workers, 8)).expect("engine");
         // Mid-stream drain in the middle of the hot visit's burst, then
         // the rest: both cuts must agree.
@@ -399,6 +398,6 @@ fn single_hot_shard_skew_is_byte_identical_for_all_worker_counts() {
         assert_eq!(s.events, p.events, "{workers} workers");
         assert_eq!(s.episodes, p.episodes, "{workers} workers");
         assert_eq!(s.anomalies, p.anomalies, "{workers} workers");
-        assert_eq!(sequential.watermark(), parallel.watermark());
+        assert_eq!(parallel.watermark(), expected_watermark(&events, workers));
     }
 }

@@ -1,17 +1,20 @@
-//! Parallel ingestion walkthrough: the thread-per-shard runtime serving
-//! a Louvre day, with live queries answered *while* the stream is in
+//! Parallel ingestion walkthrough: the work-stealing engine serving a
+//! Louvre day, with live queries answered *while* the stream is in
 //! flight, a crash recovered through a compacting checkpoint log, and a
-//! final proof that the parallel episodes equal the sequential ones.
+//! final proof that the streamed episodes equal batch
+//! `maximal_episodes` over every completed visit.
 //!
 //! Run with: `cargo run --example parallel_ingest`
 
-use sitm::core::{Annotation, AnnotationSet, Duration, IntervalPredicate};
+use sitm::core::{
+    maximal_episodes, Annotation, AnnotationSet, Duration, Episode, IntervalPredicate,
+};
 use sitm::louvre::{
     build_louvre, generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration,
 };
 use sitm::query::{federated_count, Predicate, TrajectorySource};
 use sitm::store::CompactionPolicy;
-use sitm::stream::{dataset_events, resume_parallel_compacting, EngineConfig, ShardedEngine};
+use sitm::stream::{dataset_events, resume_compacting, visit_trajectories, EngineConfig};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -58,7 +61,7 @@ fn main() {
         dataset.visits.len()
     );
 
-    // ---- 2. Thread-per-shard engine with live queries + bounded log. -----
+    // ---- 2. Work-stealing engine with live queries + bounded log. --------
     let config = || {
         EngineConfig::new(predicates(&model))
             .with_shards(4)
@@ -70,7 +73,7 @@ fn main() {
     // keep: 2, every: 1 — the log never exceeds two snapshots.
     let policy = CompactionPolicy::default();
     let (mut engine, mut checkpointer, _) =
-        resume_parallel_compacting(config(), &ckpt_path, policy).expect("fresh engine");
+        resume_compacting(config(), &ckpt_path, policy).expect("fresh engine");
 
     // Ingest in quarters; after each, answer live questions mid-stream
     // and commit a compacting checkpoint.
@@ -98,7 +101,7 @@ fn main() {
     drop(engine);
     drop(checkpointer);
     let (mut engine, mut checkpointer, report) =
-        resume_parallel_compacting(config(), &ckpt_path, policy).expect("recover");
+        resume_compacting(config(), &ckpt_path, policy).expect("recover");
     println!(
         "\ncrash + recovery: clean={}, {} visits back in flight, log bounded at {}B",
         report.is_clean(),
@@ -107,19 +110,30 @@ fn main() {
     );
     engine.ingest_all(events[3 * quarter..].iter().cloned());
     delivered.extend(engine.finish());
-    delivered.sort_by_key(|e| e.sort_key());
     engine
         .checkpoint_into(&mut checkpointer)
         .expect("final commit");
 
-    // ---- 4. Differential proof: parallel == sequential. ------------------
-    let mut reference = ShardedEngine::new(config()).expect("sequential engine");
-    reference.ingest_all(events.iter().cloned());
-    let expected = reference.finish();
-    assert_eq!(delivered, expected, "parallel output must equal sequential");
+    // ---- 4. Differential proof: streamed == batch. -----------------------
+    let mut expected = Vec::new();
+    for (visit, trajectory) in visit_trajectories(&model, &dataset) {
+        for (p, (predicate, annotations)) in predicates(&model).into_iter().enumerate() {
+            let episodes =
+                maximal_episodes(&trajectory, &predicate, annotations).expect("labels differ");
+            expected.extend(episodes.into_iter().map(|e| (visit, p, e)));
+        }
+    }
+    let mut streamed: Vec<_> = delivered
+        .into_iter()
+        .map(|e| (e.visit, e.predicate, e.episode))
+        .collect();
+    let key = |(visit, p, e): &(_, usize, Episode)| (*visit, *p, e.range.start);
+    expected.sort_by_key(key);
+    streamed.sort_by_key(key);
+    assert_eq!(streamed, expected, "streamed episodes must equal batch");
     println!(
-        "\nday complete: {} episodes, byte-identical to the sequential engine",
-        delivered.len()
+        "\nday complete: {} episodes, identical to batch maximal_episodes",
+        streamed.len()
     );
     let _ = std::fs::remove_file(&ckpt_path);
     let _ = std::fs::remove_file(ckpt_path.with_extension("tmp"));

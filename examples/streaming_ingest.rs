@@ -1,5 +1,5 @@
 //! Streaming ingestion walkthrough: replay a calibrated Louvre day as a
-//! live event feed, push it through the sharded online engine, and watch
+//! live event feed, push it through the work-stealing online engine, and watch
 //! per-wing occupancy plus batch-identical episodes fall out the other
 //! side — with a crash and checkpoint-recovery in the middle.
 //!
@@ -16,7 +16,7 @@ use sitm::louvre::{
 use sitm::space::CellRef;
 use sitm::store::{CheckpointFrame, LogStore};
 use sitm::stream::{
-    dataset_events, resume_from_log, EngineConfig, OccupancyTracker, ShardedEngine,
+    dataset_events, resume_from_log, EngineConfig, OccupancyTracker, ParallelEngine,
 };
 
 fn label(s: &str) -> AnnotationSet {
@@ -67,9 +67,9 @@ fn main() {
         dataset.visits.len()
     );
 
-    // ---- 2. Sharded online engine + live occupancy. ----------------------
+    // ---- 2. Online engine + live occupancy. -------------------------------
     let config = || EngineConfig::new(predicates(&model)).with_shards(8);
-    let mut engine = ShardedEngine::new(config()).expect("engine");
+    let mut engine = ParallelEngine::new(config()).expect("engine");
     let mut occupancy = OccupancyTracker::new();
 
     // Map each zone cell to its wing for the live dashboard.

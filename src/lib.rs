@@ -21,7 +21,7 @@
 //! | [`analytics`] | `sitm-analytics` | descriptive statistics, choropleths, reports |
 //! | [`query`] | `sitm-query` | indexed trajectory retrieval: predicates, plans, aggregation, federation, the segmented warehouse |
 //! | [`store`] | `sitm-store` | binary codec, CRC-framed append-only log, crash recovery, compaction, the segment tier, Bloom filters |
-//! | [`stream`] | `sitm-stream` | sequential & work-stealing online ingestion, live queries, batch-equivalent episodes, warehouse spill |
+//! | [`stream`] | `sitm-stream` | work-stealing online ingestion, live queries, batch-equivalent episodes, warehouse spill |
 //! | [`serve`] | `sitm-serve` | the network tier: concurrent TCP server + client for remote ingest and federated semantic queries |
 //! | [`ontology`] | `sitm-ontology` | triple store + CIDOC-CRM-flavoured museum knowledge base |
 //!
@@ -44,13 +44,13 @@
 //!             PROTOCOL.md)
 //! ```
 //!
-//! * **Live** — [`stream`]'s `ShardedEngine` / `ParallelEngine` apply
-//!   events per visit in arrival order; `live_snapshot()` cuts a
+//! * **Live** — [`stream`]'s `ParallelEngine` applies events per visit
+//!   in arrival order, on any number of workers; `live_snapshot()` cuts a
 //!   snapshot-consistent view (open-visit prefixes + incremental
 //!   postings) queryable with [`query`]'s predicates.
 //! * **Fence** — a closed visit fences its stragglers for
-//!   `allowed_lateness` (event-time deterministic, identical across
-//!   runtimes); at close, with `EngineConfig::with_warehouse()`, the
+//!   `allowed_lateness` (event-time deterministic, identical for any
+//!   worker count); at close, with `EngineConfig::with_warehouse()`, the
 //!   completed trajectory enters the finished backlog.
 //! * **Flush** — `stream::Flusher` drains the backlog (`take_finished`,
 //!   a barrier) and spills batches into `query::SegmentedDb`, bounding

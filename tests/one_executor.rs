@@ -23,9 +23,10 @@ use sitm::query::{
 use sitm::space::CellRef;
 use sitm::store::encode_trajectory;
 use sitm::store::warehouse::WarehouseConfig;
-use sitm::stream::{LiveIndex, LiveSnapshot, LiveVisit, ShardLive, VisitKey};
+use sitm::stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -212,12 +213,14 @@ impl Spec {
 }
 
 fn live_snapshot(rows: &[SemanticTrajectory], indexed: bool) -> LiveSnapshot {
-    let visits: Vec<LiveVisit> = rows
+    let visits: Vec<Arc<LiveVisit>> = rows
         .iter()
         .enumerate()
-        .map(|(i, t)| LiveVisit {
-            visit: VisitKey(i as u64),
-            trajectory: t.clone(),
+        .map(|(i, t)| {
+            Arc::new(LiveVisit {
+                visit: VisitKey(i as u64),
+                trajectory: t.clone(),
+            })
         })
         .collect();
     let mut index = LiveIndex::new();
@@ -228,12 +231,7 @@ fn live_snapshot(rows: &[SemanticTrajectory], indexed: bool) -> LiveSnapshot {
             }
         }
     }
-    LiveSnapshot::from_shards(vec![ShardLive {
-        visits,
-        watermark: None,
-        unqueryable: 0,
-        index,
-    }])
+    LiveSnapshot::new(visits, index)
 }
 
 fn refs(opened: &[Box<dyn TrajectorySource>]) -> Vec<&dyn TrajectorySource> {

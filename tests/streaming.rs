@@ -1,9 +1,9 @@
 //! Facade-level streaming smoke test: the `sitm::stream` re-export wires
-//! replay → sharded engine → batch-identical episodes end to end.
+//! replay → work-stealing engine → batch-identical episodes end to end.
 
 use sitm::core::{maximal_episodes, Annotation, AnnotationSet, IntervalPredicate};
 use sitm::louvre::{build_louvre, generate_dataset, zone_key, GeneratorConfig, PaperCalibration};
-use sitm::stream::{dataset_events, visit_trajectories, EngineConfig, ShardedEngine};
+use sitm::stream::{dataset_events, visit_trajectories, EngineConfig, ParallelEngine};
 
 #[test]
 fn facade_streaming_pipeline_matches_batch() {
@@ -34,7 +34,7 @@ fn facade_streaming_pipeline_matches_batch() {
         .with_shards(4)
     };
 
-    let mut engine = ShardedEngine::new(make_config()).expect("engine");
+    let mut engine = ParallelEngine::new(make_config()).expect("engine");
     engine.ingest_all(dataset_events(&model, &dataset));
     let emitted = engine.finish();
     assert!(!emitted.is_empty(), "the exit chain is well travelled");

@@ -6,7 +6,7 @@
 //! every `Predicate` and every `Query` — including sorted/limited
 //! `execute_federated` over the union of live state and warehouse —
 //! identically to an in-memory [`TrajectoryDb`] holding the same
-//! trajectories, and identically across both runtimes and a
+//! trajectories, and identically across worker counts and a
 //! crash/reopen.
 
 use sitm::core::{
@@ -20,7 +20,7 @@ use sitm::query::{
 use sitm::space::CellRef;
 use sitm::store::warehouse::WarehouseConfig;
 use sitm::store::CompactionPolicy;
-use sitm::stream::{EngineConfig, Flusher, ParallelEngine, ShardedEngine, StreamEvent, VisitKey};
+use sitm::stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -202,7 +202,7 @@ fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: 
 #[test]
 fn warehouse_is_differentially_invisible_at_every_flush_point() {
     let tmp = TempDir::new("differential");
-    let mut engine = ShardedEngine::new(config()).unwrap();
+    let mut engine = ParallelEngine::new(config()).unwrap();
     let (db, _) = SegmentedDb::open(
         &tmp.0,
         WarehouseConfig {
@@ -254,46 +254,37 @@ fn warehouse_is_differentially_invisible_at_every_flush_point() {
     assert_differential(&reopened, &empty, "after reopen");
 }
 
+/// One worker and four spill the same history and serve the same
+/// federated answers over live ∪ warehouse.
 #[test]
-fn both_runtimes_build_identical_warehouses_live_included() {
+fn worker_counts_build_identical_warehouses_live_included() {
     let events = feed(24);
-    let tmp_seq = TempDir::new("seq");
-    let tmp_par = TempDir::new("par");
-
-    let mut seq = ShardedEngine::new(config()).unwrap();
-    seq.ingest_all(events.iter().cloned());
-    let mut seq_flusher = Flusher::new(
-        SegmentedDb::open(&tmp_seq.0, WarehouseConfig::default())
-            .unwrap()
-            .0,
-    );
-    seq_flusher.poll(&mut seq).unwrap();
-    let seq_snapshot = seq.live_snapshot();
-
-    let mut par = ParallelEngine::new(config()).unwrap();
-    par.ingest_all(events.iter().cloned());
-    let mut par_flusher = Flusher::new(
-        SegmentedDb::open(&tmp_par.0, WarehouseConfig::default())
-            .unwrap()
-            .0,
-    );
-    par_flusher.poll(&mut par).unwrap();
-    let par_snapshot = par.live_snapshot();
-
-    let seq_db = seq_flusher.into_db().unwrap();
-    let par_db = par_flusher.into_db().unwrap();
-    let seq_all: Vec<SemanticTrajectory> = seq_db.iter().cloned().collect();
-    let par_all: Vec<SemanticTrajectory> = par_db.iter().cloned().collect();
-    assert_eq!(seq_all, par_all, "identical spilled history");
+    let build = |workers: usize| {
+        let tmp = TempDir::new(&format!("workers-{workers}"));
+        let mut engine = ParallelEngine::new(config().with_shards(workers)).unwrap();
+        engine.ingest_all(events.iter().cloned());
+        let mut flusher = Flusher::new(
+            SegmentedDb::open(&tmp.0, WarehouseConfig::default())
+                .unwrap()
+                .0,
+        );
+        flusher.poll(&mut engine).unwrap();
+        (tmp, engine.live_snapshot(), flusher.into_db().unwrap())
+    };
+    let (_one_dir, one_snapshot, one_db) = build(1);
+    let (_four_dir, four_snapshot, four_db) = build(4);
+    let one_all: Vec<SemanticTrajectory> = one_db.iter().cloned().collect();
+    let four_all: Vec<SemanticTrajectory> = four_db.iter().cloned().collect();
+    assert_eq!(one_all, four_all, "identical spilled history");
 
     for p in predicates() {
         let q = Query::new()
             .filter(p.clone())
             .order_by(SortKey::Start, true);
         assert_eq!(
-            q.execute_federated(&[&*seq_snapshot, &seq_db]),
-            q.execute_federated(&[&*par_snapshot, &par_db]),
-            "runtimes diverged under federation for {p}"
+            q.execute_federated(&[&*one_snapshot, &one_db]),
+            q.execute_federated(&[&*four_snapshot, &four_db]),
+            "worker counts diverged under federation for {p}"
         );
     }
 }
