@@ -13,6 +13,8 @@
 //! slow log:   count, then (op, duration_ns, detail) …
 //! ```
 //!
+//! The primitives are [`sitm_codec`]'s, shared with the trace,
+//! time-series and health codecs and with every storage and wire format.
 //! Decoding is fully validated, the same discipline as the store tier's
 //! durable formats: every read is bounds-checked, element counts are
 //! capped by the bytes actually remaining (a hostile count cannot force
@@ -20,6 +22,8 @@
 //! in-range and strictly increasing, and trailing bytes are rejected.
 //! A snapshot truncated at *any* byte offset must decode to an error —
 //! never a panic, never a silently different snapshot.
+
+use sitm_codec::{put_i64, put_str, put_u64, take_count, take_i64, take_str, take_tag, take_u64};
 
 use crate::{HistogramSnapshot, MetricsSnapshot, SlowQuery, HISTOGRAM_BUCKETS};
 
@@ -33,6 +37,8 @@ pub enum SnapshotCodecError {
     Truncated,
     /// A varint ran past 10 bytes / 64 bits.
     VarintOverflow,
+    /// A flag byte was neither 0 nor 1.
+    BadFlag(u8),
     /// The leading version byte is not [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u8),
     /// A string was not valid UTF-8.
@@ -52,6 +58,7 @@ impl std::fmt::Display for SnapshotCodecError {
         match self {
             SnapshotCodecError::Truncated => write!(f, "snapshot truncated"),
             SnapshotCodecError::VarintOverflow => write!(f, "varint overflows u64"),
+            SnapshotCodecError::BadFlag(b) => write!(f, "flag byte {b:#04x} is neither 0 nor 1"),
             SnapshotCodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -77,94 +84,16 @@ impl std::fmt::Display for SnapshotCodecError {
 
 impl std::error::Error for SnapshotCodecError {}
 
-// ---------------------------------------------------------------------------
-// Primitives (shared with the trace / time-series / health codecs, which
-// follow exactly this format's discipline)
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    put_u64(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotCodecError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(SnapshotCodecError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotCodecError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            let low = u64::from(byte & 0x7F);
-            if shift == 63 && low > 1 {
-                return Err(SnapshotCodecError::VarintOverflow);
+impl From<sitm_codec::Error> for SnapshotCodecError {
+    fn from(e: sitm_codec::Error) -> Self {
+        match e {
+            sitm_codec::Error::Eof | sitm_codec::Error::Overrun { .. } => {
+                SnapshotCodecError::Truncated
             }
-            value |= low << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
+            sitm_codec::Error::Overflow => SnapshotCodecError::VarintOverflow,
+            sitm_codec::Error::BadUtf8 => SnapshotCodecError::InvalidUtf8,
+            sitm_codec::Error::BadFlag(b) => SnapshotCodecError::BadFlag(b),
         }
-        Err(SnapshotCodecError::VarintOverflow)
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, SnapshotCodecError> {
-        let z = self.u64()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, SnapshotCodecError> {
-        let len = usize::try_from(self.u64()?).map_err(|_| SnapshotCodecError::Truncated)?;
-        if len > self.remaining() {
-            return Err(SnapshotCodecError::Truncated);
-        }
-        let raw = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        String::from_utf8(raw.to_vec()).map_err(|_| SnapshotCodecError::InvalidUtf8)
-    }
-
-    /// An element count, validated against `min_bytes`-per-element so a
-    /// corrupt length can never drive `Vec::with_capacity` past the
-    /// buffer it must be parsed from.
-    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, SnapshotCodecError> {
-        let n = usize::try_from(self.u64()?).map_err(|_| SnapshotCodecError::Truncated)?;
-        if n > self.remaining() / min_bytes.max(1) {
-            return Err(SnapshotCodecError::Truncated);
-        }
-        Ok(n)
     }
 }
 
@@ -213,8 +142,8 @@ pub fn snapshot_to_bytes(snap: &MetricsSnapshot) -> Vec<u8> {
 
 /// Decodes a snapshot that must occupy `bytes` exactly.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotCodecError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8()?;
+    let mut buf = bytes;
+    let version = take_tag(&mut buf)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotCodecError::UnsupportedVersion(version));
     }
@@ -222,39 +151,39 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotCodecErr
     // Minimum bytes per element: name len + value (counters/gauges: 2),
     // histograms add count/sum/max/bucket-count (6), slow queries two
     // strings + duration (3).
-    let n = r.count(2)?;
+    let n = take_count(&mut buf, 2)?;
     let mut counters = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.str()?;
-        let value = r.u64()?;
+        let name = take_str(&mut buf)?.to_owned();
+        let value = take_u64(&mut buf)?;
         counters.push((name, value));
     }
 
-    let n = r.count(2)?;
+    let n = take_count(&mut buf, 2)?;
     let mut gauges = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.str()?;
-        let value = r.i64()?;
+        let name = take_str(&mut buf)?.to_owned();
+        let value = take_i64(&mut buf)?;
         gauges.push((name, value));
     }
 
-    let n = r.count(6)?;
+    let n = take_count(&mut buf, 6)?;
     let mut histograms = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = r.str()?;
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let max = r.u64()?;
-        let buckets_len = r.count(2)?;
+        let name = take_str(&mut buf)?.to_owned();
+        let count = take_u64(&mut buf)?;
+        let sum = take_u64(&mut buf)?;
+        let max = take_u64(&mut buf)?;
+        let buckets_len = take_count(&mut buf, 2)?;
         let mut buckets = Vec::with_capacity(buckets_len);
         let mut prev: Option<u8> = None;
         for _ in 0..buckets_len {
-            let index = r.u8()?;
+            let index = take_tag(&mut buf)?;
             if usize::from(index) >= HISTOGRAM_BUCKETS || prev.is_some_and(|p| index <= p) {
                 return Err(SnapshotCodecError::InvalidBucket(index));
             }
             prev = Some(index);
-            let bucket_count = r.u64()?;
+            let bucket_count = take_u64(&mut buf)?;
             buckets.push((index, bucket_count));
         }
         histograms.push((
@@ -268,12 +197,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotCodecErr
         ));
     }
 
-    let n = r.count(3)?;
+    let n = take_count(&mut buf, 3)?;
     let mut slow_queries = Vec::with_capacity(n);
     for _ in 0..n {
-        let op = r.str()?;
-        let duration_ns = r.u64()?;
-        let detail = r.str()?;
+        let op = take_str(&mut buf)?.to_owned();
+        let duration_ns = take_u64(&mut buf)?;
+        let detail = take_str(&mut buf)?.to_owned();
         slow_queries.push(SlowQuery {
             op,
             duration_ns,
@@ -281,8 +210,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotCodecErr
         });
     }
 
-    if r.remaining() != 0 {
-        return Err(SnapshotCodecError::TrailingBytes(r.remaining()));
+    if !buf.is_empty() {
+        return Err(SnapshotCodecError::TrailingBytes(buf.len()));
     }
     Ok(MetricsSnapshot {
         counters,
@@ -410,9 +339,9 @@ mod tests {
     fn varint_overflow_is_an_error() {
         let mut bytes = vec![SNAPSHOT_VERSION];
         bytes.extend_from_slice(&[0xFF; 10]); // 70 set continuation bits
-        assert!(matches!(
+        assert_eq!(
             decode_snapshot(&bytes),
-            Err(SnapshotCodecError::VarintOverflow | SnapshotCodecError::Truncated)
-        ));
+            Err(SnapshotCodecError::VarintOverflow)
+        );
     }
 }

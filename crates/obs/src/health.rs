@@ -13,11 +13,14 @@
 //! gauges, the flusher's carry length, the trace recorder's counter —
 //! so building one costs a handful of relaxed loads plus one brief
 //! epoch read; it is deliberately cheap enough to poll at the sampler
-//! period. The codec follows the [`crate::codec`] discipline:
+//! period. The codec follows the [`crate::codec`] discipline over the
+//! [`sitm_codec`] primitives:
 //! versioned, bounds-checked, trailing bytes rejected, torture-tested
 //! at every byte offset.
 
-use crate::codec::{put_u64, Reader, SnapshotCodecError};
+use sitm_codec::{put_u64, take_count, take_flag, take_tag, take_u64};
+
+use crate::codec::SnapshotCodecError;
 
 /// The only health-codec version this build reads or writes.
 pub const HEALTH_VERSION: u8 = 1;
@@ -140,33 +143,33 @@ pub fn health_to_bytes(report: &HealthReport) -> Vec<u8> {
 
 /// Decodes a report that must occupy `bytes` exactly.
 pub fn decode_health(bytes: &[u8]) -> Result<HealthReport, SnapshotCodecError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8()?;
+    let mut buf = bytes;
+    let version = take_tag(&mut buf)?;
     if version != HEALTH_VERSION {
         return Err(SnapshotCodecError::UnsupportedVersion(version));
     }
-    let uptime_ms = r.u64()?;
-    let epoch = r.u64()?;
-    let sessions_accepted = r.u64()?;
-    let sessions_active = r.u64()?;
-    let subscribers_active = r.u64()?;
-    let flush_backlog_trajectories = r.u64()?;
-    let n = r.count(1)?;
+    let uptime_ms = take_u64(&mut buf)?;
+    let epoch = take_u64(&mut buf)?;
+    let sessions_accepted = take_u64(&mut buf)?;
+    let sessions_active = take_u64(&mut buf)?;
+    let subscribers_active = take_u64(&mut buf)?;
+    let flush_backlog_trajectories = take_u64(&mut buf)?;
+    let n = take_count(&mut buf, 1)?;
     let mut worker_queue_depths = Vec::with_capacity(n);
     for _ in 0..n {
-        worker_queue_depths.push(r.u64()?);
+        worker_queue_depths.push(take_u64(&mut buf)?);
     }
-    let last_checkpoint_age_ms = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        tag => return Err(SnapshotCodecError::UnsupportedVersion(tag)),
+    let last_checkpoint_age_ms = if take_flag(&mut buf)? {
+        Some(take_u64(&mut buf)?)
+    } else {
+        None
     };
-    let warehouse_segments = r.u64()?;
-    let warehouse_trajectories = r.u64()?;
-    let traces_recorded = r.u64()?;
-    let events_per_sec_milli = r.u64()?;
-    if r.remaining() != 0 {
-        return Err(SnapshotCodecError::TrailingBytes(r.remaining()));
+    let warehouse_segments = take_u64(&mut buf)?;
+    let warehouse_trajectories = take_u64(&mut buf)?;
+    let traces_recorded = take_u64(&mut buf)?;
+    let events_per_sec_milli = take_u64(&mut buf)?;
+    if !buf.is_empty() {
+        return Err(SnapshotCodecError::TrailingBytes(buf.len()));
     }
     Ok(HealthReport {
         uptime_ms,
@@ -233,6 +236,11 @@ mod tests {
             decode_health(&bytes),
             Err(SnapshotCodecError::TrailingBytes(1))
         );
+        // The checkpoint-age flag (after the version, six zero varints
+        // and an empty queue list) set to neither 0 nor 1.
+        let mut bytes = health_to_bytes(&HealthReport::default());
+        bytes[8] = 2;
+        assert_eq!(decode_health(&bytes), Err(SnapshotCodecError::BadFlag(2)));
     }
 
     #[test]

@@ -26,7 +26,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::codec::{put_i64, put_str, put_u64, Reader, SnapshotCodecError};
+use sitm_codec::{put_i64, put_str, put_u64, take_count, take_i64, take_str, take_tag, take_u64};
+
+use crate::codec::SnapshotCodecError;
 use crate::{HistogramSnapshot, MetricsRegistry, HISTOGRAM_BUCKETS};
 
 /// The only series-codec version this build reads or writes.
@@ -457,63 +459,63 @@ fn name_at(names: &[String], idx: u64) -> Result<String, SnapshotCodecError> {
 /// increasing below [`HISTOGRAM_BUCKETS`], counts allocation-capped,
 /// trailing bytes rejected.
 pub fn decode_series(bytes: &[u8]) -> Result<Vec<SeriesFrame>, SnapshotCodecError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8()?;
+    let mut buf = bytes;
+    let version = take_tag(&mut buf)?;
     if version != SERIES_VERSION {
         return Err(SnapshotCodecError::UnsupportedVersion(version));
     }
-    let name_count = r.count(2)?;
+    let name_count = take_count(&mut buf, 2)?;
     let mut names = Vec::with_capacity(name_count);
     for _ in 0..name_count {
-        names.push(r.str()?);
+        names.push(take_str(&mut buf)?.to_owned());
     }
     // A frame costs ≥ 4 bytes (timestamp + three section counts).
-    let frame_count = r.count(4)?;
+    let frame_count = take_count(&mut buf, 4)?;
     let mut frames: Vec<SeriesFrame> = Vec::with_capacity(frame_count);
 
     for f in 0..frame_count {
         let prev = frames.last();
         let at_ms = if f == 0 {
-            r.u64()?
+            take_u64(&mut buf)?
         } else {
             let base = prev.map_or(0, |p| p.at_ms);
-            base.wrapping_add(r.i64()? as u64)
+            base.wrapping_add(take_i64(&mut buf)? as u64)
         };
 
-        let n = r.count(2)?;
+        let n = take_count(&mut buf, 2)?;
         let mut counters = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = name_at(&names, r.u64()?)?;
+            let name = name_at(&names, take_u64(&mut buf)?)?;
             let before = prev.and_then(|p| p.counter(&name)).unwrap_or(0);
-            let value = before.wrapping_add(r.i64()? as u64);
+            let value = before.wrapping_add(take_i64(&mut buf)? as u64);
             counters.push((name, value));
         }
 
-        let n = r.count(2)?;
+        let n = take_count(&mut buf, 2)?;
         let mut gauges = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = name_at(&names, r.u64()?)?;
+            let name = name_at(&names, take_u64(&mut buf)?)?;
             let before = prev
                 .and_then(|p| p.gauges.iter().find(|(g, _)| *g == name))
                 .map_or(0, |&(_, v)| v);
-            let value = before.wrapping_add(r.i64()?);
+            let value = before.wrapping_add(take_i64(&mut buf)?);
             gauges.push((name, value));
         }
 
-        let n = r.count(5)?;
+        let n = take_count(&mut buf, 5)?;
         let mut histograms = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = name_at(&names, r.u64()?)?;
+            let name = name_at(&names, take_u64(&mut buf)?)?;
             let empty = HistogramSnapshot::default();
             let before = prev.and_then(|p| p.histogram(&name)).unwrap_or(&empty);
-            let count = before.count.wrapping_add(r.i64()? as u64);
-            let sum = before.sum.wrapping_add(r.i64()? as u64);
-            let max = before.max.wrapping_add(r.i64()? as u64);
-            let bucket_count = r.count(2)?;
+            let count = before.count.wrapping_add(take_i64(&mut buf)? as u64);
+            let sum = before.sum.wrapping_add(take_i64(&mut buf)? as u64);
+            let max = before.max.wrapping_add(take_i64(&mut buf)? as u64);
+            let bucket_count = take_count(&mut buf, 2)?;
             let mut buckets = Vec::with_capacity(bucket_count);
             let mut last_idx: i32 = -1;
             for _ in 0..bucket_count {
-                let idx = r.u8()?;
+                let idx = take_tag(&mut buf)?;
                 if idx as usize >= HISTOGRAM_BUCKETS || i32::from(idx) <= last_idx {
                     return Err(SnapshotCodecError::InvalidBucket(idx));
                 }
@@ -523,7 +525,7 @@ pub fn decode_series(bytes: &[u8]) -> Result<Vec<SeriesFrame>, SnapshotCodecErro
                     .iter()
                     .find(|&&(i, _)| i == idx)
                     .map_or(0, |&(_, bn)| bn);
-                buckets.push((idx, before_n.wrapping_add(r.i64()? as u64)));
+                buckets.push((idx, before_n.wrapping_add(take_i64(&mut buf)? as u64)));
             }
             histograms.push((
                 name,
@@ -543,8 +545,8 @@ pub fn decode_series(bytes: &[u8]) -> Result<Vec<SeriesFrame>, SnapshotCodecErro
             histograms,
         });
     }
-    if r.remaining() != 0 {
-        return Err(SnapshotCodecError::TrailingBytes(r.remaining()));
+    if !buf.is_empty() {
+        return Err(SnapshotCodecError::TrailingBytes(buf.len()));
     }
     Ok(frames)
 }

@@ -48,7 +48,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::codec::{put_str, put_u64, Reader, SnapshotCodecError};
+use sitm_codec::{put_str, put_u64, take_count, take_str, take_tag, take_u64};
+
+use crate::codec::SnapshotCodecError;
 
 /// The only trace-codec version this build reads or writes.
 pub const TRACE_VERSION: u8 = 1;
@@ -531,19 +533,19 @@ fn encode_span(buf: &mut Vec<u8>, span: &SpanRecord, depth: usize) {
     }
 }
 
-fn decode_span(r: &mut Reader<'_>, depth: usize) -> Result<SpanRecord, SnapshotCodecError> {
+fn decode_span(buf: &mut &[u8], depth: usize) -> Result<SpanRecord, SnapshotCodecError> {
     if depth >= MAX_SPAN_DEPTH {
         return Err(SnapshotCodecError::TooDeep(depth));
     }
-    let id = r.u64()?;
-    let name = Cow::Owned(r.str()?);
-    let start_ns = r.u64()?;
-    let duration_ns = r.u64()?;
+    let id = take_u64(buf)?;
+    let name = Cow::Owned(take_str(buf)?.to_owned());
+    let start_ns = take_u64(buf)?;
+    let duration_ns = take_u64(buf)?;
     // A span costs ≥ 5 bytes (id, empty name, start, duration, count).
-    let n = r.count(5)?;
+    let n = take_count(buf, 5)?;
     let mut children = Vec::with_capacity(n);
     for _ in 0..n {
-        children.push(decode_span(r, depth + 1)?);
+        children.push(decode_span(buf, depth + 1)?);
     }
     Ok(SpanRecord {
         id,
@@ -563,7 +565,7 @@ fn decode_span(r: &mut Reader<'_>, depth: usize) -> Result<SpanRecord, SnapshotC
 /// ```
 ///
 /// All integers LEB128 varints, strings length-prefixed UTF-8 — the
-/// [`crate::codec`] grammar.
+/// [`sitm_codec`] grammar of [`crate::codec`].
 pub fn encode_traces(buf: &mut Vec<u8>, trees: &[TraceTree]) {
     buf.push(TRACE_VERSION);
     put_u64(buf, trees.len() as u64);
@@ -585,26 +587,26 @@ pub fn traces_to_bytes(trees: &[TraceTree]) -> Vec<u8> {
 /// bounds-checked reads, allocation-capped counts, depth-capped
 /// recursion, trailing bytes rejected.
 pub fn decode_traces(bytes: &[u8]) -> Result<Vec<TraceTree>, SnapshotCodecError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8()?;
+    let mut buf = bytes;
+    let version = take_tag(&mut buf)?;
     if version != TRACE_VERSION {
         return Err(SnapshotCodecError::UnsupportedVersion(version));
     }
     // A tree costs ≥ 7 bytes (two ids + a minimal root span).
-    let n = r.count(7)?;
+    let n = take_count(&mut buf, 7)?;
     let mut trees = Vec::with_capacity(n);
     for _ in 0..n {
-        let trace_id = r.u64()?;
-        let parent_span_id = r.u64()?;
-        let root = decode_span(&mut r, 0)?;
+        let trace_id = take_u64(&mut buf)?;
+        let parent_span_id = take_u64(&mut buf)?;
+        let root = decode_span(&mut buf, 0)?;
         trees.push(TraceTree {
             trace_id,
             parent_span_id,
             root,
         });
     }
-    if r.remaining() != 0 {
-        return Err(SnapshotCodecError::TrailingBytes(r.remaining()));
+    if !buf.is_empty() {
+        return Err(SnapshotCodecError::TrailingBytes(buf.len()));
     }
     Ok(trees)
 }

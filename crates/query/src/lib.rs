@@ -30,7 +30,7 @@
 //!   surface and the same [`TrajectorySource`] federation face;
 //! * [`wire`] — the network codec for queries: [`Predicate`],
 //!   [`SortKey`] and [`WireQuery`] (predicate + ordering + paging)
-//!   encoded with `sitm-store`'s varint primitives, fully validated on
+//!   encoded with `sitm-codec`'s primitives, fully validated on
 //!   decode — what `sitm-serve` puts on the wire.
 //!
 //! Index lookups return candidate *supersets* and the executor re-checks

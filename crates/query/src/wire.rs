@@ -5,8 +5,7 @@
 //! payload encoding for the query-language half — [`Predicate`] (every
 //! variant of the boolean algebra), [`SortKey`], and [`WireQuery`] (the
 //! wire twin of [`Query`]: predicate + ordering + paging) — using the
-//! same `sitm-store` varint primitives as every durable artifact in the
-//! repo.
+//! same [`sitm_codec`] primitives as every durable artifact in the repo.
 //!
 //! Decoding is **fully validated**, exactly like the storage codecs: a
 //! hostile or corrupted payload fails with a [`CodecError`] rather than
@@ -15,9 +14,13 @@
 //! [`MAX_PREDICATE_DEPTH`] so a crafted payload cannot blow the decoder
 //! stack.
 
+use sitm_codec::{
+    put_i64, put_str, put_u64, take_count, take_flag, take_i64, take_span, take_str, take_tag,
+    take_u64,
+};
 use sitm_core::{Annotation, AnnotationKind, Duration, TimeInterval, Timestamp};
-use sitm_store::codec::{decode_cell, decode_count, decode_str, encode_cell, encode_str, take_tag};
-use sitm_store::{varint, CodecError};
+use sitm_store::codec::{decode_cell, encode_cell};
+use sitm_store::CodecError;
 
 use crate::predicate::Predicate;
 use crate::query::{Query, SortKey};
@@ -28,29 +31,24 @@ use crate::query::{Query, SortKey};
 pub const MAX_PREDICATE_DEPTH: usize = 64;
 
 fn encode_annotation(buf: &mut Vec<u8>, a: &Annotation) {
-    encode_str(buf, a.kind.name());
-    encode_str(buf, &a.value);
+    put_str(buf, a.kind.name());
+    put_str(buf, &a.value);
 }
 
 fn decode_annotation(buf: &mut &[u8]) -> Result<Annotation, CodecError> {
-    let kind = AnnotationKind::parse(&decode_str(buf)?);
-    let value = decode_str(buf)?;
+    let kind = AnnotationKind::parse(take_str(buf)?);
+    let value = take_str(buf)?.to_owned();
     Ok(Annotation::new(kind, value))
 }
 
 fn encode_interval(buf: &mut Vec<u8>, w: &TimeInterval) {
-    varint::encode_i64(buf, w.start.0);
-    varint::encode_u64(buf, w.duration().as_seconds() as u64);
+    put_i64(buf, w.start.0);
+    put_u64(buf, w.duration().as_seconds() as u64);
 }
 
 fn decode_interval(buf: &mut &[u8]) -> Result<TimeInterval, CodecError> {
-    let start = Timestamp(varint::decode_i64(buf)?);
-    let duration = varint::decode_u64(buf)?;
-    let end = Timestamp(start.0.wrapping_add(duration as i64));
-    if end < start {
-        return Err(CodecError::InvalidTrace("interval overflow".into()));
-    }
-    Ok(TimeInterval::new(start, end))
+    let (start, end) = take_span(buf, 0)?;
+    Ok(TimeInterval::new(Timestamp(start), Timestamp(end)))
 }
 
 const P_TRUE: u8 = 0;
@@ -77,7 +75,7 @@ pub fn encode_predicate(buf: &mut Vec<u8>, p: &Predicate) {
         }
         Predicate::SequenceContains(cells) => {
             buf.push(P_SEQUENCE);
-            varint::encode_u64(buf, cells.len() as u64);
+            put_u64(buf, cells.len() as u64);
             for c in cells {
                 encode_cell(buf, *c);
             }
@@ -101,16 +99,16 @@ pub fn encode_predicate(buf: &mut Vec<u8>, p: &Predicate) {
         }
         Predicate::MinTotalDwell(d) => {
             buf.push(P_MIN_DWELL);
-            varint::encode_i64(buf, d.as_seconds());
+            put_i64(buf, d.as_seconds());
         }
         Predicate::MinStayIn(cell, d) => {
             buf.push(P_MIN_STAY);
             encode_cell(buf, *cell);
-            varint::encode_i64(buf, d.as_seconds());
+            put_i64(buf, d.as_seconds());
         }
         Predicate::MovingObject(id) => {
             buf.push(P_MOVING_OBJECT);
-            encode_str(buf, id);
+            put_str(buf, id);
         }
         Predicate::Not(inner) => {
             buf.push(P_NOT);
@@ -118,14 +116,14 @@ pub fn encode_predicate(buf: &mut Vec<u8>, p: &Predicate) {
         }
         Predicate::And(parts) => {
             buf.push(P_AND);
-            varint::encode_u64(buf, parts.len() as u64);
+            put_u64(buf, parts.len() as u64);
             for q in parts {
                 encode_predicate(buf, q);
             }
         }
         Predicate::Or(parts) => {
             buf.push(P_OR);
-            varint::encode_u64(buf, parts.len() as u64);
+            put_u64(buf, parts.len() as u64);
             for q in parts {
                 encode_predicate(buf, q);
             }
@@ -148,7 +146,7 @@ fn decode_predicate_depth(buf: &mut &[u8], depth: usize) -> Result<Predicate, Co
         P_TRUE => Ok(Predicate::True),
         P_VISITED_CELL => Ok(Predicate::VisitedCell(decode_cell(buf)?)),
         P_SEQUENCE => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut cells = Vec::with_capacity(count);
             for _ in 0..count {
                 cells.push(decode_cell(buf)?);
@@ -163,19 +161,19 @@ fn decode_predicate_depth(buf: &mut &[u8], depth: usize) -> Result<Predicate, Co
         }
         P_TRAJ_ANNOTATION => Ok(Predicate::HasTrajAnnotation(decode_annotation(buf)?)),
         P_STAY_ANNOTATION => Ok(Predicate::HasStayAnnotation(decode_annotation(buf)?)),
-        P_MIN_DWELL => Ok(Predicate::MinTotalDwell(Duration(varint::decode_i64(buf)?))),
+        P_MIN_DWELL => Ok(Predicate::MinTotalDwell(Duration(take_i64(buf)?))),
         P_MIN_STAY => {
             let cell = decode_cell(buf)?;
-            let d = Duration(varint::decode_i64(buf)?);
+            let d = Duration(take_i64(buf)?);
             Ok(Predicate::MinStayIn(cell, d))
         }
-        P_MOVING_OBJECT => Ok(Predicate::MovingObject(decode_str(buf)?)),
+        P_MOVING_OBJECT => Ok(Predicate::MovingObject(take_str(buf)?.to_owned())),
         P_NOT => Ok(Predicate::Not(Box::new(decode_predicate_depth(
             buf,
             depth + 1,
         )?))),
         P_AND => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut parts = Vec::with_capacity(count);
             for _ in 0..count {
                 parts.push(decode_predicate_depth(buf, depth + 1)?);
@@ -183,7 +181,7 @@ fn decode_predicate_depth(buf: &mut &[u8], depth: usize) -> Result<Predicate, Co
             Ok(Predicate::And(parts))
         }
         P_OR => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut parts = Vec::with_capacity(count);
             for _ in 0..count {
                 parts.push(decode_predicate_depth(buf, depth + 1)?);
@@ -280,12 +278,12 @@ pub fn encode_wire_query(buf: &mut Vec<u8>, q: &WireQuery) {
             buf.push(u8::from(ascending));
         }
     }
-    varint::encode_u64(buf, q.offset);
+    put_u64(buf, q.offset);
     match q.limit {
         None => buf.push(0),
         Some(n) => {
             buf.push(1);
-            varint::encode_u64(buf, n);
+            put_u64(buf, n);
         }
     }
 }
@@ -293,24 +291,17 @@ pub fn encode_wire_query(buf: &mut Vec<u8>, q: &WireQuery) {
 /// Decodes a [`WireQuery`] encoded by [`encode_wire_query`].
 pub fn decode_wire_query(buf: &mut &[u8]) -> Result<WireQuery, CodecError> {
     let predicate = decode_predicate(buf)?;
-    let order = match take_tag(buf)? {
-        0 => None,
-        1 => {
-            let key = sort_key_from_tag(take_tag(buf)?)?;
-            let ascending = match take_tag(buf)? {
-                0 => false,
-                1 => true,
-                other => return Err(CodecError::BadTag(other)),
-            };
-            Some((key, ascending))
-        }
-        other => return Err(CodecError::BadTag(other)),
+    let order = if take_flag(buf)? {
+        let key = sort_key_from_tag(take_tag(buf)?)?;
+        Some((key, take_flag(buf)?))
+    } else {
+        None
     };
-    let offset = varint::decode_u64(buf)?;
-    let limit = match take_tag(buf)? {
-        0 => None,
-        1 => Some(varint::decode_u64(buf)?),
-        other => return Err(CodecError::BadTag(other)),
+    let offset = take_u64(buf)?;
+    let limit = if take_flag(buf)? {
+        Some(take_u64(buf)?)
+    } else {
+        None
     };
     Ok(WireQuery {
         predicate,
@@ -400,7 +391,7 @@ mod tests {
     #[test]
     fn hostile_counts_are_rejected_before_allocation() {
         let mut buf = vec![P_AND];
-        varint::encode_u64(&mut buf, u64::MAX);
+        put_u64(&mut buf, u64::MAX);
         assert!(matches!(
             decode_predicate(&mut buf.as_slice()),
             Err(CodecError::LengthOverrun { .. })

@@ -1,7 +1,7 @@
 //! The request/response vocabulary and its payload codec.
 //!
 //! One frame ([`crate::wire`]) carries one message. Requests and
-//! responses are tagged unions encoded with the same `sitm-store`
+//! responses are tagged unions encoded with the same [`sitm_codec`]
 //! primitives as every durable artifact — stream events reuse the
 //! presence/annotation/cell codecs, trajectories ship as
 //! [`sitm_store::codec::encode_trajectory`] rows, and query specs ride
@@ -10,6 +10,10 @@
 //! materializing an invalid value, so a corrupted frame that somehow
 //! cleared the CRC still cannot reach the engine.
 
+use sitm_codec::{
+    put_bytes, put_i64, put_str, put_u64, take_bytes, take_count, take_flag, take_i64, take_str,
+    take_tag, take_u64,
+};
 use sitm_core::{Episode, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_obs::codec::{decode_snapshot, snapshot_to_bytes};
 use sitm_obs::health::{decode_health, health_to_bytes, HealthReport};
@@ -19,11 +23,11 @@ use sitm_query::wire::{decode_wire_query, encode_wire_query, WireQuery};
 use sitm_query::{decode_predicate, encode_predicate, Predicate};
 use sitm_space::CellRef;
 use sitm_store::codec::{
-    decode_annotations, decode_cell, decode_count, decode_presence, decode_str, decode_trajectory,
-    encode_annotations, encode_cell, encode_presence, encode_str, encode_trajectory, take_tag,
+    decode_annotations, decode_cell, decode_presence, decode_trajectory, encode_annotations,
+    encode_cell, encode_presence, encode_trajectory,
 };
 use sitm_store::warehouse::CellRollup;
-use sitm_store::{varint, CodecError};
+use sitm_store::CodecError;
 use sitm_stream::{EmittedEpisode, StreamEvent, VisitKey};
 
 // --- stream events ---------------------------------------------------------
@@ -43,26 +47,26 @@ pub fn encode_event(buf: &mut Vec<u8>, event: &StreamEvent) {
             at,
         } => {
             buf.push(EV_OPENED);
-            varint::encode_u64(buf, visit.0);
-            encode_str(buf, moving_object);
+            put_u64(buf, visit.0);
+            put_str(buf, moving_object);
             encode_annotations(buf, annotations);
-            varint::encode_i64(buf, at.0);
+            put_i64(buf, at.0);
         }
         StreamEvent::Fix { visit, cell, at } => {
             buf.push(EV_FIX);
-            varint::encode_u64(buf, visit.0);
+            put_u64(buf, visit.0);
             encode_cell(buf, *cell);
-            varint::encode_i64(buf, at.0);
+            put_i64(buf, at.0);
         }
         StreamEvent::Presence { visit, interval } => {
             buf.push(EV_PRESENCE);
-            varint::encode_u64(buf, visit.0);
+            put_u64(buf, visit.0);
             encode_presence(buf, interval);
         }
         StreamEvent::VisitClosed { visit, at } => {
             buf.push(EV_CLOSED);
-            varint::encode_u64(buf, visit.0);
-            varint::encode_i64(buf, at.0);
+            put_u64(buf, visit.0);
+            put_i64(buf, at.0);
         }
     }
 }
@@ -71,10 +75,10 @@ pub fn encode_event(buf: &mut Vec<u8>, event: &StreamEvent) {
 pub fn decode_event(buf: &mut &[u8]) -> Result<StreamEvent, CodecError> {
     match take_tag(buf)? {
         EV_OPENED => {
-            let visit = VisitKey(varint::decode_u64(buf)?);
-            let moving_object = decode_str(buf)?;
+            let visit = VisitKey(take_u64(buf)?);
+            let moving_object = take_str(buf)?.to_owned();
             let annotations = decode_annotations(buf)?;
-            let at = Timestamp(varint::decode_i64(buf)?);
+            let at = Timestamp(take_i64(buf)?);
             Ok(StreamEvent::VisitOpened {
                 visit,
                 moving_object,
@@ -83,19 +87,19 @@ pub fn decode_event(buf: &mut &[u8]) -> Result<StreamEvent, CodecError> {
             })
         }
         EV_FIX => {
-            let visit = VisitKey(varint::decode_u64(buf)?);
+            let visit = VisitKey(take_u64(buf)?);
             let cell = decode_cell(buf)?;
-            let at = Timestamp(varint::decode_i64(buf)?);
+            let at = Timestamp(take_i64(buf)?);
             Ok(StreamEvent::Fix { visit, cell, at })
         }
         EV_PRESENCE => {
-            let visit = VisitKey(varint::decode_u64(buf)?);
+            let visit = VisitKey(take_u64(buf)?);
             let interval = decode_presence(buf)?;
             Ok(StreamEvent::Presence { visit, interval })
         }
         EV_CLOSED => {
-            let visit = VisitKey(varint::decode_u64(buf)?);
-            let at = Timestamp(varint::decode_i64(buf)?);
+            let visit = VisitKey(take_u64(buf)?);
+            let at = Timestamp(take_i64(buf)?);
             Ok(StreamEvent::VisitClosed { visit, at })
         }
         other => Err(CodecError::BadTag(other)),
@@ -172,7 +176,7 @@ pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
     match req {
         Request::IngestBatch(events) => {
             buf.push(REQ_INGEST);
-            varint::encode_u64(buf, events.len() as u64);
+            put_u64(buf, events.len() as u64);
             for e in events {
                 encode_event(buf, e);
             }
@@ -201,7 +205,7 @@ pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
         Request::Health => buf.push(REQ_HEALTH),
         Request::Trace { limit } => {
             buf.push(REQ_TRACE);
-            varint::encode_u64(buf, *limit);
+            put_u64(buf, *limit);
         }
     }
 }
@@ -210,7 +214,7 @@ pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
 pub fn decode_request(buf: &mut &[u8]) -> Result<Request, CodecError> {
     let req = match take_tag(buf)? {
         REQ_INGEST => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
                 events.push(decode_event(buf)?);
@@ -228,7 +232,7 @@ pub fn decode_request(buf: &mut &[u8]) -> Result<Request, CodecError> {
         REQ_UNSUBSCRIBE => Request::Unsubscribe,
         REQ_HEALTH => Request::Health,
         REQ_TRACE => Request::Trace {
-            limit: varint::decode_u64(buf)?,
+            limit: take_u64(buf)?,
         },
         other => return Err(CodecError::BadTag(other)),
     };
@@ -416,30 +420,30 @@ const RESP_TRACES: u8 = 12;
 
 /// Encodes one drained episode as pushed by a subscription.
 pub fn encode_episode(buf: &mut Vec<u8>, episode: &EmittedEpisode) {
-    varint::encode_u64(buf, episode.visit.0);
-    encode_str(buf, &episode.moving_object);
-    varint::encode_u64(buf, episode.predicate as u64);
-    varint::encode_u64(buf, episode.episode.range.start as u64);
-    varint::encode_u64(buf, episode.episode.range.end as u64);
-    varint::encode_i64(buf, episode.episode.time.start.0);
-    varint::encode_i64(buf, episode.episode.time.end.0);
+    put_u64(buf, episode.visit.0);
+    put_str(buf, &episode.moving_object);
+    put_u64(buf, episode.predicate as u64);
+    put_u64(buf, episode.episode.range.start as u64);
+    put_u64(buf, episode.episode.range.end as u64);
+    put_i64(buf, episode.episode.time.start.0);
+    put_i64(buf, episode.episode.time.end.0);
     encode_annotations(buf, &episode.episode.annotations);
 }
 
 /// Decodes one drained episode, validating range and interval ordering.
 pub fn decode_episode(buf: &mut &[u8]) -> Result<EmittedEpisode, CodecError> {
-    let visit = VisitKey(varint::decode_u64(buf)?);
-    let moving_object = decode_str(buf)?;
-    let predicate = varint::decode_u64(buf)? as usize;
-    let start = varint::decode_u64(buf)? as usize;
-    let end = varint::decode_u64(buf)? as usize;
+    let visit = VisitKey(take_u64(buf)?);
+    let moving_object = take_str(buf)?.to_owned();
+    let predicate = take_u64(buf)? as usize;
+    let start = take_u64(buf)? as usize;
+    let end = take_u64(buf)? as usize;
     if end < start {
         return Err(CodecError::InvalidTrace(
             "episode range end before start".into(),
         ));
     }
-    let t_start = Timestamp(varint::decode_i64(buf)?);
-    let t_end = Timestamp(varint::decode_i64(buf)?);
+    let t_start = Timestamp(take_i64(buf)?);
+    let t_end = Timestamp(take_i64(buf)?);
     if t_end < t_start {
         return Err(CodecError::InvalidTrace(
             "episode interval end before start".into(),
@@ -465,7 +469,7 @@ pub fn decode_episode(buf: &mut &[u8]) -> Result<EmittedEpisode, CodecError> {
 /// behind this header; [`encode_response`] encodes owned rows behind it.
 pub(crate) fn begin_trajectories(buf: &mut Vec<u8>, rows: u64) {
     buf.push(RESP_TRAJECTORIES);
-    varint::encode_u64(buf, rows);
+    put_u64(buf, rows);
 }
 
 /// Encodes a response into a frame payload.
@@ -473,7 +477,7 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Ingested { events } => {
             buf.push(RESP_INGESTED);
-            varint::encode_u64(buf, *events);
+            put_u64(buf, *events);
         }
         Response::Trajectories(rows) => {
             begin_trajectories(buf, rows.len() as u64);
@@ -483,28 +487,28 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
         }
         Response::Explained(report) => {
             buf.push(RESP_EXPLAINED);
-            varint::encode_u64(buf, report.plans.len() as u64);
+            put_u64(buf, report.plans.len() as u64);
             for plan in &report.plans {
                 match plan.candidates {
                     None => buf.push(0),
                     Some(n) => {
                         buf.push(1);
-                        varint::encode_u64(buf, n);
+                        put_u64(buf, n);
                     }
                 }
-                varint::encode_u64(buf, plan.total);
+                put_u64(buf, plan.total);
             }
-            varint::encode_u64(buf, report.segments);
-            varint::encode_u64(buf, report.zone_pruned);
-            varint::encode_u64(buf, report.bloom_pruned);
-            varint::encode_u64(buf, report.object_pruned);
-            varint::encode_u64(buf, report.segment_bytes_read);
-            varint::encode_u64(buf, report.trajectories_decoded);
-            varint::encode_u64(buf, report.lazy_opens);
-            varint::encode_u64(buf, report.row_cache_hits);
-            varint::encode_u64(buf, report.row_cache_misses);
-            varint::encode_u64(buf, report.snapshot_build_ns);
-            varint::encode_u64(buf, report.evaluate_ns);
+            put_u64(buf, report.segments);
+            put_u64(buf, report.zone_pruned);
+            put_u64(buf, report.bloom_pruned);
+            put_u64(buf, report.object_pruned);
+            put_u64(buf, report.segment_bytes_read);
+            put_u64(buf, report.trajectories_decoded);
+            put_u64(buf, report.lazy_opens);
+            put_u64(buf, report.row_cache_hits);
+            put_u64(buf, report.row_cache_misses);
+            put_u64(buf, report.snapshot_build_ns);
+            put_u64(buf, report.evaluate_ns);
             buf.push(report.snapshot_cached as u8);
         }
         Response::Stats { stats: s, rollup } => {
@@ -522,20 +526,20 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
                 s.sessions_accepted,
                 s.sessions_active,
             ] {
-                varint::encode_u64(buf, n);
+                put_u64(buf, n);
             }
-            varint::encode_u64(buf, rollup.period_seconds);
-            varint::encode_u64(buf, rollup.cells.len() as u64);
+            put_u64(buf, rollup.period_seconds);
+            put_u64(buf, rollup.cells.len() as u64);
             for (cell, agg) in &rollup.cells {
                 encode_cell(buf, *cell);
-                varint::encode_u64(buf, agg.trajectories);
-                varint::encode_u64(buf, agg.stays);
-                varint::encode_u64(buf, agg.dwell_seconds);
+                put_u64(buf, agg.trajectories);
+                put_u64(buf, agg.stays);
+                put_u64(buf, agg.dwell_seconds);
             }
-            varint::encode_u64(buf, rollup.periods.len() as u64);
+            put_u64(buf, rollup.periods.len() as u64);
             for (bucket, count) in &rollup.periods {
-                varint::encode_i64(buf, *bucket);
-                varint::encode_u64(buf, *count);
+                put_i64(buf, *bucket);
+                put_u64(buf, *count);
             }
         }
         Response::Checkpointed {
@@ -544,33 +548,31 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             manifest_sequence,
         } => {
             buf.push(RESP_CHECKPOINTED);
-            varint::encode_u64(buf, *spilled);
-            varint::encode_u64(buf, *warehouse_trajectories);
-            varint::encode_u64(buf, *manifest_sequence);
+            put_u64(buf, *spilled);
+            put_u64(buf, *warehouse_trajectories);
+            put_u64(buf, *manifest_sequence);
         }
         Response::ShuttingDown => buf.push(RESP_SHUTTING_DOWN),
         Response::Error(message) => {
             buf.push(RESP_ERROR);
-            encode_str(buf, message);
+            put_str(buf, message);
         }
         Response::Metrics(snapshot) => {
             buf.push(RESP_METRICS);
             // The snapshot codec is versioned and self-delimiting; it
             // rides the response as a length-prefixed blob so the
             // trailing-bytes check below still covers the whole frame.
-            let bytes = snapshot_to_bytes(snapshot);
-            varint::encode_u64(buf, bytes.len() as u64);
-            buf.extend_from_slice(&bytes);
+            put_bytes(buf, &snapshot_to_bytes(snapshot));
         }
         Response::Subscribed { epoch } => {
             buf.push(RESP_SUBSCRIBED);
-            varint::encode_u64(buf, *epoch);
+            put_u64(buf, *epoch);
         }
         Response::Unsubscribed => buf.push(RESP_UNSUBSCRIBED),
         Response::Notification { epoch, episodes } => {
             buf.push(RESP_NOTIFICATION);
-            varint::encode_u64(buf, *epoch);
-            varint::encode_u64(buf, episodes.len() as u64);
+            put_u64(buf, *epoch);
+            put_u64(buf, episodes.len() as u64);
             for e in episodes {
                 encode_episode(buf, e);
             }
@@ -579,15 +581,11 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             buf.push(RESP_HEALTH);
             // Versioned, self-delimiting payload as a length-prefixed
             // blob — the `Metrics` idiom, same trailing-bytes coverage.
-            let bytes = health_to_bytes(report);
-            varint::encode_u64(buf, bytes.len() as u64);
-            buf.extend_from_slice(&bytes);
+            put_bytes(buf, &health_to_bytes(report));
         }
         Response::Traces(trees) => {
             buf.push(RESP_TRACES);
-            let bytes = traces_to_bytes(trees);
-            varint::encode_u64(buf, bytes.len() as u64);
-            buf.extend_from_slice(&bytes);
+            put_bytes(buf, &traces_to_bytes(trees));
         }
     }
 }
@@ -596,10 +594,10 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
 pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
     let resp = match take_tag(buf)? {
         RESP_INGESTED => Response::Ingested {
-            events: varint::decode_u64(buf)?,
+            events: take_u64(buf)?,
         },
         RESP_TRAJECTORIES => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
                 rows.push(decode_trajectory(buf)?);
@@ -607,33 +605,29 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
             Response::Trajectories(rows)
         }
         RESP_EXPLAINED => {
-            let count = decode_count(buf)?;
+            let count = take_count(buf, 1)?;
             let mut plans = Vec::with_capacity(count);
             for _ in 0..count {
-                let candidates = match take_tag(buf)? {
-                    0 => None,
-                    1 => Some(varint::decode_u64(buf)?),
-                    other => return Err(CodecError::BadTag(other)),
+                let candidates = if take_flag(buf)? {
+                    Some(take_u64(buf)?)
+                } else {
+                    None
                 };
-                let total = varint::decode_u64(buf)?;
+                let total = take_u64(buf)?;
                 plans.push(WirePlan { candidates, total });
             }
-            let segments = varint::decode_u64(buf)?;
-            let zone_pruned = varint::decode_u64(buf)?;
-            let bloom_pruned = varint::decode_u64(buf)?;
-            let object_pruned = varint::decode_u64(buf)?;
-            let segment_bytes_read = varint::decode_u64(buf)?;
-            let trajectories_decoded = varint::decode_u64(buf)?;
-            let lazy_opens = varint::decode_u64(buf)?;
-            let row_cache_hits = varint::decode_u64(buf)?;
-            let row_cache_misses = varint::decode_u64(buf)?;
-            let snapshot_build_ns = varint::decode_u64(buf)?;
-            let evaluate_ns = varint::decode_u64(buf)?;
-            let snapshot_cached = match take_tag(buf)? {
-                0 => false,
-                1 => true,
-                other => return Err(CodecError::BadTag(other)),
-            };
+            let segments = take_u64(buf)?;
+            let zone_pruned = take_u64(buf)?;
+            let bloom_pruned = take_u64(buf)?;
+            let object_pruned = take_u64(buf)?;
+            let segment_bytes_read = take_u64(buf)?;
+            let trajectories_decoded = take_u64(buf)?;
+            let lazy_opens = take_u64(buf)?;
+            let row_cache_hits = take_u64(buf)?;
+            let row_cache_misses = take_u64(buf)?;
+            let snapshot_build_ns = take_u64(buf)?;
+            let evaluate_ns = take_u64(buf)?;
+            let snapshot_cached = take_flag(buf)?;
             Response::Explained(ExplainReport {
                 plans,
                 segments,
@@ -653,10 +647,10 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
         RESP_STATS => {
             let mut fields = [0u64; 11];
             for slot in &mut fields {
-                *slot = varint::decode_u64(buf)?;
+                *slot = take_u64(buf)?;
             }
-            let period_seconds = varint::decode_u64(buf)?;
-            let cell_count = decode_count(buf)?;
+            let period_seconds = take_u64(buf)?;
+            let cell_count = take_count(buf, 1)?;
             let mut cells: Vec<(CellRef, CellRollup)> = Vec::with_capacity(cell_count);
             for _ in 0..cell_count {
                 let cell = decode_cell(buf)?;
@@ -667,9 +661,9 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                         ));
                     }
                 }
-                let trajectories = varint::decode_u64(buf)?;
-                let stays = varint::decode_u64(buf)?;
-                let dwell_seconds = varint::decode_u64(buf)?;
+                let trajectories = take_u64(buf)?;
+                let stays = take_u64(buf)?;
+                let dwell_seconds = take_u64(buf)?;
                 cells.push((
                     cell,
                     CellRollup {
@@ -679,10 +673,10 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                     },
                 ));
             }
-            let period_count = decode_count(buf)?;
+            let period_count = take_count(buf, 1)?;
             let mut periods: Vec<(i64, u64)> = Vec::with_capacity(period_count);
             for _ in 0..period_count {
-                let bucket = varint::decode_i64(buf)?;
+                let bucket = take_i64(buf)?;
                 if let Some((last, _)) = periods.last() {
                     if *last >= bucket {
                         return Err(CodecError::InvalidTrace(
@@ -690,7 +684,7 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                         ));
                     }
                 }
-                periods.push((bucket, varint::decode_u64(buf)?));
+                periods.push((bucket, take_u64(buf)?));
             }
             Response::Stats {
                 stats: ServerStats {
@@ -714,28 +708,24 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
             }
         }
         RESP_CHECKPOINTED => Response::Checkpointed {
-            spilled: varint::decode_u64(buf)?,
-            warehouse_trajectories: varint::decode_u64(buf)?,
-            manifest_sequence: varint::decode_u64(buf)?,
+            spilled: take_u64(buf)?,
+            warehouse_trajectories: take_u64(buf)?,
+            manifest_sequence: take_u64(buf)?,
         },
         RESP_SHUTTING_DOWN => Response::ShuttingDown,
-        RESP_ERROR => Response::Error(decode_str(buf)?),
+        RESP_ERROR => Response::Error(take_str(buf)?.to_owned()),
         RESP_METRICS => {
-            // `decode_count` already rejects a length past the frame.
-            let len = decode_count(buf)?;
-            let (blob, rest) = buf.split_at(len);
-            *buf = rest;
-            let snapshot = decode_snapshot(blob)
+            let snapshot = decode_snapshot(take_bytes(buf)?)
                 .map_err(|e| CodecError::InvalidTrace(format!("metrics snapshot: {e}")))?;
             Response::Metrics(snapshot)
         }
         RESP_SUBSCRIBED => Response::Subscribed {
-            epoch: varint::decode_u64(buf)?,
+            epoch: take_u64(buf)?,
         },
         RESP_UNSUBSCRIBED => Response::Unsubscribed,
         RESP_NOTIFICATION => {
-            let epoch = varint::decode_u64(buf)?;
-            let count = decode_count(buf)?;
+            let epoch = take_u64(buf)?;
+            let count = take_count(buf, 1)?;
             let mut episodes = Vec::with_capacity(count);
             for _ in 0..count {
                 episodes.push(decode_episode(buf)?);
@@ -743,18 +733,12 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
             Response::Notification { epoch, episodes }
         }
         RESP_HEALTH => {
-            let len = decode_count(buf)?;
-            let (blob, rest) = buf.split_at(len);
-            *buf = rest;
-            let report = decode_health(blob)
+            let report = decode_health(take_bytes(buf)?)
                 .map_err(|e| CodecError::InvalidTrace(format!("health report: {e}")))?;
             Response::Health(report)
         }
         RESP_TRACES => {
-            let len = decode_count(buf)?;
-            let (blob, rest) = buf.split_at(len);
-            *buf = rest;
-            let trees = decode_traces(blob)
+            let trees = decode_traces(take_bytes(buf)?)
                 .map_err(|e| CodecError::InvalidTrace(format!("trace trees: {e}")))?;
             Response::Traces(trees)
         }
@@ -775,6 +759,7 @@ mod tests {
     use sitm_graph::{LayerIdx, NodeId};
     use sitm_query::SortKey;
     use sitm_space::CellRef;
+    use sitm_store::codec::encode_transition;
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -1066,26 +1051,26 @@ mod tests {
         encode_episode(&mut buf, &bad);
         let good_len = buf.len();
         buf.clear();
-        varint::encode_u64(&mut buf, bad.visit.0);
-        encode_str(&mut buf, &bad.moving_object);
-        varint::encode_u64(&mut buf, bad.predicate as u64);
-        varint::encode_u64(&mut buf, 4); // start
-        varint::encode_u64(&mut buf, 1); // end < start
-        varint::encode_i64(&mut buf, bad.episode.time.start.0);
-        varint::encode_i64(&mut buf, bad.episode.time.end.0);
+        put_u64(&mut buf, bad.visit.0);
+        put_str(&mut buf, &bad.moving_object);
+        put_u64(&mut buf, bad.predicate as u64);
+        put_u64(&mut buf, 4); // start
+        put_u64(&mut buf, 1); // end < start
+        put_i64(&mut buf, bad.episode.time.start.0);
+        put_i64(&mut buf, bad.episode.time.end.0);
         encode_annotations(&mut buf, &bad.episode.annotations);
         assert!(decode_episode(&mut buf.as_slice()).is_err());
 
         // interval end before start — swap the timestamps
         bad.episode.range = 1..4;
         buf.clear();
-        varint::encode_u64(&mut buf, bad.visit.0);
-        encode_str(&mut buf, &bad.moving_object);
-        varint::encode_u64(&mut buf, bad.predicate as u64);
-        varint::encode_u64(&mut buf, bad.episode.range.start as u64);
-        varint::encode_u64(&mut buf, bad.episode.range.end as u64);
-        varint::encode_i64(&mut buf, bad.episode.time.end.0);
-        varint::encode_i64(&mut buf, bad.episode.time.start.0);
+        put_u64(&mut buf, bad.visit.0);
+        put_str(&mut buf, &bad.moving_object);
+        put_u64(&mut buf, bad.predicate as u64);
+        put_u64(&mut buf, bad.episode.range.start as u64);
+        put_u64(&mut buf, bad.episode.range.end as u64);
+        put_i64(&mut buf, bad.episode.time.end.0);
+        put_i64(&mut buf, bad.episode.time.start.0);
         encode_annotations(&mut buf, &bad.episode.annotations);
         assert!(decode_episode(&mut buf.as_slice()).is_err());
 
@@ -1095,6 +1080,47 @@ mod tests {
         encode_episode(&mut buf, &episode);
         assert_eq!(buf.len(), good_len);
         assert_eq!(decode_episode(&mut buf.as_slice()).unwrap(), episode);
+    }
+
+    /// A timestamp past `i64` is refused, never computed (a debug build
+    /// would panic on it, a release build would wrap and accept it): an
+    /// ingested presence ending one second past `i64::MAX`, and a reply
+    /// row whose second stay starts past it.
+    #[test]
+    fn overflowing_timestamps_are_refused() {
+        let stay = |buf: &mut Vec<u8>, delta: i64, duration: u64| {
+            encode_transition(buf, &TransitionTaken::Unknown);
+            encode_cell(buf, cell(1));
+            put_i64(buf, delta);
+            put_u64(buf, duration);
+            encode_annotations(buf, &AnnotationSet::new());
+            encode_annotations(buf, &AnnotationSet::new());
+        };
+        let mut request = vec![REQ_INGEST];
+        put_u64(&mut request, 1);
+        request.push(EV_PRESENCE);
+        put_u64(&mut request, 8);
+        stay(&mut request, i64::MAX, 1);
+        assert_eq!(
+            decode_request(&mut request.as_slice()),
+            Err(CodecError::Overflow)
+        );
+
+        let mut reply = vec![RESP_TRAJECTORIES];
+        put_u64(&mut reply, 1);
+        put_str(&mut reply, "mo");
+        put_i64(&mut reply, i64::MAX - 10); // base
+        put_u64(&mut reply, 2);
+        stay(&mut reply, 0, 5); // ends at i64::MAX - 5
+        stay(&mut reply, 10, 0);
+        encode_annotations(
+            &mut reply,
+            &AnnotationSet::from_iter([Annotation::goal("v")]),
+        );
+        assert_eq!(
+            decode_response(&mut reply.as_slice()),
+            Err(CodecError::Overflow)
+        );
     }
 
     #[test]

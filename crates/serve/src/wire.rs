@@ -333,8 +333,7 @@ fn read_frame_rest(
     };
     let mut header = [0u8; FRAME_OVERHEAD - 1];
     read_exact_or_close(r, &mut header, false)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let (len, crc) = segment::split_frame_header(&header);
     let body_len = len as usize;
     if body_len > max_body_len(traced) {
         return Err(WireError::Oversized(len));

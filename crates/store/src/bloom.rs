@@ -18,8 +18,9 @@
 //! use for shard routing, so filters are stable across runs and
 //! platforms and can be serialized beside the zone map.
 
+use sitm_codec::{put_u64, take_count, take_u64};
+
 use crate::codec::CodecError;
-use crate::varint;
 
 /// Probes per lookup (fixed; encoded anyway so the format can evolve).
 const PROBES: u32 = 4;
@@ -130,8 +131,8 @@ impl Bloom {
 
     /// Serializes the filter (probes, word count, words).
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, u64::from(self.probes));
-        varint::encode_u64(buf, self.words.len() as u64);
+        put_u64(buf, u64::from(self.probes));
+        put_u64(buf, self.words.len() as u64);
         for w in &self.words {
             buf.extend_from_slice(&w.to_le_bytes());
         }
@@ -140,17 +141,17 @@ impl Bloom {
     /// Decodes a filter encoded by [`Bloom::encode`], validating the
     /// word count against both the remaining buffer and a hard cap.
     pub fn decode(buf: &mut &[u8]) -> Result<Bloom, CodecError> {
-        let probes = varint::decode_u64(buf)?;
+        let probes = take_u64(buf)?;
         if probes > MAX_PROBES {
             return Err(CodecError::InvalidTrace(
                 "bloom probe count exceeds the sanity bound".into(),
             ));
         }
         let probes = probes as u32;
-        let count = varint::decode_u64(buf)?;
-        if count > MAX_WORDS || count.saturating_mul(8) > buf.len() as u64 {
+        let count = take_count(buf, 8)?;
+        if count as u64 > MAX_WORDS {
             return Err(CodecError::LengthOverrun {
-                declared: count,
+                declared: count as u64,
                 available: buf.len(),
             });
         }
@@ -159,12 +160,12 @@ impl Bloom {
                 "bloom word count is not a power of two".into(),
             ));
         }
-        let mut words = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let (head, tail) = buf.split_at(8);
-            words.push(u64::from_le_bytes(head.try_into().expect("8 bytes")));
-            *buf = tail;
-        }
+        let (bytes, rest) = buf.split_at(count * 8);
+        *buf = rest;
+        let words = bytes
+            .chunks_exact(8)
+            .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+            .collect();
         Ok(Bloom { words, probes })
     }
 }
@@ -234,8 +235,8 @@ mod tests {
         // A bit-flipped probe field must not buy a near-unbounded
         // probe loop on every later lookup.
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, u64::from(u32::MAX));
-        varint::encode_u64(&mut buf, 1);
+        put_u64(&mut buf, u64::from(u32::MAX));
+        put_u64(&mut buf, 1);
         buf.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
             Bloom::decode(&mut buf.as_slice()),
@@ -246,16 +247,16 @@ mod tests {
     #[test]
     fn hostile_word_count_is_rejected_before_allocation() {
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, 4); // probes
-        varint::encode_u64(&mut buf, u64::MAX); // word count
+        put_u64(&mut buf, 4); // probes
+        put_u64(&mut buf, u64::MAX); // word count
         assert!(matches!(
             Bloom::decode(&mut buf.as_slice()),
             Err(CodecError::LengthOverrun { .. })
         ));
         // Non-power-of-two counts are structurally invalid.
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, 4);
-        varint::encode_u64(&mut buf, 3);
+        put_u64(&mut buf, 4);
+        put_u64(&mut buf, 3);
         buf.extend_from_slice(&[0u8; 24]);
         assert!(Bloom::decode(&mut buf.as_slice()).is_err());
     }

@@ -11,11 +11,12 @@
 //! The payload stays opaque at this layer on purpose: the store crate
 //! knows how to frame, checksum, and recover records, while the engine
 //! (`sitm-stream`) owns the meaning of its own state. Payload encoding
-//! uses the same [`codec`](crate::codec) primitives as everything else.
+//! uses the same [`sitm_codec`] primitives as everything else.
+
+use sitm_codec::{put_bytes, put_u64, take_bytes, take_u64};
 
 use crate::codec::CodecError;
 use crate::log::Record;
-use crate::varint;
 
 /// One shard's slice of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,27 +35,17 @@ pub struct CheckpointFrame {
 
 impl Record for CheckpointFrame {
     fn encode_record(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, self.sequence);
-        varint::encode_u64(buf, self.shard as u64);
-        varint::encode_u64(buf, self.shard_count as u64);
-        varint::encode_u64(buf, self.payload.len() as u64);
-        buf.extend_from_slice(&self.payload);
+        put_u64(buf, self.sequence);
+        put_u64(buf, self.shard as u64);
+        put_u64(buf, self.shard_count as u64);
+        put_bytes(buf, &self.payload);
     }
 
     fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let sequence = varint::decode_u64(buf)?;
-        let shard = varint::decode_u64(buf)? as u32;
-        let shard_count = varint::decode_u64(buf)? as u32;
-        let len = varint::decode_u64(buf)?;
-        if len > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: len,
-                available: buf.len(),
-            });
-        }
-        let (payload, rest) = buf.split_at(len as usize);
-        let payload = payload.to_vec();
-        *buf = rest;
+        let sequence = take_u64(buf)?;
+        let shard = take_u64(buf)? as u32;
+        let shard_count = take_u64(buf)? as u32;
+        let payload = take_bytes(buf)?.to_vec();
         Ok(CheckpointFrame {
             sequence,
             shard,
@@ -193,10 +184,10 @@ mod tests {
     #[test]
     fn hostile_payload_length_is_rejected() {
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, 1); // sequence
-        varint::encode_u64(&mut buf, 0); // shard
-        varint::encode_u64(&mut buf, 1); // shard_count
-        varint::encode_u64(&mut buf, u64::MAX); // payload length
+        put_u64(&mut buf, 1); // sequence
+        put_u64(&mut buf, 0); // shard
+        put_u64(&mut buf, 1); // shard_count
+        put_u64(&mut buf, u64::MAX); // payload length
         let mut cursor: &[u8] = &buf;
         assert!(matches!(
             CheckpointFrame::decode_record(&mut cursor),

@@ -8,6 +8,9 @@
 //! * strings are length-prefixed UTF-8;
 //! * enums carry a leading tag byte.
 //!
+//! Those primitives are [`sitm_codec`]'s; this module holds the domain
+//! encoders built from them.
+//!
 //! Every `encode_*` has a matching `decode_*`; round-tripping is
 //! property-tested in `tests/proptests.rs`. Decoders validate everything
 //! they read (tags, UTF-8, interval ordering) and fail with a
@@ -15,8 +18,9 @@
 //! corrupted frame that slips past the CRC still cannot materialize an
 //! inconsistent trajectory.
 
-use bytes::{Buf, BufMut};
-
+use sitm_codec::{
+    put_i64, put_str, put_u64, take_count, take_i64, take_span, take_str, take_tag, take_u64,
+};
 use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, Episode, PresenceInterval, SemanticTrajectory,
     TimeInterval, Timestamp, Trace, TransitionTaken,
@@ -25,13 +29,11 @@ use sitm_graph::{EdgeId, LayerIdx, NodeId};
 use sitm_louvre::{Device, VisitRecord, ZoneDetectionRecord};
 use sitm_space::CellRef;
 
-use crate::varint::{self, VarintError};
-
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// Varint-level failure.
-    Varint(VarintError),
+    /// A varint past 64 bits, or a timestamp past `i64`.
+    Overflow,
     /// The buffer ended before the value did.
     UnexpectedEof,
     /// A tag byte had no corresponding variant.
@@ -51,16 +53,28 @@ pub enum CodecError {
     },
 }
 
-impl From<VarintError> for CodecError {
-    fn from(e: VarintError) -> Self {
-        CodecError::Varint(e)
+impl From<sitm_codec::Error> for CodecError {
+    fn from(e: sitm_codec::Error) -> Self {
+        match e {
+            sitm_codec::Error::Eof => CodecError::UnexpectedEof,
+            sitm_codec::Error::Overflow => CodecError::Overflow,
+            sitm_codec::Error::Overrun {
+                declared,
+                available,
+            } => CodecError::LengthOverrun {
+                declared,
+                available,
+            },
+            sitm_codec::Error::BadUtf8 => CodecError::BadUtf8,
+            sitm_codec::Error::BadFlag(b) => CodecError::BadTag(b),
+        }
     }
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Varint(e) => write!(f, "varint: {e}"),
+            CodecError::Overflow => write!(f, "varint or timestamp overflows its integer"),
             CodecError::UnexpectedEof => write!(f, "buffer ended inside a value"),
             CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
@@ -79,84 +93,22 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a length-prefixed UTF-8 string — the string primitive every
-/// codec in the stack (storage and wire alike) shares.
-pub fn encode_str(buf: &mut impl BufMut, s: &str) {
-    varint::encode_u64(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Splits one [`encode_str`] string off the front of `buf`, borrowed:
-/// the declared length is checked against the remaining buffer and the
-/// bytes as UTF-8. The one validator behind every string decode.
-fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, CodecError> {
-    let len = varint::decode_u64(buf)?;
-    if len > buf.remaining() as u64 {
-        return Err(CodecError::LengthOverrun {
-            declared: len,
-            available: buf.remaining(),
-        });
-    }
-    let (head, tail) = buf.split_at(len as usize);
-    let s = std::str::from_utf8(head).map_err(|_| CodecError::BadUtf8)?;
-    *buf = tail;
-    Ok(s)
-}
-
-/// Decodes a string written by [`encode_str`], validating the declared
-/// length against the remaining buffer and the bytes as UTF-8.
-pub fn decode_str(buf: &mut &[u8]) -> Result<String, CodecError> {
-    take_str(buf).map(str::to_string)
-}
-
-/// Consumes one tag byte — the discriminant every tagged union in the
-/// stack (storage payloads and wire messages alike) leads with.
-pub fn take_tag(buf: &mut &[u8]) -> Result<u8, CodecError> {
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(CodecError::UnexpectedEof);
-    };
-    *buf = rest;
-    Ok(tag)
-}
-
-/// Decodes an element count, bounding it by the remaining buffer
-/// (every element needs at least one byte) so a hostile count is
-/// rejected before any allocation.
-pub fn decode_count(buf: &mut &[u8]) -> Result<usize, CodecError> {
-    let count = varint::decode_u64(buf)?;
-    if count > buf.len() as u64 {
-        return Err(CodecError::LengthOverrun {
-            declared: count,
-            available: buf.len(),
-        });
-    }
-    Ok(count as usize)
-}
-
 /// Encodes an annotation set as `count (kind value)*`.
-pub fn encode_annotations(buf: &mut impl BufMut, set: &AnnotationSet) {
-    varint::encode_u64(buf, set.len() as u64);
+pub fn encode_annotations(buf: &mut Vec<u8>, set: &AnnotationSet) {
+    put_u64(buf, set.len() as u64);
     for a in set.iter() {
-        encode_str(buf, a.kind.name());
-        encode_str(buf, &a.value);
+        put_str(buf, a.kind.name());
+        put_str(buf, &a.value);
     }
 }
 
 /// Decodes an annotation set.
 pub fn decode_annotations(buf: &mut &[u8]) -> Result<AnnotationSet, CodecError> {
-    let count = varint::decode_u64(buf)?;
-    if count > buf.remaining() as u64 {
-        // Each annotation needs at least two length bytes; a count larger
-        // than the buffer is certainly corrupt — reject before allocating.
-        return Err(CodecError::LengthOverrun {
-            declared: count,
-            available: buf.remaining(),
-        });
-    }
+    let count = take_count(buf, 1)?;
     let mut set = AnnotationSet::new();
     for _ in 0..count {
         let kind = AnnotationKind::parse(take_str(buf)?);
-        let value = decode_str(buf)?;
+        let value = take_str(buf)?.to_owned();
         set.insert(Annotation::new(kind, value));
     }
     Ok(set)
@@ -167,52 +119,48 @@ const TRANSITION_EDGE: u8 = 1;
 const TRANSITION_NAMED: u8 = 2;
 
 /// Encodes a transition.
-pub fn encode_transition(buf: &mut impl BufMut, t: &TransitionTaken) {
+pub fn encode_transition(buf: &mut Vec<u8>, t: &TransitionTaken) {
     match t {
-        TransitionTaken::Unknown => buf.put_u8(TRANSITION_UNKNOWN),
+        TransitionTaken::Unknown => buf.push(TRANSITION_UNKNOWN),
         TransitionTaken::Edge { layer, edge } => {
-            buf.put_u8(TRANSITION_EDGE);
-            varint::encode_u64(buf, layer.index() as u64);
-            varint::encode_u64(buf, edge.index() as u64);
+            buf.push(TRANSITION_EDGE);
+            put_u64(buf, layer.index() as u64);
+            put_u64(buf, edge.index() as u64);
         }
         TransitionTaken::Named(name) => {
-            buf.put_u8(TRANSITION_NAMED);
-            encode_str(buf, name);
+            buf.push(TRANSITION_NAMED);
+            put_str(buf, name);
         }
     }
 }
 
 /// Decodes a transition.
 pub fn decode_transition(buf: &mut &[u8]) -> Result<TransitionTaken, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let tag = buf.get_u8();
-    match tag {
+    match take_tag(buf)? {
         TRANSITION_UNKNOWN => Ok(TransitionTaken::Unknown),
         TRANSITION_EDGE => {
-            let layer = varint::decode_u64(buf)? as usize;
-            let edge = varint::decode_u64(buf)? as usize;
+            let layer = take_u64(buf)? as usize;
+            let edge = take_u64(buf)? as usize;
             Ok(TransitionTaken::Edge {
                 layer: LayerIdx::from_index(layer),
                 edge: EdgeId::from_index(edge),
             })
         }
-        TRANSITION_NAMED => Ok(TransitionTaken::Named(decode_str(buf)?)),
+        TRANSITION_NAMED => Ok(TransitionTaken::Named(take_str(buf)?.to_owned())),
         other => Err(CodecError::BadTag(other)),
     }
 }
 
 /// Encodes a cell reference as `layer node`.
-pub fn encode_cell(buf: &mut impl BufMut, cell: CellRef) {
-    varint::encode_u64(buf, cell.layer.index() as u64);
-    varint::encode_u64(buf, cell.node.index() as u64);
+pub fn encode_cell(buf: &mut Vec<u8>, cell: CellRef) {
+    put_u64(buf, cell.layer.index() as u64);
+    put_u64(buf, cell.node.index() as u64);
 }
 
 /// Decodes a cell reference.
 pub fn decode_cell(buf: &mut &[u8]) -> Result<CellRef, CodecError> {
-    let layer = varint::decode_u64(buf)? as usize;
-    let node = varint::decode_u64(buf)? as usize;
+    let layer = take_u64(buf)? as usize;
+    let node = take_u64(buf)? as usize;
     Ok(CellRef::new(
         LayerIdx::from_index(layer),
         NodeId::from_index(node),
@@ -221,11 +169,11 @@ pub fn decode_cell(buf: &mut &[u8]) -> Result<CellRef, CodecError> {
 
 /// Encodes a standalone presence interval with absolute timestamps — the
 /// shape streaming checkpoints need, where no trace base is in hand.
-pub fn encode_presence(buf: &mut impl BufMut, p: &PresenceInterval) {
+pub fn encode_presence(buf: &mut Vec<u8>, p: &PresenceInterval) {
     encode_transition(buf, &p.transition);
     encode_cell(buf, p.cell);
-    varint::encode_i64(buf, p.start().as_seconds());
-    varint::encode_u64(buf, p.duration().as_seconds() as u64);
+    put_i64(buf, p.start().as_seconds());
+    put_u64(buf, p.duration().as_seconds() as u64);
     encode_annotations(buf, &p.annotations);
     encode_annotations(buf, &p.transition_annotations);
 }
@@ -234,49 +182,39 @@ pub fn encode_presence(buf: &mut impl BufMut, p: &PresenceInterval) {
 pub fn decode_presence(buf: &mut &[u8]) -> Result<PresenceInterval, CodecError> {
     let transition = decode_transition(buf)?;
     let cell = decode_cell(buf)?;
-    let start = Timestamp(varint::decode_i64(buf)?);
-    let duration = varint::decode_u64(buf)?;
-    let end = Timestamp(start.as_seconds() + duration as i64);
-    if end < start {
-        return Err(CodecError::InvalidTrace("duration overflow".to_string()));
-    }
+    let (start, end) = take_span(buf, 0)?;
     let annotations = decode_annotations(buf)?;
     let transition_annotations = decode_annotations(buf)?;
-    Ok(PresenceInterval::new(transition, cell, start, end)
-        .with_annotations(annotations)
-        .with_transition_annotations(transition_annotations))
+    Ok(
+        PresenceInterval::new(transition, cell, Timestamp(start), Timestamp(end))
+            .with_annotations(annotations)
+            .with_transition_annotations(transition_annotations),
+    )
 }
 
 /// Encodes an episode as `range.start range.len start duration labels`.
-pub fn encode_episode(buf: &mut impl BufMut, e: &Episode) {
-    varint::encode_u64(buf, e.range.start as u64);
-    varint::encode_u64(buf, e.range.len() as u64);
-    varint::encode_i64(buf, e.time.start.as_seconds());
-    varint::encode_u64(buf, e.time.duration().as_seconds() as u64);
+pub fn encode_episode(buf: &mut Vec<u8>, e: &Episode) {
+    put_u64(buf, e.range.start as u64);
+    put_u64(buf, e.range.len() as u64);
+    put_i64(buf, e.time.start.as_seconds());
+    put_u64(buf, e.time.duration().as_seconds() as u64);
     encode_annotations(buf, &e.annotations);
 }
 
 /// Decodes an episode.
 pub fn decode_episode(buf: &mut &[u8]) -> Result<Episode, CodecError> {
-    let range_start = varint::decode_u64(buf)? as usize;
-    let range_len = varint::decode_u64(buf)? as usize;
+    let range_start = take_u64(buf)? as usize;
+    let range_len = take_u64(buf)? as usize;
     let Some(range_end) = range_start.checked_add(range_len) else {
         return Err(CodecError::InvalidTrace(
             "episode range overflow".to_string(),
         ));
     };
-    let start = Timestamp(varint::decode_i64(buf)?);
-    let duration = varint::decode_u64(buf)?;
-    let end = Timestamp(start.as_seconds() + duration as i64);
-    if end < start {
-        return Err(CodecError::InvalidTrace(
-            "episode duration overflow".to_string(),
-        ));
-    }
+    let (start, end) = take_span(buf, 0)?;
     let annotations = decode_annotations(buf)?;
     Ok(Episode {
         range: range_start..range_end,
-        time: TimeInterval::new(start, end),
+        time: TimeInterval::new(Timestamp(start), Timestamp(end)),
         annotations,
     })
 }
@@ -285,14 +223,14 @@ pub fn decode_episode(buf: &mut &[u8]) -> Result<Episode, CodecError> {
 /// start delta (ZigZag from the previous stay's end; the first delta is
 /// taken from `base`), duration, stay annotations, transition
 /// annotations.
-pub fn encode_trace(buf: &mut impl BufMut, base: Timestamp, trace: &Trace) {
-    varint::encode_u64(buf, trace.len() as u64);
+pub fn encode_trace(buf: &mut Vec<u8>, base: Timestamp, trace: &Trace) {
+    put_u64(buf, trace.len() as u64);
     let mut prev_end = base;
     for stay in trace.intervals() {
         encode_transition(buf, &stay.transition);
         encode_cell(buf, stay.cell);
-        varint::encode_i64(buf, (stay.start() - prev_end).as_seconds());
-        varint::encode_u64(buf, stay.duration().as_seconds() as u64);
+        put_i64(buf, (stay.start() - prev_end).as_seconds());
+        put_u64(buf, stay.duration().as_seconds() as u64);
         encode_annotations(buf, &stay.annotations);
         encode_annotations(buf, &stay.transition_annotations);
         prev_end = stay.end();
@@ -301,29 +239,17 @@ pub fn encode_trace(buf: &mut impl BufMut, base: Timestamp, trace: &Trace) {
 
 /// Decodes a trace encoded by [`encode_trace`] with the same `base`.
 pub fn decode_trace(buf: &mut &[u8], base: Timestamp) -> Result<Trace, CodecError> {
-    let count = varint::decode_u64(buf)?;
-    if count > buf.remaining() as u64 {
-        return Err(CodecError::LengthOverrun {
-            declared: count,
-            available: buf.remaining(),
-        });
-    }
-    let mut intervals = Vec::with_capacity(count as usize);
-    let mut prev_end = base;
+    let count = take_count(buf, 1)?;
+    let mut intervals = Vec::with_capacity(count);
+    let mut prev_end = base.as_seconds();
     for _ in 0..count {
         let transition = decode_transition(buf)?;
         let cell = decode_cell(buf)?;
-        let delta = varint::decode_i64(buf)?;
-        let duration = varint::decode_u64(buf)?;
-        let start = Timestamp(prev_end.as_seconds() + delta);
-        let end = Timestamp(start.as_seconds() + duration as i64);
-        if end < start {
-            return Err(CodecError::InvalidTrace("duration overflow".to_string()));
-        }
+        let (start, end) = take_span(buf, prev_end)?;
         let annotations = decode_annotations(buf)?;
         let transition_annotations = decode_annotations(buf)?;
         intervals.push(
-            PresenceInterval::new(transition, cell, start, end)
+            PresenceInterval::new(transition, cell, Timestamp(start), Timestamp(end))
                 .with_annotations(annotations)
                 .with_transition_annotations(transition_annotations),
         );
@@ -333,18 +259,18 @@ pub fn decode_trace(buf: &mut &[u8], base: Timestamp) -> Result<Trace, CodecErro
 }
 
 /// Encodes a whole semantic trajectory.
-pub fn encode_trajectory(buf: &mut impl BufMut, t: &SemanticTrajectory) {
-    encode_str(buf, &t.moving_object);
+pub fn encode_trajectory(buf: &mut Vec<u8>, t: &SemanticTrajectory) {
+    put_str(buf, &t.moving_object);
     let base = t.start();
-    varint::encode_i64(buf, base.as_seconds());
+    put_i64(buf, base.as_seconds());
     encode_trace(buf, base, t.trace());
     encode_annotations(buf, t.annotations());
 }
 
 /// Decodes a semantic trajectory.
 pub fn decode_trajectory(buf: &mut &[u8]) -> Result<SemanticTrajectory, CodecError> {
-    let moving_object = decode_str(buf)?;
-    let base = Timestamp(varint::decode_i64(buf)?);
+    let moving_object = take_str(buf)?.to_owned();
+    let base = Timestamp(take_i64(buf)?);
     let trace = decode_trace(buf, base)?;
     let annotations = decode_annotations(buf)?;
     SemanticTrajectory::new(moving_object, trace, annotations)
@@ -355,64 +281,47 @@ const DEVICE_IOS: u8 = 0;
 const DEVICE_ANDROID: u8 = 1;
 
 /// Encodes a raw Louvre-style visit record (the pre-model dataset shape).
-pub fn encode_visit(buf: &mut impl BufMut, v: &VisitRecord) {
-    varint::encode_u64(buf, v.visit_id as u64);
-    varint::encode_u64(buf, v.visitor_id as u64);
-    buf.put_u8(match v.device {
+pub fn encode_visit(buf: &mut Vec<u8>, v: &VisitRecord) {
+    put_u64(buf, v.visit_id as u64);
+    put_u64(buf, v.visitor_id as u64);
+    buf.push(match v.device {
         Device::Ios => DEVICE_IOS,
         Device::Android => DEVICE_ANDROID,
     });
-    varint::encode_u64(buf, v.detections.len() as u64);
+    put_u64(buf, v.detections.len() as u64);
     let mut prev_end = v
         .detections
         .first()
         .map(|d| d.start)
         .unwrap_or(Timestamp(0));
-    varint::encode_i64(buf, prev_end.as_seconds());
+    put_i64(buf, prev_end.as_seconds());
     for d in &v.detections {
-        varint::encode_u64(buf, d.zone_id as u64);
-        varint::encode_i64(buf, (d.start - prev_end).as_seconds());
-        varint::encode_u64(buf, (d.end - d.start).as_seconds() as u64);
+        put_u64(buf, d.zone_id as u64);
+        put_i64(buf, (d.start - prev_end).as_seconds());
+        put_u64(buf, (d.end - d.start).as_seconds() as u64);
         prev_end = d.end;
     }
 }
 
 /// Decodes a visit record.
 pub fn decode_visit(buf: &mut &[u8]) -> Result<VisitRecord, CodecError> {
-    let visit_id = varint::decode_u64(buf)? as u32;
-    let visitor_id = varint::decode_u64(buf)? as u32;
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let device = match buf.get_u8() {
+    let visit_id = take_u64(buf)? as u32;
+    let visitor_id = take_u64(buf)? as u32;
+    let device = match take_tag(buf)? {
         DEVICE_IOS => Device::Ios,
         DEVICE_ANDROID => Device::Android,
         other => return Err(CodecError::BadTag(other)),
     };
-    let count = varint::decode_u64(buf)?;
-    if count > buf.remaining() as u64 {
-        return Err(CodecError::LengthOverrun {
-            declared: count,
-            available: buf.remaining(),
-        });
-    }
-    let mut prev_end = Timestamp(varint::decode_i64(buf)?);
-    let mut detections = Vec::with_capacity(count as usize);
+    let count = take_count(buf, 1)?;
+    let mut prev_end = take_i64(buf)?;
+    let mut detections = Vec::with_capacity(count);
     for _ in 0..count {
-        let zone_id = varint::decode_u64(buf)? as u32;
-        let delta = varint::decode_i64(buf)?;
-        let duration = varint::decode_u64(buf)?;
-        let start = Timestamp(prev_end.as_seconds() + delta);
-        let end = Timestamp(start.as_seconds() + duration as i64);
-        if end < start {
-            return Err(CodecError::InvalidTrace(
-                "detection duration overflow".into(),
-            ));
-        }
+        let zone_id = take_u64(buf)? as u32;
+        let (start, end) = take_span(buf, prev_end)?;
         detections.push(ZoneDetectionRecord {
             zone_id,
-            start,
-            end,
+            start: Timestamp(start),
+            end: Timestamp(end),
         });
         prev_end = end;
     }
@@ -563,8 +472,8 @@ mod tests {
             CodecError::BadTag(9)
         );
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, 1); // visit_id
-        varint::encode_u64(&mut buf, 1); // visitor_id
+        put_u64(&mut buf, 1); // visit_id
+        put_u64(&mut buf, 1); // visitor_id
         buf.push(7); // bad device tag
         assert_eq!(
             decode_visit(&mut buf.as_slice()).unwrap_err(),
@@ -590,7 +499,7 @@ mod tests {
     fn hostile_length_prefix_is_bounded() {
         // A string claiming u64::MAX bytes must not allocate.
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, u64::MAX);
+        put_u64(&mut buf, u64::MAX);
         buf.extend_from_slice(b"xy");
         match decode_trajectory(&mut buf.as_slice()).unwrap_err() {
             CodecError::LengthOverrun { declared, .. } => assert_eq!(declared, u64::MAX),
@@ -601,7 +510,7 @@ mod tests {
     #[test]
     fn invalid_utf8_is_rejected() {
         let mut buf = Vec::new();
-        varint::encode_u64(&mut buf, 2);
+        put_u64(&mut buf, 2);
         buf.extend_from_slice(&[0xFF, 0xFE]);
         assert_eq!(
             decode_trajectory(&mut buf.as_slice()).unwrap_err(),

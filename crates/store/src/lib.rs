@@ -6,13 +6,13 @@
 //! downstream deployment of the model needs (the paper's Louvre pipeline
 //! collected 4,945 visits over four months — something has to hold them).
 //!
-//! * [`varint`] — LEB128 varints and ZigZag signed mapping;
 //! * [`crc`] — CRC-32 (ISO-HDLC), one-shot and incremental;
 //! * [`bloom`] — [`Bloom`]: a compact double-hashed Bloom filter, the
 //!   fast-*no* membership tier in front of each zone map's exact sets;
 //! * [`codec`] — compact binary encoding of annotation sets, traces,
 //!   semantic trajectories, episodes, and raw visit records, with
-//!   delta-encoded timestamps and fully validated decoding;
+//!   delta-encoded timestamps and fully validated decoding, over the
+//!   varint / string / count / span primitives of [`sitm_codec`];
 //! * [`checkpoint`] — [`CheckpointFrame`]: the per-shard snapshot record
 //!   streaming engines persist, plus torn-checkpoint detection;
 //! * [`segment`] — the CRC frame (one writer, one validator) every
@@ -36,7 +36,6 @@ pub mod codec;
 pub mod crc;
 pub mod log;
 pub mod segment;
-pub mod varint;
 pub mod warehouse;
 
 pub use bloom::{fnv1a, Bloom};
@@ -47,7 +46,6 @@ pub use codec::{decode_trajectory, decode_visit, encode_trajectory, encode_visit
 pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};
 pub use segment::{scan, write_frame, write_header, Corruption, ScanOutcome};
-pub use varint::{decode_u64, encode_u64, zigzag_decode, zigzag_encode, VarintError};
 pub use warehouse::{
     sort_run, CellRollup, DirectoryEntry, ManifestRecord, ObjectIndexRecord, Segment,
     SegmentDirectory, SegmentRef, SegmentRollup, SegmentStore, WarehouseConfig, WarehouseError,

@@ -112,6 +112,18 @@ pub fn frame_header(marker: u8, payload_len: u32, crc: u32) -> [u8; FRAME_OVERHE
     header
 }
 
+/// Splits the 8 header bytes after a frame's marker into the declared
+/// payload length and checksum — the one reader of the layout
+/// [`frame_header`] writes, shared with the network tier (which checks
+/// its own markers and bounds around it).
+pub fn split_frame_header(after_marker: &[u8; FRAME_OVERHEAD - 1]) -> (u32, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *after_marker;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]),
+        u32::from_le_bytes([c0, c1, c2, c3]),
+    )
+}
+
 /// Appends one frame.
 pub fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     assert!(
@@ -126,9 +138,8 @@ pub fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
-/// Decodes the header of the frame that starts `data` — the one place
-/// that reads the layout [`frame_header`] writes: marker, then header
-/// present, then the [`MAX_PAYLOAD`] bound. Returns the declared
+/// Decodes the header of the frame that starts `data`: marker, then
+/// header present, then the [`MAX_PAYLOAD`] bound. Returns the declared
 /// payload length and checksum; the body is not looked at, so a reader
 /// that has only the header bytes in hand (a file-backed open) learns
 /// here how many more to fetch before calling [`read_frame`]. `offset`
@@ -140,11 +151,10 @@ pub(crate) fn parse_frame_header(data: &[u8], offset: usize) -> Result<(usize, u
     if marker != FRAME_MARKER {
         return Err(Corruption::BadMarker { offset });
     }
-    if data.len() < FRAME_OVERHEAD {
+    let Some(after_marker) = data.get(1..FRAME_OVERHEAD) else {
         return Err(Corruption::Torn { offset });
-    }
-    let len = u32::from_le_bytes(data[1..5].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(data[5..9].try_into().expect("4 bytes"));
+    };
+    let (len, crc) = split_frame_header(after_marker.try_into().expect("8 bytes"));
     if len > MAX_PAYLOAD {
         return Err(Corruption::Oversized {
             offset,

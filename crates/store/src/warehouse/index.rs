@@ -7,13 +7,13 @@
 
 use std::collections::BTreeSet;
 
+use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_span, take_str, take_u64};
 use sitm_core::{AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_space::CellRef;
 
 use crate::bloom::{fnv1a, Bloom};
 use crate::codec::{decode_annotations, decode_cell, encode_annotations, encode_cell, CodecError};
 use crate::segment;
-use crate::varint;
 
 /// Per-segment pruning metadata: the aggregate "where / when / what / who"
 /// of every trajectory in the segment. A query layer consults it to skip
@@ -190,23 +190,22 @@ impl ZoneMap {
 
     /// Encodes the map.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, self.len);
+        put_u64(buf, self.len);
         match self.span {
             None => buf.push(0),
             Some(span) => {
                 buf.push(1);
-                varint::encode_i64(buf, span.start.as_seconds());
-                varint::encode_u64(buf, span.duration().as_seconds() as u64);
+                put_i64(buf, span.start.as_seconds());
+                put_u64(buf, span.duration().as_seconds() as u64);
             }
         }
-        varint::encode_u64(buf, self.cells.len() as u64);
+        put_u64(buf, self.cells.len() as u64);
         for cell in &self.cells {
             encode_cell(buf, *cell);
         }
-        varint::encode_u64(buf, self.objects.len() as u64);
+        put_u64(buf, self.objects.len() as u64);
         for o in &self.objects {
-            varint::encode_u64(buf, o.len() as u64);
-            buf.extend_from_slice(o.as_bytes());
+            put_str(buf, o);
         }
         encode_annotations(buf, &self.traj_annotations);
         encode_annotations(buf, &self.stay_annotations);
@@ -216,64 +215,28 @@ impl ZoneMap {
 
     /// Decodes a map encoded by [`ZoneMap::encode`].
     pub fn decode(buf: &mut &[u8]) -> Result<ZoneMap, CodecError> {
-        let len = varint::decode_u64(buf)?;
-        let Some((&span_flag, rest)) = buf.split_first() else {
-            return Err(CodecError::UnexpectedEof);
+        let len = take_u64(buf)?;
+        let span = if take_flag(buf)? {
+            let (start, end) = take_span(buf, 0)?;
+            Some(TimeInterval::new(Timestamp(start), Timestamp(end)))
+        } else {
+            None
         };
-        *buf = rest;
-        let span = match span_flag {
-            0 => None,
-            1 => {
-                let start = Timestamp(varint::decode_i64(buf)?);
-                let duration = varint::decode_u64(buf)?;
-                let end = Timestamp(start.as_seconds() + duration as i64);
-                if end < start {
-                    return Err(CodecError::InvalidTrace("zone-map span overflow".into()));
-                }
-                Some(TimeInterval::new(start, end))
-            }
-            other => return Err(CodecError::BadTag(other)),
-        };
-        let cell_count = varint::decode_u64(buf)?;
-        if cell_count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: cell_count,
-                available: buf.len(),
-            });
-        }
+        let cell_count = take_count(buf, 1)?;
         // The sets were encoded in sorted order, so collecting through a
         // Vec lets `BTreeSet::from_iter` bulk-build the tree (one
         // already-sorted pass) instead of rebalancing per insert — open
         // decodes every resident zone map, so this is on the cold-open
         // hot path.
-        let mut cell_run = Vec::with_capacity(cell_count as usize);
+        let mut cell_run = Vec::with_capacity(cell_count);
         for _ in 0..cell_count {
             cell_run.push(decode_cell(buf)?);
         }
         let cells: BTreeSet<CellRef> = cell_run.into_iter().collect();
-        let object_count = varint::decode_u64(buf)?;
-        if object_count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: object_count,
-                available: buf.len(),
-            });
-        }
-        let mut object_run = Vec::with_capacity(object_count as usize);
+        let object_count = take_count(buf, 1)?;
+        let mut object_run = Vec::with_capacity(object_count);
         for _ in 0..object_count {
-            let olen = varint::decode_u64(buf)?;
-            if olen > buf.len() as u64 {
-                return Err(CodecError::LengthOverrun {
-                    declared: olen,
-                    available: buf.len(),
-                });
-            }
-            let (head, tail) = buf.split_at(olen as usize);
-            object_run.push(
-                std::str::from_utf8(head)
-                    .map_err(|_| CodecError::BadUtf8)?
-                    .to_string(),
-            );
-            *buf = tail;
+            object_run.push(take_str(buf)?.to_owned());
         }
         let objects: BTreeSet<String> = object_run.into_iter().collect();
         let traj_annotations = decode_annotations(buf)?;

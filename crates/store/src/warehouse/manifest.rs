@@ -3,9 +3,10 @@
 //! live) and `objindex.log` ([`ObjectIndexRecord`]: which segments hold
 //! which moving object), and the segment files' names.
 
+use sitm_codec::{put_str, put_u64, take_count, take_str, take_u64};
+
 use crate::codec::CodecError;
 use crate::log::Record;
-use crate::varint;
 
 /// One live segment, as the manifest records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,27 +29,21 @@ pub struct ManifestRecord {
 
 impl Record for ManifestRecord {
     fn encode_record(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, self.sequence);
-        varint::encode_u64(buf, self.segments.len() as u64);
+        put_u64(buf, self.sequence);
+        put_u64(buf, self.segments.len() as u64);
         for s in &self.segments {
-            varint::encode_u64(buf, s.id);
-            varint::encode_u64(buf, s.records);
+            put_u64(buf, s.id);
+            put_u64(buf, s.records);
         }
     }
 
     fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let sequence = varint::decode_u64(buf)?;
-        let count = varint::decode_u64(buf)?;
-        if count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: count,
-                available: buf.len(),
-            });
-        }
-        let mut segments = Vec::with_capacity(count as usize);
+        let sequence = take_u64(buf)?;
+        let count = take_count(buf, 1)?;
+        let mut segments = Vec::with_capacity(count);
         for _ in 0..count {
-            let id = varint::decode_u64(buf)?;
-            let records = varint::decode_u64(buf)?;
+            let id = take_u64(buf)?;
+            let records = take_u64(buf)?;
             segments.push(SegmentRef { id, records });
         }
         Ok(ManifestRecord { sequence, segments })
@@ -93,14 +88,13 @@ impl ObjectIndexRecord {
     ) where
         S: ExactSizeIterator<Item = u64>,
     {
-        varint::encode_u64(buf, sequence);
-        varint::encode_u64(buf, entries.len() as u64);
+        put_u64(buf, sequence);
+        put_u64(buf, entries.len() as u64);
         for (object, segments) in entries {
-            varint::encode_u64(buf, object.len() as u64);
-            buf.extend_from_slice(object.as_bytes());
-            varint::encode_u64(buf, segments.len() as u64);
+            put_str(buf, object);
+            put_u64(buf, segments.len() as u64);
             for id in segments {
-                varint::encode_u64(buf, id);
+                put_u64(buf, id);
             }
         }
     }
@@ -118,38 +112,15 @@ impl Record for ObjectIndexRecord {
     }
 
     fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let sequence = varint::decode_u64(buf)?;
-        let count = varint::decode_u64(buf)?;
-        if count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: count,
-                available: buf.len(),
-            });
-        }
-        let mut entries = Vec::with_capacity(count as usize);
+        let sequence = take_u64(buf)?;
+        let count = take_count(buf, 1)?;
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let olen = varint::decode_u64(buf)?;
-            if olen > buf.len() as u64 {
-                return Err(CodecError::LengthOverrun {
-                    declared: olen,
-                    available: buf.len(),
-                });
-            }
-            let (head, tail) = buf.split_at(olen as usize);
-            let object = std::str::from_utf8(head)
-                .map_err(|_| CodecError::BadUtf8)?
-                .to_string();
-            *buf = tail;
-            let seg_count = varint::decode_u64(buf)?;
-            if seg_count > buf.len() as u64 {
-                return Err(CodecError::LengthOverrun {
-                    declared: seg_count,
-                    available: buf.len(),
-                });
-            }
-            let mut segments = Vec::with_capacity(seg_count as usize);
+            let object = take_str(buf)?.to_owned();
+            let seg_count = take_count(buf, 1)?;
+            let mut segments = Vec::with_capacity(seg_count);
             for _ in 0..seg_count {
-                segments.push(varint::decode_u64(buf)?);
+                segments.push(take_u64(buf)?);
             }
             entries.push((object, segments));
         }

@@ -5,11 +5,11 @@
 
 use std::collections::BTreeMap;
 
+use sitm_codec::{put_i64, put_u64, take_count, take_i64, take_u64};
 use sitm_core::SemanticTrajectory;
 use sitm_space::CellRef;
 
 use crate::codec::{decode_cell, encode_cell, CodecError};
-use crate::varint;
 
 /// Per-cell pre-aggregates of one segment (the GROUP BY axes of
 /// `sitm_query::aggregate`): distinct trajectories touching the cell,
@@ -131,37 +131,31 @@ impl SegmentRollup {
 
     /// Encodes the rollup.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        varint::encode_u64(buf, self.period_seconds);
-        varint::encode_u64(buf, self.cells.len() as u64);
+        put_u64(buf, self.period_seconds);
+        put_u64(buf, self.cells.len() as u64);
         for (cell, r) in &self.cells {
             encode_cell(buf, *cell);
-            varint::encode_u64(buf, r.trajectories);
-            varint::encode_u64(buf, r.stays);
-            varint::encode_u64(buf, r.dwell_seconds);
+            put_u64(buf, r.trajectories);
+            put_u64(buf, r.stays);
+            put_u64(buf, r.dwell_seconds);
         }
-        varint::encode_u64(buf, self.periods.len() as u64);
+        put_u64(buf, self.periods.len() as u64);
         for (bucket, n) in &self.periods {
-            varint::encode_i64(buf, *bucket);
-            varint::encode_u64(buf, *n);
+            put_i64(buf, *bucket);
+            put_u64(buf, *n);
         }
     }
 
     /// Decodes a rollup encoded by [`SegmentRollup::encode`].
     pub fn decode(buf: &mut &[u8]) -> Result<SegmentRollup, CodecError> {
-        let period_seconds = varint::decode_u64(buf)?;
-        let cell_count = varint::decode_u64(buf)?;
-        if cell_count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: cell_count,
-                available: buf.len(),
-            });
-        }
+        let period_seconds = take_u64(buf)?;
+        let cell_count = take_count(buf, 1)?;
         let mut cells = BTreeMap::new();
         for _ in 0..cell_count {
             let cell = decode_cell(buf)?;
-            let trajectories = varint::decode_u64(buf)?;
-            let stays = varint::decode_u64(buf)?;
-            let dwell_seconds = varint::decode_u64(buf)?;
+            let trajectories = take_u64(buf)?;
+            let stays = take_u64(buf)?;
+            let dwell_seconds = take_u64(buf)?;
             cells.insert(
                 cell,
                 CellRollup {
@@ -171,17 +165,11 @@ impl SegmentRollup {
                 },
             );
         }
-        let period_count = varint::decode_u64(buf)?;
-        if period_count > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: period_count,
-                available: buf.len(),
-            });
-        }
+        let period_count = take_count(buf, 1)?;
         let mut periods = BTreeMap::new();
         for _ in 0..period_count {
-            let bucket = varint::decode_i64(buf)?;
-            let n = varint::decode_u64(buf)?;
+            let bucket = take_i64(buf)?;
+            let n = take_u64(buf)?;
             periods.insert(bucket, n);
         }
         Ok(SegmentRollup {

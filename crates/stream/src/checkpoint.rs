@@ -1,11 +1,12 @@
 //! Checkpoint encoding and crash recovery.
 //!
 //! Per-shard engine state serializes into the opaque payload of a
-//! [`sitm_store::CheckpointFrame`] using the store's varint/annotation
-//! codecs, and rides the CRC-framed [`LogStore`] for durability: a torn
-//! write mid-checkpoint is detected by the store's scanner (truncated
-//! tail) or by [`sitm_store::latest_complete_checkpoint`] (missing shard
-//! frames), and recovery falls back to the previous complete snapshot.
+//! [`sitm_store::CheckpointFrame`] using the [`sitm_codec`] primitives
+//! and the store's annotation / presence / episode codecs, and rides the
+//! CRC-framed [`LogStore`] for durability: a torn write mid-checkpoint is
+//! detected by the store's scanner (truncated tail) or by
+//! [`sitm_store::latest_complete_checkpoint`] (missing shard frames), and
+//! recovery falls back to the previous complete snapshot.
 //!
 //! Predicates are **not** serialized — they are code. Restore re-supplies
 //! the same [`EngineConfig`]; the payload records the predicate count so
@@ -14,6 +15,7 @@
 
 use std::collections::VecDeque;
 
+use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_i64, take_str, take_u64};
 use sitm_core::{OpenRun, Timestamp};
 use sitm_graph::LayerIdx;
 use sitm_store::codec::{
@@ -21,8 +23,8 @@ use sitm_store::codec::{
     encode_cell, encode_episode, encode_presence, CodecError,
 };
 use sitm_store::{
-    complete_checkpoint_groups, latest_complete_checkpoint, varint, CheckpointFrame,
-    CompactionPolicy, LogStore, RecoveryReport, StoreError,
+    complete_checkpoint_groups, latest_complete_checkpoint, CheckpointFrame, CompactionPolicy,
+    LogStore, RecoveryReport, StoreError,
 };
 
 use crate::engine::{EngineConfig, EngineError};
@@ -46,7 +48,7 @@ pub enum CheckpointError {
     Codec(CodecError),
     /// Unknown payload version.
     BadVersion(u8),
-    /// Payload ended early or a flag byte was invalid.
+    /// The payload was empty, or had bytes past its end.
     Malformed(&'static str),
 }
 
@@ -68,58 +70,22 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-impl From<varint::VarintError> for CheckpointError {
-    fn from(e: varint::VarintError) -> Self {
-        CheckpointError::Codec(CodecError::Varint(e))
-    }
-}
-
-// --- primitive helpers -----------------------------------------------------
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    varint::encode_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn take_str(buf: &mut &[u8]) -> Result<String, CheckpointError> {
-    let len = varint::decode_u64(buf)? as usize;
-    if len > buf.len() {
-        return Err(CheckpointError::Malformed("string overruns payload"));
-    }
-    let (head, tail) = buf.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| CheckpointError::Malformed("string is not UTF-8"))?
-        .to_string();
-    *buf = tail;
-    Ok(s)
-}
-
-fn put_flag(buf: &mut Vec<u8>, present: bool) {
-    buf.push(u8::from(present));
-}
-
-fn take_flag(buf: &mut &[u8]) -> Result<bool, CheckpointError> {
-    let Some((&b, rest)) = buf.split_first() else {
-        return Err(CheckpointError::Malformed("missing flag byte"));
-    };
-    *buf = rest;
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CheckpointError::Malformed("flag byte out of range")),
+impl From<sitm_codec::Error> for CheckpointError {
+    fn from(e: sitm_codec::Error) -> Self {
+        CheckpointError::Codec(e.into())
     }
 }
 
 fn put_opt_i64(buf: &mut Vec<u8>, v: Option<i64>) {
-    put_flag(buf, v.is_some());
+    buf.push(u8::from(v.is_some()));
     if let Some(v) = v {
-        varint::encode_i64(buf, v);
+        put_i64(buf, v);
     }
 }
 
 fn take_opt_i64(buf: &mut &[u8]) -> Result<Option<i64>, CheckpointError> {
     Ok(if take_flag(buf)? {
-        Some(varint::decode_i64(buf)?)
+        Some(take_i64(buf)?)
     } else {
         None
     })
@@ -132,32 +98,32 @@ fn take_opt_i64(buf: &mut &[u8]) -> Result<Option<i64>, CheckpointError> {
 pub fn encode_shard(snapshot: &ShardSnapshot, predicate_count: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
     buf.push(VERSION);
-    varint::encode_u64(&mut buf, predicate_count as u64);
+    put_u64(&mut buf, predicate_count as u64);
     put_opt_i64(&mut buf, snapshot.watermark.map(|t| t.0));
 
-    varint::encode_u64(&mut buf, snapshot.visits.len() as u64);
+    put_u64(&mut buf, snapshot.visits.len() as u64);
     for (key, visit) in &snapshot.visits {
-        varint::encode_u64(&mut buf, *key);
+        put_u64(&mut buf, *key);
         encode_visit_state(&mut buf, visit);
     }
 
-    varint::encode_u64(&mut buf, snapshot.closed.len() as u64);
+    put_u64(&mut buf, snapshot.closed.len() as u64);
     for (key, closed_at) in &snapshot.closed {
-        varint::encode_u64(&mut buf, *key);
-        varint::encode_i64(&mut buf, closed_at.0);
+        put_u64(&mut buf, *key);
+        put_i64(&mut buf, closed_at.0);
     }
 
-    varint::encode_u64(&mut buf, snapshot.pending.len() as u64);
+    put_u64(&mut buf, snapshot.pending.len() as u64);
     for e in &snapshot.pending {
-        varint::encode_u64(&mut buf, e.visit.0);
+        put_u64(&mut buf, e.visit.0);
         put_str(&mut buf, &e.moving_object);
-        varint::encode_u64(&mut buf, e.predicate as u64);
+        put_u64(&mut buf, e.predicate as u64);
         encode_episode(&mut buf, &e.episode);
     }
 
-    varint::encode_u64(&mut buf, snapshot.finished.len() as u64);
+    put_u64(&mut buf, snapshot.finished.len() as u64);
     for (key, trajectory) in &snapshot.finished {
-        varint::encode_u64(&mut buf, *key);
+        put_u64(&mut buf, *key);
         sitm_store::codec::encode_trajectory(&mut buf, trajectory);
     }
 
@@ -176,39 +142,30 @@ pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), Checkpoint
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let predicate_count = varint::decode_u64(&mut buf)? as usize;
+    let predicate_count = take_u64(&mut buf)? as usize;
     let watermark = take_opt_i64(&mut buf)?.map(Timestamp);
 
-    let visit_count = varint::decode_u64(&mut buf)? as usize;
-    if visit_count > payload.len() {
-        return Err(CheckpointError::Malformed("visit count overruns payload"));
-    }
+    let visit_count = take_count(&mut buf, 1)?;
     let mut visits = Vec::with_capacity(visit_count);
     for _ in 0..visit_count {
-        let key = varint::decode_u64(&mut buf)?;
+        let key = take_u64(&mut buf)?;
         visits.push((key, decode_visit_state(&mut buf, predicate_count)?));
     }
 
-    let closed_count = varint::decode_u64(&mut buf)? as usize;
-    if closed_count > payload.len() {
-        return Err(CheckpointError::Malformed("closed count overruns payload"));
-    }
+    let closed_count = take_count(&mut buf, 1)?;
     let mut closed = Vec::with_capacity(closed_count);
     for _ in 0..closed_count {
-        let key = varint::decode_u64(&mut buf)?;
-        let closed_at = Timestamp(varint::decode_i64(&mut buf)?);
+        let key = take_u64(&mut buf)?;
+        let closed_at = Timestamp(take_i64(&mut buf)?);
         closed.push((key, closed_at));
     }
 
-    let pending_count = varint::decode_u64(&mut buf)? as usize;
-    if pending_count > payload.len() {
-        return Err(CheckpointError::Malformed("pending count overruns payload"));
-    }
+    let pending_count = take_count(&mut buf, 1)?;
     let mut pending = Vec::with_capacity(pending_count);
     for _ in 0..pending_count {
-        let visit = VisitKey(varint::decode_u64(&mut buf)?);
-        let moving_object = take_str(&mut buf)?;
-        let predicate = varint::decode_u64(&mut buf)? as usize;
+        let visit = VisitKey(take_u64(&mut buf)?);
+        let moving_object = take_str(&mut buf)?.to_owned();
+        let predicate = take_u64(&mut buf)? as usize;
         let episode = decode_episode(&mut buf)?;
         pending.push(EmittedEpisode {
             visit,
@@ -218,15 +175,10 @@ pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), Checkpoint
         });
     }
 
-    let finished_count = varint::decode_u64(&mut buf)? as usize;
-    if finished_count > payload.len() {
-        return Err(CheckpointError::Malformed(
-            "finished count overruns payload",
-        ));
-    }
+    let finished_count = take_count(&mut buf, 1)?;
     let mut finished = Vec::with_capacity(finished_count);
     for _ in 0..finished_count {
-        let key = varint::decode_u64(&mut buf)?;
+        let key = take_u64(&mut buf)?;
         let trajectory = sitm_store::codec::decode_trajectory(&mut buf)?;
         finished.push((key, trajectory));
     }
@@ -253,23 +205,23 @@ fn encode_visit_state(buf: &mut Vec<u8>, v: &VisitSnapshot) {
     encode_annotations(buf, &v.annotations);
     put_opt_i64(buf, v.layer.map(|l| l.index() as i64));
     put_opt_i64(buf, v.last_start.map(|t| t.0));
-    put_flag(buf, v.open_fix.is_some());
+    buf.push(u8::from(v.open_fix.is_some()));
     if let Some(open) = &v.open_fix {
         encode_cell(buf, open.cell);
-        varint::encode_i64(buf, open.start.0);
-        varint::encode_i64(buf, open.last_at.0);
+        put_i64(buf, open.start.0);
+        put_i64(buf, open.last_at.0);
     }
-    varint::encode_u64(buf, v.segmenter.index as u64);
+    put_u64(buf, v.segmenter.index as u64);
     for (suppressed, run) in v.segmenter.suppressed.iter().zip(&v.segmenter.open_runs) {
-        put_flag(buf, *suppressed);
-        put_flag(buf, run.is_some());
+        buf.push(u8::from(*suppressed));
+        buf.push(u8::from(run.is_some()));
         if let Some(run) = run {
-            varint::encode_u64(buf, run.start as u64);
-            varint::encode_i64(buf, run.start_time.0);
-            varint::encode_i64(buf, run.max_end.0);
+            put_u64(buf, run.start as u64);
+            put_i64(buf, run.start_time.0);
+            put_i64(buf, run.max_end.0);
         }
     }
-    varint::encode_u64(buf, v.intervals.len() as u64);
+    put_u64(buf, v.intervals.len() as u64);
     for interval in &v.intervals {
         encode_presence(buf, interval);
     }
@@ -279,14 +231,14 @@ fn decode_visit_state(
     buf: &mut &[u8],
     predicate_count: usize,
 ) -> Result<VisitSnapshot, CheckpointError> {
-    let moving_object = take_str(buf)?;
+    let moving_object = take_str(buf)?.to_owned();
     let annotations = decode_annotations(buf)?;
     let layer = take_opt_i64(buf)?.map(|i| LayerIdx::from_index(i as usize));
     let last_start = take_opt_i64(buf)?.map(Timestamp);
     let open_fix = if take_flag(buf)? {
         let cell = decode_cell(buf)?;
-        let start = Timestamp(varint::decode_i64(buf)?);
-        let last_at = Timestamp(varint::decode_i64(buf)?);
+        let start = Timestamp(take_i64(buf)?);
+        let last_at = Timestamp(take_i64(buf)?);
         Some(OpenFix {
             cell,
             start,
@@ -295,27 +247,22 @@ fn decode_visit_state(
     } else {
         None
     };
-    let index = varint::decode_u64(buf)? as usize;
+    let index = take_u64(buf)? as usize;
     let mut suppressed = Vec::with_capacity(predicate_count);
     let mut open_runs = Vec::with_capacity(predicate_count);
     for _ in 0..predicate_count {
         suppressed.push(take_flag(buf)?);
         open_runs.push(if take_flag(buf)? {
             Some(OpenRun {
-                start: varint::decode_u64(buf)? as usize,
-                start_time: Timestamp(varint::decode_i64(buf)?),
-                max_end: Timestamp(varint::decode_i64(buf)?),
+                start: take_u64(buf)? as usize,
+                start_time: Timestamp(take_i64(buf)?),
+                max_end: Timestamp(take_i64(buf)?),
             })
         } else {
             None
         });
     }
-    let interval_count = varint::decode_u64(buf)? as usize;
-    if interval_count > buf.len() {
-        return Err(CheckpointError::Malformed(
-            "interval count overruns payload",
-        ));
-    }
+    let interval_count = take_count(buf, 1)?;
     let mut intervals = Vec::with_capacity(interval_count);
     for _ in 0..interval_count {
         intervals.push(decode_presence(buf)?);
@@ -352,12 +299,12 @@ fn encode_stats(buf: &mut Vec<u8>, s: &ShardStats) {
         s.anomalies.not_proper,
         s.anomalies.duplicate_opens,
     ] {
-        varint::encode_u64(buf, v);
+        put_u64(buf, v);
     }
 }
 
 fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
-    let mut take = || varint::decode_u64(buf).map_err(CheckpointError::from);
+    let mut take = || take_u64(buf).map_err(CheckpointError::from);
     Ok(ShardStats {
         events: take()?,
         presences: take()?,
