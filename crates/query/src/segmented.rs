@@ -76,9 +76,11 @@
 //!
 //! Before any per-segment probe, point lookups (`MovingObject` leaves,
 //! and `And`/`Or` combinations over them) consult the store's
-//! cross-segment **object index** — object → segment-id postings
-//! maintained incrementally on flush and compaction. Segments outside
-//! the posting set are skipped without even touching their zone map
+//! cross-segment **object index** — object → ascending segment-id
+//! postings, derived from the zone maps' object sets at open and after
+//! every flush and compaction (never read from disk). `And` intersects
+//! and `Or` unions the postings as sorted slices; segments outside the
+//! result are skipped without even touching their zone map
 //! ([`SegmentedPlan::object_pruned`]).
 //!
 //! ## Rollups
@@ -89,7 +91,8 @@
 //! breakdowns from these (merged with a live-tier fold) without
 //! hydrating anything.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -325,27 +328,33 @@ impl SegmentedDb {
     /// a match for `p`, or `None` when `p` has no object structure the
     /// index can answer. Sound: a segment outside the returned set
     /// provably contains no match (the index is exact, not
-    /// probabilistic — every flush/compaction rewrites its postings).
+    /// probabilistic — every flush/compaction derives it anew from the
+    /// zone maps).
     ///
     /// Its own boolean walk, not [`Predicate::narrow`]: the algebra
     /// differs. "Cannot answer" is not "every segment" here — an `And`
     /// skips the arms the index cannot answer (they constrain nothing)
     /// and an `Or` needs every arm answered, where `narrow` treats an
     /// unanswerable arm as `All` in both.
-    fn object_segment_filter(&self, p: &Predicate) -> Option<BTreeSet<u64>> {
+    ///
+    /// The ids come back ascending; a lone leaf borrows the index's own
+    /// postings.
+    fn object_segment_filter(&self, p: &Predicate) -> Option<Cow<'_, [u64]>> {
         match p {
-            Predicate::MovingObject(id) => {
-                Some(self.store.object_segments(id).cloned().unwrap_or_default())
-            }
+            Predicate::MovingObject(id) => Some(Cow::Borrowed(self.store.object_segments(id))),
             Predicate::And(parts) => {
                 // Intersect whatever arms the index can answer; arms it
                 // cannot answer constrain nothing.
-                let mut acc: Option<BTreeSet<u64>> = None;
+                let mut acc: Option<Cow<'_, [u64]>> = None;
                 for q in parts {
                     if let Some(s) = self.object_segment_filter(q) {
                         acc = Some(match acc {
                             None => s,
-                            Some(prev) => prev.intersection(&s).copied().collect(),
+                            Some(prev) => prev
+                                .iter()
+                                .copied()
+                                .filter(|id| s.binary_search(id).is_ok())
+                                .collect(),
                         });
                     }
                 }
@@ -353,11 +362,13 @@ impl SegmentedDb {
             }
             Predicate::Or(parts) => {
                 // A union is only sound if *every* arm is answerable.
-                let mut acc = BTreeSet::new();
+                let mut acc = Vec::new();
                 for q in parts {
-                    acc.extend(self.object_segment_filter(q)?);
+                    acc.extend_from_slice(&self.object_segment_filter(q)?);
                 }
-                Some(acc)
+                acc.sort_unstable();
+                acc.dedup();
+                Some(Cow::Owned(acc))
             }
             _ => None,
         }
@@ -513,7 +524,7 @@ impl SegmentedDb {
             // Stage 0: the global object index — exact, cross-segment,
             // cheaper than any zone probe.
             if let Some(filter) = &object_filter {
-                if !filter.contains(&part.id) {
+                if filter.binary_search(&part.id).is_err() {
                     narrowed = true;
                     plan.object_pruned += 1;
                     continue;
@@ -613,9 +624,8 @@ impl TrajectorySource for SegmentedDb {
     /// frames a page needs before any row is decoded: span keys sit in
     /// the directory entries, content keys in the sort columns (dwell
     /// is persisted in seconds — the exact value `Duration` ordering
-    /// compares), and the object column indexes into the zone map's
-    /// sorted object set, so the globally comparable string is
-    /// resident.
+    /// compares), and the object column is a rank in the zone map's
+    /// object set, so the globally comparable string is resident.
     fn sort_keys<'a>(
         &'a self,
         key: SortKey,
@@ -640,21 +650,13 @@ impl TrajectorySource for SegmentedDb {
                     (value, source, at)
                 })),
                 SortKeys::Object(entries) => {
-                    let mut locals = locals.peekable();
-                    if locals.peek().is_none() {
-                        continue;
-                    }
-                    let objects: Vec<&str> = segment
-                        .zone_map
-                        .objects
-                        .iter()
-                        .map(String::as_str)
-                        .collect();
-                    entries.extend(
-                        locals.map(|(at, local)| {
-                            (objects[columns.object[local] as usize], source, at)
-                        }),
-                    );
+                    let objects = &segment.zone_map.objects;
+                    entries.extend(locals.map(|(at, local)| {
+                        let object = objects
+                            .get(columns.object[local] as usize)
+                            .expect("sort columns are validated against the object set");
+                        (object, source, at)
+                    }));
                 }
             }
         }

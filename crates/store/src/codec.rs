@@ -51,6 +51,8 @@ pub enum CodecError {
         /// Bytes available.
         available: usize,
     },
+    /// A sorted set's entries are not strictly ascending.
+    Unsorted,
 }
 
 impl From<sitm_codec::Error> for CodecError {
@@ -87,6 +89,7 @@ impl std::fmt::Display for CodecError {
                 f,
                 "declared length {declared} exceeds remaining {available} bytes"
             ),
+            CodecError::Unsorted => write!(f, "set entries are not strictly ascending"),
         }
     }
 }

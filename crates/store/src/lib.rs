@@ -47,7 +47,7 @@ pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};
 pub use segment::{scan, write_frame, write_header, Corruption, ScanOutcome};
 pub use warehouse::{
-    sort_run, CellRollup, DirectoryEntry, ManifestRecord, ObjectIndexRecord, Segment,
-    SegmentDirectory, SegmentRef, SegmentRollup, SegmentStore, WarehouseConfig, WarehouseError,
-    ZoneMap, DEFAULT_ROLLUP_PERIOD_SECONDS,
+    sort_run, CellRollup, DirectoryEntry, ManifestRecord, ObjectSet, Segment, SegmentDirectory,
+    SegmentRef, SegmentRollup, SegmentStore, WarehouseConfig, WarehouseError, ZoneMap,
+    DEFAULT_ROLLUP_PERIOD_SECONDS,
 };

@@ -270,30 +270,10 @@ impl<R: Record> LogStore<R> {
             r.encode_record(&mut self.scratch);
             segment::write_frame(&mut buf, &self.scratch);
         }
-        self.replace_file(&buf, records.len())
-    }
-
-    /// [`LogStore::compact`] to the one record whose encoding the
-    /// caller already holds, borrowed: for a record that is a view of a
-    /// structure the caller keeps anyway, so building an owned `R` only
-    /// to encode and drop it would copy the structure for nothing.
-    /// `payload` must be what [`Record::encode_record`] writes for that
-    /// record — it is what the next [`LogStore::open`] decodes.
-    pub fn compact_encoded(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut buf =
-            Vec::with_capacity(segment::MAGIC.len() + segment::FRAME_OVERHEAD + payload.len());
-        segment::write_header(&mut buf);
-        segment::write_frame(&mut buf, payload);
-        self.replace_file(&buf, 1)
-    }
-
-    /// Replaces the log file with `image` (a header and `records`
-    /// frames): tmp-write, fsync, rename, directory fsync.
-    fn replace_file(&mut self, image: &[u8], records: usize) -> Result<(), StoreError> {
         let tmp_path = self.path.with_extension("tmp");
         {
             let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(image)?;
+            tmp.write_all(&buf)?;
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
@@ -303,8 +283,8 @@ impl<R: Record> LogStore<R> {
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;
-        self.bytes = image.len() as u64;
-        self.records = records;
+        self.bytes = buf.len() as u64;
+        self.records = records.len();
         // The rename itself lives in the directory entry; without this
         // fsync a power failure can resurrect the pre-compaction file
         // even though compact() already returned success. (Unix only:

@@ -21,8 +21,8 @@
 //! frame payload *is* its encoding). [`Segment::resident_row`] hands
 //! out one row of both.
 
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -209,6 +209,31 @@ impl HeaderFrames {
     }
 }
 
+/// Fills `buf` from `file` at `offset`. A positional read takes `&self`
+/// and moves no cursor, so every reader of a segment shares the one
+/// handle it was opened or written with.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Decodes a frame's payload, which must be used up exactly.
 fn decode_whole<T>(
     mut payload: &[u8],
@@ -274,8 +299,9 @@ pub struct Segment {
     sort_columns: SortColumns,
     /// Per-zone / per-period pre-aggregates.
     rollup: SegmentRollup,
-    /// Backing file (the source of every lazy read).
-    path: PathBuf,
+    /// The backing file, open for the segment's lifetime: the source of
+    /// every lazy read, by position, so no read reopens it.
+    file: File,
     /// The run and its stored bytes, read and decoded at most once and
     /// shared from then on.
     loaded: OnceLock<Resident>,
@@ -391,7 +417,7 @@ impl Segment {
             }
             next[v] += 1;
         }
-        let zone_map = ZoneMap::union(victims.iter().map(|v| &v.zone_map));
+        let zone_map = ZoneMap::union(&victims.iter().map(|v| &v.zone_map).collect::<Vec<_>>());
         let mut rollup = SegmentRollup::new(DEFAULT_ROLLUP_PERIOD_SECONDS);
         for victim in victims.iter() {
             rollup.merge(&victim.rollup);
@@ -446,7 +472,12 @@ impl Segment {
         cache: RowCache,
     ) -> Result<(Segment, Vec<u8>), WarehouseError> {
         let (image, directory) = encode_segment_file(&headers, rows);
-        let mut file = File::create(&path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
         file.write_all(&image)?;
         file.sync_all()?;
         let segment = Segment {
@@ -455,7 +486,7 @@ impl Segment {
             directory,
             sort_columns: headers.sort_columns,
             rollup: headers.rollup,
-            path,
+            file,
             loaded: OnceLock::new(),
             io,
             cache,
@@ -521,7 +552,7 @@ impl Segment {
             directory,
             sort_columns,
             rollup,
-            path,
+            file: headers.file,
             loaded: OnceLock::new(),
             io,
             cache,
@@ -593,8 +624,8 @@ impl Segment {
         Some((resident.run.get(i)?, payload))
     }
 
-    /// Decodes trajectory `i` alone: one directory-guided seek + one
-    /// frame read, never touching the rest of the run (unless the run
+    /// Decodes trajectory `i` alone: one directory-guided positional
+    /// read of its frame, never touching the rest of the run (unless the run
     /// is already cached, which is free). The sorted/paged pushdown
     /// path — paging never materializes non-returned trajectories.
     /// Consults (and on a miss, populates) the store-wide row cache, so
@@ -612,10 +643,8 @@ impl Segment {
             return Ok(t);
         }
         let _row = sitm_obs::trace::child_detail("row_read");
-        let mut file = File::open(&self.path)?;
         let mut frame = vec![0u8; entry.len as usize];
-        file.seek(SeekFrom::Start(entry.offset))?;
-        file.read_exact(&mut frame)?;
+        read_exact_at(&self.file, &mut frame, entry.offset)?;
         self.io.bytes_read.add(entry.len as u64);
         self.io.decoded.inc();
         let t = self.decode_row(entry, &frame)?;
@@ -639,10 +668,8 @@ impl Segment {
         };
         let first = first.offset;
         let total = (last.offset + last.len as u64 - first) as usize;
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(first))?;
         let mut region = vec![0u8; total];
-        file.read_exact(&mut region)?;
+        read_exact_at(&self.file, &mut region, first)?;
         self.io.bytes_read.add(total as u64);
         for entry in entries {
             let start = (entry.offset - first) as usize;

@@ -7,10 +7,11 @@
 
 use std::collections::BTreeSet;
 
-use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_span, take_str, take_u64};
+use sitm_codec::{put_i64, put_u64, take_count, take_flag, take_span, take_u64};
 use sitm_core::{AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_space::CellRef;
 
+use super::objects::ObjectSet;
 use crate::bloom::{fnv1a, Bloom};
 use crate::codec::{decode_annotations, decode_cell, encode_annotations, encode_cell, CodecError};
 use crate::segment;
@@ -30,7 +31,7 @@ pub struct ZoneMap {
     /// Every cell any trajectory stays in.
     pub cells: BTreeSet<CellRef>,
     /// Every moving-object identifier.
-    pub objects: BTreeSet<String>,
+    pub objects: ObjectSet,
     /// Union of the whole-trajectory annotation sets (`A_traj`).
     pub traj_annotations: AnnotationSet,
     /// Union of the per-stay annotation sets (`A_i`).
@@ -78,8 +79,8 @@ impl ZoneMap {
     ///
     /// Cells and object ids are collected as plain runs (`CellRef`s by
     /// value, ids borrowed), sorted and deduplicated once, and the sets
-    /// bulk-built from the sorted result — no tree insert and no id
-    /// clone per row, one clone per *distinct* id.
+    /// built from the sorted result — no tree insert per row, and the
+    /// distinct ids copied into one buffer.
     pub fn build(trajectories: &[SemanticTrajectory]) -> ZoneMap {
         let mut span = None;
         let mut cells = Vec::new();
@@ -99,7 +100,7 @@ impl ZoneMap {
             trajectories.len() as u64,
             span,
             cells,
-            objects,
+            ObjectSet::from_run(objects),
             traj_annotations,
             stay_annotations,
         )
@@ -107,11 +108,10 @@ impl ZoneMap {
 
     /// The map of the rows of all of `maps` together — what
     /// [`ZoneMap::build`] returns for those rows, derived without them.
-    pub(super) fn union<'a>(maps: impl IntoIterator<Item = &'a ZoneMap>) -> ZoneMap {
+    pub(super) fn union(maps: &[&ZoneMap]) -> ZoneMap {
         let mut len = 0;
         let mut span = None;
         let mut cells = Vec::new();
-        let mut objects = Vec::new();
         let mut traj_annotations = AnnotationSet::new();
         let mut stay_annotations = AnnotationSet::new();
         for map in maps {
@@ -120,7 +120,6 @@ impl ZoneMap {
                 span = cover(span, other);
             }
             cells.extend(&map.cells);
-            objects.extend(map.objects.iter().map(String::as_str));
             absorb(&mut traj_annotations, &map.traj_annotations);
             absorb(&mut stay_annotations, &map.stay_annotations);
         }
@@ -128,34 +127,32 @@ impl ZoneMap {
             len,
             span,
             cells,
-            objects,
+            ObjectSet::union(&maps.iter().map(|m| &m.objects).collect::<Vec<_>>()),
             traj_annotations,
             stay_annotations,
         )
     }
 
-    /// Finishes a map from unsorted, repeating runs of cells and object
-    /// ids: sort, dedup, bulk-build the sets (see [`ZoneMap::decode`]
-    /// for why from sorted input), then the blooms over the sets.
+    /// Finishes a map from an unsorted, repeating run of cells and the
+    /// object set: sort, dedup, bulk-build the cell set (see
+    /// [`ZoneMap::decode`] for why from sorted input), then the blooms
+    /// over the sets.
     fn from_runs(
         len: u64,
         span: Option<TimeInterval>,
         mut cells: Vec<CellRef>,
-        mut objects: Vec<&str>,
+        objects: ObjectSet,
         traj_annotations: AnnotationSet,
         stay_annotations: AnnotationSet,
     ) -> ZoneMap {
         cells.sort_unstable();
         cells.dedup();
-        objects.sort_unstable();
-        objects.dedup();
         let cells: BTreeSet<CellRef> = cells.into_iter().collect();
-        let objects: BTreeSet<String> = objects.into_iter().map(str::to_owned).collect();
         ZoneMap {
             len,
             span,
             cell_bloom: Bloom::build(cells.iter().map(cell_bloom_hash)),
-            object_bloom: Bloom::build(objects.iter().map(|o| object_bloom_hash(o))),
+            object_bloom: Bloom::build(objects.iter().map(object_bloom_hash)),
             cells,
             objects,
             traj_annotations,
@@ -203,10 +200,7 @@ impl ZoneMap {
         for cell in &self.cells {
             encode_cell(buf, *cell);
         }
-        put_u64(buf, self.objects.len() as u64);
-        for o in &self.objects {
-            put_str(buf, o);
-        }
+        self.objects.encode(buf);
         encode_annotations(buf, &self.traj_annotations);
         encode_annotations(buf, &self.stay_annotations);
         self.cell_bloom.encode(buf);
@@ -223,7 +217,7 @@ impl ZoneMap {
             None
         };
         let cell_count = take_count(buf, 1)?;
-        // The sets were encoded in sorted order, so collecting through a
+        // The cells were encoded in sorted order, so collecting through a
         // Vec lets `BTreeSet::from_iter` bulk-build the tree (one
         // already-sorted pass) instead of rebalancing per insert — open
         // decodes every resident zone map, so this is on the cold-open
@@ -233,12 +227,7 @@ impl ZoneMap {
             cell_run.push(decode_cell(buf)?);
         }
         let cells: BTreeSet<CellRef> = cell_run.into_iter().collect();
-        let object_count = take_count(buf, 1)?;
-        let mut object_run = Vec::with_capacity(object_count);
-        for _ in 0..object_count {
-            object_run.push(take_str(buf)?.to_owned());
-        }
-        let objects: BTreeSet<String> = object_run.into_iter().collect();
+        let objects = ObjectSet::decode(buf)?;
         let traj_annotations = decode_annotations(buf)?;
         let stay_annotations = decode_annotations(buf)?;
         let cell_bloom = Bloom::decode(buf)?;
@@ -419,10 +408,10 @@ pub struct SortColumns {
     pub object: Vec<u32>,
 }
 
-/// Position of `object` in `ranked`, a sorted object set that holds it.
-fn rank(ranked: &[&str], object: &str) -> u32 {
-    ranked
-        .binary_search(&object)
+/// Position of `object` in `objects`, a set that holds it.
+fn rank(objects: &ObjectSet, object: &str) -> u32 {
+    objects
+        .rank(object)
         .expect("the object set covers every row it is ranked for") as u32
 }
 
@@ -436,13 +425,12 @@ impl SortColumns {
     ///
     /// If a row's moving object is not in `objects` — the set was not
     /// built over these rows.
-    pub fn build(trajectories: &[SemanticTrajectory], objects: &BTreeSet<String>) -> SortColumns {
-        let ranked: Vec<&str> = objects.iter().map(String::as_str).collect();
+    pub fn build(trajectories: &[SemanticTrajectory], objects: &ObjectSet) -> SortColumns {
         let mut columns = SortColumns::default();
         for t in trajectories {
             columns.dwell.push(t.trace().dwell_total().as_seconds());
             columns.trace_len.push(t.trace().len() as u32);
-            columns.object.push(rank(&ranked, &t.moving_object));
+            columns.object.push(rank(objects, &t.moving_object));
         }
         columns
     }
@@ -453,14 +441,13 @@ impl SortColumns {
     /// part's object set (the second of each pair), is re-ranked against
     /// `objects`, the merged set (a superset of every part's).
     pub(super) fn gather(
-        parts: &[(&SortColumns, &BTreeSet<String>)],
-        objects: &BTreeSet<String>,
+        parts: &[(&SortColumns, &ObjectSet)],
+        objects: &ObjectSet,
         rows: impl Iterator<Item = (usize, usize)>,
     ) -> SortColumns {
-        let ranked: Vec<&str> = objects.iter().map(String::as_str).collect();
         let reranked: Vec<Vec<u32>> = parts
             .iter()
-            .map(|(_, own)| own.iter().map(|o| rank(&ranked, o)).collect())
+            .map(|(_, own)| own.iter().map(|o| rank(objects, o)).collect())
             .collect();
         let mut columns = SortColumns::default();
         for (p, r) in rows {

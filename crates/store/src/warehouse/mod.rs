@@ -70,8 +70,10 @@
 //! only** — the four leading frames, never a trajectory byte — and a
 //! [`Segment`] decodes trajectories lazily: the whole run on first
 //! indexed access ([`Segment::trajectories`], cached), or one row at a
-//! time by a directory-guided seek ([`Segment::read_trajectory`], the
-//! path sorted/paged query pushdown uses). The span columns double as a
+//! time by a directory-guided positional read ([`Segment::read_trajectory`],
+//! the path sorted/paged query pushdown uses). Both read through the one
+//! file handle the segment was opened (or written) with, shared by
+//! concurrent readers; no read reopens the file. The span columns double as a
 //! sort/pre-filter index: start/end/duration orderings and
 //! span-overlap screens need no decode at all.
 //!
@@ -111,14 +113,15 @@
 //!
 //! ## The global object index
 //!
-//! `objindex.log` persists the cross-segment **object → segment-ids**
-//! postings map as complete-snapshot [`ObjectIndexRecord`]s stamped
-//! with the manifest sequence (the manifest idiom). It is maintained
-//! incrementally on every append/compaction and lets warehouse-wide
-//! moving-object point lookups name exactly the segments holding an
-//! object instead of probing every segment's Bloom/zone-map. Also
-//! derived data: a missing, torn, or out-of-sequence record is rebuilt
-//! from the resident zone maps at open.
+//! The cross-segment **object → segment-ids** postings let
+//! warehouse-wide moving-object point lookups name exactly the segments
+//! holding an object instead of probing every segment's Bloom/zone map.
+//! They are derived, never stored: one k-way merge of the live
+//! segments' zone-map [`ObjectSet`]s — flat sorted name tables, already
+//! resident — at open and after every commit, into one more such table
+//! plus compressed sparse rows of segment ids. No commit writes them,
+//! so none can fail on them; a file an older build persisted them in is
+//! removed at open.
 //!
 //! ## The manifest log
 //!
@@ -161,10 +164,12 @@
 //! * `index.rs` — *dimension indexes*: [`ZoneMap`] and its Bloom
 //!   hashes, [`SegmentDirectory`], [`SortColumns`] — each built from
 //!   rows, and merged or gathered from others of its kind;
+//! * `objects.rs` — the moving-object dimension: [`ObjectSet`], the
+//!   flat sorted name table a zone map keeps, and the object index
+//!   merged from those;
 //! * `rollup.rs` — *aggregates*: [`CellRollup`], [`SegmentRollup`];
 //! * `row_cache.rs` — the bounded row-decode cache;
-//! * `manifest.rs` — [`ManifestRecord`], [`ObjectIndexRecord`], file
-//!   names;
+//! * `manifest.rs` — [`ManifestRecord`], file names;
 //! * this file — [`WarehouseError`], [`WarehouseConfig`] and the
 //!   [`SegmentStore`]: open, append, replace, the size-tiered plan,
 //!   the manifest commit, GC.
@@ -185,6 +190,7 @@ use crate::segment::Corruption;
 mod format;
 mod index;
 mod manifest;
+mod objects;
 mod rollup;
 mod row_cache;
 #[cfg(test)]
@@ -195,14 +201,18 @@ use index::MAX_SEGMENT_ROWS;
 pub use index::{
     cell_bloom_hash, object_bloom_hash, DirectoryEntry, SegmentDirectory, SortColumns, ZoneMap,
 };
-pub use manifest::{
-    parse_segment_file_name, segment_file_name, ManifestRecord, ObjectIndexRecord, SegmentRef,
-};
+pub use manifest::{parse_segment_file_name, segment_file_name, ManifestRecord, SegmentRef};
+pub use objects::ObjectSet;
 pub use rollup::{CellRollup, SegmentRollup, DEFAULT_ROLLUP_PERIOD_SECONDS};
 pub use row_cache::DEFAULT_ROW_CACHE_BYTES;
 
 use format::LazyIoMetrics;
+use objects::ObjectIndex;
 use row_cache::RowCache;
+
+/// Files older builds kept beside the manifest: the persisted object
+/// index, which is now derived at open. Removed when found.
+const STALE_FILES: [&str; 2] = ["objindex.log", "objindex.tmp"];
 
 /// Warehouse-tier failures.
 #[derive(Debug)]
@@ -348,11 +358,9 @@ impl StoreMetrics {
 pub struct SegmentStore {
     dir: PathBuf,
     manifest: LogStore<ManifestRecord>,
-    /// Persisted object → segment-ids snapshots (derived data; see the
-    /// module docs).
-    objindex: LogStore<ObjectIndexRecord>,
-    /// The live cross-segment object index.
-    object_index: BTreeMap<String, BTreeSet<u64>>,
+    /// The cross-segment object index of `segments` (see the module
+    /// docs).
+    object_index: ObjectIndex,
     policy: WarehouseConfig,
     /// Most rows one segment may hold: [`MAX_SEGMENT_ROWS`], except in
     /// this module's tests, which lower it to reach the refusals.
@@ -386,7 +394,8 @@ impl SegmentStore {
     /// complete manifest, loads every referenced segment, and
     /// garbage-collects unreferenced segment files (the residue of a
     /// crash between segment write and manifest append, or of a
-    /// compaction that never got to delete its victims).
+    /// compaction that never got to delete its victims). The object
+    /// index is merged from the segments' zone maps.
     pub fn open(
         dir: impl AsRef<Path>,
         policy: WarehouseConfig,
@@ -395,8 +404,6 @@ impl SegmentStore {
         std::fs::create_dir_all(&dir)?;
         let (manifest, records, report) =
             LogStore::<ManifestRecord>::open(dir.join("manifest.log"))?;
-        let (objindex, objindex_records, _objindex_report) =
-            LogStore::<ObjectIndexRecord>::open(dir.join("objindex.log"))?;
         let metrics = StoreMetrics::bind(MetricsRegistry::global());
         let lazy_io = LazyIoMetrics::bind(MetricsRegistry::global());
         let row_cache = RowCache::new(policy.row_cache_bytes, MetricsRegistry::global());
@@ -437,20 +444,7 @@ impl SegmentStore {
         }
         let lazy_opened = segments.len() as u64;
         metrics.lazy_opens.add(lazy_opened);
-        // Adopt the persisted object index when it reflects exactly
-        // this manifest sequence; rebuild from the (resident) zone maps
-        // otherwise — it is derived data either way. The snapshot's
-        // entries are *moved* (objindex records have no other consumer)
-        // and arrive sorted, so the BTreeMap bulk-builds without
-        // re-allocating a single object id.
-        let object_index = match objindex_records.into_iter().next_back() {
-            Some(r) if r.sequence == sequence => r
-                .entries
-                .into_iter()
-                .map(|(o, ids)| (o, ids.into_iter().collect()))
-                .collect(),
-            _ => Self::rebuild_object_index(&segments),
-        };
+        let object_index = ObjectIndex::build(&segments);
         // Older manifest records in the retained history may reference
         // ids above the current set; never reuse those either.
         for record in &history {
@@ -469,6 +463,10 @@ impl SegmentStore {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
+            if STALE_FILES.contains(&name) {
+                let _ = std::fs::remove_file(entry.path());
+                continue;
+            }
             let Some(id) = parse_segment_file_name(name) else {
                 continue;
             };
@@ -483,7 +481,6 @@ impl SegmentStore {
             SegmentStore {
                 dir,
                 manifest,
-                objindex,
                 object_index,
                 policy,
                 row_limit: MAX_SEGMENT_ROWS,
@@ -500,18 +497,6 @@ impl SegmentStore {
             },
             report,
         ))
-    }
-
-    /// Derives the object → segment-ids index from the live zone maps
-    /// (always resident, so this touches no trajectory bytes).
-    fn rebuild_object_index(segments: &[Segment]) -> BTreeMap<String, BTreeSet<u64>> {
-        let mut index: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
-        for s in segments {
-            for o in &s.zone_map.objects {
-                index.entry(o.clone()).or_default().insert(s.id);
-            }
-        }
-        index
     }
 
     /// Re-points the `store.*` instruments at `registry` (stores
@@ -536,12 +521,12 @@ impl SegmentStore {
         self.row_cache.set_metrics(registry);
     }
 
-    /// Segments known to hold `object` (exact, from the global object
-    /// index): `None` when the object appears nowhere in the warehouse.
-    /// A query layer may skip every other segment without probing its
-    /// Bloom or zone map.
-    pub fn object_segments(&self, object: &str) -> Option<&BTreeSet<u64>> {
-        self.object_index.get(object)
+    /// Ids of the segments holding `object`, ascending (exact, from the
+    /// global object index): empty when the object appears nowhere in
+    /// the warehouse. A query layer may skip every other segment without
+    /// probing its Bloom or zone map.
+    pub fn object_segments(&self, object: &str) -> &[u64] {
+        self.object_index.segments_of(object)
     }
 
     /// Distinct objects in the global object index.
@@ -608,9 +593,10 @@ impl SegmentStore {
     }
 
     /// Commits the current segment set as a new manifest record,
-    /// appending or compacting per the manifest policy. Durable on
-    /// return.
+    /// appending or compacting per the manifest policy, and derives the
+    /// set's object index. Durable on return.
     fn commit_manifest(&mut self) -> Result<(), WarehouseError> {
+        self.object_index = ObjectIndex::build(&self.segments);
         self.sequence += 1;
         let record = ManifestRecord {
             sequence: self.sequence,
@@ -639,26 +625,6 @@ impl SegmentStore {
         }
         self.metrics.manifest_records.inc();
         self.sweep_garbage();
-        self.persist_object_index()?;
-        Ok(())
-    }
-
-    /// Rewrites `objindex.log` to one complete snapshot stamped with
-    /// the just-committed manifest sequence. The log never grows past
-    /// one record; a crash mid-rewrite only costs the next open a
-    /// rebuild from zone maps.
-    fn persist_object_index(&mut self) -> Result<(), WarehouseError> {
-        // Encoded straight from the live index: an owned record would
-        // clone every object id and posting list only to be dropped.
-        let mut payload = Vec::new();
-        ObjectIndexRecord::encode_entries(
-            &mut payload,
-            self.sequence,
-            self.object_index
-                .iter()
-                .map(|(object, ids)| (object.as_str(), ids.iter().copied())),
-        );
-        self.objindex.compact_encoded(&payload)?;
         Ok(())
     }
 
@@ -705,12 +671,6 @@ impl SegmentStore {
             &self.metrics.rows_encoded,
         )?;
         self.segment_written(bytes)?;
-        for o in &segment.zone_map.objects {
-            self.object_index
-                .entry(o.clone())
-                .or_default()
-                .insert(segment.id);
-        }
         self.segments.push(segment);
         self.commit_manifest()
     }
@@ -755,21 +715,6 @@ impl SegmentStore {
             self.row_cache.clone(),
         )?;
         self.segment_written(bytes)?;
-        // Incremental object-index maintenance: every victim id is
-        // swapped for the merged id wherever it appears, and the merged
-        // segment's own objects are added (a superset of the victims').
-        for ids in self.object_index.values_mut() {
-            for v in &victim_set {
-                ids.remove(v);
-            }
-        }
-        for o in &segment.zone_map.objects {
-            self.object_index
-                .entry(o.clone())
-                .or_default()
-                .insert(segment.id);
-        }
-        self.object_index.retain(|_, ids| !ids.is_empty());
         self.segments.retain(|s| !is_victim(s));
         self.segments
             .insert(position.min(self.segments.len()), segment);

@@ -350,41 +350,121 @@ fn rollup_round_trips_and_matches_recompute() {
     assert!(SegmentRollup::build(&trajs, 0).periods.is_empty());
 }
 
+/// Checks the object index against a map built from the live rows
+/// themselves: every object's segment ids, and none for absent ones.
+fn assert_object_index_matches_rows(store: &SegmentStore, state: &str) {
+    let mut by_id: Vec<&Segment> = store.segments().iter().collect();
+    by_id.sort_by_key(|s| s.id);
+    let mut naive: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    for s in by_id {
+        for t in s.trajectories().unwrap().iter() {
+            let ids = naive.entry(t.moving_object.clone()).or_default();
+            if ids.last() != Some(&s.id) {
+                ids.push(s.id);
+            }
+        }
+    }
+    assert_eq!(store.object_index_len(), naive.len(), "{state}");
+    for (object, ids) in &naive {
+        assert_eq!(store.object_segments(object), ids, "{state}: {object}");
+    }
+    for absent in ["", "mo-", "mo-00", "mo-9", "nobody"] {
+        assert!(
+            store.object_segments(absent).is_empty(),
+            "{state}: {absent}"
+        );
+    }
+}
+
 #[test]
-fn object_index_is_maintained_and_persisted() {
-    let tmp = TempDir::new("objindex");
+fn object_index_equals_the_live_rows_through_appends_merges_and_recovery() {
+    let tmp = TempDir::new("object-index");
     let config = WarehouseConfig {
         fanout: 2,
         ..WarehouseConfig::default()
     };
-    {
-        let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
-        store.append_segment(vec![traj("a", 1, 0)]).unwrap();
-        store.append_segment(vec![traj("b", 2, 100)]).unwrap();
-        assert_eq!(store.object_index_len(), 2);
-        assert_eq!(
-            store.object_segments("a"),
-            Some(&BTreeSet::from([0])),
-            "object a lives in segment 0 only"
-        );
-        assert_eq!(store.object_segments("nobody"), None);
-        // Compaction swaps victim ids for the merged id.
-        store.compact_size_tiered().unwrap();
-        assert_eq!(store.segments().len(), 1);
-        let merged = store.segments()[0].id;
-        assert_eq!(store.object_segments("a"), Some(&BTreeSet::from([merged])));
-        assert_eq!(store.object_segments("b"), Some(&BTreeSet::from([merged])));
+    let (mut store, _) = SegmentStore::open(&tmp.0, config).unwrap();
+    assert_object_index_matches_rows(&store, "empty");
+    let mut out_of_id_order = false;
+    for batch in 0..6 {
+        // Objects recur across batches, so postings name several ids.
+        // Batches alternate between two size tiers, so a merge of the
+        // larger tier lands (with the newest id) ahead of an older,
+        // smaller segment.
+        let rows = (0..[6, 3][batch as usize % 2])
+            .map(|i| {
+                traj(
+                    &format!("mo-{}", (batch + 2 * i) % 7),
+                    i as usize,
+                    batch * 100 + i,
+                )
+            })
+            .collect();
+        store.append_segment(rows).unwrap();
+        assert_object_index_matches_rows(&store, &format!("append {batch}"));
+        if store.compact_size_tiered().unwrap() > 0 {
+            assert_object_index_matches_rows(&store, &format!("merge {batch}"));
+        }
+        out_of_id_order |= store.segments().windows(2).any(|w| w[0].id > w[1].id);
     }
-    // Reopen adopts the persisted snapshot (sequence matches) and
-    // it equals a from-scratch rebuild.
-    let (store, _) = SegmentStore::open(&tmp.0, config).unwrap();
-    let rebuilt = SegmentStore::rebuild_object_index(store.segments());
-    assert_eq!(store.object_index, rebuilt);
-    // A stale snapshot (wrong sequence) is ignored and rebuilt.
+    assert!(out_of_id_order, "no posting had to be put in id order");
+    let sequence = store.sequence();
     drop(store);
-    std::fs::remove_file(tmp.0.join("objindex.log")).unwrap();
     let (store, _) = SegmentStore::open(&tmp.0, config).unwrap();
-    assert_eq!(store.object_index, rebuilt, "rebuilt from zone maps");
+    assert_object_index_matches_rows(&store, "reopen");
+    drop(store);
+    // A torn newest manifest record recovers the one before it.
+    let manifest = std::fs::OpenOptions::new()
+        .write(true)
+        .open(tmp.0.join("manifest.log"))
+        .unwrap();
+    manifest
+        .set_len(manifest.metadata().unwrap().len() - 1)
+        .unwrap();
+    let (store, report) = SegmentStore::open(&tmp.0, config).unwrap();
+    assert!(!report.is_clean());
+    assert_eq!(store.sequence(), sequence - 1);
+    assert_object_index_matches_rows(&store, "torn manifest");
+}
+
+#[test]
+fn a_stale_object_index_file_is_removed_and_never_read() {
+    let tmp = TempDir::new("stale-objindex");
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store
+            .append_segment(vec![traj("a", 1, 0), traj("b", 2, 100)])
+            .unwrap();
+        store
+            .append_segment(vec![traj("b", 1, 200), traj("c", 3, 300)])
+            .unwrap();
+    }
+    let answers =
+        |store: &SegmentStore| ["a", "b", "c", "nobody"].map(|o| store.object_segments(o).to_vec());
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    let (want, sequence) = (answers(&store), store.sequence());
+    drop(store);
+    // What an older build left beside the manifest: its object index
+    // log — one snapshot record stamped with this manifest's sequence,
+    // here claiming object `a` lives in segment 1 — and a torn rewrite.
+    let mut record = Vec::new();
+    for n in [sequence, 1] {
+        sitm_codec::put_u64(&mut record, n);
+    }
+    sitm_codec::put_str(&mut record, "a");
+    for n in [1, 1] {
+        sitm_codec::put_u64(&mut record, n);
+    }
+    let mut log = Vec::new();
+    segment::write_header(&mut log);
+    segment::write_frame(&mut log, &record);
+    std::fs::write(tmp.0.join("objindex.log"), &log).unwrap();
+    std::fs::write(tmp.0.join("objindex.tmp"), &log[..log.len() - 1]).unwrap();
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    assert_eq!(answers(&store), want);
+    assert_eq!(want[0], [0], "the stale record was not read");
+    assert!(!tmp.0.join("objindex.log").exists());
+    assert!(!tmp.0.join("objindex.tmp").exists());
 }
 
 #[test]
@@ -404,7 +484,7 @@ fn sort_columns_round_trip_and_validate() {
     }
     // The object column indexes into the zone map's sorted object
     // set: row order carol, alice, bob → indexes 2, 0, 1.
-    let objects: Vec<&str> = map.objects.iter().map(|s| s.as_str()).collect();
+    let objects: Vec<&str> = map.objects.iter().collect();
     assert_eq!(objects, vec!["alice", "bob", "carol"]);
     assert_eq!(columns.object, vec![2, 0, 1]);
     let mut buf = Vec::new();
@@ -481,14 +561,36 @@ fn warm_rows_are_served_from_the_cache_without_io() {
     store.append_segment(trajs.clone()).unwrap();
     drop(store);
     // Reopen cold so rows are not pre-cached by the append.
-    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    let registry = MetricsRegistry::new();
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    store.set_metrics(&registry);
     let s = &store.segments()[0];
+    let bytes_read = || registry.counter("query.segment_bytes_read").get();
     assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
-    // Deleting the file proves the second read touches no disk.
+    let cold = bytes_read();
+    assert!(cold > 0);
+    // The second read of the row touches no disk; another row does.
+    assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
+    assert_eq!(bytes_read(), cold);
+    assert_eq!(s.read_trajectory(1).unwrap(), trajs[1]);
+    assert!(bytes_read() > cold);
+}
+
+#[test]
+fn a_cold_segment_reads_through_the_handle_it_was_opened_with() {
+    let tmp = TempDir::new("one-handle");
+    let trajs = vec![traj("a", 1, 0), traj("b", 2, 100), traj("c", 3, 200)];
+    {
+        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+        store.append_segment(trajs.clone()).unwrap();
+    }
+    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    // Unlinked after open, the file lives on behind the segment's
+    // handle: no read opens it by name again.
     std::fs::remove_file(tmp.0.join(segment_file_name(0))).unwrap();
-    assert_eq!(s.read_trajectory(0).unwrap(), trajs[0]);
-    // An uncached row now fails at the filesystem.
-    assert!(s.read_trajectory(1).is_err());
+    let s = &store.segments()[0];
+    assert_eq!(s.read_trajectory(1).unwrap(), trajs[1]);
+    assert_eq!(s.trajectories().unwrap().as_slice(), trajs.as_slice());
 }
 
 #[test]
@@ -634,7 +736,7 @@ fn an_over_limit_segment_is_refused_before_any_file_is_created() {
     assert_eq!((store.sequence(), store.next_id), (sequence, next_id));
     // The victims are still live and answer.
     assert_eq!(store.segments().len(), 2);
-    assert_eq!(store.object_segments("a"), Some(&BTreeSet::from([0])));
+    assert_eq!(store.object_segments("a"), [0]);
     assert_eq!(
         store.segments()[1].trajectories().unwrap()[1].moving_object,
         "d"

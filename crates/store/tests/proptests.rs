@@ -9,8 +9,15 @@
 //!    contained in the kept bytes survives.
 //! 3. **Corruption containment** — flipping *any* single byte recovers a
 //!    prefix of the records; no record ever comes back altered.
+//!
+//! And the warehouse's flat object set against an ordered set of the
+//! same names.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+
+use sitm_codec::{put_str, put_u64};
 
 use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp,
@@ -19,9 +26,11 @@ use sitm_core::{
 use sitm_graph::{EdgeId, LayerIdx, NodeId};
 use sitm_louvre::{Device, VisitRecord, ZoneDetectionRecord};
 use sitm_space::CellRef;
-use sitm_store::codec::{decode_trajectory, decode_visit, encode_trajectory, encode_visit};
+use sitm_store::codec::{
+    decode_trajectory, decode_visit, encode_trajectory, encode_visit, CodecError,
+};
 use sitm_store::segment::{scan, write_frame, write_header, FRAME_OVERHEAD, MAGIC};
-use sitm_store::LogStore;
+use sitm_store::{LogStore, ObjectSet};
 
 /// A unique throwaway log path, removed on drop.
 struct TempLog(std::path::PathBuf);
@@ -140,6 +149,17 @@ fn visit_strategy() -> impl Strategy<Value = VisitRecord> {
                 detections,
             }
         })
+}
+
+/// `names` encoded as an ordered set of strings always was: the count,
+/// then each name behind its length, in the order given.
+fn encode_names<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u64(&mut buf, names.len() as u64);
+    for name in names {
+        put_str(&mut buf, name);
+    }
+    buf
 }
 
 /// Builds a segment buffer and the frame boundaries of each record.
@@ -263,6 +283,60 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// An object set built from runs with repeats, and the union of
+    /// 1–5 of them, hold what an ordered set of the same names holds:
+    /// the same members, ranks and lookups, and the same bytes.
+    #[test]
+    fn object_set_agrees_with_an_ordered_set(
+        runs in prop::collection::vec(prop::collection::vec("[a-cé]{0,3}", 0..12), 1..6),
+    ) {
+        let sets: Vec<ObjectSet> = runs
+            .iter()
+            .map(|run| ObjectSet::from_run(run.iter().map(String::as_str).collect()))
+            .collect();
+        let models: Vec<BTreeSet<&str>> = runs
+            .iter()
+            .map(|run| run.iter().map(String::as_str).collect())
+            .collect();
+        let union = ObjectSet::union(&sets.iter().collect::<Vec<_>>());
+        let union_model: BTreeSet<&str> = models.iter().flatten().copied().collect();
+        let probes: Vec<&str> = runs
+            .iter()
+            .flatten()
+            .map(String::as_str)
+            .chain(["", "d", "ab", "é", "zz"])
+            .collect();
+        for (set, model) in sets.iter().zip(&models).chain([(&union, &union_model)]) {
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+            for (rank, &name) in model.iter().enumerate() {
+                prop_assert_eq!(set.get(rank), Some(name));
+                prop_assert_eq!(set.rank(name), Some(rank));
+            }
+            prop_assert_eq!(set.get(model.len()), None);
+            for probe in &probes {
+                prop_assert_eq!(set.contains(probe), model.contains(probe));
+            }
+            let mut bytes = Vec::new();
+            set.encode(&mut bytes);
+            prop_assert_eq!(&bytes, &encode_names(model.iter().copied()));
+            prop_assert_eq!(ObjectSet::decode(&mut bytes.as_slice()), Ok(set.clone()));
+        }
+        // A list out of order, or naming one object twice, is refused.
+        let names: Vec<&str> = union_model.iter().copied().collect();
+        let mut refused = Vec::new();
+        if let [first, ..] = names[..] {
+            refused.push([first, first]);
+        }
+        if let [first, second, ..] = names[..] {
+            refused.push([second, first]);
+        }
+        for list in refused {
+            let bytes = encode_names(list.into_iter());
+            prop_assert_eq!(ObjectSet::decode(&mut bytes.as_slice()), Err(CodecError::Unsorted));
         }
     }
 

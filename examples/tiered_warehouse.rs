@@ -5,7 +5,8 @@
 //! Data path demonstrated: ingest → live state (queryable snapshots) →
 //! close fence → `take_finished` → `Flusher` → segment tier (zone maps,
 //! manifest commits, size-tiered compaction) → federated queries →
-//! process "restart" → recovery from the manifest.
+//! process "restart" → recovery from the manifest, with the object
+//! index merged from the segments' zone maps (nothing else is read).
 //!
 //! Run with: `cargo run --example tiered_warehouse`
 
@@ -81,9 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let point = Predicate::MovingObject(some_visitor.clone());
     let plan = db.explain(&point);
     println!(
-        "\npoint query mo={some_visitor}: {} of {} segments pruned by zone maps, {} candidates of {} rows → {} matches",
-        plan.pruned,
+        "\npoint query mo={some_visitor}: {} of {} segments pruned by the object index, {} by zone maps, {} candidates of {} rows → {} matches",
+        plan.object_pruned,
         plan.segments,
+        plan.pruned,
         plan.candidates.unwrap_or(plan.total),
         plan.total,
         db.count_matching(&point),
@@ -119,6 +121,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovered.count_matching(&point),
         recovered.iter().filter(|t| point.matches(t)).count(),
         "recovered index path equals a scan"
+    );
+    assert_eq!(
+        recovered.explain(&point),
+        plan,
+        "the object index derived at open plans as the one kept in memory"
+    );
+    assert!(
+        !dir.join("objindex.log").exists(),
+        "the object index is never written"
     );
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())

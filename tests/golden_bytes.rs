@@ -27,9 +27,7 @@ use sitm::serve::{
 };
 use sitm::space::CellRef;
 use sitm::store::warehouse::SegmentRef;
-use sitm::store::{
-    crc32, Bloom, CellRollup, ManifestRecord, ObjectIndexRecord, Record, SegmentRollup, ZoneMap,
-};
+use sitm::store::{crc32, Bloom, CellRollup, ManifestRecord, Record, SegmentRollup, ZoneMap};
 use sitm::stream::checkpoint::encode_shard;
 use sitm::stream::segmenter::SegmenterSnapshot;
 use sitm::stream::shard::{ShardSnapshot, ShardStats};
@@ -59,7 +57,6 @@ const PINS: &[(&str, usize, u32)] = &[
     ("response/traces", 114, 3_379_850_755),
     ("stream/shard_checkpoint", 479, 2_041_803_736),
     ("store/manifest_record", 9, 3_678_611_667),
-    ("store/object_index_record", 37, 2_688_309_467),
     ("store/zone_map", 118, 841_179_583),
     ("store/segment_rollup", 41, 658_813_108),
     ("store/bloom", 130, 3_914_807_143),
@@ -515,20 +512,6 @@ fn encodings() -> Vec<(&'static str, Vec<u8>)> {
                         id: 300,
                         records: 11_600,
                     },
-                ],
-            }
-            .encode_record(buf)
-        }),
-    ));
-    out.push((
-        "store/object_index_record",
-        record(&|buf| {
-            ObjectIndexRecord {
-                sequence: 42,
-                entries: vec![
-                    ("visitor-0042".into(), vec![0, 300]),
-                    ("visitor-7".into(), vec![]),
-                    ("é".into(), vec![1_000_000]),
                 ],
             }
             .encode_record(buf)
