@@ -1,12 +1,12 @@
 //! Checkpoint frames: the durable record type streaming engines persist.
 //!
-//! A checkpoint is a *logical snapshot* split across shards: each shard
-//! serializes its state into an opaque payload, and the engine appends one
-//! [`CheckpointFrame`] per shard (sharing one `sequence`) followed by a
-//! [`LogStore::sync`](crate::LogStore::sync). Recovery scans the log,
-//! keeps the highest sequence for which **all** shard frames survived
-//! (a torn tail can lose the last few frames of an in-flight checkpoint),
-//! and hands each payload back to its shard.
+//! A checkpoint is one *logical snapshot* of the engine: its state is
+//! serialized into an opaque payload, appended as a [`CheckpointFrame`]
+//! and made durable by a [`LogStore::sync`](crate::LogStore::sync). A
+//! checkpoint may span several frames sharing one `sequence` (older
+//! engines wrote one frame per hash shard); recovery scans the log and
+//! keeps the highest sequence for which **all** of its frames survived
+//! (a torn tail can lose the last frames of an in-flight checkpoint).
 //!
 //! The payload stays opaque at this layer on purpose: the store crate
 //! knows how to frame, checksum, and recover records, while the engine
@@ -18,18 +18,18 @@ use sitm_codec::{put_bytes, put_u64, take_bytes, take_u64};
 use crate::codec::CodecError;
 use crate::log::Record;
 
-/// One shard's slice of a checkpoint.
+/// One frame of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointFrame {
     /// Monotonically increasing checkpoint sequence number; all frames of
     /// one logical checkpoint share it.
     pub sequence: u64,
-    /// Which shard this payload belongs to.
+    /// This frame's index within its checkpoint.
     pub shard: u32,
-    /// Total shards participating in this checkpoint (lets recovery tell
-    /// a complete snapshot from a torn one).
+    /// Frames in this checkpoint (lets recovery tell a complete snapshot
+    /// from a torn one).
     pub shard_count: u32,
-    /// Opaque shard state, encoded by the engine.
+    /// Opaque engine state, encoded by the engine.
     pub payload: Vec<u8>,
 }
 
@@ -56,36 +56,10 @@ impl Record for CheckpointFrame {
 }
 
 /// Selects the newest *complete* checkpoint from recovered frames: the
-/// highest sequence where every shard `0..shard_count` is present exactly
-/// once with a consistent count. Returns frames ordered by shard.
+/// highest sequence where every frame `0..shard_count` is present exactly
+/// once with a consistent count. Returns frames ordered by `shard`.
 pub fn latest_complete_checkpoint(frames: &[CheckpointFrame]) -> Option<Vec<&CheckpointFrame>> {
-    let mut best: Option<Vec<&CheckpointFrame>> = None;
-    let mut sequences: Vec<u64> = frames.iter().map(|f| f.sequence).collect();
-    sequences.sort_unstable();
-    sequences.dedup();
-    for &seq in &sequences {
-        let members: Vec<&CheckpointFrame> = frames.iter().filter(|f| f.sequence == seq).collect();
-        let Some(first) = members.first() else {
-            continue;
-        };
-        let count = first.shard_count as usize;
-        if count == 0 || members.len() != count {
-            continue;
-        }
-        if members.iter().any(|f| f.shard_count != first.shard_count) {
-            continue;
-        }
-        let mut ordered: Vec<&CheckpointFrame> = members;
-        ordered.sort_by_key(|f| f.shard);
-        if ordered
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.shard as usize == i)
-        {
-            best = Some(ordered); // sequences ascend, so the last win is newest
-        }
-    }
-    best
+    complete_groups(frames).pop()
 }
 
 /// When and how much a checkpoint log compacts.
@@ -116,40 +90,43 @@ impl Default for CompactionPolicy {
 
 /// Groups recovered frames into complete checkpoints and returns the
 /// newest `keep` of them, oldest first, each with its frames ordered by
-/// shard. Incomplete (torn) sequences are skipped, exactly as
+/// `shard`. Incomplete (torn) sequences are skipped, exactly as
 /// [`latest_complete_checkpoint`] skips them.
 pub fn complete_checkpoint_groups(
     frames: &[CheckpointFrame],
     keep: usize,
 ) -> Vec<Vec<CheckpointFrame>> {
+    let mut groups = complete_groups(frames);
+    let excess = groups.len().saturating_sub(keep.max(1));
+    groups
+        .drain(excess..)
+        .map(|group| group.into_iter().cloned().collect())
+        .collect()
+}
+
+/// Every complete checkpoint in `frames`, by ascending sequence, each
+/// with its frames ordered by `shard`: a sequence qualifies when its
+/// frames agree on a non-zero `shard_count` and hold each index below
+/// it exactly once.
+fn complete_groups(frames: &[CheckpointFrame]) -> Vec<Vec<&CheckpointFrame>> {
     let mut sequences: Vec<u64> = frames.iter().map(|f| f.sequence).collect();
     sequences.sort_unstable();
     sequences.dedup();
-    let mut groups: Vec<Vec<CheckpointFrame>> = Vec::new();
-    for &seq in &sequences {
-        let members: Vec<&CheckpointFrame> = frames.iter().filter(|f| f.sequence == seq).collect();
-        let Some(first) = members.first() else {
-            continue;
-        };
-        let count = first.shard_count as usize;
-        if count == 0 || members.len() != count {
-            continue;
-        }
-        if members.iter().any(|f| f.shard_count != first.shard_count) {
-            continue;
-        }
-        let mut ordered = members;
-        ordered.sort_by_key(|f| f.shard);
-        if ordered
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.shard as usize == i)
-        {
-            groups.push(ordered.into_iter().cloned().collect());
-        }
-    }
-    let excess = groups.len().saturating_sub(keep.max(1));
-    groups.split_off(excess)
+    sequences
+        .into_iter()
+        .filter_map(|seq| {
+            let mut members: Vec<&CheckpointFrame> =
+                frames.iter().filter(|f| f.sequence == seq).collect();
+            members.sort_by_key(|f| f.shard);
+            let count = members[0].shard_count;
+            let complete = members.len() == count as usize
+                && members
+                    .iter()
+                    .enumerate()
+                    .all(|(i, f)| f.shard_count == count && f.shard as usize == i);
+            complete.then_some(members)
+        })
+        .collect()
 }
 
 #[cfg(test)]

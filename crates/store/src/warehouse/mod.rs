@@ -675,6 +675,28 @@ impl SegmentStore {
         self.commit_manifest()
     }
 
+    /// Cuts a spill into batches [`SegmentStore::append_segment`]
+    /// accepts. A batch within the row limit comes back whole and as it
+    /// was; a larger one is put in canonical run order ([`sort_run`])
+    /// and cut every row-limit rows, so each segment covers its own
+    /// stretch of the run.
+    pub fn split_at_row_limit(
+        &self,
+        mut trajectories: Vec<SemanticTrajectory>,
+    ) -> Vec<Vec<SemanticTrajectory>> {
+        if trajectories.len() <= self.row_limit {
+            return vec![trajectories];
+        }
+        sort_run(&mut trajectories);
+        let mut batches = Vec::new();
+        while trajectories.len() > self.row_limit {
+            let rest = trajectories.split_off(self.row_limit);
+            batches.push(std::mem::replace(&mut trajectories, rest));
+        }
+        batches.push(trajectories);
+        batches
+    }
+
     /// Replaces the segments named in `victims` with one merged segment
     /// holding their union as a single run (`Segment::merge`: stored
     /// payloads copied, decoded rows moved, nothing re-encoded). The

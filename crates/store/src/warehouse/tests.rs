@@ -753,3 +753,36 @@ fn an_over_limit_segment_is_refused_before_any_file_is_created() {
     assert_eq!(store.compact_size_tiered().unwrap(), 1);
     assert_eq!(store.len(), 4);
 }
+
+#[test]
+fn a_spill_over_the_row_limit_is_cut_into_segments_that_fit() {
+    let tmp = TempDir::new("split");
+    let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
+    store.row_limit = 3;
+    // Newest first, so the cut has to sort before it splits.
+    let spill: Vec<SemanticTrajectory> = (0..10)
+        .rev()
+        .map(|i| traj(&format!("m{i}"), 1, i * 100))
+        .collect();
+    let within = store.split_at_row_limit(spill[..3].to_vec());
+    assert_eq!(
+        within,
+        [spill[..3].to_vec()],
+        "within the limit: whole, as given"
+    );
+    let batches = store.split_at_row_limit(spill);
+    let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+    assert_eq!(sizes, [3, 3, 3, 1]);
+    for batch in batches {
+        store.append_segment(batch).unwrap();
+    }
+    assert_eq!(store.segments().len(), 4);
+    assert_eq!(store.len(), 10);
+    // Each segment holds its own stretch of the run, oldest first.
+    let first: Vec<String> = store
+        .segments()
+        .iter()
+        .map(|s| s.read_trajectory(0).unwrap().moving_object)
+        .collect();
+    assert_eq!(first, ["m0", "m3", "m6", "m9"]);
+}

@@ -1,12 +1,18 @@
 //! Checkpoint encoding and crash recovery.
 //!
-//! Per-shard engine state serializes into the opaque payload of a
+//! The engine's state serializes into the opaque payload of one
 //! [`sitm_store::CheckpointFrame`] using the [`sitm_codec`] primitives
 //! and the store's annotation / presence / episode codecs, and rides the
 //! CRC-framed [`LogStore`] for durability: a torn write mid-checkpoint is
 //! detected by the store's scanner (truncated tail) or by
-//! [`sitm_store::latest_complete_checkpoint`] (missing shard frames), and
-//! recovery falls back to the previous complete snapshot.
+//! [`sitm_store::latest_complete_checkpoint`] (missing frames), and
+//! recovery falls back to the previous complete snapshot. The payload
+//! is a function of the ingested feed alone — not of the worker count,
+//! the router batch, or which worker applied which visit.
+//!
+//! Logs written by older engines split a checkpoint into one frame per
+//! hash shard; restore merges the frames of such a checkpoint, so it
+//! restores into any worker count.
 //!
 //! Predicates are **not** serialized — they are code. Restore re-supplies
 //! the same [`EngineConfig`]; the payload records the predicate count so
@@ -91,9 +97,9 @@ fn take_opt_i64(buf: &mut &[u8]) -> Result<Option<i64>, CheckpointError> {
     })
 }
 
-// --- shard payload ---------------------------------------------------------
+// --- payload ---------------------------------------------------------------
 
-/// Serializes one shard snapshot (with the predicate-table arity, for
+/// Serializes one engine snapshot (with the predicate-table arity, for
 /// restore-time validation).
 pub fn encode_shard(snapshot: &ShardSnapshot, predicate_count: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
@@ -131,7 +137,7 @@ pub fn encode_shard(snapshot: &ShardSnapshot, predicate_count: usize) -> Vec<u8>
     buf
 }
 
-/// Deserializes one shard snapshot; returns the predicate count the
+/// Deserializes one engine snapshot; returns the predicate count the
 /// checkpoint was taken under.
 pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), CheckpointError> {
     let mut buf = payload;
@@ -290,7 +296,9 @@ fn encode_stats(buf: &mut Vec<u8>, s: &ShardStats) {
         s.visits_opened,
         s.visits_closed,
         s.episodes,
-        s.batches_flushed,
+        // Reserved: older engines counted worker pick-ups
+        // (`batches_flushed`) here. Written as 0, ignored on read.
+        0,
         s.anomalies.out_of_order,
         s.anomalies.mixed_layer,
         s.anomalies.instantaneous_dropped,
@@ -312,47 +320,49 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
         visits_opened: take()?,
         visits_closed: take()?,
         episodes: take()?,
-        batches_flushed: take()?,
-        anomalies: Anomalies {
-            out_of_order: take()?,
-            mixed_layer: take()?,
-            instantaneous_dropped: take()?,
-            implicit_opens: take()?,
-            after_close: take()?,
-            not_proper: take()?,
-            duplicate_opens: take()?,
+        anomalies: {
+            take()?; // the reserved slot
+            Anomalies {
+                out_of_order: take()?,
+                mixed_layer: take()?,
+                instantaneous_dropped: take()?,
+                implicit_opens: take()?,
+                after_close: take()?,
+                not_proper: take()?,
+                duplicate_opens: take()?,
+            }
         },
     })
 }
 
-/// Decodes and validates one complete checkpoint against `config` —
-/// shard count, predicate arity, retention reconciliation. Returns the
-/// shard snapshots in shard order plus the checkpoint's sequence.
+/// Decodes one complete checkpoint and validates it against `config` —
+/// predicate arity, retention reconciliation. The frames of a
+/// checkpoint an older engine split by hash shard are merged: visits,
+/// fences, pending episodes and the finished backlog concatenated,
+/// counters summed, the watermark their maximum. Returns the snapshot
+/// plus the checkpoint's sequence.
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
     frames: &[&CheckpointFrame],
-) -> Result<(Vec<ShardSnapshot>, u64), EngineError> {
-    if frames.len() != config.shards {
-        return Err(EngineError::ShardCountMismatch {
-            configured: config.shards,
-            recorded: frames.len(),
-        });
-    }
-    let mut snapshots = Vec::with_capacity(frames.len());
-    let mut sequence = 0;
+) -> Result<(ShardSnapshot, u64), EngineError> {
+    let mut merged = ShardSnapshot::default();
     for frame in frames {
-        sequence = frame.sequence;
-        let (mut snapshot, predicate_count) = decode_shard(&frame.payload)?;
+        let (part, predicate_count) = decode_shard(&frame.payload)?;
         if predicate_count != config.predicates.len() {
             return Err(EngineError::PredicateCountMismatch {
                 configured: config.predicates.len(),
                 recorded: predicate_count,
             });
         }
-        crate::engine::reconcile_retention(&mut snapshot, config);
-        snapshots.push(snapshot);
+        merged.watermark = merged.watermark.max(part.watermark);
+        merged.visits.extend(part.visits);
+        merged.closed.extend(part.closed);
+        merged.pending.extend(part.pending);
+        merged.finished.extend(part.finished);
+        merged.stats.absorb(&part.stats);
     }
-    Ok((snapshots, sequence))
+    crate::engine::reconcile_retention(&mut merged, config);
+    Ok((merged, frames.first().map_or(0, |f| f.sequence)))
 }
 
 /// Appends one checkpoint's frames and fsyncs — the non-compacting
@@ -596,20 +606,36 @@ mod tests {
         ));
     }
 
+    /// A checkpoint does not depend on the worker count, so a 2-worker
+    /// log restores into 3 workers and finishes as if never stopped.
     #[test]
-    fn shard_mismatch_is_rejected() {
+    fn a_two_worker_log_restores_into_three_workers() {
+        let events: Vec<StreamEvent> = (0..6)
+            .flat_map(|v| [presence(v, 1, v as i64), presence(v, 0, 20 + v as i64)])
+            .collect();
+        let mut uninterrupted = ParallelEngine::new(config()).unwrap();
+        uninterrupted.ingest_all(events.iter().cloned());
+        let expected = uninterrupted.finish();
+
         let mut engine = ParallelEngine::new(config()).unwrap();
-        engine.ingest(presence(3, 1, 0));
-        let tmp = TempPath::new("shards");
+        engine.ingest_all(events[..7].iter().cloned());
+        let mut delivered = engine.drain();
+        let tmp = TempPath::new("workers");
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         engine.checkpoint(&mut log).unwrap();
         drop(log);
-        let wrong = EngineConfig::new(vec![(IntervalPredicate::in_cells([cell(1)]), label("one"))])
-            .with_shards(3);
-        assert!(matches!(
-            resume_from_log(wrong, &tmp.0),
-            Err(EngineError::ShardCountMismatch { .. })
-        ));
+        let frame = engine.checkpoint_frames().remove(0);
+        drop(engine);
+
+        let (mut restored, _log, report) =
+            resume_from_log(config().with_shards(3), &tmp.0).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(restored.workers(), 3);
+        assert_eq!(restored.checkpoint_frames()[0].payload, frame.payload);
+        restored.ingest_all(events[7..].iter().cloned());
+        delivered.extend(restored.finish());
+        delivered.sort_by_key(|e| e.sort_key());
+        assert_eq!(delivered, expected);
     }
 
     #[test]
@@ -620,24 +646,15 @@ mod tests {
             engine.ingest(presence(1, 1, 0));
             let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
             assert_eq!(engine.checkpoint(&mut log).unwrap(), 1);
-            // Crash mid-checkpoint 2: only shard 0's frame became durable.
+            // Crash mid-checkpoint 2, written in the two-frame layout of
+            // older engines: only its first frame became durable.
             engine.ingest(presence(1, 0, 20));
             engine.flush();
             log.append(&CheckpointFrame {
                 sequence: 2,
                 shard: 0,
                 shard_count: 2,
-                payload: encode_shard(
-                    &ShardSnapshot {
-                        watermark: None,
-                        visits: Vec::new(),
-                        closed: Vec::new(),
-                        pending: Vec::new(),
-                        finished: Vec::new(),
-                        stats: ShardStats::default(),
-                    },
-                    1,
-                ),
+                payload: encode_shard(&ShardSnapshot::default(), 1),
             })
             .unwrap();
             log.sync().unwrap();
@@ -674,11 +691,8 @@ mod tests {
         // Corrupt a valid payload by truncating it anywhere: never panics.
         let snapshot = ShardSnapshot {
             watermark: Some(Timestamp(5)),
-            visits: Vec::new(),
             closed: vec![(1, Timestamp(3)), (2, Timestamp(4))],
-            pending: Vec::new(),
-            finished: Vec::new(),
-            stats: ShardStats::default(),
+            ..ShardSnapshot::default()
         };
         let payload = encode_shard(&snapshot, 1);
         for cut in 0..payload.len() {

@@ -1,10 +1,10 @@
 //! The engine's configuration, errors and aggregate counters, and the
-//! hash partition of the visit space.
+//! hash that gives each visit its first worker.
 //!
-//! A visit's lifetime is confined to one hash shard and its events are
-//! applied in arrival order, so the shard count is invisible in the
-//! output: episodes are identical for 1, 2, or 8 shards (property-tested
-//! in `tests/equivalence.rs`), and [`crate::ParallelEngine::drain`]
+//! A visit's events are applied in arrival order, one slice at a time,
+//! so the worker count is invisible in the output: episodes are
+//! identical for 1, 2, or 8 workers (property-tested in
+//! `tests/equivalence.rs`), and [`crate::ParallelEngine::drain`]
 //! returns them in one deterministic global order.
 
 use sitm_core::{AnnotationSet, Duration, IntervalPredicate};
@@ -21,15 +21,8 @@ pub use crate::visit::Anomalies;
 /// Engine construction and restore failures.
 #[derive(Debug)]
 pub enum EngineError {
-    /// At least one shard is required.
+    /// At least one worker thread is required.
     ZeroShards,
-    /// Restoring from frames recorded with a different shard count.
-    ShardCountMismatch {
-        /// Shards in the configuration.
-        configured: usize,
-        /// Shards recorded in the checkpoint.
-        recorded: usize,
-    },
     /// Restoring from frames recorded with a different predicate table.
     PredicateCountMismatch {
         /// Predicates in the configuration.
@@ -46,14 +39,7 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::ZeroShards => write!(f, "engine needs at least one shard"),
-            EngineError::ShardCountMismatch {
-                configured,
-                recorded,
-            } => write!(
-                f,
-                "checkpoint has {recorded} shard(s), configuration has {configured}"
-            ),
+            EngineError::ZeroShards => write!(f, "engine needs at least one worker thread"),
             EngineError::PredicateCountMismatch {
                 configured,
                 recorded,
@@ -88,8 +74,7 @@ pub struct EngineConfig {
     /// The episode detectors: `(P_ep, A'_traj)` pairs applied to every
     /// visit (Def. 3.4).
     pub predicates: Vec<(IntervalPredicate, AnnotationSet)>,
-    /// Worker threads, and the hash partitions that watermarks, fence
-    /// caps and checkpoint frames are kept per.
+    /// Worker threads.
     pub shards: usize,
     /// Router batch: events the caller's thread buffers before handing
     /// them to the scheduler in one lock acquisition.
@@ -103,8 +88,8 @@ pub struct EngineConfig {
     /// implicitly — a pure function of the visit's own history, so the
     /// decision cannot depend on batching or worker scheduling.
     pub allowed_lateness: Duration,
-    /// Per-shard cap on remembered close fences — a memory-protection
-    /// valve, not a semantic knob. Past it, fences with the smallest
+    /// Cap on the close fences the engine remembers — a
+    /// memory-protection valve, not a semantic knob. Past it, fences with the smallest
     /// close instants are evicted; stragglers for an evicted visit
     /// re-open implicitly, the same outcome an expired fence produces.
     /// Below the cap, fencing is event-time deterministic. Above it, a
@@ -138,7 +123,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A config with the given predicates and defaults for the rest
-    /// (8 shards, 128-event batches, no filtering).
+    /// (8 worker threads, 128-event batches, no filtering).
     pub fn new(predicates: Vec<(IntervalPredicate, AnnotationSet)>) -> Self {
         EngineConfig {
             predicates,
@@ -146,7 +131,7 @@ impl EngineConfig {
             batch_capacity: 128,
             drop_instantaneous: false,
             allowed_lateness: Duration::hours(24),
-            fence_capacity: 65_536,
+            fence_capacity: 131_072,
             retain_intervals: false,
             retain_finished: false,
             channel_depth: 64,
@@ -165,7 +150,7 @@ impl EngineConfig {
         }
     }
 
-    /// Overrides the shard count.
+    /// Overrides the worker-thread count.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -193,7 +178,7 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the per-shard cap on remembered close fences.
+    /// Overrides the cap on remembered close fences.
     #[must_use]
     pub fn with_fence_capacity(mut self, capacity: usize) -> Self {
         self.fence_capacity = capacity;
@@ -238,7 +223,7 @@ impl EngineConfig {
 /// Aggregated engine counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Events applied across shards.
+    /// Events applied.
     pub events: u64,
     /// Presence intervals accepted.
     pub presences: u64,
@@ -250,8 +235,6 @@ pub struct EngineStats {
     pub visits_closed: u64,
     /// Episodes finalized.
     pub episodes: u64,
-    /// Application slices: a worker applying one visit's queued events.
-    pub batches_flushed: u64,
     /// Visits currently resident.
     pub open_visits: u64,
     /// Rejected/adapted events.
@@ -267,7 +250,6 @@ impl EngineStats {
         self.visits_opened += shard.visits_opened;
         self.visits_closed += shard.visits_closed;
         self.episodes += shard.episodes;
-        self.batches_flushed += shard.batches_flushed;
         self.anomalies.absorb(&shard.anomalies);
         self.open_visits += open_visits;
     }
@@ -296,7 +278,7 @@ pub(crate) fn reconcile_retention(
 }
 
 /// FNV-1a over the visit key: stable across runs and platforms, so a
-/// given visit always lands on the same shard. The hash is the shared
+/// given visit always starts on the same worker. The hash is the shared
 /// [`sitm_store::fnv1a`] — the same function the warehouse Bloom
 /// filters probe with — so the routing constants cannot drift from the
 /// rest of the stack.
@@ -360,7 +342,7 @@ mod tests {
         events
     }
 
-    /// 1, 2 and 8 shards — the last more shards than the feed has
+    /// 1, 2 and 8 workers — the last more workers than the feed has
     /// visits — emit the same episodes.
     #[test]
     fn shard_count_does_not_change_output() {
@@ -411,22 +393,18 @@ mod tests {
         assert_eq!(engine.stats().open_visits, 0);
     }
 
-    /// 6 visits over 8 shards: the shards that never see an event do
-    /// not hold the watermark back — it is the minimum over the
-    /// populated shards' high-water marks.
+    /// 6 visits over 8 workers: the watermark is the feed's highest
+    /// applied event time, whichever workers applied it, and idle
+    /// workers do not hold it back.
     #[test]
     fn watermark_ignores_shards_with_no_events() {
         let mut engine = ParallelEngine::new(config(8)).unwrap();
         assert_eq!(engine.watermark(), None, "nothing ingested yet");
         let events = feed();
-        let mut high_water = [None; 8];
-        for event in &events {
-            let slot = &mut high_water[shard_of(event.visit(), 8)];
-            *slot = (*slot).max(Some(event.time()));
-        }
-        assert!(high_water.contains(&None), "some shard stays empty");
+        let high_water = events.iter().map(StreamEvent::time).max();
         engine.ingest_all(events);
-        assert_eq!(engine.watermark(), high_water.into_iter().flatten().min());
+        assert_eq!(engine.watermark(), high_water);
+        assert_eq!(engine.watermark(), Some(Timestamp(300)));
     }
 
     /// Both ways to build an engine refuse zero shards — a restore

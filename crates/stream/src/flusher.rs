@@ -123,21 +123,36 @@ impl Flusher {
         self.spill()
     }
 
+    /// Spills the carry as segments that each fit the store's row limit.
+    /// When one fails, the batches never attempted go back to the carry
+    /// (the failed one may already be durable, so it does not).
     fn spill(&mut self) -> Result<usize, WarehouseError> {
         if self.carry.is_empty() {
             self.backlog_gauge.set(0);
             return Ok(0);
         }
-        let batch = std::mem::take(&mut self.carry);
+        let mut batches = self
+            .db
+            .store()
+            .split_at_row_limit(std::mem::take(&mut self.carry))
+            .into_iter();
         self.backlog_gauge.set(0);
-        let n = batch.len();
         let start = Instant::now();
-        self.db.flush(batch)?;
+        let mut spilled = 0;
+        while let Some(batch) = batches.next() {
+            let n = batch.len();
+            if let Err(e) = self.db.flush(batch) {
+                self.carry = batches.flatten().collect();
+                self.backlog_gauge.set(self.carry.len() as i64);
+                return Err(e);
+            }
+            spilled += n;
+            self.trajectories.add(n as u64);
+        }
         self.duration_ns
             .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         self.spills.inc();
-        self.trajectories.add(n as u64);
-        Ok(n)
+        Ok(spilled)
     }
 
     /// Finished visits taken from the engine but not yet spilled.

@@ -16,11 +16,11 @@
 //! * [`segmenter`] — [`IncrementalSegmenter`]: predicate-driven episode
 //!   detection over one visit, emitting each [`sitm_core::Episode`] the
 //!   moment its maximal run closes;
-//! * [`shard`] — the vocabulary of a hash shard: the per-visit apply
-//!   context, emitted episodes, counters, and the serializable per-shard
-//!   state a checkpoint frame carries;
+//! * [`shard`] — the engine's vocabulary: the per-visit apply context,
+//!   emitted episodes, counters, and the serializable engine state a
+//!   checkpoint frame carries;
 //! * [`engine`] — [`EngineConfig`], [`EngineError`], [`EngineStats`]
-//!   and the hash partition of the visit space;
+//!   and the hash that gives each visit its first worker;
 //! * [`parallel`] — [`ParallelEngine`], the engine: N worker threads
 //!   over a work-stealing scheduler of visits (per-worker deques,
 //!   visit-affinity pinning, steal-on-idle of whole cold visits) behind
@@ -33,9 +33,10 @@
 //!   candidate narrowing with a full re-check, exactly like the
 //!   warehouse — and federated across engines and warehouses via
 //!   `sitm_query::TrajectorySource`;
-//! * [`checkpoint`] — crash recovery: shard state serialized through
-//!   `sitm-store`'s CRC-framed [`sitm_store::LogStore`] as
-//!   [`sitm_store::CheckpointFrame`]s, restored without duplicating or
+//! * [`checkpoint`] — crash recovery: engine state serialized through
+//!   `sitm-store`'s CRC-framed [`sitm_store::LogStore`] as one
+//!   [`sitm_store::CheckpointFrame`] per checkpoint, a function of the
+//!   feed alone, restored into any worker count without duplicating or
 //!   dropping episodes; [`Checkpointer`] keeps the log bounded by
 //!   compacting per a [`sitm_store::CompactionPolicy`];
 //! * [`flusher`] — [`Flusher`]: the live → warehouse spill pipeline —
@@ -69,8 +70,10 @@
 //! reorder or re-judge any visit's history. The differential property
 //! tests in `tests/parallel_equivalence.rs` pin streamed == batch
 //! `maximal_episodes` and N workers == 1 worker for 1/2/4/8 workers,
-//! under shuffled event interleavings, under single-hot-shard skew, and
-//! across crash/checkpoint/restore.
+//! under shuffled event interleavings, under single-hot-visit skew, and
+//! across crash/checkpoint/restore. Nothing is kept per partition: the
+//! watermark, the fence cap and the checkpoint belong to the whole
+//! engine, so a checkpoint's bytes depend on the feed alone.
 //!
 //! ## Snapshot consistency
 //!
@@ -85,7 +88,7 @@
 //!
 //! The engine and the batch extractor share `sitm_core::RunBuilder`, and
 //! the property tests in `tests/equivalence.rs` replay whole generated
-//! Louvre days through 1, 2, and 8 shards, asserting the streamed episode
+//! Louvre days through 1, 2, and 8 workers, asserting the streamed episode
 //! sets equal the batch ones visit-for-visit — including across a
 //! checkpoint/restore crash in the middle of the stream.
 

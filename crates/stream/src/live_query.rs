@@ -91,7 +91,7 @@ pub struct LiveSnapshot {
     /// sits behind its own `Arc` so consecutive cuts share the visits
     /// that did not change between them.
     pub visits: Vec<Arc<LiveVisit>>,
-    /// The engine watermark at the cut (minimum across populated shards).
+    /// The engine watermark at the cut: the highest event time applied.
     pub watermark: Option<Timestamp>,
     /// Open visits without a queryable prefix (retention off, no
     /// interval accepted yet, or an empty annotation set).

@@ -1,15 +1,14 @@
-//! The shared vocabulary of a hash shard: the apply context every
-//! visit is judged under, the episodes and counters application
-//! produces, and the serializable per-shard state a checkpoint frame
-//! carries.
+//! The engine's shared vocabulary: the apply context every visit is
+//! judged under, the episodes and counters application produces, and
+//! the serializable engine state a checkpoint frame carries.
 //!
-//! Shards are independent — a visit's whole lifetime lands on one shard,
-//! so no cross-shard coordination is needed and shard count cannot change
-//! results (the equivalence property tests pin this down for 1/2/8
-//! shards). The rules an event is judged by — the late-event fence,
-//! implicit opens, episode provenance — are applied by the engine's
-//! one per-visit function (see [`crate::parallel`]); the tests below pin
-//! them through [`crate::ParallelEngine`].
+//! A visit's episodes depend on that visit's history alone, so the
+//! worker count cannot change results (the equivalence property tests
+//! pin this down for 1/2/8 workers). The rules an event is judged by —
+//! the late-event fence, implicit opens, episode provenance — are
+//! applied by the engine's one per-visit function (see
+//! [`crate::parallel`]); the tests below pin them through
+//! [`crate::ParallelEngine`].
 
 use sitm_core::{AnnotationSet, Duration, Episode, IntervalPredicate, Timestamp};
 
@@ -56,7 +55,7 @@ pub struct EmittedEpisode {
 
 impl EmittedEpisode {
     /// Global deterministic ordering: by episode time, then visit, then
-    /// predicate, then range. Independent of shard count and drain timing.
+    /// predicate, then range. Independent of worker count and drain timing.
     pub fn sort_key(&self) -> (Timestamp, Timestamp, u64, usize, usize) {
         (
             self.episode.time.start,
@@ -68,7 +67,7 @@ impl EmittedEpisode {
     }
 }
 
-/// Per-shard counters.
+/// Application counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Events applied.
@@ -83,8 +82,6 @@ pub struct ShardStats {
     pub visits_closed: u64,
     /// Episodes finalized.
     pub episodes: u64,
-    /// Application slices: a worker applying one visit's queued events.
-    pub batches_flushed: u64,
     /// Rejected/adapted events.
     pub anomalies: Anomalies,
 }
@@ -99,13 +96,12 @@ impl ShardStats {
         self.visits_opened += other.visits_opened;
         self.visits_closed += other.visits_closed;
         self.episodes += other.episodes;
-        self.batches_flushed += other.batches_flushed;
         self.anomalies.absorb(&other.anomalies);
     }
 }
 
-/// Serializable shard state: one checkpoint frame's payload.
-#[derive(Debug, Clone, PartialEq)]
+/// Serializable engine state: one checkpoint frame's payload.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardSnapshot {
     /// High-water mark of applied event times.
     pub watermark: Option<Timestamp>,
@@ -221,11 +217,11 @@ mod tests {
         assert_eq!(pending[0].moving_object, "implicit-9");
     }
 
-    /// An engine restored from frames `F` re-emits `F` byte for byte,
+    /// An engine restored from frame `F` re-emits `F` byte for byte,
     /// only the sequence advanced: restore keeps every part of a frame
     /// — open visits (mid-fix, mid-run, retained prefix), fences,
-    /// undrained episodes, the finished backlog, counters, per-shard
-    /// watermarks.
+    /// undrained episodes, the finished backlog, counters, the
+    /// watermark.
     #[test]
     fn snapshot_restore_preserves_everything() {
         let config = || config(Duration::hours(1)).with_shards(3).with_warehouse();
@@ -248,6 +244,7 @@ mod tests {
         let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest_all(events);
         let frames = engine.checkpoint_frames();
+        assert_eq!(frames.len(), 1, "one frame, whatever the worker count");
         let parts: Vec<ShardSnapshot> = frames
             .iter()
             .map(|f| crate::checkpoint::decode_shard(&f.payload).unwrap().0)

@@ -148,8 +148,8 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
     );
 
     // Torture: tear the final frame at every byte offset. The newest
-    // checkpoint (sequence CYCLES) loses its last shard frame, so
-    // recovery must land on sequence CYCLES-1 — never panic, never
+    // checkpoint (sequence CYCLES) loses its frame, so recovery must
+    // land on sequence CYCLES-1 — never panic, never
     // resurrect anything older, never half-apply the torn one.
     let data = std::fs::read(&compacted.0).expect("read log");
     let tail_start = final_frame_start(&data);
@@ -177,8 +177,9 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
 #[test]
 fn torn_compaction_sequence_is_never_reused() {
     // After recovering from a torn newest checkpoint, the next commit
-    // must burn a fresh sequence (PR 1's guard), and compaction must not
-    // break that: recovery after the new commit sees the new state.
+    // must take a sequence above every durable frame, and compaction
+    // must not break that: recovery after the new commit sees the new
+    // state.
     let events = feed(12);
     let log = TempLog::new("seq");
     let mid = events.len() / 2;
@@ -200,7 +201,11 @@ fn torn_compaction_sequence_is_never_reused() {
     let before = engine.stats();
     engine.ingest_all(events[mid..].iter().cloned());
     let seq = engine.checkpoint_into(&mut ckpt).expect("commit 3");
-    assert_eq!(seq, 3, "torn sequence 2 is burned, not reused");
+    // A checkpoint is one frame: tearing it left no frame of sequence
+    // 2 behind, so 2 is free again. (A torn checkpoint of several
+    // frames, as older engines wrote, burns its sequence: see
+    // `torn_higher_sequence_is_never_reused` in the checkpoint module.)
+    assert_eq!(seq, 2, "the next sequence above every durable frame");
     drop((engine, ckpt));
 
     let (mut restored, _, _) =
@@ -224,10 +229,10 @@ fn deferred_compaction_appends_then_rewrites() {
         engine.checkpoint_into(&mut ckpt).expect("commit");
         frame_counts.push(ckpt.log().len());
     }
-    // Two shards per checkpoint: commits 1 and 2 append (2, then 4
-    // frames), commit 3 compacts back to `keep = 2` checkpoints (4
+    // One frame per checkpoint: commits 1 and 2 append (1, then 2
+    // frames), commit 3 compacts back to `keep = 2` checkpoints (2
     // frames), and the pattern repeats.
-    assert_eq!(frame_counts, vec![2, 4, 4, 6, 8, 4]);
+    assert_eq!(frame_counts, vec![1, 2, 2, 3, 4, 2]);
     // Recovery still lands on the newest checkpoint.
     drop((engine, ckpt));
     let (mut restored, _, report) = resume_compacting(config(), &log.0, policy).expect("resume");

@@ -10,9 +10,9 @@
 //! break per-visit causality and trigger the anomaly paths — have no
 //! batch twin, so there N workers must equal the one-worker engine
 //! (every visit applied on one thread): the same drains, the same
-//! anomaly and event counters, and a watermark equal to the one
-//! computed from the feed. A crash/checkpoint/restore mid-stream must
-//! lose and duplicate nothing.
+//! anomaly and event counters, and the same watermark — the feed's
+//! highest event time. A crash/checkpoint/restore mid-stream must lose
+//! and duplicate nothing.
 
 use std::collections::BTreeMap;
 
@@ -132,17 +132,10 @@ fn batch_reference(
     reference
 }
 
-/// What `watermark()` must report after `events` on `shards` hash
-/// shards: the smallest high-water mark among the shards an event was
-/// routed to (the engine routes by FNV-1a of the visit key).
-fn expected_watermark(events: &[StreamEvent], shards: usize) -> Option<Timestamp> {
-    let mut high_water = vec![None; shards];
-    for event in events {
-        let shard = sitm_store::fnv1a(&event.visit().0.to_le_bytes()) % shards as u64;
-        let slot = &mut high_water[shard as usize];
-        *slot = (*slot).max(Some(event.time()));
-    }
-    high_water.into_iter().flatten().min()
+/// What `watermark()` must report after `events`, whatever the worker
+/// count: the highest event time applied.
+fn expected_watermark(events: &[StreamEvent]) -> Option<Timestamp> {
+    events.iter().map(StreamEvent::time).max()
 }
 
 /// Seeded Fisher–Yates.
@@ -248,7 +241,9 @@ proptest! {
         prop_assert_eq!(s.visits_opened, p.visits_opened);
         prop_assert_eq!(s.visits_closed, p.visits_closed);
         prop_assert_eq!(s.episodes, p.episodes);
-        prop_assert_eq!(parallel.watermark(), expected_watermark(&events, workers));
+        let watermark = parallel.watermark();
+        prop_assert_eq!(watermark, sequential.watermark());
+        prop_assert_eq!(watermark, expected_watermark(&events));
     }
 
     /// Crash/checkpoint/restore mid-stream loses and duplicates nothing.
@@ -366,9 +361,8 @@ fn hot_shard_feed() -> Vec<StreamEvent> {
 
 /// The acceptance differential for the work-stealing router: under
 /// single-hot-shard skew, every worker count produces byte-identical
-/// episodes and stats to the one-worker engine, and the watermark its
-/// hash shards imply — while cold visits are free to be stolen by idle
-/// workers.
+/// episodes, stats and watermark to the one-worker engine — while cold
+/// visits are free to be stolen by idle workers.
 #[test]
 fn single_hot_shard_skew_is_byte_identical_for_all_worker_counts() {
     let model = build_louvre();
@@ -398,6 +392,7 @@ fn single_hot_shard_skew_is_byte_identical_for_all_worker_counts() {
         assert_eq!(s.events, p.events, "{workers} workers");
         assert_eq!(s.episodes, p.episodes, "{workers} workers");
         assert_eq!(s.anomalies, p.anomalies, "{workers} workers");
-        assert_eq!(parallel.watermark(), expected_watermark(&events, workers));
+        assert_eq!(parallel.watermark(), sequential.watermark());
+        assert_eq!(parallel.watermark(), expected_watermark(&events));
     }
 }

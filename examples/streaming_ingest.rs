@@ -1,7 +1,11 @@
 //! Streaming ingestion walkthrough: replay a calibrated Louvre day as a
 //! live event feed, push it through the work-stealing online engine, and watch
 //! per-wing occupancy plus batch-identical episodes fall out the other
-//! side — with a crash and checkpoint-recovery in the middle.
+//! side — with a crash and checkpoint-recovery in the middle. The
+//! 8-worker checkpoint is recovered into a 2-worker engine (a
+//! checkpoint does not depend on the worker count), and the example
+//! asserts the recovered day delivers exactly the episodes of an
+//! uninterrupted run.
 //!
 //! Run with: `cargo run --example streaming_ingest`
 
@@ -68,8 +72,8 @@ fn main() {
     );
 
     // ---- 2. Online engine + live occupancy. -------------------------------
-    let config = || EngineConfig::new(predicates(&model)).with_shards(8);
-    let mut engine = ParallelEngine::new(config()).expect("engine");
+    let config = |workers| EngineConfig::new(predicates(&model)).with_shards(workers);
+    let mut engine = ParallelEngine::new(config(8)).expect("engine");
     let mut occupancy = OccupancyTracker::new();
 
     // Map each zone cell to its wing for the live dashboard.
@@ -110,10 +114,13 @@ fn main() {
         .collect();
     println!("{}", bar_chart(&entries, 40));
 
-    // ---- 3. Recover from the checkpoint and finish the day. --------------
-    let (mut engine, _log, report) = resume_from_log(config(), &ckpt_path).expect("recover engine");
+    // ---- 3. Recover on fewer workers and finish the day. -----------------
+    let (mut engine, _log, report) =
+        resume_from_log(config(2), &ckpt_path).expect("recover engine");
+    assert!(report.is_clean(), "the checkpoint log recovers cleanly");
     println!(
-        "recovered from checkpoint (clean: {}, open visits: {})\n",
+        "recovered the 8-worker checkpoint into {} workers (clean: {}, open visits: {})\n",
+        engine.workers(),
         report.is_clean(),
         engine.stats().open_visits
     );
@@ -122,6 +129,15 @@ fn main() {
         engine.ingest(event.clone());
     }
     delivered.extend(engine.finish());
+    delivered.sort_by_key(|e| e.sort_key());
+
+    let mut uninterrupted = ParallelEngine::new(config(8)).expect("engine");
+    uninterrupted.ingest_all(events.iter().cloned());
+    assert_eq!(
+        delivered,
+        uninterrupted.finish(),
+        "the recovered day delivers exactly the uninterrupted run's episodes"
+    );
 
     // ---- 4. The streamed episodes ARE the batch episodes. ----------------
     let stats = engine.stats();
@@ -146,5 +162,6 @@ fn main() {
         "  peak single-cell occupancy: {} visitors",
         occupancy.peak().values().max().copied().unwrap_or(0)
     );
+    println!("  recovered day == uninterrupted run: yes");
     let _ = std::fs::remove_file(&ckpt_path);
 }

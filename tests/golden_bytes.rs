@@ -55,7 +55,7 @@ const PINS: &[(&str, usize, u32)] = &[
     ("response/metrics", 207, 2_671_553_519),
     ("response/health", 28, 3_615_147_793),
     ("response/traces", 114, 3_379_850_755),
-    ("stream/shard_checkpoint", 479, 2_041_803_736),
+    ("stream/shard_checkpoint", 479, 773_613_207),
     ("store/manifest_record", 9, 3_678_611_667),
     ("store/zone_map", 118, 841_179_583),
     ("store/segment_rollup", 41, 658_813_108),
@@ -438,7 +438,6 @@ fn shard_snapshot() -> ShardSnapshot {
             visits_opened: 300,
             visits_closed: 150,
             episodes: 168,
-            batches_flushed: 12,
             anomalies: Anomalies {
                 out_of_order: 1,
                 mixed_layer: 2,
