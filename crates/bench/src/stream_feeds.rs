@@ -1,11 +1,6 @@
-//! Shared workload builders for the streaming benchmarks.
-//!
-//! `benches/bench_stream.rs` (criterion, human-readable) and
-//! `bin/bench_json.rs` (machine-readable `BENCH_3.json` snapshot)
-//! measure the same workloads; keeping the feed and engine-config
-//! constructors here guarantees the two stay in lockstep — a tweak to
-//! the Zipf shape or the predicate table changes both measurements or
-//! neither.
+//! Workload builders for the streaming benchmark,
+//! `benches/bench_stream.rs`: a calibrated Louvre day as one feed, a
+//! Zipf-skewed feed, and the engine configuration both run under.
 
 use sitm_core::{
     Annotation, AnnotationSet, Duration, IntervalPredicate, PresenceInterval, Timestamp,

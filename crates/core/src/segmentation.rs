@@ -91,8 +91,8 @@ impl EpisodicSegmentation {
     }
 
     /// True when no two episodes overlap — the *mutually exclusive*
-    /// segmentation of prior art, kept as the comparison baseline (ablation
-    /// A4 in DESIGN.md).
+    /// segmentation of prior art, kept as the comparison baseline (the F5
+    /// report in `sitm_bench::repro` prints it for Fig. 5's episodes).
     pub fn is_mutually_exclusive(&self) -> bool {
         self.overlapping_pairs().is_empty()
     }

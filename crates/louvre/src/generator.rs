@@ -1,7 +1,8 @@
 //! The calibrated synthetic dataset generator.
 //!
-//! Substitutes the proprietary "My Visit to the Louvre" dataset (see
-//! DESIGN.md). The generator hits the §4.1 **counts exactly** (visits,
+//! Substitutes the proprietary "My Visit to the Louvre" dataset, which is
+//! not public (`sitm_bench::repro::dataset_stats` prints the generated
+//! counts beside §4.1's). The generator hits the §4.1 **counts exactly** (visits,
 //! visitors, returning visitors, revisits, detections, transitions) and the
 //! **distributions approximately** (~10% zero-duration detections, duration
 //! ranges bounded by the paper's maxima, popularity-skewed zone loads).

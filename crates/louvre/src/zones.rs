@@ -10,8 +10,8 @@
 //! Zone ids follow the paper's numbering (60853, 60854, 60887 "E",
 //! 60888 "P", 60890 "S" are cited verbatim); the remaining ids fill the
 //! contiguous 60840–60891 range. Geometry is synthetic rectilinear layout —
-//! only adjacency, containment and relative area matter to the model (see
-//! DESIGN.md substitutions).
+//! the paper publishes no floor plans, and only adjacency, containment and
+//! relative area matter to the model.
 
 use sitm_geometry::{Point, Polygon};
 use sitm_space::CellClass;

@@ -28,8 +28,11 @@
 //!   reads, pushdown stages, segment hydration) arm on one request in
 //!   [`DETAIL_SAMPLE_EVERY`] — or on every request whose context came
 //!   off the wire, since that caller asked for this request's
-//!   breakdown. `BENCH_10.json`'s `trace_overhead` group pins the
-//!   resulting default-config tax at ≤ 1 µs per served point query.
+//!   breakdown. `detail_spans_arm_on_one_request_in_n_and_on_every_traced_one`
+//!   (`crates/serve/tests/trace_surface.rs`) pins that sampling on a
+//!   default-config server; the `ledger` benchmark's traced pass
+//!   prices the resulting tax (`obs.trace.overhead_pct` over
+//!   `load.untraced_op_p50_us`).
 //! * [`encode_traces`] / [`decode_traces`] — a versioned codec in the
 //!   [`crate::codec`] discipline: every read bounds-checked, counts
 //!   capped by remaining bytes, depth capped ([`MAX_SPAN_DEPTH`]),

@@ -11,8 +11,8 @@
 //! ingest semantics retry explicitly and deduplicate by visit key.
 //!
 //! One client drives one session; concurrency comes from running one
-//! client per thread (`bench_serve` drives N of them against one
-//! server).
+//! client per thread (`tests/concurrent_sessions.rs` drives N of them
+//! against one server).
 //!
 //! A round trip is one socket write and (for a reply that fits the
 //! 64 KiB read buffer) one socket read, with no allocation in steady

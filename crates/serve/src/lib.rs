@@ -31,7 +31,7 @@
 //!   [`sitm_stream::Flusher`]-fed warehouse;
 //! * [`client`] — [`Client`]: blocking, reconnect-safe on the send
 //!   side, one session per instance (run one per thread to load a
-//!   server — `bench_serve` does exactly that).
+//!   server, as the `ledger` benchmark's workloads do).
 //!
 //! ## The served pipeline
 //!

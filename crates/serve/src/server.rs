@@ -125,9 +125,6 @@ pub struct ServerConfig {
     /// Accepted connections queued beyond the busy workers before the
     /// listener itself blocks (min 1).
     pub backlog: usize,
-    /// Finished visits to accumulate before a `Checkpoint` spill
-    /// produces a segment (the [`Flusher::with_min_batch`] knob).
-    pub flush_batch: usize,
     /// How often an idle session polls the shutdown flag (doubles as
     /// the per-read socket timeout).
     pub idle_poll: StdDuration,
@@ -151,8 +148,9 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A config with the given engine and warehouse directory, an
     /// ephemeral loopback port, and moderate defaults (4 session
-    /// workers, 16-connection backlog, spill every non-empty
-    /// checkpoint, 25 ms idle poll).
+    /// workers, 16-connection backlog, 25 ms idle poll). There is no
+    /// spill threshold: every `Checkpoint` spills all the visits that
+    /// closed since the last one.
     pub fn new(engine: EngineConfig, warehouse_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
@@ -161,7 +159,6 @@ impl ServerConfig {
             warehouse: WarehouseConfig::default(),
             sessions: 4,
             backlog: 16,
-            flush_batch: 1,
             idle_poll: StdDuration::from_millis(25),
             metrics: None,
             slow_query_threshold: None,
@@ -181,13 +178,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_backlog(mut self, backlog: usize) -> ServerConfig {
         self.backlog = backlog;
-        self
-    }
-
-    /// Overrides the checkpoint spill batch threshold.
-    #[must_use]
-    pub fn with_flush_batch(mut self, n: usize) -> ServerConfig {
-        self.flush_batch = n;
         self
     }
 
@@ -478,9 +468,7 @@ impl Server {
         let engine = ParallelEngine::new(engine_config)?;
         let (db, _report) = SegmentedDb::open(&config.warehouse_dir, config.warehouse)?;
         let db = db.with_metrics(&registry);
-        let flusher = Flusher::new(db)
-            .with_min_batch(config.flush_batch)
-            .with_metrics(&registry);
+        let flusher = Flusher::new(db).with_metrics(&registry);
 
         let worker_queue_depths = (0..engine.workers())
             .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))

@@ -185,6 +185,8 @@ fn concurrent_writers_and_readers_equal_single_threaded_replay() {
     let local_db = ref_flusher.db();
 
     let stats = client.server_stats().expect("stats");
+    let sent: usize = (0..WRITERS).map(|w| writer_feed(w, PER_WRITER).len()).sum();
+    assert_eq!(stats.events, sent as u64, "every event the writers sent");
     assert_eq!(stats.visits_opened, WRITERS * (PER_WRITER + 1));
     assert_eq!(stats.visits_closed, WRITERS * PER_WRITER);
     assert_eq!(stats.open_visits, WRITERS, "one open visit per writer");

@@ -157,7 +157,7 @@ fn served_results_equal_in_process_federation() {
         reference.ingest_all(batch);
         // Spill both warehouses at the same point in the stream.
         let (spilled, _, _) = client.checkpoint().expect("checkpoint");
-        let locally = ref_flusher.poll(&mut reference).expect("local spill");
+        let locally = ref_flusher.force(&mut reference).expect("local spill");
         assert_eq!(spilled, locally as u64, "same spill at the same cut");
     }
 
@@ -170,6 +170,19 @@ fn served_results_equal_in_process_federation() {
 
     let snapshot = reference.live_snapshot();
     let local_db = ref_flusher.db();
+
+    // The Stats op's per-cell rollup (the segments' rollup frames merged
+    // with a fold of the live tier, nothing decoded) counts what the
+    // federated predicate finds in each cell.
+    let (_, rollup) = client.server_stats_with_rollup().expect("stats");
+    assert!(!rollup.cells.is_empty(), "the history has per-cell rollups");
+    for (cell, totals) in &rollup.cells {
+        let visited = sitm_query::Query::new()
+            .filter(Predicate::VisitedCell(*cell))
+            .execute_federated(&[&*snapshot as &dyn TrajectorySource, local_db]);
+        assert_eq!(totals.trajectories, visited.len() as u64, "cell {cell:?}");
+    }
+
     for q in queries() {
         let served = client.query_federated(&q).expect("federated query");
         let local = q
@@ -479,6 +492,16 @@ fn explain_moves_no_per_query_pruning_instrument() {
         assert_eq!(after.0 - before.0, report.segments, "for {predicate}");
         assert_eq!(after.1 - before.1, report.bloom_pruned, "for {predicate}");
         assert_eq!(after.2 - before.2, 1, "one candidates sample a query");
+    }
+    // Every pruning tier rejected a segment over the wire: the object
+    // index (`mo-1` is absent from the second spill), the zone maps and
+    // their Bloom filters (no segment holds cell 9).
+    for name in [
+        "query.object_pruned",
+        "query.zone_pruned",
+        "query.bloom_pruned",
+    ] {
+        assert!(registry.counter(name).get() > 0, "{name} stayed 0");
     }
 
     client.shutdown().expect("shutdown");

@@ -11,6 +11,9 @@
 //!   views of the same clock: their totals agree within 10%;
 //! * a context carried in the traced wire envelope is adopted verbatim
 //!   (the federation fan-out contract);
+//! * on a default-config server the detail spans arm on one plain
+//!   request in `DETAIL_SAMPLE_EVERY` and on every traced one — the
+//!   tracing tax's budget, pinned as a span count;
 //! * Health answers from state the server already maintains — epoch,
 //!   tier lag, session/subscriber load, checkpoint age.
 
@@ -21,7 +24,7 @@ use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
 use sitm_graph::{LayerIdx, NodeId};
-use sitm_obs::trace::TraceContext;
+use sitm_obs::trace::{TraceContext, TraceTree, DETAIL_SAMPLE_EVERY};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SortKey};
 use sitm_serve::{Client, Request, Response, Server, ServerConfig, Subscriber};
@@ -237,6 +240,88 @@ fn wire_propagated_context_is_adopted() {
     let fresh = trees.last().expect("latest trace");
     assert_ne!(fresh.trace_id, 0, "generated ids are never zero");
     assert_eq!(fresh.parent_span_id, 0, "no parent outside a fan-out");
+    drop(server);
+}
+
+/// The default-config tracing tax, pinned by the mechanism that bounds
+/// it: a plain-envelope request records the coarse spans only, except
+/// one in [`DETAIL_SAMPLE_EVERY`] that also records the detail tier
+/// (pushdown stages, row reads), and a request whose context came over
+/// the wire always records it. The ledger's traced pass prices the tax
+/// (`obs.trace.overhead_pct`); a count repeats where a clock on a
+/// shared host does not.
+#[test]
+fn detail_spans_arm_on_one_request_in_n_and_on_every_traced_one() {
+    const DETAIL: [&str; 6] = [
+        "evaluate",
+        "prune",
+        "order_page",
+        "fetch_rows",
+        "row_read",
+        "segment_hydrate",
+    ];
+    let tmp = TempDir::new("detail");
+    // Spill a history, then restart over it: the warehouse is cold, so
+    // each one-row page below reads its row from disk (a page over
+    // `Predicate::True` hydrates no segment).
+    let (server, mut client) = populated_server(&tmp);
+    client.shutdown().expect("shutdown");
+    server.join().expect("join");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("restart");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let page = |v: u64| WireQuery {
+        predicate: Predicate::True,
+        order: Some((SortKey::Start, true)),
+        offset: v,
+        limit: Some(1),
+    };
+    // The spans every detailed tree of such a page carries.
+    let expected = DETAIL.map(|name| name != "segment_hydrate");
+
+    let sent = 2 * DETAIL_SAMPLE_EVERY;
+    for v in 0..sent {
+        assert_eq!(client.query(&page(v)).expect("one-row page").len(), 1);
+    }
+    let trees: Vec<TraceTree> = client
+        .traces(64)
+        .expect("traces")
+        .into_iter()
+        .filter(|t| t.root.name == "query")
+        .collect();
+    assert_eq!(trees.len() as u64, sent, "one tree per page");
+    let mut detailed = 0;
+    for tree in &trees {
+        assert!(tree.find("handle").is_some() && tree.find("wire_write").is_some());
+        let details = DETAIL.map(|name| tree.find(name).is_some());
+        if details.contains(&true) {
+            detailed += 1;
+            assert_eq!(details, expected, "{}", tree.render_timeline());
+        }
+    }
+    assert_eq!(
+        detailed, 2,
+        "detail spans on one plain request in {DETAIL_SAMPLE_EVERY}"
+    );
+
+    let ctx = TraceContext {
+        trace_id: 0xDE7A_11ED,
+        parent_span_id: 1,
+    };
+    let response = client
+        .call_traced(&Request::Query(page(sent)), ctx)
+        .expect("traced call");
+    assert!(matches!(response, Response::Trajectories(_)));
+    let trees = client.traces(64).expect("traces");
+    let traced = trees
+        .iter()
+        .find(|t| t.trace_id == ctx.trace_id)
+        .expect("the traced request's tree");
+    assert_eq!(
+        DETAIL.map(|name| traced.find(name).is_some()),
+        expected,
+        "a traced request records the detail tier:\n{}",
+        traced.render_timeline()
+    );
     drop(server);
 }
 

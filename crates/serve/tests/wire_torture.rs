@@ -812,7 +812,10 @@ fn a_federated_page_is_the_encoding_of_execute_federated_rows() {
         client.ingest_batch(batch.clone()).expect("ingest");
         reference.ingest_all(batch);
         let (spilled, _, _) = client.checkpoint().expect("checkpoint");
-        assert_eq!(spilled, flusher.poll(&mut reference).expect("spill") as u64);
+        assert_eq!(
+            spilled,
+            flusher.force(&mut reference).expect("spill") as u64
+        );
     }
     let open: Vec<StreamEvent> = (12..18)
         .flat_map(|v| open_visit(v, &format!("mo-{}", v % 4), 1 + v as usize % 3))

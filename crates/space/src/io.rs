@@ -2,8 +2,9 @@
 //!
 //! The format carries the same information as IndoorGML's MLSM core —
 //! layers, cells, intra-layer (accessibility NRG) edges, inter-layer joint
-//! edges — in a JSON document rather than the standard's XML syntax. See
-//! DESIGN.md for why the XML codec is a non-goal.
+//! edges — in a JSON document rather than the standard's XML syntax. There
+//! is no XML codec: the model needs the standard's structure, not its
+//! syntax, and the workspace carries no XML dependency.
 
 use sitm_geometry::{Point, Polygon};
 

@@ -15,14 +15,14 @@
 //! ingest → live state (open visits, queryable via LiveSnapshot)
 //!        → close (late events fenced per allowed_lateness)
 //!        → finished backlog (take_finished, exactly-once vs checkpoints)
-//!        → Flusher::poll → SegmentedDb::flush (immutable sorted segment,
+//!        → Flusher::force → SegmentedDb::flush (immutable sorted segment,
 //!          zone maps, manifest commit, fsync)
 //!        → size-tiered compaction (small runs merge, manifest rewrites)
 //! ```
 //!
 //! Consistency: `take_finished` is a barrier on the engine (every
 //! ingested event applied first) and `SegmentedDb::flush` is durable on
-//! return, so after a successful [`Flusher::poll`] every spilled
+//! return, so after a successful [`Flusher::force`] every spilled
 //! trajectory is queryable from the warehouse and gone from the engine.
 //! The hand-off is exactly-once *relative to checkpoints*: a crash
 //! after take but before flush loses only what a restore regenerates —
@@ -34,10 +34,10 @@
 //! consumer's choice, exactly as re-drained episodes are after a
 //! restore to an older checkpoint.
 //!
-//! Batching: tiny segments make zone maps useless and compaction busy;
-//! [`Flusher::with_min_batch`] holds spills until enough finished
-//! visits accumulate (carried in the flusher between polls), and
-//! [`Flusher::force`] spills the remainder at end-of-stream.
+//! Batching is the caller's: each [`Flusher::force`] spills everything
+//! in hand, so segment size follows how often the caller spills (the
+//! server spills once per `Checkpoint` request). A spill larger than
+//! the store's row limit is cut into several segments.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,9 +54,8 @@ use crate::parallel::ParallelEngine;
 /// and its consistency guarantees).
 pub struct Flusher {
     db: SegmentedDb,
-    /// Spill only once this many finished visits are in hand.
-    min_batch: usize,
-    /// Taken from the engine but below the batch threshold.
+    /// Taken from the engine but not yet durable: the batches a failed
+    /// spill never attempted.
     carry: Vec<SemanticTrajectory>,
     /// `flush.*` instruments: spills, trajectories spilled, spill
     /// duration (ns), and the carry length as a gauge (the spill
@@ -68,11 +67,10 @@ pub struct Flusher {
 }
 
 impl Flusher {
-    /// Wraps a warehouse; spills on every non-empty poll by default.
+    /// Wraps a warehouse.
     pub fn new(db: SegmentedDb) -> Flusher {
         Flusher {
             db,
-            min_batch: 1,
             carry: Vec::new(),
             spills: MetricsRegistry::global().counter("flush.spills"),
             trajectories: MetricsRegistry::global().counter("flush.trajectories"),
@@ -94,30 +92,9 @@ impl Flusher {
         self
     }
 
-    /// Holds spills until at least `n` finished visits accumulate
-    /// (clamped to ≥ 1). Larger batches mean fewer, bigger segments and
-    /// sharper zone maps at the cost of a longer engine-side backlog.
-    #[must_use]
-    pub fn with_min_batch(mut self, n: usize) -> Flusher {
-        self.min_batch = n.max(1);
-        self
-    }
-
-    /// Drains the engine's finished backlog and spills it (plus any
-    /// carry from earlier polls) into the warehouse once the batch
-    /// threshold is met. Returns the number of trajectories made
-    /// durable by this call (0 when the batch is still accumulating).
-    pub fn poll(&mut self, engine: &mut ParallelEngine) -> Result<usize, WarehouseError> {
-        self.carry.extend(engine.take_finished());
-        if self.carry.len() < self.min_batch {
-            self.backlog_gauge.set(self.carry.len() as i64);
-            return Ok(0);
-        }
-        self.spill()
-    }
-
-    /// Drains the engine, then spills everything in hand regardless of
-    /// the batch threshold (end-of-stream / shutdown).
+    /// Drains the engine's finished backlog and spills it, plus any
+    /// carry a failed spill left, into the warehouse. Returns the number
+    /// of trajectories made durable by this call.
     pub fn force(&mut self, engine: &mut ParallelEngine) -> Result<usize, WarehouseError> {
         self.carry.extend(engine.take_finished());
         self.spill()
@@ -260,8 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn poll_spills_finished_visits_and_bounds_the_engine() {
-        let tmp = TempDir::new("poll");
+    fn force_spills_finished_visits_and_bounds_the_engine() {
+        let tmp = TempDir::new("force");
         let mut engine = ParallelEngine::new(config()).unwrap();
         let mut flusher = Flusher::new(open_db(&tmp));
         let events = feed(9);
@@ -269,7 +246,7 @@ mod tests {
         let mut spilled = 0;
         for chunk in events.chunks(third.max(1)) {
             engine.ingest_all(chunk.to_vec());
-            spilled += flusher.poll(&mut engine).unwrap();
+            spilled += flusher.force(&mut engine).unwrap();
         }
         engine.finish();
         spilled += flusher.force(&mut engine).unwrap();
@@ -285,18 +262,5 @@ mod tests {
         );
         // And another take from the engine is empty (exactly-once).
         assert!(engine.take_finished().is_empty());
-    }
-
-    #[test]
-    fn min_batch_holds_small_spills() {
-        let tmp = TempDir::new("batch");
-        let mut engine = ParallelEngine::new(config()).unwrap();
-        let mut flusher = Flusher::new(open_db(&tmp)).with_min_batch(100);
-        engine.ingest_all(feed(4));
-        engine.flush();
-        assert_eq!(flusher.poll(&mut engine).unwrap(), 0, "below threshold");
-        assert_eq!(flusher.backlog(), 4, "carried, not lost");
-        assert_eq!(flusher.force(&mut engine).unwrap(), 4);
-        assert_eq!(flusher.db().len(), 4);
     }
 }

@@ -48,12 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("sitm-tiered-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (db, _) = SegmentedDb::open(&dir, WarehouseConfig::default())?;
-    let mut flusher = Flusher::new(db).with_min_batch(64);
+    let mut flusher = Flusher::new(db);
     let mut episodes = 0usize;
     for chunk in events.chunks(events.len() / 10) {
         engine.ingest_all(chunk.iter().cloned());
         episodes += engine.drain().len();
-        let spilled = flusher.poll(&mut engine)?;
+        let spilled = flusher.force(&mut engine)?;
         if spilled > 0 {
             let snapshot = engine.live_snapshot();
             println!(

@@ -105,9 +105,9 @@
 //! The serve tier also keeps a bounded **slow-query log** (threshold
 //! set via `ServerConfig::with_slow_query_threshold`, carried in the
 //! same snapshot) and reports per-request stage timing in `Explain`
-//! responses; `bench_json` embeds a snapshot into `BENCH_10.json` so
-//! pruning ratios, lazy-segment I/O attribution, and the RTT
-//! decomposition ride the perf artifact.
+//! responses; the `ledger` benchmark's traced pass reads its per-layer
+//! figures (pruning ratios, lazy-segment I/O, the RTT decomposition)
+//! from the same snapshot.
 //!
 //! ## Tracing: one tree per served request
 //!
@@ -135,8 +135,10 @@
 //! `sitm_obs::trace::DETAIL_SAMPLE_EVERY`, and on *every* request whose
 //! context arrived over the wire — the caller asked about that request
 //! specifically. The unmarked coarse tiers record on every trace, which
-//! keeps the default-config tracing tax ≤ 5% of a served point-query
-//! RTT, pinned by `BENCH_10.json`'s `trace_overhead` group.)
+//! keeps the default-config tracing tax small: the sampling is pinned
+//! as a span count by `crates/serve/tests/trace_surface.rs`, and the
+//! `ledger` benchmark's traced pass prices it as
+//! `obs.trace.overhead_pct` against `load.untraced_op_p50_us`.)
 //!
 //! A `TraceContext` (trace id + parent span id) rides an optional wire
 //! envelope extension (`PROTOCOL.md`), so a federation fan-out keeps

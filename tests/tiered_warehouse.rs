@@ -218,7 +218,7 @@ fn warehouse_is_differentially_invisible_at_every_flush_point() {
     let chunks: Vec<&[StreamEvent]> = events.chunks(events.len() / 6).collect();
     for (i, chunk) in chunks.iter().enumerate() {
         engine.ingest_all(chunk.to_vec());
-        flusher.poll(&mut engine).unwrap();
+        flusher.force(&mut engine).unwrap();
         let snapshot = engine.live_snapshot();
         assert_differential(flusher.db(), &*snapshot, &format!("chunk {i}"));
     }
@@ -268,7 +268,7 @@ fn worker_counts_build_identical_warehouses_live_included() {
                 .unwrap()
                 .0,
         );
-        flusher.poll(&mut engine).unwrap();
+        flusher.force(&mut engine).unwrap();
         (tmp, engine.live_snapshot(), flusher.into_db().unwrap())
     };
     let (_one_dir, one_snapshot, one_db) = build(1);
@@ -292,9 +292,10 @@ fn worker_counts_build_identical_warehouses_live_included() {
 #[test]
 fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
     // The cold-scale contract: reopening a many-segment
-    // warehouse reads headers only, fully-pruned point queries keep
-    // `query.segment_bytes_read` at zero, and a sorted/limited pushdown
-    // decodes exactly the returned page.
+    // warehouse reads headers only (and counts each segment as a lazy
+    // open), fully-pruned point queries keep `query.segment_bytes_read`
+    // at zero, and a sorted/limited pushdown decodes exactly the
+    // returned page for directory and content sort keys alike.
     let tmp = TempDir::new("cold-scale");
     let config = WarehouseConfig {
         fanout: 64, // keep the twelve flush segments distinct
@@ -331,6 +332,11 @@ fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
     let (db, report) = SegmentedDb::open(&tmp.0, config).unwrap();
     let db = db.with_metrics(&registry);
     assert!(report.is_clean());
+    assert_eq!(
+        registry.counter("store.lazy_opens").get(),
+        12,
+        "the rebind credits every segment the open read headers-only"
+    );
     assert_eq!(db.len(), 48, "counts come from the offset directories");
     assert!(
         db.segments().iter().all(|s| !s.is_loaded()),
@@ -358,21 +364,41 @@ fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
     assert!(db.segments().iter().all(|s| !s.is_loaded()));
 
     // A sorted/limited pushdown decodes exactly the returned page —
-    // per frame, without hydrating any segment.
-    let page = Query::new()
-        .order_by(SortKey::Start, true)
-        .limit(3)
-        .execute_segmented(&db);
-    assert_eq!(page.len(), 3);
-    assert_eq!(decoded.get(), 3, "only the returned rows were decoded");
-    assert!(
-        bytes.get() > 0,
-        "the page frames were really read from disk"
-    );
-    assert!(
-        db.segments().iter().all(|s| !s.is_loaded()),
-        "paging reads frames, not whole segments"
-    );
+    // per frame, without hydrating any segment — whether the order
+    // comes from the offset directories (start) or from the segments'
+    // sort columns (content keys). Each key pages its own cold open, so
+    // no row of an earlier page is served from the row cache.
+    drop(db);
+    for key in [
+        SortKey::Start,
+        SortKey::TotalDwell,
+        SortKey::MovingObject,
+        SortKey::TraceLength,
+    ] {
+        let registry = sitm::obs::MetricsRegistry::new();
+        let db = SegmentedDb::open(&tmp.0, config)
+            .unwrap()
+            .0
+            .with_metrics(&registry);
+        let page = Query::new()
+            .order_by(key, true)
+            .limit(3)
+            .execute_segmented(&db);
+        assert_eq!(page.len(), 3);
+        assert_eq!(
+            registry.counter("query.trajectories_decoded").get(),
+            3,
+            "{key:?}: only the returned rows were decoded"
+        );
+        assert!(
+            registry.counter("query.segment_bytes_read").get() > 0,
+            "{key:?}: the page frames were really read from disk"
+        );
+        assert!(
+            db.segments().iter().all(|s| !s.is_loaded()),
+            "{key:?}: paging reads frames, not whole segments"
+        );
+    }
 }
 
 #[test]
