@@ -7,9 +7,24 @@
 //! 'behavior' [...] A 'goal' might instead concern the potentiality of
 //! movement" (§3.3). Annotations also attach to individual presence
 //! intervals (`A_i`) and to episodes.
+//!
+//! Cost model: an [`AnnotationSet`] is a shared value, because the same
+//! few sets (`{goal:visit}`) repeat on every row that crosses a tier. It
+//! is a sorted, de-duplicated run behind one `Arc`:
+//!
+//! * the empty set (most per-stay `A_i`) allocates nothing;
+//! * a clone or a drop is one reference-count update, no annotation is
+//!   copied;
+//! * [`AnnotationSet::insert`] and [`AnnotationSet::remove`] copy on
+//!   write: a set with one holder is edited in place, a shared one is
+//!   copied once and the copy edited, so every other holder keeps what
+//!   it saw.
+//!
+//! Decoders can therefore hand one set to many rows
+//! (`sitm_store::codec::decode_annotations` does).
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Kind of an annotation, following the paper's distinction.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -92,10 +107,14 @@ impl fmt::Display for Annotation {
     }
 }
 
-/// An ordered, duplicate-free set of annotations.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Hash, PartialOrd, Ord)]
+/// An ordered, duplicate-free set of annotations: a shared value, with
+/// the cost model in the [module docs](self). Equality, ordering and
+/// hashing are over the sorted contents, so iteration order and `Ord`
+/// are a `BTreeSet<Annotation>`'s.
+#[derive(Clone, PartialEq, Eq, Default, Hash, PartialOrd, Ord)]
 pub struct AnnotationSet {
-    items: BTreeSet<Annotation>,
+    /// Sorted, strictly ascending and never empty; `None` is the empty set.
+    items: Option<Arc<Vec<Annotation>>>,
 }
 
 impl AnnotationSet {
@@ -107,63 +126,111 @@ impl AnnotationSet {
     /// Builds a set from annotations.
     #[allow(clippy::should_implement_trait)] // set-builder convenience, mirrored by the trait impl below
     pub fn from_iter<I: IntoIterator<Item = Annotation>>(iter: I) -> Self {
-        AnnotationSet {
-            items: iter.into_iter().collect(),
+        let mut items: Vec<Annotation> = iter.into_iter().collect();
+        if !items.is_sorted_by(|a, b| a < b) {
+            items.sort_unstable();
+            items.dedup();
         }
+        AnnotationSet {
+            items: (!items.is_empty()).then(|| Arc::new(items)),
+        }
+    }
+
+    /// The annotations in order.
+    fn as_slice(&self) -> &[Annotation] {
+        self.items.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Number of annotations.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.as_slice().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.items.is_none()
     }
 
     /// Adds an annotation; returns whether it was new.
     pub fn insert(&mut self, a: Annotation) -> bool {
-        self.items.insert(a)
+        let Err(at) = self.as_slice().binary_search(&a) else {
+            return false;
+        };
+        match &mut self.items {
+            Some(items) => Arc::make_mut(items).insert(at, a),
+            None => self.items = Some(Arc::new(vec![a])),
+        }
+        true
     }
 
     /// Removes an annotation; returns whether it was present.
     pub fn remove(&mut self, a: &Annotation) -> bool {
-        self.items.remove(a)
+        let Ok(at) = self.as_slice().binary_search(a) else {
+            return false;
+        };
+        match &mut self.items {
+            Some(items) if items.len() > 1 => {
+                Arc::make_mut(items).remove(at);
+            }
+            _ => self.items = None,
+        }
+        true
     }
 
     /// True if the exact annotation is present.
     pub fn contains(&self, a: &Annotation) -> bool {
-        self.items.contains(a)
+        self.as_slice().binary_search(a).is_ok()
     }
 
     /// True if any annotation of `kind` with `value` is present.
     pub fn has(&self, kind: &AnnotationKind, value: &str) -> bool {
-        self.items
-            .iter()
-            .any(|a| &a.kind == kind && a.value == value)
+        self.iter().any(|a| &a.kind == kind && a.value == value)
     }
 
     /// Values of all annotations of the given kind, in order.
     pub fn values_of(&self, kind: &AnnotationKind) -> Vec<&str> {
-        self.items
-            .iter()
+        self.iter()
             .filter(|a| &a.kind == kind)
             .map(|a| a.value.as_str())
             .collect()
     }
 
-    /// Union of two sets.
+    /// Union of two sets. When one side holds the other (either is
+    /// empty, or the two are equal) the result is that side, shared.
     #[must_use]
     pub fn union(&self, other: &AnnotationSet) -> AnnotationSet {
-        AnnotationSet {
-            items: self.items.union(&other.items).cloned().collect(),
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if is_subset(b, a) {
+            return self.clone();
         }
+        if is_subset(a, b) {
+            return other.clone();
+        }
+        a.iter().chain(b).cloned().collect()
     }
 
     /// Iterates annotations in order.
     pub fn iter(&self) -> impl Iterator<Item = &Annotation> {
-        self.items.iter()
+        self.as_slice().iter()
+    }
+}
+
+/// True when every annotation of the sorted run `small` is in the
+/// sorted run `big`.
+fn is_subset(small: &[Annotation], big: &[Annotation]) -> bool {
+    if small.len() > big.len() {
+        return false;
+    }
+    if std::ptr::eq(small, big) {
+        return true;
+    }
+    let mut rest = big.iter();
+    small.iter().all(|a| rest.any(|b| b == a))
+}
+
+impl fmt::Debug for AnnotationSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -177,7 +244,7 @@ impl fmt::Display for AnnotationSet {
     /// Paper style: `{goals:["visit","buy"]}` — grouped by kind.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        let mut kinds: Vec<&AnnotationKind> = self.items.iter().map(|a| &a.kind).collect();
+        let mut kinds: Vec<&AnnotationKind> = self.iter().map(|a| &a.kind).collect();
         kinds.dedup();
         for (i, kind) in kinds.iter().enumerate() {
             if i > 0 {

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use sitm_core::{Annotation, Duration, Trace};
+use sitm_core::{Annotation, AnnotationSet, Duration, Trace};
 use sitm_space::CellRef;
 
 use crate::museum::zone_place_iri;
@@ -121,30 +121,28 @@ pub fn enrich_trace(
     mut zone_of: impl FnMut(CellRef) -> Option<u32>,
 ) -> (Trace, usize) {
     let mut touched = 0;
-    let mut semantics_cache: BTreeMap<u32, ZoneSemantics> = BTreeMap::new();
+    // One annotation set per zone, shared by every stay in it.
+    let mut zone_annotations: BTreeMap<u32, AnnotationSet> = BTreeMap::new();
     let mut intervals = trace.into_intervals();
     for stay in &mut intervals {
         let Some(zone_id) = zone_of(stay.cell) else {
             continue;
         };
-        let semantics = semantics_cache
-            .entry(zone_id)
-            .or_insert_with(|| zone_semantics(kb, zone_id));
-        if semantics.is_empty() {
+        let zone = zone_annotations.entry(zone_id).or_insert_with(|| {
+            let semantics = zone_semantics(kb, zone_id);
+            let exhibits = semantics.exhibits.into_iter();
+            let themes = semantics.themes.into_iter();
+            let artists = semantics.artists.into_iter();
+            exhibits
+                .map(|v| Annotation::new(kinds::exhibit(), v))
+                .chain(themes.map(|v| Annotation::new(kinds::theme(), v)))
+                .chain(artists.map(|v| Annotation::new(kinds::artist(), v)))
+                .collect()
+        });
+        if zone.is_empty() {
             continue;
         }
-        for label in &semantics.exhibits {
-            stay.annotations
-                .insert(Annotation::new(kinds::exhibit(), label.clone()));
-        }
-        for theme in &semantics.themes {
-            stay.annotations
-                .insert(Annotation::new(kinds::theme(), theme.clone()));
-        }
-        for artist in &semantics.artists {
-            stay.annotations
-                .insert(Annotation::new(kinds::artist(), artist.clone()));
-        }
+        stay.annotations = stay.annotations.union(zone);
         touched += 1;
     }
     let trace = Trace::new(intervals).expect("enrichment does not reorder stays");

@@ -17,6 +17,19 @@
 //! [`CodecError`] rather than producing an invalid in-memory value, so a
 //! corrupted frame that slips past the CRC still cannot materialize an
 //! inconsistent trajectory.
+//!
+//! Annotation sets repeat from row to row (`{goal:visit}` on every
+//! trajectory), and an [`AnnotationSet`] is a shared value, so
+//! [`decode_annotations`] keeps a small per-thread table from a set's
+//! encoded bytes to the decoded set: a hit returns the table's set
+//! (a reference-count bump, no allocation), a miss decodes as usual and
+//! takes the slot. The table is direct-mapped, a fixed 64 slots per
+//! thread, and keeps no set whose encoding exceeds 128 bytes, so it
+//! holds at most 64 × 128 key bytes however many distinct sets pass
+//! through; bytes crafted to collide can only make every read a miss.
+//! It is a cache of the decoder alone: no byte of any encoding changes.
+
+use std::cell::RefCell;
 
 use sitm_codec::{
     put_i64, put_str, put_u64, take_count, take_i64, take_span, take_str, take_tag, take_u64,
@@ -28,6 +41,8 @@ use sitm_core::{
 use sitm_graph::{EdgeId, LayerIdx, NodeId};
 use sitm_louvre::{Device, VisitRecord, ZoneDetectionRecord};
 use sitm_space::CellRef;
+
+use crate::bloom::fnv1a;
 
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,16 +120,77 @@ pub fn encode_annotations(buf: &mut Vec<u8>, set: &AnnotationSet) {
     }
 }
 
+/// Slots of the per-thread table of decoded annotation sets (a power of
+/// two; the table is direct-mapped).
+const SET_SLOTS: usize = 64;
+
+/// Longest encoded annotation set, in bytes, the table keeps. A longer
+/// set decodes on every read.
+const SET_KEY_CAP: usize = 128;
+
+/// One slot: a set's encoded bytes and the set they decode to.
+#[derive(Default)]
+struct SetSlot {
+    key: Vec<u8>,
+    set: AnnotationSet,
+}
+
+thread_local! {
+    /// The sets this thread decoded last, by the hash of their bytes.
+    static DECODED_SETS: RefCell<Vec<SetSlot>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The table slot of a set's encoded bytes (the top bits of its FNV-1a).
+fn set_slot(key: &[u8]) -> usize {
+    (fnv1a(key) >> (64 - SET_SLOTS.trailing_zeros())) as usize
+}
+
 /// Decodes an annotation set.
+///
+/// The bytes are validated first (count against the buffer, every
+/// string UTF-8); then a set whose bytes this thread decoded recently
+/// is returned shared from the table, without a copy of its
+/// annotations.
 pub fn decode_annotations(buf: &mut &[u8]) -> Result<AnnotationSet, CodecError> {
+    let start = *buf;
     let count = take_count(buf, 1)?;
-    let mut set = AnnotationSet::new();
-    for _ in 0..count {
-        let kind = AnnotationKind::parse(take_str(buf)?);
-        let value = take_str(buf)?.to_owned();
-        set.insert(Annotation::new(kind, value));
+    if count == 0 {
+        return Ok(AnnotationSet::new());
     }
-    Ok(set)
+    for _ in 0..count {
+        take_str(buf)?;
+        take_str(buf)?;
+    }
+    let key = &start[..start.len() - buf.len()];
+    if key.len() > SET_KEY_CAP {
+        return decode_set(key);
+    }
+    DECODED_SETS
+        .try_with(|table| {
+            let mut table = table.borrow_mut();
+            if table.is_empty() {
+                table.resize_with(SET_SLOTS, SetSlot::default);
+            }
+            let slot = &mut table[set_slot(key)];
+            if slot.key != key {
+                slot.set = decode_set(key)?;
+                slot.key.clear();
+                slot.key.extend_from_slice(key);
+            }
+            Ok(slot.set.clone())
+        })
+        .unwrap_or_else(|_| decode_set(key))
+}
+
+/// Decodes the validated bytes of one non-empty annotation set.
+fn decode_set(mut buf: &[u8]) -> Result<AnnotationSet, CodecError> {
+    let count = take_count(&mut buf, 1)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        let kind = AnnotationKind::parse(take_str(&mut buf)?);
+        items.push(Annotation::new(kind, take_str(&mut buf)?));
+    }
+    Ok(AnnotationSet::from_iter(items))
 }
 
 const TRANSITION_UNKNOWN: u8 = 0;
@@ -416,6 +492,107 @@ mod tests {
             decode_annotations(&mut buf.as_slice()).unwrap(),
             AnnotationSet::new()
         );
+    }
+
+    fn encoded(set: &AnnotationSet) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_annotations(&mut buf, set);
+        buf
+    }
+
+    /// Set `i` of an endless run of distinct sets.
+    fn distinct(i: usize) -> Vec<Annotation> {
+        vec![
+            Annotation::goal("visit"),
+            Annotation::new(AnnotationKind::Custom("device".into()), format!("d{i}")),
+        ]
+    }
+
+    /// Occupied slots of this thread's table, after checking each
+    /// holds its key's set and no key over the cap.
+    fn table_occupancy() -> usize {
+        DECODED_SETS.with(|table| {
+            let table = table.borrow();
+            assert!(table.len() <= SET_SLOTS);
+            let occupied: Vec<&SetSlot> = table.iter().filter(|s| !s.key.is_empty()).collect();
+            for slot in &occupied {
+                assert!(slot.key.len() <= SET_KEY_CAP);
+                assert_eq!(decode_set(&slot.key).unwrap(), slot.set);
+            }
+            occupied.len()
+        })
+    }
+
+    #[test]
+    fn more_sets_than_slots_decode_as_built() {
+        for round in 0..2 {
+            for i in 0..3 * SET_SLOTS {
+                let set = AnnotationSet::from_iter(distinct(i));
+                let decoded = decode_annotations(&mut encoded(&set).as_slice()).unwrap();
+                assert_eq!(decoded, set, "set {i}, round {round}");
+            }
+        }
+        // Over the key cap: decoded every time, never kept.
+        let long = vec![Annotation::goal("x".repeat(SET_KEY_CAP))];
+        let bytes = encoded(&AnnotationSet::from_iter(long.clone()));
+        assert!(bytes.len() > SET_KEY_CAP);
+        for _ in 0..2 {
+            let mut rest = bytes.as_slice();
+            assert_eq!(
+                decode_annotations(&mut rest).unwrap(),
+                AnnotationSet::from_iter(long.clone())
+            );
+            assert!(rest.is_empty());
+        }
+        assert!(table_occupancy() <= SET_SLOTS);
+    }
+
+    #[test]
+    fn hostile_sets_are_refused_seen_or_not() {
+        let seen = encoded(&AnnotationSet::from_iter(distinct(7)));
+        let unseen = encoded(&AnnotationSet::from_iter(distinct(8)));
+        decode_annotations(&mut seen.as_slice()).unwrap();
+        for base in [&seen, &unseen] {
+            // The last value byte turned into invalid UTF-8.
+            let mut bad = base.clone();
+            *bad.last_mut().unwrap() = 0xFF;
+            assert_eq!(
+                decode_annotations(&mut bad.as_slice()).unwrap_err(),
+                CodecError::BadUtf8
+            );
+            // A count past what the bytes hold.
+            let mut overrun = base.clone();
+            overrun[0] = 3;
+            assert!(decode_annotations(&mut overrun.as_slice()).is_err());
+            let mut overrun = base.clone();
+            overrun[0] = 0x7F;
+            assert!(matches!(
+                decode_annotations(&mut overrun.as_slice()).unwrap_err(),
+                CodecError::LengthOverrun { declared: 0x7F, .. }
+            ));
+            // Every cut of a set is refused.
+            for cut in 1..base.len() {
+                assert!(decode_annotations(&mut &base[..cut]).is_err(), "cut {cut}");
+            }
+        }
+        // The refusals did not disturb the seen set.
+        assert_eq!(
+            decode_annotations(&mut seen.as_slice()).unwrap(),
+            AnnotationSet::from_iter(distinct(7))
+        );
+    }
+
+    #[test]
+    fn the_table_stays_within_its_slots() {
+        for i in 0..100_000 {
+            let set = AnnotationSet::from_iter(distinct(i));
+            assert_eq!(
+                decode_annotations(&mut encoded(&set).as_slice()).unwrap(),
+                set
+            );
+        }
+        let occupied = table_occupancy();
+        assert!(occupied > 0 && occupied <= SET_SLOTS, "{occupied} slots");
     }
 
     #[test]

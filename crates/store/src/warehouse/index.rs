@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use sitm_codec::{put_i64, put_u64, take_count, take_flag, take_span, take_u64};
-use sitm_core::{AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
+use sitm_core::{Annotation, AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_space::CellRef;
 
 use super::objects::ObjectSet;
@@ -64,36 +64,35 @@ fn cover(span: Option<TimeInterval>, other: TimeInterval) -> Option<TimeInterval
     })
 }
 
-/// Adds to `set` whatever of `other` it lacks. Annotations repeat from
-/// row to row, so the common case is a probe and no clone.
-fn absorb(set: &mut AnnotationSet, other: &AnnotationSet) {
-    for a in other.iter() {
-        if !set.contains(a) {
-            set.insert(a.clone());
-        }
-    }
+/// The set of an unsorted, repeating run of annotations.
+fn set_of_run(mut run: Vec<&Annotation>) -> AnnotationSet {
+    run.sort_unstable();
+    run.dedup();
+    run.into_iter().cloned().collect()
 }
 
 impl ZoneMap {
     /// Builds the map over a run of trajectories.
     ///
-    /// Cells and object ids are collected as plain runs (`CellRef`s by
-    /// value, ids borrowed), sorted and deduplicated once, and the sets
-    /// built from the sorted result — no tree insert per row, and the
-    /// distinct ids copied into one buffer.
+    /// Cells, object ids and annotations are collected as plain runs
+    /// (`CellRef`s by value, ids and annotations borrowed), sorted and
+    /// deduplicated once, and the sets built from the sorted result — no
+    /// tree insert per row, the distinct ids copied into one buffer and
+    /// each distinct annotation cloned once, however large the
+    /// vocabulary.
     pub fn build(trajectories: &[SemanticTrajectory]) -> ZoneMap {
         let mut span = None;
         let mut cells = Vec::new();
         let mut objects = Vec::with_capacity(trajectories.len());
-        let mut traj_annotations = AnnotationSet::new();
-        let mut stay_annotations = AnnotationSet::new();
+        let mut traj_annotations = Vec::new();
+        let mut stay_annotations = Vec::new();
         for t in trajectories {
             span = cover(span, t.span());
             objects.push(t.moving_object.as_str());
-            absorb(&mut traj_annotations, t.annotations());
+            traj_annotations.extend(t.annotations().iter());
             for stay in t.trace().intervals() {
                 cells.push(stay.cell);
-                absorb(&mut stay_annotations, &stay.annotations);
+                stay_annotations.extend(stay.annotations.iter());
             }
         }
         ZoneMap::from_runs(
@@ -101,8 +100,8 @@ impl ZoneMap {
             span,
             cells,
             ObjectSet::from_run(objects),
-            traj_annotations,
-            stay_annotations,
+            set_of_run(traj_annotations),
+            set_of_run(stay_annotations),
         )
     }
 
@@ -120,8 +119,8 @@ impl ZoneMap {
                 span = cover(span, other);
             }
             cells.extend(&map.cells);
-            absorb(&mut traj_annotations, &map.traj_annotations);
-            absorb(&mut stay_annotations, &map.stay_annotations);
+            traj_annotations = traj_annotations.union(&map.traj_annotations);
+            stay_annotations = stay_annotations.union(&map.stay_annotations);
         }
         ZoneMap::from_runs(
             len,
