@@ -1,5 +1,5 @@
-//! Storage-engine benchmarks: codec throughput, segment scan, and log
-//! round-trips over the calibrated Louvre dataset.
+//! Storage-engine benchmarks: codec throughput and segment scan over
+//! the calibrated Louvre dataset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +8,6 @@ use sitm_core::SemanticTrajectory;
 use sitm_louvre::{build_louvre, generate_dataset, GeneratorConfig};
 use sitm_store::codec::{decode_trajectory, encode_trajectory};
 use sitm_store::segment::{scan, write_frame, write_header};
-use sitm_store::LogStore;
 
 fn trajectories() -> Vec<SemanticTrajectory> {
     let model = build_louvre();
@@ -71,36 +70,5 @@ fn bench_segment_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_log_round_trip(c: &mut Criterion) {
-    let trajs: Vec<SemanticTrajectory> = trajectories().into_iter().take(500).collect();
-    let mut group = c.benchmark_group("store/log");
-    group.sample_size(10);
-    group.bench_function("append_sync_reopen_500", |b| {
-        b.iter(|| {
-            let path = std::env::temp_dir().join(format!(
-                "sitm-bench-{}-{:p}.log",
-                std::process::id(),
-                &trajs
-            ));
-            let _ = std::fs::remove_file(&path);
-            {
-                let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&path).expect("open");
-                log.append_batch(trajs.iter()).expect("append");
-                log.sync().expect("sync");
-            }
-            let (_, records, report) = LogStore::<SemanticTrajectory>::open(&path).expect("reopen");
-            assert!(report.is_clean());
-            std::fs::remove_file(&path).ok();
-            records.len()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_segment_scan,
-    bench_log_round_trip
-);
+criterion_group!(benches, bench_codec, bench_segment_scan);
 criterion_main!(benches);

@@ -9,7 +9,7 @@ use sitm_core::{
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_louvre::{generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration};
 use sitm_space::CellRef;
-use sitm_stream::{dataset_events, EngineConfig, StreamEvent, VisitKey};
+use sitm_stream::{trajectory_feed, EngineConfig, StreamEvent, VisitKey};
 
 /// One-goal annotation set.
 pub fn label(s: &str) -> AnnotationSet {
@@ -33,7 +33,7 @@ pub fn louvre_feed(model: &LouvreModel) -> Vec<StreamEvent> {
         calibration: cal,
         ..GeneratorConfig::default()
     });
-    dataset_events(model, &dataset)
+    trajectory_feed(&dataset.visit_trajectories(model))
 }
 
 /// The benchmark predicate table (exit chain, long stay, whole visit).

@@ -304,6 +304,19 @@ impl Dataset {
         )
         .ok()
     }
+
+    /// Every visit [`Dataset::to_trajectory`] converts, keyed by its
+    /// `visit_id`, in dataset order. Visits that cannot be converted
+    /// (unknown zone, empty detection list) are skipped.
+    pub fn visit_trajectories(&self, model: &LouvreModel) -> Vec<(u64, SemanticTrajectory)> {
+        self.visits
+            .iter()
+            .filter_map(|visit| {
+                let trajectory = self.to_trajectory(model, visit)?;
+                Some((u64::from(visit.visit_id), trajectory))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -495,5 +508,23 @@ mod tests {
             }],
         };
         assert!(ds.to_trajectory(&model, &ds.visits[0]).is_none());
+    }
+
+    #[test]
+    fn visit_trajectories_key_each_convertible_visit_by_its_id() {
+        let model = crate::building::build_louvre();
+        let mut ds = small_dataset();
+        ds.visits.push(VisitRecord {
+            visit_id: 77,
+            visitor_id: 9,
+            device: Device::Ios,
+            detections: vec![det(99999, 0, 10)],
+        });
+        let keyed = ds.visit_trajectories(&model);
+        let expected: Vec<(u64, SemanticTrajectory)> = ds.visits[..ds.visits.len() - 1]
+            .iter()
+            .map(|v| (u64::from(v.visit_id), ds.to_trajectory(&model, v).unwrap()))
+            .collect();
+        assert_eq!(keyed, expected, "the unknown-zone visit is skipped");
     }
 }

@@ -423,13 +423,6 @@ impl SegmentedDb {
         self.total == 0
     }
 
-    /// Trajectory by global position (warehouse iteration order).
-    /// Hydrates the owning segment.
-    pub fn get(&self, id: TrajId) -> Option<&SemanticTrajectory> {
-        let (part_idx, local) = self.locate(id)?;
-        self.part_db(part_idx).get(local as TrajId)
-    }
-
     /// Global position → (segment index, index within the segment).
     fn locate(&self, id: TrajId) -> Option<(usize, usize)> {
         // Empty segments share a base with their successor; the last
@@ -440,12 +433,6 @@ impl SegmentedDb {
             .checked_sub(1)?;
         let local = (id - self.bases[part_idx]) as usize;
         (local < self.parts[part_idx].len).then_some((part_idx, local))
-    }
-
-    /// Every trajectory, in warehouse order (segments in manifest
-    /// order, each its sorted run). A full scan — hydrates everything.
-    pub fn iter(&self) -> impl Iterator<Item = &SemanticTrajectory> {
-        (0..self.parts.len()).flat_map(|i| self.part_db(i).iter())
     }
 
     /// Warehouse-wide per-cell aggregates merged from the segments'
@@ -733,6 +720,13 @@ mod tests {
     }
 
     /// The moving objects matching `p`, through the index path.
+    /// Every row, in warehouse order, read through the federation face.
+    fn rows(db: &SegmentedDb) -> Vec<SemanticTrajectory> {
+        (0..db.len() as TrajId)
+            .map(|at| db.row(at).into_owned())
+            .collect()
+    }
+
     fn matching(db: &SegmentedDb, p: &Predicate) -> Vec<String> {
         let hits = crate::Query::new().filter(p.clone()).execute_segmented(db);
         hits.into_iter().map(|t| t.moving_object).collect()
@@ -892,11 +886,10 @@ mod tests {
         db.flush(vec![traj("c", &[(2, 300, 400)], "buy")]).unwrap();
         assert_eq!(db.len(), 3);
         // Within the first segment the run is sorted by span start.
-        let order: Vec<&str> = db.iter().map(|t| t.moving_object.as_str()).collect();
+        let order: Vec<String> = rows(&db).into_iter().map(|t| t.moving_object).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-        assert_eq!(db.get(0).unwrap().moving_object, "a");
-        assert_eq!(db.get(2).unwrap().moving_object, "c");
-        assert!(db.get(3).is_none());
+        assert_eq!(db.locate(2), Some((1, 0)));
+        assert!(db.locate(3).is_none());
     }
 
     #[test]
@@ -1002,7 +995,7 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(db.len(), 6);
         // Content is preserved as a multiset.
-        let mut got: Vec<String> = db.iter().map(|t| t.moving_object.clone()).collect();
+        let mut got: Vec<String> = rows(&db).into_iter().map(|t| t.moving_object).collect();
         got.sort();
         let mut want: Vec<String> = all.iter().map(|t| t.moving_object.clone()).collect();
         want.sort();
@@ -1018,7 +1011,7 @@ mod tests {
             traj("b", &[(2, 50, 150)], "visit"),
         ])
         .unwrap();
-        let reference = TrajectoryDb::build(db.iter().cloned().collect());
+        let reference = TrajectoryDb::build(rows(&db));
         let p = Predicate::VisitedCell(cell(1));
         let q = crate::Query::new().filter(p);
         assert_eq!(

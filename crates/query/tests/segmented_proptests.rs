@@ -14,7 +14,9 @@ use sitm_core::{
     Timestamp, Trace, TransitionTaken,
 };
 use sitm_graph::{LayerIdx, NodeId};
-use sitm_query::{CandidateSet, Predicate, Query, SegmentedDb, SortKey, TrajectoryDb};
+use sitm_query::{
+    CandidateSet, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb, TrajectorySource,
+};
 use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use std::path::PathBuf;
@@ -159,6 +161,13 @@ fn build_segmented(tmp: &TempDir, trajs: &[SemanticTrajectory], splits: &[usize]
     db
 }
 
+/// Every row, in warehouse order, read through the federation face.
+fn rows(db: &SegmentedDb) -> Vec<SemanticTrajectory> {
+    (0..db.len() as TrajId)
+        .map(|at| db.row(at).into_owned())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -177,7 +186,7 @@ proptest! {
 
         // Soundness: candidates never lose a matching position.
         let cand = db.candidates(&pred);
-        let stored: Vec<&SemanticTrajectory> = db.iter().collect();
+        let stored = rows(&db);
         for (i, t) in stored.iter().enumerate() {
             if pred.matches(t) {
                 match &cand {
@@ -209,7 +218,7 @@ proptest! {
 
         // And the whole warehouse answers exactly like an in-memory
         // TrajectoryDb over the same trajectories in the same order.
-        let reference = TrajectoryDb::build(stored.into_iter().cloned().collect());
+        let reference = TrajectoryDb::build(stored);
         let from_ref: Vec<String> = reference
             .trajectories()
             .iter()
@@ -236,7 +245,10 @@ proptest! {
     ) {
         let tmp = TempDir::new();
         let hydrated = build_segmented(&tmp, &trajs, &splits);
-        let reference = TrajectoryDb::build(hydrated.iter().cloned().collect());
+        for segment in hydrated.segments() {
+            segment.trajectories().expect("hydrate");
+        }
+        let reference = TrajectoryDb::build(rows(&hydrated));
         let reopen = || SegmentedDb::open(&tmp.0, WarehouseConfig::default()).expect("reopen").0;
         let mixed = reopen();
         for segment in mixed.segments().iter().step_by(2) {
@@ -294,7 +306,7 @@ proptest! {
     ) {
         let tmp = TempDir::new();
         let db = build_segmented(&tmp, &trajs, &splits);
-        let mut got: Vec<String> = db
+        let mut got: Vec<String> = rows(&db)
             .iter()
             .map(|t| format!("{:?}", (t.moving_object.clone(), t.start(), t.end(), t.trace().len())))
             .collect();

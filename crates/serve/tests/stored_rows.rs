@@ -293,7 +293,12 @@ fn served_pages_are_the_stored_bytes_in_every_residency() {
     let registry = MetricsRegistry::new();
     let reference = {
         let copy = TempDir::copy_of(&seed, "bytes-reference");
-        TrajectoryDb::build(open_db(&copy.0, &registry).iter().cloned().collect())
+        let db = open_db(&copy.0, &registry);
+        TrajectoryDb::build(
+            (0..db.len() as u32)
+                .map(|at| db.row(at).into_owned())
+                .collect(),
+        )
     };
     assert_eq!(reference.len(), 55);
 

@@ -39,7 +39,6 @@ use sitm_core::{
     TimeInterval, Timestamp, Trace, TransitionTaken,
 };
 use sitm_graph::{EdgeId, LayerIdx, NodeId};
-use sitm_louvre::{Device, VisitRecord, ZoneDetectionRecord};
 use sitm_space::CellRef;
 
 use crate::bloom::fnv1a;
@@ -356,62 +355,6 @@ pub fn decode_trajectory(buf: &mut &[u8]) -> Result<SemanticTrajectory, CodecErr
         .map_err(|e| CodecError::InvalidTrajectory(e.to_string()))
 }
 
-const DEVICE_IOS: u8 = 0;
-const DEVICE_ANDROID: u8 = 1;
-
-/// Encodes a raw Louvre-style visit record (the pre-model dataset shape).
-pub fn encode_visit(buf: &mut Vec<u8>, v: &VisitRecord) {
-    put_u64(buf, v.visit_id as u64);
-    put_u64(buf, v.visitor_id as u64);
-    buf.push(match v.device {
-        Device::Ios => DEVICE_IOS,
-        Device::Android => DEVICE_ANDROID,
-    });
-    put_u64(buf, v.detections.len() as u64);
-    let mut prev_end = v
-        .detections
-        .first()
-        .map(|d| d.start)
-        .unwrap_or(Timestamp(0));
-    put_i64(buf, prev_end.as_seconds());
-    for d in &v.detections {
-        put_u64(buf, d.zone_id as u64);
-        put_i64(buf, (d.start - prev_end).as_seconds());
-        put_u64(buf, (d.end - d.start).as_seconds() as u64);
-        prev_end = d.end;
-    }
-}
-
-/// Decodes a visit record.
-pub fn decode_visit(buf: &mut &[u8]) -> Result<VisitRecord, CodecError> {
-    let visit_id = take_u64(buf)? as u32;
-    let visitor_id = take_u64(buf)? as u32;
-    let device = match take_tag(buf)? {
-        DEVICE_IOS => Device::Ios,
-        DEVICE_ANDROID => Device::Android,
-        other => return Err(CodecError::BadTag(other)),
-    };
-    let count = take_count(buf, 1)?;
-    let mut prev_end = take_i64(buf)?;
-    let mut detections = Vec::with_capacity(count);
-    for _ in 0..count {
-        let zone_id = take_u64(buf)? as u32;
-        let (start, end) = take_span(buf, prev_end)?;
-        detections.push(ZoneDetectionRecord {
-            zone_id,
-            start: Timestamp(start),
-            end: Timestamp(end),
-        });
-        prev_end = end;
-    }
-    Ok(VisitRecord {
-        visit_id,
-        visitor_id,
-        device,
-        detections,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,52 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn visit_record_round_trip() {
-        let v = VisitRecord {
-            visit_id: 17,
-            visitor_id: 942,
-            device: Device::Android,
-            detections: vec![
-                ZoneDetectionRecord {
-                    zone_id: 60887,
-                    start: Timestamp(1_485_000_000),
-                    end: Timestamp(1_485_003_600),
-                },
-                ZoneDetectionRecord {
-                    zone_id: 60888,
-                    start: Timestamp(1_485_003_660),
-                    end: Timestamp(1_485_003_660), // zero-duration error
-                },
-            ],
-        };
-        let mut buf = Vec::new();
-        encode_visit(&mut buf, &v);
-        assert_eq!(decode_visit(&mut buf.as_slice()).unwrap(), v);
-        // Empty visit.
-        let empty = VisitRecord {
-            visit_id: 0,
-            visitor_id: 0,
-            device: Device::Ios,
-            detections: vec![],
-        };
-        let mut buf = Vec::new();
-        encode_visit(&mut buf, &empty);
-        assert_eq!(decode_visit(&mut buf.as_slice()).unwrap(), empty);
-    }
-
-    #[test]
     fn bad_tags_are_rejected() {
         assert_eq!(
             decode_transition(&mut [9u8].as_slice()).unwrap_err(),
             CodecError::BadTag(9)
-        );
-        let mut buf = Vec::new();
-        put_u64(&mut buf, 1); // visit_id
-        put_u64(&mut buf, 1); // visitor_id
-        buf.push(7); // bad device tag
-        assert_eq!(
-            decode_visit(&mut buf.as_slice()).unwrap_err(),
-            CodecError::BadTag(7)
         );
     }
 

@@ -10,9 +10,9 @@
 //! * [`bloom`] — [`Bloom`]: a compact double-hashed Bloom filter, the
 //!   fast-*no* membership tier in front of each zone map's exact sets;
 //! * [`codec`] — compact binary encoding of annotation sets, traces,
-//!   semantic trajectories, episodes, and raw visit records, with
-//!   delta-encoded timestamps and fully validated decoding, over the
-//!   varint / string / count / span primitives of [`sitm_codec`];
+//!   semantic trajectories and episodes, with delta-encoded timestamps
+//!   and fully validated decoding, over the varint / string / count /
+//!   span primitives of [`sitm_codec`];
 //! * [`checkpoint`] — [`CheckpointFrame`]: the per-shard snapshot record
 //!   streaming engines persist, plus torn-checkpoint detection;
 //! * [`segment`] — the CRC frame (one writer, one validator) every
@@ -42,7 +42,7 @@ pub use bloom::{fnv1a, Bloom};
 pub use checkpoint::{
     complete_checkpoint_groups, latest_complete_checkpoint, CheckpointFrame, CompactionPolicy,
 };
-pub use codec::{decode_trajectory, decode_visit, encode_trajectory, encode_visit, CodecError};
+pub use codec::{decode_trajectory, encode_trajectory, CodecError};
 pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};
 pub use segment::{scan, write_frame, write_header, Corruption, ScanOutcome};

@@ -1,7 +1,9 @@
 //! The durable append-only log store.
 //!
-//! [`LogStore<R>`] persists any [`Record`] type (semantic trajectories,
-//! raw visit records) to a single segment file:
+//! [`LogStore<R>`] persists any [`Record`] type — the warehouse's
+//! [`ManifestRecord`](crate::ManifestRecord)s, the engines'
+//! [`CheckpointFrame`](crate::CheckpointFrame)s — to a single segment
+//! file:
 //!
 //! * **open** reads the file, scans its frames ([`segment::scan`]),
 //!   decodes every intact record, and — when the tail is torn or
@@ -22,12 +24,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use sitm_core::SemanticTrajectory;
-use sitm_louvre::VisitRecord;
-
-use crate::codec::{
-    self, decode_trajectory, decode_visit, encode_trajectory, encode_visit, CodecError,
-};
+use crate::codec::{self, CodecError};
 use crate::segment::{self, Corruption};
 
 /// A value the log can persist.
@@ -36,24 +33,6 @@ pub trait Record: Sized {
     fn encode_record(&self, buf: &mut Vec<u8>);
     /// Decodes from a payload; must consume exactly the record.
     fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError>;
-}
-
-impl Record for SemanticTrajectory {
-    fn encode_record(&self, buf: &mut Vec<u8>) {
-        encode_trajectory(buf, self);
-    }
-    fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        decode_trajectory(buf)
-    }
-}
-
-impl Record for VisitRecord {
-    fn encode_record(&self, buf: &mut Vec<u8>) {
-        encode_visit(buf, self);
-    }
-    fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        decode_visit(buf)
-    }
 }
 
 /// What [`LogStore::open`] found and did.
@@ -304,11 +283,7 @@ pub use codec::CodecError as LogCodecError;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_core::{
-        Annotation, AnnotationSet, PresenceInterval, Timestamp, Trace, TransitionTaken,
-    };
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use crate::CheckpointFrame;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -333,38 +308,38 @@ mod tests {
         }
     }
 
-    fn traj(mo: &str, start: i64) -> SemanticTrajectory {
-        let stay = PresenceInterval::new(
-            TransitionTaken::Unknown,
-            CellRef::new(LayerIdx::from_index(0), NodeId::from_index(1)),
-            Timestamp(start),
-            Timestamp(start + 60),
-        );
-        SemanticTrajectory::new(
-            mo,
-            Trace::new(vec![stay]).unwrap(),
-            AnnotationSet::from_iter([Annotation::goal("visit")]),
-        )
-        .unwrap()
+    /// A one-frame checkpoint whose payload is `tag`.
+    fn frame(tag: &str, sequence: u64) -> CheckpointFrame {
+        CheckpointFrame {
+            sequence,
+            shard: 0,
+            shard_count: 1,
+            payload: tag.as_bytes().to_vec(),
+        }
+    }
+
+    fn tags(records: &[CheckpointFrame]) -> Vec<&str> {
+        records
+            .iter()
+            .map(|r| std::str::from_utf8(&r.payload).expect("utf-8 tag"))
+            .collect()
     }
 
     #[test]
     fn create_append_reopen() {
         let tmp = TempPath::new("basic");
         {
-            let (mut log, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+            let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
             assert!(records.is_empty());
             assert!(report.is_clean());
-            log.append(&traj("a", 0)).unwrap();
-            log.append(&traj("b", 100)).unwrap();
+            log.append(&frame("a", 0)).unwrap();
+            log.append(&frame("b", 100)).unwrap();
             log.sync().unwrap();
             assert_eq!(log.len(), 2);
         }
-        let (log, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+        let (log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].moving_object, "a");
-        assert_eq!(records[1].moving_object, "b");
+        assert_eq!(tags(&records), vec!["a", "b"]);
         assert_eq!(log.len(), 2);
         assert!(!log.is_empty());
     }
@@ -373,44 +348,42 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let tmp = TempPath::new("torn");
         {
-            let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
-            log.append(&traj("keep", 0)).unwrap();
-            log.append(&traj("lost", 100)).unwrap();
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            log.append(&frame("keep", 0)).unwrap();
+            log.append(&frame("lost", 100)).unwrap();
             log.sync().unwrap();
         }
         // Tear the last frame.
         let data = std::fs::read(&tmp.0).unwrap();
         std::fs::write(&tmp.0, &data[..data.len() - 3]).unwrap();
 
-        let (mut log, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].moving_object, "keep");
+        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        assert_eq!(tags(&records), vec!["keep"]);
         assert!(report.truncated_bytes > 0);
         assert!(matches!(report.corruption, Some(Corruption::Torn { .. })));
         // The repaired log accepts appends and reopens cleanly.
-        log.append(&traj("after-crash", 200)).unwrap();
+        log.append(&frame("after-crash", 200)).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (_, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
-        let names: Vec<&str> = records.iter().map(|r| r.moving_object.as_str()).collect();
-        assert_eq!(names, vec!["keep", "after-crash"]);
+        assert_eq!(tags(&records), vec!["keep", "after-crash"]);
     }
 
     #[test]
     fn flipped_payload_byte_is_dropped() {
         let tmp = TempPath::new("flip");
         {
-            let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
-            log.append(&traj("keep", 0)).unwrap();
-            log.append(&traj("corrupt", 100)).unwrap();
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            log.append(&frame("keep", 0)).unwrap();
+            log.append(&frame("corrupt", 100)).unwrap();
             log.sync().unwrap();
         }
         let mut data = std::fs::read(&tmp.0).unwrap();
         let n = data.len();
         data[n - 4] ^= 0xFF; // inside the last payload
         std::fs::write(&tmp.0, &data).unwrap();
-        let (_, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert_eq!(records.len(), 1);
         assert!(matches!(
             report.corruption,
@@ -422,7 +395,7 @@ mod tests {
     fn non_segment_file_is_refused() {
         let tmp = TempPath::new("junk");
         std::fs::write(&tmp.0, b"definitely not a segment").unwrap();
-        match LogStore::<SemanticTrajectory>::open(&tmp.0) {
+        match LogStore::<CheckpointFrame>::open(&tmp.0) {
             Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
             other => panic!("expected InvalidData, got {other:?}"),
         }
@@ -431,64 +404,32 @@ mod tests {
     #[test]
     fn compact_rewrites_atomically() {
         let tmp = TempPath::new("compact");
-        let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         for i in 0..10 {
-            log.append(&traj(&format!("t{i}"), i * 100)).unwrap();
+            log.append(&frame(&format!("t{i}"), i * 100)).unwrap();
         }
         log.sync().unwrap();
         let before = log.size_bytes();
         // Keep only two records.
-        let keep = [traj("x", 0), traj("y", 100)];
+        let keep = [frame("x", 0), frame("y", 100)];
         log.compact(&keep).unwrap();
         assert_eq!(log.len(), 2);
         assert!(log.size_bytes() < before);
         // Appends still work after compaction, and reopen sees 3 records.
-        log.append(&traj("z", 200)).unwrap();
+        log.append(&frame("z", 200)).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (_, records, report) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
-        let names: Vec<&str> = records.iter().map(|r| r.moving_object.as_str()).collect();
-        assert_eq!(names, vec!["x", "y", "z"]);
-    }
-
-    #[test]
-    fn visit_record_log() {
-        use sitm_louvre::{Device, ZoneDetectionRecord};
-        let tmp = TempPath::new("visits");
-        let visit = VisitRecord {
-            visit_id: 1,
-            visitor_id: 7,
-            device: Device::Ios,
-            detections: vec![ZoneDetectionRecord {
-                zone_id: 60887,
-                start: Timestamp(0),
-                end: Timestamp(3600),
-            }],
-        };
-        {
-            let (mut log, _, _) = LogStore::<VisitRecord>::open(&tmp.0).unwrap();
-            log.append_batch(
-                [&visit, &visit]
-                    .into_iter()
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    .iter(),
-            )
-            .unwrap();
-            log.sync().unwrap();
-        }
-        let (_, records, _) = LogStore::<VisitRecord>::open(&tmp.0).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], visit);
+        assert_eq!(tags(&records), vec!["x", "y", "z"]);
     }
 
     #[test]
     fn append_offsets_are_monotonic() {
         let tmp = TempPath::new("offsets");
-        let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&tmp.0).unwrap();
-        let a = log.append(&traj("a", 0)).unwrap();
-        let b = log.append(&traj("b", 10)).unwrap();
+        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let a = log.append(&frame("a", 0)).unwrap();
+        let b = log.append(&frame("b", 10)).unwrap();
         assert_eq!(a, segment::MAGIC.len() as u64);
         assert!(b > a);
         assert_eq!(log.path(), tmp.0.as_path());

@@ -2,8 +2,8 @@
 //!
 //! The WAL contract under test:
 //!
-//! 1. **Round-trip** — decode(encode(x)) == x for arbitrary trajectories
-//!    and visit records.
+//! 1. **Round-trip** — decode(encode(x)) == x for arbitrary trajectories,
+//!    and a log reopens to exactly the records appended to it.
 //! 2. **Truncation prefix** — cutting a segment at *any* byte recovers a
 //!    clean prefix of the written records, and every frame fully
 //!    contained in the kept bytes survives.
@@ -24,13 +24,10 @@ use sitm_core::{
     Trace, TransitionTaken,
 };
 use sitm_graph::{EdgeId, LayerIdx, NodeId};
-use sitm_louvre::{Device, VisitRecord, ZoneDetectionRecord};
 use sitm_space::CellRef;
-use sitm_store::codec::{
-    decode_trajectory, decode_visit, encode_trajectory, encode_visit, CodecError,
-};
+use sitm_store::codec::{decode_trajectory, encode_trajectory, CodecError};
 use sitm_store::segment::{scan, write_frame, write_header, FRAME_OVERHEAD, MAGIC};
-use sitm_store::{LogStore, ObjectSet};
+use sitm_store::{CheckpointFrame, LogStore, ObjectSet};
 
 /// A unique throwaway log path, removed on drop.
 struct TempLog(std::path::PathBuf);
@@ -119,35 +116,18 @@ fn trajectory_strategy() -> impl Strategy<Value = SemanticTrajectory> {
         })
 }
 
-fn visit_strategy() -> impl Strategy<Value = VisitRecord> {
+fn frame_strategy() -> impl Strategy<Value = CheckpointFrame> {
     (
-        0u32..100_000,
-        0u32..5_000,
-        prop::bool::ANY,
-        0i64..2_000_000_000,
-        prop::collection::vec((60_840u32..60_892, 0i64..400, 0i64..4000), 0..12),
+        any::<u64>(),
+        0u32..8,
+        1u32..8,
+        prop::collection::vec(any::<u8>(), 0..64),
     )
-        .prop_map(|(visit_id, visitor_id, ios, start, dets)| {
-            let mut t = start;
-            let detections = dets
-                .into_iter()
-                .map(|(zone_id, gap, dur)| {
-                    let s = t + gap;
-                    let e = s + dur;
-                    t = e;
-                    ZoneDetectionRecord {
-                        zone_id,
-                        start: Timestamp(s),
-                        end: Timestamp(e),
-                    }
-                })
-                .collect();
-            VisitRecord {
-                visit_id,
-                visitor_id,
-                device: if ios { Device::Ios } else { Device::Android },
-                detections,
-            }
+        .prop_map(|(sequence, shard, shard_count, payload)| CheckpointFrame {
+            sequence,
+            shard,
+            shard_count,
+            payload,
         })
 }
 
@@ -187,19 +167,10 @@ proptest! {
     }
 
     #[test]
-    fn visit_round_trip(v in visit_strategy()) {
-        let mut buf = Vec::new();
-        encode_visit(&mut buf, &v);
-        let decoded = decode_visit(&mut buf.as_slice()).expect("clean decode");
-        prop_assert_eq!(decoded, v);
-    }
-
-    #[test]
     fn decoding_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Whatever happens, it must be an Err or a legal value — no panic,
         // no absurd allocation.
         let _ = decode_trajectory(&mut bytes.as_slice());
-        let _ = decode_visit(&mut bytes.as_slice());
     }
 
     #[test]
@@ -344,49 +315,49 @@ proptest! {
     /// verbatim on reopen, in order, with a clean report.
     #[test]
     fn log_reopen_returns_appended_records(
-        trajs in prop::collection::vec(trajectory_strategy(), 0..8),
+        frames in prop::collection::vec(frame_strategy(), 0..8),
     ) {
         let tmp = TempLog::new();
         {
             let (mut log, existing, report) =
-                LogStore::<SemanticTrajectory>::open(&tmp.0).expect("create");
+                LogStore::<CheckpointFrame>::open(&tmp.0).expect("create");
             prop_assert!(existing.is_empty());
             prop_assert!(report.is_clean());
-            log.append_batch(trajs.iter()).expect("append");
+            log.append_batch(frames.iter()).expect("append");
             log.sync().expect("sync");
-            prop_assert_eq!(log.len(), trajs.len());
+            prop_assert_eq!(log.len(), frames.len());
         }
         let (log, records, report) =
-            LogStore::<SemanticTrajectory>::open(&tmp.0).expect("reopen");
+            LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
-        prop_assert_eq!(&records, &trajs);
-        prop_assert_eq!(log.len(), trajs.len());
-        prop_assert_eq!(log.is_empty(), trajs.is_empty());
+        prop_assert_eq!(&records, &frames);
+        prop_assert_eq!(log.len(), frames.len());
+        prop_assert_eq!(log.is_empty(), frames.is_empty());
     }
 
     /// Compaction to an arbitrary subset is equivalent to rebuilding the
     /// log from that subset.
     #[test]
     fn compaction_equals_rebuild(
-        trajs in prop::collection::vec(trajectory_strategy(), 1..8),
+        frames in prop::collection::vec(frame_strategy(), 1..8),
         keep_mask in prop::collection::vec(any::<bool>(), 1..8),
     ) {
         let tmp = TempLog::new();
-        let keep: Vec<SemanticTrajectory> = trajs
+        let keep: Vec<CheckpointFrame> = frames
             .iter()
             .zip(keep_mask.iter().cycle())
             .filter(|(_, &k)| k)
-            .map(|(t, _)| t.clone())
+            .map(|(f, _)| f.clone())
             .collect();
         {
-            let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&tmp.0).expect("create");
-            log.append_batch(trajs.iter()).expect("append");
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).expect("create");
+            log.append_batch(frames.iter()).expect("append");
             log.sync().expect("sync");
             log.compact(&keep).expect("compact");
             prop_assert_eq!(log.len(), keep.len());
         }
         let (_, records, report) =
-            LogStore::<SemanticTrajectory>::open(&tmp.0).expect("reopen");
+            LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
         prop_assert_eq!(records, keep);
     }

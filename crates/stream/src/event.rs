@@ -1,15 +1,16 @@
 //! The ingestion vocabulary: events interleaved across concurrent visits.
 //!
-//! A producer (positioning pipeline, mobile app backend, the Louvre
-//! replay adapter) emits a single time-ordered stream of events keyed by
-//! visit. Two producer styles are supported and may be mixed:
+//! A producer (positioning pipeline, mobile app backend, a replay of
+//! finished trajectories through [`trajectory_feed`]) emits a single
+//! time-ordered stream of events keyed by visit. Two producer styles
+//! are supported and may be mixed:
 //!
 //! * **fix-level** — raw [`StreamEvent::Fix`]es; the engine coalesces
 //!   consecutive same-cell fixes into presence intervals online;
 //! * **detection-level** — pre-formed [`StreamEvent::Presence`]
 //!   intervals (the shape the Louvre dataset ships in).
 
-use sitm_core::{AnnotationSet, PresenceInterval, Timestamp};
+use sitm_core::{AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp};
 use sitm_space::CellRef;
 
 /// Stable identifier of one visit (one trajectory under construction).
@@ -103,6 +104,37 @@ pub fn sort_feed(events: &mut [StreamEvent]) {
     events.sort_by_key(|e| (e.time(), e.rank(), e.visit()));
 }
 
+/// Finished trajectories, each under its own visit key, replayed as the
+/// one feed a live deployment would have seen: per visit an open, a
+/// presence per stay and a close, interleaved across visits by
+/// [`sort_feed`]. The engine ingests each trajectory's intervals
+/// unchanged, so streamed episodes over the feed must equal batch
+/// `maximal_episodes` over the trajectories.
+pub fn trajectory_feed(trajectories: &[(u64, SemanticTrajectory)]) -> Vec<StreamEvent> {
+    let mut events = Vec::new();
+    for (key, trajectory) in trajectories {
+        let visit = VisitKey(*key);
+        events.push(StreamEvent::VisitOpened {
+            visit,
+            moving_object: trajectory.moving_object.clone(),
+            annotations: trajectory.annotations().clone(),
+            at: trajectory.start(),
+        });
+        events.extend(trajectory.trace().intervals().iter().map(|interval| {
+            StreamEvent::Presence {
+                visit,
+                interval: interval.clone(),
+            }
+        }));
+        events.push(StreamEvent::VisitClosed {
+            visit,
+            at: trajectory.end(),
+        });
+    }
+    sort_feed(&mut events);
+    events
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +205,99 @@ mod tests {
         assert!(matches!(feed[0], StreamEvent::VisitOpened { .. }));
         assert!(matches!(feed[1], StreamEvent::Fix { .. }));
         assert!(matches!(feed[2], StreamEvent::VisitClosed { .. }));
+    }
+
+    fn trajectory(mo: &str, stays: &[(usize, i64, i64)]) -> SemanticTrajectory {
+        let intervals = stays
+            .iter()
+            .map(|&(c, s, e)| {
+                PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(c),
+                    Timestamp(s),
+                    Timestamp(e),
+                )
+            })
+            .collect();
+        SemanticTrajectory::new(
+            mo,
+            sitm_core::Trace::new(intervals).unwrap(),
+            AnnotationSet::from_iter([sitm_core::Annotation::goal("visit")]),
+        )
+        .unwrap()
+    }
+
+    /// Three overlapping visits, keyed out of order, with ties across
+    /// visits (two stays start at 50) and within one (visit 2 has two
+    /// stays starting at 50).
+    fn keyed() -> Vec<(u64, SemanticTrajectory)> {
+        vec![
+            (3, trajectory("a", &[(1, 0, 50), (2, 50, 90), (1, 95, 95)])),
+            (1, trajectory("b", &[(2, 10, 60)])),
+            (2, trajectory("c", &[(1, 50, 50), (3, 50, 200)])),
+        ]
+    }
+
+    #[test]
+    fn trajectory_feed_is_time_ordered_and_complete() {
+        let trajectories = keyed();
+        let feed = trajectory_feed(&trajectories);
+        for pair in feed.windows(2) {
+            assert!(
+                (pair[0].time(), pair[0].rank(), pair[0].visit())
+                    <= (pair[1].time(), pair[1].rank(), pair[1].visit()),
+                "feed out of order"
+            );
+        }
+        let count = |wanted: fn(&StreamEvent) -> bool| feed.iter().filter(|e| wanted(e)).count();
+        let stays: usize = trajectories.iter().map(|(_, t)| t.trace().len()).sum();
+        assert_eq!(count(|e| matches!(e, StreamEvent::Presence { .. })), stays);
+        assert_eq!(count(|e| matches!(e, StreamEvent::VisitOpened { .. })), 3);
+        assert_eq!(count(|e| matches!(e, StreamEvent::VisitClosed { .. })), 3);
+        assert_eq!(feed.len(), 3 + stays + 3);
+    }
+
+    #[test]
+    fn trajectory_feed_orders_each_visit_open_observe_close() {
+        let trajectories = keyed();
+        let feed = trajectory_feed(&trajectories);
+        for (key, trajectory) in &trajectories {
+            let visit = VisitKey(*key);
+            let of_visit: Vec<&StreamEvent> = feed.iter().filter(|e| e.visit() == visit).collect();
+            let (open, rest) = of_visit.split_first().unwrap();
+            let (close, presences) = rest.split_last().unwrap();
+            assert_eq!(
+                **open,
+                StreamEvent::VisitOpened {
+                    visit,
+                    moving_object: trajectory.moving_object.clone(),
+                    annotations: trajectory.annotations().clone(),
+                    at: trajectory.start(),
+                }
+            );
+            let intervals: Vec<&PresenceInterval> = presences
+                .iter()
+                .map(|e| match e {
+                    StreamEvent::Presence { interval, .. } => interval,
+                    other => panic!("{other:?} between open and close"),
+                })
+                .collect();
+            assert!(intervals.iter().copied().eq(trajectory.trace().intervals()));
+            assert_eq!(
+                **close,
+                StreamEvent::VisitClosed {
+                    visit,
+                    at: trajectory.end(),
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn trajectory_feed_does_not_depend_on_the_order_of_its_input() {
+        let trajectories = keyed();
+        let mut reversed = trajectories.clone();
+        reversed.reverse();
+        assert_eq!(trajectory_feed(&trajectories), trajectory_feed(&reversed));
     }
 }

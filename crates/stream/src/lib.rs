@@ -9,7 +9,9 @@
 //! `sitm_core::maximal_episodes` over the completed trajectory.
 //!
 //! * [`event`] — the ingestion vocabulary: per-visit [`StreamEvent`]s
-//!   (open / raw fix / presence / close), interleaved across visitors;
+//!   (open / raw fix / presence / close), interleaved across visitors,
+//!   and [`trajectory_feed`], which replays finished trajectories as
+//!   one time-ordered feed;
 //! * [`visit`] — the per-visit state machine: open fix-derived presence
 //!   interval, trace-order validation, one [`sitm_core::RunBuilder`] per
 //!   configured predicate;
@@ -44,11 +46,6 @@
 //!   [`EngineConfig::with_warehouse`]) out of the engine into
 //!   `sitm_query::SegmentedDb`'s immutable segment tier, bounding
 //!   engine memory while history accumulates on disk;
-//! * [`replay`] — a streaming source over the calibrated Louvre dataset:
-//!   replays `sitm_louvre::generate_dataset` output as one
-//!   timestamp-ordered event feed;
-//! * [`occupancy`] — live per-cell occupancy derived from the feed (the
-//!   "how many visitors are in the Denon wing *right now*" query).
 //!
 //! ## One runtime, any worker count
 //!
@@ -98,20 +95,16 @@ pub mod event;
 pub mod flusher;
 pub mod live_index;
 pub mod live_query;
-pub mod occupancy;
 pub mod parallel;
-pub mod replay;
 pub mod segmenter;
 pub mod shard;
 pub mod visit;
 
 pub use checkpoint::{resume_compacting, resume_from_log, CheckpointError, Checkpointer};
 pub use engine::{Anomalies, EmittedEpisode, EngineConfig, EngineError, EngineStats};
-pub use event::{StreamEvent, VisitKey};
+pub use event::{trajectory_feed, StreamEvent, VisitKey};
 pub use flusher::Flusher;
 pub use live_index::LiveIndex;
 pub use live_query::{LiveSnapshot, LiveVisit};
-pub use occupancy::OccupancyTracker;
 pub use parallel::ParallelEngine;
-pub use replay::{dataset_events, visit_trajectories};
 pub use segmenter::IncrementalSegmenter;

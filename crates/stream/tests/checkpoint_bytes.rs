@@ -12,7 +12,7 @@ use sitm_louvre::{
 use sitm_store::{fnv1a, CheckpointFrame, LogStore};
 use sitm_stream::checkpoint::{decode_shard, encode_shard};
 use sitm_stream::shard::ShardSnapshot;
-use sitm_stream::{dataset_events, resume_from_log, EngineConfig, ParallelEngine, StreamEvent};
+use sitm_stream::{resume_from_log, trajectory_feed, EngineConfig, ParallelEngine, StreamEvent};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -53,7 +53,7 @@ fn day() -> (LouvreModel, Vec<StreamEvent>) {
         calibration,
         ..GeneratorConfig::default()
     });
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     (model, events)
 }
 
@@ -100,6 +100,11 @@ fn same_feed_same_bytes_for_every_worker_count_and_batch() {
                     assert!(!noon.closed.is_empty(), "fences");
                     assert!(!noon.pending.is_empty(), "undrained episodes");
                     assert!(!noon.finished.is_empty(), "finished backlog");
+                    // The feed is pinned too: a change in how the seeded
+                    // day becomes events moves these.
+                    let pin = |payload: &[u8]| (payload.len(), fnv1a(payload));
+                    assert_eq!(pin(&midday), (14_657, 0xee29_fb16_3b68_6a06), "midday");
+                    assert_eq!(pin(&evening), (27_797, 0xd1c9_3575_9844_d4e3), "evening");
                     reference = Some((midday, evening));
                 }
                 Some((noon, night)) => {

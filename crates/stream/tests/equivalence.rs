@@ -22,9 +22,7 @@ use sitm_louvre::{
 };
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
-use sitm_stream::{
-    dataset_events, resume_from_log, visit_trajectories, EngineConfig, ParallelEngine, VisitKey,
-};
+use sitm_stream::{resume_from_log, trajectory_feed, EngineConfig, ParallelEngine};
 
 /// Builds a consistent scaled-down calibration from free parameters.
 fn calibration(
@@ -93,7 +91,7 @@ fn predicates(model: &LouvreModel) -> Vec<(IntervalPredicate, AnnotationSet)> {
 
 /// Batch reference: per (visit, predicate), the maximal episodes.
 fn batch_reference(
-    trajectories: &[(VisitKey, SemanticTrajectory)],
+    trajectories: &[(u64, SemanticTrajectory)],
     predicates: &[(IntervalPredicate, AnnotationSet)],
 ) -> BTreeMap<(u64, usize), Vec<Episode>> {
     let mut reference = BTreeMap::new();
@@ -101,7 +99,7 @@ fn batch_reference(
         for (p, (predicate, annotations)) in predicates.iter().enumerate() {
             let episodes = maximal_episodes(trajectory, predicate, annotations.clone())
                 .expect("labels differ from A_traj");
-            reference.insert((key.0, p), episodes);
+            reference.insert((*key, p), episodes);
         }
     }
     reference
@@ -161,8 +159,8 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, doubles, triples, k);
-        let trajectories = visit_trajectories(&model, &dataset);
-        let events = dataset_events(&model, &dataset);
+        let trajectories = dataset.visit_trajectories(&model);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         prop_assert!(!trajectories.is_empty());
 
         let reference = without_empty(batch_reference(&trajectories, &predicates(&model)));
@@ -194,8 +192,8 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, 2, 1, k);
-        let trajectories = visit_trajectories(&model, &dataset);
-        let events = dataset_events(&model, &dataset);
+        let trajectories = dataset.visit_trajectories(&model);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         let preds = predicates(&model);
 
         let mut engine = ParallelEngine::new(
@@ -209,7 +207,7 @@ proptest! {
             // The complementary pair (predicates 3, 4) partitions the trace.
             let mut pair = EpisodicSegmentation::new();
             for p in [3usize, 4] {
-                for e in streamed.get(&(key.0, p)).into_iter().flatten() {
+                for e in streamed.get(&(*key, p)).into_iter().flatten() {
                     pair.push(e.clone());
                 }
             }
@@ -226,7 +224,7 @@ proptest! {
             // The always-true predicate (index 2) yields one run spanning
             // the trace: its segmentation must cover the trajectory.
             let mut whole = EpisodicSegmentation::new();
-            for e in streamed.get(&(key.0, 2)).into_iter().flatten() {
+            for e in streamed.get(&(*key, 2)).into_iter().flatten() {
                 whole.push(e.clone());
             }
             prop_assert_eq!(whole.len(), 1);
@@ -244,7 +242,7 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, 1, 1, k);
-        let events = dataset_events(&model, &dataset);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         let cut = events.len() * cut_permille / 1000;
 
         // Reference: one uninterrupted run.

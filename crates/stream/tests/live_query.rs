@@ -34,7 +34,7 @@ use sitm_query::{federated_count, CandidateSet, Predicate, Query, Row, Trajector
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_from_log, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,
+    resume_from_log, trajectory_feed, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,
     VisitKey,
 };
 use std::sync::Arc;
@@ -217,7 +217,7 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = small_dataset(seed, visits, k);
-        let events = dataset_events(&model, &dataset);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         prop_assert!(!events.is_empty());
 
         let mut sequential = ParallelEngine::new(config(&model, 1)).expect("engine");
@@ -249,7 +249,7 @@ fn empty_shards_are_invisible_to_live_queries() {
     // snapshot must reflect exactly the one open prefix.
     let model = build_louvre();
     let dataset = small_dataset(77, 1, 4);
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     assert!(events.len() > 2);
     let mut engine = ParallelEngine::new(config(&model, 8)).unwrap();
     // Everything but the close.
@@ -351,7 +351,7 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
 
     let model = build_louvre();
     let dataset = small_dataset(42, 10, 4);
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     let mut engine = ParallelEngine::new(config(&model, 4)).unwrap();
     // Ingest everything but the tail closes so several visits stay open.
     let open_cut = events
@@ -421,7 +421,7 @@ fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() 
     // current trajectory would silently answer live queries wrongly.
     let model = build_louvre();
     let dataset = small_dataset(123, 4, 5);
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     // Cut just before the first close: that visit is open, mid-prefix.
     let cut = events
         .iter()

@@ -32,8 +32,8 @@ use sitm_louvre::{
 use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    dataset_events, resume_from_log, visit_trajectories, EmittedEpisode, EngineConfig,
-    ParallelEngine, StreamEvent, VisitKey,
+    resume_from_log, trajectory_feed, EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent,
+    VisitKey,
 };
 
 fn calibration(singles: usize, doubles: usize, mean_dets: usize) -> PaperCalibration {
@@ -115,7 +115,7 @@ fn grouped(emitted: &[EmittedEpisode]) -> BTreeMap<(u64, usize), Vec<Episode>> {
 }
 
 fn batch_reference(
-    trajectories: &[(VisitKey, SemanticTrajectory)],
+    trajectories: &[(u64, SemanticTrajectory)],
     predicates: &[(IntervalPredicate, AnnotationSet)],
 ) -> BTreeMap<(u64, usize), Vec<Episode>> {
     let mut reference = BTreeMap::new();
@@ -125,7 +125,7 @@ fn batch_reference(
                 .expect("labels differ from A_traj");
             episodes.sort_by_key(|e| (e.range.start, e.range.end, e.time.start, e.time.end));
             if !episodes.is_empty() {
-                reference.insert((key.0, p), episodes);
+                reference.insert((*key, p), episodes);
             }
         }
     }
@@ -178,8 +178,8 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, doubles, k);
-        let trajectories = visit_trajectories(&model, &dataset);
-        let events = dataset_events(&model, &dataset);
+        let trajectories = dataset.visit_trajectories(&model);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         prop_assert!(!trajectories.is_empty());
 
         let reference = batch_reference(&trajectories, &predicates(&model));
@@ -219,7 +219,7 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, 1, k);
-        let mut events = dataset_events(&model, &dataset);
+        let mut events = trajectory_feed(&dataset.visit_trajectories(&model));
         shuffle(&mut events, shuffle_seed);
         let cut = events.len() * cut_permille / 1000;
 
@@ -257,7 +257,7 @@ proptest! {
     ) {
         let model = build_louvre();
         let dataset = generated(seed, singles, 1, k);
-        let events = dataset_events(&model, &dataset);
+        let events = trajectory_feed(&dataset.visit_trajectories(&model));
         let cut = events.len() * cut_permille / 1000;
 
         // Reference: one uninterrupted parallel run.

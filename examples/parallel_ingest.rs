@@ -14,7 +14,7 @@ use sitm::louvre::{
 };
 use sitm::query::{federated_count, Predicate, TrajectorySource};
 use sitm::store::CompactionPolicy;
-use sitm::stream::{dataset_events, resume_compacting, visit_trajectories, EngineConfig};
+use sitm::stream::{resume_compacting, trajectory_feed, EngineConfig, VisitKey};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -54,7 +54,7 @@ fn main() {
         calibration,
         ..GeneratorConfig::default()
     });
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     println!(
         "replaying {} events across {} visits on 4 worker threads\n",
         events.len(),
@@ -116,11 +116,11 @@ fn main() {
 
     // ---- 4. Differential proof: streamed == batch. -----------------------
     let mut expected = Vec::new();
-    for (visit, trajectory) in visit_trajectories(&model, &dataset) {
+    for (visit, trajectory) in dataset.visit_trajectories(&model) {
         for (p, (predicate, annotations)) in predicates(&model).into_iter().enumerate() {
             let episodes =
                 maximal_episodes(&trajectory, &predicate, annotations).expect("labels differ");
-            expected.extend(episodes.into_iter().map(|e| (visit, p, e)));
+            expected.extend(episodes.into_iter().map(|e| (VisitKey(visit), p, e)));
         }
     }
     let mut streamed: Vec<_> = delivered

@@ -1,27 +1,26 @@
 //! Streaming ingestion walkthrough: replay a calibrated Louvre day as a
-//! live event feed, push it through the work-stealing online engine, and watch
-//! per-wing occupancy plus batch-identical episodes fall out the other
-//! side — with a crash and checkpoint-recovery in the middle. The
-//! 8-worker checkpoint is recovered into a 2-worker engine (a
-//! checkpoint does not depend on the worker count), and the example
-//! asserts the recovered day delivers exactly the episodes of an
-//! uninterrupted run.
+//! live event feed, push it through the work-stealing online engine, and
+//! watch per-wing occupancy (counted over the engine's live snapshot)
+//! plus batch-identical episodes fall out the other side — with a crash
+//! and checkpoint-recovery in the middle. The 8-worker checkpoint is
+//! recovered into a 2-worker engine (a checkpoint does not depend on the
+//! worker count), and the example asserts the recovered day delivers
+//! exactly the episodes of an uninterrupted run.
 //!
 //! Run with: `cargo run --example streaming_ingest`
 
 use std::collections::BTreeMap;
 
 use sitm::analytics::bar_chart;
-use sitm::core::{Annotation, AnnotationSet, Duration, IntervalPredicate};
+use sitm::core::{Annotation, AnnotationSet, Duration, IntervalPredicate, TimeInterval};
 use sitm::louvre::{
     build_louvre, generate_dataset, zone_catalog, zone_key, GeneratorConfig, LouvreModel,
     PaperCalibration, Wing,
 };
+use sitm::query::Predicate;
 use sitm::space::CellRef;
 use sitm::store::{CheckpointFrame, LogStore};
-use sitm::stream::{
-    dataset_events, resume_from_log, EngineConfig, OccupancyTracker, ParallelEngine,
-};
+use sitm::stream::{resume_from_log, trajectory_feed, EngineConfig, ParallelEngine};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -64,7 +63,7 @@ fn main() {
         calibration,
         ..GeneratorConfig::default()
     });
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     println!(
         "replaying {} events across {} visits\n",
         events.len(),
@@ -72,9 +71,14 @@ fn main() {
     );
 
     // ---- 2. Online engine + live occupancy. -------------------------------
-    let config = |workers| EngineConfig::new(predicates(&model)).with_shards(workers);
+    // Live queries keep each open visit's stays, so "who is in this zone
+    // right now" is a `StayOverlaps` count over the engine's live cut.
+    let config = |workers| {
+        EngineConfig::new(predicates(&model))
+            .with_shards(workers)
+            .with_live_queries()
+    };
     let mut engine = ParallelEngine::new(config(8)).expect("engine");
-    let mut occupancy = OccupancyTracker::new();
 
     // Map each zone cell to its wing for the live dashboard.
     let wing_of: BTreeMap<CellRef, Wing> = zone_catalog()
@@ -87,10 +91,18 @@ fn main() {
         std::env::temp_dir().join(format!("sitm-streaming-ingest-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&ckpt_path);
     let half = events.len() / 2;
-    for event in &events[..half] {
-        occupancy.observe(event);
-        engine.ingest(event.clone());
+    engine.ingest_all(events[..half].iter().cloned());
+    let now = events[half - 1].time();
+    let live = engine.live_snapshot();
+    let mut per_wing: BTreeMap<&'static str, f64> = BTreeMap::new();
+    let mut busiest = 0;
+    for (cell, wing) in &wing_of {
+        let inside =
+            live.count_matching(&Predicate::StayOverlaps(*cell, TimeInterval::new(now, now)));
+        *per_wing.entry(wing.name()).or_insert(0.0) += inside as f64;
+        busiest = busiest.max(inside);
     }
+    assert!(busiest > 0, "visitors are inside at midday");
     let mut delivered = engine.drain();
     let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&ckpt_path).expect("open log");
     engine.checkpoint(&mut log).expect("checkpoint");
@@ -102,17 +114,12 @@ fn main() {
         half,
         delivered.len()
     );
-    let mut per_wing: BTreeMap<&'static str, f64> = BTreeMap::new();
-    for (cell, count) in occupancy.current() {
-        if let Some(wing) = wing_of.get(cell) {
-            *per_wing.entry(wing.name()).or_insert(0.0) += *count as f64;
-        }
-    }
     let entries: Vec<(String, f64)> = per_wing
         .into_iter()
         .map(|(w, n)| (w.to_string(), n))
         .collect();
     println!("{}", bar_chart(&entries, 40));
+    println!("busiest zone at midday: {busiest} visitors\n");
 
     // ---- 3. Recover on fewer workers and finish the day. -----------------
     let (mut engine, _log, report) =
@@ -124,10 +131,7 @@ fn main() {
         report.is_clean(),
         engine.stats().open_visits
     );
-    for event in &events[half..] {
-        occupancy.observe(event);
-        engine.ingest(event.clone());
-    }
+    engine.ingest_all(events[half..].iter().cloned());
     delivered.extend(engine.finish());
     delivered.sort_by_key(|e| e.sort_key());
 
@@ -158,10 +162,6 @@ fn main() {
     let lingering = delivered.len() - exits;
     println!("  'exit museum' episodes: {exits}");
     println!("  'lingering' episodes:   {lingering}");
-    println!(
-        "  peak single-cell occupancy: {} visitors",
-        occupancy.peak().values().max().copied().unwrap_or(0)
-    );
     println!("  recovered day == uninterrupted run: yes");
     let _ = std::fs::remove_file(&ckpt_path);
 }

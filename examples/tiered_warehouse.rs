@@ -6,21 +6,23 @@
 //! close fence → `take_finished` → `Flusher` → segment tier (zone maps,
 //! manifest commits, size-tiered compaction) → federated queries →
 //! process "restart" → recovery from the manifest, with the object
-//! index merged from the segments' zone maps (nothing else is read).
+//! index merged from the segments' zone maps (nothing else is read) →
+//! per-zone dwell from the segments' rollups and a paged, sorted query
+//! over the recovered history.
 //!
 //! Run with: `cargo run --example tiered_warehouse`
 
-use sitm::core::{Duration, IntervalPredicate, SemanticTrajectory};
+use sitm::core::{Duration, IntervalPredicate, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm::louvre::{build_louvre, generate_dataset, zone_key, GeneratorConfig};
-use sitm::query::{Predicate, Query, SegmentedDb, SortKey};
+use sitm::query::{Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectorySource};
 use sitm::store::warehouse::WarehouseConfig;
-use sitm::stream::{dataset_events, EngineConfig, Flusher, ParallelEngine};
+use sitm::stream::{trajectory_feed, EngineConfig, Flusher, ParallelEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 1. A calibrated Louvre day as one event stream. -----------------
     let model = build_louvre();
     let dataset = generate_dataset(&GeneratorConfig::default());
-    let events = dataset_events(&model, &dataset);
+    let events = trajectory_feed(&dataset.visit_trajectories(&model));
     println!(
         "feed: {} events across {} visits",
         events.len(),
@@ -74,9 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- 4. Query the warehouse: zone-map pruning in action. -------------
     let db = flusher.into_db()?;
     let some_visitor = db
-        .iter()
-        .nth(db.len() / 2)
-        .expect("non-empty")
+        .row((db.len() / 2) as TrajId)
+        .trajectory()
         .moving_object
         .clone();
     let point = Predicate::MovingObject(some_visitor.clone());
@@ -117,9 +118,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "repaired"
         },
     );
+    let scanned = (0..recovered.len() as TrajId)
+        .filter(|&at| point.matches(recovered.row(at).trajectory()))
+        .count();
     assert_eq!(
         recovered.count_matching(&point),
-        recovered.iter().filter(|t| point.matches(t)).count(),
+        scanned,
         "recovered index path equals a scan"
     );
     assert_eq!(
@@ -131,6 +135,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         !dir.join("objindex.log").exists(),
         "the object index is never written"
     );
+
+    // ---- 7. The recovered history: rollups and a sorted page. ------------
+    // Per-zone dwell comes from the segments' header rollups: no row is
+    // decoded.
+    let mut by_dwell: Vec<_> = recovered.rollup_cells().into_iter().collect();
+    by_dwell.sort_by_key(|(_, cell)| std::cmp::Reverse(cell.dwell_seconds));
+    println!(
+        "
+top-5 zones by total dwell:"
+    );
+    for (cell, rollup) in by_dwell.iter().take(5) {
+        let key = model.space.cell(*cell).map_or("?", |c| c.key.as_str());
+        let dwell = Duration::seconds(rollup.dwell_seconds as i64);
+        println!("  {key:<12} {dwell}  over {} stays", rollup.stays);
+    }
+    let week1 = TimeInterval::new(
+        Timestamp::from_ymd_hms(2017, 1, 19, 0, 0, 0),
+        Timestamp::from_ymd_hms(2017, 1, 26, 0, 0, 0),
+    );
+    let long_week1 = Query::new()
+        .during(week1)
+        .order_by(SortKey::TotalDwell, false)
+        .limit(5);
+    println!(
+        "
+top-5 longest-dwelling visits of week 1:"
+    );
+    for t in long_week1.execute_segmented(&recovered) {
+        println!(
+            "  {}  span {}  dwell {}",
+            t.moving_object,
+            t.span().duration(),
+            t.trace().dwell_total()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -3,9 +3,9 @@
 //! its own pin (`crates/store/tests/warehouse.rs`,
 //! `segment_file_bytes_are_pinned`); this table covers the rest — the
 //! wire protocol's requests and responses, the stream checkpoint
-//! payload, the warehouse's manifest / object-index records and header
-//! structures, and the observability payloads. A change to one byte of
-//! any of them fails here, naming the family.
+//! payload, the warehouse's manifest record and header structures (zone
+//! map, rollup, Bloom filter), and the observability payloads. A change
+//! to one byte of any of them fails here, naming the family.
 
 use std::borrow::Cow;
 

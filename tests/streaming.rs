@@ -3,7 +3,7 @@
 
 use sitm::core::{maximal_episodes, Annotation, AnnotationSet, IntervalPredicate};
 use sitm::louvre::{build_louvre, generate_dataset, zone_key, GeneratorConfig, PaperCalibration};
-use sitm::stream::{dataset_events, visit_trajectories, EngineConfig, ParallelEngine};
+use sitm::stream::{trajectory_feed, EngineConfig, ParallelEngine, VisitKey};
 
 #[test]
 fn facade_streaming_pipeline_matches_batch() {
@@ -35,13 +35,13 @@ fn facade_streaming_pipeline_matches_batch() {
     };
 
     let mut engine = ParallelEngine::new(make_config()).expect("engine");
-    engine.ingest_all(dataset_events(&model, &dataset));
+    engine.ingest_all(trajectory_feed(&dataset.visit_trajectories(&model)));
     let emitted = engine.finish();
     assert!(!emitted.is_empty(), "the exit chain is well travelled");
     assert_eq!(engine.stats().anomalies.total(), 0);
 
     // Every streamed episode equals its batch twin.
-    let trajectories = visit_trajectories(&model, &dataset);
+    let trajectories = dataset.visit_trajectories(&model);
     let mut streamed_total = 0;
     for (key, trajectory) in &trajectories {
         let batch = maximal_episodes(
@@ -52,7 +52,7 @@ fn facade_streaming_pipeline_matches_batch() {
         .expect("label differs from A_traj");
         let mut streamed: Vec<_> = emitted
             .iter()
-            .filter(|e| e.visit == *key)
+            .filter(|e| e.visit == VisitKey(*key))
             .map(|e| e.episode.clone())
             .collect();
         streamed.sort_by_key(|e| e.range.start);

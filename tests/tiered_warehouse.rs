@@ -15,7 +15,8 @@ use sitm::core::{
 };
 use sitm::graph::{LayerIdx, NodeId};
 use sitm::query::{
-    federated_count, Predicate, Query, Row, SegmentedDb, SortKey, TrajectoryDb, TrajectorySource,
+    federated_count, Predicate, Query, Row, SegmentedDb, SortKey, TrajId, TrajectoryDb,
+    TrajectorySource,
 };
 use sitm::space::CellRef;
 use sitm::store::warehouse::WarehouseConfig;
@@ -126,11 +127,19 @@ fn owned(rows: Vec<Row<'_>>) -> Vec<SemanticTrajectory> {
     rows.into_iter().map(Row::into_owned).collect()
 }
 
+/// Every row of the warehouse, in warehouse order, read through the
+/// federation face.
+fn rows(seg: &SegmentedDb) -> Vec<SemanticTrajectory> {
+    (0..seg.len() as TrajId)
+        .map(|at| seg.row(at).into_owned())
+        .collect()
+}
+
 /// Asserts the warehouse is indistinguishable from an in-memory
 /// `TrajectoryDb` over the same trajectories, standalone and federated
 /// with the given live source.
 fn assert_differential(seg: &SegmentedDb, live: &dyn TrajectorySource, context: &str) {
-    let reference = TrajectoryDb::build(seg.iter().cloned().collect());
+    let reference = TrajectoryDb::build(rows(seg));
     for p in predicates() {
         // Standalone: federated evaluation over just the warehouse.
         let matching = Query::new().filter(p.clone());
@@ -273,9 +282,7 @@ fn worker_counts_build_identical_warehouses_live_included() {
     };
     let (_one_dir, one_snapshot, one_db) = build(1);
     let (_four_dir, four_snapshot, four_db) = build(4);
-    let one_all: Vec<SemanticTrajectory> = one_db.iter().cloned().collect();
-    let four_all: Vec<SemanticTrajectory> = four_db.iter().cloned().collect();
-    assert_eq!(one_all, four_all, "identical spilled history");
+    assert_eq!(rows(&one_db), rows(&four_db), "identical spilled history");
 
     for p in predicates() {
         let q = Query::new()

@@ -1,7 +1,7 @@
 //! End-to-end pipeline across the storage, query, ontology, and mining
-//! layers: generate the calibrated Louvre dataset, persist it, crash,
-//! recover, index, query, enrich, and mine — the full life of a
-//! trajectory record.
+//! layers: generate the calibrated Louvre dataset, flush it to the
+//! segment warehouse, crash mid-commit, reopen, query, enrich, and mine
+//! — the full life of a trajectory record.
 
 use sitm::core::{Duration, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm::louvre::{
@@ -9,9 +9,23 @@ use sitm::louvre::{
 };
 use sitm::mining::{mine_at_layers, NGramModel};
 use sitm::ontology::{build_louvre_kb, saturate, theme_dwell_profile};
-use sitm::query::{detection_counts_by_cell, top_k, Predicate, Query, SortKey, TrajectoryDb};
+use sitm::query::{detection_counts_by_cell, top_k, Predicate, Query, SegmentedDb, SortKey};
 use sitm::space::CellRef;
-use sitm::store::{Corruption, LogStore};
+use sitm::store::{encode_trajectory, Corruption, WarehouseConfig};
+
+/// `trajectories` as a multiset: each one's encoding, sorted.
+fn encoded<'a>(trajectories: impl IntoIterator<Item = &'a SemanticTrajectory>) -> Vec<Vec<u8>> {
+    let mut rows: Vec<Vec<u8>> = trajectories
+        .into_iter()
+        .map(|t| {
+            let mut row = Vec::new();
+            encode_trajectory(&mut row, t);
+            row
+        })
+        .collect();
+    rows.sort();
+    rows
+}
 
 fn zone_of(model: &LouvreModel) -> impl Fn(CellRef) -> Option<u32> + '_ {
     move |cell| {
@@ -45,34 +59,38 @@ fn generate_store_crash_recover_query_mine() {
         "enough multi-zone visits to exercise the pipeline"
     );
 
-    // ---- Persist, tear the tail, recover. ---------------------------------
-    let path = std::env::temp_dir().join(format!(
-        "sitm-integration-{}-{}.log",
+    // ---- Flush to the warehouse, tear the last commit, reopen. -----------
+    let dir = std::env::temp_dir().join(format!(
+        "sitm-integration-{}-{}",
         std::process::id(),
         line!()
     ));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (kept, lost) = trajectories.split_at(trajectories.len() - 1);
     {
-        let (mut log, _, _) = LogStore::<SemanticTrajectory>::open(&path).expect("create");
-        log.append_batch(trajectories.iter()).expect("append");
-        log.sync().expect("sync");
+        let (mut db, _) = SegmentedDb::open(&dir, WarehouseConfig::default()).expect("create");
+        db.flush(kept.to_vec()).expect("flush");
+        db.flush(lost.to_vec()).expect("flush the last visit");
+        assert_eq!(db.len(), trajectories.len());
     }
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::write(&path, &bytes[..bytes.len() - 11]).expect("tear");
-    let (_, recovered, report) = LogStore::<SemanticTrajectory>::open(&path).expect("recover");
-    assert_eq!(recovered.len(), trajectories.len() - 1);
+    // A crash mid-commit: the manifest record naming the last segment is
+    // torn, so the reopened warehouse is the one before it.
+    let manifest = dir.join("manifest.log");
+    let bytes = std::fs::read(&manifest).expect("read back");
+    std::fs::write(&manifest, &bytes[..bytes.len() - 3]).expect("tear");
+    let (db, report) = SegmentedDb::open(&dir, WarehouseConfig::default()).expect("recover");
     assert!(matches!(report.corruption, Some(Corruption::Torn { .. })));
-    assert_eq!(&recovered[..], &trajectories[..trajectories.len() - 1]);
-    std::fs::remove_file(&path).ok();
+    assert_eq!(db.len(), kept.len());
+    let recovered = Query::new().execute_federated(&[&db]);
+    assert_eq!(encoded(&recovered), encoded(kept));
 
-    // ---- Index and query the recovered collection. ------------------------
-    let db = TrajectoryDb::build(recovered);
+    // ---- Query the recovered warehouse. ------------------------------------
     let full_span = TimeInterval::new(
         Timestamp::from_ymd_hms(2017, 1, 19, 0, 0, 0),
         Timestamp::from_ymd_hms(2017, 5, 30, 0, 0, 0),
     );
     assert_eq!(
-        Query::new().during(full_span).count(&db),
+        Query::new().during(full_span).execute_segmented(&db).len(),
         db.len(),
         "every visit lies in the collection window"
     );
@@ -82,25 +100,24 @@ fn generate_store_crash_recover_query_mine() {
         .visited(e_zone)
         .filter(Predicate::MinTotalDwell(Duration::minutes(5)))
         .order_by(SortKey::Start, true);
-    let ids: Vec<u32> = q.execute(&db).iter().map(|m| m.id).collect();
-    let scanned: Vec<u32> = db
-        .trajectories()
+    let hits = q.execute_segmented(&db);
+    let mut scanned: Vec<&SemanticTrajectory> = recovered
         .iter()
-        .enumerate()
-        .filter(|(_, t)| q.predicate().matches(t))
-        .map(|(i, _)| i as u32)
+        .filter(|t| q.predicate().matches(t))
         .collect();
-    assert_eq!(ids, scanned);
+    scanned.sort_by_key(|t| t.start());
+    assert!(!hits.is_empty());
+    assert!(hits.iter().eq(scanned));
 
     // The busiest zone by detections matches the raw dataset's counts.
-    let counts = detection_counts_by_cell(db.iter());
+    let counts = detection_counts_by_cell(recovered.iter());
     let top = top_k(&counts, 1);
     assert!(!top.is_empty());
 
     // ---- Ontology enrichment over a real visit. ----------------------------
     let mut kb = build_louvre_kb();
     saturate(&mut kb);
-    let themed = db
+    let themed = recovered
         .iter()
         .map(|t| theme_dwell_profile(&kb, t.trace(), zone_of(&model)))
         .filter(|p| !p.is_empty())
@@ -111,7 +128,7 @@ fn generate_store_crash_recover_query_mine() {
     );
 
     // ---- Mining at two granularities from the same recovered data. --------
-    let traces: Vec<_> = db.iter().map(|t| t.trace().clone()).collect();
+    let traces: Vec<_> = recovered.iter().map(|t| t.trace().clone()).collect();
     let mined = mine_at_layers(
         &model.space,
         &model.zone_hierarchy(),
@@ -133,12 +150,14 @@ fn generate_store_crash_recover_query_mine() {
     let longest = Query::new()
         .order_by(SortKey::TotalDwell, false)
         .limit(1)
-        .execute(&db);
-    let conceptual = attention.conceptual_trace(longest[0].trajectory.trace());
+        .execute_segmented(&db);
+    let conceptual = attention.conceptual_trace(longest[0].trace());
     // Zone-level stays attend only weakly; the trace may or may not produce
     // attention, but deriving it must be stable and profile-consistent.
     let profile = conceptual.attention_profile();
     assert_eq!(profile.is_empty(), conceptual.is_empty());
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
