@@ -118,13 +118,10 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Directory of the warehouse tier ([`SegmentedDb`]).
     pub warehouse_dir: PathBuf,
-    /// Warehouse configuration (manifest policy, compaction fanout).
+    /// Warehouse configuration (compaction fanout, row-cache budget).
     pub warehouse: WarehouseConfig,
     /// Session worker threads (concurrent connections served; min 1).
     pub sessions: usize,
-    /// Accepted connections queued beyond the busy workers before the
-    /// listener itself blocks (min 1).
-    pub backlog: usize,
     /// How often an idle session polls the shutdown flag (doubles as
     /// the per-read socket timeout).
     pub idle_poll: StdDuration,
@@ -140,17 +137,24 @@ pub struct ServerConfig {
     /// `Trace` op. `0` disables tracing entirely: requests skip the
     /// span machinery and `Trace` serves an empty list.
     pub trace_capacity: usize,
-    /// The time-series sampler: `(period, frames retained)`. `None`
-    /// disables it (Health then reports a 0 ingest rate).
-    pub sampler: Option<(StdDuration, usize)>,
+    /// Whether the time-series sampler runs (every
+    /// [`DEFAULT_SAMPLE_PERIOD`], retaining [`DEFAULT_SERIES_CAPACITY`]
+    /// frames). Off, Health reports a 0 ingest rate.
+    pub sampler: bool,
 }
+
+/// Accepted connections queued beyond the busy session workers before
+/// the listener itself blocks.
+const ACCEPT_BACKLOG: usize = 16;
 
 impl ServerConfig {
     /// A config with the given engine and warehouse directory, an
-    /// ephemeral loopback port, and moderate defaults (4 session
-    /// workers, 16-connection backlog, 25 ms idle poll). There is no
-    /// spill threshold: every `Checkpoint` spills all the visits that
-    /// closed since the last one.
+    /// ephemeral loopback port, and moderate defaults: the default
+    /// [`WarehouseConfig`], 4 session workers, 25 ms idle poll, a fresh
+    /// metrics registry, no slow-query log, the default trace ring and
+    /// the time-series sampler on. There is no spill threshold: every
+    /// `Checkpoint` spills all the visits that closed since the last
+    /// one.
     pub fn new(engine: EngineConfig, warehouse_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
@@ -158,12 +162,11 @@ impl ServerConfig {
             warehouse_dir: warehouse_dir.into(),
             warehouse: WarehouseConfig::default(),
             sessions: 4,
-            backlog: 16,
             idle_poll: StdDuration::from_millis(25),
             metrics: None,
             slow_query_threshold: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
-            sampler: Some((DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY)),
+            sampler: true,
         }
     }
 
@@ -171,13 +174,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_sessions(mut self, sessions: usize) -> ServerConfig {
         self.sessions = sessions;
-        self
-    }
-
-    /// Overrides the accept backlog bound.
-    #[must_use]
-    pub fn with_backlog(mut self, backlog: usize) -> ServerConfig {
-        self.backlog = backlog;
         self
     }
 
@@ -206,17 +202,10 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the time-series sampler's period and retained frames.
-    #[must_use]
-    pub fn with_sampler(mut self, period: StdDuration, capacity: usize) -> ServerConfig {
-        self.sampler = Some((period, capacity));
-        self
-    }
-
     /// Disables the time-series sampler.
     #[must_use]
     pub fn without_sampler(mut self) -> ServerConfig {
-        self.sampler = None;
+        self.sampler = false;
         self
     }
 }
@@ -473,9 +462,13 @@ impl Server {
         let worker_queue_depths = (0..engine.workers())
             .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))
             .collect();
-        let sampler = config
-            .sampler
-            .map(|(period, capacity)| Sampler::start(registry.clone(), period, capacity));
+        let sampler = config.sampler.then(|| {
+            Sampler::start(
+                registry.clone(),
+                DEFAULT_SAMPLE_PERIOD,
+                DEFAULT_SERIES_CAPACITY,
+            )
+        });
 
         let listener = TcpListener::bind(config.bind)?;
         let addr = listener.local_addr()?;
@@ -495,7 +488,7 @@ impl Server {
             worker_queue_depths,
         });
 
-        let (tx, rx) = sync_channel::<TcpStream>(config.backlog.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(ACCEPT_BACKLOG);
         let rx = Arc::new(Mutex::new(rx));
         let idle_poll = config.idle_poll;
         let workers = (0..config.sessions.max(1))

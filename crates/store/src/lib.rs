@@ -13,22 +13,24 @@
 //!   semantic trajectories and episodes, with delta-encoded timestamps
 //!   and fully validated decoding, over the varint / string / count /
 //!   span primitives of [`sitm_codec`];
-//! * [`checkpoint`] — [`CheckpointFrame`]: the per-shard snapshot record
-//!   streaming engines persist, plus torn-checkpoint detection;
+//! * [`checkpoint`] — [`CheckpointFrame`]: the one-frame snapshot record
+//!   streaming engines persist;
 //! * [`segment`] — the CRC frame (one writer, one validator) every
 //!   durable artifact is made of, and the log scanner whose `valid_len`
 //!   is the torn-write truncation point;
-//! * [`log`] — [`LogStore`]: an append-only, crash-recoverable record
-//!   log with fsync durability and atomic compaction;
+//! * [`log`] — [`LogStore`]: the one snapshot log. Its only write,
+//!   [`LogStore::commit`], atomically rewrites the file to the previous
+//!   record and the new one, so a log holds at most two; both the
+//!   manifest and the engine checkpoint commit through it;
 //! * [`warehouse`] — the warehouse tier: immutable sorted segment files
 //!   of encoded trajectories with per-segment [`ZoneMap`]s, made visible
-//!   through a compacting manifest log ([`SegmentStore`]), with
+//!   through a manifest [`LogStore`] ([`SegmentStore`]), with
 //!   size-tiered segment compaction.
 //!
 //! Failure-injection property tests (`tests/proptests.rs`) drive random
 //! truncations and byte flips through recovery and assert the WAL
 //! contract: recovered records are always a clean prefix of what was
-//! appended, and a record never comes back altered.
+//! written, and a record never comes back altered.
 
 pub mod bloom;
 pub mod checkpoint;
@@ -39,9 +41,7 @@ pub mod segment;
 pub mod warehouse;
 
 pub use bloom::{fnv1a, Bloom};
-pub use checkpoint::{
-    complete_checkpoint_groups, latest_complete_checkpoint, CheckpointFrame, CompactionPolicy,
-};
+pub use checkpoint::CheckpointFrame;
 pub use codec::{decode_trajectory, encode_trajectory, CodecError};
 pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};

@@ -1,30 +1,35 @@
-//! The durable append-only log store.
+//! The durable snapshot log.
 //!
 //! [`LogStore<R>`] persists any [`Record`] type — the warehouse's
 //! [`ManifestRecord`](crate::ManifestRecord)s, the engines'
 //! [`CheckpointFrame`](crate::CheckpointFrame)s — to a single segment
-//! file:
+//! file. Each record is a whole snapshot and only the newest one is
+//! ever read back, so the log keeps two:
 //!
 //! * **open** reads the file, scans its frames ([`segment::scan`]),
 //!   decodes every intact record, and — when the tail is torn or
-//!   corrupted — truncates the file back to the last intact frame so the
-//!   next append lands on a clean boundary;
-//! * **append** encodes, frames, and writes one record;
-//! * **sync** fsyncs, making everything appended so far crash-durable;
-//! * **compact** atomically rewrites the log (write to `<path>.tmp`,
-//!   fsync, rename over the original), the standard snapshot pattern.
+//!   corrupted — truncates the file back to the last intact frame;
+//! * **commit** is the only write: it atomically rewrites the log to
+//!   the previously committed record followed by the new one (write
+//!   `<path>.tmp`, fsync, rename over the original, fsync the
+//!   directory). A crash at any byte of a commit leaves either the old
+//!   file or the new one, and both end in a complete snapshot; the
+//!   previous record is the fallback when the newest one is damaged
+//!   later. The previous record is kept as its encoded bytes, seeded at
+//!   open from the last record recovered.
 //!
 //! A frame that passes its CRC but fails to *decode* (possible only with
-//! software bugs or deliberate tampering, not torn writes) is surfaced in
-//! the [`RecoveryReport`] and skipped, so one poisoned record cannot take
-//! the rest of the log hostage.
+//! software bugs, deliberate tampering or a record written in an older
+//! layout, not torn writes) is surfaced in the [`RecoveryReport`] and
+//! skipped, so one poisoned record cannot take the rest of the log
+//! hostage.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, CodecError};
+use crate::codec::CodecError;
 use crate::segment::{self, Corruption};
 
 /// A value the log can persist.
@@ -87,22 +92,24 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// An append-only, crash-recoverable record log.
+/// A crash-recoverable log of whole snapshots that keeps the newest two.
 #[derive(Debug)]
 pub struct LogStore<R: Record> {
-    file: File,
     path: PathBuf,
     records: usize,
     bytes: u64,
-    scratch: Vec<u8>,
+    /// The newest committed record, encoded: the first frame the next
+    /// commit rewrites the log to.
+    previous: Option<Vec<u8>>,
     _marker: PhantomData<R>,
 }
 
 impl<R: Record> LogStore<R> {
     /// Opens (or creates) the log at `path`, recovering its contents.
     ///
-    /// Returns the store positioned for append, the decoded records, and
-    /// a report of any repair performed.
+    /// Returns the store, the decoded records, and a report of any
+    /// repair performed. The last decoded record is what the next
+    /// [`LogStore::commit`] keeps beside its own.
     pub fn open(
         path: impl AsRef<Path>,
     ) -> Result<(LogStore<R>, Vec<R>, RecoveryReport), StoreError> {
@@ -125,11 +132,10 @@ impl<R: Record> LogStore<R> {
             let bytes = header.len() as u64;
             return Ok((
                 LogStore {
-                    file,
                     path,
                     records: 0,
                     bytes,
-                    scratch: Vec::new(),
+                    previous: None,
                     _marker: PhantomData,
                 },
                 Vec::new(),
@@ -150,11 +156,15 @@ impl<R: Record> LogStore<R> {
             )));
         }
         let mut records = Vec::with_capacity(outcome.payloads.len());
+        let mut previous = None;
         let mut undecodable = 0usize;
         for payload in &outcome.payloads {
             let mut cursor: &[u8] = payload;
             match R::decode_record(&mut cursor) {
-                Ok(r) if cursor.is_empty() => records.push(r),
+                Ok(r) if cursor.is_empty() => {
+                    records.push(r);
+                    previous = Some(*payload);
+                }
                 _ => undecodable += 1,
             }
         }
@@ -163,7 +173,6 @@ impl<R: Record> LogStore<R> {
             file.set_len(outcome.valid_len as u64)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(outcome.valid_len as u64))?;
         let report = RecoveryReport {
             recovered: records.len(),
             truncated_bytes: truncated,
@@ -172,11 +181,10 @@ impl<R: Record> LogStore<R> {
         };
         Ok((
             LogStore {
-                file,
                 path,
                 records: records.len(),
                 bytes: outcome.valid_len as u64,
-                scratch: Vec::new(),
+                previous: previous.map(<[u8]>::to_vec),
                 _marker: PhantomData,
             },
             records,
@@ -184,41 +192,31 @@ impl<R: Record> LogStore<R> {
         ))
     }
 
-    /// Appends one record; returns its byte offset in the file. Durable
-    /// only after [`LogStore::sync`].
-    pub fn append(&mut self, record: &R) -> Result<u64, StoreError> {
-        let offset = self.bytes;
-        self.scratch.clear();
-        record.encode_record(&mut self.scratch);
-        let mut frame = Vec::with_capacity(self.scratch.len() + segment::FRAME_OVERHEAD);
-        segment::write_frame(&mut frame, &self.scratch);
-        self.file.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
-        self.records += 1;
-        Ok(offset)
+    /// Commits `record`: atomically rewrites the log to the previously
+    /// committed (or last recovered) record followed by `record`.
+    /// Durable on return. On an error `record` may or may not have
+    /// reached the file, and the next commit keeps the previous record
+    /// beside its own, not this one.
+    pub fn commit(&mut self, record: &R) -> Result<(), StoreError> {
+        let mut newest = Vec::new();
+        record.encode_record(&mut newest);
+        let previous = self.previous.take();
+        let frames: Vec<&[u8]> = previous
+            .iter()
+            .chain([&newest])
+            .map(Vec::as_slice)
+            .collect();
+        let written = self.compact(&frames);
+        self.previous = if written.is_ok() {
+            Some(newest)
+        } else {
+            previous
+        };
+        written
     }
 
-    /// Appends many records, then returns the count written.
-    pub fn append_batch<'a, I>(&mut self, records: I) -> Result<usize, StoreError>
-    where
-        R: 'a,
-        I: IntoIterator<Item = &'a R>,
-    {
-        let mut n = 0;
-        for r in records {
-            self.append(r)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Forces everything appended so far to stable storage.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    /// Records currently in the log (recovered + appended).
+    /// Records in the log: those recovered, or after a commit the one
+    /// or two it wrote.
     pub fn len(&self) -> usize {
         self.records
     }
@@ -238,16 +236,14 @@ impl<R: Record> LogStore<R> {
         &self.path
     }
 
-    /// Atomically replaces the log's contents with `records`: writes a
-    /// fresh segment beside the log, fsyncs it, and renames it over the
-    /// original. On success the store points at the new file.
-    pub fn compact(&mut self, records: &[R]) -> Result<(), StoreError> {
+    /// Atomically replaces the log's contents with one frame per
+    /// encoded record: writes a fresh segment beside the log, fsyncs
+    /// it, renames it over the original, and fsyncs the directory.
+    fn compact(&mut self, payloads: &[&[u8]]) -> Result<(), StoreError> {
         let mut buf = Vec::new();
         segment::write_header(&mut buf);
-        for r in records {
-            self.scratch.clear();
-            r.encode_record(&mut self.scratch);
-            segment::write_frame(&mut buf, &self.scratch);
+        for payload in payloads {
+            segment::write_frame(&mut buf, payload);
         }
         let tmp_path = self.path.with_extension("tmp");
         {
@@ -256,17 +252,11 @@ impl<R: Record> LogStore<R> {
             tmp.sync_all()?;
         }
         std::fs::rename(&tmp_path, &self.path)?;
-        // Point the store at the new inode *before* anything else can
-        // fail, so an error below never leaves appends going to the
-        // replaced pre-compaction file.
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.file = file;
         self.bytes = buf.len() as u64;
-        self.records = records.len();
+        self.records = payloads.len();
         // The rename itself lives in the directory entry; without this
-        // fsync a power failure can resurrect the pre-compaction file
-        // even though compact() already returned success. (Unix only:
+        // fsync a power failure can resurrect the pre-commit file even
+        // though commit() already returned success. (Unix only:
         // directories cannot be opened as files elsewhere, and NTFS
         // metadata updates don't use this idiom.)
         #[cfg(unix)]
@@ -276,9 +266,6 @@ impl<R: Record> LogStore<R> {
         Ok(())
     }
 }
-
-/// Re-export used by doctests and downstream error matching.
-pub use codec::CodecError as LogCodecError;
 
 #[cfg(test)]
 mod tests {
@@ -312,8 +299,6 @@ mod tests {
     fn frame(tag: &str, sequence: u64) -> CheckpointFrame {
         CheckpointFrame {
             sequence,
-            shard: 0,
-            shard_count: 1,
             payload: tag.as_bytes().to_vec(),
         }
     }
@@ -325,6 +310,23 @@ mod tests {
             .collect()
     }
 
+    /// Appends one framed record to the end of the log's file and
+    /// fsyncs it — a log no commit wrote, as a torn or tampered file
+    /// presents itself. Returns the frame's byte offset.
+    fn append(log: &mut LogStore<CheckpointFrame>, record: &CheckpointFrame) -> u64 {
+        let mut payload = Vec::new();
+        record.encode_record(&mut payload);
+        let mut frame = Vec::new();
+        segment::write_frame(&mut frame, &payload);
+        let mut file = OpenOptions::new().append(true).open(&log.path).unwrap();
+        file.write_all(&frame).unwrap();
+        file.sync_all().unwrap();
+        let offset = log.bytes;
+        log.bytes += frame.len() as u64;
+        log.records += 1;
+        offset
+    }
+
     #[test]
     fn create_append_reopen() {
         let tmp = TempPath::new("basic");
@@ -332,9 +334,8 @@ mod tests {
             let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
             assert!(records.is_empty());
             assert!(report.is_clean());
-            log.append(&frame("a", 0)).unwrap();
-            log.append(&frame("b", 100)).unwrap();
-            log.sync().unwrap();
+            append(&mut log, &frame("a", 0));
+            append(&mut log, &frame("b", 100));
             assert_eq!(log.len(), 2);
         }
         let (log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
@@ -349,9 +350,8 @@ mod tests {
         let tmp = TempPath::new("torn");
         {
             let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            log.append(&frame("keep", 0)).unwrap();
-            log.append(&frame("lost", 100)).unwrap();
-            log.sync().unwrap();
+            append(&mut log, &frame("keep", 0));
+            append(&mut log, &frame("lost", 100));
         }
         // Tear the last frame.
         let data = std::fs::read(&tmp.0).unwrap();
@@ -361,9 +361,14 @@ mod tests {
         assert_eq!(tags(&records), vec!["keep"]);
         assert!(report.truncated_bytes > 0);
         assert!(matches!(report.corruption, Some(Corruption::Torn { .. })));
-        // The repaired log accepts appends and reopens cleanly.
-        log.append(&frame("after-crash", 200)).unwrap();
-        log.sync().unwrap();
+        assert_eq!(
+            std::fs::metadata(&tmp.0).unwrap().len(),
+            log.size_bytes(),
+            "the file is cut back to its last intact frame"
+        );
+        // The repaired log takes a commit, which keeps the last
+        // recovered record, and reopens cleanly.
+        log.commit(&frame("after-crash", 200)).unwrap();
         drop(log);
         let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
@@ -375,9 +380,8 @@ mod tests {
         let tmp = TempPath::new("flip");
         {
             let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            log.append(&frame("keep", 0)).unwrap();
-            log.append(&frame("corrupt", 100)).unwrap();
-            log.sync().unwrap();
+            append(&mut log, &frame("keep", 0));
+            append(&mut log, &frame("corrupt", 100));
         }
         let mut data = std::fs::read(&tmp.0).unwrap();
         let n = data.len();
@@ -406,30 +410,77 @@ mod tests {
         let tmp = TempPath::new("compact");
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         for i in 0..10 {
-            log.append(&frame(&format!("t{i}"), i * 100)).unwrap();
+            append(&mut log, &frame(&format!("t{i}"), i * 100));
         }
-        log.sync().unwrap();
         let before = log.size_bytes();
         // Keep only two records.
-        let keep = [frame("x", 0), frame("y", 100)];
-        log.compact(&keep).unwrap();
+        let encode = |r: &CheckpointFrame| {
+            let mut buf = Vec::new();
+            r.encode_record(&mut buf);
+            buf
+        };
+        let (x, y) = (encode(&frame("x", 0)), encode(&frame("y", 100)));
+        log.compact(&[&x, &y]).unwrap();
         assert_eq!(log.len(), 2);
         assert!(log.size_bytes() < before);
-        // Appends still work after compaction, and reopen sees 3 records.
-        log.append(&frame("z", 200)).unwrap();
-        log.sync().unwrap();
+        assert_eq!(std::fs::metadata(&tmp.0).unwrap().len(), log.size_bytes());
+        assert!(!tmp.0.with_extension("tmp").exists(), "renamed away");
         drop(log);
         let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
-        assert_eq!(tags(&records), vec!["x", "y", "z"]);
+        assert_eq!(tags(&records), vec!["x", "y"]);
+    }
+
+    #[test]
+    fn commit_keeps_the_previous_and_the_newest_record() {
+        let tmp = TempPath::new("commit");
+        {
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            log.commit(&frame("a", 1)).unwrap();
+            assert_eq!(log.len(), 1);
+            for (tag, sequence) in [("b", 2), ("c", 3)] {
+                log.commit(&frame(tag, sequence)).unwrap();
+                assert_eq!(log.len(), 2);
+                assert_eq!(std::fs::metadata(&tmp.0).unwrap().len(), log.size_bytes());
+            }
+        }
+        // A reopen seeds the previous record from the last one recovered.
+        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(tags(&records), vec!["b", "c"]);
+        log.commit(&frame("d", 4)).unwrap();
+        drop(log);
+        let (_, records, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        assert_eq!(tags(&records), vec!["c", "d"]);
+    }
+
+    #[test]
+    fn an_undecodable_last_frame_is_not_kept() {
+        let tmp = TempPath::new("undecodable");
+        {
+            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            log.commit(&frame("good", 1)).unwrap();
+        }
+        // A frame whose CRC holds but whose record does not decode.
+        let mut data = std::fs::read(&tmp.0).unwrap();
+        segment::write_frame(&mut data, &[0xFF]);
+        std::fs::write(&tmp.0, &data).unwrap();
+        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        assert_eq!(tags(&records), vec!["good"]);
+        assert_eq!(report.undecodable_frames, 1);
+        log.commit(&frame("next", 2)).unwrap();
+        drop(log);
+        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(tags(&records), vec!["good", "next"]);
     }
 
     #[test]
     fn append_offsets_are_monotonic() {
         let tmp = TempPath::new("offsets");
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-        let a = log.append(&frame("a", 0)).unwrap();
-        let b = log.append(&frame("b", 10)).unwrap();
+        let a = append(&mut log, &frame("a", 0));
+        let b = append(&mut log, &frame("b", 10));
         assert_eq!(a, segment::MAGIC.len() as u64);
         assert!(b > a);
         assert_eq!(log.path(), tmp.0.as_path());

@@ -128,28 +128,27 @@
 //! Segment files become visible only through `manifest.log`, a
 //! [`LogStore`] of [`ManifestRecord`]s. Each record is a *complete*
 //! snapshot of the live segment set, so the newest intact record *is*
-//! the newest complete manifest — a torn tail (crash mid-append) simply
-//! truncates back to the previous record, and a segment file written but
-//! never referenced (crash between file write and manifest append) is
-//! garbage-collected at the next open. The log stays bounded by the
-//! [`CompactionPolicy`] idiom the checkpoint log already uses: every
-//! `every` commits the log is atomically rewritten to the newest `keep`
-//! records (`keep ≥ 2` keeps a fallback manifest for the torn-newest
-//! case, mirroring the checkpoint contract).
+//! the newest complete manifest. Every commit goes through
+//! [`LogStore::commit`], the one write the engine checkpoint log uses
+//! too: the log is atomically rewritten to the previous record and the
+//! new one, so it never holds more than two, and a newest record damaged
+//! later falls back to the previous one. A segment file written but
+//! never referenced (crash between file write and manifest commit) is
+//! garbage-collected at the next open.
 //!
 //! ## Crash-safety protocol
 //!
 //! 1. write the new segment file, fsync it (and its directory);
-//! 2. append a manifest record referencing it, fsync the log;
+//! 2. commit a manifest record referencing it;
 //! 3. (compaction only) delete the replaced segment files, best-effort.
 //!
 //! A crash at any byte of any step recovers to a complete earlier state:
 //! before 2 the new segment is invisible garbage; after 2 it is durable.
-//! Deletion in 3 is **deferred past the retention window**: a victim
-//! file is removed only once *no record still in the manifest log*
-//! references it — the torn-newest fallback record must be able to
-//! serve its full segment set, so files it names stay on disk until its
-//! record rotates out. A crash anywhere in between only leaves orphans
+//! Deletion in 3 is **deferred by one commit**: a victim file is
+//! removed only once *no record still in the manifest log* references
+//! it — the previous record, the fallback, must be able to serve its
+//! full segment set, so files it names stay on disk until the next
+//! commit rotates it out. A crash anywhere in between only leaves orphans
 //! for the next open's GC. `tests/warehouse.rs` tortures both the
 //! manifest and the newest segment file at every byte offset.
 //!
@@ -174,7 +173,7 @@
 //!   [`SegmentStore`]: open, append, replace, the size-tiered plan,
 //!   the manifest commit, GC.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -182,7 +181,6 @@ use std::sync::Arc;
 use sitm_core::SemanticTrajectory;
 use sitm_obs::{Counter, MetricsRegistry};
 
-use crate::checkpoint::CompactionPolicy;
 use crate::codec::CodecError;
 use crate::log::{LogStore, RecoveryReport, StoreError};
 use crate::segment::Corruption;
@@ -302,9 +300,6 @@ fn sync_dir(_dir: &Path) -> std::io::Result<()> {
 /// Warehouse-tier configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarehouseConfig {
-    /// Manifest-log compaction (the checkpoint-log idiom: `keep ≥ 2`
-    /// retains a fallback manifest for a torn newest record).
-    pub manifest: CompactionPolicy,
     /// Size-tiered compaction fanout: when `fanout` segments share a
     /// size tier (log₂ bucket of record count), they merge into one.
     pub fanout: usize,
@@ -316,7 +311,6 @@ pub struct WarehouseConfig {
 impl Default for WarehouseConfig {
     fn default() -> Self {
         WarehouseConfig {
-            manifest: CompactionPolicy::default(),
             fanout: 4,
             row_cache_bytes: DEFAULT_ROW_CACHE_BYTES,
         }
@@ -370,14 +364,13 @@ pub struct SegmentStore {
     /// The store-wide bounded row-decode cache every segment shares.
     row_cache: RowCache,
     segments: Vec<Segment>,
-    /// Newest `policy.manifest.keep` records, oldest first — what a
-    /// manifest compaction rewrites the log to.
-    history: VecDeque<ManifestRecord>,
+    /// Segment ids of the newest manifest record: after the next
+    /// commit, the previous record, whose files must stay.
+    committed: BTreeSet<u64>,
     /// Replaced segments whose files must outlive the manifest records
-    /// that still reference them (torn-newest recovery serves the
-    /// previous record's full set). Swept after every commit.
+    /// that still reference them (a fallback to the previous record
+    /// serves its full set). Swept after every commit.
     garbage: BTreeSet<u64>,
-    commits_since_compact: u64,
     sequence: u64,
     next_id: u64,
     /// Lifetime count of segments opened headers-only, kept alongside
@@ -408,23 +401,16 @@ impl SegmentStore {
         let lazy_io = LazyIoMetrics::bind(MetricsRegistry::global());
         let row_cache = RowCache::new(policy.row_cache_bytes, MetricsRegistry::global());
         let current = records.last().cloned();
-        let history: VecDeque<ManifestRecord> = records
-            .iter()
-            .rev()
-            .take(policy.manifest.keep.max(1))
-            .rev()
-            .cloned()
-            .collect();
         let mut segments = Vec::new();
         let mut current_ids = BTreeSet::new();
         // Every record still in the (truncation-repaired) log can be
-        // the one a future torn-tail recovery lands on; protect every
-        // file any of them references.
+        // the one a future recovery lands on; protect every file any of
+        // them references, and never reuse their ids.
         let referenced: BTreeSet<u64> = records
             .iter()
             .flat_map(|r| r.segments.iter().map(|s| s.id))
             .collect();
-        let mut next_id = 0;
+        let mut next_id = referenced.last().map_or(0, |id| id + 1);
         let mut sequence = 0;
         if let Some(record) = &current {
             sequence = record.sequence;
@@ -445,13 +431,6 @@ impl SegmentStore {
         let lazy_opened = segments.len() as u64;
         metrics.lazy_opens.add(lazy_opened);
         let object_index = ObjectIndex::build(&segments);
-        // Older manifest records in the retained history may reference
-        // ids above the current set; never reuse those either.
-        for record in &history {
-            for r in &record.segments {
-                next_id = next_id.max(r.id + 1);
-            }
-        }
         // GC: a segment file *no record in the log* references is
         // garbage from an interrupted append/compaction; one a
         // non-current record still references is deferred garbage the
@@ -488,9 +467,8 @@ impl SegmentStore {
                 lazy_io,
                 row_cache,
                 segments,
-                history,
+                committed: current_ids,
                 garbage,
-                commits_since_compact: 0,
                 sequence,
                 next_id,
                 lazy_opened,
@@ -592,9 +570,8 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Commits the current segment set as a new manifest record,
-    /// appending or compacting per the manifest policy, and derives the
-    /// set's object index. Durable on return.
+    /// Commits the current segment set as a new manifest record and
+    /// derives the set's object index. Durable on return.
     fn commit_manifest(&mut self) -> Result<(), WarehouseError> {
         self.object_index = ObjectIndex::build(&self.segments);
         self.sequence += 1;
@@ -609,37 +586,23 @@ impl SegmentStore {
                 })
                 .collect(),
         };
-        self.history.push_back(record);
-        while self.history.len() > self.policy.manifest.keep.max(1) {
-            self.history.pop_front();
-        }
-        self.commits_since_compact += 1;
-        if self.commits_since_compact >= self.policy.manifest.every.max(1) {
-            let retained: Vec<ManifestRecord> = self.history.iter().cloned().collect();
-            self.manifest.compact(&retained)?;
-            self.commits_since_compact = 0;
-        } else {
-            let newest = self.history.back().expect("just pushed").clone();
-            self.manifest.append(&newest)?;
-            self.manifest.sync()?;
-        }
+        self.manifest.commit(&record)?;
+        let previous = std::mem::replace(
+            &mut self.committed,
+            record.segments.iter().map(|s| s.id).collect(),
+        );
         self.metrics.manifest_records.inc();
-        self.sweep_garbage();
+        self.sweep_garbage(&previous);
         Ok(())
     }
 
-    /// Deletes deferred-victim files whose last referencing manifest
-    /// record has rotated out of the retained history (torn-newest
-    /// recovery can no longer land on them).
-    fn sweep_garbage(&mut self) {
-        let protected: BTreeSet<u64> = self
-            .history
-            .iter()
-            .flat_map(|r| r.segments.iter().map(|s| s.id))
-            .collect();
+    /// Deletes deferred-victim files no record in the manifest log
+    /// references any more: neither the newest record (victims never
+    /// are in it) nor `previous`, the one before it.
+    fn sweep_garbage(&mut self, previous: &BTreeSet<u64>) {
         let mut kept = BTreeSet::new();
         for id in std::mem::take(&mut self.garbage) {
-            if protected.contains(&id) {
+            if previous.contains(&id) {
                 kept.insert(id);
             } else {
                 let _ = std::fs::remove_file(self.dir.join(segment_file_name(id)));

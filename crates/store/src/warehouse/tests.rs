@@ -227,9 +227,9 @@ fn manifest_log_stays_bounded() {
             .append_segment(vec![traj(&format!("mo-{i}"), 1, i * 100)])
             .unwrap();
     }
-    // With keep=2/every=1 the log holds exactly two records; record
-    // size grows with the segment count, but the *count* of records
-    // is pinned at 2 (vs 8 for an append-only log).
+    // Every commit rewrites the log to the previous record and the new
+    // one; record size grows with the segment count, but the *count*
+    // of records is pinned at 2 (vs 8 for an append-only log).
     assert_eq!(store.manifest.len(), 2);
     drop(store);
     let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();

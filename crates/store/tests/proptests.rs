@@ -3,7 +3,7 @@
 //! The WAL contract under test:
 //!
 //! 1. **Round-trip** — decode(encode(x)) == x for arbitrary trajectories,
-//!    and a log reopens to exactly the records appended to it.
+//!    and a log reopens to exactly the newest two records committed to it.
 //! 2. **Truncation prefix** — cutting a segment at *any* byte recovers a
 //!    clean prefix of the written records, and every frame fully
 //!    contained in the kept bytes survives.
@@ -27,7 +27,7 @@ use sitm_graph::{EdgeId, LayerIdx, NodeId};
 use sitm_space::CellRef;
 use sitm_store::codec::{decode_trajectory, encode_trajectory, CodecError};
 use sitm_store::segment::{scan, write_frame, write_header, FRAME_OVERHEAD, MAGIC};
-use sitm_store::{CheckpointFrame, LogStore, ObjectSet};
+use sitm_store::{CheckpointFrame, LogStore, ObjectSet, Record};
 
 /// A unique throwaway log path, removed on drop.
 struct TempLog(std::path::PathBuf);
@@ -117,18 +117,8 @@ fn trajectory_strategy() -> impl Strategy<Value = SemanticTrajectory> {
 }
 
 fn frame_strategy() -> impl Strategy<Value = CheckpointFrame> {
-    (
-        any::<u64>(),
-        0u32..8,
-        1u32..8,
-        prop::collection::vec(any::<u8>(), 0..64),
-    )
-        .prop_map(|(sequence, shard, shard_count, payload)| CheckpointFrame {
-            sequence,
-            shard,
-            shard_count,
-            payload,
-        })
+    (any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
+        .prop_map(|(sequence, payload)| CheckpointFrame { sequence, payload })
 }
 
 /// `names` encoded as an ordered set of strings always was: the count,
@@ -311,8 +301,9 @@ proptest! {
         }
     }
 
-    /// Durability round-trip: whatever is appended and synced comes back
-    /// verbatim on reopen, in order, with a clean report.
+    /// Durability round-trip: whatever is committed comes back verbatim
+    /// on reopen — the newest two records, in order — with a clean
+    /// report, and a log never holds more than two.
     #[test]
     fn log_reopen_returns_appended_records(
         frames in prop::collection::vec(frame_strategy(), 0..8),
@@ -323,42 +314,49 @@ proptest! {
                 LogStore::<CheckpointFrame>::open(&tmp.0).expect("create");
             prop_assert!(existing.is_empty());
             prop_assert!(report.is_clean());
-            log.append_batch(frames.iter()).expect("append");
-            log.sync().expect("sync");
-            prop_assert_eq!(log.len(), frames.len());
+            for (i, frame) in frames.iter().enumerate() {
+                log.commit(frame).expect("commit");
+                prop_assert_eq!(log.len(), (i + 1).min(2));
+            }
         }
+        let newest = &frames[frames.len().saturating_sub(2)..];
         let (log, records, report) =
             LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
-        prop_assert_eq!(&records, &frames);
-        prop_assert_eq!(log.len(), frames.len());
+        prop_assert_eq!(&records[..], newest);
+        prop_assert_eq!(log.len(), newest.len());
         prop_assert_eq!(log.is_empty(), frames.is_empty());
     }
 
-    /// Compaction to an arbitrary subset is equivalent to rebuilding the
-    /// log from that subset.
+    /// A commit over any recovered log leaves exactly the bytes of a log
+    /// rebuilt from the last recovered record and the committed one.
     #[test]
     fn compaction_equals_rebuild(
         frames in prop::collection::vec(frame_strategy(), 1..8),
-        keep_mask in prop::collection::vec(any::<bool>(), 1..8),
+        next in frame_strategy(),
     ) {
         let tmp = TempLog::new();
-        let keep: Vec<CheckpointFrame> = frames
-            .iter()
-            .zip(keep_mask.iter().cycle())
-            .filter(|(_, &k)| k)
-            .map(|(f, _)| f.clone())
-            .collect();
+        let encode = |frame: &CheckpointFrame| {
+            let mut buf = Vec::new();
+            frame.encode_record(&mut buf);
+            buf
+        };
+        let (written, _) = build_segment(&frames.iter().map(encode).collect::<Vec<_>>());
+        std::fs::write(&tmp.0, &written).expect("write");
         {
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).expect("create");
-            log.append_batch(frames.iter()).expect("append");
-            log.sync().expect("sync");
-            log.compact(&keep).expect("compact");
-            prop_assert_eq!(log.len(), keep.len());
+            let (mut log, records, report) =
+                LogStore::<CheckpointFrame>::open(&tmp.0).expect("open");
+            prop_assert!(report.is_clean());
+            prop_assert_eq!(&records, &frames);
+            log.commit(&next).expect("commit");
+            prop_assert_eq!(log.len(), 2);
         }
+        let last = frames.last().expect("at least one frame");
+        let (rebuilt, _) = build_segment(&[encode(last), encode(&next)]);
+        prop_assert_eq!(std::fs::read(&tmp.0).expect("read"), rebuilt);
         let (_, records, report) =
             LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
-        prop_assert_eq!(records, keep);
+        prop_assert_eq!(records, vec![last.clone(), next]);
     }
 }

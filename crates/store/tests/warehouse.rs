@@ -19,7 +19,7 @@ use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
 use sitm_store::segment::Corruption;
 use sitm_store::warehouse::{segment_file_name, SegmentStore, WarehouseConfig, WarehouseError};
-use sitm_store::{crc32, segment, CompactionPolicy};
+use sitm_store::{crc32, segment};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -364,7 +364,6 @@ fn torn_tail_after_compaction_still_recovers() {
     let pristine = TempDir::new("compact-pristine");
     let config = WarehouseConfig {
         fanout: 3,
-        manifest: CompactionPolicy { keep: 2, every: 1 },
         ..WarehouseConfig::default()
     };
     let pre_merge_state;

@@ -2,24 +2,24 @@
 //!
 //! The engine's state serializes into the opaque payload of one
 //! [`sitm_store::CheckpointFrame`] using the [`sitm_codec`] primitives
-//! and the store's annotation / presence / episode codecs, and rides the
-//! CRC-framed [`LogStore`] for durability: a torn write mid-checkpoint is
-//! detected by the store's scanner (truncated tail) or by
-//! [`sitm_store::latest_complete_checkpoint`] (missing frames), and
-//! recovery falls back to the previous complete snapshot. The payload
-//! is a function of the ingested feed alone — not of the worker count,
-//! the router batch, or which worker applied which visit.
+//! and the store's annotation / presence / episode codecs, and commits
+//! through the CRC-framed [`LogStore`] for durability: each commit
+//! rewrites the log to the previous checkpoint and the new one. A torn
+//! newest frame is cut off by the store's scanner, and recovery restores
+//! the last frame recovered — the previous checkpoint. The payload is a
+//! function of the ingested feed alone — not of the worker count, the
+//! router batch, or which worker applied which visit — so a checkpoint
+//! restores into any worker count.
 //!
 //! Logs written by older engines split a checkpoint into one frame per
-//! hash shard; restore merges the frames of such a checkpoint, so it
-//! restores into any worker count.
+//! hash shard, in a frame layout with two more fields. Their frames do
+//! not decode: recovery reports them as undecodable, restores nothing,
+//! and the first checkpoint replaces them.
 //!
 //! Predicates are **not** serialized — they are code. Restore re-supplies
 //! the same [`EngineConfig`]; the payload records the predicate count so
 //! a mismatched configuration is rejected instead of silently mislabeling
 //! runs.
-
-use std::collections::VecDeque;
 
 use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_i64, take_str, take_u64};
 use sitm_core::{OpenRun, Timestamp};
@@ -28,10 +28,7 @@ use sitm_store::codec::{
     decode_annotations, decode_cell, decode_episode, decode_presence, encode_annotations,
     encode_cell, encode_episode, encode_presence, CodecError,
 };
-use sitm_store::{
-    complete_checkpoint_groups, latest_complete_checkpoint, CheckpointFrame, CompactionPolicy,
-    LogStore, RecoveryReport, StoreError,
-};
+use sitm_store::{CheckpointFrame, LogStore, RecoveryReport};
 
 use crate::engine::{EngineConfig, EngineError};
 use crate::event::VisitKey;
@@ -335,62 +332,33 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
     })
 }
 
-/// Decodes one complete checkpoint and validates it against `config` —
-/// predicate arity, retention reconciliation. The frames of a
-/// checkpoint an older engine split by hash shard are merged: visits,
-/// fences, pending episodes and the finished backlog concatenated,
-/// counters summed, the watermark their maximum. Returns the snapshot
-/// plus the checkpoint's sequence.
+/// Decodes one checkpoint and validates it against `config` —
+/// predicate arity, retention reconciliation. Returns the snapshot plus
+/// the checkpoint's sequence.
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
-    frames: &[&CheckpointFrame],
+    frame: &CheckpointFrame,
 ) -> Result<(ShardSnapshot, u64), EngineError> {
-    let mut merged = ShardSnapshot::default();
-    for frame in frames {
-        let (part, predicate_count) = decode_shard(&frame.payload)?;
-        if predicate_count != config.predicates.len() {
-            return Err(EngineError::PredicateCountMismatch {
-                configured: config.predicates.len(),
-                recorded: predicate_count,
-            });
-        }
-        merged.watermark = merged.watermark.max(part.watermark);
-        merged.visits.extend(part.visits);
-        merged.closed.extend(part.closed);
-        merged.pending.extend(part.pending);
-        merged.finished.extend(part.finished);
-        merged.stats.absorb(&part.stats);
+    let (mut snapshot, predicate_count) = decode_shard(&frame.payload)?;
+    if predicate_count != config.predicates.len() {
+        return Err(EngineError::PredicateCountMismatch {
+            configured: config.predicates.len(),
+            recorded: predicate_count,
+        });
     }
-    crate::engine::reconcile_retention(&mut merged, config);
-    Ok((merged, frames.first().map_or(0, |f| f.sequence)))
+    crate::engine::reconcile_retention(&mut snapshot, config);
+    Ok((snapshot, frame.sequence))
 }
 
-/// Appends one checkpoint's frames and fsyncs — the non-compacting
-/// commit path shared by the engine's `checkpoint` and the
-/// [`Checkpointer`]'s deferred-compaction commits.
-pub(crate) fn append_and_sync(
-    log: &mut LogStore<CheckpointFrame>,
-    frames: &[CheckpointFrame],
-) -> Result<(), StoreError> {
-    for frame in frames {
-        log.append(frame)?;
-    }
-    log.sync()
-}
+// --- recovery --------------------------------------------------------------
 
-// --- compaction-aware checkpointing ----------------------------------------
-
-/// A checkpoint log that stays bounded.
+/// Opens (or creates) the checkpoint log at `path` and rebuilds the
+/// engine from the last checkpoint it recovers, or fresh from `config`
+/// when there is none. Returns the engine, the log (ready for
+/// [`ParallelEngine::checkpoint`]), and the store's recovery report.
 ///
-/// Wraps a [`LogStore`] of [`CheckpointFrame`]s with a
-/// [`CompactionPolicy`]: every [`Checkpointer::commit`] either appends
-/// the new checkpoint's frames, or — when the policy says it is time —
-/// atomically rewrites the log ([`LogStore::compact`]) to hold only the
-/// newest `policy.keep` complete checkpoints. With the default policy
-/// (`keep: 2, every: 1`) the log never exceeds two snapshots, and a
-/// crash at *any* byte of a commit — including mid-rewrite — leaves a
-/// complete older checkpoint to recover from (torture-tested in
-/// `tests/compaction.rs`).
+/// The restored frame is the last in the log, so it carries the
+/// highest sequence, and the next checkpoint takes the one above it.
 ///
 /// Retention mismatches are reconciled at restore: a checkpoint taken
 /// *without* interval retention restores into a retaining config with
@@ -398,108 +366,16 @@ pub(crate) fn append_and_sync(
 /// those visits), and a checkpoint taken *with* retention restoring
 /// into a non-retaining config drops the stored prefixes rather than
 /// serving them frozen — those visits read as unqueryable, never stale.
-pub struct Checkpointer {
-    log: LogStore<CheckpointFrame>,
-    policy: CompactionPolicy,
-    /// The newest `policy.keep` complete checkpoints, oldest first —
-    /// exactly what a compaction rewrites the log to.
-    history: VecDeque<Vec<CheckpointFrame>>,
-    commits_since_compact: u64,
-}
-
-impl Checkpointer {
-    /// Opens (or creates) the checkpoint log at `path`, seeding the
-    /// compaction history from the complete checkpoints already durable
-    /// in it. Returns the checkpointer, the recovered frames (feed them
-    /// to [`latest_complete_checkpoint`] / `restore`), and the store's
-    /// recovery report.
-    pub fn open(
-        path: impl AsRef<std::path::Path>,
-        policy: CompactionPolicy,
-    ) -> Result<(Checkpointer, Vec<CheckpointFrame>, RecoveryReport), StoreError> {
-        let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-        let history: VecDeque<Vec<CheckpointFrame>> =
-            complete_checkpoint_groups(&frames, policy.keep).into();
-        Ok((
-            Checkpointer {
-                log,
-                policy,
-                history,
-                commits_since_compact: 0,
-            },
-            frames,
-            report,
-        ))
-    }
-
-    /// Commits one complete checkpoint (the frames share one sequence).
-    /// Appends and fsyncs, or compacts when the policy's interval is
-    /// reached; either way the checkpoint is durable on return.
-    pub fn commit(&mut self, frames: Vec<CheckpointFrame>) -> Result<(), StoreError> {
-        self.history.push_back(frames);
-        while self.history.len() > self.policy.keep.max(1) {
-            self.history.pop_front();
-        }
-        self.commits_since_compact += 1;
-        if self.commits_since_compact >= self.policy.every.max(1) {
-            let retained: Vec<CheckpointFrame> = self.history.iter().flatten().cloned().collect();
-            self.log.compact(&retained)?;
-            self.commits_since_compact = 0;
-        } else {
-            let newest = self.history.back().expect("just pushed");
-            append_and_sync(&mut self.log, newest)?;
-        }
-        Ok(())
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> CompactionPolicy {
-        self.policy
-    }
-
-    /// The underlying log (e.g. for size accounting).
-    pub fn log(&self) -> &LogStore<CheckpointFrame> {
-        &self.log
-    }
-}
-
-// --- recovery --------------------------------------------------------------
-
-/// The common recovery body: rebuild from the newest complete
-/// checkpoint (or fresh when none exists), then raise the sequence past
-/// every durable frame — torn checkpoints included, whose numbers must
-/// never be reused or the next checkpoint would collide with the stale
-/// frames and read as incomplete at the following recovery.
-fn resume(config: EngineConfig, frames: &[CheckpointFrame]) -> Result<ParallelEngine, EngineError> {
-    let mut engine = match latest_complete_checkpoint(frames) {
-        Some(chosen) => ParallelEngine::restore(config, &chosen)?,
-        None => ParallelEngine::new(config)?,
-    };
-    engine.advance_sequence_to(frames.iter().map(|f| f.sequence).max().unwrap_or(0));
-    Ok(engine)
-}
-
-/// Opens (or creates) the checkpoint log at `path` and rebuilds the
-/// engine from the newest complete checkpoint, or fresh from `config`
-/// when none exists. Returns the engine, the log (positioned for further
-/// checkpoints), and the store's recovery report.
 pub fn resume_from_log(
     config: EngineConfig,
     path: impl AsRef<std::path::Path>,
 ) -> Result<(ParallelEngine, LogStore<CheckpointFrame>, RecoveryReport), EngineError> {
     let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-    Ok((resume(config, &frames)?, log, report))
-}
-
-/// [`resume_from_log`], but through a compacting [`Checkpointer`]
-/// instead of a raw log.
-pub fn resume_compacting(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
-    policy: CompactionPolicy,
-) -> Result<(ParallelEngine, Checkpointer, RecoveryReport), EngineError> {
-    let (checkpointer, frames, report) = Checkpointer::open(path, policy)?;
-    Ok((resume(config, &frames)?, checkpointer, report))
+    let engine = match frames.last() {
+        Some(frame) => ParallelEngine::restore(config, frame)?,
+        None => ParallelEngine::new(config)?,
+    };
+    Ok((engine, log, report))
 }
 
 #[cfg(test)]
@@ -624,50 +500,110 @@ mod tests {
         let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
         engine.checkpoint(&mut log).unwrap();
         drop(log);
-        let frame = engine.checkpoint_frames().remove(0);
+        let frame = engine.checkpoint_frame();
         drop(engine);
 
         let (mut restored, _log, report) =
             resume_from_log(config().with_shards(3), &tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(restored.workers(), 3);
-        assert_eq!(restored.checkpoint_frames()[0].payload, frame.payload);
+        assert_eq!(restored.checkpoint_frame().payload, frame.payload);
         restored.ingest_all(events[7..].iter().cloned());
         delivered.extend(restored.finish());
         delivered.sort_by_key(|e| e.sort_key());
         assert_eq!(delivered, expected);
     }
 
+    /// A log in the older multi-frame layout (`sequence | shard |
+    /// shard_count | payload`) is refused visibly, not misread: every
+    /// frame is undecodable, nothing is restored, and the first
+    /// checkpoint replaces the old frames.
     #[test]
-    fn torn_higher_sequence_is_never_reused() {
-        let tmp = TempPath::new("seq-guard");
-        {
-            let mut engine = ParallelEngine::new(config()).unwrap();
-            engine.ingest(presence(1, 1, 0));
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            assert_eq!(engine.checkpoint(&mut log).unwrap(), 1);
-            // Crash mid-checkpoint 2, written in the two-frame layout of
-            // older engines: only its first frame became durable.
-            engine.ingest(presence(1, 0, 20));
-            engine.flush();
-            log.append(&CheckpointFrame {
-                sequence: 2,
-                shard: 0,
-                shard_count: 2,
-                payload: encode_shard(&ShardSnapshot::default(), 1),
-            })
-            .unwrap();
-            log.sync().unwrap();
+    fn an_old_multi_frame_log_is_refused_not_misread() {
+        let tmp = TempPath::new("old-layout");
+        let mut engine = ParallelEngine::new(config()).unwrap();
+        engine.ingest(presence(1, 1, 0));
+        let payload = engine.checkpoint_frame().payload;
+        drop(engine);
+        let mut old = Vec::new();
+        sitm_store::write_header(&mut old);
+        for (sequence, shard, shard_count) in [(1, 0, 1), (2, 0, 2), (2, 1, 2)] {
+            let mut record = Vec::new();
+            put_u64(&mut record, sequence);
+            put_u64(&mut record, shard);
+            put_u64(&mut record, shard_count);
+            sitm_codec::put_bytes(&mut record, &payload);
+            sitm_store::write_frame(&mut old, &record);
         }
-        // Recovery restores checkpoint 1 but must skip past sequence 2.
-        let (mut restored, mut log, _) = resume_from_log(config(), &tmp.0).unwrap();
-        restored.ingest(presence(1, 0, 20));
-        let seq = restored.checkpoint(&mut log).unwrap();
-        assert_eq!(seq, 3, "torn sequence 2 is burned, not reused");
+        std::fs::write(&tmp.0, &old).unwrap();
+
+        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        assert_eq!(report.undecodable_frames, 3, "every old frame is counted");
+        assert_eq!(report.recovered, 0);
+        assert_eq!(restored.stats().events, 0, "nothing is restored");
+        restored.ingest(presence(1, 1, 0));
+        assert_eq!(restored.checkpoint(&mut log).unwrap(), 1);
         drop(log);
-        // The new checkpoint is complete and wins the next recovery.
-        let (mut again, _, _) = resume_from_log(config(), &tmp.0).unwrap();
-        assert_eq!(again.stats().presences, 2);
+
+        let (mut again, log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        assert!(report.is_clean(), "the old frames are gone");
+        assert_eq!(log.len(), 1);
+        assert_eq!(again.stats().presences, 1);
+    }
+
+    /// Writes `count` checkpoints to a log at `path`, one presence
+    /// ingested before each, and tears `tear` bytes off the end of the
+    /// file.
+    fn write_checkpoints(path: &std::path::Path, count: usize, tear: usize) {
+        let mut engine = ParallelEngine::new(config()).unwrap();
+        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(path).unwrap();
+        for (i, event) in [presence(1, 1, 0), presence(1, 0, 20)]
+            .into_iter()
+            .take(count)
+            .enumerate()
+        {
+            engine.ingest(event);
+            assert_eq!(engine.checkpoint(&mut log).unwrap(), i as u64 + 1);
+        }
+        let data = std::fs::read(path).unwrap();
+        std::fs::write(path, &data[..data.len() - tear]).unwrap();
+    }
+
+    /// The newest checkpoint is torn: recovery restores the previous
+    /// one, and the next checkpoint takes the torn one's sequence.
+    #[test]
+    fn picks_newest_complete_sequence() {
+        let tmp = TempPath::new("torn-newest");
+        write_checkpoints(&tmp.0, 2, 1);
+        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        assert!(report.truncated_bytes > 0);
+        assert_eq!(report.recovered, 1);
+        assert_eq!(restored.stats().presences, 1);
+        assert_eq!(restored.checkpoint(&mut log).unwrap(), 2);
+    }
+
+    /// Both checkpoints are intact: the later one is restored.
+    #[test]
+    fn prefers_higher_complete_sequence() {
+        let tmp = TempPath::new("intact");
+        write_checkpoints(&tmp.0, 2, 0);
+        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(report.recovered, 2);
+        assert_eq!(restored.stats().presences, 2);
+        assert_eq!(restored.checkpoint(&mut log).unwrap(), 3);
+    }
+
+    /// The log's only checkpoint is torn: nothing is restored.
+    #[test]
+    fn no_complete_checkpoint_yields_none() {
+        let tmp = TempPath::new("torn-only");
+        write_checkpoints(&tmp.0, 1, 1);
+        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
+        assert_eq!(report.recovered, 0);
+        assert!(report.truncated_bytes > 0);
+        assert_eq!(restored.stats().events, 0);
+        assert_eq!(restored.checkpoint(&mut log).unwrap(), 1);
     }
 
     #[test]

@@ -417,7 +417,13 @@ mod tests {
             Err(EngineError::ZeroShards)
         ));
         assert!(matches!(
-            ParallelEngine::restore(config(0), &[]),
+            ParallelEngine::restore(
+                config(0),
+                &sitm_store::CheckpointFrame {
+                    sequence: 1,
+                    payload: Vec::new(),
+                }
+            ),
             Err(EngineError::ZeroShards)
         ));
     }

@@ -39,8 +39,9 @@
 //!   `sitm-store`'s CRC-framed [`sitm_store::LogStore`] as one
 //!   [`sitm_store::CheckpointFrame`] per checkpoint, a function of the
 //!   feed alone, restored into any worker count without duplicating or
-//!   dropping episodes; [`Checkpointer`] keeps the log bounded by
-//!   compacting per a [`sitm_store::CompactionPolicy`];
+//!   dropping episodes. Every checkpoint commits through
+//!   [`sitm_store::LogStore::commit`], so the log holds at most the
+//!   previous checkpoint and the newest one;
 //! * [`flusher`] — [`Flusher`]: the live → warehouse spill pipeline —
 //!   drains finished visits (`take_finished`, retained under
 //!   [`EngineConfig::with_warehouse`]) out of the engine into
@@ -100,7 +101,7 @@ pub mod segmenter;
 pub mod shard;
 pub mod visit;
 
-pub use checkpoint::{resume_compacting, resume_from_log, CheckpointError, Checkpointer};
+pub use checkpoint::{resume_from_log, CheckpointError};
 pub use engine::{Anomalies, EmittedEpisode, EngineConfig, EngineError, EngineStats};
 pub use event::{trajectory_feed, StreamEvent, VisitKey};
 pub use flusher::Flusher;

@@ -85,7 +85,7 @@ use std::thread::JoinHandle;
 use sitm_core::{Episode, SemanticTrajectory, Timestamp};
 use sitm_store::{CheckpointFrame, LogStore};
 
-use crate::checkpoint::{encode_shard, Checkpointer};
+use crate::checkpoint::encode_shard;
 use crate::engine::{shard_of, EngineConfig, EngineError, EngineStats};
 use crate::event::{StreamEvent, VisitKey};
 use crate::live_index::LiveIndex;
@@ -709,19 +709,18 @@ impl ParallelEngine {
         Ok(Self::create(config))
     }
 
-    /// Rebuilds an engine from the frames of one complete checkpoint,
-    /// whatever worker count wrote it (an older engine's per-shard
-    /// frames are merged first). The configuration must match the one
+    /// Rebuilds an engine from one checkpoint, whatever worker count
+    /// wrote it. The configuration must match the one
     /// the checkpoint was taken under — predicates and interval
     /// retention, which are the operator's contract. Each visit and
     /// fence becomes a scheduler cell homed on the worker `dispatch`
     /// would give it (they rebalance from there); the episodes,
     /// finished backlog, watermark and counters go to deposit 0.
-    pub fn restore(config: EngineConfig, frames: &[&CheckpointFrame]) -> Result<Self, EngineError> {
+    pub fn restore(config: EngineConfig, frame: &CheckpointFrame) -> Result<Self, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        let (snapshot, sequence) = crate::checkpoint::decode_checkpoint(&config, frames)?;
+        let (snapshot, sequence) = crate::checkpoint::decode_checkpoint(&config, frame)?;
         let mut engine = Self::create(config);
         engine.sequence = sequence;
         let workers = engine.workers();
@@ -801,16 +800,6 @@ impl ParallelEngine {
     /// Worker threads running.
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Raises the checkpoint sequence counter to at least `sequence`.
-    ///
-    /// Recovery calls this with the highest sequence present in the log —
-    /// including torn checkpoints that were *not* restored — so the next
-    /// checkpoint never reuses a sequence number whose stale frames would
-    /// make it look incomplete (or duplicated) to a later recovery.
-    pub fn advance_sequence_to(&mut self, sequence: u64) {
-        self.sequence = self.sequence.max(sequence);
     }
 
     /// Routes one event toward the scheduler. Events are buffered on
@@ -1161,12 +1150,11 @@ impl ParallelEngine {
         stats
     }
 
-    /// Flushes and captures one complete checkpoint — one frame under
-    /// a fresh sequence, whose payload is a function of the ingested
-    /// feed alone — without touching a log: the building block behind
-    /// [`ParallelEngine::checkpoint`] and [`Checkpointer::commit`]'s
-    /// compacting commit path.
-    pub fn checkpoint_frames(&mut self) -> Vec<CheckpointFrame> {
+    /// Flushes and captures one checkpoint — one frame under a fresh
+    /// sequence, whose payload is a function of the ingested feed
+    /// alone — without touching a log: what
+    /// [`ParallelEngine::checkpoint`] commits.
+    pub fn checkpoint_frame(&mut self) -> CheckpointFrame {
         self.dispatch();
         self.sequence += 1;
         let guard = self.shared.quiesce();
@@ -1194,36 +1182,25 @@ impl ParallelEngine {
         snapshot
             .finished
             .sort_by_key(|(key, t)| (t.start(), t.end(), *key));
-        vec![CheckpointFrame {
+        CheckpointFrame {
             sequence: self.sequence,
-            shard: 0,
-            shard_count: 1,
             payload: encode_shard(&snapshot, self.config.predicates.len()),
-        }]
+        }
     }
 
-    /// Persists a consistent snapshot into `log` (one
-    /// [`CheckpointFrame`] under a fresh sequence number), then fsyncs.
-    /// Returns the sequence.
+    /// Commits a consistent snapshot to `log` (one [`CheckpointFrame`]
+    /// under a fresh sequence number) through [`LogStore::commit`], so
+    /// the log holds this checkpoint and the previous one. Durable on
+    /// return. Returns the sequence.
     ///
     /// Pending (finalized but undrained) episodes are included, so the
     /// recovery contract is exactly-once relative to `drain`: episodes
     /// drained before the checkpoint are never re-emitted, episodes not
     /// yet drained reappear after restore.
     pub fn checkpoint(&mut self, log: &mut LogStore<CheckpointFrame>) -> Result<u64, EngineError> {
-        let frames = self.checkpoint_frames();
-        let sequence = frames[0].sequence;
-        crate::checkpoint::append_and_sync(log, &frames)?;
-        Ok(sequence)
-    }
-
-    /// Checkpoints through a compacting [`Checkpointer`], keeping the
-    /// log bounded. Returns the sequence.
-    pub fn checkpoint_into(&mut self, checkpointer: &mut Checkpointer) -> Result<u64, EngineError> {
-        let frames = self.checkpoint_frames();
-        let sequence = frames[0].sequence;
-        checkpointer.commit(frames)?;
-        Ok(sequence)
+        let frame = self.checkpoint_frame();
+        log.commit(&frame)?;
+        Ok(frame.sequence)
     }
 }
 

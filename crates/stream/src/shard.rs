@@ -127,7 +127,6 @@ mod tests {
     use sitm_core::{Annotation, PresenceInterval, TransitionTaken};
     use sitm_graph::{LayerIdx, NodeId};
     use sitm_space::CellRef;
-    use sitm_store::CheckpointFrame;
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -243,30 +242,17 @@ mod tests {
         events.push(presence(100, 1, 0, 1));
         let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest_all(events);
-        let frames = engine.checkpoint_frames();
-        assert_eq!(frames.len(), 1, "one frame, whatever the worker count");
-        let parts: Vec<ShardSnapshot> = frames
-            .iter()
-            .map(|f| crate::checkpoint::decode_shard(&f.payload).unwrap().0)
-            .collect();
-        assert!(parts
-            .iter()
-            .any(|p| p.visits.iter().any(|(_, v)| v.open_fix.is_some())));
-        assert!(parts.iter().any(|p| !p.closed.is_empty()));
-        assert!(parts.iter().any(|p| !p.pending.is_empty()));
-        assert!(parts.iter().any(|p| !p.finished.is_empty()));
+        let frame = engine.checkpoint_frame();
+        let (snapshot, _) = crate::checkpoint::decode_shard(&frame.payload).unwrap();
+        assert!(snapshot.visits.iter().any(|(_, v)| v.open_fix.is_some()));
+        assert!(!snapshot.closed.is_empty());
+        assert!(!snapshot.pending.is_empty());
+        assert!(!snapshot.finished.is_empty());
 
-        let refs: Vec<&CheckpointFrame> = frames.iter().collect();
-        let mut restored = ParallelEngine::restore(config(), &refs).unwrap();
-        let again = restored.checkpoint_frames();
-        assert_eq!(again.len(), frames.len());
-        for (a, f) in again.iter().zip(&frames) {
-            assert_eq!(a.sequence, f.sequence + 1);
-            assert_eq!(
-                (a.shard, a.shard_count, &a.payload),
-                (f.shard, f.shard_count, &f.payload)
-            );
-        }
+        let mut restored = ParallelEngine::restore(config(), &frame).unwrap();
+        let again = restored.checkpoint_frame();
+        assert_eq!(again.sequence, frame.sequence + 1);
+        assert_eq!(again.payload, frame.payload);
     }
 
     /// A live snapshot shows every open visit's prefix; an open visit

@@ -1,22 +1,21 @@
-//! Checkpoint-log compaction: boundedness and crash-safety, tortured.
+//! The checkpoint log stays bounded and crash-safe, tortured.
 //!
-//! PR 1's log grew by one full snapshot per checkpoint. The
-//! [`Checkpointer`] must (a) keep the log bounded at
-//! `CompactionPolicy::keep` snapshots, and (b) never make recovery
-//! *worse*: after any number of checkpoint+compact cycles, truncating
-//! the log at **every byte offset of the final frame** (the torn-tail
-//! fuzz idiom from PR 1) must land recovery on the newest complete
-//! checkpoint still durable — which, with `keep: 2`, is the previous
-//! checkpoint whenever the newest one is torn.
+//! Every checkpoint commits through `LogStore::commit`, which rewrites
+//! the log to the previous checkpoint and the new one. So (a) the log
+//! never holds more than two checkpoints, and (b) after any number of
+//! commits, truncating the log at **every byte offset of the final
+//! frame** (the torn-tail fuzz idiom) lands recovery on the previous
+//! checkpoint — never a panic, never anything older, never half of the
+//! torn one.
 
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_space::CellRef;
-use sitm_store::{segment, CheckpointFrame, CompactionPolicy, LogStore};
+use sitm_store::segment;
 use sitm_stream::{
-    resume_compacting, EngineConfig, EngineStats, ParallelEngine, StreamEvent, VisitKey,
+    resume_from_log, EngineConfig, EngineStats, ParallelEngine, StreamEvent, VisitKey,
 };
 
 fn cell(n: usize) -> CellRef {
@@ -98,78 +97,64 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
     let events = feed(30);
     let chunk = events.len() / CYCLES;
 
-    let compacted = TempLog::new("bounded");
-    let uncompacted = TempLog::new("naive");
+    let log_path = TempLog::new("bounded");
 
-    // Drive the same engine state through a compacting checkpointer and
-    // a PR 1-style append-only log, recording state fingerprints and
-    // sizes after every cycle.
+    // Checkpoint after every slice, recording the state, the log's size
+    // and the largest checkpoint payload (taken from a twin engine fed
+    // the same slices: a payload is a function of the feed alone).
     let mut expected: Vec<EngineStats> = Vec::new();
-    let mut naive_sizes: Vec<u64> = Vec::new();
-    let mut compacted_sizes: Vec<u64> = Vec::new();
+    let mut sizes: Vec<u64> = Vec::new();
+    let mut largest_payload = 0;
     {
-        let (mut engine, mut checkpointer, report) =
-            resume_compacting(config(), &compacted.0, CompactionPolicy::default())
-                .expect("fresh open");
+        let (mut engine, mut log, report) =
+            resume_from_log(config(), &log_path.0).expect("fresh open");
         assert!(report.is_clean());
-        let (mut naive_log, _, _) =
-            LogStore::<CheckpointFrame>::open(&uncompacted.0).expect("naive log");
-        let mut naive = ParallelEngine::new(config()).expect("naive engine");
+        let mut twin = ParallelEngine::new(config()).expect("twin engine");
 
         for cycle in 0..CYCLES {
             let slice = &events[cycle * chunk..(cycle + 1) * chunk];
             engine.ingest_all(slice.iter().cloned());
-            naive.ingest_all(slice.iter().cloned());
-            engine.checkpoint_into(&mut checkpointer).expect("commit");
-            naive.checkpoint(&mut naive_log).expect("append");
+            twin.ingest_all(slice.iter().cloned());
+            engine.checkpoint(&mut log).expect("commit");
+            largest_payload = largest_payload.max(twin.checkpoint_frame().payload.len());
+            assert_eq!(log.len(), (cycle + 1).min(2), "cycle {cycle}: frames");
             expected.push(engine.stats());
-            naive_sizes.push(naive_log.size_bytes());
-            compacted_sizes.push(checkpointer.log().size_bytes());
+            sizes.push(log.size_bytes());
         }
     }
 
-    // Boundedness: the naive log grows by ~one snapshot per checkpoint;
-    // the compacted one holds at most `keep = 2` snapshots at all times.
-    let max_snapshot = naive_sizes
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .chain([naive_sizes[0]])
-        .max()
-        .unwrap();
-    for (cycle, &size) in compacted_sizes.iter().enumerate() {
+    // Boundedness: the header plus two frames, each at most the largest
+    // payload behind its sequence and length varints (10 bytes at most
+    // each) and the CRC frame.
+    let frame_bound = (largest_payload + 2 * 10 + segment::FRAME_OVERHEAD) as u64;
+    for (cycle, &size) in sizes.iter().enumerate() {
         assert!(
-            size <= 2 * max_snapshot + segment::MAGIC.len() as u64,
-            "cycle {cycle}: compacted log {size}B exceeds two snapshots ({max_snapshot}B each)"
+            size <= segment::MAGIC.len() as u64 + 2 * frame_bound,
+            "cycle {cycle}: log {size}B exceeds two checkpoints ({frame_bound}B each)"
         );
     }
-    assert!(
-        compacted_sizes[CYCLES - 1] < naive_sizes[CYCLES - 1],
-        "compaction must beat append-only growth"
-    );
 
     // Torture: tear the final frame at every byte offset. The newest
     // checkpoint (sequence CYCLES) loses its frame, so recovery must
     // land on sequence CYCLES-1 — never panic, never
     // resurrect anything older, never half-apply the torn one.
-    let data = std::fs::read(&compacted.0).expect("read log");
+    let data = std::fs::read(&log_path.0).expect("read log");
     let tail_start = final_frame_start(&data);
     assert!(tail_start > 0 && tail_start < data.len());
     let torn = TempLog::new("torn");
     for cut in tail_start..data.len() {
         std::fs::write(&torn.0, &data[..cut]).expect("write torn copy");
-        let (mut engine, _ckpt, _report) =
-            resume_compacting(config(), &torn.0, CompactionPolicy::default())
-                .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
+        let (mut engine, _log, _report) = resume_from_log(config(), &torn.0)
+            .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
         assert_eq!(
             engine.stats(),
             expected[CYCLES - 2],
-            "cut at {cut}: expected the previous complete checkpoint"
+            "cut at {cut}: expected the previous checkpoint"
         );
     }
     // The intact file lands on the newest checkpoint.
-    let (mut engine, _ckpt, report) =
-        resume_compacting(config(), &compacted.0, CompactionPolicy::default())
-            .expect("intact recovery");
+    let (mut engine, _log, report) =
+        resume_from_log(config(), &log_path.0).expect("intact recovery");
     assert!(report.is_clean());
     assert_eq!(engine.stats(), expected[CYCLES - 1]);
 }
@@ -177,65 +162,33 @@ fn compacted_log_stays_bounded_and_every_tear_recovers() {
 #[test]
 fn torn_compaction_sequence_is_never_reused() {
     // After recovering from a torn newest checkpoint, the next commit
-    // must take a sequence above every durable frame, and compaction
-    // must not break that: recovery after the new commit sees the new
-    // state.
+    // takes the sequence above every durable frame, and recovery after
+    // it sees the new state.
     let events = feed(12);
-    let log = TempLog::new("seq");
+    let log_path = TempLog::new("seq");
     let mid = events.len() / 2;
     {
-        let (mut engine, mut ckpt, _) =
-            resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("open");
+        let (mut engine, mut log, _) = resume_from_log(config(), &log_path.0).expect("open");
         engine.ingest_all(events[..mid].iter().cloned());
-        engine.checkpoint_into(&mut ckpt).expect("commit 1");
+        engine.checkpoint(&mut log).expect("commit 1");
         engine.ingest_all(events[mid..].iter().cloned());
-        engine.checkpoint_into(&mut ckpt).expect("commit 2");
+        engine.checkpoint(&mut log).expect("commit 2");
     }
-    // Tear the newest checkpoint's final frame.
-    let data = std::fs::read(&log.0).expect("read");
+    // Tear the newest checkpoint's frame.
+    let data = std::fs::read(&log_path.0).expect("read");
     let cut = final_frame_start(&data) + 1;
-    std::fs::write(&log.0, &data[..cut]).expect("tear");
+    std::fs::write(&log_path.0, &data[..cut]).expect("tear");
 
-    let (mut engine, mut ckpt, _) =
-        resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("resume");
+    let (mut engine, mut log, _) = resume_from_log(config(), &log_path.0).expect("resume");
     let before = engine.stats();
     engine.ingest_all(events[mid..].iter().cloned());
-    let seq = engine.checkpoint_into(&mut ckpt).expect("commit 3");
+    let seq = engine.checkpoint(&mut log).expect("commit 3");
     // A checkpoint is one frame: tearing it left no frame of sequence
-    // 2 behind, so 2 is free again. (A torn checkpoint of several
-    // frames, as older engines wrote, burns its sequence: see
-    // `torn_higher_sequence_is_never_reused` in the checkpoint module.)
+    // 2 behind, so 2 is free again.
     assert_eq!(seq, 2, "the next sequence above every durable frame");
-    drop((engine, ckpt));
+    drop((engine, log));
 
-    let (mut restored, _, _) =
-        resume_compacting(config(), &log.0, CompactionPolicy::default()).expect("final resume");
+    let (mut restored, log, _) = resume_from_log(config(), &log_path.0).expect("final resume");
+    assert_eq!(log.len(), 2, "checkpoints 1 and the new 2");
     assert!(restored.stats().events > before.events, "newest state won");
-}
-
-#[test]
-fn deferred_compaction_appends_then_rewrites() {
-    // every: 3 → two appends, then one compacting rewrite that shrinks
-    // the log back to `keep` snapshots.
-    let events = feed(18);
-    let chunk = events.len() / 6;
-    let log = TempLog::new("deferred");
-    let policy = CompactionPolicy { keep: 2, every: 3 };
-    let (mut engine, mut ckpt, _) = resume_compacting(config(), &log.0, policy).expect("open");
-
-    let mut frame_counts = Vec::new();
-    for cycle in 0..6 {
-        engine.ingest_all(events[cycle * chunk..(cycle + 1) * chunk].iter().cloned());
-        engine.checkpoint_into(&mut ckpt).expect("commit");
-        frame_counts.push(ckpt.log().len());
-    }
-    // One frame per checkpoint: commits 1 and 2 append (1, then 2
-    // frames), commit 3 compacts back to `keep = 2` checkpoints (2
-    // frames), and the pattern repeats.
-    assert_eq!(frame_counts, vec![1, 2, 2, 3, 4, 2]);
-    // Recovery still lands on the newest checkpoint.
-    drop((engine, ckpt));
-    let (mut restored, _, report) = resume_compacting(config(), &log.0, policy).expect("resume");
-    assert!(report.is_clean());
-    assert_eq!(restored.stats().visits_opened, 18);
 }

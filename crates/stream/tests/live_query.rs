@@ -653,9 +653,8 @@ proptest! {
             fed = next;
 
             if step == restore_at {
-                let frames = patched.checkpoint_frames();
-                let frames: Vec<&CheckpointFrame> = frames.iter().collect();
-                patched = ParallelEngine::restore(churn_config(shards), &frames).expect("restore");
+                let frame = patched.checkpoint_frame();
+                patched = ParallelEngine::restore(churn_config(shards), &frame).expect("restore");
             }
             let at = format!("seed {seed}, after {fed} events");
             let now_patched = patched.live_snapshot();

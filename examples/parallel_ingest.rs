@@ -1,6 +1,6 @@
 //! Parallel ingestion walkthrough: the work-stealing engine serving a
 //! Louvre day, with live queries answered *while* the stream is in
-//! flight, a crash recovered through a compacting checkpoint log, and a
+//! flight, a crash recovered through a bounded checkpoint log, and a
 //! final proof that the streamed episodes equal batch
 //! `maximal_episodes` over every completed visit.
 //!
@@ -13,8 +13,7 @@ use sitm::louvre::{
     build_louvre, generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration,
 };
 use sitm::query::{federated_count, Predicate, TrajectorySource};
-use sitm::store::CompactionPolicy;
-use sitm::stream::{resume_compacting, trajectory_feed, EngineConfig, VisitKey};
+use sitm::stream::{resume_from_log, trajectory_feed, EngineConfig, VisitKey};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -70,13 +69,12 @@ fn main() {
     let ckpt_path =
         std::env::temp_dir().join(format!("sitm-parallel-ingest-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&ckpt_path);
-    // keep: 2, every: 1 — the log never exceeds two snapshots.
-    let policy = CompactionPolicy::default();
-    let (mut engine, mut checkpointer, _) =
-        resume_compacting(config(), &ckpt_path, policy).expect("fresh engine");
+    // Every checkpoint rewrites the log to the previous one and itself,
+    // so it never exceeds two snapshots.
+    let (mut engine, mut log, _) = resume_from_log(config(), &ckpt_path).expect("fresh engine");
 
     // Ingest in quarters; after each, answer live questions mid-stream
-    // and commit a compacting checkpoint.
+    // and commit a checkpoint.
     let hall = model.space.resolve(&zone_key(60886)).expect("hall");
     let in_hall = Predicate::VisitedCell(hall);
     let long_dwell = Predicate::MinTotalDwell(Duration::minutes(30));
@@ -91,28 +89,26 @@ fn main() {
             snapshot.visits.len(),
             snapshot.count_matching(&in_hall),
             federated_count(&long_dwell, &[&*snapshot as &dyn TrajectorySource]),
-            checkpointer.log().size_bytes(),
+            log.size_bytes(),
         );
         delivered.extend(engine.drain());
-        engine.checkpoint_into(&mut checkpointer).expect("commit");
+        engine.checkpoint(&mut log).expect("commit");
     }
 
     // ---- 3. Crash after the third quarter; recover; finish the day. ------
     drop(engine);
-    drop(checkpointer);
-    let (mut engine, mut checkpointer, report) =
-        resume_compacting(config(), &ckpt_path, policy).expect("recover");
+    drop(log);
+    let (mut engine, mut log, report) = resume_from_log(config(), &ckpt_path).expect("recover");
     println!(
         "\ncrash + recovery: clean={}, {} visits back in flight, log bounded at {}B",
         report.is_clean(),
         engine.stats().open_visits,
-        checkpointer.log().size_bytes(),
+        log.size_bytes(),
     );
     engine.ingest_all(events[3 * quarter..].iter().cloned());
     delivered.extend(engine.finish());
-    engine
-        .checkpoint_into(&mut checkpointer)
-        .expect("final commit");
+    engine.checkpoint(&mut log).expect("final commit");
+    assert_eq!(log.len(), 2, "the log holds the last two checkpoints");
 
     // ---- 4. Differential proof: streamed == batch. -----------------------
     let mut expected = Vec::new();

@@ -106,6 +106,7 @@ fn main() {
     let mut delivered = engine.drain();
     let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&ckpt_path).expect("open log");
     engine.checkpoint(&mut log).expect("checkpoint");
+    assert!(log.len() <= 2, "a checkpoint log holds at most two frames");
     drop(log);
     drop(engine); // the crash: everything after the checkpoint is lost
 
@@ -122,7 +123,7 @@ fn main() {
     println!("busiest zone at midday: {busiest} visitors\n");
 
     // ---- 3. Recover on fewer workers and finish the day. -----------------
-    let (mut engine, _log, report) =
+    let (mut engine, mut log, report) =
         resume_from_log(config(2), &ckpt_path).expect("recover engine");
     assert!(report.is_clean(), "the checkpoint log recovers cleanly");
     println!(
@@ -134,6 +135,11 @@ fn main() {
     engine.ingest_all(events[half..].iter().cloned());
     delivered.extend(engine.finish());
     delivered.sort_by_key(|e| e.sort_key());
+    engine.checkpoint(&mut log).expect("end-of-day checkpoint");
+    assert!(
+        log.len() <= 2,
+        "the log keeps the midday and end-of-day frames only"
+    );
 
     let mut uninterrupted = ParallelEngine::new(config(8)).expect("engine");
     uninterrupted.ingest_all(events.iter().cloned());

@@ -20,7 +20,7 @@
 //! | [`obs`] | `sitm-obs` | lock-cheap observability: counters, gauges, log₂ histograms, spans, hierarchical request traces, a time-series sampler, health reports, slow-query log, snapshot codecs |
 //! | [`analytics`] | `sitm-analytics` | descriptive statistics, choropleths, reports |
 //! | [`query`] | `sitm-query` | indexed trajectory retrieval: predicates, plans, aggregation, federation, the segmented warehouse |
-//! | [`store`] | `sitm-store` | binary codec, CRC-framed append-only log, crash recovery, compaction, the segment tier, Bloom filters |
+//! | [`store`] | `sitm-store` | binary codec, CRC-framed snapshot log (newest two records), crash recovery, compaction, the segment tier, Bloom filters |
 //! | [`stream`] | `sitm-stream` | work-stealing online ingestion, live queries, batch-equivalent episodes, warehouse spill |
 //! | [`serve`] | `sitm-serve` | the network tier: concurrent TCP server + client for remote ingest and federated semantic queries |
 //! | [`ontology`] | `sitm-ontology` | triple store + CIDOC-CRM-flavoured museum knowledge base |
@@ -63,9 +63,10 @@
 //!   record; the newest intact record is the recovery point (torn
 //!   writes torture-tested at every byte offset).
 //! * **Compaction** — small segments merge size-tiered into larger
-//!   sorted runs; the manifest log itself stays bounded by the same
-//!   `CompactionPolicy` idiom the checkpoint log uses, and replaced
-//!   files outlive every manifest record that still references them.
+//!   sorted runs; the manifest log itself stays bounded the way the
+//!   checkpoint log does — both commit through one snapshot log that
+//!   keeps the previous record and the newest — and replaced files
+//!   outlive every manifest record that still references them.
 //! * **Serve** — [`serve`]'s `Server` wraps one engine + one warehouse
 //!   behind a CRC-framed TCP protocol (a listener plus a bounded
 //!   session-worker pool): clients ingest event batches, run

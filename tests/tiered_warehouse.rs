@@ -20,7 +20,6 @@ use sitm::query::{
 };
 use sitm::space::CellRef;
 use sitm::store::warehouse::WarehouseConfig;
-use sitm::store::CompactionPolicy;
 use sitm::stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -216,7 +215,6 @@ fn warehouse_is_differentially_invisible_at_every_flush_point() {
         &tmp.0,
         WarehouseConfig {
             fanout: 3, // small fanout: compactions actually happen mid-test
-            manifest: CompactionPolicy::default(),
             ..WarehouseConfig::default()
         },
     )
@@ -252,7 +250,6 @@ fn warehouse_is_differentially_invisible_at_every_flush_point() {
         &tmp.0,
         WarehouseConfig {
             fanout: 3,
-            manifest: CompactionPolicy::default(),
             ..WarehouseConfig::default()
         },
     )
@@ -306,7 +303,6 @@ fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
     let tmp = TempDir::new("cold-scale");
     let config = WarehouseConfig {
         fanout: 64, // keep the twelve flush segments distinct
-        manifest: CompactionPolicy::default(),
         ..WarehouseConfig::default()
     };
     {
@@ -417,7 +413,6 @@ fn zone_map_pruning_skips_segments_without_losing_matches() {
         &tmp.0,
         WarehouseConfig {
             fanout: 64, // keep flush segments distinct
-            manifest: CompactionPolicy::default(),
             ..WarehouseConfig::default()
         },
     )
@@ -482,7 +477,6 @@ fn row_cache_is_query_invisible_across_flushes_and_compaction() {
     let config_off = WarehouseConfig {
         fanout: 3,
         row_cache_bytes: 0,
-        ..WarehouseConfig::default()
     };
     let registry = sitm::obs::MetricsRegistry::new();
     let mut db_on = SegmentedDb::open(&tmp_on.0, config_on)
