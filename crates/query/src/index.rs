@@ -16,6 +16,7 @@
 //! the full predicate against each candidate, so a lookup only has to be
 //! sound, never complete-in-itself.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -141,10 +142,21 @@ pub struct TrajectoryDb {
     stay_trees: BTreeMap<CellRef, IntervalTree<TrajId>>,
 }
 
-fn push_unique(postings: &mut BTreeMap<CellRef, Vec<TrajId>>, key: CellRef, id: TrajId) {
-    let list = postings.entry(key).or_default();
-    if list.last() != Some(&id) {
-        list.push(id);
+/// Adds `id` to `key`'s posting list unless it ends it already. The key
+/// is looked up by reference and owned only when it is new: hydrating
+/// a segment whose rows share an annotation set or a moving object
+/// allocates nothing for the keys it has already seen.
+fn push_unique<K, Q>(postings: &mut BTreeMap<K, Vec<TrajId>>, key: &Q, id: TrajId)
+where
+    K: Borrow<Q> + Ord,
+    Q: ToOwned<Owned = K> + Ord + ?Sized,
+{
+    match postings.get_mut(key) {
+        Some(list) if list.last() == Some(&id) => {}
+        Some(list) => list.push(id),
+        None => {
+            postings.insert(key.to_owned(), vec![id]);
+        }
     }
 }
 
@@ -172,27 +184,18 @@ impl TrajectoryDb {
                 interval: t.span(),
                 payload: id,
             });
-            object_postings
-                .entry(t.moving_object.clone())
-                .or_default()
-                .push(id);
+            push_unique(&mut object_postings, t.moving_object.as_str(), id);
             for a in t.annotations().iter() {
-                let list = traj_ann_postings.entry(a.clone()).or_default();
-                if list.last() != Some(&id) {
-                    list.push(id);
-                }
+                push_unique(&mut traj_ann_postings, a, id);
             }
             for stay in t.trace().intervals() {
-                push_unique(&mut cell_postings, stay.cell, id);
+                push_unique(&mut cell_postings, &stay.cell, id);
                 stay_entries.entry(stay.cell).or_default().push(Entry {
                     interval: stay.time,
                     payload: id,
                 });
                 for a in stay.annotations.iter() {
-                    let list = stay_ann_postings.entry(a.clone()).or_default();
-                    if list.last() != Some(&id) {
-                        list.push(id);
-                    }
+                    push_unique(&mut stay_ann_postings, a, id);
                 }
             }
         }

@@ -26,8 +26,9 @@
 //! contract is documented on [`Query`]): per-source candidates from the
 //! source's own indexes, ordering no further than the page reaches, a
 //! re-check of the predicate on each fetched row, then offset and
-//! limit. [`Query::explain`] reports the access path a source would
-//! take without running the query.
+//! limit — under `True`, the offset is skipped by position, unfetched.
+//! [`Query::explain`] reports the access path a source would take
+//! without running the query.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -194,9 +195,18 @@ impl<'q> Page<'q> {
         if self.limit == Some(0) {
             return;
         }
+        // Under `True` no candidate can be rejected, so the first
+        // `offset` of them in order are exactly the rows to skip: they
+        // are dropped by position, none fetched. Any other predicate
+        // skips matches one by one, after fetching and re-checking.
+        let skip = if *self.predicate == Predicate::True {
+            self.offset
+        } else {
+            0
+        };
         // One candidate: fetch (borrowed when resident), re-check,
         // skip or emit. Breaks once the page is full.
-        let (mut skipped, mut emitted) = (0, 0);
+        let (mut skipped, mut emitted) = (skip, 0);
         let mut visit = |source: usize, position: TrajId| -> ControlFlow<()> {
             let row = sources[source].row(position);
             if !self.predicate.matches(row.trajectory()) {
@@ -217,10 +227,15 @@ impl<'q> Page<'q> {
         let Some((key, ascending)) = self.order else {
             // Source order: a later source is not even consulted once
             // the page is full.
+            let mut to_drop = skip;
             for (s, source) in sources.iter().enumerate() {
                 let candidates = source.candidates(self.predicate);
                 let _fetch = child_detail("fetch_rows");
-                let mut positions = candidates.within(0..source.len_hint() as TrajId);
+                let dropped = to_drop.min(candidates.cardinality(source.len_hint()));
+                to_drop -= dropped;
+                let mut positions = candidates
+                    .within(0..source.len_hint() as TrajId)
+                    .skip(dropped);
                 if positions.try_for_each(|at| visit(s, at)).is_break() {
                     return;
                 }
@@ -241,21 +256,29 @@ impl<'q> Page<'q> {
         for (s, (source, candidates)) in sources.iter().zip(&candidates).enumerate() {
             source.sort_keys(key, candidates, s as u32, &mut keys);
         }
-        let reach = self.limit.map(|n| self.offset.saturating_add(n));
+        let reach = self.limit.map(|n| (self.offset - skip).saturating_add(n));
         let direction = (ascending, !ascending && self.ties == Ties::SourceOrder);
+        let page = (skip, reach);
         match keys {
-            SortKeys::Int(keys) => walk_ordered(keys, direction, reach, order_span, &mut visit),
-            SortKeys::Object(keys) => walk_ordered(keys, direction, reach, order_span, &mut visit),
+            SortKeys::Int(keys) => walk_ordered(keys, direction, page, order_span, &mut visit),
+            SortKeys::Object(keys) => walk_ordered(keys, direction, page, order_span, &mut visit),
         }
     }
 }
 
 /// Visits `entries` in order until `visit` breaks, sorting no further
-/// than the page reaches: with `reach = offset + limit`, the first
-/// `reach` entries of the order are selected and sorted, which is the
-/// whole page unless `visit` rejects some of them. If that head runs
-/// dry with the page still short, the rest is sorted then and the walk
-/// goes on (correct, not fast). `reach: None` sorts everything.
+/// than the page reaches. `(skip, reach)`: the first `skip` entries of
+/// the order are dropped by position — one select, no entry visited,
+/// nothing sorted — and of the rest, the first `reach` are selected
+/// and sorted, which is the whole page unless `visit` rejects some of
+/// them. If that head runs dry with the page still short, the rest is
+/// sorted then and the walk goes on (correct, not fast). `reach: None`
+/// sorts everything after the skip.
+///
+/// The caller skips by position only when no entry can be rejected
+/// (`skip = offset`, `reach = limit` under [`Predicate::True`]); for
+/// any other predicate `skip` is 0, `reach` is `offset + limit`, and
+/// `visit` skips matches by reference.
 ///
 /// The one comparator behind both [`Ties`] rules orders whole entries
 /// — `(key, source, position)` — and a descending sort is that order
@@ -268,7 +291,7 @@ impl<'q> Page<'q> {
 fn walk_ordered<K: Ord>(
     mut entries: Vec<(K, u32, TrajId)>,
     (ascending, ties_ascend): (bool, bool),
-    reach: Option<usize>,
+    (skip, reach): (usize, Option<usize>),
     order_span: ChildSpan,
     visit: &mut dyn FnMut(usize, TrajId) -> ControlFlow<()>,
 ) {
@@ -286,14 +309,19 @@ fn walk_ordered<K: Ord>(
             b.cmp(a)
         }
     };
+    let skip = skip.min(entries.len());
+    if 0 < skip && skip < entries.len() {
+        entries.select_nth_unstable_by(skip, directed);
+    }
+    let rest = &mut entries[skip..];
     let head = match reach {
-        Some(reach) if reach < entries.len() => {
-            entries.select_nth_unstable_by(reach, directed);
+        Some(reach) if reach < rest.len() => {
+            rest.select_nth_unstable_by(reach, directed);
             reach
         }
-        _ => entries.len(),
+        _ => rest.len(),
     };
-    let (head, tail) = entries.split_at_mut(head);
+    let (head, tail) = rest.split_at_mut(head);
     head.sort_unstable_by(directed);
     drop(order_span);
     let _fetch = child_detail("fetch_rows");
@@ -339,11 +367,20 @@ fn walk_ordered<K: Ord>(
 ///    only then is the remainder sorted and the walk continued.
 ///    Sorting candidates and filtering lazily equals filter-then-sort:
 ///    dropping non-matches preserves the order of what remains.
+///    Under [`Predicate::True`] every candidate matches, so the
+///    `offset` is skipped by order position instead: one select drops
+///    the first `offset` entries unsorted, and only the `limit` after
+///    them are selected and sorted. Without an `order_by`, whole
+///    sources and runs of positions are skipped by count. Either way
+///    no skipped row is fetched, and a page costs its key extraction
+///    plus its own rows, whatever its offset.
 /// 3. **fetch → re-check → skip → emit** — each row is fetched alone
 ///    ([`TrajectorySource::row`]: borrowed when resident, read when
 ///    not), the full predicate re-checked on it, `offset` matches
-///    skipped by reference, and the page's rows handed to the sink.
-///    Nothing is cloned or encoded before a sink asks.
+///    skipped by reference (every predicate but `True`: a candidate
+///    may fail the re-check, so only a fetched row can be counted as
+///    skipped), and the page's rows handed to the sink. Nothing is
+///    cloned or encoded before a sink asks.
 ///
 /// **Ties.** Rows with equal keys are ordered by `(source, position)`.
 /// Over one collection — [`Query::execute`],

@@ -2,7 +2,15 @@
 //! queries over unions of indexed and unindexed sources must equal the
 //! oracle's naive union — and the index path must never change results.
 //! (The random differential over every source kind is
-//! `tests/one_executor.rs` at the workspace root.)
+//! `tests/one_executor.rs` at the workspace root; the one here walks a
+//! live snapshot beside a warehouse page by page under `True`, whose
+//! offset the core skips by position.)
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use proptest::prelude::*;
 
 use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
@@ -10,9 +18,31 @@ use sitm_core::{
 };
 use sitm_graph::{LayerIdx, NodeId};
 use sitm_query::{
-    federated_count, AccessPath, Predicate, Query, SortKey, TrajectoryDb, TrajectorySource,
+    federated_count, AccessPath, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb,
+    TrajectorySource,
 };
 use sitm_space::CellRef;
+use sitm_store::warehouse::WarehouseConfig;
+use sitm_stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
+
+static NEXT: AtomicU64 = AtomicU64::new(0);
+
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("sitm-fedprop-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -129,4 +159,137 @@ fn explain_source_and_federated_explain_report_both_paths() {
     );
     assert_eq!(db_plan.total, 4);
     assert!(db_plan.selectivity_bound() < 1.0);
+}
+
+const KEYS: [SortKey; 6] = [
+    SortKey::Start,
+    SortKey::End,
+    SortKey::SpanDuration,
+    SortKey::TotalDwell,
+    SortKey::MovingObject,
+    SortKey::TraceLength,
+];
+
+/// A small trajectory whose keys collide often: one of four objects,
+/// 1–3 back-to-back stays of 0–9 s from a start in 0..40.
+fn small_strategy() -> impl Strategy<Value = SemanticTrajectory> {
+    (
+        0u8..4,
+        0i64..40,
+        prop::collection::vec((0usize..4, 0i64..10), 1..4),
+    )
+        .prop_map(|(mo, start, stays)| {
+            let mut at = start;
+            let intervals: Vec<(usize, i64, i64)> = stays
+                .into_iter()
+                .map(|(c, d)| {
+                    at += d;
+                    (c, at - d, at)
+                })
+                .collect();
+            traj(&format!("mo-{mo}"), &intervals, "visit")
+        })
+}
+
+/// An indexed live snapshot holding `rows` as open visits.
+fn live_snapshot(rows: &[SemanticTrajectory]) -> LiveSnapshot {
+    let visits: Vec<Arc<LiveVisit>> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            Arc::new(LiveVisit {
+                visit: VisitKey(i as u64),
+                trajectory: t.clone(),
+            })
+        })
+        .collect();
+    let mut index = LiveIndex::new();
+    for v in &visits {
+        for interval in v.trajectory.trace().intervals() {
+            index.observe(v.visit.0, &v.trajectory.moving_object, interval);
+        }
+    }
+    LiveSnapshot::new(visits, index)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The federated twin of `true_pages_skip_by_position_and_equal_the_oracle`
+    /// (`tests/segmented_proptests.rs`): a walk under `True` over a live
+    /// snapshot beside a warehouse — unsorted, or by any key either way
+    /// with ties in source order — is the oracle's page from both sinks
+    /// at every offset (0, mid-run, the last page, exactly the total,
+    /// past it) and limit (none, 0, `n`), whether the warehouse is
+    /// hydrated, mixed or cold.
+    #[test]
+    fn federated_true_pages_skip_by_position_and_equal_the_oracle(
+        live_rows in prop::collection::vec(small_strategy(), 0..10),
+        stored in prop::collection::vec(small_strategy(), 0..40),
+        split in 0usize..40,
+        n in 1usize..9,
+    ) {
+        let tmp = TempDir::new();
+        {
+            let (mut db, _) = SegmentedDb::open(&tmp.0, WarehouseConfig::default()).expect("open");
+            let (first, second) = stored.split_at(split.min(stored.len()));
+            for batch in [first, second] {
+                db.flush(batch.to_vec()).expect("flush");
+            }
+        }
+        let reopen = || SegmentedDb::open(&tmp.0, WarehouseConfig::default()).expect("reopen").0;
+        let hydrated = reopen();
+        for segment in hydrated.segments() {
+            segment.trajectories().expect("hydrate");
+        }
+        let mixed = reopen();
+        for segment in mixed.segments().iter().take(1) {
+            segment.trajectories().expect("hydrate");
+        }
+        let cold = reopen();
+        let live = live_snapshot(&live_rows);
+        // The oracle reads the warehouse's rows, in its order, from memory.
+        let reference = TrajectoryDb::build(
+            (0..hydrated.len() as TrajId).map(|at| hydrated.row(at).into_owned()).collect(),
+        );
+        let total = live_rows.len() + stored.len();
+        let last_page = total.saturating_sub(1) / n * n;
+        let mut orders = vec![None];
+        for key in KEYS {
+            orders.extend([Some((key, true)), Some((key, false))]);
+        }
+        for order in orders {
+            for offset in [0, total / 2, last_page, total, total + 3] {
+                for limit in [None, Some(0), Some(n)] {
+                    let mut q = Query::new().offset(offset);
+                    if let Some((key, ascending)) = order {
+                        q = q.order_by(key, ascending);
+                    }
+                    if let Some(n) = limit {
+                        q = q.limit(n);
+                    }
+                    let eager: Vec<SemanticTrajectory> = q
+                        .oracle(&[&live, &reference], false)
+                        .into_iter()
+                        .map(|row| row.into_owned())
+                        .collect();
+                    let mut eager_bytes = Vec::new();
+                    for t in &eager {
+                        sitm_store::encode_trajectory(&mut eager_bytes, t);
+                    }
+                    for (state, db) in [("hydrated", &hydrated), ("mixed", &mixed), ("cold", &cold)] {
+                        let sources: [&dyn TrajectorySource; 2] = [&live, db];
+                        prop_assert_eq!(&q.execute_federated(&sources), &eager, "{}: {:?}", state, q);
+                        let mut bytes = Vec::new();
+                        prop_assert_eq!(q.execute_federated_encoded(&sources, &mut bytes), eager.len());
+                        prop_assert_eq!(&bytes, &eager_bytes, "{} byte sink: {:?}", state, q);
+                    }
+                }
+            }
+        }
+        prop_assert!(
+            cold.segments().iter().all(|segment| !segment.is_loaded()),
+            "a page under True hydrated a cold segment"
+        );
+    }
 }

@@ -5,7 +5,9 @@
 //! index-served results equal both the scan path and an in-memory
 //! [`TrajectoryDb`] over the same trajectories — and, for random page
 //! shapes over hydrated, cold and mixed warehouses, that the segmented
-//! pushdown returns the oracle's page from both of its sinks.
+//! pushdown returns the oracle's page from both of its sinks — among
+//! them every page of a walk under `True`, whose offset the core skips
+//! by position.
 
 use proptest::prelude::*;
 
@@ -125,23 +127,52 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
     })
 }
 
+const KEYS: [SortKey; 6] = [
+    SortKey::Start,
+    SortKey::End,
+    SortKey::SpanDuration,
+    SortKey::TotalDwell,
+    SortKey::MovingObject,
+    SortKey::TraceLength,
+];
+
 /// Random page shapes: no order or any sort key in either direction,
 /// offsets and limits from nothing to past the corpus.
 fn page_strategy() -> impl Strategy<Value = (Option<(SortKey, bool)>, usize, Option<usize>)> {
-    const KEYS: [SortKey; 6] = [
-        SortKey::Start,
-        SortKey::End,
-        SortKey::SpanDuration,
-        SortKey::TotalDwell,
-        SortKey::MovingObject,
-        SortKey::TraceLength,
-    ];
     (
         prop::option::of((0usize..KEYS.len(), any::<bool>())),
         0usize..56,
         prop::option::of(0usize..56),
     )
         .prop_map(|(order, offset, limit)| (order.map(|(k, asc)| (KEYS[k], asc)), offset, limit))
+}
+
+/// Every page of a walk under `True` over `len` rows in pages of `n`
+/// (`n ≥ 1`): no order or any sort key in either direction × offsets
+/// {0, mid-run, the last page, exactly `len`, past the end} × limits
+/// {none, 0, `n`}.
+fn true_pages(len: usize, n: usize) -> Vec<Query> {
+    let mut orders = vec![None];
+    for key in KEYS {
+        orders.extend([Some((key, true)), Some((key, false))]);
+    }
+    let last_page = len.saturating_sub(1) / n * n;
+    let mut out = Vec::new();
+    for order in orders {
+        for offset in [0, len / 2, last_page, len, len + 3] {
+            for limit in [None, Some(0), Some(n)] {
+                let mut q = Query::new().offset(offset);
+                if let Some((key, ascending)) = order {
+                    q = q.order_by(key, ascending);
+                }
+                if let Some(n) = limit {
+                    q = q.limit(n);
+                }
+                out.push(q);
+            }
+        }
+    }
+    out
 }
 
 /// Builds a warehouse from `trajs` split into `splits + 1` flush
@@ -295,6 +326,55 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Under `True` the core skips the offset by order position, never
+    /// fetching a skipped row: every page of a walk — unsorted, or by
+    /// any key either way, ties reversed wholesale as `Query::execute`
+    /// documents — is the oracle's page from both sinks, over hydrated,
+    /// mixed and cold segments, and the cold warehouse stays cold.
+    #[test]
+    fn true_pages_skip_by_position_and_equal_the_oracle(
+        trajs in prop::collection::vec(trajectory_strategy(), 0..48),
+        splits in prop::collection::vec(0usize..16, 0..3),
+        n in 1usize..12,
+    ) {
+        let tmp = TempDir::new();
+        let hydrated = build_segmented(&tmp, &trajs, &splits);
+        for segment in hydrated.segments() {
+            segment.trajectories().expect("hydrate");
+        }
+        let reference = TrajectoryDb::build(rows(&hydrated));
+        let reopen = || SegmentedDb::open(&tmp.0, WarehouseConfig::default()).expect("reopen").0;
+        let mixed = reopen();
+        for segment in mixed.segments().iter().step_by(2) {
+            segment.trajectories().expect("hydrate");
+        }
+        let cold = reopen();
+        for q in true_pages(trajs.len(), n) {
+            let eager: Vec<SemanticTrajectory> = q
+                .oracle(&[&reference], true)
+                .into_iter()
+                .map(|row| row.into_owned())
+                .collect();
+            let executed: Vec<&SemanticTrajectory> =
+                q.execute(&reference).iter().map(|m| m.trajectory).collect();
+            prop_assert_eq!(executed, eager.iter().collect::<Vec<_>>(), "execute: {:?}", q);
+            let mut eager_bytes = Vec::new();
+            for t in &eager {
+                sitm_store::encode_trajectory(&mut eager_bytes, t);
+            }
+            for (state, db) in [("hydrated", &hydrated), ("mixed", &mixed), ("cold", &cold)] {
+                prop_assert_eq!(&q.execute_segmented(db), &eager, "{}: {:?}", state, q);
+                let mut bytes = Vec::new();
+                prop_assert_eq!(q.execute_segmented_encoded(db, &mut bytes), eager.len());
+                prop_assert_eq!(&bytes, &eager_bytes, "{} byte sink: {:?}", state, q);
+            }
+        }
+        prop_assert!(
+            cold.segments().iter().all(|segment| !segment.is_loaded()),
+            "a page under True hydrated a cold segment"
+        );
     }
 
     /// The warehouse preserves content as a multiset across arbitrary

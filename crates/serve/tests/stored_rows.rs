@@ -10,9 +10,11 @@
 //!   core turned into an owned value): a deep page over hydrated
 //!   segments moves it by nothing when served and by exactly the page
 //!   through `execute_segmented`; a cold page moves it by the rows
-//!   read. `QueryFederated` replies through the same byte sink: served
-//!   it clones nothing, `execute_federated` clones exactly the page —
-//!   and a `limit 0` page, through either op, touches nothing at all.
+//!   read — and under `True`, whose offset is skipped by position, a
+//!   cold page reads and decodes its own rows at any offset.
+//!   `QueryFederated` replies through the same byte sink: served it
+//!   clones nothing, `execute_federated` clones exactly the page — and
+//!   a `limit 0` page, through either op, touches nothing at all.
 
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -428,6 +430,91 @@ fn a_page_costs_the_rows_it_returns() {
         1_101,
         "exactly the page, not the 19 000 skipped"
     );
+}
+
+/// A page under `True` skips its offset by order position, so on a
+/// cold warehouse it reads and decodes its own rows and no other: at
+/// offset 0, mid-run and on the last page, unsorted and by start either
+/// way, `query.rows_materialized` and `query.trajectories_decoded` move
+/// by exactly the page length, and by 0 past the end; no segment
+/// becomes resident. The same through served `Query`s, read back with
+/// the `Metrics` op. (Skipping by reference, the page at offset `k`
+/// would read `k` rows more.)
+#[test]
+fn a_cold_page_under_true_reads_only_its_rows() {
+    // 2 100 rows in three segments (1 600 + 400 + 100: three size tiers).
+    let seed = TempDir::new("cold-true-seed");
+    write_warehouse(
+        &seed.0,
+        vec![
+            (0..1_600).map(small).collect(),
+            (1_600..2_000).map(small).collect(),
+            (2_000..2_100).map(small).collect(),
+        ],
+    );
+    // (offset, rows on the page): first, mid-run, the last full page,
+    // a short last page, past the end.
+    let pages = [
+        (0, 100),
+        (1_050, 100),
+        (1_900, 100),
+        (2_030, 70),
+        (2_105, 0),
+    ];
+    let orders = [
+        None,
+        Some((SortKey::Start, true)),
+        Some((SortKey::Start, false)),
+    ];
+    let names = ["query.rows_materialized", "query.trajectories_decoded"];
+
+    // In process: a fresh open (cold segments, an empty row cache) per
+    // order, so no page finds another's rows cached.
+    for order in orders {
+        let registry = MetricsRegistry::new();
+        let db = open_db(&seed.0, &registry);
+        let read = || names.map(|name| registry.counter(name).get());
+        for (offset, len) in pages {
+            let query = shaped(Predicate::True, order, offset, Some(100));
+            let before = read();
+            assert_eq!(query.to_query().execute_segmented(&db).len(), len);
+            let after = read();
+            assert_eq!(
+                [after[0] - before[0], after[1] - before[1]],
+                [len as u64; 2],
+                "{order:?} offset {offset}: rows materialized and decoded"
+            );
+        }
+        assert!(
+            db.segments().iter().all(|segment| !segment.is_loaded()),
+            "{order:?}: a page under True hydrated a segment"
+        );
+    }
+
+    // Served: one server per order, each over its own copy.
+    for order in orders {
+        let served_dir = TempDir::copy_of(&seed, "cold-true-served");
+        let server =
+            Server::start(ServerConfig::new(engine_config(), &served_dir.0)).expect("start");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let read = |client: &mut Client| {
+            let snapshot = client.metrics().expect("metrics");
+            names.map(|name| snapshot.counter(name).unwrap_or(0))
+        };
+        for (offset, len) in pages {
+            let query = shaped(Predicate::True, order, offset, Some(100));
+            let before = read(&mut client);
+            assert_eq!(client.query(&query).expect("page").len(), len);
+            let after = read(&mut client);
+            assert_eq!(
+                [after[0] - before[0], after[1] - before[1]],
+                [len as u64; 2],
+                "served {order:?} offset {offset}: rows materialized and decoded"
+            );
+        }
+        client.shutdown().expect("shutdown");
+        server.join().expect("join");
+    }
 }
 
 /// The federated twin of the test above, over hydrated segments beside
