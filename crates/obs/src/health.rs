@@ -6,17 +6,20 @@
 //! traces: is the process up, how far behind are the tiers (flush
 //! backlog, worker queue depths, checkpoint age), how loaded is the
 //! serve edge (sessions, subscribers), and how fast is ingest moving
-//! right now (derived from the [`crate::timeseries`] sampler's last
-//! two frames, not a since-boot average).
+//! (a [`RateWindow`] over two readings of the ingest counter, not a
+//! since-boot average).
 //!
 //! The report is assembled from values the server already maintains —
 //! gauges, the flusher's carry length, the trace recorder's counter —
-//! so building one costs a handful of relaxed loads plus one brief
-//! epoch read; it is deliberately cheap enough to poll at the sampler
-//! period. The codec follows the [`crate::codec`] discipline over the
-//! [`sitm_codec`] primitives:
+//! so building one costs relaxed loads, one brief epoch read, one
+//! uncontended lock for the rate window and one allocation (the
+//! worker-depth list); it copies no registry, so it is cheap enough to
+//! poll every second. The codec follows the [`crate::codec`] discipline
+//! over the [`sitm_codec`] primitives:
 //! versioned, bounds-checked, trailing bytes rejected, torture-tested
 //! at every byte offset.
+
+use std::time::{Duration, Instant};
 
 use sitm_codec::{put_u64, take_count, take_flag, take_tag, take_u64};
 
@@ -24,6 +27,50 @@ use crate::codec::SnapshotCodecError;
 
 /// The only health-codec version this build reads or writes.
 pub const HEALTH_VERSION: u8 = 1;
+
+/// How long a [`RateWindow`] stays open: a reading closes it only when
+/// it comes at least this long after the window's newer reading.
+pub const RATE_WINDOW: Duration = Duration::from_secs(1);
+
+/// Two readings `[older, newer]` of one monotonic counter, kept by
+/// whoever polls it — no background thread. A reading at least
+/// [`RATE_WINDOW`] after `newer` moves the window on (`older ← newer`,
+/// `newer ← reading`); an earlier one leaves it as it is. The rate is
+/// the counter's rise from `older` to `newer` over the time between
+/// them, so a caller polling every second reads the last second's rate
+/// and a sparser one the average since its previous poll.
+#[derive(Debug)]
+pub struct RateWindow {
+    older: (Instant, u64),
+    newer: (Instant, u64),
+}
+
+impl RateWindow {
+    /// A window seeded with one reading at both ends (rate 0 until the
+    /// first window closes).
+    pub fn new(at: Instant, count: u64) -> RateWindow {
+        RateWindow {
+            older: (at, count),
+            newer: (at, count),
+        }
+    }
+
+    /// Offers the reading `count` at `now` and returns the rate over
+    /// the latest closed window, in milli-events per second. A counter
+    /// that went backwards reads 0.
+    pub fn milli_per_sec(&mut self, now: Instant, count: u64) -> u64 {
+        if now.saturating_duration_since(self.newer.0) >= RATE_WINDOW {
+            self.older = self.newer;
+            self.newer = (now, count);
+        }
+        let nanos = self.newer.0.duration_since(self.older.0).as_nanos();
+        if nanos == 0 {
+            return 0;
+        }
+        let events = u128::from(self.newer.1.saturating_sub(self.older.1));
+        u64::try_from(events * 1_000_000_000_000 / nanos).unwrap_or(u64::MAX)
+    }
+}
 
 /// A point-in-time liveness summary of one serving process.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -53,10 +100,10 @@ pub struct HealthReport {
     pub warehouse_trajectories: u64,
     /// Trace trees recorded since start (0 with tracing disabled).
     pub traces_recorded: u64,
-    /// Ingest rate over the sampler's freshest window, in
+    /// Ingest rate over the latest closed [`RateWindow`], in
     /// **milli-events per second** (`1500` = 1.5 events/s) — kept
     /// integral so the report stays `Eq` and the codec stays exact.
-    /// 0 until the sampler has a frame pair (or when disabled).
+    /// 0 until the first window closes, [`RATE_WINDOW`] after start.
     pub events_per_sec_milli: u64,
 }
 
@@ -265,6 +312,31 @@ mod tests {
                 let _ = decode_health(&corrupt);
             }
         }
+    }
+
+    #[test]
+    fn rate_window_moves_on_only_when_it_closes() {
+        let start = Instant::now();
+        let at = |ms: u64| start + Duration::from_millis(ms);
+        let mut window = RateWindow::new(start, 0);
+        assert_eq!(window.milli_per_sec(at(400), 1_000), 0, "first window open");
+        assert_eq!(
+            window.milli_per_sec(at(1_500), 3_000),
+            2_000_000,
+            "3 000 events over 1.5 s"
+        );
+        assert_eq!(
+            window.milli_per_sec(at(1_700), 3_500),
+            2_000_000,
+            "the window has not closed yet"
+        );
+        assert_eq!(
+            window.milli_per_sec(at(3_500), 4_000),
+            500_000,
+            "1 000 events over the new 2 s window"
+        );
+        assert_eq!(window.milli_per_sec(at(4_500), 4_000), 0, "idle window");
+        assert_eq!(window.milli_per_sec(at(5_500), 10), 0, "counter went back");
     }
 
     #[test]

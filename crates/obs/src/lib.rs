@@ -38,7 +38,6 @@ use std::time::Instant;
 
 pub mod codec;
 pub mod health;
-pub mod timeseries;
 pub mod trace;
 
 /// Buckets in a [`Histogram`]: bucket 0 holds the value 0, bucket `i`

@@ -71,10 +71,10 @@
 //! On top of metrics, every served request records a hierarchical
 //! trace tree (root → `handle` → `snapshot_cut`/`evaluate`/pushdown
 //! tiers → `wire_write`) into a bounded [`sitm_obs::trace`] ring,
-//! fetched over the wire with [`Request::Trace`]; a background
-//! [`sitm_obs::timeseries`] sampler snapshots the registry each period
-//! so [`Request::Health`] can answer with *current* rates and tier lag
-//! ([`Client::health`] / [`Client::traces`]). A client that already
+//! fetched over the wire with [`Request::Trace`]. [`Request::Health`]
+//! answers with tier lag and the ingest rate over its latest
+//! [`sitm_obs::health::RateWindow`] — two readings of one counter, no
+//! background thread ([`Client::health`] / [`Client::traces`]). A client that already
 //! holds a trace context (a federation fan-out) propagates it with
 //! [`Client::call_traced`] so the server-side tree joins the caller's
 //! trace instead of starting a fresh one.

@@ -92,8 +92,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use sitm_obs::health::HealthReport;
-use sitm_obs::timeseries::{rate_per_sec, Sampler, DEFAULT_SAMPLE_PERIOD, DEFAULT_SERIES_CAPACITY};
+use sitm_obs::health::{HealthReport, RateWindow};
 use sitm_obs::trace::{self, TraceContext, TraceRecorder, DEFAULT_TRACE_CAPACITY};
 use sitm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use sitm_query::{Predicate, SegmentedDb, TrajectorySource, WireQuery};
@@ -137,10 +136,6 @@ pub struct ServerConfig {
     /// `Trace` op. `0` disables tracing entirely: requests skip the
     /// span machinery and `Trace` serves an empty list.
     pub trace_capacity: usize,
-    /// Whether the time-series sampler runs (every
-    /// [`DEFAULT_SAMPLE_PERIOD`], retaining [`DEFAULT_SERIES_CAPACITY`]
-    /// frames). Off, Health reports a 0 ingest rate.
-    pub sampler: bool,
 }
 
 /// Accepted connections queued beyond the busy session workers before
@@ -151,10 +146,9 @@ impl ServerConfig {
     /// A config with the given engine and warehouse directory, an
     /// ephemeral loopback port, and moderate defaults: the default
     /// [`WarehouseConfig`], 4 session workers, 25 ms idle poll, a fresh
-    /// metrics registry, no slow-query log, the default trace ring and
-    /// the time-series sampler on. There is no spill threshold: every
-    /// `Checkpoint` spills all the visits that closed since the last
-    /// one.
+    /// metrics registry, no slow-query log and the default trace ring.
+    /// There is no spill threshold: every `Checkpoint` spills all the
+    /// visits that closed since the last one.
     pub fn new(engine: EngineConfig, warehouse_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             bind: SocketAddr::from(([127, 0, 0, 1], 0)),
@@ -166,7 +160,6 @@ impl ServerConfig {
             metrics: None,
             slow_query_threshold: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
-            sampler: true,
         }
     }
 
@@ -199,13 +192,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_trace_capacity(mut self, capacity: usize) -> ServerConfig {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Disables the time-series sampler.
-    #[must_use]
-    pub fn without_sampler(mut self) -> ServerConfig {
-        self.sampler = false;
         self
     }
 }
@@ -421,8 +407,10 @@ struct Shared {
     started: Instant,
     /// Finished span trees, served by the `Trace` op.
     recorder: TraceRecorder,
-    /// The background metrics sampler, when enabled.
-    sampler: Option<Sampler>,
+    /// `engine.events_ingested`, resolved once — Health's rate source.
+    events_ingested: Arc<Counter>,
+    /// Health's two readings of `events_ingested`.
+    ingest_rate: Mutex<RateWindow>,
     /// Milliseconds after `started` at which the last successful
     /// checkpoint (or shutdown flush) committed; `u64::MAX` = never.
     last_checkpoint_ms: AtomicU64,
@@ -462,13 +450,9 @@ impl Server {
         let worker_queue_depths = (0..engine.workers())
             .map(|i| registry.gauge(&format!("engine.queue_depth.w{i}")))
             .collect();
-        let sampler = config.sampler.then(|| {
-            Sampler::start(
-                registry.clone(),
-                DEFAULT_SAMPLE_PERIOD,
-                DEFAULT_SERIES_CAPACITY,
-            )
-        });
+        let events_ingested = registry.counter("engine.events_ingested");
+        let started = Instant::now();
+        let ingest_rate = Mutex::new(RateWindow::new(started, events_ingested.get()));
 
         let listener = TcpListener::bind(config.bind)?;
         let addr = listener.local_addr()?;
@@ -481,9 +465,10 @@ impl Server {
             next_session_id: AtomicU64::new(0),
             addr,
             metrics: ServeMetrics::bind(registry),
-            started: Instant::now(),
+            started,
             recorder: TraceRecorder::new(config.trace_capacity),
-            sampler,
+            events_ingested,
+            ingest_rate,
             last_checkpoint_ms: AtomicU64::new(u64::MAX),
             worker_queue_depths,
         });
@@ -550,9 +535,6 @@ impl Server {
             handle.join().map_err(|_| ServeError::WorkerPanicked)?;
         }
         flush_final(&self.shared);
-        if let Some(sampler) = &self.shared.sampler {
-            sampler.stop();
-        }
         Ok(())
     }
 
@@ -592,9 +574,6 @@ impl Drop for Server {
             let _ = handle.join();
         }
         flush_final(&self.shared);
-        if let Some(sampler) = &self.shared.sampler {
-            sampler.stop();
-        }
     }
 }
 
@@ -1241,7 +1220,9 @@ fn mark_checkpoint(shared: &Shared) {
 /// Assembles the `Health` report from state the server already
 /// maintains: one brief core lock for the epoch, one warehouse read
 /// guard for the backlog and segment shape, and relaxed gauge/counter
-/// loads for the rest — cheap enough to poll at the sampler period.
+/// loads for the rest — cheap enough to poll every second. The ingest
+/// rate moves its window on only when this build comes at least
+/// [`sitm_obs::health::RATE_WINDOW`] after the window's newer reading.
 fn build_health(shared: &Shared) -> HealthReport {
     let uptime_ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
     let epoch = {
@@ -1261,11 +1242,10 @@ fn build_health(shared: &Shared) -> HealthReport {
         at_ms => Some(uptime_ms.saturating_sub(at_ms)),
     };
     let events_per_sec_milli = shared
-        .sampler
-        .as_ref()
-        .and_then(|s| s.ring().last_pair())
-        .and_then(|(a, b)| rate_per_sec(&a, &b, "engine.events_ingested"))
-        .map_or(0, |rate| (rate * 1000.0) as u64);
+        .ingest_rate
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .milli_per_sec(Instant::now(), shared.events_ingested.get());
     HealthReport {
         uptime_ms,
         epoch,

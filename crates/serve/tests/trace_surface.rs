@@ -15,7 +15,8 @@
 //!   request in `DETAIL_SAMPLE_EVERY` and on every traced one — the
 //!   tracing tax's budget, pinned as a span count;
 //! * Health answers from state the server already maintains — epoch,
-//!   tier lag, session/subscriber load, checkpoint age.
+//!   tier lag, session/subscriber load, checkpoint age — and serves a
+//!   nonzero ingest rate once its first rate window closes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -387,14 +388,30 @@ fn health_reports_the_server_story() {
 }
 
 #[test]
+fn health_serves_the_ingest_rate_once_a_window_closes() {
+    let tmp = TempDir::new("rate");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0)).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let events = feed(0, 40, 3);
+    let k = events.len() as u64;
+    client.ingest_batch(events).expect("ingest");
+    std::thread::sleep(sitm_obs::health::RATE_WINDOW + std::time::Duration::from_millis(100));
+
+    // The window opened at start with a count of 0 and closes now,
+    // more than a second later, over all K events.
+    let rate = client.health().expect("health").events_per_sec_milli;
+    assert!(
+        0 < rate && rate <= k * 1000,
+        "{rate} milli-events/s after {k} events over more than 1 s"
+    );
+    drop(server);
+}
+
+#[test]
 fn tracing_disabled_is_inert_and_free_of_traces() {
     let tmp = TempDir::new("disabled");
-    let server = Server::start(
-        ServerConfig::new(engine_config(), &tmp.0)
-            .with_trace_capacity(0)
-            .without_sampler(),
-    )
-    .expect("start server");
+    let server = Server::start(ServerConfig::new(engine_config(), &tmp.0).with_trace_capacity(0))
+        .expect("start server");
     let mut client = Client::connect(server.addr()).expect("connect");
     client.ingest_batch(feed(0, 5, 0)).expect("ingest");
     client.checkpoint().expect("checkpoint");
@@ -403,6 +420,5 @@ fn tracing_disabled_is_inert_and_free_of_traces() {
     assert!(client.traces(16).expect("traces").is_empty());
     let health = client.health().expect("health");
     assert_eq!(health.traces_recorded, 0);
-    assert_eq!(health.events_per_sec_milli, 0, "no sampler, no rate window");
     drop(server);
 }

@@ -17,7 +17,7 @@
 //! | [`sim`] | `sitm-sim` | seeded samplers & stochastic processes |
 //! | [`louvre`] | `sitm-louvre` | the Louvre case study & calibrated synthetic dataset |
 //! | [`mining`] | `sitm-mining` | sequential patterns, Markov models, similarity, profiling |
-//! | [`obs`] | `sitm-obs` | lock-cheap observability: counters, gauges, log₂ histograms, spans, hierarchical request traces, a time-series sampler, health reports, slow-query log, snapshot codecs |
+//! | [`obs`] | `sitm-obs` | lock-cheap observability: counters, gauges, log₂ histograms, spans, hierarchical request traces, health reports, slow-query log, snapshot codecs |
 //! | [`analytics`] | `sitm-analytics` | descriptive statistics, choropleths, reports |
 //! | [`query`] | `sitm-query` | indexed trajectory retrieval: predicates, plans, aggregation, federation, the segmented warehouse |
 //! | [`store`] | `sitm-store` | binary codec, CRC-framed snapshot log (newest two records), crash recovery, compaction, the segment tier, Bloom filters |
@@ -144,10 +144,10 @@
 //! A `TraceContext` (trace id + parent span id) rides an optional wire
 //! envelope extension (`PROTOCOL.md`), so a federation fan-out keeps
 //! one trace id across peers; with tracing off (capacity 0) every span
-//! call is inert. A background **time-series sampler** snapshots the
-//! registry each period into delta-compressed frames, from which the
-//! `Health` op derives current rates (events/s), tier lag (flush
-//! backlog, worker queue depths, checkpoint age), and session load —
+//! call is inert. The `Health` op reports the ingest rate (events/s
+//! over a window of two readings of one counter, at least a second
+//! apart), tier lag (flush backlog, worker queue depths, checkpoint
+//! age), and session load —
 //! the one-glance `sitm-top` screen rendered by
 //! `examples/query_server.rs`.
 //!

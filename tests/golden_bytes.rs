@@ -16,7 +16,6 @@ use sitm::core::{
 use sitm::graph::{EdgeId, LayerIdx, NodeId};
 use sitm::obs::codec::encode_snapshot;
 use sitm::obs::health::HealthReport;
-use sitm::obs::timeseries::{encode_series, SeriesFrame};
 use sitm::obs::trace::{encode_traces, SpanRecord, TraceTree};
 use sitm::obs::{HistogramSnapshot, MetricsSnapshot, SlowQuery};
 use sitm::query::wire::WireQuery;
@@ -62,7 +61,6 @@ const PINS: &[(&str, usize, u32)] = &[
     ("store/bloom", 130, 3_914_807_143),
     ("obs/metrics_snapshot", 204, 4_189_366_600),
     ("obs/trace_trees", 112, 2_149_868_195),
-    ("obs/series_frames", 143, 91_572_848),
 ];
 
 fn cell(layer: usize, node: usize) -> CellRef {
@@ -451,27 +449,6 @@ fn shard_snapshot() -> ShardSnapshot {
     }
 }
 
-fn series_frames() -> Vec<SeriesFrame> {
-    let frame = |at_ms: u64, events: u64, depth: i64, hist: HistogramSnapshot| SeriesFrame {
-        at_ms,
-        counters: vec![("engine.events_ingested".into(), events)],
-        gauges: vec![("engine.queue_depth.w0".into(), depth)],
-        histograms: vec![("serve.query.handle_ns".into(), hist)],
-    };
-    let small = HistogramSnapshot {
-        count: 2,
-        sum: 300,
-        max: 200,
-        buckets: vec![(7, 1), (8, 1)],
-    };
-    vec![
-        frame(1_700_000_000_000, 10, -4, small),
-        frame(1_700_000_001_000, 500, 9, histogram()),
-        // Clock stepped back and a counter reset: wrapping deltas.
-        frame(1_699_999_999_000, 3, 0, HistogramSnapshot::default()),
-    ]
-}
-
 /// Every pinned family's bytes, in [`PINS`] order.
 fn encodings() -> Vec<(&'static str, Vec<u8>)> {
     let mut out = Vec::new();
@@ -532,10 +509,6 @@ fn encodings() -> Vec<(&'static str, Vec<u8>)> {
     out.push((
         "obs/trace_trees",
         record(&|buf| encode_traces(buf, &trace_trees())),
-    ));
-    out.push((
-        "obs/series_frames",
-        record(&|buf| encode_series(buf, &series_frames())),
     ));
     out
 }
