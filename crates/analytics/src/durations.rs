@@ -30,8 +30,7 @@ pub fn duration_summary(durations: &[Duration]) -> Option<Summary> {
 mod tests {
     use super::*;
     use sitm_core::{PresenceInterval, Timestamp, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn trace(stays: &[(i64, i64)]) -> Trace {
         let intervals = stays

@@ -63,8 +63,7 @@ pub fn quality_of_trace(trace: &Trace, sampling_rate: Duration) -> QualityReport
 mod tests {
     use super::*;
     use sitm_core::{PresenceInterval, Timestamp, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn stay(c: usize, s: i64, e: i64) -> PresenceInterval {
         PresenceInterval::new(

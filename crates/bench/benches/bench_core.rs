@@ -5,11 +5,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use sitm_core::{
-    apply_annotation_events, infer_missing_cells, maximal_episodes, Annotation, AnnotationEvent,
-    AnnotationSet, EpisodicSegmentation, IntervalPredicate, PresenceInterval, SemanticTrajectory,
-    Timestamp, Trace, TransitionTaken,
+    apply_annotation_events, maximal_episodes, Annotation, AnnotationEvent, AnnotationSet,
+    EpisodicSegmentation, IntervalPredicate, PresenceInterval, SemanticTrajectory, Timestamp,
+    Trace, TransitionTaken,
 };
 use sitm_louvre::{build_louvre, scenarios, zone_catalog};
+use sitm_space::infer_missing_cells;
 
 /// A long synthetic zone trace across the active zones.
 fn long_trace(model: &sitm_louvre::LouvreModel, tuples: usize) -> Trace {

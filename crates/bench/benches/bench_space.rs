@@ -4,9 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sitm_core::{lift_trace, PresenceInterval, Timestamp, Trace, TransitionTaken};
+use sitm_core::{PresenceInterval, Timestamp, Trace, TransitionTaken};
 use sitm_louvre::{build_louvre, building::room_key};
-use sitm_space::{coverage_of, validate_hierarchy, SpaceQuery};
+use sitm_space::{coverage_of, lift_trace, validate_hierarchy, SpaceQuery};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("space");

@@ -7,13 +7,13 @@
 use std::fmt::Write as _;
 
 use sitm_analytics::{bar_chart, table, Choropleth, Summary, TableAlign};
-use sitm_core::{lift_trace, AnnotationKind, Duration};
+use sitm_core::{AnnotationKind, Duration};
 use sitm_louvre::scenarios;
 use sitm_louvre::{
     build_louvre, generate_dataset, zone_catalog, GeneratorConfig, PaperCalibration,
 };
 use sitm_qsr::{NineIntersection, Rcc8};
-use sitm_space::{validate_hierarchy, IssueSeverity, SpaceQuery};
+use sitm_space::{lift_trace, validate_hierarchy, IssueSeverity, SpaceQuery};
 
 /// A paper-vs-measured comparison row.
 #[derive(Debug, Clone)]

@@ -171,8 +171,7 @@ mod tests {
     use super::*;
     use crate::interval::TransitionTaken;
     use crate::time::Timestamp;
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

@@ -88,8 +88,7 @@ pub fn apply_annotation_events(trace: &Trace, events: &[AnnotationEvent]) -> Tra
 mod tests {
     use super::*;
     use crate::annotation::Annotation;
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::annotation::{AnnotationKind, AnnotationSet};
 use crate::interval::PresenceInterval;

@@ -73,8 +73,7 @@ mod tests {
     use crate::annotation::Annotation;
     use crate::interval::{PresenceInterval, TransitionTaken};
     use crate::time::Timestamp;
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn stay(c: usize, start: i64, end: i64) -> PresenceInterval {
         PresenceInterval::new(

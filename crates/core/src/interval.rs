@@ -6,8 +6,7 @@
 
 use std::fmt;
 
-use sitm_graph::{EdgeId, LayerIdx};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, EdgeId, LayerIdx};
 
 use crate::annotation::AnnotationSet;
 use crate::time::{Duration, TimeInterval, Timestamp};

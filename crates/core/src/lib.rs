@@ -28,9 +28,6 @@
 //!   meanings depending on the broader context");
 //! * [`enrich`] — event-based splitting when semantics change inside a cell;
 //! * [`gaps`] — holes vs semantic gaps;
-//! * [`lifting`] — granularity lifting through a layer hierarchy;
-//! * [`inference`] — the Fig. 6 missing-cell inference over accessibility
-//!   NRGs;
 //! * [`conceptual`] — focus-of-attention ("conceptual") trajectories, the
 //!   §5 future-work reading of movement as attention over concepts.
 
@@ -39,9 +36,7 @@ pub mod conceptual;
 pub mod enrich;
 pub mod episode;
 pub mod gaps;
-pub mod inference;
 pub mod interval;
-pub mod lifting;
 pub mod segmentation;
 pub mod time;
 pub mod trace;
@@ -52,9 +47,7 @@ pub use conceptual::{derive_conceptual, AttentionSpan, ConceptualTrace};
 pub use enrich::{apply_annotation_events, AnnotationEvent};
 pub use episode::{maximal_episodes, Episode, IntervalPredicate, OpenRun, RunBuilder};
 pub use gaps::{find_gaps, Gap, GapKind};
-pub use inference::{infer_missing_cells, InferenceOutcome, InferredStay};
 pub use interval::{PresenceInterval, TransitionTaken};
-pub use lifting::{lift_trace, LiftError};
 pub use segmentation::EpisodicSegmentation;
 pub use time::{Duration, TimeInterval, Timestamp};
 pub use trace::{Trace, TraceError};

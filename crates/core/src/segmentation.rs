@@ -128,8 +128,7 @@ mod tests {
     use crate::interval::{PresenceInterval, TransitionTaken};
     use crate::time::Timestamp;
     use crate::trace::Trace;
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

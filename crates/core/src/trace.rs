@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use sitm_graph::LayerIdx;
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx};
 
 use crate::interval::PresenceInterval;
 use crate::time::{Duration, TimeInterval, Timestamp};
@@ -19,7 +18,7 @@ pub enum TraceError {
         index: usize,
     },
     /// All tuples of one trace must reference cells of one layer (the
-    /// detection layer); use [`crate::lifting`] to change granularity.
+    /// detection layer); `sitm_space::lift_trace` changes granularity.
     MixedLayers {
         /// Index of the first tuple on a different layer.
         index: usize,

@@ -157,8 +157,7 @@ mod tests {
     use super::*;
     use crate::annotation::Annotation;
     use crate::interval::{PresenceInterval, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn stay(c: usize, start: i64, end: i64) -> PresenceInterval {
         PresenceInterval::new(

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use sitm_core::{derive_conceptual, PresenceInterval, Timestamp, Trace, TransitionTaken};
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 use sitm_core::{
     find_gaps, Duration, PresenceInterval, TimeInterval, Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 
 proptest! {
     #[test]

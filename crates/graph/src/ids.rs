@@ -2,7 +2,8 @@
 //!
 //! Ids are plain `u32` newtypes: cheap to copy, hash, and order. They index
 //! into the arena vectors of [`crate::DiMultigraph`]; an id is only
-//! meaningful for the graph that created it.
+//! meaningful for the graph that created it. A [`CellRef`] pairs a layer
+//! index with a node id to address one node of a layered graph.
 
 use std::fmt;
 
@@ -17,6 +18,16 @@ pub struct EdgeId(pub(crate) u32);
 /// Index of a layer within one [`crate::LayeredGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LayerIdx(pub(crate) u32);
+
+/// Layer + node address of a cell; the indoor space model gives the
+/// address its meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CellRef {
+    /// Layer the cell belongs to.
+    pub layer: LayerIdx,
+    /// Node id within that layer's NRG.
+    pub node: NodeId,
+}
 
 impl NodeId {
     /// Raw index of this node in the graph's node arena.
@@ -62,6 +73,13 @@ impl LayerIdx {
     }
 }
 
+impl CellRef {
+    /// Creates a cell reference.
+    pub fn new(layer: LayerIdx, node: NodeId) -> Self {
+        CellRef { layer, node }
+    }
+}
+
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -98,6 +116,12 @@ impl fmt::Display for LayerIdx {
     }
 }
 
+impl fmt::Display for CellRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.layer, self.node)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +146,12 @@ mod tests {
         let id = LayerIdx::from_index(3);
         assert_eq!(id.index(), 3);
         assert_eq!(format!("{id}"), "L3");
+    }
+
+    #[test]
+    fn cell_ref_display() {
+        let r = CellRef::new(LayerIdx::from_index(2), NodeId::from_index(7));
+        assert_eq!(r.to_string(), "L2:n7");
     }
 
     #[test]

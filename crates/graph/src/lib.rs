@@ -45,7 +45,7 @@ pub mod scc;
 pub mod toposort;
 pub mod traversal;
 
-pub use ids::{EdgeId, LayerIdx, NodeId};
+pub use ids::{CellRef, EdgeId, LayerIdx, NodeId};
 pub use multigraph::{DiMultigraph, EdgeRef};
 pub use multilayer::{CouplingEdge, CouplingRef, LayeredGraph};
 pub use paths::{

@@ -463,7 +463,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "full-scale calibration run (~seconds); exercised by the repro harness"]
     fn full_paper_calibration_matches_exactly() {
         let ds = generate_dataset(&GeneratorConfig::default());
         let stats = ds.stats();

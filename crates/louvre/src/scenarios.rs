@@ -2,10 +2,10 @@
 //! (missing-zone inference).
 
 use sitm_core::{
-    infer_missing_cells, maximal_episodes, Annotation, AnnotationSet, EpisodicSegmentation,
-    InferenceOutcome, IntervalPredicate, PresenceInterval, SemanticTrajectory, Timestamp, Trace,
-    TrajectoryError, TransitionTaken,
+    maximal_episodes, Annotation, AnnotationSet, EpisodicSegmentation, IntervalPredicate,
+    PresenceInterval, SemanticTrajectory, Timestamp, Trace, TrajectoryError, TransitionTaken,
 };
+use sitm_space::{infer_missing_cells, InferenceOutcome};
 
 use crate::building::LouvreModel;
 

@@ -7,9 +7,9 @@
 //! trajectory dataset**." This module is that capability: one trace
 //! database, mined at every hierarchy level after granularity lifting.
 
-use sitm_core::{lift_trace, LiftError, Trace};
+use sitm_core::Trace;
 use sitm_graph::LayerIdx;
-use sitm_space::{CellRef, IndoorSpace, LayerHierarchy};
+use sitm_space::{lift_trace, CellRef, IndoorSpace, LayerHierarchy, LiftError};
 
 use crate::prefixspan::{mine_sequential_patterns, Pattern};
 

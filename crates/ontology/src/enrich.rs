@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use sitm_core::{Annotation, AnnotationSet, Duration, Trace};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::museum::zone_place_iri;
 use crate::triple::TripleStore;

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use sitm_core::{AnnotationKind, Duration, SemanticTrajectory, TimeInterval, Timestamp};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::index::{TrajId, TrajectoryDb};
 

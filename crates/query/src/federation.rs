@@ -211,8 +211,7 @@ mod tests {
     use sitm_core::{
         Annotation, AnnotationSet, PresenceInterval, Timestamp, Trace, TransitionTaken,
     };
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

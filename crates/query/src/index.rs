@@ -22,7 +22,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use sitm_core::{Annotation, SemanticTrajectory, TimeInterval};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::interval_tree::{Entry, IntervalTree};
 use crate::predicate::Predicate;

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use sitm_core::{Annotation, AnnotationSet, Duration, SemanticTrajectory, TimeInterval};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::index::CandidateSet;
 

@@ -4,8 +4,7 @@
 //! use sitm_query::{Query, SortKey, TrajectoryDb};
 //! # use sitm_core::{Annotation, AnnotationSet, PresenceInterval, Timestamp,
 //! #     Trace, TransitionTaken, SemanticTrajectory};
-//! # use sitm_graph::{LayerIdx, NodeId};
-//! # use sitm_space::CellRef;
+//! # use sitm_graph::{CellRef, LayerIdx, NodeId};
 //! # let cell = CellRef::new(LayerIdx::from_index(0), NodeId::from_index(0));
 //! # let stay = PresenceInterval::new(
 //! #     TransitionTaken::Unknown, cell, Timestamp(0), Timestamp(60));
@@ -35,8 +34,8 @@ use std::fmt;
 use std::ops::ControlFlow;
 
 use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
+use sitm_graph::CellRef;
 use sitm_obs::trace::{child_detail, ChildSpan};
-use sitm_space::CellRef;
 
 use sitm_store::encode_trajectory;
 

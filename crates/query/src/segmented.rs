@@ -97,8 +97,8 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use sitm_core::SemanticTrajectory;
+use sitm_graph::CellRef;
 use sitm_obs::{Counter, Histogram, MetricsRegistry};
-use sitm_space::CellRef;
 use sitm_store::warehouse::{
     CellRollup, Segment, SegmentStore, WarehouseConfig, WarehouseError, ZoneMap,
 };
@@ -664,8 +664,7 @@ mod tests {
         Annotation, AnnotationSet, Duration, PresenceInterval, TimeInterval, Timestamp, Trace,
         TransitionTaken,
     };
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

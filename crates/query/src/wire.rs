@@ -314,8 +314,7 @@ pub fn decode_wire_query(buf: &mut &[u8]) -> Result<WireQuery, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

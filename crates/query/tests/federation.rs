@@ -16,12 +16,11 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
     Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::{
     federated_count, AccessPath, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb,
     TrajectorySource,
 };
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
 

@@ -11,9 +11,8 @@ use sitm_core::{
     Annotation, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp, Trace,
     TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::{Predicate, TrajectoryDb};
-use sitm_space::CellRef;
 
 /// The system allocator, counting every allocation (a `realloc` falls
 /// back to `alloc`, so it counts too).

@@ -9,9 +9,8 @@ use sitm_core::{
     Annotation, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp, Trace,
     TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::SegmentedDb;
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 
 /// The system allocator, counting every allocation (a `realloc` falls

@@ -7,9 +7,8 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
     Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::{Entry, IntervalTree, Predicate, Query, SortKey, TrajectoryDb};
-use sitm_space::CellRef;
 
 fn cell(n: usize) -> CellRef {
     CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

@@ -15,11 +15,10 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
     Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::{
     CandidateSet, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb, TrajectorySource,
 };
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,13 +15,13 @@ use sitm_codec::{
     take_tag, take_u64,
 };
 use sitm_core::{Episode, SemanticTrajectory, TimeInterval, Timestamp};
+use sitm_graph::CellRef;
 use sitm_obs::codec::{decode_snapshot, snapshot_to_bytes};
 use sitm_obs::health::{decode_health, health_to_bytes, HealthReport};
 use sitm_obs::trace::{decode_traces, traces_to_bytes, TraceTree};
 use sitm_obs::MetricsSnapshot;
 use sitm_query::wire::{decode_wire_query, encode_wire_query, WireQuery};
 use sitm_query::{decode_predicate, encode_predicate, Predicate};
-use sitm_space::CellRef;
 use sitm_store::codec::{
     decode_annotations, decode_cell, decode_presence, decode_trajectory, encode_annotations,
     encode_cell, encode_presence, encode_trajectory,
@@ -756,9 +756,8 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
 mod tests {
     use super::*;
     use sitm_core::{Annotation, AnnotationSet, PresenceInterval, Trace, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
     use sitm_query::SortKey;
-    use sitm_space::CellRef;
     use sitm_store::codec::encode_transition;
 
     fn cell(n: usize) -> CellRef {

@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{Client, Server, ServerConfig};
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 

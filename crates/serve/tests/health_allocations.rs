@@ -11,11 +11,10 @@ use std::path::PathBuf;
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SortKey};
 use sitm_serve::{Client, Server, ServerConfig};
-use sitm_space::CellRef;
 use sitm_stream::{EngineConfig, StreamEvent, VisitKey};
 
 /// The system allocator, counting every allocation made on the

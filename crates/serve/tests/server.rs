@@ -12,11 +12,10 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, IntervalPredicate, PresenceInterval, TimeInterval,
     Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{Client, Server, ServerConfig};
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 

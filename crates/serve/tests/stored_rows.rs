@@ -24,7 +24,7 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, IntervalPredicate, PresenceInterval, SemanticTrajectory,
     TimeInterval, Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_obs::MetricsRegistry;
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectoryDb, TrajectorySource};
@@ -32,7 +32,6 @@ use sitm_serve::{
     encode_request, encode_response, read_frame, write_frame, Client, Request, Response, Server,
     ServerConfig,
 };
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{EngineConfig, ParallelEngine, StreamEvent, VisitKey};
 

@@ -15,11 +15,10 @@ use std::time::{Duration as StdDuration, Instant};
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::Predicate;
 use sitm_serve::{Client, ServeError, Server, ServerConfig, Subscriber};
-use sitm_space::CellRef;
 use sitm_stream::{EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);

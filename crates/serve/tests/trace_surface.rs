@@ -24,12 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_obs::trace::{TraceContext, TraceTree, DETAIL_SAMPLE_EVERY};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SortKey};
 use sitm_serve::{Client, Request, Response, Server, ServerConfig, Subscriber};
-use sitm_space::CellRef;
 use sitm_stream::{EngineConfig, StreamEvent, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);

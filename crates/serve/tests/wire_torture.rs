@@ -12,14 +12,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration as StdDuration;
 
 use sitm_core::{Annotation, AnnotationSet, IntervalPredicate, Timestamp};
-use sitm_graph::{LayerIdx, NodeId};
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::wire::WireQuery;
 use sitm_query::{Predicate, SegmentedDb, SortKey, TrajectorySource};
 use sitm_serve::{
     decode_response, encode_request, encode_response, read_frame, write_frame, Client, Request,
     Response, Server, ServerConfig,
 };
-use sitm_space::CellRef;
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{EngineConfig, Flusher, ParallelEngine, StreamEvent, VisitKey};
 

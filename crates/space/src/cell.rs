@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use sitm_geometry::Polygon;
-use sitm_graph::{LayerIdx, NodeId};
 
 /// Semantic class of a cell. Classes drive episode predicates and analytics
 /// ("the semantics of places also offer us valuable insight", §4.2).
@@ -187,28 +186,6 @@ impl Cell {
     }
 }
 
-/// Address of a cell inside an [`crate::IndoorSpace`]: layer + node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CellRef {
-    /// Layer the cell belongs to.
-    pub layer: LayerIdx,
-    /// Node id within that layer's NRG.
-    pub node: NodeId,
-}
-
-impl CellRef {
-    /// Creates a cell reference.
-    pub fn new(layer: LayerIdx, node: NodeId) -> Self {
-        CellRef { layer, node }
-    }
-}
-
-impl fmt::Display for CellRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.layer, self.node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,12 +244,6 @@ mod tests {
         assert_eq!(cell.geometry, Some(poly));
         assert_eq!(cell.attribute("ticket"), Some("separate"));
         assert_eq!(cell.attribute("missing"), None);
-    }
-
-    #[test]
-    fn cell_ref_display() {
-        let r = CellRef::new(LayerIdx::from_index(2), NodeId::from_index(7));
-        assert_eq!(r.to_string(), "L2:n7");
     }
 
     #[test]

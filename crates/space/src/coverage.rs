@@ -11,8 +11,8 @@
 //! coverage instead of assuming it.
 
 use sitm_geometry::relate::overlap_fraction;
+use sitm_graph::CellRef;
 
-use crate::cell::CellRef;
 use crate::hierarchy::LayerHierarchy;
 use crate::model::IndoorSpace;
 

@@ -11,9 +11,8 @@
 //! boundary is long enough to host an opening.
 
 use sitm_geometry::{relate_polygons, Polygon, SegmentIntersection, SpatialRelation};
-use sitm_graph::LayerIdx;
+use sitm_graph::{CellRef, LayerIdx};
 
-use crate::cell::CellRef;
 use crate::model::IndoorSpace;
 
 /// One derived adjacency: two same-layer cells whose footprints meet.

@@ -8,9 +8,8 @@
 //! (3 ≤ k), optionally extended with a BuildingComplex root and a RoI leaf.
 //! Joint edges "do not skip layers".
 
-use sitm_graph::LayerIdx;
+use sitm_graph::{CellRef, LayerIdx};
 
-use crate::cell::CellRef;
 use crate::joint::JointRelation;
 use crate::layer::LayerKind;
 use crate::model::IndoorSpace;

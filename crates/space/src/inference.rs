@@ -12,12 +12,14 @@
 //! *unavoidable* cells become inferred tuples, splitting the time gap
 //! between the two detections proportionally.
 
-use sitm_space::{CellRef, IndoorSpace, SpaceQuery};
+use sitm_core::{
+    Annotation, AnnotationKind, AnnotationSet, Duration, PresenceInterval, TimeInterval, Timestamp,
+    Trace, TransitionTaken,
+};
+use sitm_graph::CellRef;
 
-use crate::annotation::{Annotation, AnnotationKind, AnnotationSet};
-use crate::interval::{PresenceInterval, TransitionTaken};
-use crate::time::{TimeInterval, Timestamp};
-use crate::trace::Trace;
+use crate::model::IndoorSpace;
+use crate::query::SpaceQuery;
 
 /// Marker annotation attached to every inferred tuple.
 pub fn inference_marker() -> Annotation {
@@ -107,8 +109,7 @@ pub fn infer_missing_cells(
                             let share_end = if j as i64 == k - 1 {
                                 gap_end
                             } else {
-                                gap_start
-                                    + crate::time::Duration::seconds(total * (j as i64 + 1) / k)
+                                gap_start + Duration::seconds(total * (j as i64 + 1) / k)
                             };
                             let mut annotations = extra_annotations(*cell);
                             annotations.insert(inference_marker());
@@ -185,7 +186,7 @@ pub fn split_gap(start: Timestamp, end: Timestamp, parts: usize) -> Vec<TimeInte
         let share_end = if j == parts - 1 {
             end
         } else {
-            start + crate::time::Duration::seconds(total * (j as i64 + 1) / parts as i64)
+            start + Duration::seconds(total * (j as i64 + 1) / parts as i64)
         };
         out.push(TimeInterval::new(cursor, share_end));
         cursor = share_end;
@@ -196,7 +197,7 @@ pub fn split_gap(start: Timestamp, end: Timestamp, parts: usize) -> Vec<TimeInte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_space::{Cell, CellClass, LayerKind, Transition, TransitionKind};
+    use crate::{Cell, CellClass, LayerKind, Transition, TransitionKind};
 
     /// Fig. 6 floor −2 chain: E(60887) -> P(60888) -> S(60890) -> C, with
     /// P <-> S bidirectional.

@@ -7,8 +7,9 @@
 //! syntax, and the workspace carries no XML dependency.
 
 use sitm_geometry::{Point, Polygon};
+use sitm_graph::CellRef;
 
-use crate::cell::{Cell, CellClass, CellRef};
+use crate::cell::{Cell, CellClass};
 use crate::joint::JointRelation;
 use crate::json::{JsonError, JsonValue};
 use crate::layer::LayerKind;

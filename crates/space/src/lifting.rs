@@ -10,12 +10,11 @@
 //! [`lift_trace`] maps every tuple's cell to its ancestor in a coarser
 //! layer and merges consecutive tuples that land in the same ancestor.
 
-use sitm_graph::LayerIdx;
-use sitm_space::{CellRef, IndoorSpace, LayerHierarchy};
+use sitm_core::{PresenceInterval, TimeInterval, Trace};
+use sitm_graph::{CellRef, LayerIdx};
 
-use crate::interval::PresenceInterval;
-use crate::time::TimeInterval;
-use crate::trace::Trace;
+use crate::hierarchy::LayerHierarchy;
+use crate::model::IndoorSpace;
 
 /// Errors lifting a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,10 +105,8 @@ pub fn lift_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::{Annotation, AnnotationSet};
-    use crate::interval::TransitionTaken;
-    use crate::time::Timestamp;
-    use sitm_space::{core_hierarchy, Cell, CellClass, JointRelation, LayerKind};
+    use crate::{core_hierarchy, Cell, CellClass, JointRelation, LayerKind};
+    use sitm_core::{Annotation, AnnotationKind, AnnotationSet, Timestamp, TransitionTaken};
 
     /// Building b; floors f0, f1; rooms r0,r1 on f0 and r2 on f1.
     fn building() -> (IndoorSpace, LayerHierarchy) {
@@ -207,8 +204,8 @@ mod tests {
         let lifted = lift_trace(&s, &h, &trace, lf).unwrap();
         assert_eq!(lifted.len(), 1);
         let set = &lifted.get(0).unwrap().annotations;
-        assert!(set.has(&crate::annotation::AnnotationKind::Goal, "visit"));
-        assert!(set.has(&crate::annotation::AnnotationKind::Goal, "buy"));
+        assert!(set.has(&AnnotationKind::Goal, "visit"));
+        assert!(set.has(&AnnotationKind::Goal, "buy"));
     }
 
     #[test]

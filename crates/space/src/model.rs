@@ -3,9 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use sitm_graph::{CouplingRef, DiMultigraph, EdgeId, EdgeRef, LayerIdx, LayeredGraph};
+use sitm_graph::{CellRef, CouplingRef, DiMultigraph, EdgeId, EdgeRef, LayerIdx, LayeredGraph};
 
-use crate::cell::{Cell, CellRef};
+use crate::cell::Cell;
 use crate::joint::JointRelation;
 use crate::layer::{Layer, LayerKind};
 use crate::transition::Transition;

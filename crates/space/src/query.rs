@@ -1,8 +1,7 @@
 //! Navigation queries over one layer's accessibility NRG.
 
-use sitm_graph::{paths, traversal, LayerIdx};
+use sitm_graph::{paths, traversal, CellRef, LayerIdx};
 
-use crate::cell::CellRef;
 use crate::model::IndoorSpace;
 use crate::transition::Transition;
 

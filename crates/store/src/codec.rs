@@ -38,8 +38,7 @@ use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, Episode, PresenceInterval, SemanticTrajectory,
     TimeInterval, Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{EdgeId, LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 
 use crate::bloom::fnv1a;
 

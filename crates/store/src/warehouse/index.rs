@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use sitm_codec::{put_i64, put_u64, take_count, take_flag, take_span, take_u64};
 use sitm_core::{Annotation, AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use super::objects::ObjectSet;
 use crate::bloom::{fnv1a, Bloom};

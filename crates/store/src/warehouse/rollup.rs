@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use sitm_codec::{put_i64, put_u64, take_count, take_i64, take_u64};
 use sitm_core::SemanticTrajectory;
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 use crate::codec::{decode_cell, encode_cell, CodecError};
 

@@ -9,8 +9,7 @@ use crate::segment;
 use sitm_core::{
     Annotation, AnnotationSet, PresenceInterval, TimeInterval, Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);

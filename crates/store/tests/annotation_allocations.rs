@@ -11,8 +11,7 @@ use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp,
     Trace, TransitionTaken,
 };
-use sitm_graph::{EdgeId, LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 use sitm_store::codec::{
     decode_annotations, decode_trajectory, encode_annotations, encode_trajectory,
 };

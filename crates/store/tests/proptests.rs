@@ -23,8 +23,7 @@ use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp,
     Trace, TransitionTaken,
 };
-use sitm_graph::{EdgeId, LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 use sitm_store::codec::{decode_trajectory, encode_trajectory, CodecError};
 use sitm_store::segment::{scan, write_frame, write_header, FRAME_OVERHEAD, MAGIC};
 use sitm_store::{CheckpointFrame, LogStore, ObjectSet, Record};

@@ -19,9 +19,8 @@ use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp,
     Trace, TransitionTaken,
 };
-use sitm_graph::{EdgeId, LayerIdx, NodeId};
+use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 use sitm_obs::MetricsRegistry;
-use sitm_space::CellRef;
 use sitm_store::codec::encode_trajectory;
 use sitm_store::sort_run;
 use sitm_store::warehouse::{segment_file_name, SegmentStore, WarehouseConfig};

@@ -15,8 +15,7 @@ use sitm_core::{
     Annotation, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp, Trace,
     TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_store::segment::Corruption;
 use sitm_store::warehouse::{segment_file_name, SegmentStore, WarehouseConfig, WarehouseError};
 use sitm_store::{crc32, segment};

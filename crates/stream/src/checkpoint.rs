@@ -386,8 +386,7 @@ mod tests {
     use sitm_core::{
         Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, TransitionTaken,
     };
-    use sitm_graph::NodeId;
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, NodeId};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 

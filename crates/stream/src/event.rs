@@ -11,7 +11,7 @@
 //!   intervals (the shape the Louvre dataset ships in).
 
 use sitm_core::{AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 /// Stable identifier of one visit (one trajectory under construction).
 ///

@@ -160,9 +160,8 @@ mod tests {
     use sitm_core::{
         Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
     };
-    use sitm_graph::{LayerIdx, NodeId};
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
     use sitm_query::Predicate;
-    use sitm_space::CellRef;
     use sitm_store::warehouse::WarehouseConfig;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use sitm_core::{PresenceInterval, Timestamp};
-use sitm_space::CellRef;
+use sitm_graph::CellRef;
 
 /// Reverse record for one indexed visit, kept so close-time removal is
 /// proportional to the visit's footprint, not the index size.

@@ -138,8 +138,7 @@ impl IncrementalSegmenter {
 mod tests {
     use super::*;
     use sitm_core::{Annotation, Timestamp, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

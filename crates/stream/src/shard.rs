@@ -125,8 +125,7 @@ mod tests {
     use crate::event::StreamEvent;
     use crate::{EngineConfig, ParallelEngine};
     use sitm_core::{Annotation, PresenceInterval, TransitionTaken};
-    use sitm_graph::{LayerIdx, NodeId};
-    use sitm_space::CellRef;
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))

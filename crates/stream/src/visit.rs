@@ -10,8 +10,7 @@ use sitm_core::{
     AnnotationSet, Episode, IntervalPredicate, PresenceInterval, SemanticTrajectory, Timestamp,
     Trace, TransitionTaken,
 };
-use sitm_graph::LayerIdx;
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx};
 
 use crate::segmenter::{IncrementalSegmenter, SegmenterSnapshot};
 use crate::shard::ShardCtx;

@@ -11,8 +11,7 @@
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_store::segment;
 use sitm_stream::{
     resume_from_log, EngineConfig, EngineStats, ParallelEngine, StreamEvent, VisitKey,

@@ -15,8 +15,7 @@ use std::sync::Arc;
 use sitm_core::{
     Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, Timestamp, TransitionTaken,
 };
-use sitm_graph::{LayerIdx, NodeId};
-use sitm_space::CellRef;
+use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_stream::{EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent, VisitKey};
 
 fn cell(n: usize) -> CellRef {

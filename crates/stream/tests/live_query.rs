@@ -26,12 +26,12 @@ use sitm_core::{
     Annotation, AnnotationSet, Duration, PresenceInterval, SemanticTrajectory, TimeInterval,
     Timestamp, Trace, TransitionTaken,
 };
+use sitm_graph::CellRef;
 use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
 use sitm_query::{federated_count, CandidateSet, Predicate, Query, Row, TrajectorySource};
-use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
     resume_from_log, trajectory_feed, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,

@@ -25,11 +25,11 @@ use sitm_core::{
     maximal_episodes, Annotation, AnnotationSet, Duration, Episode, IntervalPredicate,
     SemanticTrajectory,
 };
+use sitm_graph::CellRef;
 use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
-use sitm_space::CellRef;
 use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
     resume_from_log, trajectory_feed, EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent,

@@ -5,12 +5,10 @@
 //!
 //! Run with: `cargo run --example hospital_wayfinding`
 
-use sitm::core::{
-    infer_missing_cells, AnnotationSet, PresenceInterval, Timestamp, Trace, TransitionTaken,
-};
+use sitm::core::{AnnotationSet, PresenceInterval, Timestamp, Trace, TransitionTaken};
 use sitm::space::{
-    core_hierarchy, validate_hierarchy, Cell, CellClass, CellRef, IndoorSpace, IssueSeverity,
-    JointRelation, LayerKind, SpaceQuery, Transition, TransitionKind,
+    core_hierarchy, infer_missing_cells, validate_hierarchy, Cell, CellClass, CellRef, IndoorSpace,
+    IssueSeverity, JointRelation, LayerKind, SpaceQuery, Transition, TransitionKind,
 };
 
 struct Hospital {

@@ -4,12 +4,12 @@
 //! Run with: `cargo run --example quickstart`
 
 use sitm::core::{
-    lift_trace, Annotation, AnnotationSet, EpisodicSegmentation, IntervalPredicate,
-    PresenceInterval, SemanticTrajectory, Timestamp, Trace, TransitionTaken,
+    Annotation, AnnotationSet, EpisodicSegmentation, IntervalPredicate, PresenceInterval,
+    SemanticTrajectory, Timestamp, Trace, TransitionTaken,
 };
 use sitm::space::{
-    core_hierarchy, validate_hierarchy, Cell, CellClass, IndoorSpace, JointRelation, LayerKind,
-    SpaceQuery, Transition, TransitionKind,
+    core_hierarchy, lift_trace, validate_hierarchy, Cell, CellClass, IndoorSpace, JointRelation,
+    LayerKind, SpaceQuery, Transition, TransitionKind,
 };
 
 fn main() {

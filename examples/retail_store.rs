@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --example retail_store`
 
-use sitm::core::{lift_trace, PresenceInterval, Timestamp, Trace, TransitionTaken};
+use sitm::core::{PresenceInterval, Timestamp, Trace, TransitionTaken};
 use sitm::mining::{mine_at_layers, MarkovModel, NGramModel, OdMatrix};
 use sitm::sim::SimRng;
 use sitm::space::{
-    Cell, CellClass, CellRef, IndoorSpace, JointRelation, LayerHierarchy, LayerKind, Transition,
-    TransitionKind,
+    lift_trace, Cell, CellClass, CellRef, IndoorSpace, JointRelation, LayerHierarchy, LayerKind,
+    Transition, TransitionKind,
 };
 
 struct Store {

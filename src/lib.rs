@@ -11,8 +11,8 @@
 //! | [`graph`] | `sitm-graph` | directed multigraphs, multilayer networks, path algorithms |
 //! | [`geometry`] | `sitm-geometry` | 2D points, polygons, topological predicates |
 //! | [`qsr`] | `sitm-qsr` | RCC8 calculus, 9-intersection, constraint networks |
-//! | [`space`] | `sitm-space` | IndoorGML-style multi-layered indoor space model |
-//! | [`core`] | `sitm-core` | semantic trajectories, episodes, segmentation, inference |
+//! | [`space`] | `sitm-space` | IndoorGML-style multi-layered indoor space model, granularity lifting, inference |
+//! | [`core`] | `sitm-core` | semantic trajectories, episodes, segmentation |
 //! | [`positioning`] | `sitm-positioning` | BLE RSSI models, trilateration, EKF, particle filter |
 //! | [`sim`] | `sitm-sim` | seeded samplers & stochastic processes |
 //! | [`louvre`] | `sitm-louvre` | the Louvre case study & calibrated synthetic dataset |

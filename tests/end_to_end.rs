@@ -2,12 +2,12 @@
 //! the SITM to mining, mirroring how a downstream user composes the crates.
 
 use sitm::analytics::{quality_of_trace, TransitionMatrix};
-use sitm::core::{infer_missing_cells, AnnotationSet, Duration};
+use sitm::core::{AnnotationSet, Duration};
 use sitm::louvre::{
     build_louvre, generate_dataset, zone_catalog, GeneratorConfig, PaperCalibration,
 };
 use sitm::mining::{cell_sequences, mine_sequential_patterns, to_alphabet, MarkovModel};
-use sitm::space::SpaceQuery;
+use sitm::space::{infer_missing_cells, SpaceQuery};
 
 fn scaled_config() -> GeneratorConfig {
     GeneratorConfig {

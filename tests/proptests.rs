@@ -4,13 +4,15 @@
 use proptest::prelude::*;
 
 use sitm::core::{
-    apply_annotation_events, lift_trace, Annotation, AnnotationEvent, AnnotationSet,
-    PresenceInterval, Timestamp, Trace, TransitionTaken,
+    apply_annotation_events, Annotation, AnnotationEvent, AnnotationSet, PresenceInterval,
+    Timestamp, Trace, TransitionTaken,
 };
 use sitm::geometry::{relate_polygons, Point, Polygon, SpatialRelation};
 use sitm::graph::{unavoidable_nodes, DiMultigraph};
 use sitm::qsr::{compose, ConstraintNetwork, NetworkStatus, Rcc8};
-use sitm::space::{core_hierarchy, Cell, CellClass, IndoorSpace, JointRelation, LayerKind};
+use sitm::space::{
+    core_hierarchy, lift_trace, Cell, CellClass, IndoorSpace, JointRelation, LayerKind,
+};
 
 // ---------------------------------------------------------------- geometry
 
