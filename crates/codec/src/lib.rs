@@ -20,6 +20,19 @@
 //! front of a `&mut &[u8]` cursor and never panic: a short, overlong or
 //! out-of-range input is an [`Error`], which each format's own error
 //! type absorbs through a `From`.
+//!
+//! Every primitive is `#[inline]`, so a decoder in another crate reads
+//! its common case without a call. The common case of a row is one
+//! byte: [`take_u64`] returns a first byte below `0x80` at once, since
+//! that byte is a whole varint, and reads a longer varint in one cold,
+//! out-of-line call. The row codec (`sitm_store::codec`) adds the other
+//! two fast paths of a row on top: a leading `0` byte is the empty
+//! annotation set, and a `0` transition tag is the unknown transition.
+//! All three are the general path's first step taken early. They
+//! accept and refuse exactly the inputs the general path does, with
+//! the same value or the same error; `sitm-serve`'s
+//! `tests/decode_verdicts.rs` pins that over every truncation and bit
+//! flip of a fixed corpus.
 
 mod varint;
 
@@ -68,17 +81,20 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Appends `bytes` behind their varint length.
+#[inline]
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_u64(buf, bytes.len() as u64);
     buf.extend_from_slice(bytes);
 }
 
 /// Appends `s` as [`put_bytes`] of its UTF-8 bytes.
+#[inline]
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
 /// Splits one tag byte off the front of `buf`.
+#[inline]
 pub fn take_tag(buf: &mut &[u8]) -> Result<u8, Error> {
     let Some((&tag, rest)) = buf.split_first() else {
         return Err(Error::Eof);
@@ -89,6 +105,7 @@ pub fn take_tag(buf: &mut &[u8]) -> Result<u8, Error> {
 
 /// Splits one flag byte off the front of `buf`: 0 is `false`, 1 is
 /// `true`, anything else is [`Error::BadFlag`].
+#[inline]
 pub fn take_flag(buf: &mut &[u8]) -> Result<bool, Error> {
     match take_tag(buf)? {
         0 => Ok(false),
@@ -100,6 +117,7 @@ pub fn take_flag(buf: &mut &[u8]) -> Result<bool, Error> {
 /// Splits a varint count off the front of `buf`, refused unless the
 /// bytes left could hold that many elements of at least `min_bytes`
 /// each (`min_bytes` 0 counts as 1).
+#[inline]
 pub fn take_count(buf: &mut &[u8], min_bytes: usize) -> Result<usize, Error> {
     let declared = take_u64(buf)?;
     if declared > (buf.len() / min_bytes.max(1)) as u64 {
@@ -113,6 +131,7 @@ pub fn take_count(buf: &mut &[u8], min_bytes: usize) -> Result<usize, Error> {
 
 /// Splits a blob written by [`put_bytes`] off the front of `buf`,
 /// borrowed.
+#[inline]
 pub fn take_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], Error> {
     let len = take_count(buf, 1)?;
     let (head, tail) = buf.split_at(len);
@@ -122,6 +141,7 @@ pub fn take_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], Error> {
 
 /// Splits a string written by [`put_str`] off the front of `buf`,
 /// borrowed.
+#[inline]
 pub fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, Error> {
     std::str::from_utf8(take_bytes(buf)?).map_err(|_| Error::BadUtf8)
 }
@@ -129,6 +149,7 @@ pub fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, Error> {
 /// Splits an interval off the front of `buf`: a ZigZag start, as a
 /// delta from `base`, then an unsigned duration. Returns `(start, end)`;
 /// a start or end past `i64` is [`Error::Overflow`].
+#[inline]
 pub fn take_span(buf: &mut &[u8], base: i64) -> Result<(i64, i64), Error> {
     let start = base.checked_add(take_i64(buf)?).ok_or(Error::Overflow)?;
     let duration = take_u64(buf)?;

@@ -9,6 +9,7 @@
 use crate::Error;
 
 /// Appends `value` as a LEB128 varint (1–10 bytes).
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
         buf.push(value as u8 | 0x80);
@@ -18,7 +19,23 @@ pub fn put_u64(buf: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Splits one LEB128 varint off the front of `buf`.
+///
+/// A first byte below `0x80` is a whole varint and returns inline; a
+/// longer varint (and an empty buffer) is read by one out-of-line call.
+#[inline]
 pub fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
+    match buf.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *buf = rest;
+            Ok(u64::from(byte))
+        }
+        _ => take_u64_multi(buf),
+    }
+}
+
+/// [`take_u64`] for an empty buffer or a varint of two bytes or more.
+#[cold]
+fn take_u64_multi(buf: &mut &[u8]) -> Result<u64, Error> {
     let mut value = 0u64;
     for shift in (0..64).step_by(7) {
         let Some((&byte, rest)) = buf.split_first() else {
@@ -40,21 +57,25 @@ pub fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
 
 /// Maps a signed value onto the unsigned varint space
 /// (0 → 0, -1 → 1, 1 → 2, -2 → 3, …) so small magnitudes stay short.
+#[inline]
 const fn zigzag_encode(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag_encode`].
+#[inline]
 const fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
 /// Appends a signed value as a ZigZag varint.
+#[inline]
 pub fn put_i64(buf: &mut Vec<u8>, value: i64) {
     put_u64(buf, zigzag_encode(value));
 }
 
 /// Splits one ZigZag varint off the front of `buf`.
+#[inline]
 pub fn take_i64(buf: &mut &[u8]) -> Result<i64, Error> {
     take_u64(buf).map(zigzag_decode)
 }

@@ -28,6 +28,21 @@
 //! holds at most 64 × 128 key bytes however many distinct sets pass
 //! through; bytes crafted to collide can only make every read a miss.
 //! It is a cache of the decoder alone: no byte of any encoding changes.
+//!
+//! A served row is mostly one-byte values: small varints, empty per-stay
+//! sets and unknown transitions. Each has a fast path, read inline:
+//!
+//! * a varint whose first byte is below `0x80` ([`sitm_codec::take_u64`]);
+//!   a longer one costs one out-of-line call;
+//! * a leading `0` byte in [`decode_annotations`] is the empty set,
+//!   returned before the table is looked at;
+//! * a `0` tag in [`decode_transition`] is [`TransitionTaken::Unknown`].
+//!
+//! Each fast path is the general path's first step taken early: it
+//! accepts and refuses exactly the inputs the general path does, with
+//! the same value or the same error (`sitm-serve`'s
+//! `tests/decode_verdicts.rs` pins the verdicts over every truncation
+//! and bit flip of a fixed corpus).
 
 use std::cell::RefCell;
 
@@ -110,6 +125,7 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Encodes an annotation set as `count (kind value)*`.
+#[inline]
 pub fn encode_annotations(buf: &mut Vec<u8>, set: &AnnotationSet) {
     put_u64(buf, set.len() as u64);
     for a in set.iter() {
@@ -145,11 +161,23 @@ fn set_slot(key: &[u8]) -> usize {
 
 /// Decodes an annotation set.
 ///
-/// The bytes are validated first (count against the buffer, every
-/// string UTF-8); then a set whose bytes this thread decoded recently
-/// is returned shared from the table, without a copy of its
-/// annotations.
+/// A leading `0` byte is the empty set, returned inline. Otherwise the
+/// bytes are validated first (count against the buffer, every string
+/// UTF-8); then a set whose bytes this thread decoded recently is
+/// returned shared from the table, without a copy of its annotations.
+#[inline]
 pub fn decode_annotations(buf: &mut &[u8]) -> Result<AnnotationSet, CodecError> {
+    match buf.split_first() {
+        Some((0, rest)) => {
+            *buf = rest;
+            Ok(AnnotationSet::new())
+        }
+        _ => decode_shared_set(buf),
+    }
+}
+
+/// [`decode_annotations`] past its leading-`0` fast path.
+fn decode_shared_set(buf: &mut &[u8]) -> Result<AnnotationSet, CodecError> {
     let start = *buf;
     let count = take_count(buf, 1)?;
     if count == 0 {
@@ -196,6 +224,7 @@ const TRANSITION_EDGE: u8 = 1;
 const TRANSITION_NAMED: u8 = 2;
 
 /// Encodes a transition.
+#[inline]
 pub fn encode_transition(buf: &mut Vec<u8>, t: &TransitionTaken) {
     match t {
         TransitionTaken::Unknown => buf.push(TRANSITION_UNKNOWN),
@@ -212,6 +241,7 @@ pub fn encode_transition(buf: &mut Vec<u8>, t: &TransitionTaken) {
 }
 
 /// Decodes a transition.
+#[inline]
 pub fn decode_transition(buf: &mut &[u8]) -> Result<TransitionTaken, CodecError> {
     match take_tag(buf)? {
         TRANSITION_UNKNOWN => Ok(TransitionTaken::Unknown),
@@ -229,12 +259,14 @@ pub fn decode_transition(buf: &mut &[u8]) -> Result<TransitionTaken, CodecError>
 }
 
 /// Encodes a cell reference as `layer node`.
+#[inline]
 pub fn encode_cell(buf: &mut Vec<u8>, cell: CellRef) {
     put_u64(buf, cell.layer.index() as u64);
     put_u64(buf, cell.node.index() as u64);
 }
 
 /// Decodes a cell reference.
+#[inline]
 pub fn decode_cell(buf: &mut &[u8]) -> Result<CellRef, CodecError> {
     let layer = take_u64(buf)? as usize;
     let node = take_u64(buf)? as usize;
@@ -260,13 +292,13 @@ pub fn decode_presence(buf: &mut &[u8]) -> Result<PresenceInterval, CodecError> 
     let transition = decode_transition(buf)?;
     let cell = decode_cell(buf)?;
     let (start, end) = take_span(buf, 0)?;
-    let annotations = decode_annotations(buf)?;
-    let transition_annotations = decode_annotations(buf)?;
-    Ok(
-        PresenceInterval::new(transition, cell, Timestamp(start), Timestamp(end))
-            .with_annotations(annotations)
-            .with_transition_annotations(transition_annotations),
-    )
+    Ok(PresenceInterval {
+        transition,
+        cell,
+        time: TimeInterval::new(Timestamp(start), Timestamp(end)),
+        annotations: decode_annotations(buf)?,
+        transition_annotations: decode_annotations(buf)?,
+    })
 }
 
 /// Encodes an episode as `range.start range.len start duration labels`.
@@ -323,13 +355,13 @@ pub fn decode_trace(buf: &mut &[u8], base: Timestamp) -> Result<Trace, CodecErro
         let transition = decode_transition(buf)?;
         let cell = decode_cell(buf)?;
         let (start, end) = take_span(buf, prev_end)?;
-        let annotations = decode_annotations(buf)?;
-        let transition_annotations = decode_annotations(buf)?;
-        intervals.push(
-            PresenceInterval::new(transition, cell, Timestamp(start), Timestamp(end))
-                .with_annotations(annotations)
-                .with_transition_annotations(transition_annotations),
-        );
+        intervals.push(PresenceInterval {
+            transition,
+            cell,
+            time: TimeInterval::new(Timestamp(start), Timestamp(end)),
+            annotations: decode_annotations(buf)?,
+            transition_annotations: decode_annotations(buf)?,
+        });
         prev_end = end;
     }
     Trace::new(intervals).map_err(|e| CodecError::InvalidTrace(e.to_string()))

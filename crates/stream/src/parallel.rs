@@ -450,18 +450,18 @@ fn apply_visit_event(
                 return;
             };
             state.close(ctx, scratch, &mut out.stats.anomalies);
-            if ctx.retain_finished {
-                // The completed trajectory heads for the warehouse
-                // tier. A visit that accepted nothing has no trace
-                // (Def. 3.1) and produces no record.
-                if let Some(trajectory) = state.live_trajectory() {
-                    out.finished.push((key, trajectory));
-                }
-            }
             out.stats.visits_closed += 1;
             out.touched = true;
             resident.closed_at = Some(at);
             collect_episodes(key, &state, scratch, out);
+            if ctx.retain_finished {
+                // The completed trajectory heads for the warehouse
+                // tier. A visit that accepted nothing has no trace
+                // (Def. 3.1) and produces no record.
+                if let Some(trajectory) = state.into_trajectory() {
+                    out.finished.push((key, trajectory));
+                }
+            }
         }
     }
 }

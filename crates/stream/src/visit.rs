@@ -158,6 +158,17 @@ impl VisitState {
         SemanticTrajectory::new(self.moving_object.clone(), trace, self.annotations.clone()).ok()
     }
 
+    /// The finished trajectory of a closed visit: what
+    /// [`VisitState::live_trajectory`] would show, moved out of the state
+    /// instead of cloned.
+    pub fn into_trajectory(self) -> Option<SemanticTrajectory> {
+        if self.intervals.is_empty() {
+            return None;
+        }
+        let trace = Trace::new(self.intervals).ok()?;
+        SemanticTrajectory::new(self.moving_object, trace, self.annotations).ok()
+    }
+
     /// Ingests a raw fix, possibly closing a coalesced presence interval.
     pub fn apply_fix(
         &mut self,
@@ -445,5 +456,47 @@ mod tests {
         let mut plain = new_state(&mut anoms);
         plain.apply_presence(stay(1, 0, 10), &ctx(&preds, false), &mut out, &mut anoms);
         assert!(plain.live_trajectory().is_none());
+    }
+
+    #[test]
+    fn a_closed_visit_moves_out_its_live_prefix() {
+        let preds = preds();
+        let retaining = ShardCtx {
+            retain_intervals: true,
+            ..ctx(&preds, false)
+        };
+        let mut anoms = Anomalies::default();
+        let mut out = Vec::new();
+        let empty = VisitState::new("mo".into(), label("visit"), &retaining, &mut anoms);
+        assert!(empty.into_trajectory().is_none(), "nothing accepted");
+        let mut state = VisitState::new("mo".into(), label("visit"), &retaining, &mut anoms);
+        for (c, s, e) in [(1, 0, 10), (0, 10, 30), (1, 45, 60)] {
+            let stay = PresenceInterval::new(
+                TransitionTaken::Unknown,
+                cell(c),
+                Timestamp(s),
+                Timestamp(e),
+            );
+            state.apply_presence(stay, &retaining, &mut out, &mut anoms);
+        }
+        let live = state.live_trajectory().expect("prefix available");
+        state.close(&retaining, &mut out, &mut anoms);
+        assert_eq!(state.into_trajectory(), Some(live));
+        // Without retention a closed visit has no row.
+        let mut plain = new_state(&mut anoms);
+        let plain_ctx = ctx(&preds, false);
+        plain.apply_presence(
+            PresenceInterval::new(
+                TransitionTaken::Unknown,
+                cell(1),
+                Timestamp(0),
+                Timestamp(10),
+            ),
+            &plain_ctx,
+            &mut out,
+            &mut anoms,
+        );
+        plain.close(&plain_ctx, &mut out, &mut anoms);
+        assert!(plain.into_trajectory().is_none());
     }
 }
