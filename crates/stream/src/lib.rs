@@ -54,11 +54,14 @@
 //! **work-stealing router**: events queue per visit, ready visits ride
 //! bounded per-worker deques, and an idle worker steals whole *cold*
 //! visits (queued, not mid-application) from the back of the busiest
-//! deque. Uniform loads scale with cores; *skewed* loads do not
-//! collapse — a single hot visit serializes only itself while every
-//! cold visit drains through the idle workers. Backpressure bounds
-//! queued events at `channel_depth × batch_capacity × workers`
-//! (`bench_stream`'s `skewed_ingest` group measures the skewed case).
+//! deque. A worker takes its own ready visits in slices of up to 64
+//! per scheduler lock, so the scheduler costs per slice, not per
+//! event. *Skewed* loads do not collapse — a single hot visit
+//! serializes only itself while every cold visit drains through the
+//! idle workers. Backpressure bounds queued events at
+//! `channel_depth × batch_capacity × workers`, overshot by at most one
+//! router batch (`bench_stream`'s `skewed_ingest` group measures the
+//! skewed case).
 //!
 //! Correctness does not depend on the worker count: a visit's events
 //! are applied in arrival order by at most one worker at a time

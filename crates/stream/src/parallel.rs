@@ -3,7 +3,7 @@
 //! [`ParallelEngine`] runs N worker threads over a shared scheduler of
 //! **visits**, not static hash partitions. Events queue per visit;
 //! ready visits sit in bounded per-worker deques; a worker that runs
-//! dry *steals a whole cold visit* from the back of the busiest other
+//! dry *steals whole cold visits* from the back of the busiest other
 //! deque. This replaces the previous thread-per-shard channel router,
 //! whose static `hash(visit) → worker` placement collapsed to
 //! single-worker throughput whenever one shard went hot (the
@@ -30,22 +30,50 @@
 //!   to the scheduler one batch ([`EngineConfig::batch_capacity`]) per
 //!   lock acquisition; a newly ready visit lands on its *home* worker's
 //!   deque (initially `hash(visit)`, migrating with each steal).
-//! * **Backpressure** — total queued events are bounded at
-//!   `channel_depth × batch_capacity × workers`; a producer outrunning
-//!   the workers blocks instead of ballooning memory.
+//! * **Slices** — a worker takes up to `SLICE_VISITS` ready visits
+//!   from the front of its own deque under one scheduler lock (or, only
+//!   when its deque is empty, steals half the cold visits of the
+//!   longest other deque, at most `SLICE_VISITS`), moving each
+//!   visit's queued events into a buffer it owns and reuses, so the
+//!   cell keeps its queue's buffer for the next event. It applies the
+//!   whole slice outside every lock, visit after visit, each visit's
+//!   events in arrival order; absorbs the slice's output into its
+//!   deposit under one deposit lock; and returns every visit to its
+//!   cell under one more scheduler lock. Three lock round trips per
+//!   slice, not per visit: the scheduler's cost is per slice, not per
+//!   event.
+//! * **Backpressure** — the router blocks while the scheduler holds
+//!   `channel_depth × batch_capacity × workers` queued events or more,
+//!   then pushes its whole batch, so the queue overshoots the bound by
+//!   less than one router batch; a producer outrunning the workers
+//!   blocks instead of ballooning memory.
+//! * **Park / notify** — a thread that cannot proceed parks and says
+//!   so in the scheduler: an idle worker counts itself on `work`, and
+//!   the engine thread records what it waits for on `quiet` —
+//!   quiescence (a barrier) or the queued events falling below the
+//!   bound (backpressure). The router notifies `work` only when a
+//!   worker is parked, and a worker that returns a slice notifies
+//!   `quiet` only when the engine thread's condition now holds, clearing
+//!   the record, so every wakeup it sends answers a park. Nothing but
+//!   the engine thread makes either condition false again, so a
+//!   condition that held at the notification still holds when the
+//!   engine thread wakes. A dying worker and `Drop` notify both
+//!   unconditionally. A worker the router woke yields once before its
+//!   first slice unless the engine thread is parked: on a CPU the two
+//!   share, a thread that just slept would preempt the router mid-call,
+//!   and the router's caller would wait out the worker's slices instead
+//!   of the worker applying them once the router is done.
 //! * **Sharded deposits** — what a slice *produces* (counters, drained
-//!   episodes, finished trajectories, watermark advances, and the key
-//!   of the visit if the slice opened it, accepted an interval into it
-//!   or closed it) lands in the depositing worker's own `Deposit`
-//!   behind its own lock; the scheduler mutex guards only *routing*
-//!   state (visit cells, deques, fences). Workers therefore contend on
-//!   the scheduler lock only to acquire and release visits, never to
-//!   record results — the deposit path that used to serialize every
-//!   worker through the one big mutex (ROADMAP perf follow-on from the
-//!   work-stealing rewrite). Barriers merge the per-worker deposits
-//!   after quiescing; merge order is worker index, and every consumer
-//!   sorts by a deterministic global key, so the sharding is invisible
-//!   in the output.
+//!   episodes, finished trajectories, watermark advances, and the keys
+//!   of the visits it opened, accepted an interval into or closed)
+//!   lands in the depositing worker's own `Deposit` behind its own
+//!   lock; the scheduler mutex guards only *routing* state (visit
+//!   cells, deques, fences, who is parked). Workers therefore contend
+//!   on the scheduler lock only to take and return slices, never to
+//!   record results. Barriers merge the per-worker deposits after
+//!   quiescing; merge order is worker index, and every consumer sorts
+//!   by a deterministic global key, so the sharding is invisible in the
+//!   output.
 //! * **Barriers** — `flush`/`drain`/`take_finished`/`finish`/
 //!   `checkpoint`/`live_snapshot`/`stats`/`watermark` quiesce: they push
 //!   the router buffer, then wait until every queued event is applied
@@ -71,9 +99,11 @@
 //!   over every open visit instead.
 //!
 //! Lock order: a worker never holds the scheduler and a deposit at
-//! once; the engine thread may take a deposit *while* holding the
-//! scheduler (barriers and `finish`), which cannot cycle because
-//! workers only ever block on the scheduler empty-handed.
+//! once — it takes a slice under the scheduler, absorbs it under its
+//! deposit, and returns it under the scheduler, one lock at a time; the
+//! engine thread may take a deposit *while* holding the scheduler
+//! (barriers and `finish`), which cannot cycle because workers only
+//! ever block on the scheduler empty-handed.
 //!
 //! A worker that panics marks the scheduler; subsequent engine calls
 //! panic with a clear message rather than silently dropping data.
@@ -93,9 +123,14 @@ use crate::live_query::{LiveSnapshot, LiveVisit};
 use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::VisitState;
 
+/// Most ready visits a worker takes from its own deque per slice: one
+/// scheduler round trip moves up to this many visits out and back.
+const SLICE_VISITS: usize = 64;
+
 /// One visit's slot in the scheduler.
 struct VisitCell {
-    /// Events pushed but not yet applied, in arrival order.
+    /// Events pushed but not yet applied, in arrival order. Drained,
+    /// not taken, by a slice, so an open visit allocates its queue once.
     queue: VecDeque<StreamEvent>,
     /// Open-visit state (`None` before open / after close).
     state: Option<VisitState>,
@@ -134,6 +169,11 @@ struct Scheduler {
     queued_events: usize,
     /// Visits currently held by workers (quiesce).
     held_visits: usize,
+    /// Workers parked on `work`: the router wakes them only if any.
+    idle_workers: usize,
+    /// What the engine thread, parked on `quiet`, waits for; `None`
+    /// while it is not parked (or has been sent its wakeup).
+    waiter: Option<Wait>,
     shutdown: bool,
     /// A worker died mid-slice; engine state is no longer trustworthy.
     panicked: bool,
@@ -149,6 +189,8 @@ impl Scheduler {
             deques: (0..workers).map(|_| VecDeque::new()).collect(),
             queued_events: 0,
             held_visits: 0,
+            idle_workers: 0,
+            waiter: None,
             shutdown: false,
             panicked: false,
             fences: BTreeSet::new(),
@@ -166,18 +208,94 @@ impl Scheduler {
         self.queued_events == 0 && self.held_visits == 0
     }
 
-    /// Next visit for `worker`: its own deque front, else a whole cold
-    /// visit stolen from the back of the longest other deque. Returns
-    /// the deque the visit came from so the caller can attribute
-    /// route-vs-steal and refresh that queue's depth gauge.
-    fn next_for(&mut self, worker: usize) -> Option<(u64, usize)> {
-        if let Some(key) = self.deques[worker].pop_front() {
-            return Some((key, worker));
+    /// Does what the engine thread waits for hold?
+    fn holds(&self, wait: Wait) -> bool {
+        match wait {
+            Wait::Quiesced => self.quiesced(),
+            Wait::Below(bound) => self.queued_events < bound,
         }
-        let victim = (0..self.deques.len())
-            .filter(|&i| i != worker && !self.deques[i].is_empty())
-            .max_by_key(|&i| self.deques[i].len())?;
-        self.deques[victim].pop_back().map(|key| (key, victim))
+    }
+
+    /// Takes the engine thread's wait record if its condition now
+    /// holds: the caller then owes it one `quiet` notification.
+    fn wake_waiter(&mut self) -> bool {
+        let ready = self.waiter.is_some_and(|wait| self.holds(wait));
+        if ready {
+            self.waiter = None;
+        }
+        ready
+    }
+
+    /// `worker`'s next slice: up to [`SLICE_VISITS`] visits from the
+    /// front of its own deque, else whole cold visits stolen from the
+    /// back of the longest other deque — half of them, rounded up, at
+    /// most [`SLICE_VISITS`]. Each visit is marked held and homed on
+    /// `worker`, its queued events are moved onto the end of `events`
+    /// (its queue keeps its buffer) and its state into `slice`. Returns
+    /// the deque the slice came from so the caller can attribute
+    /// route-vs-steal and refresh that queue's depth gauge.
+    fn take_slice(
+        &mut self,
+        worker: usize,
+        slice: &mut Vec<HeldVisit>,
+        events: &mut Vec<StreamEvent>,
+    ) -> Option<usize> {
+        let (source, visits) = if self.deques[worker].is_empty() {
+            let victim = (0..self.deques.len())
+                .filter(|&i| i != worker && !self.deques[i].is_empty())
+                .max_by_key(|&i| self.deques[i].len())?;
+            let half = self.deques[victim].len().div_ceil(2);
+            (victim, half.min(SLICE_VISITS))
+        } else {
+            (worker, self.deques[worker].len().min(SLICE_VISITS))
+        };
+        for _ in 0..visits {
+            let deque = &mut self.deques[source];
+            let key = if source == worker {
+                deque.pop_front()
+            } else {
+                deque.pop_back()
+            }
+            .expect("counted above");
+            let cell = self.visits.get_mut(&key).expect("queued visit has a cell");
+            cell.queued = false;
+            cell.held = true;
+            cell.home = worker;
+            let queued = cell.queue.len();
+            events.extend(cell.queue.drain(..));
+            slice.push(HeldVisit {
+                key,
+                events: queued,
+                resident: Resident {
+                    state: cell.state.take(),
+                    closed_at: cell.closed_at,
+                },
+            });
+            self.queued_events -= queued;
+        }
+        self.held_visits += visits;
+        Some(source)
+    }
+
+    /// Returns a slice's visits to their cells: state and fence back,
+    /// a visit whose queue refilled meanwhile back onto `worker`'s
+    /// deque, then each cell settled.
+    fn return_slice(&mut self, worker: usize, slice: &mut Vec<HeldVisit>, capacity: usize) {
+        for held in slice.drain(..) {
+            let cell = self.visits.get_mut(&held.key).expect("held cell persists");
+            let was_fence = cell.closed_at;
+            cell.state = held.resident.state;
+            cell.closed_at = held.resident.closed_at;
+            cell.held = false;
+            // Events that arrived while the visit was held: it is cold
+            // again — back onto this worker's deque.
+            if !cell.queue.is_empty() {
+                cell.queued = true;
+                self.deques[worker].push_back(held.key);
+            }
+            self.held_visits -= 1;
+            self.settle_cell(held.key, was_fence, capacity);
+        }
     }
 
     /// Settles one visit cell's bookkeeping after a slice (or a
@@ -189,9 +307,14 @@ impl Scheduler {
     /// behaviorally invisible; above it, see
     /// [`EngineConfig::fence_capacity`].
     fn settle_cell(&mut self, key: u64, was_fence: Option<Timestamp>, capacity: usize) {
-        let Some(cell) = self.visits.get(&key) else {
+        let Some(cell) = self.visits.get_mut(&key) else {
             return;
         };
+        if cell.state.is_none() && !cell.held && cell.queue.is_empty() {
+            // Closed: a fenced cell keeps no queue buffer; a visit
+            // re-opened under this key allocates its own.
+            cell.queue = VecDeque::new();
+        }
         let now_fence = cell.closed_at;
         let active = cell.held || cell.queued || !cell.queue.is_empty() || cell.state.is_some();
         if was_fence != now_fence {
@@ -210,7 +333,7 @@ impl Scheduler {
         }
         // Capacity eviction, oldest close first. A held cell's fence is
         // skipped (its value is mid-application); the overshoot is
-        // bounded by the worker count.
+        // bounded by the visits held in slices.
         while self.fences.len() > capacity {
             let victim = self
                 .fences
@@ -231,6 +354,15 @@ impl Scheduler {
             }
         }
     }
+}
+
+/// What the engine thread waits for while parked on `quiet`.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Every pushed event applied and deposited (a barrier).
+    Quiesced,
+    /// Fewer queued events than this bound (backpressure).
+    Below(usize),
 }
 
 /// One worker's private accumulator: everything its slices produce.
@@ -275,6 +407,14 @@ struct ParallelMetrics {
     events_fenced: Arc<sitm_obs::Counter>,
     visits_routed: Arc<sitm_obs::Counter>,
     visits_stolen: Arc<sitm_obs::Counter>,
+    /// Scheduler round trips of workers, each taking at least one visit.
+    slices: Arc<sitm_obs::Counter>,
+    /// Times the engine thread parked on `quiet` (barrier or
+    /// backpressure).
+    parks: Arc<sitm_obs::Counter>,
+    /// `quiet` notifications workers sent, each to a parked engine
+    /// thread whose condition held.
+    wakeups: Arc<sitm_obs::Counter>,
     /// Live-snapshot cuts that missed the epoch cache.
     snapshot_cuts: Arc<sitm_obs::Counter>,
     /// Open visits those cuts re-derived (prefix re-cloned, postings
@@ -293,6 +433,9 @@ impl ParallelMetrics {
             events_fenced: registry.counter("engine.events_fenced"),
             visits_routed: registry.counter("engine.visits_routed"),
             visits_stolen: registry.counter("engine.visits_stolen"),
+            slices: registry.counter("engine.slices"),
+            parks: registry.counter("engine.parks"),
+            wakeups: registry.counter("engine.wakeups"),
             snapshot_cuts: registry.counter("engine.snapshot_cuts"),
             snapshot_visits_recloned: registry.counter("engine.snapshot_visits_recloned"),
             pending_episodes: registry.gauge("engine.pending_episodes"),
@@ -321,12 +464,25 @@ struct Shared {
 impl Shared {
     /// Waits until every pushed event is applied and deposited.
     fn quiesce(&self) -> MutexGuard<'_, Scheduler> {
-        let mut guard = lock(&self.state);
+        self.park_until(lock(&self.state), Wait::Quiesced)
+    }
+
+    /// Parks the engine thread on `quiet` until `wait` holds, recording
+    /// it in the scheduler so that only a worker that makes it hold
+    /// sends a wakeup.
+    fn park_until<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Scheduler>,
+        wait: Wait,
+    ) -> MutexGuard<'a, Scheduler> {
         loop {
             guard.panic_if_worker_died();
-            if guard.quiesced() {
+            if guard.holds(wait) {
+                guard.waiter = None;
                 return guard;
             }
+            guard.waiter = Some(wait);
+            self.metrics.parks.inc();
             guard = self
                 .quiet
                 .wait(guard)
@@ -364,21 +520,37 @@ struct Resident {
     closed_at: Option<Timestamp>,
 }
 
-/// Everything one application slice produced.
+/// A visit a worker holds for one slice.
+struct HeldVisit {
+    key: u64,
+    /// How many of the slice's events are this visit's (they follow the
+    /// slice's earlier visits' events).
+    events: usize,
+    resident: Resident,
+}
+
+/// Everything one application slice produced. A worker keeps one and
+/// reuses its buffers from slice to slice.
 #[derive(Default)]
 struct SliceOutput {
     stats: ShardStats,
     watermark: Option<Timestamp>,
     pending: Vec<EmittedEpisode>,
     finished: Vec<(u64, SemanticTrajectory)>,
-    /// The slice opened the visit, accepted an interval into it, or
-    /// closed it: what a live snapshot shows of it may have changed.
+    /// The events applied since the last [`SliceOutput::end_visit`]
+    /// opened their visit, accepted an interval into it, or closed it:
+    /// what a live snapshot shows of it may have changed.
     touched: bool,
+    /// The slice's visits whose events touched them.
+    touched_keys: Vec<u64>,
 }
 
 impl SliceOutput {
-    fn new() -> SliceOutput {
-        SliceOutput::default()
+    /// Ends the run of `key`'s events, listing it if they touched it.
+    fn end_visit(&mut self, key: u64) {
+        if std::mem::take(&mut self.touched) {
+            self.touched_keys.push(key);
+        }
     }
 }
 
@@ -510,95 +682,96 @@ fn collect_episodes(
     }
 }
 
-/// Folds a slice's output into a deposit.
-fn absorb_into_deposit(deposit: &mut Deposit, key: u64, out: SliceOutput) {
-    if out.touched {
+/// Folds a slice's output into a deposit, leaving the output empty
+/// with its buffers kept.
+fn absorb_into_deposit(deposit: &mut Deposit, out: &mut SliceOutput) {
+    for key in out.touched_keys.drain(..) {
         deposit.touch(key);
     }
-    deposit.stats.absorb(&out.stats);
-    deposit.pending.extend(out.pending);
-    deposit.finished.extend(out.finished);
-    deposit.watermark = deposit.watermark.max(out.watermark);
+    deposit.stats.absorb(&std::mem::take(&mut out.stats));
+    deposit.pending.append(&mut out.pending);
+    deposit.finished.append(&mut out.finished);
+    deposit.watermark = deposit.watermark.max(out.watermark.take());
 }
 
-/// The worker body: take a ready visit (own deque first, then steal a
-/// cold one), apply its queued events outside every lock, publish the
-/// results into this worker's own deposit, then re-enter the scheduler
-/// only for cell bookkeeping.
+/// The worker body: take a slice of ready visits (own deque first,
+/// else steal cold ones), apply their queued events outside every
+/// lock, publish the results into this worker's own deposit, then
+/// re-enter the scheduler only for cell bookkeeping — and wake the
+/// engine thread only if it waits for what this slice made hold.
 fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
     let ctx = config.ctx();
+    let capacity = config.fence_capacity.max(1);
     let mut scratch: Vec<(usize, Episode)> = Vec::new();
+    let mut slice: Vec<HeldVisit> = Vec::new();
+    let mut events: Vec<StreamEvent> = Vec::new();
+    let mut out = SliceOutput::default();
     let mut guard = lock(&shared.state);
     loop {
-        if let Some((key, source)) = guard.next_for(worker) {
-            shared.metrics.queue_depth[source].set(guard.deques[source].len() as i64);
-            if source != worker {
-                shared.metrics.visits_stolen.inc();
+        let Some(source) = guard.take_slice(worker, &mut slice, &mut events) else {
+            if guard.shutdown {
+                break;
             }
-            let events = {
-                let cell = guard.visits.get_mut(&key).expect("queued visit has a cell");
-                cell.queued = false;
-                cell.held = true;
-                cell.home = worker;
-                std::mem::take(&mut cell.queue)
-            };
-            let mut resident = {
-                let cell = guard.visits.get_mut(&key).expect("cell");
-                Resident {
-                    state: cell.state.take(),
-                    closed_at: cell.closed_at,
-                }
-            };
-            guard.queued_events -= events.len();
-            guard.held_visits += 1;
-            drop(guard);
-
-            let mut out = SliceOutput::new();
-            for event in events {
-                apply_visit_event(key, event, &mut resident, &ctx, &mut scratch, &mut out);
-            }
-            // Per-slice fence-rejection delta (slice outputs are fresh,
-            // so this can never double-count restored history).
-            if out.stats.anomalies.after_close > 0 {
-                shared
-                    .metrics
-                    .events_fenced
-                    .add(out.stats.anomalies.after_close);
-            }
-
-            // Publish while the visit is still held (it cannot be
-            // re-acquired until `held` clears below), off the scheduler
-            // lock.
-            absorb_into_deposit(&mut lock(&shared.deposits[worker]), key, out);
-
-            guard = lock(&shared.state);
-            let (requeue, was_fence) = {
-                let cell = guard.visits.get_mut(&key).expect("held cell persists");
-                let was_fence = cell.closed_at;
-                cell.state = resident.state;
-                cell.closed_at = resident.closed_at;
-                cell.held = false;
-                // Events that arrived while we held the visit: it is
-                // cold again — back onto our own deque.
-                let requeue = !cell.queue.is_empty() && {
-                    cell.queued = true;
-                    true
-                };
-                (requeue, was_fence)
-            };
-            if requeue {
-                guard.deques[worker].push_back(key);
-            }
-            guard.held_visits -= 1;
-            guard.settle_cell(key, was_fence, config.fence_capacity.max(1));
-            shared.quiet.notify_all();
-        } else if guard.shutdown {
-            break;
-        } else {
+            guard.idle_workers += 1;
             guard = shared
                 .work
                 .wait(guard)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
+            guard.idle_workers -= 1;
+            if guard.waiter.is_none() {
+                // Woken by a router that may be mid-call: on a CPU the
+                // two share, a thread that just slept preempts it, and
+                // the router's caller would wait out this worker's
+                // slices. Yield once so the router finishes first; on a
+                // CPU of its own the worker gets it straight back. (An
+                // engine thread parked on `quiet` is done routing.)
+                drop(guard);
+                std::thread::yield_now();
+                guard = lock(&shared.state);
+            }
+            continue;
+        };
+        shared.metrics.queue_depth[source].set(guard.deques[source].len() as i64);
+        drop(guard);
+        shared.metrics.slices.inc();
+        if source != worker {
+            shared.metrics.visits_stolen.add(slice.len() as u64);
+        }
+
+        let mut queued = events.drain(..);
+        for held in &mut slice {
+            for event in queued.by_ref().take(held.events) {
+                apply_visit_event(
+                    held.key,
+                    event,
+                    &mut held.resident,
+                    &ctx,
+                    &mut scratch,
+                    &mut out,
+                );
+            }
+            out.end_visit(held.key);
+        }
+        drop(queued);
+        // Per-slice fence-rejection delta (absorbing empties the
+        // output, so this can never double-count restored history).
+        if out.stats.anomalies.after_close > 0 {
+            shared
+                .metrics
+                .events_fenced
+                .add(out.stats.anomalies.after_close);
+        }
+
+        // Publish while the visits are still held (none can be
+        // re-acquired until `held` clears below), off the scheduler
+        // lock.
+        absorb_into_deposit(&mut lock(&shared.deposits[worker]), &mut out);
+
+        guard = lock(&shared.state);
+        guard.return_slice(worker, &mut slice, capacity);
+        if guard.wake_waiter() {
+            shared.metrics.wakeups.inc();
+            shared.quiet.notify_one();
         }
     }
 }
@@ -821,8 +994,9 @@ impl ParallelEngine {
     }
 
     /// Pushes the router buffer into the scheduler, blocking while the
-    /// queued-event bound (`channel_depth × batch_capacity × workers`)
-    /// is exceeded (backpressure).
+    /// queued events reach the bound (`channel_depth × batch_capacity ×
+    /// workers`, backpressure), then pushing the whole buffer; wakes
+    /// the workers only if one is parked.
     fn dispatch(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -835,16 +1009,9 @@ impl ParallelEngine {
             .max(1)
             .saturating_mul(self.config.batch_capacity.max(1))
             .saturating_mul(workers.max(1));
-        let mut guard = lock(&self.shared.state);
-        while guard.queued_events >= bound {
-            guard.panic_if_worker_died();
-            guard = self
-                .shared
-                .quiet
-                .wait(guard)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        guard.panic_if_worker_died();
+        let mut guard = self
+            .shared
+            .park_until(lock(&self.shared.state), Wait::Below(bound));
         let batch = events.len() as u64;
         let mut routed = 0u64;
         for event in events {
@@ -869,8 +1036,11 @@ impl ParallelEngine {
         for (gauge, deque) in metrics.queue_depth.iter().zip(&guard.deques) {
             gauge.set(deque.len() as i64);
         }
+        let idle = guard.idle_workers > 0;
         drop(guard);
-        self.shared.work.notify_all();
+        if idle {
+            self.shared.work.notify_all();
+        }
     }
 
     /// Applies every buffered event now (a full barrier).
@@ -975,6 +1145,7 @@ impl ParallelEngine {
         // watermark, which they cannot raise, so it stays valid for
         // the whole loop.
         let at = self.high_water().unwrap_or(Timestamp(0));
+        let mut out = SliceOutput::default();
         for key in keys {
             let mut resident = {
                 let cell = guard.visits.get_mut(&key).expect("open visit");
@@ -983,7 +1154,6 @@ impl ParallelEngine {
                     closed_at: cell.closed_at,
                 }
             };
-            let mut out = SliceOutput::new();
             apply_visit_event(
                 key,
                 StreamEvent::VisitClosed {
@@ -1008,10 +1178,11 @@ impl ParallelEngine {
                     .events_fenced
                     .add(out.stats.anomalies.after_close);
             }
+            out.end_visit(key);
             // Engine-thread deposit into deposit 0 — safe while holding
             // the scheduler because workers never block on the
             // scheduler holding a deposit.
-            absorb_into_deposit(&mut lock(&self.shared.deposits[0]), key, out);
+            absorb_into_deposit(&mut lock(&self.shared.deposits[0]), &mut out);
             guard.settle_cell(key, was_fence, self.config.fence_capacity.max(1));
         }
         let mut out = Vec::new();
