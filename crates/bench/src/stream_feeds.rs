@@ -1,5 +1,5 @@
-//! Workload builders for the streaming benchmark,
-//! `benches/bench_stream.rs`: a calibrated Louvre day as one feed, a
+//! Workload builders for the streaming-engine timings of the
+//! `bench_stream` binary: a calibrated Louvre day as one feed, a
 //! Zipf-skewed feed, and the engine configuration both run under.
 
 use sitm_core::{
@@ -55,8 +55,7 @@ pub fn stream_config(model: &LouvreModel, shards: usize) -> EngineConfig {
 }
 
 /// A Zipf-skewed synthetic feed: visit v's event budget is proportional
-/// to `1 / (v + 1)^s`, so visit 0 dominates (the tour-group device that
-/// used to saturate one worker under the static hash router) while
+/// to `1 / (v + 1)^s`, so visit 0 dominates (a tour-group device) while
 /// hundreds of cold visits trickle. Cells are skewed too.
 /// Deterministic — no RNG needed.
 pub fn skewed_feed(visits: usize, total_events: usize, s: f64) -> Vec<StreamEvent> {

@@ -65,8 +65,8 @@
 //! The naive scan survives only as the test oracle — a
 //! `#[doc(hidden)]` method on [`Query`] that concatenates every row,
 //! filters, stable-sorts, skips and takes, sharing nothing with the
-//! core — which every differential test (and the `*_scan` bench
-//! groups) compares against.
+//! core — which every differential test (and `bench_stream`'s
+//! `scan_count`) compares against.
 
 pub mod aggregate;
 pub mod federation;

@@ -101,22 +101,16 @@ pub fn infer_missing_cells(
                     Some(cells) => {
                         let gap_start = prev.end();
                         let gap_end = p.start().max(gap_start);
-                        let k = cells.len() as i64;
-                        let total = (gap_end - gap_start).as_seconds();
-                        let mut cursor = gap_start;
                         let mut entered_from = prev.cell;
-                        for (j, cell) in cells.iter().enumerate() {
-                            let share_end = if j as i64 == k - 1 {
-                                gap_end
-                            } else {
-                                gap_start + Duration::seconds(total * (j as i64 + 1) / k)
-                            };
+                        for (cell, time) in
+                            cells.iter().zip(split_gap(gap_start, gap_end, cells.len()))
+                        {
                             let mut annotations = extra_annotations(*cell);
                             annotations.insert(inference_marker());
                             out.push(PresenceInterval {
                                 transition: resolve_transition(space, entered_from, *cell),
                                 cell: *cell,
-                                time: TimeInterval::new(cursor, share_end),
+                                time,
                                 annotations,
                                 transition_annotations: AnnotationSet::new(),
                             });
@@ -124,7 +118,6 @@ pub fn infer_missing_cells(
                                 index: out.len() - 1,
                                 cell: *cell,
                             });
-                            cursor = share_end;
                             entered_from = *cell;
                         }
                     }
@@ -175,9 +168,10 @@ pub fn count_inferred(trace: &Trace) -> usize {
         .count()
 }
 
-/// Splits a timestamp range like the inference does — exposed for tests and
-/// for the bench harness's timing assertions.
-pub fn split_gap(start: Timestamp, end: Timestamp, parts: usize) -> Vec<TimeInterval> {
+/// Splits `[start, end]` into `parts` contiguous intervals, the `j`-th
+/// ending at `start + ⌊total · (j + 1) / parts⌋` seconds and the last
+/// exactly at `end`, so the shares tile the range with no gap or overlap.
+fn split_gap(start: Timestamp, end: Timestamp, parts: usize) -> Vec<TimeInterval> {
     assert!(parts > 0);
     let total = (end - start).as_seconds();
     let mut out = Vec::with_capacity(parts);

@@ -126,8 +126,9 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// A config with the given predicates and defaults for the rest
     /// (2 worker threads, 128-event batches, no filtering). Two, because
-    /// `bench_stream`'s `parallel_ingest` (a 500-visit Louvre feed on
-    /// two CPUs) reads no faster at 4 or 8 workers than at 2.
+    /// `parallel_ingest` of `cargo run --release -p sitm-bench --bin
+    /// bench_stream` (a 500-visit Louvre feed on two CPUs) reads no
+    /// faster at 4 or 8 workers than at 2.
     pub fn new(predicates: Vec<(IntervalPredicate, AnnotationSet)>) -> Self {
         EngineConfig {
             predicates,

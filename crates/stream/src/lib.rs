@@ -60,8 +60,8 @@
 //! serializes only itself while every cold visit drains through the
 //! idle workers. Backpressure bounds queued events at
 //! `channel_depth × batch_capacity × workers`, overshot by at most one
-//! router batch (`bench_stream`'s `skewed_ingest` group measures the
-//! skewed case).
+//! router batch (`cargo run --release -p sitm-bench --bin bench_stream`
+//! times the skewed case as `skewed_ingest`).
 //!
 //! Correctness does not depend on the worker count: a visit's events
 //! are applied in arrival order by at most one worker at a time
