@@ -15,11 +15,10 @@
 //!   counting a cell-and-dwell predicate over it, then finding one
 //!   visitor among a whole day of open visits through the live index
 //!   (`indexed_count`) and by the query oracle's scan (`scan_count`).
-//! * `checkpoint/{1,8}` and `restore/{1,8}` — writing a half-ingested
-//!   day's checkpoint to a fresh log, and resuming an engine from it.
+//! * `checkpoint/{1,8}` and `restore/{1,8}` — taking a half-ingested
+//!   day's checkpoint bytes, and restoring an engine from them.
 
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,10 +26,7 @@ use sitm_bench::stream_feeds::{louvre_feed, skewed_feed, stream_config};
 use sitm_core::Duration;
 use sitm_louvre::{build_louvre, zone_key, LouvreModel};
 use sitm_query::{Predicate, Query};
-use sitm_store::{CheckpointFrame, LogStore};
-use sitm_stream::{
-    resume_from_log, EmittedEpisode, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,
-};
+use sitm_stream::{EmittedEpisode, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent};
 
 fn main() {
     let model = build_louvre();
@@ -52,8 +48,7 @@ fn main() {
     }
 
     let half_day = &day[..day.len() / 2];
-    let mut engine =
-        ParallelEngine::new(stream_config(&model, 4).with_live_queries()).expect("engine");
+    let mut engine = ParallelEngine::new(stream_config(&model, 4)).expect("engine");
     engine.ingest_all(half_day.iter().cloned());
     time("live_query/snapshot", None, || {
         engine.live_snapshot().visits.len()
@@ -77,18 +72,16 @@ fn main() {
         black_box(&scan).oracle(&[&*open], false).len()
     });
 
-    let path = std::env::temp_dir().join(format!("sitm-bench-ckpt-{}.log", std::process::id()));
     for workers in [1, 8] {
         let mut engine = loaded(&model, half_day, workers);
         time(&format!("checkpoint/{workers}"), None, || {
-            checkpoint(&mut engine, &path)
+            engine.checkpoint()
         });
-        checkpoint(&mut engine, &path);
+        let checkpoint = engine.checkpoint();
         time(&format!("restore/{workers}"), None, || {
-            restore(&model, workers, &path).stats().open_visits
+            restore(&model, workers, &checkpoint).stats().open_visits
         });
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Times `body`: doubles the number of calls per sample until a sample
@@ -130,8 +123,7 @@ fn ingest(config: EngineConfig, events: &[StreamEvent]) -> Vec<EmittedEpisode> {
 /// stays open, and a `MovingObject` predicate for the visitor in the
 /// middle of it.
 fn open_day(model: &LouvreModel, events: &[StreamEvent]) -> (Arc<LiveSnapshot>, Predicate) {
-    let mut engine =
-        ParallelEngine::new(stream_config(model, 4).with_live_queries()).expect("engine");
+    let mut engine = ParallelEngine::new(stream_config(model, 4)).expect("engine");
     engine.ingest_all(
         events
             .iter()
@@ -154,18 +146,9 @@ fn loaded(model: &LouvreModel, events: &[StreamEvent], workers: usize) -> Parall
     engine
 }
 
-/// Writes `engine`'s checkpoint to a fresh log at `path`.
-fn checkpoint(engine: &mut ParallelEngine, path: &Path) -> u64 {
-    let _ = std::fs::remove_file(path);
-    let (mut log, _, _) = LogStore::<CheckpointFrame>::open(path).expect("log");
-    engine.checkpoint(&mut log).expect("checkpoint")
-}
-
-/// An engine of `workers` workers resumed from the log at `path`.
-fn restore(model: &LouvreModel, workers: usize, path: &Path) -> ParallelEngine {
-    resume_from_log(stream_config(model, workers), path)
-        .expect("restore")
-        .0
+/// An engine of `workers` workers restored from `checkpoint`.
+fn restore(model: &LouvreModel, workers: usize, checkpoint: &[u8]) -> ParallelEngine {
+    ParallelEngine::restore(stream_config(model, workers), checkpoint).expect("restore")
 }
 
 #[cfg(test)]
@@ -203,18 +186,15 @@ mod tests {
     #[test]
     fn restore_reopens_the_checkpointed_visits() {
         let (model, day) = toy_day();
-        let path =
-            std::env::temp_dir().join(format!("sitm-bench-test-ckpt-{}.log", std::process::id()));
         for workers in [1, 8] {
             let mut engine = loaded(&model, &day, workers);
-            checkpoint(&mut engine, &path);
+            let checkpoint = engine.checkpoint();
             let open_visits = engine.stats().open_visits;
             assert!(open_visits > 0);
             assert_eq!(
-                restore(&model, workers, &path).stats().open_visits,
+                restore(&model, workers, &checkpoint).stats().open_visits,
                 open_visits
             );
         }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -112,8 +112,8 @@ pub struct ServerConfig {
     /// test/bench default).
     pub bind: SocketAddr,
     /// Engine configuration for the shared [`ParallelEngine`]. The
-    /// server forces `with_warehouse()` on it (live queries + finished
-    /// retention) — the full pipeline is the point of serving.
+    /// server forces `with_warehouse()` on it (closed visits wait for
+    /// the flusher) — the full pipeline is the point of serving.
     pub engine: EngineConfig,
     /// Directory of the warehouse tier ([`SegmentedDb`]).
     pub warehouse_dir: PathBuf,

@@ -13,15 +13,13 @@
 //!   semantic trajectories and episodes, with delta-encoded timestamps
 //!   and fully validated decoding, over the varint / string / count /
 //!   span primitives of [`sitm_codec`];
-//! * [`checkpoint`] — [`CheckpointFrame`]: the one-frame snapshot record
-//!   streaming engines persist;
 //! * [`segment`] — the CRC frame (one writer, one validator) every
 //!   durable artifact is made of, and the log scanner whose `valid_len`
 //!   is the torn-write truncation point;
 //! * [`log`] — [`LogStore`]: the one snapshot log. Its only write,
 //!   [`LogStore::commit`], atomically rewrites the file to the previous
-//!   record and the new one, so a log holds at most two; both the
-//!   manifest and the engine checkpoint commit through it;
+//!   record and the new one, so a log holds at most two; the warehouse
+//!   manifest commits through it;
 //! * [`warehouse`] — the warehouse tier: immutable sorted segment files
 //!   of encoded trajectories with per-segment [`ZoneMap`]s, made visible
 //!   through a manifest [`LogStore`] ([`SegmentStore`]), with
@@ -33,7 +31,6 @@
 //! written, and a record never comes back altered.
 
 pub mod bloom;
-pub mod checkpoint;
 pub mod codec;
 pub mod crc;
 pub mod log;
@@ -41,7 +38,6 @@ pub mod segment;
 pub mod warehouse;
 
 pub use bloom::{fnv1a, Bloom};
-pub use checkpoint::CheckpointFrame;
 pub use codec::{decode_trajectory, encode_trajectory, CodecError};
 pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};

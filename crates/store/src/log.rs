@@ -1,8 +1,7 @@
 //! The durable snapshot log.
 //!
 //! [`LogStore<R>`] persists any [`Record`] type — the warehouse's
-//! [`ManifestRecord`](crate::ManifestRecord)s, the engines'
-//! [`CheckpointFrame`](crate::CheckpointFrame)s — to a single segment
+//! [`ManifestRecord`](crate::ManifestRecord)s — to a single segment
 //! file. Each record is a whole snapshot and only the newest one is
 //! ever read back, so the log keeps two:
 //!
@@ -270,7 +269,6 @@ impl<R: Record> LogStore<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CheckpointFrame;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -295,25 +293,32 @@ mod tests {
         }
     }
 
-    /// A one-frame checkpoint whose payload is `tag`.
-    fn frame(tag: &str, sequence: u64) -> CheckpointFrame {
-        CheckpointFrame {
-            sequence,
-            payload: tag.as_bytes().to_vec(),
+    /// A record that is one string.
+    #[derive(Debug)]
+    struct Tag(String);
+
+    impl Record for Tag {
+        fn encode_record(&self, buf: &mut Vec<u8>) {
+            sitm_codec::put_str(buf, &self.0);
+        }
+
+        fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
+            Ok(Tag(sitm_codec::take_str(buf)?.to_owned()))
         }
     }
 
-    fn tags(records: &[CheckpointFrame]) -> Vec<&str> {
-        records
-            .iter()
-            .map(|r| std::str::from_utf8(&r.payload).expect("utf-8 tag"))
-            .collect()
+    fn frame(tag: &str) -> Tag {
+        Tag(tag.to_owned())
+    }
+
+    fn tags(records: &[Tag]) -> Vec<&str> {
+        records.iter().map(|r| r.0.as_str()).collect()
     }
 
     /// Appends one framed record to the end of the log's file and
     /// fsyncs it — a log no commit wrote, as a torn or tampered file
     /// presents itself. Returns the frame's byte offset.
-    fn append(log: &mut LogStore<CheckpointFrame>, record: &CheckpointFrame) -> u64 {
+    fn append(log: &mut LogStore<Tag>, record: &Tag) -> u64 {
         let mut payload = Vec::new();
         record.encode_record(&mut payload);
         let mut frame = Vec::new();
@@ -331,14 +336,14 @@ mod tests {
     fn create_append_reopen() {
         let tmp = TempPath::new("basic");
         {
-            let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+            let (mut log, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
             assert!(records.is_empty());
             assert!(report.is_clean());
-            append(&mut log, &frame("a", 0));
-            append(&mut log, &frame("b", 100));
+            append(&mut log, &frame("a"));
+            append(&mut log, &frame("b"));
             assert_eq!(log.len(), 2);
         }
-        let (log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (log, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(tags(&records), vec!["a", "b"]);
         assert_eq!(log.len(), 2);
@@ -349,15 +354,15 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let tmp = TempPath::new("torn");
         {
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            append(&mut log, &frame("keep", 0));
-            append(&mut log, &frame("lost", 100));
+            let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
+            append(&mut log, &frame("keep"));
+            append(&mut log, &frame("lost"));
         }
         // Tear the last frame.
         let data = std::fs::read(&tmp.0).unwrap();
         std::fs::write(&tmp.0, &data[..data.len() - 3]).unwrap();
 
-        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (mut log, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert_eq!(tags(&records), vec!["keep"]);
         assert!(report.truncated_bytes > 0);
         assert!(matches!(report.corruption, Some(Corruption::Torn { .. })));
@@ -368,9 +373,9 @@ mod tests {
         );
         // The repaired log takes a commit, which keeps the last
         // recovered record, and reopens cleanly.
-        log.commit(&frame("after-crash", 200)).unwrap();
+        log.commit(&frame("after-crash")).unwrap();
         drop(log);
-        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(tags(&records), vec!["keep", "after-crash"]);
     }
@@ -379,15 +384,15 @@ mod tests {
     fn flipped_payload_byte_is_dropped() {
         let tmp = TempPath::new("flip");
         {
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            append(&mut log, &frame("keep", 0));
-            append(&mut log, &frame("corrupt", 100));
+            let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
+            append(&mut log, &frame("keep"));
+            append(&mut log, &frame("corrupt"));
         }
         let mut data = std::fs::read(&tmp.0).unwrap();
         let n = data.len();
         data[n - 4] ^= 0xFF; // inside the last payload
         std::fs::write(&tmp.0, &data).unwrap();
-        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert_eq!(records.len(), 1);
         assert!(matches!(
             report.corruption,
@@ -399,7 +404,7 @@ mod tests {
     fn non_segment_file_is_refused() {
         let tmp = TempPath::new("junk");
         std::fs::write(&tmp.0, b"definitely not a segment").unwrap();
-        match LogStore::<CheckpointFrame>::open(&tmp.0) {
+        match LogStore::<Tag>::open(&tmp.0) {
             Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
             other => panic!("expected InvalidData, got {other:?}"),
         }
@@ -408,25 +413,25 @@ mod tests {
     #[test]
     fn compact_rewrites_atomically() {
         let tmp = TempPath::new("compact");
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
         for i in 0..10 {
-            append(&mut log, &frame(&format!("t{i}"), i * 100));
+            append(&mut log, &frame(&format!("t{i}")));
         }
         let before = log.size_bytes();
         // Keep only two records.
-        let encode = |r: &CheckpointFrame| {
+        let encode = |r: &Tag| {
             let mut buf = Vec::new();
             r.encode_record(&mut buf);
             buf
         };
-        let (x, y) = (encode(&frame("x", 0)), encode(&frame("y", 100)));
+        let (x, y) = (encode(&frame("x")), encode(&frame("y")));
         log.compact(&[&x, &y]).unwrap();
         assert_eq!(log.len(), 2);
         assert!(log.size_bytes() < before);
         assert_eq!(std::fs::metadata(&tmp.0).unwrap().len(), log.size_bytes());
         assert!(!tmp.0.with_extension("tmp").exists(), "renamed away");
         drop(log);
-        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(tags(&records), vec!["x", "y"]);
     }
@@ -435,22 +440,22 @@ mod tests {
     fn commit_keeps_the_previous_and_the_newest_record() {
         let tmp = TempPath::new("commit");
         {
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            log.commit(&frame("a", 1)).unwrap();
+            let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
+            log.commit(&frame("a")).unwrap();
             assert_eq!(log.len(), 1);
-            for (tag, sequence) in [("b", 2), ("c", 3)] {
-                log.commit(&frame(tag, sequence)).unwrap();
+            for tag in ["b", "c"] {
+                log.commit(&frame(tag)).unwrap();
                 assert_eq!(log.len(), 2);
                 assert_eq!(std::fs::metadata(&tmp.0).unwrap().len(), log.size_bytes());
             }
         }
         // A reopen seeds the previous record from the last one recovered.
-        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (mut log, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(tags(&records), vec!["b", "c"]);
-        log.commit(&frame("d", 4)).unwrap();
+        log.commit(&frame("d")).unwrap();
         drop(log);
-        let (_, records, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (_, records, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert_eq!(tags(&records), vec!["c", "d"]);
     }
 
@@ -458,19 +463,19 @@ mod tests {
     fn an_undecodable_last_frame_is_not_kept() {
         let tmp = TempPath::new("undecodable");
         {
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-            log.commit(&frame("good", 1)).unwrap();
+            let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
+            log.commit(&frame("good")).unwrap();
         }
         // A frame whose CRC holds but whose record does not decode.
         let mut data = std::fs::read(&tmp.0).unwrap();
         segment::write_frame(&mut data, &[0xFF]);
         std::fs::write(&tmp.0, &data).unwrap();
-        let (mut log, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (mut log, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert_eq!(tags(&records), vec!["good"]);
         assert_eq!(report.undecodable_frames, 1);
-        log.commit(&frame("next", 2)).unwrap();
+        log.commit(&frame("next")).unwrap();
         drop(log);
-        let (_, records, report) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
+        let (_, records, report) = LogStore::<Tag>::open(&tmp.0).unwrap();
         assert!(report.is_clean());
         assert_eq!(tags(&records), vec!["good", "next"]);
     }
@@ -478,9 +483,9 @@ mod tests {
     #[test]
     fn append_offsets_are_monotonic() {
         let tmp = TempPath::new("offsets");
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-        let a = append(&mut log, &frame("a", 0));
-        let b = append(&mut log, &frame("b", 10));
+        let (mut log, _, _) = LogStore::<Tag>::open(&tmp.0).unwrap();
+        let a = append(&mut log, &frame("a"));
+        let b = append(&mut log, &frame("b"));
         assert_eq!(a, segment::MAGIC.len() as u64);
         assert!(b > a);
         assert_eq!(log.path(), tmp.0.as_path());

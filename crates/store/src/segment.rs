@@ -6,10 +6,10 @@
 //! frame   := marker 0x5A | payload_len u32 LE | crc32(payload) u32 LE | payload
 //! ```
 //!
-//! Record logs ([`crate::log`]: checkpoints, the warehouse manifest, the
-//! object index) open with the magic `SITMSEG1` ([`MAGIC`]); warehouse
-//! segment files open with `SITMSEG3` and a fixed run of header frames,
-//! a layout only `warehouse::format` knows. The frame itself has one
+//! Record logs ([`crate::log`]: the warehouse manifest) open with the
+//! magic `SITMSEG1` ([`MAGIC`]); warehouse segment files open with
+//! `SITMSEG3` and a fixed run of header frames, a layout only
+//! `warehouse::format` knows. The frame itself has one
 //! writer, [`frame_header`], and one validator, [`read_frame`]: every
 //! reader in the crate — the log scanner here, the segment files'
 //! headers-only open, single-row read and whole-run decode — calls it,

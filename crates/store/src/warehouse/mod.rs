@@ -120,8 +120,7 @@
 //! segments' zone-map [`ObjectSet`]s — flat sorted name tables, already
 //! resident — at open and after every commit, into one more such table
 //! plus compressed sparse rows of segment ids. No commit writes them,
-//! so none can fail on them; a file an older build persisted them in is
-//! removed at open.
+//! so none can fail on them.
 //!
 //! ## The manifest log
 //!
@@ -129,11 +128,10 @@
 //! [`LogStore`] of [`ManifestRecord`]s. Each record is a *complete*
 //! snapshot of the live segment set, so the newest intact record *is*
 //! the newest complete manifest. Every commit goes through
-//! [`LogStore::commit`], the one write the engine checkpoint log uses
-//! too: the log is atomically rewritten to the previous record and the
-//! new one, so it never holds more than two, and a newest record damaged
-//! later falls back to the previous one. A segment file written but
-//! never referenced (crash between file write and manifest commit) is
+//! [`LogStore::commit`], the log's one write: it atomically rewrites
+//! the log to the previous record and the new one, so it never holds
+//! more than two, and a newest record damaged later falls back to the
+//! previous one. A segment file written but never referenced (crash between file write and manifest commit) is
 //! garbage-collected at the next open.
 //!
 //! ## Crash-safety protocol
@@ -207,10 +205,6 @@ pub use row_cache::DEFAULT_ROW_CACHE_BYTES;
 use format::LazyIoMetrics;
 use objects::ObjectIndex;
 use row_cache::RowCache;
-
-/// Files older builds kept beside the manifest: the persisted object
-/// index, which is now derived at open. Removed when found.
-const STALE_FILES: [&str; 2] = ["objindex.log", "objindex.tmp"];
 
 /// Warehouse-tier failures.
 #[derive(Debug)]
@@ -442,10 +436,6 @@ impl SegmentStore {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if STALE_FILES.contains(&name) {
-                let _ = std::fs::remove_file(entry.path());
-                continue;
-            }
             let Some(id) = parse_segment_file_name(name) else {
                 continue;
             };

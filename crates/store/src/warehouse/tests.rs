@@ -427,46 +427,6 @@ fn object_index_equals_the_live_rows_through_appends_merges_and_recovery() {
 }
 
 #[test]
-fn a_stale_object_index_file_is_removed_and_never_read() {
-    let tmp = TempDir::new("stale-objindex");
-    {
-        let (mut store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
-        store
-            .append_segment(vec![traj("a", 1, 0), traj("b", 2, 100)])
-            .unwrap();
-        store
-            .append_segment(vec![traj("b", 1, 200), traj("c", 3, 300)])
-            .unwrap();
-    }
-    let answers =
-        |store: &SegmentStore| ["a", "b", "c", "nobody"].map(|o| store.object_segments(o).to_vec());
-    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
-    let (want, sequence) = (answers(&store), store.sequence());
-    drop(store);
-    // What an older build left beside the manifest: its object index
-    // log — one snapshot record stamped with this manifest's sequence,
-    // here claiming object `a` lives in segment 1 — and a torn rewrite.
-    let mut record = Vec::new();
-    for n in [sequence, 1] {
-        sitm_codec::put_u64(&mut record, n);
-    }
-    sitm_codec::put_str(&mut record, "a");
-    for n in [1, 1] {
-        sitm_codec::put_u64(&mut record, n);
-    }
-    let mut log = Vec::new();
-    segment::write_header(&mut log);
-    segment::write_frame(&mut log, &record);
-    std::fs::write(tmp.0.join("objindex.log"), &log).unwrap();
-    std::fs::write(tmp.0.join("objindex.tmp"), &log[..log.len() - 1]).unwrap();
-    let (store, _) = SegmentStore::open(&tmp.0, WarehouseConfig::default()).unwrap();
-    assert_eq!(answers(&store), want);
-    assert_eq!(want[0], [0], "the stale record was not read");
-    assert!(!tmp.0.join("objindex.log").exists());
-    assert!(!tmp.0.join("objindex.tmp").exists());
-}
-
-#[test]
 fn sort_columns_round_trip_and_validate() {
     let trajs = vec![
         traj("carol", 3, 50),

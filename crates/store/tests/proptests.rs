@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use sitm_codec::{put_str, put_u64};
+use sitm_codec::{put_bytes, put_str, put_u64, take_bytes, take_u64};
 
 use sitm_core::{
     Annotation, AnnotationKind, AnnotationSet, PresenceInterval, SemanticTrajectory, Timestamp,
@@ -26,7 +26,7 @@ use sitm_core::{
 use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 use sitm_store::codec::{decode_trajectory, encode_trajectory, CodecError};
 use sitm_store::segment::{scan, write_frame, write_header, FRAME_OVERHEAD, MAGIC};
-use sitm_store::{CheckpointFrame, LogStore, ObjectSet, Record};
+use sitm_store::{LogStore, ObjectSet, Record};
 
 /// A unique throwaway log path, removed on drop.
 struct TempLog(std::path::PathBuf);
@@ -115,9 +115,29 @@ fn trajectory_strategy() -> impl Strategy<Value = SemanticTrajectory> {
         })
 }
 
-fn frame_strategy() -> impl Strategy<Value = CheckpointFrame> {
+/// A log record: a number and an opaque payload.
+#[derive(Debug, Clone, PartialEq)]
+struct Frame {
+    sequence: u64,
+    payload: Vec<u8>,
+}
+
+impl Record for Frame {
+    fn encode_record(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.sequence);
+        put_bytes(buf, &self.payload);
+    }
+
+    fn decode_record(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let sequence = take_u64(buf)?;
+        let payload = take_bytes(buf)?.to_vec();
+        Ok(Frame { sequence, payload })
+    }
+}
+
+fn frame_strategy() -> impl Strategy<Value = Frame> {
     (any::<u64>(), prop::collection::vec(any::<u8>(), 0..64))
-        .prop_map(|(sequence, payload)| CheckpointFrame { sequence, payload })
+        .prop_map(|(sequence, payload)| Frame { sequence, payload })
 }
 
 /// `names` encoded as an ordered set of strings always was: the count,
@@ -310,7 +330,7 @@ proptest! {
         let tmp = TempLog::new();
         {
             let (mut log, existing, report) =
-                LogStore::<CheckpointFrame>::open(&tmp.0).expect("create");
+                LogStore::<Frame>::open(&tmp.0).expect("create");
             prop_assert!(existing.is_empty());
             prop_assert!(report.is_clean());
             for (i, frame) in frames.iter().enumerate() {
@@ -320,7 +340,7 @@ proptest! {
         }
         let newest = &frames[frames.len().saturating_sub(2)..];
         let (log, records, report) =
-            LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
+            LogStore::<Frame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
         prop_assert_eq!(&records[..], newest);
         prop_assert_eq!(log.len(), newest.len());
@@ -335,7 +355,7 @@ proptest! {
         next in frame_strategy(),
     ) {
         let tmp = TempLog::new();
-        let encode = |frame: &CheckpointFrame| {
+        let encode = |frame: &Frame| {
             let mut buf = Vec::new();
             frame.encode_record(&mut buf);
             buf
@@ -344,7 +364,7 @@ proptest! {
         std::fs::write(&tmp.0, &written).expect("write");
         {
             let (mut log, records, report) =
-                LogStore::<CheckpointFrame>::open(&tmp.0).expect("open");
+                LogStore::<Frame>::open(&tmp.0).expect("open");
             prop_assert!(report.is_clean());
             prop_assert_eq!(&records, &frames);
             log.commit(&next).expect("commit");
@@ -354,7 +374,7 @@ proptest! {
         let (rebuilt, _) = build_segment(&[encode(last), encode(&next)]);
         prop_assert_eq!(std::fs::read(&tmp.0).expect("read"), rebuilt);
         let (_, records, report) =
-            LogStore::<CheckpointFrame>::open(&tmp.0).expect("reopen");
+            LogStore::<Frame>::open(&tmp.0).expect("reopen");
         prop_assert!(report.is_clean());
         prop_assert_eq!(records, vec![last.clone(), next]);
     }

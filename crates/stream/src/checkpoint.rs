@@ -1,25 +1,25 @@
-//! Checkpoint encoding and crash recovery.
+//! Checkpoint encoding.
 //!
-//! The engine's state serializes into the opaque payload of one
-//! [`sitm_store::CheckpointFrame`] using the [`sitm_codec`] primitives
-//! and the store's annotation / presence / episode codecs, and commits
-//! through the CRC-framed [`LogStore`] for durability: each commit
-//! rewrites the log to the previous checkpoint and the new one. A torn
-//! newest frame is cut off by the store's scanner, and recovery restores
-//! the last frame recovered — the previous checkpoint. The payload is a
-//! function of the ingested feed alone — not of the worker count, the
-//! router batch, or which worker applied which visit — so a checkpoint
-//! restores into any worker count.
+//! The engine's state serializes into one byte string using the
+//! [`sitm_codec`] primitives and the store's annotation / presence /
+//! episode codecs. The bytes are a function of the ingested feed alone
+//! — not of the worker count, the router batch, or which worker applied
+//! which visit — so a checkpoint restores into any worker count. The
+//! engine hands its state out ([`ParallelEngine::checkpoint`]) and takes
+//! it back ([`ParallelEngine::restore`]); whoever commits the bytes owns
+//! their durability.
 //!
-//! Logs written by older engines split a checkpoint into one frame per
-//! hash shard, in a frame layout with two more fields. Their frames do
-//! not decode: recovery reports them as undecodable, restores nothing,
-//! and the first checkpoint replaces them.
+//! Restore reads the bytes as outside input: a truncated, flipped or
+//! crafted checkpoint is an error, never a panic, and nothing is
+//! allocated on a count the bytes left could not hold.
 //!
 //! Predicates are **not** serialized — they are code. Restore re-supplies
 //! the same [`EngineConfig`]; the payload records the predicate count so
 //! a mismatched configuration is rejected instead of silently mislabeling
 //! runs.
+//!
+//! [`ParallelEngine::checkpoint`]: crate::ParallelEngine::checkpoint
+//! [`ParallelEngine::restore`]: crate::ParallelEngine::restore
 
 use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_i64, take_str, take_u64};
 use sitm_core::{OpenRun, Timestamp};
@@ -28,11 +28,9 @@ use sitm_store::codec::{
     decode_annotations, decode_cell, decode_episode, decode_presence, encode_annotations,
     encode_cell, encode_episode, encode_presence, CodecError,
 };
-use sitm_store::{CheckpointFrame, LogStore, RecoveryReport};
 
 use crate::engine::{EngineConfig, EngineError};
 use crate::event::VisitKey;
-use crate::parallel::ParallelEngine;
 use crate::segmenter::SegmenterSnapshot;
 use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::{Anomalies, OpenFix, VisitSnapshot};
@@ -138,14 +136,26 @@ pub fn encode_shard(snapshot: &ShardSnapshot, predicate_count: usize) -> Vec<u8>
 /// checkpoint was taken under.
 pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), CheckpointError> {
     let mut buf = payload;
+    let predicate_count = decode_header(&mut buf)?;
+    Ok((decode_body(buf, predicate_count)?, predicate_count))
+}
+
+/// Splits the version and the predicate count off the front of a
+/// payload.
+fn decode_header(buf: &mut &[u8]) -> Result<usize, CheckpointError> {
     let Some((&version, rest)) = buf.split_first() else {
         return Err(CheckpointError::Malformed("empty payload"));
     };
-    buf = rest;
+    *buf = rest;
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let predicate_count = take_u64(&mut buf)? as usize;
+    Ok(take_u64(buf)? as usize)
+}
+
+/// Deserializes what follows the header of a checkpoint taken under
+/// `predicate_count` predicates.
+fn decode_body(mut buf: &[u8], predicate_count: usize) -> Result<ShardSnapshot, CheckpointError> {
     let watermark = take_opt_i64(&mut buf)?.map(Timestamp);
 
     let visit_count = take_count(&mut buf, 1)?;
@@ -169,6 +179,11 @@ pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), Checkpoint
         let visit = VisitKey(take_u64(&mut buf)?);
         let moving_object = take_str(&mut buf)?.to_owned();
         let predicate = take_u64(&mut buf)? as usize;
+        if predicate >= predicate_count {
+            return Err(CheckpointError::Malformed(
+                "episode of an unknown predicate",
+            ));
+        }
         let episode = decode_episode(&mut buf)?;
         pending.push(EmittedEpisode {
             visit,
@@ -190,17 +205,14 @@ pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), Checkpoint
     if !buf.is_empty() {
         return Err(CheckpointError::Malformed("trailing bytes"));
     }
-    Ok((
-        ShardSnapshot {
-            watermark,
-            visits,
-            closed,
-            pending,
-            finished,
-            stats,
-        },
-        predicate_count,
-    ))
+    Ok(ShardSnapshot {
+        watermark,
+        visits,
+        closed,
+        pending,
+        finished,
+        stats,
+    })
 }
 
 fn encode_visit_state(buf: &mut Vec<u8>, v: &VisitSnapshot) {
@@ -242,6 +254,9 @@ fn decode_visit_state(
         let cell = decode_cell(buf)?;
         let start = Timestamp(take_i64(buf)?);
         let last_at = Timestamp(take_i64(buf)?);
+        if last_at < start {
+            return Err(CheckpointError::Malformed("open fix ends before it starts"));
+        }
         Some(OpenFix {
             cell,
             start,
@@ -251,16 +266,28 @@ fn decode_visit_state(
         None
     };
     let index = take_u64(buf)? as usize;
+    // Two flags per predicate at the least.
+    if predicate_count > buf.len() / 2 {
+        return Err(CheckpointError::Malformed(
+            "predicate runs past the payload",
+        ));
+    }
     let mut suppressed = Vec::with_capacity(predicate_count);
     let mut open_runs = Vec::with_capacity(predicate_count);
     for _ in 0..predicate_count {
         suppressed.push(take_flag(buf)?);
         open_runs.push(if take_flag(buf)? {
-            Some(OpenRun {
+            let run = OpenRun {
                 start: take_u64(buf)? as usize,
                 start_time: Timestamp(take_i64(buf)?),
                 max_end: Timestamp(take_i64(buf)?),
-            })
+            };
+            // A run opens at a tuple already consumed, and its end is
+            // at or after its start: closing it builds that interval.
+            if run.start >= index || run.max_end < run.start_time {
+                return Err(CheckpointError::Malformed("open run out of order"));
+            }
+            Some(run)
         } else {
             None
         });
@@ -332,50 +359,28 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
     })
 }
 
-/// Decodes one checkpoint and validates it against `config` —
-/// predicate arity, retention reconciliation. Returns the snapshot plus
-/// the checkpoint's sequence.
+/// Decodes one checkpoint for `config`: the predicate count is checked
+/// against the configured table before anything else is read.
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
-    frame: &CheckpointFrame,
-) -> Result<(ShardSnapshot, u64), EngineError> {
-    let (mut snapshot, predicate_count) = decode_shard(&frame.payload)?;
-    if predicate_count != config.predicates.len() {
+    payload: &[u8],
+) -> Result<ShardSnapshot, EngineError> {
+    let mut buf = payload;
+    let recorded = decode_header(&mut buf)?;
+    if recorded != config.predicates.len() {
         return Err(EngineError::PredicateCountMismatch {
             configured: config.predicates.len(),
-            recorded: predicate_count,
+            recorded,
         });
     }
-    crate::engine::reconcile_retention(&mut snapshot, config);
-    Ok((snapshot, frame.sequence))
-}
-
-// --- recovery --------------------------------------------------------------
-
-/// Opens (or creates) the checkpoint log at `path` and rebuilds the
-/// engine from the last checkpoint it recovers, or fresh from `config`
-/// when there is none. Returns the engine, the log (ready for
-/// [`ParallelEngine::checkpoint`]), and the store's recovery report.
-///
-/// The restored frame is the last in the log, so it carries the
-/// highest sequence, and the next checkpoint takes the one above it.
-///
-/// Retention mismatches are reconciled at restore: a checkpoint taken
-/// *without* interval retention restores into a retaining config with
-/// empty prefixes (live queries see only post-restore intervals for
-/// those visits), and a checkpoint taken *with* retention restoring
-/// into a non-retaining config drops the stored prefixes rather than
-/// serving them frozen — those visits read as unqueryable, never stale.
-pub fn resume_from_log(
-    config: EngineConfig,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(ParallelEngine, LogStore<CheckpointFrame>, RecoveryReport), EngineError> {
-    let (log, frames, report) = LogStore::<CheckpointFrame>::open(path)?;
-    let engine = match frames.last() {
-        Some(frame) => ParallelEngine::restore(config, frame)?,
-        None => ParallelEngine::new(config)?,
-    };
-    Ok((engine, log, report))
+    let mut snapshot = decode_body(buf, recorded)?;
+    // A finished backlog checkpointed by a warehouse-draining config
+    // restoring into a non-draining one: nothing will ever take it, so
+    // drop it rather than hold it forever.
+    if !config.retain_finished {
+        snapshot.finished.clear();
+    }
+    Ok(snapshot)
 }
 
 #[cfg(test)]
@@ -383,32 +388,11 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::event::StreamEvent;
+    use crate::ParallelEngine;
     use sitm_core::{
         Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, TransitionTaken,
     };
     use sitm_graph::{CellRef, NodeId};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-
-    struct TempPath(PathBuf);
-
-    impl TempPath {
-        fn new(tag: &str) -> TempPath {
-            let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            TempPath(std::env::temp_dir().join(format!(
-                "sitm-stream-ckpt-{tag}-{}-{n}.log",
-                std::process::id()
-            )))
-        }
-    }
-
-    impl Drop for TempPath {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -447,15 +431,10 @@ mod tests {
         });
         engine.ingest(presence(1, 1, 0));
         engine.ingest(presence(1, 0, 20));
-        engine.flush();
-        let tmp = TempPath::new("roundtrip");
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-        let seq = engine.checkpoint(&mut log).unwrap();
-        assert_eq!(seq, 1);
-        drop(log);
+        let checkpoint = engine.checkpoint();
+        drop(engine);
 
-        let (mut restored, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert!(report.is_clean());
+        let mut restored = ParallelEngine::restore(config(), &checkpoint).unwrap();
         let stats = restored.stats();
         assert_eq!(stats.presences, 2);
         assert_eq!(stats.open_visits, 1);
@@ -465,10 +444,7 @@ mod tests {
     fn predicate_mismatch_is_rejected() {
         let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest(presence(3, 1, 0));
-        let tmp = TempPath::new("mismatch");
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-        engine.checkpoint(&mut log).unwrap();
-        drop(log);
+        let checkpoint = engine.checkpoint();
 
         let two_predicates = EngineConfig::new(vec![
             (IntervalPredicate::in_cells([cell(1)]), label("one")),
@@ -476,13 +452,17 @@ mod tests {
         ])
         .with_shards(2);
         assert!(matches!(
-            resume_from_log(two_predicates, &tmp.0),
-            Err(EngineError::PredicateCountMismatch { .. })
+            ParallelEngine::restore(two_predicates, &checkpoint),
+            Err(EngineError::PredicateCountMismatch {
+                configured: 2,
+                recorded: 1
+            })
         ));
     }
 
     /// A checkpoint does not depend on the worker count, so a 2-worker
-    /// log restores into 3 workers and finishes as if never stopped.
+    /// checkpoint restores into 3 workers and finishes as if never
+    /// stopped.
     #[test]
     fn a_two_worker_log_restores_into_three_workers() {
         let events: Vec<StreamEvent> = (0..6)
@@ -495,122 +475,67 @@ mod tests {
         let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest_all(events[..7].iter().cloned());
         let mut delivered = engine.drain();
-        let tmp = TempPath::new("workers");
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&tmp.0).unwrap();
-        engine.checkpoint(&mut log).unwrap();
-        drop(log);
-        let frame = engine.checkpoint_frame();
+        let checkpoint = engine.checkpoint();
         drop(engine);
 
-        let (mut restored, _log, report) =
-            resume_from_log(config().with_shards(3), &tmp.0).unwrap();
-        assert!(report.is_clean());
+        let mut restored = ParallelEngine::restore(config().with_shards(3), &checkpoint).unwrap();
         assert_eq!(restored.workers(), 3);
-        assert_eq!(restored.checkpoint_frame().payload, frame.payload);
+        assert_eq!(restored.checkpoint(), checkpoint);
         restored.ingest_all(events[7..].iter().cloned());
         delivered.extend(restored.finish());
         delivered.sort_by_key(|e| e.sort_key());
         assert_eq!(delivered, expected);
     }
 
-    /// A log in the older multi-frame layout (`sequence | shard |
-    /// shard_count | payload`) is refused visibly, not misread: every
-    /// frame is undecodable, nothing is restored, and the first
-    /// checkpoint replaces the old frames.
-    #[test]
-    fn an_old_multi_frame_log_is_refused_not_misread() {
-        let tmp = TempPath::new("old-layout");
-        let mut engine = ParallelEngine::new(config()).unwrap();
-        engine.ingest(presence(1, 1, 0));
-        let payload = engine.checkpoint_frame().payload;
-        drop(engine);
-        let mut old = Vec::new();
-        sitm_store::write_header(&mut old);
-        for (sequence, shard, shard_count) in [(1, 0, 1), (2, 0, 2), (2, 1, 2)] {
-            let mut record = Vec::new();
-            put_u64(&mut record, sequence);
-            put_u64(&mut record, shard);
-            put_u64(&mut record, shard_count);
-            sitm_codec::put_bytes(&mut record, &payload);
-            sitm_store::write_frame(&mut old, &record);
-        }
-        std::fs::write(&tmp.0, &old).unwrap();
-
-        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert_eq!(report.undecodable_frames, 3, "every old frame is counted");
-        assert_eq!(report.recovered, 0);
-        assert_eq!(restored.stats().events, 0, "nothing is restored");
-        restored.ingest(presence(1, 1, 0));
-        assert_eq!(restored.checkpoint(&mut log).unwrap(), 1);
-        drop(log);
-
-        let (mut again, log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert!(report.is_clean(), "the old frames are gone");
-        assert_eq!(log.len(), 1);
-        assert_eq!(again.stats().presences, 1);
-    }
-
-    /// Writes `count` checkpoints to a log at `path`, one presence
-    /// ingested before each, and tears `tear` bytes off the end of the
-    /// file.
-    fn write_checkpoints(path: &std::path::Path, count: usize, tear: usize) {
-        let mut engine = ParallelEngine::new(config()).unwrap();
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(path).unwrap();
-        for (i, event) in [presence(1, 1, 0), presence(1, 0, 20)]
-            .into_iter()
-            .take(count)
-            .enumerate()
-        {
-            engine.ingest(event);
-            assert_eq!(engine.checkpoint(&mut log).unwrap(), i as u64 + 1);
-        }
-        let data = std::fs::read(path).unwrap();
-        std::fs::write(path, &data[..data.len() - tear]).unwrap();
-    }
-
-    /// The newest checkpoint is torn: recovery restores the previous
-    /// one, and the next checkpoint takes the torn one's sequence.
-    #[test]
-    fn picks_newest_complete_sequence() {
-        let tmp = TempPath::new("torn-newest");
-        write_checkpoints(&tmp.0, 2, 1);
-        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert!(report.truncated_bytes > 0);
-        assert_eq!(report.recovered, 1);
-        assert_eq!(restored.stats().presences, 1);
-        assert_eq!(restored.checkpoint(&mut log).unwrap(), 2);
-    }
-
-    /// Both checkpoints are intact: the later one is restored.
-    #[test]
-    fn prefers_higher_complete_sequence() {
-        let tmp = TempPath::new("intact");
-        write_checkpoints(&tmp.0, 2, 0);
-        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(report.recovered, 2);
-        assert_eq!(restored.stats().presences, 2);
-        assert_eq!(restored.checkpoint(&mut log).unwrap(), 3);
-    }
-
-    /// The log's only checkpoint is torn: nothing is restored.
+    /// A checkpoint cut short anywhere restores nothing.
     #[test]
     fn no_complete_checkpoint_yields_none() {
-        let tmp = TempPath::new("torn-only");
-        write_checkpoints(&tmp.0, 1, 1);
-        let (mut restored, mut log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert_eq!(report.recovered, 0);
-        assert!(report.truncated_bytes > 0);
-        assert_eq!(restored.stats().events, 0);
-        assert_eq!(restored.checkpoint(&mut log).unwrap(), 1);
+        let mut engine = ParallelEngine::new(config()).unwrap();
+        engine.ingest_all([presence(1, 1, 0), presence(1, 0, 20)]);
+        let checkpoint = engine.checkpoint();
+        for cut in 0..checkpoint.len() {
+            assert!(
+                ParallelEngine::restore(config(), &checkpoint[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
     }
 
+    /// An open run or fix whose end precedes its start decodes, but
+    /// closing it would build a reversed interval and kill the worker:
+    /// restore refuses it instead.
     #[test]
-    fn empty_log_starts_fresh() {
-        let tmp = TempPath::new("fresh");
-        let (mut engine, _log, report) = resume_from_log(config(), &tmp.0).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(engine.stats().events, 0);
+    fn a_reversed_open_run_or_fix_is_refused() {
+        let mut engine = ParallelEngine::new(config()).unwrap();
+        engine.ingest_all([
+            presence(1, 1, 0),
+            StreamEvent::Fix {
+                visit: VisitKey(1),
+                cell: cell(1),
+                at: Timestamp(20),
+            },
+        ]);
+        let (snapshot, predicates) = decode_shard(&engine.checkpoint()).unwrap();
+        assert!(ParallelEngine::restore(config(), &encode_shard(&snapshot, predicates)).is_ok());
+
+        let mut reversed_run = snapshot.clone();
+        let run = reversed_run.visits[0].1.segmenter.open_runs[0]
+            .as_mut()
+            .expect("the run in cell 1 is open");
+        run.max_end = Timestamp(run.start_time.0 - 1);
+        let mut reversed_fix = snapshot;
+        let fix = reversed_fix.visits[0]
+            .1
+            .open_fix
+            .as_mut()
+            .expect("a fix is open");
+        fix.last_at = Timestamp(fix.start.0 - 1);
+        for reversed in [reversed_run, reversed_fix] {
+            assert!(matches!(
+                ParallelEngine::restore(config(), &encode_shard(&reversed, predicates)),
+                Err(EngineError::Checkpoint(CheckpointError::Malformed(_)))
+            ));
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use sitm_core::{AnnotationSet, Duration, IntervalPredicate};
 use sitm_obs::MetricsRegistry;
-use sitm_store::StoreError;
 
 use crate::checkpoint::CheckpointError;
 use crate::event::VisitKey;
@@ -23,17 +22,16 @@ pub use crate::visit::Anomalies;
 pub enum EngineError {
     /// At least one worker thread is required.
     ZeroShards,
-    /// Restoring from frames recorded with a different predicate table.
+    /// Restoring from a checkpoint recorded with a different predicate
+    /// table.
     PredicateCountMismatch {
         /// Predicates in the configuration.
         configured: usize,
         /// Predicates recorded in the checkpoint.
         recorded: usize,
     },
-    /// A checkpoint payload failed to decode.
+    /// A checkpoint failed to decode.
     Checkpoint(CheckpointError),
-    /// The backing log failed.
-    Store(StoreError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -48,7 +46,6 @@ impl std::fmt::Display for EngineError {
                 "checkpoint has {recorded} predicate(s), configuration has {configured}"
             ),
             EngineError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
-            EngineError::Store(e) => write!(f, "store: {e}"),
         }
     }
 }
@@ -58,12 +55,6 @@ impl std::error::Error for EngineError {}
 impl From<CheckpointError> for EngineError {
     fn from(e: CheckpointError) -> Self {
         EngineError::Checkpoint(e)
-    }
-}
-
-impl From<StoreError> for EngineError {
-    fn from(e: StoreError) -> Self {
-        EngineError::Store(e)
     }
 }
 
@@ -98,17 +89,13 @@ pub struct EngineConfig {
     /// depending on worker scheduling. Size the cap above the realistic
     /// straggler horizon.
     pub fence_capacity: usize,
-    /// Retain each open visit's accepted intervals (in memory and in
-    /// checkpoints) so live queries can see its trajectory prefix. Off by
-    /// default: retention costs memory proportional to open-visit trace
-    /// length.
-    pub retain_intervals: bool,
     /// Retain each *closed* visit's completed trajectory (in memory and
     /// in checkpoints) until a warehouse flush takes it
-    /// (`take_finished`). Implies interval retention — the trajectory is
-    /// assembled from the retained intervals at close. Off by default;
-    /// the memory a retained backlog costs is exactly what
-    /// [`crate::Flusher`] exists to bound.
+    /// (`take_finished`); the trajectory is the visit's accepted
+    /// intervals, which every open visit keeps for live queries. Off by
+    /// default: without a drain the backlog would grow without bound,
+    /// and that memory is exactly what [`crate::Flusher`] exists to
+    /// bound.
     pub retain_finished: bool,
     /// Backpressure depth, in batches per worker: producers block once
     /// `channel_depth × batch_capacity × workers` events are queued in
@@ -137,7 +124,6 @@ impl EngineConfig {
             drop_instantaneous: false,
             allowed_lateness: Duration::hours(24),
             fence_capacity: 131_072,
-            retain_intervals: false,
             retain_finished: false,
             channel_depth: 64,
             metrics: MetricsRegistry::global().clone(),
@@ -150,7 +136,6 @@ impl EngineConfig {
             predicates: &self.predicates,
             drop_instantaneous: self.drop_instantaneous,
             allowed_lateness: self.allowed_lateness,
-            retain_intervals: self.retain_intervals || self.retain_finished,
             retain_finished: self.retain_finished,
         }
     }
@@ -190,21 +175,11 @@ impl EngineConfig {
         self
     }
 
-    /// Enables live queries: open visits retain their accepted intervals
-    /// so `live_snapshot` can expose each one's trajectory prefix.
-    #[must_use]
-    pub fn with_live_queries(mut self) -> Self {
-        self.retain_intervals = true;
-        self
-    }
-
     /// Enables the warehouse drain: closed visits retain their completed
     /// trajectory until `take_finished` (normally driven by a
-    /// [`crate::Flusher`]) spills them into the segment tier. Implies
-    /// live-query interval retention.
+    /// [`crate::Flusher`]) spills them into the segment tier.
     #[must_use]
     pub fn with_warehouse(mut self) -> Self {
-        self.retain_intervals = true;
         self.retain_finished = true;
         self
     }
@@ -257,28 +232,6 @@ impl EngineStats {
         self.episodes += shard.episodes;
         self.anomalies.absorb(&shard.anomalies);
         self.open_visits += open_visits;
-    }
-}
-
-/// Reconciles a restored snapshot with the configuration's retention
-/// setting: with retention off, a prefix checkpointed by a retaining
-/// config would otherwise survive restore *frozen* — never extended by
-/// `feed`, yet served by `live_trajectory` as the visit's current
-/// state. Dropping it makes the visit honestly unqueryable instead.
-pub(crate) fn reconcile_retention(
-    snapshot: &mut crate::shard::ShardSnapshot,
-    config: &EngineConfig,
-) {
-    if !config.retain_intervals && !config.retain_finished {
-        for (_, visit) in &mut snapshot.visits {
-            visit.intervals.clear();
-        }
-    }
-    // A finished backlog checkpointed by a warehouse-draining config
-    // restoring into a non-draining one: nothing will ever take it, so
-    // drop it rather than hold it forever.
-    if !config.retain_finished {
-        snapshot.finished.clear();
     }
 }
 
@@ -421,13 +374,7 @@ mod tests {
             Err(EngineError::ZeroShards)
         ));
         assert!(matches!(
-            ParallelEngine::restore(
-                config(0),
-                &sitm_store::CheckpointFrame {
-                    sequence: 1,
-                    payload: Vec::new(),
-                }
-            ),
+            ParallelEngine::restore(config(0), &[]),
             Err(EngineError::ZeroShards)
         ));
     }

@@ -24,15 +24,15 @@
 //! ingested event applied first) and `SegmentedDb::flush` is durable on
 //! return, so after a successful [`Flusher::force`] every spilled
 //! trajectory is queryable from the warehouse and gone from the engine.
-//! The hand-off is exactly-once *relative to checkpoints*: a crash
-//! after take but before flush loses only what a restore regenerates —
-//! the backlog rides checkpoint payloads until taken — and a crash
-//! after flush but before the next checkpoint re-emits nothing because
-//! the segment tier is idempotent per manifest commit. The one
-//! double-spill window (flush durable, checkpoint older than the take)
-//! re-flushes the same trajectories into a *new* segment; dedup is the
-//! consumer's choice, exactly as re-drained episodes are after a
-//! restore to an older checkpoint.
+//! Across a crash the hand-off is exactly-once only when the engine
+//! state and the warehouse agree: the backlog rides
+//! [`ParallelEngine::checkpoint`] bytes until taken, so an engine
+//! restored from bytes taken after the last spill regenerates what the
+//! crash lost and re-flushes nothing, while one restored from bytes
+//! taken before a spill re-flushes that spill's trajectories into a
+//! *new* segment. Committing the bytes in the manifest record of the
+//! spill they follow closes that window; until something does, the
+//! bytes are the caller's to keep.
 //!
 //! Batching is the caller's: each [`Flusher::force`] spills everything
 //! in hand, so segment size follows how often the caller spills (the

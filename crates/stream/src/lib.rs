@@ -20,7 +20,7 @@
 //!   moment its maximal run closes;
 //! * [`shard`] — the engine's vocabulary: the per-visit apply context,
 //!   emitted episodes, counters, and the serializable engine state a
-//!   checkpoint frame carries;
+//!   checkpoint carries;
 //! * [`engine`] — [`EngineConfig`], [`EngineError`], [`EngineStats`]
 //!   and the hash that gives each visit its first worker;
 //! * [`parallel`] — [`ParallelEngine`], the engine: N worker threads
@@ -35,13 +35,11 @@
 //!   candidate narrowing with a full re-check, exactly like the
 //!   warehouse — and federated across engines and warehouses via
 //!   `sitm_query::TrajectorySource`;
-//! * [`checkpoint`] — crash recovery: engine state serialized through
-//!   `sitm-store`'s CRC-framed [`sitm_store::LogStore`] as one
-//!   [`sitm_store::CheckpointFrame`] per checkpoint, a function of the
-//!   feed alone, restored into any worker count without duplicating or
-//!   dropping episodes. Every checkpoint commits through
-//!   [`sitm_store::LogStore::commit`], so the log holds at most the
-//!   previous checkpoint and the newest one;
+//! * [`checkpoint`] — the engine's state as bytes: what
+//!   [`ParallelEngine::checkpoint`] hands out and
+//!   [`ParallelEngine::restore`] takes back, a function of the feed
+//!   alone, restored into any worker count without duplicating or
+//!   dropping episodes. Durability is the caller's;
 //! * [`flusher`] — [`Flusher`]: the live → warehouse spill pipeline —
 //!   drains finished visits (`take_finished`, retained under
 //!   [`EngineConfig::with_warehouse`]) out of the engine into
@@ -82,8 +80,8 @@
 //! the stream at the call: events ingested before it are fully visible,
 //! later ones entirely absent — the cut is a quiesce point of the
 //! scheduler, after every outstanding event batch. See
-//! [`live_query`] for the model and [`checkpoint`] for the exactly-once
-//! recovery contract relative to `drain`.
+//! [`live_query`] for the model and [`ParallelEngine::checkpoint`] for
+//! the exactly-once recovery contract relative to `drain`.
 //!
 //! ## Batch equivalence
 //!
@@ -104,7 +102,7 @@ pub mod segmenter;
 pub mod shard;
 pub mod visit;
 
-pub use checkpoint::{resume_from_log, CheckpointError};
+pub use checkpoint::CheckpointError;
 pub use engine::{Anomalies, EmittedEpisode, EngineConfig, EngineError, EngineStats};
 pub use event::{trajectory_feed, StreamEvent, VisitKey};
 pub use flusher::Flusher;

@@ -24,10 +24,6 @@
 //! **soundness, not completeness-in-themselves**: every matching visit
 //! is in the returned posting, and the caller re-checks the full
 //! predicate on each candidate.
-//!
-//! The index only tracks visits whose intervals are retained
-//! ([`crate::EngineConfig::with_live_queries`]); with retention off
-//! there is nothing queryable to index and every structure stays empty.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -18,10 +18,8 @@
 //! holding the `Arc` of an earlier cut keeps seeing that cut, whatever
 //! the engine ingests or cuts afterwards.
 //!
-//! Prefix visibility requires interval retention
-//! ([`crate::EngineConfig::with_live_queries`]); without it, open visits
-//! are counted in [`LiveSnapshot::unqueryable`] rather than silently
-//! missing.
+//! An open visit without a prefix (nothing accepted yet) is counted in
+//! [`LiveSnapshot::unqueryable`] rather than silently missing.
 //!
 //! ## The live index and its consistency model
 //!
@@ -93,8 +91,8 @@ pub struct LiveSnapshot {
     pub visits: Vec<Arc<LiveVisit>>,
     /// The engine watermark at the cut: the highest event time applied.
     pub watermark: Option<Timestamp>,
-    /// Open visits without a queryable prefix (retention off, no
-    /// interval accepted yet, or an empty annotation set).
+    /// Open visits without a queryable prefix (no interval accepted
+    /// yet, or an empty annotation set).
     pub unqueryable: usize,
     /// The postings at the cut.
     index: Arc<LiveIndex>,

@@ -80,7 +80,7 @@
 //!   and deposited. A barrier therefore reflects exactly the events
 //!   ingested before the call (see [`crate::live_query`]).
 //! * **One partition** — the watermark (the highest event time
-//!   applied), the fence cap and the checkpoint frame are kept for the
+//!   applied), the fence cap and the checkpoint are kept for the
 //!   whole engine, so what `watermark()` reports and what a checkpoint
 //!   writes depend on the ingested feed alone, not on the worker count,
 //!   the router batch, or which worker applied which visit.
@@ -113,7 +113,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sitm_core::{Episode, SemanticTrajectory, Timestamp};
-use sitm_store::{CheckpointFrame, LogStore};
 
 use crate::checkpoint::encode_shard;
 use crate::engine::{shard_of, EngineConfig, EngineError, EngineStats};
@@ -670,12 +669,11 @@ fn collect_episodes(
     if scratch.is_empty() {
         return;
     }
-    let moving_object = state.moving_object.clone();
     for (predicate, episode) in scratch.drain(..) {
         out.stats.episodes += 1;
         out.pending.push(EmittedEpisode {
             visit: VisitKey(key),
-            moving_object: moving_object.clone(),
+            moving_object: state.moving_object.clone(),
             predicate,
             episode,
         });
@@ -860,7 +858,6 @@ pub struct ParallelEngine {
     shared: Arc<Shared>,
     buffer: Vec<StreamEvent>,
     handles: Vec<JoinHandle<()>>,
-    sequence: u64,
     /// Advances whenever the queryable live state may have changed
     /// (see [`ParallelEngine::epoch`]).
     epoch: u64,
@@ -882,20 +879,21 @@ impl ParallelEngine {
         Ok(Self::create(config))
     }
 
-    /// Rebuilds an engine from one checkpoint, whatever worker count
-    /// wrote it. The configuration must match the one
-    /// the checkpoint was taken under — predicates and interval
-    /// retention, which are the operator's contract. Each visit and
-    /// fence becomes a scheduler cell homed on the worker `dispatch`
-    /// would give it (they rebalance from there); the episodes,
-    /// finished backlog, watermark and counters go to deposit 0.
-    pub fn restore(config: EngineConfig, frame: &CheckpointFrame) -> Result<Self, EngineError> {
+    /// Rebuilds an engine from the bytes of one
+    /// [`ParallelEngine::checkpoint`], whatever worker count wrote it.
+    /// The configuration must have the predicates the checkpoint was
+    /// taken under: they are code, not state. The bytes are outside
+    /// input: anything that does not decode is an error, never a panic.
+    /// Each visit and fence becomes a scheduler cell homed on the worker
+    /// `dispatch` would give it (they rebalance from there); the
+    /// episodes, finished backlog, watermark and counters go to deposit
+    /// 0.
+    pub fn restore(config: EngineConfig, checkpoint: &[u8]) -> Result<Self, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        let (snapshot, sequence) = crate::checkpoint::decode_checkpoint(&config, frame)?;
-        let mut engine = Self::create(config);
-        engine.sequence = sequence;
+        let snapshot = crate::checkpoint::decode_checkpoint(&config, checkpoint)?;
+        let engine = Self::create(config);
         let workers = engine.workers();
         let mut guard = lock(&engine.shared.state);
         let mut seed = lock(&engine.shared.deposits[0]);
@@ -957,7 +955,6 @@ impl ParallelEngine {
             shared,
             buffer: Vec::new(),
             handles,
-            sequence: 0,
             epoch: 0,
             dirty: false,
             snapshot_cache: None,
@@ -1321,13 +1318,18 @@ impl ParallelEngine {
         stats
     }
 
-    /// Flushes and captures one checkpoint — one frame under a fresh
-    /// sequence, whose payload is a function of the ingested feed
-    /// alone — without touching a log: what
-    /// [`ParallelEngine::checkpoint`] commits.
-    pub fn checkpoint_frame(&mut self) -> CheckpointFrame {
+    /// Flushes and captures the engine's whole state as bytes, a
+    /// function of the ingested feed alone, for
+    /// [`ParallelEngine::restore`]. Durability is the caller's: the
+    /// engine writes nothing.
+    ///
+    /// Pending (finalized but undrained) episodes and the finished
+    /// backlog are included, so recovery is exactly-once relative to
+    /// `drain` and `take_finished`: what was handed out before the
+    /// checkpoint is never re-emitted after restore, what was not
+    /// reappears.
+    pub fn checkpoint(&mut self) -> Vec<u8> {
         self.dispatch();
-        self.sequence += 1;
         let guard = self.shared.quiesce();
         let mut snapshot = ShardSnapshot {
             watermark: self.high_water(),
@@ -1353,25 +1355,7 @@ impl ParallelEngine {
         snapshot
             .finished
             .sort_by_key(|(key, t)| (t.start(), t.end(), *key));
-        CheckpointFrame {
-            sequence: self.sequence,
-            payload: encode_shard(&snapshot, self.config.predicates.len()),
-        }
-    }
-
-    /// Commits a consistent snapshot to `log` (one [`CheckpointFrame`]
-    /// under a fresh sequence number) through [`LogStore::commit`], so
-    /// the log holds this checkpoint and the previous one. Durable on
-    /// return. Returns the sequence.
-    ///
-    /// Pending (finalized but undrained) episodes are included, so the
-    /// recovery contract is exactly-once relative to `drain`: episodes
-    /// drained before the checkpoint are never re-emitted, episodes not
-    /// yet drained reappear after restore.
-    pub fn checkpoint(&mut self, log: &mut LogStore<CheckpointFrame>) -> Result<u64, EngineError> {
-        let frame = self.checkpoint_frame();
-        log.commit(&frame)?;
-        Ok(frame.sequence)
+        encode_shard(&snapshot, self.config.predicates.len())
     }
 }
 
@@ -1581,64 +1565,42 @@ mod tests {
     fn checkpoint_restore_round_trips_across_threads() {
         let events = feed();
         let mid = events.len() / 2;
-        let path = std::env::temp_dir().join(format!(
-            "sitm-parallel-ckpt-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
 
         let mut reference = ParallelEngine::new(config(4)).unwrap();
         reference.ingest_all(events.iter().cloned());
         let expected = reference.finish();
 
-        let mut delivered;
-        {
-            let mut engine = ParallelEngine::new(config(4)).unwrap();
-            engine.ingest_all(events[..mid].iter().cloned());
-            delivered = engine.drain();
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&path).unwrap();
-            engine.checkpoint(&mut log).unwrap();
-        }
-        let (mut restored, _log, report) =
-            crate::checkpoint::resume_from_log(config(4), &path).unwrap();
-        assert!(report.is_clean());
+        let mut engine = ParallelEngine::new(config(4)).unwrap();
+        engine.ingest_all(events[..mid].iter().cloned());
+        let mut delivered = engine.drain();
+        let checkpoint = engine.checkpoint();
+        drop(engine);
+        let mut restored = ParallelEngine::restore(config(4), &checkpoint).unwrap();
         restored.ingest_all(events[mid..].iter().cloned());
         delivered.extend(restored.finish());
         delivered.sort_by_key(|a| a.sort_key());
         assert_eq!(delivered, expected);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn finished_backlog_survives_checkpoint_restore() {
         let events = feed();
-        let path = std::env::temp_dir().join(format!(
-            "sitm-parallel-finished-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
 
         let mut reference = ParallelEngine::new(config(4).with_warehouse()).unwrap();
         reference.ingest_all(events.iter().cloned());
         reference.flush();
         let expected = reference.take_finished();
 
-        {
-            let mut engine = ParallelEngine::new(config(4).with_warehouse()).unwrap();
-            engine.ingest_all(events.iter().cloned());
-            // Checkpoint *without* taking the finished backlog: it must
-            // reappear after restore (exactly-once relative to take).
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&path).unwrap();
-            engine.checkpoint(&mut log).unwrap();
-        }
-        let (mut restored, _log, report) =
-            crate::checkpoint::resume_from_log(config(4).with_warehouse(), &path).unwrap();
-        assert!(report.is_clean());
+        let mut engine = ParallelEngine::new(config(4).with_warehouse()).unwrap();
+        engine.ingest_all(events.iter().cloned());
+        // Checkpoint *without* taking the finished backlog: it must
+        // reappear after restore (exactly-once relative to take).
+        let checkpoint = engine.checkpoint();
+        drop(engine);
+        let mut restored =
+            ParallelEngine::restore(config(4).with_warehouse(), &checkpoint).unwrap();
         assert_eq!(restored.take_finished(), expected);
         assert!(restored.take_finished().is_empty());
-        let _ = std::fs::remove_file(&path);
     }
 
     /// `trim_pending` against what it replaced in the server's

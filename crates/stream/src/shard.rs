@@ -1,6 +1,6 @@
 //! The engine's shared vocabulary: the apply context every visit is
 //! judged under, the episodes and counters application produces, and
-//! the serializable engine state a checkpoint frame carries.
+//! the serializable engine state a checkpoint carries.
 //!
 //! A visit's episodes depend on that visit's history alone, so the
 //! worker count cannot change results (the equivalence property tests
@@ -15,8 +15,7 @@ use sitm_core::{AnnotationSet, Duration, Episode, IntervalPredicate, Timestamp};
 use crate::event::VisitKey;
 use crate::visit::{Anomalies, VisitSnapshot};
 
-/// The engine settings a visit's events are applied under, bundled so
-/// worker call sites stay stable as knobs are added. Borrowed from
+/// The engine settings a visit's events are applied under. Borrowed from
 /// the [`EngineConfig`](crate::EngineConfig) in force (predicates are
 /// shared, not cloned — with `IntervalPredicate: Send + Sync` one table
 /// serves every worker thread).
@@ -30,13 +29,8 @@ pub struct ShardCtx<'a> {
     /// (event-time deterministic; see
     /// [`EngineConfig::allowed_lateness`](crate::EngineConfig)).
     pub allowed_lateness: Duration,
-    /// Keep accepted intervals in memory (and in checkpoints) so live
-    /// queries can see each open visit's trajectory prefix.
-    pub retain_intervals: bool,
     /// Keep each closed visit's completed trajectory until the
-    /// warehouse drain (`take_finished`) collects it. Only meaningful
-    /// with `retain_intervals` (the trajectory is assembled from the
-    /// retained prefix at close); the engine config couples them.
+    /// warehouse drain (`take_finished`) collects it.
     pub retain_finished: bool,
 }
 
@@ -100,7 +94,7 @@ impl ShardStats {
     }
 }
 
-/// Serializable engine state: one checkpoint frame's payload.
+/// Serializable engine state: what one checkpoint encodes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardSnapshot {
     /// High-water mark of applied event times.
@@ -215,11 +209,10 @@ mod tests {
         assert_eq!(pending[0].moving_object, "implicit-9");
     }
 
-    /// An engine restored from frame `F` re-emits `F` byte for byte,
-    /// only the sequence advanced: restore keeps every part of a frame
-    /// — open visits (mid-fix, mid-run, retained prefix), fences,
-    /// undrained episodes, the finished backlog, counters, the
-    /// watermark.
+    /// An engine restored from checkpoint `C` re-emits `C` byte for
+    /// byte: restore keeps every part of a checkpoint — open visits
+    /// (mid-fix, mid-run, retained prefix), fences, undrained episodes,
+    /// the finished backlog, counters, the watermark.
     #[test]
     fn snapshot_restore_preserves_everything() {
         let config = || config(Duration::hours(1)).with_shards(3).with_warehouse();
@@ -241,26 +234,23 @@ mod tests {
         events.push(presence(100, 1, 0, 1));
         let mut engine = ParallelEngine::new(config()).unwrap();
         engine.ingest_all(events);
-        let frame = engine.checkpoint_frame();
-        let (snapshot, _) = crate::checkpoint::decode_shard(&frame.payload).unwrap();
+        let bytes = engine.checkpoint();
+        let (snapshot, _) = crate::checkpoint::decode_shard(&bytes).unwrap();
         assert!(snapshot.visits.iter().any(|(_, v)| v.open_fix.is_some()));
         assert!(!snapshot.closed.is_empty());
         assert!(!snapshot.pending.is_empty());
         assert!(!snapshot.finished.is_empty());
 
-        let mut restored = ParallelEngine::restore(config(), &frame).unwrap();
-        let again = restored.checkpoint_frame();
-        assert_eq!(again.sequence, frame.sequence + 1);
-        assert_eq!(again.payload, frame.payload);
+        let mut restored = ParallelEngine::restore(config(), &bytes).unwrap();
+        assert_eq!(restored.checkpoint(), bytes);
     }
 
     /// A live snapshot shows every open visit's prefix; an open visit
-    /// without one — nothing accepted yet, or intervals not retained —
-    /// is counted as unqueryable, not dropped.
+    /// that has accepted nothing yet is counted as unqueryable, not
+    /// dropped.
     #[test]
     fn live_state_exposes_prefixes() {
-        let retaining = config(Duration::hours(1)).with_live_queries();
-        let mut engine = ParallelEngine::new(retaining).unwrap();
+        let mut engine = ParallelEngine::new(config(Duration::hours(1))).unwrap();
         engine.ingest_all([open(3, 0), presence(3, 1, 0, 10), presence(3, 0, 10, 20)]);
         let live = engine.live_snapshot();
         assert_eq!(live.visits.len(), 1);
@@ -272,11 +262,5 @@ mod tests {
         let live = engine.live_snapshot();
         assert_eq!(live.visits.len(), 1);
         assert_eq!(live.unqueryable, 1, "open, nothing accepted yet");
-        // Without retention the visit is counted as unqueryable instead.
-        let mut bare = ParallelEngine::new(config(Duration::hours(1))).unwrap();
-        bare.ingest(presence(7, 1, 0, 10));
-        let live = bare.live_snapshot();
-        assert!(live.visits.is_empty());
-        assert_eq!(live.unqueryable, 1);
     }
 }

@@ -91,8 +91,7 @@ pub struct VisitSnapshot {
     pub open_fix: Option<OpenFix>,
     /// Segmenter state.
     pub segmenter: SegmenterSnapshot,
-    /// Accepted intervals, retained only under
-    /// [`ShardCtx::retain_intervals`] (live-query support).
+    /// Accepted intervals: the visit's trajectory prefix.
     pub intervals: Vec<PresenceInterval>,
 }
 
@@ -136,20 +135,16 @@ impl VisitState {
         self.segmenter.index()
     }
 
-    /// The intervals retained for live queries (empty unless
-    /// [`ShardCtx::retain_intervals`] is set). The engine compares this
-    /// slice's length around each event to learn whether the event
-    /// changed what a live snapshot shows, without widening the apply
-    /// signatures.
+    /// The intervals accepted so far. The engine compares this slice's
+    /// length around each event to learn whether the event changed what
+    /// a live snapshot shows, without widening the apply signatures.
     pub fn retained_intervals(&self) -> &[PresenceInterval] {
         &self.intervals
     }
 
-    /// The trajectory prefix observed so far, when intervals are retained
-    /// ([`ShardCtx::retain_intervals`]) and at least one was accepted.
-    /// `None` with retention off, before the first accepted interval, or
-    /// when the visit's annotation set is empty (Def. 3.1 requires a
-    /// non-empty `A_traj`).
+    /// The trajectory prefix observed so far. `None` before the first
+    /// accepted interval, or when the visit's annotation set is empty
+    /// (Def. 3.1 requires a non-empty `A_traj`).
     pub fn live_trajectory(&self) -> Option<SemanticTrajectory> {
         if self.intervals.is_empty() {
             return None;
@@ -264,10 +259,8 @@ impl VisitState {
         }
         self.layer.get_or_insert(interval.cell.layer);
         self.last_start = Some(interval.start());
-        if ctx.retain_intervals {
-            self.intervals.push(interval.clone());
-        }
         self.segmenter.observe(ctx.predicates, &interval, out);
+        self.intervals.push(interval);
     }
 
     /// Captures checkpointable state.
@@ -326,7 +319,6 @@ mod tests {
             predicates,
             drop_instantaneous,
             allowed_lateness: Duration::hours(1),
-            retain_intervals: false,
             retain_finished: false,
         }
     }
@@ -428,12 +420,9 @@ mod tests {
     #[test]
     fn retention_exposes_the_live_trajectory_prefix() {
         let preds = preds();
-        let retaining = ShardCtx {
-            retain_intervals: true,
-            ..ctx(&preds, false)
-        };
+        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
-        let mut state = VisitState::new("mo".into(), label("visit"), &retaining, &mut anoms);
+        let mut state = new_state(&mut anoms);
         let mut out = Vec::new();
         assert!(state.live_trajectory().is_none(), "nothing accepted yet");
         let stay = |c: usize, s: i64, e: i64| {
@@ -444,32 +433,27 @@ mod tests {
                 Timestamp(e),
             )
         };
-        state.apply_presence(stay(1, 0, 10), &retaining, &mut out, &mut anoms);
-        state.apply_presence(stay(0, 10, 30), &retaining, &mut out, &mut anoms);
+        state.apply_presence(stay(1, 0, 10), &ctx, &mut out, &mut anoms);
+        state.apply_presence(stay(0, 10, 30), &ctx, &mut out, &mut anoms);
         let live = state.live_trajectory().expect("prefix available");
         assert_eq!(live.trace().len(), 2);
         assert_eq!(live.span().end, Timestamp(30));
         // The prefix survives a checkpoint round-trip.
         let restored = VisitState::restore(state.snapshot(), &preds);
         assert_eq!(restored.live_trajectory().expect("restored prefix"), live);
-        // Without retention the prefix is simply absent.
-        let mut plain = new_state(&mut anoms);
-        plain.apply_presence(stay(1, 0, 10), &ctx(&preds, false), &mut out, &mut anoms);
-        assert!(plain.live_trajectory().is_none());
     }
 
     #[test]
     fn a_closed_visit_moves_out_its_live_prefix() {
         let preds = preds();
-        let retaining = ShardCtx {
-            retain_intervals: true,
-            ..ctx(&preds, false)
-        };
+        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut out = Vec::new();
-        let empty = VisitState::new("mo".into(), label("visit"), &retaining, &mut anoms);
-        assert!(empty.into_trajectory().is_none(), "nothing accepted");
-        let mut state = VisitState::new("mo".into(), label("visit"), &retaining, &mut anoms);
+        assert!(
+            new_state(&mut anoms).into_trajectory().is_none(),
+            "nothing accepted"
+        );
+        let mut state = new_state(&mut anoms);
         for (c, s, e) in [(1, 0, 10), (0, 10, 30), (1, 45, 60)] {
             let stay = PresenceInterval::new(
                 TransitionTaken::Unknown,
@@ -477,26 +461,10 @@ mod tests {
                 Timestamp(s),
                 Timestamp(e),
             );
-            state.apply_presence(stay, &retaining, &mut out, &mut anoms);
+            state.apply_presence(stay, &ctx, &mut out, &mut anoms);
         }
         let live = state.live_trajectory().expect("prefix available");
-        state.close(&retaining, &mut out, &mut anoms);
+        state.close(&ctx, &mut out, &mut anoms);
         assert_eq!(state.into_trajectory(), Some(live));
-        // Without retention a closed visit has no row.
-        let mut plain = new_state(&mut anoms);
-        let plain_ctx = ctx(&preds, false);
-        plain.apply_presence(
-            PresenceInterval::new(
-                TransitionTaken::Unknown,
-                cell(1),
-                Timestamp(0),
-                Timestamp(10),
-            ),
-            &plain_ctx,
-            &mut out,
-            &mut anoms,
-        );
-        plain.close(&plain_ctx, &mut out, &mut anoms);
-        assert!(plain.into_trajectory().is_none());
     }
 }

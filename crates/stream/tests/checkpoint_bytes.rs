@@ -71,9 +71,9 @@ fn same_feed_same_bytes_for_every_worker_count_and_batch() {
             let fence_capacity = config.fence_capacity;
             let mut engine = ParallelEngine::new(config).expect("engine");
             engine.ingest_all(events[..half].iter().cloned());
-            let midday = engine.checkpoint_frame().payload;
+            let midday = engine.checkpoint();
             engine.ingest_all(events[half..].iter().cloned());
-            let evening = engine.checkpoint_frame().payload;
+            let evening = engine.checkpoint();
 
             let (snapshot, _) = decode_shard(&evening).expect("decodes");
             assert!(

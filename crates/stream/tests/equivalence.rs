@@ -21,8 +21,7 @@ use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
-use sitm_store::{CheckpointFrame, LogStore};
-use sitm_stream::{resume_from_log, trajectory_feed, EngineConfig, ParallelEngine};
+use sitm_stream::{trajectory_feed, EngineConfig, ParallelEngine};
 
 /// Builds a consistent scaled-down calibration from free parameters.
 fn calibration(
@@ -127,22 +126,6 @@ fn without_empty(
 ) -> BTreeMap<(u64, usize), Vec<Episode>> {
     map.retain(|_, v| !v.is_empty());
     map
-}
-
-struct TempLog(std::path::PathBuf);
-
-impl TempLog {
-    fn new(tag: u64) -> TempLog {
-        TempLog(
-            std::env::temp_dir().join(format!("sitm-equivalence-{}-{tag}.log", std::process::id())),
-        )
-    }
-}
-
-impl Drop for TempLog {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
 }
 
 proptest! {
@@ -253,24 +236,22 @@ proptest! {
         let expected = oneshot.finish();
 
         // Crashed run: ingest a prefix, drain some, checkpoint, "crash",
-        // restore from the log, replay the suffix.
-        let log_path = TempLog::new(seed ^ (cut as u64) << 32 ^ shards as u64);
+        // restore from the checkpoint, replay the suffix.
         let mut delivered;
+        let checkpoint;
         {
             let mut engine = ParallelEngine::new(
                 EngineConfig::new(predicates(&model)).with_shards(shards),
             ).expect("engine");
             engine.ingest_all(events[..cut].iter().cloned());
             delivered = engine.drain();
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&log_path.0).expect("log");
-            engine.checkpoint(&mut log).expect("checkpoint");
+            checkpoint = engine.checkpoint();
             // Engine dropped here without seeing events[cut..]: the crash.
         }
-        let (mut restored, _log, report) = resume_from_log(
+        let mut restored = ParallelEngine::restore(
             EngineConfig::new(predicates(&model)).with_shards(shards),
-            &log_path.0,
+            &checkpoint,
         ).expect("restore");
-        prop_assert!(report.is_clean());
         restored.ingest_all(events[cut..].iter().cloned());
         delivered.extend(restored.finish());
         delivered.sort_by_key(|a| a.sort_key());

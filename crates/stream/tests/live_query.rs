@@ -32,10 +32,8 @@ use sitm_louvre::{
     PaperCalibration,
 };
 use sitm_query::{federated_count, CandidateSet, Predicate, Query, Row, TrajectorySource};
-use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    resume_from_log, trajectory_feed, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent,
-    VisitKey,
+    trajectory_feed, EngineConfig, LiveSnapshot, ParallelEngine, StreamEvent, VisitKey,
 };
 use std::sync::Arc;
 
@@ -72,7 +70,6 @@ fn config(model: &LouvreModel, shards: usize) -> EngineConfig {
     )])
     .with_shards(shards)
     .with_batch_capacity(4)
-    .with_live_queries()
 }
 
 fn small_dataset(seed: u64, visits: usize, mean_dets: usize) -> Dataset {
@@ -321,8 +318,7 @@ fn single_hot_shard_skew_stays_consistent() {
     let config = EngineConfig::new(preds)
         .with_shards(4)
         .with_batch_capacity(8)
-        .with_channel_depth(2) // tiny depth: exercise backpressure on the hot channel
-        .with_live_queries();
+        .with_channel_depth(2); // tiny depth: exercise backpressure on the hot channel
     let mut engine = ParallelEngine::new(config).unwrap();
     let cut = events.len();
     engine.ingest_all(events.iter().cloned());
@@ -413,58 +409,6 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
     );
 }
 
-#[test]
-fn restoring_into_a_non_retaining_config_drops_prefixes_not_serves_them_stale() {
-    // A retaining engine checkpoints mid-visit; the operator restarts
-    // with retention off. The restored engine must count those visits
-    // as unqueryable — a frozen prefix masquerading as the visit's
-    // current trajectory would silently answer live queries wrongly.
-    let model = build_louvre();
-    let dataset = small_dataset(123, 4, 5);
-    let events = trajectory_feed(&dataset.visit_trajectories(&model));
-    // Cut just before the first close: that visit is open, mid-prefix.
-    let cut = events
-        .iter()
-        .position(|e| matches!(e, StreamEvent::VisitClosed { .. }))
-        .expect("some visit closes");
-    let path = std::env::temp_dir().join(format!("sitm-live-retention-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    {
-        let mut engine = ParallelEngine::new(config(&model, 2)).unwrap();
-        engine.ingest_all(events[..cut].iter().cloned());
-        assert!(
-            !engine.live_snapshot().visits.is_empty(),
-            "mid-day: some visit is open with a prefix"
-        );
-        let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&path).unwrap();
-        engine.checkpoint(&mut log).unwrap();
-    }
-    // Same predicates, retention off.
-    let plain = EngineConfig::new(vec![(
-        sitm_core::IntervalPredicate::in_cells([zone_cell(&model, 60886)]),
-        label("in hall"),
-    )])
-    .with_shards(2)
-    .with_batch_capacity(4);
-    let (mut restored, _log, report) = resume_from_log(plain, &path).unwrap();
-    assert!(report.is_clean());
-    let snapshot = restored.live_snapshot();
-    assert!(
-        snapshot.visits.is_empty(),
-        "no frozen prefixes may survive into a non-retaining config"
-    );
-    assert!(
-        snapshot.unqueryable > 0,
-        "the open visits are still counted"
-    );
-    // The episode pipeline itself is unharmed by the reconciliation.
-    let mut reference = ParallelEngine::new(config(&model, 2)).unwrap();
-    reference.ingest_all(events.iter().cloned());
-    restored.ingest_all(events[cut..].iter().cloned());
-    assert_eq!(restored.finish(), reference.finish());
-    let _ = std::fs::remove_file(&path);
-}
-
 // ---- patched (`live_snapshot`) == rebuilt (`rebuilt_snapshot`) at every cut ----
 
 fn cell(n: usize) -> CellRef {
@@ -488,7 +432,6 @@ fn churn_config(shards: usize) -> EngineConfig {
     .with_shards(shards)
     .with_batch_capacity(3)
     .with_allowed_lateness(Duration::seconds(CHURN_LATENESS))
-    .with_live_queries()
 }
 
 fn stay(key: u64, c: usize, start: i64, end: i64) -> StreamEvent {
@@ -653,8 +596,9 @@ proptest! {
             fed = next;
 
             if step == restore_at {
-                let frame = patched.checkpoint_frame();
-                patched = ParallelEngine::restore(churn_config(shards), &frame).expect("restore");
+                let checkpoint = patched.checkpoint();
+                patched =
+                    ParallelEngine::restore(churn_config(shards), &checkpoint).expect("restore");
             }
             let at = format!("seed {seed}, after {fed} events");
             let now_patched = patched.live_snapshot();

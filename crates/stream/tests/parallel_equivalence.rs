@@ -30,10 +30,8 @@ use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, Dataset, GeneratorConfig, LouvreModel,
     PaperCalibration,
 };
-use sitm_store::{CheckpointFrame, LogStore};
 use sitm_stream::{
-    resume_from_log, trajectory_feed, EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent,
-    VisitKey,
+    trajectory_feed, EmittedEpisode, EngineConfig, ParallelEngine, StreamEvent, VisitKey,
 };
 
 fn calibration(singles: usize, doubles: usize, mean_dets: usize) -> PaperCalibration {
@@ -147,22 +145,6 @@ fn shuffle(events: &mut [StreamEvent], seed: u64) {
     }
 }
 
-struct TempLog(std::path::PathBuf);
-
-impl TempLog {
-    fn new(tag: u64) -> TempLog {
-        TempLog(
-            std::env::temp_dir().join(format!("sitm-par-equiv-{}-{tag}.log", std::process::id())),
-        )
-    }
-}
-
-impl Drop for TempLog {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -265,20 +247,18 @@ proptest! {
         oneshot.ingest_all(events.iter().cloned());
         let expected = oneshot.finish();
 
-        let log_path = TempLog::new(seed ^ ((cut as u64) << 20) ^ ((workers as u64) << 40));
         let mut delivered;
+        let checkpoint;
         {
             let mut engine = ParallelEngine::new(config(&model, workers, 8)).expect("engine");
             engine.ingest_all(events[..cut].iter().cloned());
             delivered = engine.drain();
-            let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&log_path.0).expect("log");
-            engine.checkpoint(&mut log).expect("checkpoint");
+            checkpoint = engine.checkpoint();
             // Engine dropped here without seeing events[cut..]: the crash.
         }
-        let (mut restored, _log, report) = resume_from_log(
-            config(&model, workers, 8), &log_path.0,
+        let mut restored = ParallelEngine::restore(
+            config(&model, workers, 8), &checkpoint,
         ).expect("restore");
-        prop_assert!(report.is_clean());
         restored.ingest_all(events[cut..].iter().cloned());
         delivered.extend(restored.finish());
         delivered.sort_by_key(|a| a.sort_key());

@@ -1,7 +1,7 @@
 //! Parallel ingestion walkthrough: the work-stealing engine serving a
 //! Louvre day, with live queries answered *while* the stream is in
-//! flight, a crash recovered through a bounded checkpoint log, and a
-//! final proof that the streamed episodes equal batch
+//! flight, a crash recovered from the last checkpoint, and a final
+//! proof that the streamed episodes equal batch
 //! `maximal_episodes` over every completed visit.
 //!
 //! Run with: `cargo run --example parallel_ingest`
@@ -13,7 +13,7 @@ use sitm::louvre::{
     build_louvre, generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration,
 };
 use sitm::query::{federated_count, Predicate, TrajectorySource};
-use sitm::stream::{resume_from_log, trajectory_feed, EngineConfig, VisitKey};
+use sitm::stream::{trajectory_feed, EngineConfig, ParallelEngine, VisitKey};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -60,55 +60,45 @@ fn main() {
         dataset.visits.len()
     );
 
-    // ---- 2. Work-stealing engine with live queries + bounded log. --------
-    let config = || {
-        EngineConfig::new(predicates(&model))
-            .with_shards(4)
-            .with_live_queries()
-    };
-    let ckpt_path =
-        std::env::temp_dir().join(format!("sitm-parallel-ingest-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&ckpt_path);
-    // Every checkpoint rewrites the log to the previous one and itself,
-    // so it never exceeds two snapshots.
-    let (mut engine, mut log, _) = resume_from_log(config(), &ckpt_path).expect("fresh engine");
+    // ---- 2. Work-stealing engine, queried live, checkpointed. -----------
+    let config = || EngineConfig::new(predicates(&model)).with_shards(4);
+    let mut engine = ParallelEngine::new(config()).expect("engine");
 
     // Ingest in quarters; after each, answer live questions mid-stream
-    // and commit a checkpoint.
+    // and take a checkpoint. The engine hands its state out as bytes;
+    // keeping them durable is the caller's job, so this walkthrough
+    // keeps the last checkpoint in memory.
     let hall = model.space.resolve(&zone_key(60886)).expect("hall");
     let in_hall = Predicate::VisitedCell(hall);
     let long_dwell = Predicate::MinTotalDwell(Duration::minutes(30));
     let mut delivered = Vec::new();
+    let mut checkpoint = Vec::new();
     let quarter = events.len() / 4;
     for q in 0..3 {
         engine.ingest_all(events[q * quarter..(q + 1) * quarter].iter().cloned());
         let snapshot = engine.live_snapshot();
+        delivered.extend(engine.drain());
+        checkpoint = engine.checkpoint();
         println!(
-            "after {:>4} events: {:>3} visits live | {:>3} touched the hall | {:>2} dwelling 30m+ | log {:>5}B",
+            "after {:>4} events: {:>3} visits live | {:>3} touched the hall | {:>2} dwelling 30m+ | checkpoint {:>5}B",
             (q + 1) * quarter,
             snapshot.visits.len(),
             snapshot.count_matching(&in_hall),
             federated_count(&long_dwell, &[&*snapshot as &dyn TrajectorySource]),
-            log.size_bytes(),
+            checkpoint.len(),
         );
-        delivered.extend(engine.drain());
-        engine.checkpoint(&mut log).expect("commit");
     }
 
     // ---- 3. Crash after the third quarter; recover; finish the day. ------
     drop(engine);
-    drop(log);
-    let (mut engine, mut log, report) = resume_from_log(config(), &ckpt_path).expect("recover");
+    let mut engine = ParallelEngine::restore(config(), &checkpoint).expect("recover");
     println!(
-        "\ncrash + recovery: clean={}, {} visits back in flight, log bounded at {}B",
-        report.is_clean(),
+        "\ncrash + recovery: {} visits back in flight from a {}B checkpoint",
         engine.stats().open_visits,
-        log.size_bytes(),
+        checkpoint.len(),
     );
     engine.ingest_all(events[3 * quarter..].iter().cloned());
     delivered.extend(engine.finish());
-    engine.checkpoint(&mut log).expect("final commit");
-    assert_eq!(log.len(), 2, "the log holds the last two checkpoints");
 
     // ---- 4. Differential proof: streamed == batch. -----------------------
     let mut expected = Vec::new();
@@ -131,6 +121,4 @@ fn main() {
         "\nday complete: {} episodes, identical to batch maximal_episodes",
         streamed.len()
     );
-    let _ = std::fs::remove_file(&ckpt_path);
-    let _ = std::fs::remove_file(ckpt_path.with_extension("tmp"));
 }

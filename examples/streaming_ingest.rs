@@ -19,8 +19,7 @@ use sitm::louvre::{
 };
 use sitm::query::Predicate;
 use sitm::space::CellRef;
-use sitm::store::{CheckpointFrame, LogStore};
-use sitm::stream::{resume_from_log, trajectory_feed, EngineConfig, ParallelEngine};
+use sitm::stream::{trajectory_feed, EngineConfig, ParallelEngine};
 
 fn label(s: &str) -> AnnotationSet {
     AnnotationSet::from_iter([Annotation::goal(s)])
@@ -71,13 +70,9 @@ fn main() {
     );
 
     // ---- 2. Online engine + live occupancy. -------------------------------
-    // Live queries keep each open visit's stays, so "who is in this zone
-    // right now" is a `StayOverlaps` count over the engine's live cut.
-    let config = |workers| {
-        EngineConfig::new(predicates(&model))
-            .with_shards(workers)
-            .with_live_queries()
-    };
+    // Each open visit keeps its stays, so "who is in this zone right
+    // now" is a `StayOverlaps` count over the engine's live cut.
+    let config = |workers| EngineConfig::new(predicates(&model)).with_shards(workers);
     let mut engine = ParallelEngine::new(config(8)).expect("engine");
 
     // Map each zone cell to its wing for the live dashboard.
@@ -86,10 +81,9 @@ fn main() {
         .filter_map(|z| Some((model.space.resolve(&zone_key(z.id))?, z.wing)))
         .collect();
 
-    // Ingest the first half of the day, checkpoint, then "crash".
-    let ckpt_path =
-        std::env::temp_dir().join(format!("sitm-streaming-ingest-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&ckpt_path);
+    // Ingest the first half of the day, checkpoint, then "crash". The
+    // checkpoint is the engine's state as bytes; this walkthrough keeps
+    // it in memory across the crash.
     let half = events.len() / 2;
     engine.ingest_all(events[..half].iter().cloned());
     let now = events[half - 1].time();
@@ -104,10 +98,7 @@ fn main() {
     }
     assert!(busiest > 0, "visitors are inside at midday");
     let mut delivered = engine.drain();
-    let (mut log, _, _) = LogStore::<CheckpointFrame>::open(&ckpt_path).expect("open log");
-    engine.checkpoint(&mut log).expect("checkpoint");
-    assert!(log.len() <= 2, "a checkpoint log holds at most two frames");
-    drop(log);
+    let checkpoint = engine.checkpoint();
     drop(engine); // the crash: everything after the checkpoint is lost
 
     println!(
@@ -123,23 +114,16 @@ fn main() {
     println!("busiest zone at midday: {busiest} visitors\n");
 
     // ---- 3. Recover on fewer workers and finish the day. -----------------
-    let (mut engine, mut log, report) =
-        resume_from_log(config(2), &ckpt_path).expect("recover engine");
-    assert!(report.is_clean(), "the checkpoint log recovers cleanly");
+    let mut engine = ParallelEngine::restore(config(2), &checkpoint).expect("recover engine");
     println!(
-        "recovered the 8-worker checkpoint into {} workers (clean: {}, open visits: {})\n",
+        "recovered the {}B 8-worker checkpoint into {} workers (open visits: {})\n",
+        checkpoint.len(),
         engine.workers(),
-        report.is_clean(),
         engine.stats().open_visits
     );
     engine.ingest_all(events[half..].iter().cloned());
     delivered.extend(engine.finish());
     delivered.sort_by_key(|e| e.sort_key());
-    engine.checkpoint(&mut log).expect("end-of-day checkpoint");
-    assert!(
-        log.len() <= 2,
-        "the log keeps the midday and end-of-day frames only"
-    );
 
     let mut uninterrupted = ParallelEngine::new(config(8)).expect("engine");
     uninterrupted.ingest_all(events.iter().cloned());
@@ -169,5 +153,4 @@ fn main() {
     println!("  'exit museum' episodes: {exits}");
     println!("  'lingering' episodes:   {lingering}");
     println!("  recovered day == uninterrupted run: yes");
-    let _ = std::fs::remove_file(&ckpt_path);
 }

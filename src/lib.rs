@@ -54,8 +54,9 @@
 //!   completed trajectory enters the finished backlog.
 //! * **Flush** — `stream::Flusher` drains the backlog (`take_finished`,
 //!   a barrier) and spills batches into `query::SegmentedDb`, bounding
-//!   engine memory. The backlog rides checkpoint payloads until taken,
-//!   so a crash replays exactly what was never made durable.
+//!   engine memory. The backlog rides the engine's checkpoint bytes
+//!   until taken, so an engine restored from them replays exactly what
+//!   was never spilled.
 //! * **Segment** — each spill becomes one immutable CRC-framed file
 //!   ([`store`]'s `warehouse` module): a canonical sorted run of
 //!   encoded trajectories behind a zone map (span min/max, cell /
@@ -63,9 +64,9 @@
 //!   record; the newest intact record is the recovery point (torn
 //!   writes torture-tested at every byte offset).
 //! * **Compaction** — small segments merge size-tiered into larger
-//!   sorted runs; the manifest log itself stays bounded the way the
-//!   checkpoint log does — both commit through one snapshot log that
-//!   keeps the previous record and the newest — and replaced files
+//!   sorted runs; the manifest log itself stays bounded — it commits
+//!   through one snapshot log that keeps the previous record and the
+//!   newest — and replaced files
 //!   outlive every manifest record that still references them.
 //! * **Serve** — [`serve`]'s `Server` wraps one engine + one warehouse
 //!   behind a CRC-framed TCP protocol (a listener plus a bounded
