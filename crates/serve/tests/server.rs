@@ -520,9 +520,15 @@ fn a_segment_file_of_another_format_refuses_the_start() {
 
     let path = tmp.0.join(sitm_store::warehouse::segment_file_name(0));
     let pristine = std::fs::read(&path).expect("the spilled segment");
-    assert_eq!(&pristine[..8], b"SITMSEG3");
-    // Two older formats, a newer one, and the current magic one bit off.
-    for magic in [b"SITMSEG1", b"SITMSEG2", b"SITMSEG4", b"SITMSEGs"] {
+    assert_eq!(&pristine[..8], b"SITMSEG4");
+    // Three older formats, a newer one, and the current magic one bit off.
+    for magic in [
+        b"SITMSEG1",
+        b"SITMSEG2",
+        b"SITMSEG3",
+        b"SITMSEG5",
+        b"SITMSEGt",
+    ] {
         let mut forged = pristine.clone();
         forged[..8].copy_from_slice(magic);
         std::fs::write(&path, &forged).expect("forge");

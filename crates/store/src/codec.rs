@@ -367,7 +367,9 @@ pub fn decode_trace(buf: &mut &[u8], base: Timestamp) -> Result<Trace, CodecErro
     Trace::new(intervals).map_err(|e| CodecError::InvalidTrace(e.to_string()))
 }
 
-/// Encodes a whole semantic trajectory.
+/// Encodes a whole semantic trajectory: its moving object, its base
+/// (the span start), then the trace and the trajectory's annotations —
+/// the tail [`decode_trajectory_tail`] reads.
 pub fn encode_trajectory(buf: &mut Vec<u8>, t: &SemanticTrajectory) {
     put_str(buf, &t.moving_object);
     let base = t.start();
@@ -380,6 +382,20 @@ pub fn encode_trajectory(buf: &mut Vec<u8>, t: &SemanticTrajectory) {
 pub fn decode_trajectory(buf: &mut &[u8]) -> Result<SemanticTrajectory, CodecError> {
     let moving_object = take_str(buf)?.to_owned();
     let base = Timestamp(take_i64(buf)?);
+    decode_trajectory_tail(buf, moving_object, base)
+}
+
+/// Decodes the *tail* of an [`encode_trajectory`] encoding — what
+/// follows the moving object and the base: the trace, its first stay a
+/// delta from the base, and the trajectory's annotations — into the
+/// trajectory of `moving_object` whose trace is based at `base`. A
+/// segment stores each row as its tail alone, since its headers hold
+/// the object and the base.
+pub fn decode_trajectory_tail(
+    buf: &mut &[u8],
+    moving_object: String,
+    base: Timestamp,
+) -> Result<SemanticTrajectory, CodecError> {
     let trace = decode_trace(buf, base)?;
     let annotations = decode_annotations(buf)?;
     SemanticTrajectory::new(moving_object, trace, annotations)

@@ -14,12 +14,21 @@
 //! through the directory. Frames are validated by
 //! [`segment::read_frame`], here as everywhere.
 //!
+//! A row's frame payload is the *tail* of its encoding (what
+//! [`crate::codec::decode_trajectory_tail`] reads): every fact a header
+//! already holds is left out. The moving object is the zone map's,
+//! named by the row's rank in the sort columns; the base (the span
+//! start) is the directory's. A row is decoded from the three together
+//! ([`Segment::read_trajectory`]), and its decoded span, dwell and
+//! trace length must be the directory's and the sort columns'.
+//!
 //! A hydrated segment keeps two things, together or not at all: the
 //! decoded run (what predicates and the per-segment postings read) and
-//! the stored bytes that run was decoded from (what a served page is
-//! copied out of, and what a merge copies into the next file — a row's
-//! frame payload *is* its encoding). [`Segment::resident_row`] hands
-//! out one row of both.
+//! the rows' whole encodings (`encode_trajectory`: object, base, then
+//! the stored tail), put together once, when the segment is written or
+//! hydrated. They are what a served page is copied out of, and what a
+//! merge orders by and frames the tails of into the next file.
+//! [`Segment::resident_row`] hands out one row of both.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -27,19 +36,20 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use sitm_core::SemanticTrajectory;
+use sitm_codec::{put_i64, put_str, take_bytes, take_i64};
+use sitm_core::{SemanticTrajectory, Timestamp};
 use sitm_obs::{Counter, MetricsRegistry};
 
 use super::index::{DirectoryEntry, SegmentDirectory, SortColumns, ZoneMap};
 use super::rollup::{SegmentRollup, DEFAULT_ROLLUP_PERIOD_SECONDS};
 use super::row_cache::RowCache;
 use super::WarehouseError;
-use crate::codec::{decode_trajectory, encode_trajectory, CodecError};
+use crate::codec::{decode_trajectory_tail, encode_trajectory, CodecError};
 use crate::segment::{self, Corruption};
 
 /// The magic every segment file opens with. A file with any other —
 /// an older format, a newer one, a damaged one — is refused at open.
-const MAGIC: &[u8; 8] = b"SITMSEG3";
+const MAGIC: &[u8; 8] = b"SITMSEG4";
 
 /// A row's span as the directory stores it: `(start, end)` in seconds,
 /// read once (`start()`/`end()` each fold the whole trace).
@@ -104,12 +114,53 @@ fn permute<T>(rows: &mut [T], order: &mut [usize]) {
     }
 }
 
-/// One row as the assembler takes it: the two span columns of its
-/// directory entry and its encoding, the payload of its frame.
-struct StoredRow<'a> {
-    start: i64,
-    end: i64,
-    payload: &'a [u8],
+/// Rows' whole encodings (`encode_trajectory`) end to end in one
+/// buffer, in run order: row `i` is `bytes[bounds[i]..bounds[i + 1]]`.
+#[derive(Debug)]
+struct Encodings {
+    bytes: Vec<u8>,
+    bounds: Vec<usize>,
+}
+
+impl Encodings {
+    fn with_capacity(rows: usize, bytes: usize) -> Encodings {
+        let mut bounds = Vec::with_capacity(rows + 1);
+        bounds.push(0);
+        Encodings {
+            bytes: Vec::with_capacity(bytes),
+            bounds,
+        }
+    }
+
+    /// Appends the next row's encoding.
+    fn push(&mut self, encoding: &[u8]) {
+        self.bytes.extend_from_slice(encoding);
+        self.bounds.push(self.bytes.len());
+    }
+
+    /// Appends the next row's encoding from its parts: the object and
+    /// base a segment's headers hold, then the tail its frame holds.
+    fn push_stored(&mut self, object: &str, base: i64, tail: &[u8]) {
+        put_str(&mut self.bytes, object);
+        put_i64(&mut self.bytes, base);
+        self.bytes.extend_from_slice(tail);
+        self.bounds.push(self.bytes.len());
+    }
+
+    /// Row `i`'s encoding.
+    fn get(&self, i: usize) -> Option<&[u8]> {
+        let (start, end) = (*self.bounds.get(i)?, *self.bounds.get(i + 1)?);
+        self.bytes.get(start..end)
+    }
+}
+
+/// The stored tail of a row's whole encoding: what follows its object
+/// and base, the payload of its frame.
+fn tail(encoding: &[u8]) -> Result<&[u8], CodecError> {
+    let mut rest = encoding;
+    take_bytes(&mut rest)?;
+    take_i64(&mut rest)?;
+    Ok(rest)
 }
 
 /// What a segment's header frames hold besides the directory (which
@@ -123,13 +174,34 @@ struct Headers {
 
 /// The assembler: serializes one segment (magic, zone map, offset
 /// directory, sort columns, rollup, one frame per row) into a buffer
-/// and returns it with the directory describing it. `rows` are in run
-/// order and already encoded; nothing here looks inside one.
-fn encode_segment_file(headers: &Headers, rows: &[StoredRow<'_>]) -> (Vec<u8>, SegmentDirectory) {
-    // The header frames' sizes must be known before any offset is
-    // final (which is why the directory is fixed-width).
+/// and returns it with the directory describing it. Row `i` has span
+/// `spans[i]` and encoding `encodings.get(i)`, in run order; its frame
+/// holds the encoding's tail.
+fn encode_segment_file(
+    headers: &Headers,
+    spans: &[(i64, i64)],
+    encodings: &Encodings,
+) -> Result<(Vec<u8>, SegmentDirectory), CodecError> {
+    let tails = (0..spans.len())
+        .map(|i| tail(encodings.get(i).ok_or(CodecError::UnexpectedEof)?))
+        .collect::<Result<Vec<&[u8]>, CodecError>>()?;
+    // The directory writes lengths and spans, not offsets, so it is
+    // encoded before any offset is known; offsets follow from the
+    // header frames' sizes.
+    let mut directory = SegmentDirectory::default();
+    directory.entries.reserve_exact(spans.len());
+    for (&(start, end), tail) in spans.iter().zip(&tails) {
+        directory.entries.push(DirectoryEntry {
+            offset: 0,
+            len: (segment::FRAME_OVERHEAD + tail.len()) as u32,
+            start,
+            end,
+        });
+    }
     let mut zone_payload = Vec::new();
     headers.zone_map.encode(&mut zone_payload);
+    let mut directory_payload = Vec::new();
+    directory.encode(&mut directory_payload);
     let mut sort_payload = Vec::new();
     headers.sort_columns.encode(&mut sort_payload);
     let mut rollup_payload = Vec::new();
@@ -138,37 +210,27 @@ fn encode_segment_file(headers: &Headers, rows: &[StoredRow<'_>]) -> (Vec<u8>, S
         + segment::FRAME_OVERHEAD
         + zone_payload.len()
         + segment::FRAME_OVERHEAD
-        + SegmentDirectory::encoded_len(rows.len())
+        + directory_payload.len()
         + segment::FRAME_OVERHEAD
         + sort_payload.len()
         + segment::FRAME_OVERHEAD
         + rollup_payload.len();
-    let mut directory = SegmentDirectory::default();
-    directory.entries.reserve_exact(rows.len());
     let mut offset = headers_end as u64;
-    for row in rows {
-        let len = (segment::FRAME_OVERHEAD + row.payload.len()) as u32;
-        directory.entries.push(DirectoryEntry {
-            offset,
-            len,
-            start: row.start,
-            end: row.end,
-        });
-        offset += len as u64;
+    for entry in &mut directory.entries {
+        entry.offset = offset;
+        offset += entry.len as u64;
     }
     let mut buf = Vec::with_capacity(offset as usize);
     buf.extend_from_slice(MAGIC);
     segment::write_frame(&mut buf, &zone_payload);
-    let mut directory_payload = Vec::with_capacity(SegmentDirectory::encoded_len(rows.len()));
-    directory.encode(&mut directory_payload);
     segment::write_frame(&mut buf, &directory_payload);
     segment::write_frame(&mut buf, &sort_payload);
     segment::write_frame(&mut buf, &rollup_payload);
     debug_assert_eq!(buf.len(), headers_end);
-    for row in rows {
-        segment::write_frame(&mut buf, row.payload);
+    for tail in tails {
+        segment::write_frame(&mut buf, tail);
     }
-    (buf, directory)
+    Ok((buf, directory))
 }
 
 /// A segment file being opened: its header frames, read in sequence.
@@ -266,22 +328,20 @@ impl LazyIoMetrics {
     }
 }
 
-/// What a hydrated segment holds: the decoded run beside the stored
-/// bytes it was decoded from. One value behind one `OnceLock`, so the
-/// two are resident together or not at all.
+/// What a hydrated segment holds: the decoded run beside the rows'
+/// whole encodings. One value behind one `OnceLock`, so the two are
+/// resident together or not at all.
 #[derive(Debug)]
 struct Resident {
     /// The sorted run (`Arc` so per-segment indexes borrow the same
     /// storage instead of cloning it).
     run: Arc<Vec<SemanticTrajectory>>,
-    /// File bytes from offset `base` to the end of the last trajectory
-    /// frame: either the region [`Segment::decode_all`] read — every
-    /// frame of it validated by [`Segment::decode_row`] — or the file
-    /// image [`Segment::create`] or [`Segment::merge`] assembled beside
-    /// `run` and wrote.
-    bytes: Vec<u8>,
-    /// File offset of `bytes[0]` (directory offsets are file offsets).
-    base: u64,
+    /// Each row's `encode_trajectory`, in run order: either put
+    /// together by [`Segment::decode_all`] from the headers' object and
+    /// base and a tail [`Segment::decode_row`] validated and decoded, or
+    /// what [`Segment::create`] encoded or [`Segment::merge`] gathered
+    /// for the file it wrote.
+    encodings: Encodings,
 }
 
 /// One live segment: headers resident (zone map, offset directory,
@@ -295,7 +355,7 @@ pub struct Segment {
     pub zone_map: ZoneMap,
     /// Per-trajectory offsets + span columns.
     directory: SegmentDirectory,
-    /// Fixed-width content sort keys.
+    /// Content sort keys, and each row's object rank.
     sort_columns: SortColumns,
     /// Per-zone / per-period pre-aggregates.
     rollup: SegmentRollup,
@@ -314,14 +374,14 @@ pub struct Segment {
 impl Segment {
     /// Writes `trajectories` (sorted into the canonical run order) as
     /// the segment file at `path`, fsynced, and returns the segment —
-    /// its run and the file image just written both resident, so a
-    /// freshly flushed segment serves queries without re-reading its
-    /// own file — and the bytes written.
+    /// its run and their encodings both resident, so a freshly flushed
+    /// segment serves queries without re-reading its own file — and the
+    /// bytes written.
     ///
     /// Every row is encoded exactly once (charged to `encoded`), into
     /// one arena; the order is decided on `(start, end, arena slice)` —
-    /// [`sort_run`]'s total order — and the assembler frames the same
-    /// slices.
+    /// [`sort_run`]'s total order — and the assembler frames the tails
+    /// of the same encodings.
     pub(super) fn create(
         path: PathBuf,
         id: u64,
@@ -340,15 +400,15 @@ impl Segment {
             bounds.push(arena.len());
         }
         encoded.add(trajectories.len() as u64);
-        let payload = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+        let encoding = |i: usize| &arena[bounds[i]..bounds[i + 1]];
         let mut order: Vec<usize> = (0..trajectories.len()).collect();
-        order.sort_unstable_by(|&a, &b| (spans[a], payload(a)).cmp(&(spans[b], payload(b))));
-        let rows: Vec<StoredRow<'_>> = order
+        order.sort_unstable_by(|&a, &b| (spans[a], encoding(a)).cmp(&(spans[b], encoding(b))));
+        let mut encodings = Encodings::with_capacity(order.len(), arena.len());
+        let run_spans: Vec<(i64, i64)> = order
             .iter()
-            .map(|&i| StoredRow {
-                start: spans[i].0,
-                end: spans[i].1,
-                payload: payload(i),
+            .map(|&i| {
+                encodings.push(encoding(i));
+                spans[i]
             })
             .collect();
         permute(&mut trajectories, &mut order);
@@ -358,8 +418,9 @@ impl Segment {
             sort_columns: SortColumns::build(&trajectories, &zone_map.objects),
             zone_map,
         };
-        let (segment, image) = Segment::write(path, id, headers, &rows, io, cache)?;
-        Ok(segment.hydrated(trajectories, image))
+        let (segment, written) =
+            Segment::write(path, id, headers, &run_spans, &encodings, io, cache)?;
+        Ok((segment.hydrated(trajectories, encodings), written))
     }
 
     /// Merges `victims` — each one sorted run — into the segment file
@@ -369,14 +430,15 @@ impl Segment {
     /// * Cold victims are hydrated first, through
     ///   [`Segment::trajectories`] (every frame validated and decoded).
     /// * The order is decided on `(directory start, directory end,
-    ///   stored payload, victim, row)`: [`sort_run`]'s order over
-    ///   columns and bytes already resident.
+    ///   encoding, victim, row)`: [`sort_run`]'s order over columns and
+    ///   bytes already resident.
     /// * The zone map is the union of the victims' (blooms rebuilt over
     ///   the merged sets, so they are sized as a build would size
     ///   them), the rollup their sum; dwell and trace-length columns
     ///   are gathered and the object column re-ranked against the
     ///   merged object set.
-    /// * The assembler frames the victims' stored payloads.
+    /// * The victims' encodings are gathered in the merged order, and
+    ///   the assembler frames their tails.
     /// * Once the file is durable the decoded rows are *moved* out of
     ///   the victims, which are left cold; a run something else still
     ///   shares (a hydrated query-side index) is cloned instead.
@@ -394,11 +456,11 @@ impl Segment {
         for (v, victim) in victims.iter().enumerate() {
             victim.trajectories()?;
             for (r, entry) in victim.directory.entries.iter().enumerate() {
-                let (_, payload) = victim.resident_row(r).ok_or(WarehouseError::Inconsistent {
+                let (_, encoding) = victim.resident_row(r).ok_or(WarehouseError::Inconsistent {
                     id: victim.id,
                     what: "hydrated segment lacks a row its directory lists",
                 })?;
-                order.push((entry.start, entry.end, payload, v, r));
+                order.push((entry.start, entry.end, encoding, v, r));
             }
         }
         // Stable, so the victims' runs are found and merged, not
@@ -435,16 +497,17 @@ impl Segment {
             zone_map,
             rollup,
         };
-        let rows: Vec<StoredRow<'_>> = order
+        let bytes = order.iter().map(|&(_, _, e, ..)| e.len()).sum();
+        let mut encodings = Encodings::with_capacity(order.len(), bytes);
+        let spans: Vec<(i64, i64)> = order
             .iter()
-            .map(|&(start, end, payload, ..)| StoredRow {
-                start,
-                end,
-                payload,
+            .map(|&(start, end, encoding, ..)| {
+                encodings.push(encoding);
+                (start, end)
             })
             .collect();
         let sources: Vec<usize> = order.iter().map(|&(.., v, _)| v).collect();
-        let (segment, image) = Segment::write(path, id, headers, &rows, io, cache)?;
+        let (segment, written) = Segment::write(path, id, headers, &spans, &encodings, io, cache)?;
         let mut runs: Vec<_> = victims
             .iter_mut()
             .map(|victim| {
@@ -458,20 +521,22 @@ impl Segment {
             .into_iter()
             .map(|v| runs[v].next().expect("one row per ordered entry"))
             .collect();
-        Ok(segment.hydrated(run, image))
+        Ok((segment.hydrated(run, encodings), written))
     }
 
-    /// Assembles the file over `rows`, writes it at `path` and fsyncs
-    /// it. Returns the segment, still cold, and the image written.
+    /// Assembles the file over rows of `spans` and `encodings`, writes
+    /// it at `path` and fsyncs it. Returns the segment, still cold, and
+    /// the bytes written.
     fn write(
         path: PathBuf,
         id: u64,
         headers: Headers,
-        rows: &[StoredRow<'_>],
+        spans: &[(i64, i64)],
+        encodings: &Encodings,
         io: LazyIoMetrics,
         cache: RowCache,
-    ) -> Result<(Segment, Vec<u8>), WarehouseError> {
-        let (image, directory) = encode_segment_file(&headers, rows);
+    ) -> Result<(Segment, usize), WarehouseError> {
+        let (image, directory) = encode_segment_file(&headers, spans, encodings)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -491,19 +556,17 @@ impl Segment {
             io,
             cache,
         };
-        Ok((segment, image))
+        Ok((segment, image.len()))
     }
 
     /// Makes a segment just written resident: `run` is its rows in run
-    /// order, `image` the whole file. Returns it with the bytes written.
-    fn hydrated(mut self, run: Vec<SemanticTrajectory>, image: Vec<u8>) -> (Segment, usize) {
-        let written = image.len();
+    /// order, `encodings` theirs.
+    fn hydrated(mut self, run: Vec<SemanticTrajectory>, encodings: Encodings) -> Segment {
         self.loaded = OnceLock::from(Resident {
             run: Arc::new(run),
-            bytes: image,
-            base: 0,
+            encodings,
         });
-        (self, written)
+        self
     }
 
     /// Opens the segment file at `path` reading headers only: the magic
@@ -536,13 +599,23 @@ impl Segment {
             buf: Vec::new(),
         };
         let zone_map = headers.next(ZoneMap::decode, "trailing bytes after zone map")?;
-        let directory = headers.next(SegmentDirectory::decode, "trailing bytes after directory")?;
+        let mut directory =
+            headers.next(SegmentDirectory::decode, "trailing bytes after directory")?;
         let sort_columns =
             headers.next(SortColumns::decode, "trailing bytes after sort columns")?;
         let rollup = headers.next(SegmentRollup::decode, "trailing bytes after rollup")?;
         directory
-            .validate(headers.at, file_len, zone_map.len)
+            .place(headers.at, file_len, zone_map.len)
             .map_err(|what| WarehouseError::Inconsistent { id, what })?;
+        let zone_span = zone_map
+            .span
+            .map(|s| (s.start.as_seconds(), s.end.as_seconds()));
+        if directory.span() != zone_span {
+            return Err(WarehouseError::Inconsistent {
+                id,
+                what: "directory span disagrees with zone map",
+            });
+        }
         sort_columns
             .validate(zone_map.len, zone_map.objects.len() as u64)
             .map_err(|what| WarehouseError::Inconsistent { id, what })?;
@@ -604,24 +677,25 @@ impl Segment {
     }
 
     /// Row `i` of a hydrated segment, borrowed: the decoded trajectory
-    /// and its stored encoding — the payload of the row's frame, which
-    /// is `encode_trajectory` of that trajectory and therefore the
-    /// bytes a reply carries for it. `None` when the segment is not
-    /// hydrated (or `i` is not a row of it): the caller reads the row
-    /// with [`Segment::read_trajectory`], which names the error.
+    /// and its encoding — `encode_trajectory` of that trajectory, and
+    /// therefore the bytes a reply carries for it. `None` when the
+    /// segment is not hydrated (or `i` is not a row of it): the caller
+    /// reads the row with [`Segment::read_trajectory`], which names the
+    /// error.
     ///
-    /// The slice is cut with the directory's offsets — validated
-    /// against the file at open — out of bytes every frame of which
-    /// was validated and decoded at hydration, or that this store
-    /// encoded and wrote itself when it created the segment.
+    /// The encoding is the headers' object and base ahead of a stored
+    /// tail that was validated and decoded at hydration, or what this
+    /// store encoded itself when it wrote the segment.
     pub fn resident_row(&self, i: usize) -> Option<(&SemanticTrajectory, &[u8])> {
         let resident = self.loaded.get()?;
-        let entry = self.directory.entries.get(i)?;
-        let frame = usize::try_from(entry.offset.checked_sub(resident.base)?).ok()?;
-        let payload = resident.bytes.get(
-            frame.checked_add(segment::FRAME_OVERHEAD)?..frame.checked_add(entry.len as usize)?,
-        )?;
-        Some((resident.run.get(i)?, payload))
+        Some((resident.run.get(i)?, resident.encodings.get(i)?))
+    }
+
+    /// Row `i`'s moving object: the zone-map name its sort-column rank
+    /// names (checked against the set at open).
+    fn object(&self, i: usize) -> Option<&str> {
+        let rank = *self.sort_columns.object.get(i)?;
+        self.zone_map.objects.get(rank as usize)
     }
 
     /// Decodes trajectory `i` alone: one directory-guided positional
@@ -647,23 +721,24 @@ impl Segment {
         read_exact_at(&self.file, &mut frame, entry.offset)?;
         self.io.bytes_read.add(entry.len as u64);
         self.io.decoded.inc();
-        let t = self.decode_row(entry, &frame)?;
+        let (t, _) = self.decode_row(i, entry, &frame)?;
         self.cache.insert(self.id, i, &t, entry.len as u64);
         Ok(t)
     }
 
     /// Reads the whole trajectory region in one pass, validates and
     /// decodes every frame of it, and returns the run together with the
-    /// region it came from. The row cache is not touched: a hydrated
-    /// segment answers every read from `loaded`, ahead of the cache.
+    /// rows' encodings, each put together from its object, its base and
+    /// the tail its frame held. The row cache is not touched: a
+    /// hydrated segment answers every read from `loaded`, ahead of the
+    /// cache.
     fn decode_all(&self) -> Result<Resident, WarehouseError> {
         let entries = &self.directory.entries;
         let mut trajectories = Vec::with_capacity(entries.len());
         let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
             return Ok(Resident {
                 run: Arc::new(trajectories),
-                bytes: Vec::new(),
-                base: 0,
+                encodings: Encodings::with_capacity(0, 0),
             });
         };
         let first = first.offset;
@@ -671,26 +746,34 @@ impl Segment {
         let mut region = vec![0u8; total];
         read_exact_at(&self.file, &mut region, first)?;
         self.io.bytes_read.add(total as u64);
-        for entry in entries {
+        let mut encodings = Encodings::with_capacity(entries.len(), total);
+        for (i, entry) in entries.iter().enumerate() {
             let start = (entry.offset - first) as usize;
-            trajectories.push(self.decode_row(entry, &region[start..start + entry.len as usize])?);
+            let frame = &region[start..start + entry.len as usize];
+            let (row, tail) = self.decode_row(i, entry, frame)?;
+            encodings.push_stored(&row.moving_object, entry.start, tail);
+            trajectories.push(row);
         }
         self.io.decoded.add(trajectories.len() as u64);
         Ok(Resident {
             run: Arc::new(trajectories),
-            bytes: region,
-            base: first,
+            encodings,
         })
     }
 
-    /// Validates `frame` — the bytes the directory says hold one row —
-    /// and decodes the row. Both lazy paths end here, so a damaged
-    /// frame is the same error whichever of them meets it.
-    fn decode_row(
+    /// Validates `frame` — the bytes the directory says hold row `i` —
+    /// and decodes the row from its stored tail, its object (the zone
+    /// map's, by the row's rank) and its base (the directory's start).
+    /// The decoded span must be the directory's, and its dwell and trace
+    /// length the sort columns'. Returns the row and its stored tail.
+    /// Both lazy paths end here, so a damaged frame is the same error
+    /// whichever of them meets it.
+    fn decode_row<'f>(
         &self,
+        i: usize,
         entry: &DirectoryEntry,
-        frame: &[u8],
-    ) -> Result<SemanticTrajectory, WarehouseError> {
+        frame: &'f [u8],
+    ) -> Result<(SemanticTrajectory, &'f [u8]), WarehouseError> {
         let (payload, frame_len) =
             segment::read_frame(frame, entry.offset as usize).map_err(|corruption| {
                 WarehouseError::CorruptSegment {
@@ -704,11 +787,31 @@ impl Segment {
                 what: "frame length disagrees with directory",
             });
         }
-        decode_whole(
+        let object = self.object(i).ok_or(WarehouseError::Inconsistent {
+            id: self.id,
+            what: "row has no object in the zone map",
+        })?;
+        let row = decode_whole(
             payload,
-            decode_trajectory,
+            |tail| decode_trajectory_tail(tail, object.to_owned(), Timestamp(entry.start)),
             self.id,
             "trailing bytes after trajectory",
-        )
+        )?;
+        if span_seconds(&row) != (entry.start, entry.end) {
+            return Err(WarehouseError::Inconsistent {
+                id: self.id,
+                what: "row span disagrees with directory",
+            });
+        }
+        let columns = &self.sort_columns;
+        if columns.dwell.get(i) != Some(&row.trace().dwell_total().as_seconds())
+            || columns.trace_len.get(i) != Some(&(row.trace().len() as u32))
+        {
+            return Err(WarehouseError::Inconsistent {
+                id: self.id,
+                what: "row disagrees with its sort columns",
+            });
+        }
+        Ok((row, payload))
     }
 }

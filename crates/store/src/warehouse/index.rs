@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use sitm_codec::{put_i64, put_u64, take_count, take_flag, take_span, take_u64};
+use sitm_codec::{put_i64, put_u64, take_count, take_flag, take_i64, take_span, take_u64};
 use sitm_core::{Annotation, AnnotationSet, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_graph::CellRef;
 
@@ -261,19 +261,28 @@ pub struct DirectoryEntry {
     pub end: i64,
 }
 
-/// Bytes per encoded [`DirectoryEntry`] (fixed width: the directory's
-/// own size must be known *before* the offsets it contains are
-/// computed, so variable-width encoding would be self-referential).
-const DIRECTORY_ENTRY_BYTES: usize = 8 + 4 + 8 + 8;
+/// Most rows one segment can hold. A segment's directory and sort
+/// columns are one frame each, and a frame's payload is bounded by
+/// [`segment::MAX_PAYLOAD`]; at this many rows both fit with every
+/// varint at its widest (`row_limit_frames_fit_one_frame_at_their_widest`
+/// checks it). The value is the row count of the fixed-width
+/// directory this format replaced, kept so that spills and compaction
+/// tiers cut rows where they always have.
+pub(super) const MAX_SEGMENT_ROWS: usize = 599_186;
 
-/// Most rows one segment can hold: the directory is one frame, and a
-/// frame's payload is bounded by [`segment::MAX_PAYLOAD`]. (The sort
-/// columns, 16 bytes a row, fit wherever the directory does.)
-pub(super) const MAX_SEGMENT_ROWS: usize =
-    (segment::MAX_PAYLOAD as usize - 8) / DIRECTORY_ENTRY_BYTES;
+/// The fewest bytes an encoded directory entry or sort-column row takes:
+/// three varints of one byte each.
+const MIN_ROW_BYTES: usize = 3;
 
 /// The segment's offset directory: entry `i` locates the
 /// frame of trajectory `i` of the sorted run.
+///
+/// Encoded as varints: the row count and the first row's start
+/// (ZigZag), then per row its frame length, its start as a delta from
+/// the previous row's (rows are sorted by start, so the delta is never
+/// negative) and its span's length. No offset is written: frames are
+/// contiguous, so offsets are the running sum of the lengths, and
+/// a segment rebuilds them when it opens.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentDirectory {
     /// Per-trajectory entries, in run order (offsets strictly
@@ -292,75 +301,95 @@ impl SegmentDirectory {
         self.entries.is_empty()
     }
 
-    /// Encodes the directory (fixed width: u64 count, then
-    /// offset u64 / len u32 / start i64 / end i64 per entry, all LE).
+    /// Encodes the directory: `count`, the first start, then `len`,
+    /// Δ`start` and `end − start` per entry. Offsets are not written.
+    ///
+    /// # Panics
+    ///
+    /// If the entries are not sorted by start, or a span ends before it
+    /// starts: a segment's run order and [`SemanticTrajectory::span`]
+    /// rule both out.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        put_u64(buf, self.entries.len() as u64);
+        let mut previous = self.entries.first().map_or(0, |e| e.start);
+        put_i64(buf, previous);
         for e in &self.entries {
-            buf.extend_from_slice(&e.offset.to_le_bytes());
-            buf.extend_from_slice(&e.len.to_le_bytes());
-            buf.extend_from_slice(&e.start.to_le_bytes());
-            buf.extend_from_slice(&e.end.to_le_bytes());
+            let delta = e
+                .start
+                .checked_sub(previous)
+                .and_then(|d| u64::try_from(d).ok());
+            let span = e
+                .end
+                .checked_sub(e.start)
+                .and_then(|d| u64::try_from(d).ok());
+            put_u64(buf, e.len as u64);
+            put_u64(buf, delta.expect("directory entries ascend by start"));
+            put_u64(buf, span.expect("a span ends at or after its start"));
+            previous = e.start;
         }
     }
 
-    /// Exact encoded size of a directory over `n` entries.
-    pub fn encoded_len(n: usize) -> usize {
-        8 + n * DIRECTORY_ENTRY_BYTES
-    }
-
-    /// Decodes a directory encoded by [`SegmentDirectory::encode`].
+    /// Decodes a directory encoded by [`SegmentDirectory::encode`]. The
+    /// count is weighed against the bytes left before anything is
+    /// allocated, and every start and end is computed with checked
+    /// arithmetic: one past `i64` is [`CodecError::Overflow`]. Offsets
+    /// come out 0: a segment computes them from the lengths when it opens.
     pub fn decode(buf: &mut &[u8]) -> Result<SegmentDirectory, CodecError> {
-        if buf.len() < 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, rest) = buf.split_at(8);
-        let count = u64::from_le_bytes(head.try_into().expect("8 bytes"));
-        *buf = rest;
-        if count.saturating_mul(DIRECTORY_ENTRY_BYTES as u64) > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: count,
-                available: buf.len(),
-            });
-        }
-        let mut entries = Vec::with_capacity(count as usize);
+        let count = take_count(buf, MIN_ROW_BYTES)?;
+        let mut start = take_i64(buf)?;
+        let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let (head, rest) = buf.split_at(DIRECTORY_ENTRY_BYTES);
+            let len = u32::try_from(take_u64(buf)?).map_err(|_| CodecError::Overflow)?;
+            start = start
+                .checked_add_unsigned(take_u64(buf)?)
+                .ok_or(CodecError::Overflow)?;
+            let end = i64::try_from(take_u64(buf)?)
+                .ok()
+                .and_then(|span| start.checked_add(span))
+                .ok_or(CodecError::Overflow)?;
             entries.push(DirectoryEntry {
-                offset: u64::from_le_bytes(head[0..8].try_into().expect("8 bytes")),
-                len: u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")),
-                start: i64::from_le_bytes(head[12..20].try_into().expect("8 bytes")),
-                end: i64::from_le_bytes(head[20..28].try_into().expect("8 bytes")),
+                offset: 0,
+                len,
+                start,
+                end,
             });
-            *buf = rest;
         }
         Ok(SegmentDirectory { entries })
     }
 
-    /// Structural validation against the file it claims to describe:
-    /// `expected` entries, frames contiguous from `headers_end` through
-    /// exactly `file_len`, every length within frame bounds. Catches a
-    /// truncated file or a tampered directory at open, before any
-    /// trajectory byte is trusted.
-    pub(super) fn validate(
-        &self,
-        headers_end: u64,
+    /// The span of every row together, `(start, end)` in seconds: the
+    /// first row's start (rows ascend by start) and the latest end.
+    /// `None` for an empty directory.
+    pub(super) fn span(&self) -> Option<(i64, i64)> {
+        let start = self.entries.first()?.start;
+        let end = self.entries.iter().map(|e| e.end).max()?;
+        Some((start, end))
+    }
+
+    /// Places a decoded directory in the file it claims to describe and
+    /// validates it there: `expected` entries, every length within frame
+    /// bounds, and the frames, laid end to end from `rows_start`, filling
+    /// the file through exactly `file_len`. Each entry's offset is the
+    /// checked running sum of the lengths before it. Catches a truncated file or
+    /// a tampered directory at open, before any trajectory byte is
+    /// trusted.
+    pub(super) fn place(
+        &mut self,
+        rows_start: u64,
         file_len: u64,
         expected: u64,
     ) -> Result<(), &'static str> {
         if self.entries.len() as u64 != expected {
             return Err("directory count disagrees with zone map");
         }
-        let mut cursor = headers_end;
-        for e in &self.entries {
-            if e.offset != cursor {
-                return Err("directory entries not contiguous");
-            }
+        let mut cursor = rows_start;
+        for e in &mut self.entries {
             if (e.len as usize) < segment::FRAME_OVERHEAD
                 || e.len > segment::MAX_PAYLOAD + segment::FRAME_OVERHEAD as u32
             {
                 return Err("directory entry length out of bounds");
             }
+            e.offset = cursor;
             cursor = match cursor.checked_add(e.len as u64) {
                 Some(c) => c,
                 None => return Err("directory entry length out of bounds"),
@@ -378,11 +407,7 @@ impl SegmentDirectory {
 
 // --- content sort columns --------------------------------------------------
 
-/// Bytes per encoded [`SortColumns`] row (dwell i64, trace_len u32,
-/// object u32, all LE).
-pub(super) const SORT_COLUMN_ROW_BYTES: usize = 8 + 4 + 4;
-
-/// Fixed-width per-row content sort keys: the
+/// Per-row content sort keys: the
 /// columns a sorted/paged query orders `TotalDwell` / `MovingObject` /
 /// `TraceLength` queries from, deciding which frames to decode before
 /// any trajectory is materialized — the content-key twin of the
@@ -393,7 +418,10 @@ pub(super) const SORT_COLUMN_ROW_BYTES: usize = 8 + 4 + 4;
 /// segment's [`ZoneMap::objects`] set in sorted order — the set is
 /// always resident, so the actual (globally comparable) string is
 /// recovered without decoding the row or persisting a byte of it
-/// twice.
+/// twice: it is also the only place a row's object is stored.
+///
+/// Encoded as varints: the row count, then per row its dwell, trace
+/// length and object rank.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SortColumns {
     /// Total dwell per row (sum of stay durations), seconds — orders
@@ -412,6 +440,11 @@ fn rank(objects: &ObjectSet, object: &str) -> u32 {
     objects
         .rank(object)
         .expect("the object set covers every row it is ranked for") as u32
+}
+
+/// Splits a varint off `buf` that must fit a `T`.
+fn take_narrow<T: TryFrom<u64>>(buf: &mut &[u8]) -> Result<T, CodecError> {
+    T::try_from(take_u64(buf)?).map_err(|_| CodecError::Overflow)
 }
 
 impl SortColumns {
@@ -468,48 +501,39 @@ impl SortColumns {
         self.dwell.is_empty()
     }
 
-    /// Encodes the columns (fixed width: u64 count, then dwell i64 /
-    /// trace_len u32 / object u32 per row, all LE).
+    /// Encodes the columns: `count`, then dwell, trace length and
+    /// object rank per row.
+    ///
+    /// # Panics
+    ///
+    /// On a negative dwell, which no trace has (every stay ends at or
+    /// after its start).
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.dwell.len() as u64).to_le_bytes());
+        put_u64(buf, self.dwell.len() as u64);
         for i in 0..self.dwell.len() {
-            buf.extend_from_slice(&self.dwell[i].to_le_bytes());
-            buf.extend_from_slice(&self.trace_len[i].to_le_bytes());
-            buf.extend_from_slice(&self.object[i].to_le_bytes());
+            put_u64(
+                buf,
+                u64::try_from(self.dwell[i]).expect("a dwell is never negative"),
+            );
+            put_u64(buf, self.trace_len[i] as u64);
+            put_u64(buf, self.object[i] as u64);
         }
     }
 
-    /// Decodes columns encoded by [`SortColumns::encode`].
+    /// Decodes columns encoded by [`SortColumns::encode`]: the count is
+    /// weighed against the bytes left before anything is allocated, and
+    /// a value past its column's integer is [`CodecError::Overflow`].
     pub fn decode(buf: &mut &[u8]) -> Result<SortColumns, CodecError> {
-        if buf.len() < 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let (head, rest) = buf.split_at(8);
-        let count = u64::from_le_bytes(head.try_into().expect("8 bytes"));
-        *buf = rest;
-        if count.saturating_mul(SORT_COLUMN_ROW_BYTES as u64) > buf.len() as u64 {
-            return Err(CodecError::LengthOverrun {
-                declared: count,
-                available: buf.len(),
-            });
-        }
+        let count = take_count(buf, MIN_ROW_BYTES)?;
         let mut columns = SortColumns {
-            dwell: Vec::with_capacity(count as usize),
-            trace_len: Vec::with_capacity(count as usize),
-            object: Vec::with_capacity(count as usize),
+            dwell: Vec::with_capacity(count),
+            trace_len: Vec::with_capacity(count),
+            object: Vec::with_capacity(count),
         };
         for _ in 0..count {
-            let (head, rest) = buf.split_at(SORT_COLUMN_ROW_BYTES);
-            columns
-                .dwell
-                .push(i64::from_le_bytes(head[0..8].try_into().expect("8 bytes")));
-            columns
-                .trace_len
-                .push(u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")));
-            columns.object.push(u32::from_le_bytes(
-                head[12..16].try_into().expect("4 bytes"),
-            ));
-            *buf = rest;
+            columns.dwell.push(take_narrow(buf)?);
+            columns.trace_len.push(take_narrow(buf)?);
+            columns.object.push(take_narrow(buf)?);
         }
         Ok(columns)
     }
@@ -517,7 +541,7 @@ impl SortColumns {
     /// Structural validation against the zone map the segment opened
     /// with: `rows` entries, every object index inside the zone map's
     /// object set. Catches a tampered or mismatched frame at open,
-    /// before any ordering decision trusts it.
+    /// before any ordering decision or row decode trusts it.
     pub(super) fn validate(&self, rows: u64, objects: u64) -> Result<(), &'static str> {
         if self.dwell.len() as u64 != rows {
             return Err("sort-column count disagrees with zone map");

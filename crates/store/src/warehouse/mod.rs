@@ -15,13 +15,25 @@
 //! marker/length/CRC frames):
 //!
 //! ```text
-//! seg-NNNNNNNN.seg := magic "SITMSEG3"
+//! seg-NNNNNNNN.seg := magic "SITMSEG4"
 //!                   | frame(zone map)
 //!                   | frame(offset directory)
 //!                   | frame(sort columns)
 //!                   | frame(rollup)
-//!                   | frame(trajectory)*
+//!                   | frame(row tail)*
 //! ```
+//!
+//! A segment stores each fact once. A row's frame holds only the tail
+//! of its encoding ([`crate::codec::decode_trajectory_tail`]: the trace
+//! and the trajectory's annotations). Its moving object is a name of the
+//! zone map's object set, named by the row's rank in the sort columns,
+//! and its base (the span start the trace is a delta from) is its
+//! directory entry's start. The whole encoding of a row, the bytes a
+//! reply carries, is `object ‖ base ‖ tail` (`encode_trajectory`); a
+//! hydrated segment puts it together once per row and serves it from
+//! memory ([`Segment::resident_row`]). Directory and sort columns are
+//! varints, and no offset is written: frames are contiguous, so offsets
+//! are the running sum of the lengths.
 //!
 //! This is the one segment format. A file whose magic is anything else
 //! — an older layout, a newer one, a damaged one — is refused at
@@ -40,34 +52,39 @@
 //! encodes every row of its batch into one arena — the
 //! `store.rows_encoded` counter moves by the batch's rows. **Order**: a
 //! permutation of row indexes is sorted on `(start, end, arena slice)`
-//! and the rows moved into that order; zone map, rollup and sort
-//! columns are built over them. **Assemble**: one function lays the
-//! header frames and one frame per arena slice into the file image,
-//! which is written, fsynced, and kept resident beside the rows.
+//! and the rows and their encodings moved into that order; zone map,
+//! rollup and sort columns are built over them. **Assemble**: one
+//! function lays the header frames and one frame per encoding's tail
+//! into the file image, which is written and fsynced; the encodings
+//! stay resident beside the rows.
 //!
 //! Compaction ([`SegmentStore::replace_segments`], `Segment::merge`)
 //! feeds the same assembler and encodes nothing, because everything it
 //! needs is already in its victims. *Merged*: the victims' directory
-//! span columns and stored payloads are ordered as `(start, end,
-//! payload, victim, row)` — the canonical order, read off columns and
+//! span columns and resident encodings are ordered as `(start, end,
+//! encoding, victim, row)` — the canonical order, read off columns and
 //! bytes — which interleaves the victims' runs; the zone map is the
 //! union of theirs (its Blooms rebuilt over the merged sets, so they
 //! are sized as a fresh build's) and the rollup the sum of theirs.
 //! *Gathered*: the dwell and trace-length columns row by row, and the
 //! object column re-ranked from each victim's object set to the merged
-//! one. *Copied*: every row's stored payload, verbatim, into its new
-//! frame — cold victims are hydrated first (each frame CRC-checked and
-//! decoded, as any full read), so only validated bytes are copied.
+//! one. *Copied*: every row's encoding, verbatim, into the merged
+//! segment's, and its tail into its new frame — cold victims are
+//! hydrated first (each frame CRC-checked and decoded, as any full
+//! read), so only validated bytes are copied.
 //! *Moved*: once the merged file is fsynced, the decoded rows leave
 //! the victims for the merged segment, which starts out resident; only
 //! a run that a hydrated query-side index still shares is cloned
 //! instead. The result is, byte for byte, the file an append of the
 //! same rows would have written (`tests/segment_build.rs`).
 //!
-//! Frame 1 is the [`SegmentDirectory`]: one fixed-width entry per
-//! trajectory carrying the byte offset and length of its frame plus its
-//! span start/end. With it, [`SegmentStore::open`] reads **headers
-//! only** — the four leading frames, never a trajectory byte — and a
+//! Frame 1 is the [`SegmentDirectory`]: per trajectory, the length of
+//! its frame, its span start as a delta from the previous row's and its
+//! span length, all varints. [`SegmentStore::open`] rebuilds each
+//! frame's offset as a checked running sum of the lengths from the end
+//! of the headers, and refuses the file unless the frames fill it
+//! exactly — a truncated file never opens. With it, [`SegmentStore::open`]
+//! reads **headers only** — the four leading frames, never a trajectory byte — and a
 //! [`Segment`] decodes trajectories lazily: the whole run on first
 //! indexed access ([`Segment::trajectories`], cached), or one row at a
 //! time by a directory-guided positional read ([`Segment::read_trajectory`],
@@ -77,10 +94,10 @@
 //! sort/pre-filter index: start/end/duration orderings and
 //! span-overlap screens need no decode at all.
 //!
-//! Frame 2 is the segment's [`SortColumns`]: fixed-width per-row
-//! *content* sort keys — total dwell seconds, trace length, and the
-//! row's moving-object as an index into the zone map's (resident,
-//! sorted) object set. The span columns in the directory serve
+//! Frame 2 is the segment's [`SortColumns`]: per-row *content* sort
+//! keys as varints — total dwell seconds, trace length, and the row's
+//! moving-object as an index into the zone map's (resident, sorted)
+//! object set, which is also the only place a row's object is stored. The span columns in the directory serve
 //! start/end/duration orderings; these columns serve the content-key
 //! orderings (`TotalDwell` / `MovingObject` / `TraceLength`), so a
 //! sorted/limited query over any key decodes only the returned page.
@@ -98,7 +115,7 @@
 //! disables). Only they do: a full decode ([`Segment::trajectories`])
 //! makes the segment resident, and a resident segment answers every
 //! read from its own run ([`Segment::resident_row`] borrows a row and
-//! its stored bytes) before the cache is consulted, so seeding the
+//! its encoding) before the cache is consulted, so seeding the
 //! cache from it would only evict rows of segments still cold.
 //! Repeated paged scans over the same hot rows decode each
 //! row once; cold rows are evicted second-chance (CLOCK) when the

@@ -2,7 +2,6 @@
 //! `warehouse::tests` module because the test floor names them by that
 //! path.
 
-use super::index::SORT_COLUMN_ROW_BYTES;
 use super::*;
 use crate::log::Record;
 use crate::segment;
@@ -306,24 +305,34 @@ fn directory_round_trips_and_validates() {
     let dir = SegmentDirectory { entries };
     let mut buf = Vec::new();
     dir.encode(&mut buf);
-    assert_eq!(buf.len(), SegmentDirectory::encoded_len(2));
+    // count, first start (ZigZag -5), then (len, Δstart, end − start)
+    // per entry: one byte each, no offset.
+    assert_eq!(buf, [2, 9, 40, 0, 65, 25, 15, 80]);
     let mut cursor: &[u8] = &buf;
-    let back = SegmentDirectory::decode(&mut cursor).unwrap();
+    let mut back = SegmentDirectory::decode(&mut cursor).unwrap();
     assert!(cursor.is_empty());
-    assert_eq!(back, dir);
-    // Truncations always error (fixed width leaves no legacy
-    // boundary).
+    // Offsets are not stored: they come out 0 until placed.
+    assert!(back.entries.iter().all(|e| e.offset == 0));
+    // Truncations always error (the count fixes how many entries follow).
     for cut in 0..buf.len() {
         assert!(
             SegmentDirectory::decode(&mut &buf[..cut]).is_err(),
             "cut {cut}"
         );
     }
-    assert!(dir.validate(100, 165, 2).is_ok());
-    assert!(dir.validate(100, 165, 3).is_err(), "count mismatch");
-    assert!(dir.validate(99, 165, 2).is_err(), "gap before first entry");
-    assert!(dir.validate(100, 164, 2).is_err(), "truncated file");
-    assert!(dir.validate(100, 166, 2).is_err(), "trailing bytes");
+    for (rows_start, file_len, expected, why) in [
+        (100, 165, 3, "count mismatch"),
+        (99, 165, 2, "gap before first entry"),
+        (100, 164, 2, "truncated file"),
+        (100, 166, 2, "trailing bytes"),
+    ] {
+        assert!(
+            back.clone().place(rows_start, file_len, expected).is_err(),
+            "{why}"
+        );
+    }
+    back.place(100, 165, 2).unwrap();
+    assert_eq!(back, dir);
 }
 
 #[test]
@@ -448,12 +457,13 @@ fn sort_columns_round_trip_and_validate() {
     assert_eq!(columns.object, vec![2, 0, 1]);
     let mut buf = Vec::new();
     columns.encode(&mut buf);
-    assert_eq!(buf.len(), 8 + 3 * SORT_COLUMN_ROW_BYTES);
+    // count, then (dwell, trace_len, object) per row: one byte each.
+    assert_eq!(buf, [3, 60, 1, 2, 60, 1, 0, 60, 1, 1]);
     let mut cursor: &[u8] = &buf;
     let back = SortColumns::decode(&mut cursor).unwrap();
     assert!(cursor.is_empty());
     assert_eq!(back, columns);
-    // Truncations always error (fixed width, no legacy boundary).
+    // Truncations always error (the count fixes how many rows follow).
     for cut in 0..buf.len() {
         assert!(SortColumns::decode(&mut &buf[..cut]).is_err(), "cut {cut}");
     }
@@ -744,4 +754,50 @@ fn a_spill_over_the_row_limit_is_cut_into_segments_that_fit() {
         .map(|s| s.read_trajectory(0).unwrap().moving_object)
         .collect();
     assert_eq!(first, ["m0", "m3", "m6", "m9"]);
+}
+
+#[test]
+fn row_limit_frames_fit_one_frame_at_their_widest() {
+    let rows = MAX_SEGMENT_ROWS;
+    // The directory at its widest: every frame as long as a frame gets,
+    // starts spread over the whole `i64` range (the largest Δstart
+    // every row can have at once) and each span as long as its start
+    // allows, up to `i64::MAX`.
+    let step = (u64::MAX / rows as u64) as i64;
+    let entries = (0..rows as i64)
+        .map(|k| {
+            let start = i64::MIN.wrapping_add(k.wrapping_mul(step));
+            DirectoryEntry {
+                offset: 0,
+                len: segment::MAX_PAYLOAD + segment::FRAME_OVERHEAD as u32,
+                start,
+                end: start.saturating_add(i64::MAX),
+            }
+        })
+        .collect();
+    let mut directory = Vec::new();
+    SegmentDirectory { entries }.encode(&mut directory);
+    // The sort columns at their widest: every dwell `i64::MAX`, every
+    // trace `u32::MAX` stays long, every rank the last of a set with
+    // one object per row.
+    let columns = SortColumns {
+        dwell: vec![i64::MAX; rows],
+        trace_len: vec![u32::MAX; rows],
+        object: vec![rows as u32 - 1; rows],
+    };
+    let mut sort = Vec::new();
+    columns.encode(&mut sort);
+    for (frame, payload) in [("directory", &directory), ("sort columns", &sort)] {
+        assert!(
+            payload.len() <= segment::MAX_PAYLOAD as usize,
+            "{frame}: {} bytes",
+            payload.len()
+        );
+    }
+    // The bound holds even with every Δstart at ten bytes, which no
+    // run of this many rows can reach (the deltas sum to under 2⁶⁴).
+    assert!(10 + 10 + rows * (4 + 10 + 9) <= segment::MAX_PAYLOAD as usize);
+    // The value is the fixed-width directory's, so spills and tiers cut
+    // rows where they always have.
+    assert_eq!(MAX_SEGMENT_ROWS, 599_186);
 }

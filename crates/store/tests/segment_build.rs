@@ -299,3 +299,102 @@ fn a_spill_encodes_each_row_once() {
     );
     assert_eq!(store.len() as u64, rows);
 }
+
+/// A row of `mo` over one fixed span, with `label` as its goal, so
+/// rows tie on span and differ in object or tail.
+fn tied(mo: &str, label: &str) -> SemanticTrajectory {
+    let stay = PresenceInterval::new(
+        TransitionTaken::Unknown,
+        CellRef::new(LayerIdx::from_index(0), NodeId::from_index(1)),
+        Timestamp(500),
+        Timestamp(560),
+    );
+    SemanticTrajectory::new(
+        mo,
+        Trace::new(vec![stay]).unwrap(),
+        AnnotationSet::from_iter([Annotation::goal(label)]),
+    )
+    .unwrap()
+}
+
+/// (d) Rows tied on span order by their encodings, whose objects come
+/// length first: `"b"` (`01 62`) before `"aa"` (`02 61 61`), though
+/// `"aa" < "b"` as strings. `sort_run`, an append and a merge of cold
+/// or resident victims agree on that order, and the merge writes the
+/// append's file.
+#[test]
+fn rows_tied_on_span_order_by_their_encoded_objects() {
+    let rows = vec![
+        tied("aa", "x"),
+        tied("b", "y"),
+        tied("aa", "w"),
+        tied("b", "x"),
+        tied("ab", "x"),
+        plain("aa", 400),
+    ];
+    let mut expected = rows.clone();
+    sort_run_oracle(&mut expected);
+    let order: Vec<(&str, i64)> = expected
+        .iter()
+        .map(|t| (t.moving_object.as_str(), t.start().as_seconds()))
+        .collect();
+    assert_eq!(
+        order,
+        [
+            ("aa", 400),
+            ("b", 500),
+            ("b", 500),
+            ("aa", 500),
+            ("aa", 500),
+            ("ab", 500)
+        ]
+    );
+    let mut sorted = rows.clone();
+    sort_run(&mut sorted);
+    assert_eq!(sorted, expected, "sort_run");
+
+    let whole = TempDir::new("tied-whole");
+    let mut appended = open(&whole);
+    appended.append_segment(rows.clone()).expect("append");
+    assert_eq!(
+        appended.segments()[0]
+            .trajectories()
+            .expect("resident")
+            .as_slice(),
+        expected.as_slice(),
+        "append"
+    );
+    let expected_file = std::fs::read(whole.0.join(segment_file_name(0))).expect("read");
+    drop(appended);
+    let reopened = open(&whole);
+    let cold: Vec<SemanticTrajectory> = (0..rows.len())
+        .map(|i| reopened.segments()[0].read_trajectory(i).expect("row"))
+        .collect();
+    assert_eq!(cold, expected, "append, read back cold");
+
+    for cold_victims in [false, true] {
+        let dir = TempDir::new("tied-merged");
+        let mut store = open(&dir);
+        // Each victim holds both objects, so the merge interleaves them.
+        store
+            .append_segment(vec![rows[0].clone(), rows[1].clone(), rows[5].clone()])
+            .expect("append");
+        store.append_segment(rows[2..5].to_vec()).expect("append");
+        if cold_victims {
+            drop(store);
+            store = open(&dir);
+        }
+        store.replace_segments(&[0, 1]).expect("merge");
+        let merged = &store.segments()[0];
+        assert_eq!(
+            merged.trajectories().expect("resident").as_slice(),
+            expected.as_slice(),
+            "merge, cold victims {cold_victims}"
+        );
+        let file = std::fs::read(dir.0.join(segment_file_name(merged.id))).expect("read");
+        assert!(
+            file == expected_file,
+            "merge, cold victims {cold_victims}: file differs"
+        );
+    }
+}
