@@ -80,8 +80,11 @@ pub struct EngineConfig {
     /// decision cannot depend on batching or worker scheduling.
     pub allowed_lateness: Duration,
     /// Cap on the close fences the engine remembers — a
-    /// memory-protection valve, not a semantic knob. Past it, fences with the smallest
-    /// close instants are evicted; stragglers for an evicted visit
+    /// memory-protection valve, not a semantic knob. A fence is a key
+    /// and a close instant in a table of its own, outside the visit
+    /// slots (a few dozen bytes with its entry in the eviction order),
+    /// so the cap bounds that table alone. Past it, fences with the
+    /// smallest close instants are evicted; stragglers for an evicted visit
     /// re-open implicitly, the same outcome an expired fence produces.
     /// Below the cap, fencing is event-time deterministic. Above it, a
     /// fence is evicted when another visit's close is applied, so a

@@ -28,18 +28,33 @@
 //!
 //! * **Routing** — the caller's thread buffers events and pushes them
 //!   to the scheduler one batch ([`EngineConfig::batch_capacity`]) per
-//!   lock acquisition; a newly ready visit lands on its *home* worker's
-//!   deque (initially `hash(visit)`, migrating with each steal).
+//!   lock acquisition, draining the buffer so it keeps its capacity;
+//!   each event costs one probe of the slot index, and a newly ready
+//!   visit's slot lands on its *home* worker's deque (initially
+//!   `hash(visit)`, migrating with each steal).
+//! * **Slots and fences** — a visit that is open, has queued events or
+//!   is held lives in a slot of a slab (a `Vec` with a free list),
+//!   found through a key → slot index under a cheap seeded `u64` hash.
+//!   Deques, slices and returns name slots, so nothing after routing
+//!   probes the index until a close. A closed visit with nothing queued
+//!   or held leaves the slab: its slot is freed (keeping its queue's
+//!   buffer for the next visit) and its fence, a key and a close
+//!   instant, moves to the fence table beside the ordered set that
+//!   drives capacity eviction. An event for a fenced key revives a slot
+//!   that carries the fence, so a worker judges lateness as it always
+//!   did. The slab never grows past the peak of concurrently live
+//!   visits, and a checkpoint merges both tables in key order.
 //! * **Slices** — a worker takes up to `SLICE_VISITS` ready visits
 //!   from the front of its own deque under one scheduler lock (or, only
 //!   when its deque is empty, steals half the cold visits of the
 //!   longest other deque, at most `SLICE_VISITS`), moving each
 //!   visit's queued events into a buffer it owns and reuses, so the
-//!   cell keeps its queue's buffer for the next event. It applies the
+//!   slot keeps its queue's buffer for the next event, and its state
+//!   out as a `Box` — a pointer, never the state itself. It applies the
 //!   whole slice outside every lock, visit after visit, each visit's
 //!   events in arrival order; absorbs the slice's output into its
 //!   deposit under one deposit lock; and returns every visit to its
-//!   cell under one more scheduler lock. Three lock round trips per
+//!   slot under one more scheduler lock. Three lock round trips per
 //!   slice, not per visit: the scheduler's cost is per slice, not per
 //!   event.
 //! * **Backpressure** — the router blocks while the scheduler holds
@@ -68,7 +83,7 @@
 //!   of the visits it opened, accepted an interval into or closed)
 //!   lands in the depositing worker's own `Deposit` behind its own
 //!   lock; the scheduler mutex guards only *routing* state (visit
-//!   cells, deques, fences, who is parked). Workers therefore contend
+//!   slots, deques, fences, who is parked). Workers therefore contend
 //!   on the scheduler lock only to take and return slices, never to
 //!   record results. Barriers merge the per-worker deposits after
 //!   quiescing; merge order is worker index, and every consumer sorts
@@ -89,7 +104,7 @@
 //!   [`crate::LiveIndex`] over them behind one. Workers never see it.
 //!   At a cut (dispatch + quiesce, like every barrier) the engine
 //!   collects the touched keys from the deposits and, for each, forgets
-//!   the visit and re-derives it from its cell if it is still open —
+//!   the visit and re-derives it from its slot if it is still open —
 //!   an order-free patch, so a visit stolen between workers or closed
 //!   and re-opened between two cuts needs no op ordering. Every other
 //!   visit is shared with the previous snapshot, so a cut costs what
@@ -99,8 +114,11 @@
 //!   over every open visit instead.
 //!
 //! Lock order: a worker never holds the scheduler and a deposit at
-//! once — it takes a slice under the scheduler, absorbs it under its
-//! deposit, and returns it under the scheduler, one lock at a time; the
+//! once — it takes a slice under the scheduler (the visits' events and
+//! boxed states leave their slots, which stay the visits' own while
+//! held), absorbs it under its deposit, and returns it under the
+//! scheduler (each state back into its slot, an idle closed visit's
+//! fence into the fence table), one lock at a time; the
 //! engine thread may take a deposit *while* holding the scheduler
 //! (barriers and `finish`), which cannot cycle because workers only
 //! ever block on the scheduler empty-handed.
@@ -109,6 +127,7 @@
 //! panic with a clear message rather than silently dropping data.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -126,13 +145,65 @@ use crate::visit::VisitState;
 /// scheduler round trip moves up to this many visits out and back.
 const SLICE_VISITS: usize = 64;
 
-/// One visit's slot in the scheduler.
-struct VisitCell {
+/// Hashes a visit key for the scheduler's tables with one folded
+/// 128-bit multiply: the router probes the slot index once per event,
+/// and SipHash there cost about a tenth of the router's time. Visit
+/// keys come from clients, so the seed is drawn per engine: crafted
+/// keys cannot be made to collide in advance.
+#[derive(Clone, Copy)]
+struct KeyHash {
+    seed: u64,
+}
+
+impl KeyHash {
+    fn new() -> KeyHash {
+        KeyHash {
+            seed: std::collections::hash_map::RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.seed)
+    }
+}
+
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+/// A table keyed by visit key.
+type KeyMap<V> = HashMap<u64, V, KeyHash>;
+
+/// One live visit's slot in the scheduler's slab: a visit that is open,
+/// has queued events, or is held by a worker.
+struct VisitSlot {
+    key: u64,
     /// Events pushed but not yet applied, in arrival order. Drained,
-    /// not taken, by a slice, so an open visit allocates its queue once.
+    /// not taken, by a slice, and kept when the slot is freed, so the
+    /// slab allocates a queue once per slot, not once per visit.
     queue: VecDeque<StreamEvent>,
-    /// Open-visit state (`None` before open / after close).
-    state: Option<VisitState>,
+    /// Open-visit state (`None` before open / after close), boxed so a
+    /// slice moves a pointer, not the state.
+    state: Option<Box<VisitState>>,
     /// Close instant, while the late-event fence is alive.
     closed_at: Option<Timestamp>,
     /// The worker whose deque this visit rides — `hash(visit)` at
@@ -144,26 +215,23 @@ struct VisitCell {
     held: bool,
 }
 
-impl VisitCell {
-    fn new(home: usize) -> VisitCell {
-        VisitCell {
-            queue: VecDeque::new(),
-            state: None,
-            closed_at: None,
-            home,
-            queued: false,
-            held: false,
-        }
-    }
-}
-
-/// The shared scheduler: visit cells, per-worker ready deques, and the
+/// The shared scheduler: visit slots, per-worker ready deques, and the
 /// fence bookkeeping — *routing* state only. What slices produce goes
 /// to the per-worker [`Deposit`]s instead.
 struct Scheduler {
-    visits: HashMap<u64, VisitCell>,
-    /// Ready visits per worker; stealing pops the back of a victim.
-    deques: Vec<VecDeque<u64>>,
+    /// Slot of every visit that is open, queued or held.
+    index: KeyMap<u32>,
+    /// The slab those slots live in; a slot in `free` belongs to no
+    /// visit. It never grows past the peak of concurrently live visits.
+    slots: Vec<VisitSlot>,
+    free: Vec<u32>,
+    /// Closed visits with a live fence and nothing queued or held:
+    /// key → close instant. An event for one revives a slot carrying
+    /// the fence. Disjoint from `index`.
+    fenced: KeyMap<Timestamp>,
+    /// Ready visits (slots) per worker; stealing pops the back of a
+    /// victim.
+    deques: Vec<VecDeque<u32>>,
     /// Events sitting in visit queues (backpressure + quiesce).
     queued_events: usize,
     /// Visits currently held by workers (quiesce).
@@ -176,15 +244,19 @@ struct Scheduler {
     shutdown: bool,
     /// A worker died mid-slice; engine state is no longer trustworthy.
     panicked: bool,
-    /// Live close fences, ordered by close instant, so capacity
-    /// eviction is O(log n) per close, never a sweep.
+    /// Every live fence, in `fenced` or on a slot, ordered by close
+    /// instant, so capacity eviction is O(log n) per close, never a
+    /// sweep.
     fences: BTreeSet<(Timestamp, u64)>,
 }
 
 impl Scheduler {
     fn new(workers: usize) -> Scheduler {
         Scheduler {
-            visits: HashMap::new(),
+            index: KeyMap::with_hasher(KeyHash::new()),
+            slots: Vec::new(),
+            free: Vec::new(),
+            fenced: KeyMap::with_hasher(KeyHash::new()),
             deques: (0..workers).map(|_| VecDeque::new()).collect(),
             queued_events: 0,
             held_visits: 0,
@@ -225,14 +297,76 @@ impl Scheduler {
         ready
     }
 
+    /// `key`'s slot, giving it one if it has none: a free slot (or a
+    /// new one), homed on `hash(key)`, carrying the key's fence if it
+    /// has one.
+    fn slot_of(&mut self, key: u64, workers: usize) -> u32 {
+        if let Some(&slot) = self.index.get(&key) {
+            return slot;
+        }
+        let closed_at = self.fenced.remove(&key);
+        let home = shard_of(VisitKey(key), workers);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let visit = &mut self.slots[slot as usize];
+                visit.key = key;
+                visit.closed_at = closed_at;
+                visit.home = home;
+                slot
+            }
+            None => {
+                self.slots.push(VisitSlot {
+                    key,
+                    queue: VecDeque::new(),
+                    state: None,
+                    closed_at,
+                    home,
+                    queued: false,
+                    held: false,
+                });
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live visits")
+            }
+        };
+        self.index.insert(key, slot);
+        slot
+    }
+
+    /// Frees an idle slot (no state, nothing queued, not held); a fence
+    /// it carries moves to the fence table.
+    fn release(&mut self, slot: u32) {
+        let visit = &mut self.slots[slot as usize];
+        self.index.remove(&visit.key);
+        if let Some(at) = visit.closed_at.take() {
+            self.fenced.insert(visit.key, at);
+        }
+        self.free.push(slot);
+    }
+
+    /// The state of `key`'s visit, if it is open.
+    fn state_of(&self, key: u64) -> Option<&VisitState> {
+        let &slot = self.index.get(&key)?;
+        self.slots[slot as usize].state.as_deref()
+    }
+
+    /// The key and slot of every open visit, in key order.
+    fn open_slots(&self) -> Vec<(u64, u32)> {
+        let mut open: Vec<(u64, u32)> = (0u32..)
+            .zip(&self.slots)
+            .filter(|(_, visit)| visit.state.is_some())
+            .map(|(slot, visit)| (visit.key, slot))
+            .collect();
+        open.sort_unstable();
+        open
+    }
+
     /// `worker`'s next slice: up to [`SLICE_VISITS`] visits from the
     /// front of its own deque, else whole cold visits stolen from the
     /// back of the longest other deque — half of them, rounded up, at
     /// most [`SLICE_VISITS`]. Each visit is marked held and homed on
     /// `worker`, its queued events are moved onto the end of `events`
-    /// (its queue keeps its buffer) and its state into `slice`. Returns
-    /// the deque the slice came from so the caller can attribute
-    /// route-vs-steal and refresh that queue's depth gauge.
+    /// (its queue keeps its buffer) and its boxed state into `slice`.
+    /// Returns the deque the slice came from so the caller can
+    /// attribute route-vs-steal and refresh that queue's depth gauge.
     fn take_slice(
         &mut self,
         worker: usize,
@@ -250,24 +384,25 @@ impl Scheduler {
         };
         for _ in 0..visits {
             let deque = &mut self.deques[source];
-            let key = if source == worker {
+            let slot = if source == worker {
                 deque.pop_front()
             } else {
                 deque.pop_back()
             }
             .expect("counted above");
-            let cell = self.visits.get_mut(&key).expect("queued visit has a cell");
-            cell.queued = false;
-            cell.held = true;
-            cell.home = worker;
-            let queued = cell.queue.len();
-            events.extend(cell.queue.drain(..));
+            let visit = &mut self.slots[slot as usize];
+            visit.queued = false;
+            visit.held = true;
+            visit.home = worker;
+            let queued = visit.queue.len();
+            events.extend(visit.queue.drain(..));
             slice.push(HeldVisit {
-                key,
+                key: visit.key,
+                slot,
                 events: queued,
                 resident: Resident {
-                    state: cell.state.take(),
-                    closed_at: cell.closed_at,
+                    state: visit.state.take(),
+                    closed_at: visit.closed_at,
                 },
             });
             self.queued_events -= queued;
@@ -276,46 +411,40 @@ impl Scheduler {
         Some(source)
     }
 
-    /// Returns a slice's visits to their cells: state and fence back,
+    /// Returns a slice's visits to their slots: state and fence back,
     /// a visit whose queue refilled meanwhile back onto `worker`'s
-    /// deque, then each cell settled.
+    /// deque, then each slot settled.
     fn return_slice(&mut self, worker: usize, slice: &mut Vec<HeldVisit>, capacity: usize) {
         for held in slice.drain(..) {
-            let cell = self.visits.get_mut(&held.key).expect("held cell persists");
-            let was_fence = cell.closed_at;
-            cell.state = held.resident.state;
-            cell.closed_at = held.resident.closed_at;
-            cell.held = false;
+            let visit = &mut self.slots[held.slot as usize];
+            let was_fence = visit.closed_at;
+            visit.state = held.resident.state;
+            visit.closed_at = held.resident.closed_at;
+            visit.held = false;
             // Events that arrived while the visit was held: it is cold
             // again — back onto this worker's deque.
-            if !cell.queue.is_empty() {
-                cell.queued = true;
-                self.deques[worker].push_back(held.key);
+            if !visit.queue.is_empty() {
+                visit.queued = true;
+                self.deques[worker].push_back(held.slot);
             }
             self.held_visits -= 1;
-            self.settle_cell(held.key, was_fence, capacity);
+            self.settle_slot(held.slot, was_fence, capacity);
         }
     }
 
-    /// Settles one visit cell's bookkeeping after a slice (or a
+    /// Settles one visit slot's bookkeeping after a slice (or a
     /// synthesized close): records fence transitions in the ordered
-    /// set, drops dead cells on the spot, and enforces the
-    /// fence capacity by evicting the smallest close instants — O(log
-    /// n) per close, never a stop-the-world sweep. Fencing itself is
-    /// event-time deterministic, so reclamation below the cap is
-    /// behaviorally invisible; above it, see
-    /// [`EngineConfig::fence_capacity`].
-    fn settle_cell(&mut self, key: u64, was_fence: Option<Timestamp>, capacity: usize) {
-        let Some(cell) = self.visits.get_mut(&key) else {
-            return;
-        };
-        if cell.state.is_none() && !cell.held && cell.queue.is_empty() {
-            // Closed: a fenced cell keeps no queue buffer; a visit
-            // re-opened under this key allocates its own.
-            cell.queue = VecDeque::new();
-        }
-        let now_fence = cell.closed_at;
-        let active = cell.held || cell.queued || !cell.queue.is_empty() || cell.state.is_some();
+    /// set, frees an idle slot on the spot (its fence, if any, moving
+    /// to the fence table), and enforces the fence capacity by evicting
+    /// the smallest close instants — O(log n) per close, never a
+    /// stop-the-world sweep. Fencing itself is event-time
+    /// deterministic, so reclamation below the cap is behaviorally
+    /// invisible; above it, see [`EngineConfig::fence_capacity`].
+    fn settle_slot(&mut self, slot: u32, was_fence: Option<Timestamp>, capacity: usize) {
+        let visit = &self.slots[slot as usize];
+        let key = visit.key;
+        let now_fence = visit.closed_at;
+        let active = visit.held || visit.queued || !visit.queue.is_empty() || visit.state.is_some();
         if was_fence != now_fence {
             if let Some(at) = was_fence {
                 self.fences.remove(&(at, key));
@@ -324,31 +453,34 @@ impl Scheduler {
                 self.fences.insert((at, key));
             }
         }
-        if !active && now_fence.is_none() {
-            // Dead cell: a close for a never-opened visit, or a fence
-            // retired with nothing queued behind it.
-            self.visits.remove(&key);
-            return;
+        if !active {
+            self.release(slot);
+            if now_fence.is_none() {
+                // Dead: a close for a never-opened visit, or a fence
+                // retired with nothing queued behind it.
+                return;
+            }
         }
-        // Capacity eviction, oldest close first. A held cell's fence is
+        // Capacity eviction, oldest close first. A held visit's fence is
         // skipped (its value is mid-application); the overshoot is
         // bounded by the visits held in slices.
         while self.fences.len() > capacity {
-            let victim = self
-                .fences
-                .iter()
-                .copied()
-                .find(|&(_, k)| self.visits.get(&k).is_none_or(|c| !c.held));
+            let victim = self.fences.iter().copied().find(|&(_, k)| {
+                self.index
+                    .get(&k)
+                    .is_none_or(|&slot| !self.slots[slot as usize].held)
+            });
             let Some((at, k)) = victim else {
                 break;
             };
             self.fences.remove(&(at, k));
-            if let Some(cell) = self.visits.get_mut(&k) {
-                // Evicted: stragglers will re-open implicitly, the same
-                // outcome an expired fence produces.
-                cell.closed_at = None;
-                if cell.state.is_none() && !cell.queued && cell.queue.is_empty() {
-                    self.visits.remove(&k);
+            // Evicted: stragglers will re-open implicitly, the same
+            // outcome an expired fence produces. A fence outside the
+            // table is on a slot revived by queued events, which keeps
+            // its slot for them.
+            if self.fenced.remove(&k).is_none() {
+                if let Some(&slot) = self.index.get(&k) {
+                    self.slots[slot as usize].closed_at = None;
                 }
             }
         }
@@ -515,13 +647,14 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A visit's state while a worker (or a barrier) applies events to it
 /// outside the scheduler lock.
 struct Resident {
-    state: Option<VisitState>,
+    state: Option<Box<VisitState>>,
     closed_at: Option<Timestamp>,
 }
 
 /// A visit a worker holds for one slice.
 struct HeldVisit {
     key: u64,
+    slot: u32,
     /// How many of the slice's events are this visit's (they follow the
     /// slice's earlier visits' events).
     events: usize,
@@ -590,12 +723,12 @@ fn apply_visit_event(
             }
             out.stats.visits_opened += 1;
             out.touched = true;
-            resident.state = Some(VisitState::new(
+            resident.state = Some(Box::new(VisitState::new(
                 moving_object,
                 annotations,
                 ctx,
                 &mut out.stats.anomalies,
-            ));
+            )));
         }
         StreamEvent::Fix { cell, at, .. } => {
             out.stats.fixes += 1;
@@ -649,12 +782,12 @@ fn ensure_open(
         out.stats.anomalies.implicit_opens += 1;
         out.stats.visits_opened += 1;
         out.touched = true;
-        resident.state = Some(VisitState::new(
+        resident.state = Some(Box::new(VisitState::new(
             format!("implicit-{key}"),
             sitm_core::AnnotationSet::from_iter([sitm_core::Annotation::goal("streamed")]),
             ctx,
             &mut out.stats.anomalies,
-        ));
+        )));
     }
 }
 
@@ -695,7 +828,7 @@ fn absorb_into_deposit(deposit: &mut Deposit, out: &mut SliceOutput) {
 /// The worker body: take a slice of ready visits (own deque first,
 /// else steal cold ones), apply their queued events outside every
 /// lock, publish the results into this worker's own deposit, then
-/// re-enter the scheduler only for cell bookkeeping — and wake the
+/// re-enter the scheduler only for slot bookkeeping — and wake the
 /// engine thread only if it waits for what this slice made hold.
 fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
     let ctx = config.ctx();
@@ -790,7 +923,7 @@ struct LiveView {
 
 impl LiveView {
     /// Forgets each of `keys` (each listed once), then re-derives it from
-    /// its cell if that is (still, or again) open — order-free, so a
+    /// its slot if that is (still, or again) open — order-free, so a
     /// visit stolen, or closed and re-opened, between two cuts needs no
     /// op ordering. Returns how many visits it re-derived.
     fn rederive(&mut self, scheduler: &Scheduler, keys: &[u64]) -> u64 {
@@ -802,11 +935,7 @@ impl LiveView {
         for &key in keys {
             self.visits.remove(&key);
             index.remove(key);
-            let Some(state) = scheduler
-                .visits
-                .get(&key)
-                .and_then(|cell| cell.state.as_ref())
-            else {
+            let Some(state) = scheduler.state_of(key) else {
                 continue;
             };
             for interval in state.retained_intervals() {
@@ -837,16 +966,6 @@ impl LiveView {
             true,
         )
     }
-}
-
-/// The keys of every open visit.
-fn open_keys(scheduler: &Scheduler) -> Vec<u64> {
-    scheduler
-        .visits
-        .iter()
-        .filter(|(_, cell)| cell.state.is_some())
-        .map(|(key, _)| *key)
-        .collect()
 }
 
 /// Work-stealing online trajectory-ingestion engine: visits applied
@@ -884,10 +1003,12 @@ impl ParallelEngine {
     /// The configuration must have the predicates the checkpoint was
     /// taken under: they are code, not state. The bytes are outside
     /// input: anything that does not decode is an error, never a panic.
-    /// Each visit and fence becomes a scheduler cell homed on the worker
-    /// `dispatch` would give it (they rebalance from there); the
-    /// episodes, finished backlog, watermark and counters go to deposit
-    /// 0.
+    /// Each open visit takes a scheduler slot homed on the worker
+    /// `dispatch` would give it (they rebalance from there), each fence
+    /// goes to the fence table, and the episodes, finished backlog,
+    /// watermark and counters go to deposit 0. A key listed twice keeps
+    /// its last entry, and a key listed both open and closed restores
+    /// fenced, its open state dropped: the closed list is read second.
     pub fn restore(config: EngineConfig, checkpoint: &[u8]) -> Result<Self, EngineError> {
         if config.shards == 0 {
             return Err(EngineError::ZeroShards);
@@ -905,14 +1026,19 @@ impl ParallelEngine {
             // The first cut derives the restored visit like any other
             // touched one.
             seed.touch(key);
-            let mut cell = VisitCell::new(shard_of(VisitKey(key), workers));
-            cell.state = Some(VisitState::restore(visit, &engine.config.predicates));
-            guard.visits.insert(key, cell);
+            let slot = guard.slot_of(key, workers);
+            let state = VisitState::restore(visit, &engine.config.predicates);
+            guard.slots[slot as usize].state = Some(Box::new(state));
         }
         for (key, at) in snapshot.closed {
-            let mut cell = VisitCell::new(shard_of(VisitKey(key), workers));
-            cell.closed_at = Some(at);
-            guard.visits.insert(key, cell);
+            // Listed closed after open: the key is fenced, not open.
+            if let Some(&slot) = guard.index.get(&key) {
+                guard.slots[slot as usize].state = None;
+                guard.release(slot);
+            }
+            if let Some(earlier) = guard.fenced.insert(key, at) {
+                guard.fences.remove(&(earlier, key));
+            }
             guard.fences.insert((at, key));
         }
         drop((guard, seed));
@@ -998,7 +1124,6 @@ impl ParallelEngine {
         if self.buffer.is_empty() {
             return;
         }
-        let events = std::mem::take(&mut self.buffer);
         let workers = self.handles.len();
         let bound = self
             .config
@@ -1009,24 +1134,21 @@ impl ParallelEngine {
         let mut guard = self
             .shared
             .park_until(lock(&self.shared.state), Wait::Below(bound));
-        let batch = events.len() as u64;
+        let scheduler = &mut *guard;
+        let batch = self.buffer.len() as u64;
         let mut routed = 0u64;
-        for event in events {
-            let key = event.visit().0;
-            let cell = guard
-                .visits
-                .entry(key)
-                .or_insert_with(|| VisitCell::new(shard_of(VisitKey(key), workers)));
-            cell.queue.push_back(event);
-            let ready = !cell.queued && !cell.held;
-            let home = cell.home;
-            if ready {
-                cell.queued = true;
-                guard.deques[home].push_back(key);
+        // Drained, so the buffer keeps its capacity for the next batch.
+        for event in self.buffer.drain(..) {
+            let slot = scheduler.slot_of(event.visit().0, workers);
+            let visit = &mut scheduler.slots[slot as usize];
+            visit.queue.push_back(event);
+            if !visit.queued && !visit.held {
+                visit.queued = true;
+                scheduler.deques[visit.home].push_back(slot);
                 routed += 1;
             }
-            guard.queued_events += 1;
         }
+        scheduler.queued_events += batch as usize;
         let metrics = &self.shared.metrics;
         metrics.events_ingested.add(batch);
         metrics.visits_routed.add(routed);
@@ -1135,21 +1257,18 @@ impl ParallelEngine {
         self.dispatch();
         let mut guard = self.shared.quiesce();
         let ctx = self.config.ctx();
-        let mut keys = open_keys(&guard);
-        keys.sort_unstable();
+        let open = guard.open_slots();
         let mut scratch = Vec::new();
         // One deposit sweep up front: the synthesized closes stamp the
         // watermark, which they cannot raise, so it stays valid for
         // the whole loop.
         let at = self.high_water().unwrap_or(Timestamp(0));
         let mut out = SliceOutput::default();
-        for key in keys {
-            let mut resident = {
-                let cell = guard.visits.get_mut(&key).expect("open visit");
-                Resident {
-                    state: cell.state.take(),
-                    closed_at: cell.closed_at,
-                }
+        for (key, slot) in open {
+            let visit = &mut guard.slots[slot as usize];
+            let mut resident = Resident {
+                state: visit.state.take(),
+                closed_at: visit.closed_at,
             };
             apply_visit_event(
                 key,
@@ -1162,13 +1281,10 @@ impl ParallelEngine {
                 &mut scratch,
                 &mut out,
             );
-            let was_fence = {
-                let cell = guard.visits.get_mut(&key).expect("open visit");
-                let was_fence = cell.closed_at;
-                cell.state = resident.state;
-                cell.closed_at = resident.closed_at;
-                was_fence
-            };
+            let visit = &mut guard.slots[slot as usize];
+            let was_fence = visit.closed_at;
+            visit.state = resident.state;
+            visit.closed_at = resident.closed_at;
             if out.stats.anomalies.after_close > 0 {
                 self.shared
                     .metrics
@@ -1180,7 +1296,7 @@ impl ParallelEngine {
             // the scheduler because workers never block on the
             // scheduler holding a deposit.
             absorb_into_deposit(&mut lock(&self.shared.deposits[0]), &mut out);
-            guard.settle_cell(key, was_fence, self.config.fence_capacity.max(1));
+            guard.settle_slot(slot, was_fence, self.config.fence_capacity.max(1));
         }
         let mut out = Vec::new();
         self.shared
@@ -1258,7 +1374,7 @@ impl ParallelEngine {
             // A list overflowed: start from nothing and patch every
             // open visit — the same loop over a longer list.
             self.view = LiveView::default();
-            touched = open_keys(&guard);
+            touched = guard.open_slots().into_iter().map(|(key, _)| key).collect();
         }
         touched.sort_unstable();
         touched.dedup();
@@ -1280,7 +1396,8 @@ impl ParallelEngine {
         let guard = self.shared.quiesce();
         let watermark = self.high_water();
         let mut view = LiveView::default();
-        view.rederive(&guard, &open_keys(&guard));
+        let open: Vec<u64> = guard.open_slots().into_iter().map(|(key, _)| key).collect();
+        view.rederive(&guard, &open);
         drop(guard);
         view.snapshot(watermark)
     }
@@ -1305,9 +1422,9 @@ impl ParallelEngine {
         self.dispatch();
         let guard = self.shared.quiesce();
         let open_visits = guard
-            .visits
-            .values()
-            .filter(|cell| cell.state.is_some())
+            .slots
+            .iter()
+            .filter(|visit| visit.state.is_some())
             .count() as u64;
         let mut total = ShardStats::default();
         self.shared
@@ -1335,16 +1452,14 @@ impl ParallelEngine {
             watermark: self.high_water(),
             ..ShardSnapshot::default()
         };
-        let mut keys: Vec<u64> = guard.visits.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let cell = &guard.visits[&key];
-            if let Some(state) = &cell.state {
-                snapshot.visits.push((key, state.snapshot()));
-            } else if let Some(at) = cell.closed_at {
-                snapshot.closed.push((key, at));
-            }
+        // Both tables, each in key order. Quiesced, every slot is open
+        // or free, so every fence is in the fence table.
+        for (key, slot) in guard.open_slots() {
+            let state = guard.slots[slot as usize].state.as_ref();
+            snapshot.visits.push((key, state.expect("open").snapshot()));
         }
+        snapshot.closed = guard.fenced.iter().map(|(&key, &at)| (key, at)).collect();
+        snapshot.closed.sort_unstable();
         self.shared.sweep_deposits(|deposit| {
             snapshot.stats.absorb(&deposit.stats);
             snapshot.pending.extend(deposit.pending.iter().cloned());
@@ -1551,6 +1666,81 @@ mod tests {
         let mut plain = ParallelEngine::new(config(2)).unwrap();
         plain.ingest_all(feed());
         assert!(plain.take_finished().is_empty());
+    }
+
+    /// A closed visit leaves the slab: after a quiesced feed whose
+    /// visits all closed, no visit holds a slot, the fence table holds
+    /// every close, and the slab is no larger than the most visits ever
+    /// live at once, since each close frees its slot for the next open.
+    /// A late event revives a slot that carries the fence and, rejected,
+    /// hands the fence back.
+    #[test]
+    fn closed_visits_leave_the_slab_for_the_fence_table() {
+        // Visit v is open from 100 v to 100 v + 150: two at a time.
+        let mut events = Vec::new();
+        for v in 0..12u64 {
+            let base = v as i64 * 100;
+            events.push(StreamEvent::VisitOpened {
+                visit: VisitKey(v),
+                moving_object: format!("mo-{v}"),
+                annotations: label("visit"),
+                at: Timestamp(base),
+            });
+            events.push(StreamEvent::Presence {
+                visit: VisitKey(v),
+                interval: PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(1),
+                    Timestamp(base + 10),
+                    Timestamp(base + 60),
+                ),
+            });
+            events.push(StreamEvent::VisitClosed {
+                visit: VisitKey(v),
+                at: Timestamp(base + 150),
+            });
+        }
+        sort_feed(&mut events);
+        let closes: Vec<(u64, Timestamp)> = (0..12u64)
+            .map(|v| (v, Timestamp(v as i64 * 100 + 150)))
+            .collect();
+        let tables = |engine: &ParallelEngine| {
+            let scheduler = lock(&engine.shared.state);
+            let mut fenced: Vec<(u64, Timestamp)> =
+                scheduler.fenced.iter().map(|(&k, &at)| (k, at)).collect();
+            fenced.sort_unstable();
+            assert!(scheduler.index.is_empty(), "no visit holds a slot");
+            assert_eq!(scheduler.free.len(), scheduler.slots.len());
+            assert_eq!(scheduler.fences.len(), fenced.len());
+            (fenced, scheduler.slots.len())
+        };
+
+        for workers in [1, 2, 4] {
+            let mut engine = ParallelEngine::new(config(workers)).unwrap();
+            for event in events.iter().cloned() {
+                engine.ingest(event);
+                engine.flush();
+            }
+            let (fenced, slab) = tables(&engine);
+            assert_eq!(fenced, closes, "{workers} workers");
+            assert!(
+                slab <= 2,
+                "{workers} workers: {slab} slots for 2 live visits"
+            );
+
+            engine.ingest(StreamEvent::Presence {
+                visit: VisitKey(0),
+                interval: PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(0),
+                    Timestamp(200),
+                    Timestamp(210),
+                ),
+            });
+            engine.flush();
+            assert_eq!(engine.stats().anomalies.after_close, 1);
+            assert_eq!(tables(&engine), (closes.clone(), slab));
+        }
     }
 
     #[test]
