@@ -25,7 +25,7 @@
 //!   trajectory collection (in-memory, warehouse, live streaming-engine
 //!   state) shows the executor, so one query runs over their union;
 //! * [`segmented`] — [`SegmentedDb`]: the warehouse rewritten around
-//!   `sitm-store`'s immutable on-disk segment tier — Bloom-fronted
+//!   `sitm-store`'s immutable on-disk segment tier — object-index and
 //!   zone-map pruning plus per-segment postings behind the same query
 //!   surface and the same [`TrajectorySource`] federation face;
 //! * [`wire`] — the network codec for queries: [`Predicate`],
@@ -87,7 +87,7 @@ pub use index::{CandidateSet, TrajId, TrajectoryDb};
 pub use interval_tree::{Entry, IntervalTree};
 pub use predicate::{DeltaVerdict, Predicate};
 pub use query::{AccessPath, Match, Query, QueryPlan, SortKey};
-pub use segmented::{zone_bloom_rejects, zone_may_match, SegmentedDb, SegmentedPlan};
+pub use segmented::{zone_may_match, SegmentedDb, SegmentedPlan};
 pub use wire::{
     decode_predicate, decode_wire_query, encode_predicate, encode_wire_query, WireQuery,
 };

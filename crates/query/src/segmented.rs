@@ -13,15 +13,13 @@
 //! A predicate is narrowed in two stages, both sound:
 //!
 //! 1. **zone-map pruning** — each segment's [`ZoneMap`] (span min/max,
-//!    cell set, object set, annotation sets) is tested with
+//!    exact cell set, exact object set, annotation sets) is tested with
 //!    [`zone_may_match`]; a segment the predicate provably cannot match
 //!    contributes nothing and its trajectories are never touched.
-//!    Point-equality leaves (cell / moving-object membership) consult
-//!    the zone map's **Bloom filters first**: a bloom *no* rejects the
-//!    segment from one probe sequence without touching the exact
-//!    ordered sets (no false negatives, so the prune stays sound), and
-//!    [`SegmentedPlan::bloom_pruned`] reports how many segments the
-//!    blooms alone eliminated;
+//!    Ahead of the zone maps, the store's global object index answers
+//!    the predicate's `MovingObject` leaves wherever its boolean shape
+//!    allows, naming exactly the segments holding each object
+//!    ([`SegmentedPlan::object_pruned`] counts the rest);
 //! 2. **per-segment postings** — surviving segments answer through
 //!    their own [`TrajectoryDb`] indexes (cell/annotation/object
 //!    postings, span and stay interval trees), translated into global
@@ -151,28 +149,6 @@ pub fn zone_may_match(zone: &ZoneMap, p: &Predicate) -> bool {
     }
 }
 
-/// Would the zone's *Bloom filters alone* prove `p` unmatchable? A
-/// strict subset of the segments [`zone_may_match`] prunes (a bloom
-/// *no* has no false negatives), reported separately in
-/// [`SegmentedPlan::bloom_pruned`] so the fast-rejection tier's
-/// contribution is visible in plans. Point-equality leaves (cell /
-/// moving-object membership) are the only ones blooms can answer.
-pub fn zone_bloom_rejects(zone: &ZoneMap, p: &Predicate) -> bool {
-    match p {
-        Predicate::VisitedCell(cell)
-        | Predicate::StayOverlaps(cell, _)
-        | Predicate::MinStayIn(cell, _) => zone.bloom_rejects_cell(cell),
-        // Every listed cell must be present for a contiguous run.
-        Predicate::SequenceContains(cells) => cells.iter().any(|c| zone.bloom_rejects_cell(c)),
-        Predicate::MovingObject(id) => zone.bloom_rejects_object(id),
-        Predicate::And(parts) => parts.iter().any(|q| zone_bloom_rejects(zone, q)),
-        Predicate::Or(parts) => {
-            !parts.is_empty() && parts.iter().all(|q| zone_bloom_rejects(zone, q))
-        }
-        _ => false,
-    }
-}
-
 /// One live segment's query-side structures. Parts align **by index**
 /// with [`SegmentStore::segments`] (both follow manifest order), so the
 /// pruning metadata (zone map, directory, rollup) is read straight off
@@ -196,10 +172,6 @@ pub struct SegmentedPlan {
     pub segments: usize,
     /// Segments skipped entirely by zone-map pruning.
     pub pruned: usize,
-    /// Of the pruned segments, how many the Bloom filters alone
-    /// rejected (point predicates answered before the exact sets were
-    /// touched) — always `≤ pruned`.
-    pub bloom_pruned: usize,
     /// Segments skipped by the global object index before their zone
     /// maps were even consulted (disjoint from `pruned`).
     pub object_pruned: usize,
@@ -217,7 +189,6 @@ pub struct SegmentedPlan {
 struct QueryMetrics {
     segments_scanned: Arc<Counter>,
     zone_pruned: Arc<Counter>,
-    bloom_pruned: Arc<Counter>,
     object_pruned: Arc<Counter>,
     candidates: Arc<Histogram>,
     /// Rows [`crate::Query`]'s paging core turned into an owned value
@@ -230,7 +201,6 @@ impl QueryMetrics {
         QueryMetrics {
             segments_scanned: registry.counter("query.segments_scanned"),
             zone_pruned: registry.counter("query.zone_pruned"),
-            bloom_pruned: registry.counter("query.bloom_pruned"),
             object_pruned: registry.counter("query.object_pruned"),
             candidates: registry.histogram("query.candidates"),
             rows_materialized: registry.counter("query.rows_materialized"),
@@ -475,7 +445,6 @@ impl SegmentedDb {
         let scanned = plan.segments - plan.pruned - plan.object_pruned;
         self.metrics.segments_scanned.add(scanned as u64);
         self.metrics.zone_pruned.add(plan.pruned as u64);
-        self.metrics.bloom_pruned.add(plan.bloom_pruned as u64);
         self.metrics.object_pruned.add(plan.object_pruned as u64);
         let surviving = plan.candidates.unwrap_or(plan.total);
         self.metrics.candidates.record(surviving as u64);
@@ -489,15 +458,14 @@ impl SegmentedDb {
         self.prune(p).0
     }
 
-    /// The one pruning pass: object index, then zone maps (with the
-    /// Bloom attribution), then the surviving segments' postings.
+    /// The one pruning pass: object index, then zone maps, then the
+    /// surviving segments' postings.
     /// Returns what each stage rejected beside what is left.
     fn prune(&self, p: &Predicate) -> (SegmentedPlan, CandidateSet) {
         let mut ids: Vec<TrajId> = Vec::new();
         let mut plan = SegmentedPlan {
             segments: self.parts.len(),
             pruned: 0,
-            bloom_pruned: 0,
             object_pruned: 0,
             candidates: None,
             total: self.total,
@@ -521,11 +489,6 @@ impl SegmentedDb {
             if !zone_may_match(zone, p) {
                 narrowed = true;
                 plan.pruned += 1;
-                // Only already-pruned segments are re-probed, so the
-                // bloom attribution costs nothing on survivors.
-                if zone_bloom_rejects(zone, p) {
-                    plan.bloom_pruned += 1;
-                }
                 continue;
             }
             if !can_narrow {
@@ -810,67 +773,36 @@ mod tests {
     }
 
     #[test]
-    fn bloom_rejection_is_sound_and_visible_in_plans() {
-        let tmp = TempDir::new("bloom");
+    fn absent_values_are_rejected_by_the_object_index_and_zone_maps() {
+        let tmp = TempDir::new("absent");
         let mut db = open(&tmp);
         // Two object/cell-disjoint segments.
         db.flush(vec![traj("a", &[(1, 0, 100)], "visit")]).unwrap();
         db.flush(vec![traj("b", &[(2, 1000, 1100)], "visit")])
             .unwrap();
         assert_eq!(db.segments().len(), 2);
-        // A point predicate matching nothing anywhere: blooms (no
-        // false negatives) must reject every segment, and the indexed
-        // path must agree with the scan.
+        // A point predicate matching nothing anywhere: the indexed path
+        // must agree with the scan.
         for p in [
             Predicate::MovingObject("nobody".into()),
             Predicate::VisitedCell(cell(9)),
             Predicate::MovingObject("a".into()).and(Predicate::VisitedCell(cell(2))),
         ] {
-            let plan = db.explain(&p);
-            assert!(plan.bloom_pruned <= plan.pruned, "for {p}");
             assert_eq!(matching(&db, &p), scanned(&db, &p), "{p}");
         }
         // A wholly absent object is pruned by the *global object index*
-        // before any zone map or bloom filter is consulted.
+        // before any zone map is consulted.
         let absent = Predicate::MovingObject("nobody".into());
         let plan = db.explain(&absent);
         assert_eq!(plan.object_pruned, 2, "object index rejects both segments");
         assert_eq!(plan.pruned, 0, "zone maps never consulted");
         assert_eq!(plan.candidates, Some(0));
-        // An absent *cell* has no object structure: the zone/bloom tier
-        // still does that work.
+        // An absent *cell* has no object structure: the zone maps'
+        // exact cell sets do that work.
         let absent_cell = Predicate::VisitedCell(cell(9));
         let plan = db.explain(&absent_cell);
         assert_eq!(plan.object_pruned, 0);
-        assert_eq!(plan.pruned, 2);
-        assert_eq!(
-            plan.bloom_pruned, 2,
-            "blooms alone reject a wholly absent cell"
-        );
-        // A present value is never bloom-rejected in its home segment.
-        for s in db.segments() {
-            for t in s.trajectories().unwrap().iter() {
-                assert!(!zone_bloom_rejects(
-                    &s.zone_map,
-                    &Predicate::MovingObject(t.moving_object.clone())
-                ));
-                for stay in t.trace().intervals() {
-                    assert!(!zone_bloom_rejects(
-                        &s.zone_map,
-                        &Predicate::VisitedCell(stay.cell)
-                    ));
-                }
-            }
-        }
-        // Structural cases blooms cannot answer.
-        assert!(!zone_bloom_rejects(
-            &db.segments()[0].zone_map,
-            &Predicate::Or(vec![])
-        ));
-        assert!(!zone_bloom_rejects(
-            &db.segments()[0].zone_map,
-            &Predicate::VisitedCell(cell(9)).not()
-        ));
+        assert_eq!(plan.pruned, 2, "zone maps reject a wholly absent cell");
     }
 
     #[test]
@@ -912,10 +844,6 @@ mod tests {
         let plan = db.explain(&p);
         assert_eq!(plan.segments, 2);
         assert_eq!(plan.pruned, 1, "the buy segment has no cell 1");
-        assert!(
-            plan.bloom_pruned <= plan.pruned,
-            "bloom rejections are a subset of zone-map prunes"
-        );
         assert_eq!(plan.candidates, Some(1));
         for p in [
             Predicate::VisitedCell(cell(1)),
@@ -1044,7 +972,6 @@ mod tests {
             [
                 "query.segments_scanned",
                 "query.zone_pruned",
-                "query.bloom_pruned",
                 "query.object_pruned",
             ]
             .map(|name| registry.counter(name).get())
@@ -1060,13 +987,12 @@ mod tests {
             );
             let candidates = db.candidates(&p);
             let after = counters();
-            let moved: Vec<usize> = (0..4).map(|i| (after[i] - before.0[i]) as usize).collect();
+            let moved: Vec<usize> = (0..3).map(|i| (after[i] - before.0[i]) as usize).collect();
             assert_eq!(
                 moved,
                 [
                     plan.segments - plan.pruned - plan.object_pruned,
                     plan.pruned,
-                    plan.bloom_pruned,
                     plan.object_pruned
                 ],
                 "for {p}"

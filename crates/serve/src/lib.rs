@@ -43,7 +43,7 @@
 //!                         │ Checkpoint             ▲   (live ∪ warehouse,
 //!                         ▼                        │    sorted / paged)
 //!                  Flusher ─▶ SegmentedDb ─────────┘
-//!                  (immutable segments, zone maps + Blooms, manifest)
+//!                  (immutable segments, zone maps, manifest)
 //! ```
 //!
 //! Failure containment is per-session: a torn frame, a hostile length,

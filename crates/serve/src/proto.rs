@@ -121,7 +121,7 @@ pub enum Request {
     /// under `Query::execute_federated`'s ordering contract.
     QueryFederated(WireQuery),
     /// Plan a predicate without executing it: per-source access paths
-    /// plus the warehouse's zone-map / Bloom pruning counts.
+    /// plus the warehouse's object-index / zone-map pruning counts.
     Explain(Predicate),
     /// Engine counters plus warehouse shape.
     Stats,
@@ -266,8 +266,6 @@ pub struct ExplainReport {
     pub segments: u64,
     /// Segments zone-map pruning skipped entirely.
     pub zone_pruned: u64,
-    /// Of those, segments the Bloom filters alone rejected.
-    pub bloom_pruned: u64,
     /// Segments the global object index skipped before their zone maps
     /// were consulted (disjoint from `zone_pruned`).
     pub object_pruned: u64,
@@ -500,7 +498,6 @@ pub fn encode_response(buf: &mut Vec<u8>, resp: &Response) {
             }
             put_u64(buf, report.segments);
             put_u64(buf, report.zone_pruned);
-            put_u64(buf, report.bloom_pruned);
             put_u64(buf, report.object_pruned);
             put_u64(buf, report.segment_bytes_read);
             put_u64(buf, report.trajectories_decoded);
@@ -618,7 +615,6 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
             }
             let segments = take_u64(buf)?;
             let zone_pruned = take_u64(buf)?;
-            let bloom_pruned = take_u64(buf)?;
             let object_pruned = take_u64(buf)?;
             let segment_bytes_read = take_u64(buf)?;
             let trajectories_decoded = take_u64(buf)?;
@@ -632,7 +628,6 @@ pub fn decode_response(buf: &mut &[u8]) -> Result<Response, CodecError> {
                 plans,
                 segments,
                 zone_pruned,
-                bloom_pruned,
                 object_pruned,
                 segment_bytes_read,
                 trajectories_decoded,
@@ -914,7 +909,6 @@ mod tests {
                 ],
                 segments: 4,
                 zone_pruned: 2,
-                bloom_pruned: 1,
                 object_pruned: 1,
                 segment_bytes_read: 4_096,
                 trajectories_decoded: 7,

@@ -1268,7 +1268,7 @@ fn build_health(shared: &Shared) -> HealthReport {
 
 /// Plans `predicate` over live ∪ warehouse: the live tier's access
 /// path (`TrajectorySource::plan`), then the warehouse's
-/// access path and zone-map / Bloom pruning counts from one
+/// access path and object-index / zone-map pruning counts from one
 /// [`SegmentedDb::explain`].
 /// Evaluates outside the core lock, like the query ops, and records
 /// its snapshot acquisition into `serve.explain_snapshot_ns` so plans
@@ -1309,7 +1309,6 @@ fn explain(shared: &Shared, predicate: &Predicate) -> ExplainReport {
         plans,
         segments: segmented.segments as u64,
         zone_pruned: segmented.pruned as u64,
-        bloom_pruned: segmented.bloom_pruned as u64,
         object_pruned: segmented.object_pruned as u64,
         segment_bytes_read: registry.counter("query.segment_bytes_read").get(),
         trajectories_decoded: registry.counter("query.trajectories_decoded").get(),

@@ -210,7 +210,6 @@ fn served_results_equal_in_process_federation() {
     assert_eq!(report.segments as usize, local_db.segments().len());
     let local_plan = local_db.explain(&Predicate::MovingObject("mo-2".into()));
     assert_eq!(report.zone_pruned as usize, local_plan.pruned);
-    assert_eq!(report.bloom_pruned as usize, local_plan.bloom_pruned);
     assert_eq!(report.object_pruned as usize, local_plan.object_pruned);
     // Cold-tier I/O counters ride the report. This server wrote every
     // segment itself, so the write-through cache served the whole query
@@ -436,7 +435,7 @@ fn bytes_in_counts_traced_and_plain_frames_as_written() {
 }
 
 /// `Explain` plans and does not execute: the per-query pruning
-/// instruments count queries, so a served plan leaves all five where
+/// instruments count queries, so a served plan leaves all four where
 /// they were and a served query moves them exactly once.
 #[test]
 fn explain_moves_no_per_query_pruning_instrument() {
@@ -461,11 +460,7 @@ fn explain_moves_no_per_query_pruning_instrument() {
         .iter()
         .map(|name| registry.counter(name).get())
         .sum();
-        (
-            segments,
-            registry.counter("query.bloom_pruned").get(),
-            registry.histogram("query.candidates").count(),
-        )
+        (segments, registry.histogram("query.candidates").count())
     };
     for predicate in [
         Predicate::MovingObject("mo-1".into()),
@@ -489,17 +484,12 @@ fn explain_moves_no_per_query_pruning_instrument() {
         // Every segment lands in exactly one of scanned / zone-pruned /
         // object-pruned, once a query.
         assert_eq!(after.0 - before.0, report.segments, "for {predicate}");
-        assert_eq!(after.1 - before.1, report.bloom_pruned, "for {predicate}");
-        assert_eq!(after.2 - before.2, 1, "one candidates sample a query");
+        assert_eq!(after.1 - before.1, 1, "one candidates sample a query");
     }
     // Every pruning tier rejected a segment over the wire: the object
-    // index (`mo-1` is absent from the second spill), the zone maps and
-    // their Bloom filters (no segment holds cell 9).
-    for name in [
-        "query.object_pruned",
-        "query.zone_pruned",
-        "query.bloom_pruned",
-    ] {
+    // index (`mo-1` is absent from the second spill) and the zone maps
+    // (no segment holds cell 9).
+    for name in ["query.object_pruned", "query.zone_pruned"] {
         assert!(registry.counter(name).get() > 0, "{name} stayed 0");
     }
 
@@ -520,14 +510,15 @@ fn a_segment_file_of_another_format_refuses_the_start() {
 
     let path = tmp.0.join(sitm_store::warehouse::segment_file_name(0));
     let pristine = std::fs::read(&path).expect("the spilled segment");
-    assert_eq!(&pristine[..8], b"SITMSEG4");
-    // Three older formats, a newer one, and the current magic one bit off.
+    assert_eq!(&pristine[..8], b"SITMSEG5");
+    // Four older formats, a newer one, and the current magic one bit off.
     for magic in [
         b"SITMSEG1",
         b"SITMSEG2",
         b"SITMSEG3",
-        b"SITMSEG5",
-        b"SITMSEGt",
+        b"SITMSEG4",
+        b"SITMSEG6",
+        b"SITMSEGu",
     ] {
         let mut forged = pristine.clone();
         forged[..8].copy_from_slice(magic);

@@ -55,8 +55,6 @@ use sitm_core::{
 };
 use sitm_graph::{CellRef, EdgeId, LayerIdx, NodeId};
 
-use crate::bloom::fnv1a;
-
 /// Decoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -132,6 +130,19 @@ pub fn encode_annotations(buf: &mut Vec<u8>, set: &AnnotationSet) {
         put_str(buf, a.kind.name());
         put_str(buf, &a.value);
     }
+}
+
+/// FNV-1a over arbitrary bytes: the repo's stable, dependency-free
+/// hash. The annotation-set table below keys its slots by it and the
+/// engines route visits to workers by it, so both are deterministic
+/// across runs and platforms.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
 }
 
 /// Slots of the per-thread table of decoded annotation sets (a power of

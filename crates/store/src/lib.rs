@@ -7,8 +7,6 @@
 //! collected 4,945 visits over four months — something has to hold them).
 //!
 //! * [`crc`] — CRC-32 (ISO-HDLC), one-shot and incremental;
-//! * [`bloom`] — [`Bloom`]: a compact double-hashed Bloom filter, the
-//!   fast-*no* membership tier in front of each zone map's exact sets;
 //! * [`codec`] — compact binary encoding of annotation sets, traces,
 //!   semantic trajectories and episodes, with delta-encoded timestamps
 //!   and fully validated decoding, over the varint / string / count /
@@ -30,15 +28,13 @@
 //! contract: recovered records are always a clean prefix of what was
 //! written, and a record never comes back altered.
 
-pub mod bloom;
 pub mod codec;
 pub mod crc;
 pub mod log;
 pub mod segment;
 pub mod warehouse;
 
-pub use bloom::{fnv1a, Bloom};
-pub use codec::{decode_trajectory, encode_trajectory, CodecError};
+pub use codec::{decode_trajectory, encode_trajectory, fnv1a, CodecError};
 pub use crc::{crc32, Crc32};
 pub use log::{LogStore, Record, RecoveryReport, StoreError};
 pub use segment::{scan, write_frame, write_header, Corruption, ScanOutcome};

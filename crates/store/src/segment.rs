@@ -8,7 +8,7 @@
 //!
 //! Record logs ([`crate::log`]: the warehouse manifest) open with the
 //! magic `SITMSEG1` ([`MAGIC`]); warehouse segment files open with
-//! `SITMSEG4` and a fixed run of header frames, a layout only
+//! `SITMSEG5` and a fixed run of header frames, a layout only
 //! `warehouse::format` knows. The frame itself has one
 //! writer, [`frame_header`], and one validator, [`read_frame`]: every
 //! reader in the crate — the log scanner here, the segment files'
@@ -252,7 +252,7 @@ mod tests {
         // Segment files open with their own magic (`warehouse::format`),
         // so the log scanner refuses one — but the frames behind that
         // magic are the frames of a log, read by the same validator.
-        let mut buf = b"SITMSEG4".to_vec();
+        let mut buf = b"SITMSEG5".to_vec();
         write_frame(&mut buf, b"zone");
         write_frame(&mut buf, b"dir");
         write_frame(&mut buf, b"sort");

@@ -49,7 +49,7 @@ use crate::segment::{self, Corruption};
 
 /// The magic every segment file opens with. A file with any other —
 /// an older format, a newer one, a damaged one — is refused at open.
-const MAGIC: &[u8; 8] = b"SITMSEG4";
+const MAGIC: &[u8; 8] = b"SITMSEG5";
 
 /// A row's span as the directory stores it: `(start, end)` in seconds,
 /// read once (`start()`/`end()` each fold the whole trace).
@@ -172,9 +172,21 @@ struct Headers {
     sort_columns: SortColumns,
 }
 
-/// The assembler: serializes one segment (magic, zone map, offset
-/// directory, sort columns, rollup, one frame per row) into a buffer
-/// and returns it with the directory describing it. Row `i` has span
+/// The zone-map frame's payload: the [`ZoneMap`], then the witness of
+/// the sort columns' object ranks ([`SortColumns::object_witness`]) as
+/// four little-endian bytes.
+fn decode_zone_frame(buf: &mut &[u8]) -> Result<(ZoneMap, u32), CodecError> {
+    let zone_map = ZoneMap::decode(buf)?;
+    let (witness, rest) = buf
+        .split_first_chunk::<4>()
+        .ok_or(CodecError::UnexpectedEof)?;
+    *buf = rest;
+    Ok((zone_map, u32::from_le_bytes(*witness)))
+}
+
+/// The assembler: serializes one segment (magic, zone map and object
+/// witness, offset directory, sort columns, rollup, one frame per row)
+/// into a buffer and returns it with the directory describing it. Row `i` has span
 /// `spans[i]` and encoding `encodings.get(i)`, in run order; its frame
 /// holds the encoding's tail.
 fn encode_segment_file(
@@ -200,6 +212,7 @@ fn encode_segment_file(
     }
     let mut zone_payload = Vec::new();
     headers.zone_map.encode(&mut zone_payload);
+    zone_payload.extend_from_slice(&headers.sort_columns.object_witness().to_le_bytes());
     let mut directory_payload = Vec::new();
     directory.encode(&mut directory_payload);
     let mut sort_payload = Vec::new();
@@ -432,11 +445,10 @@ impl Segment {
     /// * The order is decided on `(directory start, directory end,
     ///   encoding, victim, row)`: [`sort_run`]'s order over columns and
     ///   bytes already resident.
-    /// * The zone map is the union of the victims' (blooms rebuilt over
-    ///   the merged sets, so they are sized as a build would size
-    ///   them), the rollup their sum; dwell and trace-length columns
-    ///   are gathered and the object column re-ranked against the
-    ///   merged object set.
+    /// * The zone map is the union of the victims', the rollup their
+    ///   sum; dwell and trace-length columns are gathered and the
+    ///   object column re-ranked against the merged object set, whose
+    ///   witness the assembler writes.
     /// * The victims' encodings are gathered in the merged order, and
     ///   the assembler frames their tails.
     /// * Once the file is durable the decoded rows are *moved* out of
@@ -598,7 +610,8 @@ impl Segment {
             id,
             buf: Vec::new(),
         };
-        let zone_map = headers.next(ZoneMap::decode, "trailing bytes after zone map")?;
+        let (zone_map, witness) =
+            headers.next(decode_zone_frame, "trailing bytes after zone map")?;
         let mut directory =
             headers.next(SegmentDirectory::decode, "trailing bytes after directory")?;
         let sort_columns =
@@ -617,7 +630,7 @@ impl Segment {
             });
         }
         sort_columns
-            .validate(zone_map.len, zone_map.objects.len() as u64)
+            .validate(zone_map.len, zone_map.objects.len() as u64, witness)
             .map_err(|what| WarehouseError::Inconsistent { id, what })?;
         Ok(Segment {
             id,

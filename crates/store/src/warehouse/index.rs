@@ -12,15 +12,15 @@ use sitm_core::{Annotation, AnnotationSet, SemanticTrajectory, TimeInterval, Tim
 use sitm_graph::CellRef;
 
 use super::objects::ObjectSet;
-use crate::bloom::{fnv1a, Bloom};
 use crate::codec::{decode_annotations, decode_cell, encode_annotations, encode_cell, CodecError};
+use crate::crc::Crc32;
 use crate::segment;
 
 /// Per-segment pruning metadata: the aggregate "where / when / what / who"
-/// of every trajectory in the segment. A query layer consults it to skip
-/// whole segments a predicate provably cannot match (soundness lives in
-/// the consumer: pruning may only say *no* when no trajectory in the
-/// segment can match).
+/// of every trajectory in the segment, as exact sets. A query layer
+/// consults it to skip whole segments a predicate provably cannot match
+/// (soundness lives in the consumer: pruning may only say *no* when no
+/// trajectory in the segment can match).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ZoneMap {
     /// Trajectories in the segment.
@@ -36,24 +36,6 @@ pub struct ZoneMap {
     pub traj_annotations: AnnotationSet,
     /// Union of the per-stay annotation sets (`A_i`).
     pub stay_annotations: AnnotationSet,
-    /// Bloom filter over [`ZoneMap::cells`]: a one-probe-sequence fast
-    /// *no* for cell point predicates before the exact set is touched.
-    pub cell_bloom: Bloom,
-    /// Bloom filter over [`ZoneMap::objects`] (same contract).
-    pub object_bloom: Bloom,
-}
-
-/// The stable hash a [`ZoneMap`] bloom probes for a cell.
-pub fn cell_bloom_hash(cell: &CellRef) -> u64 {
-    let mut bytes = [0u8; 16];
-    bytes[..8].copy_from_slice(&(cell.layer.index() as u64).to_le_bytes());
-    bytes[8..].copy_from_slice(&(cell.node.index() as u64).to_le_bytes());
-    fnv1a(&bytes)
-}
-
-/// The stable hash a [`ZoneMap`] bloom probes for a moving-object id.
-pub fn object_bloom_hash(id: &str) -> u64 {
-    fnv1a(id.as_bytes())
 }
 
 /// `span` widened to cover `other`.
@@ -134,8 +116,7 @@ impl ZoneMap {
 
     /// Finishes a map from an unsorted, repeating run of cells and the
     /// object set: sort, dedup, bulk-build the cell set (see
-    /// [`ZoneMap::decode`] for why from sorted input), then the blooms
-    /// over the sets.
+    /// [`ZoneMap::decode`] for why from sorted input).
     fn from_runs(
         len: u64,
         span: Option<TimeInterval>,
@@ -146,42 +127,26 @@ impl ZoneMap {
     ) -> ZoneMap {
         cells.sort_unstable();
         cells.dedup();
-        let cells: BTreeSet<CellRef> = cells.into_iter().collect();
         ZoneMap {
             len,
             span,
-            cell_bloom: Bloom::build(cells.iter().map(cell_bloom_hash)),
-            object_bloom: Bloom::build(objects.iter().map(object_bloom_hash)),
-            cells,
+            cells: cells.into_iter().collect(),
             objects,
             traj_annotations,
             stay_annotations,
         }
     }
 
-    /// Membership test for cell point predicates: the bloom answers a
-    /// definite *no* from one probe sequence; only a *maybe* falls
-    /// through to the exact ordered set. No false negatives, so a
-    /// `false` here is as sound a prune as the set's.
+    /// Membership test for cell point predicates: the exact set, so a
+    /// `false` is a sound prune.
     pub fn may_contain_cell(&self, cell: &CellRef) -> bool {
-        self.cell_bloom.may_contain(cell_bloom_hash(cell)) && self.cells.contains(cell)
+        self.cells.contains(cell)
     }
 
     /// Membership test for moving-object point predicates (see
     /// [`ZoneMap::may_contain_cell`]).
     pub fn may_contain_object(&self, id: &str) -> bool {
-        self.object_bloom.may_contain(object_bloom_hash(id)) && self.objects.contains(id)
-    }
-
-    /// Bloom-only fast rejection for a cell (query planners use this to
-    /// report how much work the blooms alone saved).
-    pub fn bloom_rejects_cell(&self, cell: &CellRef) -> bool {
-        !self.cell_bloom.may_contain(cell_bloom_hash(cell))
-    }
-
-    /// Bloom-only fast rejection for a moving-object id.
-    pub fn bloom_rejects_object(&self, id: &str) -> bool {
-        !self.object_bloom.may_contain(object_bloom_hash(id))
+        self.objects.contains(id)
     }
 
     /// Encodes the map.
@@ -202,8 +167,6 @@ impl ZoneMap {
         self.objects.encode(buf);
         encode_annotations(buf, &self.traj_annotations);
         encode_annotations(buf, &self.stay_annotations);
-        self.cell_bloom.encode(buf);
-        self.object_bloom.encode(buf);
     }
 
     /// Decodes a map encoded by [`ZoneMap::encode`].
@@ -229,8 +192,6 @@ impl ZoneMap {
         let objects = ObjectSet::decode(buf)?;
         let traj_annotations = decode_annotations(buf)?;
         let stay_annotations = decode_annotations(buf)?;
-        let cell_bloom = Bloom::decode(buf)?;
-        let object_bloom = Bloom::decode(buf)?;
         Ok(ZoneMap {
             len,
             span,
@@ -238,8 +199,6 @@ impl ZoneMap {
             objects,
             traj_annotations,
             stay_annotations,
-            cell_bloom,
-            object_bloom,
         })
     }
 }
@@ -538,16 +497,37 @@ impl SortColumns {
         Ok(columns)
     }
 
-    /// Structural validation against the zone map the segment opened
-    /// with: `rows` entries, every object index inside the zone map's
-    /// object set. Catches a tampered or mismatched frame at open,
-    /// before any ordering decision or row decode trusts it.
-    pub(super) fn validate(&self, rows: u64, objects: u64) -> Result<(), &'static str> {
+    /// The witness of the object column: CRC-32 over every row's rank
+    /// as four little-endian bytes, in run order. The zone-map frame
+    /// stores it, so a rank that passes its own frame's CRC but is not
+    /// the one written cannot name a row's object.
+    pub fn object_witness(&self) -> u32 {
+        let mut crc = Crc32::new();
+        for rank in &self.object {
+            crc.update(&rank.to_le_bytes());
+        }
+        crc.finish()
+    }
+
+    /// Structural validation against the zone-map frame the segment
+    /// opened with: `rows` entries, every object index inside the zone
+    /// map's object set, and the object column matching `witness`.
+    /// Catches a tampered or mismatched frame at open, before any
+    /// ordering decision or row decode trusts it.
+    pub(super) fn validate(
+        &self,
+        rows: u64,
+        objects: u64,
+        witness: u32,
+    ) -> Result<(), &'static str> {
         if self.dwell.len() as u64 != rows {
             return Err("sort-column count disagrees with zone map");
         }
         if self.object.iter().any(|&o| o as u64 >= objects) {
             return Err("sort-column object index out of bounds");
+        }
+        if self.object_witness() != witness {
+            return Err("sort-column object ranks disagree with their witness");
         }
         Ok(())
     }

@@ -15,8 +15,8 @@
 //! marker/length/CRC frames):
 //!
 //! ```text
-//! seg-NNNNNNNN.seg := magic "SITMSEG4"
-//!                   | frame(zone map)
+//! seg-NNNNNNNN.seg := magic "SITMSEG5"
+//!                   | frame(zone map ‖ object witness)
 //!                   | frame(offset directory)
 //!                   | frame(sort columns)
 //!                   | frame(rollup)
@@ -43,7 +43,14 @@
 //! Frame 0 is the segment's [`ZoneMap`] — span min/max, cell set,
 //! moving-object set, trajectory/stay annotation sets, record count —
 //! the per-segment pruning metadata a query consults *before* touching
-//! any trajectory. Trajectories are sorted by [`sort_run`]'s canonical
+//! any trajectory, as exact sets. After it comes the *object witness*:
+//! the CRC-32 of the sort columns' object ranks
+//! ([`SortColumns::object_witness`]), four little-endian bytes. A rank
+//! names a row's object, so the open checks the ranks against a second
+//! frame's witness: a sort-column frame that passes its own CRC but
+//! holds other ranks than were written is refused
+//! ([`WarehouseError::Inconsistent`]) instead of serving a row under
+//! another visitor's name. Trajectories are sorted by [`sort_run`]'s canonical
 //! total order (span start, span end, encoded bytes), so every segment
 //! is one sorted run.
 //!
@@ -64,8 +71,7 @@
 //! span columns and resident encodings are ordered as `(start, end,
 //! encoding, victim, row)` — the canonical order, read off columns and
 //! bytes — which interleaves the victims' runs; the zone map is the
-//! union of theirs (its Blooms rebuilt over the merged sets, so they
-//! are sized as a fresh build's) and the rollup the sum of theirs.
+//! union of theirs and the rollup the sum of theirs.
 //! *Gathered*: the dwell and trace-length columns row by row, and the
 //! object column re-ranked from each victim's object set to the merged
 //! one. *Copied*: every row's encoding, verbatim, into the merged
@@ -132,7 +138,7 @@
 //!
 //! The cross-segment **object → segment-ids** postings let
 //! warehouse-wide moving-object point lookups name exactly the segments
-//! holding an object instead of probing every segment's Bloom/zone map.
+//! holding an object instead of probing every segment's zone map.
 //! They are derived, never stored: one k-way merge of the live
 //! segments' zone-map [`ObjectSet`]s — flat sorted name tables, already
 //! resident — at open and after every commit, into one more such table
@@ -175,8 +181,8 @@
 //! * `format.rs` — *facts*: the segment file's layout (the only code
 //!   that knows it: one assembler, fed by `Segment::create` and
 //!   `Segment::merge`) and the [`Segment`] that reads rows out of one;
-//! * `index.rs` — *dimension indexes*: [`ZoneMap`] and its Bloom
-//!   hashes, [`SegmentDirectory`], [`SortColumns`] — each built from
+//! * `index.rs` — *dimension indexes*: [`ZoneMap`],
+//!   [`SegmentDirectory`], [`SortColumns`] — each built from
 //!   rows, and merged or gathered from others of its kind;
 //! * `objects.rs` — the moving-object dimension: [`ObjectSet`], the
 //!   flat sorted name table a zone map keeps, and the object index
@@ -211,9 +217,7 @@ mod tests;
 
 pub use format::{sort_run, Segment};
 use index::MAX_SEGMENT_ROWS;
-pub use index::{
-    cell_bloom_hash, object_bloom_hash, DirectoryEntry, SegmentDirectory, SortColumns, ZoneMap,
-};
+pub use index::{DirectoryEntry, SegmentDirectory, SortColumns, ZoneMap};
 pub use manifest::{parse_segment_file_name, segment_file_name, ManifestRecord, SegmentRef};
 pub use objects::ObjectSet;
 pub use rollup::{CellRollup, SegmentRollup, DEFAULT_ROLLUP_PERIOD_SECONDS};
@@ -509,7 +513,7 @@ impl SegmentStore {
     /// Ids of the segments holding `object`, ascending (exact, from the
     /// global object index): empty when the object appears nowhere in
     /// the warehouse. A query layer may skip every other segment without
-    /// probing its Bloom or zone map.
+    /// probing its zone map.
     pub fn object_segments(&self, object: &str) -> &[u64] {
         self.object_index.segments_of(object)
     }

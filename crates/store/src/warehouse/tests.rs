@@ -64,19 +64,16 @@ fn zone_map_round_trips_and_aggregates() {
     assert!(map.objects.contains("a") && map.objects.contains("b"));
     assert!(map.traj_annotations.contains(&Annotation::goal("visit")));
     assert!(map.stay_annotations.contains(&Annotation::goal("browsing")));
-    // Blooms agree with the exact sets (no false negatives) and
-    // reject what the sets don't hold.
+    // Point lookups are the exact sets.
     assert!(map.may_contain_cell(&cell(1)) && map.may_contain_object("a"));
     assert!(!map.may_contain_cell(&cell(9)) && !map.may_contain_object("z"));
-    assert!(!map.bloom_rejects_cell(&cell(2)));
-    assert!(!map.bloom_rejects_object("b"));
     let mut buf = Vec::new();
     map.encode(&mut buf);
     let mut cursor: &[u8] = &buf;
     let back = ZoneMap::decode(&mut cursor).unwrap();
     assert!(cursor.is_empty());
     assert_eq!(back, map);
-    // Truncations always error: the filters are part of the frame.
+    // Truncations always error: the decoder reads every byte.
     for cut in 0..buf.len() {
         assert!(ZoneMap::decode(&mut &buf[..cut]).is_err(), "cut {cut}");
     }
@@ -467,14 +464,29 @@ fn sort_columns_round_trip_and_validate() {
     for cut in 0..buf.len() {
         assert!(SortColumns::decode(&mut &buf[..cut]).is_err(), "cut {cut}");
     }
-    assert!(columns.validate(3, 3).is_ok());
-    assert!(columns.validate(2, 3).is_err(), "row-count mismatch");
+    // The witness is the CRC-32 of the ranks as little-endian u32s.
+    let witness = columns.object_witness();
+    assert_eq!(witness, crate::crc32(&[2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]));
+    assert!(columns.validate(3, 3, witness).is_ok());
     assert!(
-        columns.validate(3, 2).is_err(),
+        columns.validate(2, 3, witness).is_err(),
+        "row-count mismatch"
+    );
+    assert!(
+        columns.validate(3, 2, witness).is_err(),
         "object index out of bounds"
     );
+    // Two rows' ranks swapped: every rank in bounds, but not the ones
+    // the witness was taken over.
+    let mut swapped = columns.clone();
+    swapped.object.swap(0, 1);
+    assert_eq!(
+        swapped.validate(3, 3, witness),
+        Err("sort-column object ranks disagree with their witness")
+    );
     // The empty column set is valid for an empty segment.
-    assert!(SortColumns::default().validate(0, 0).is_ok());
+    let empty = SortColumns::default();
+    assert!(empty.validate(0, 0, empty.object_witness()).is_ok());
 }
 
 #[test]

@@ -1,21 +1,27 @@
-//! What a warehouse open answers for damaged directory and sort-column
-//! frames, pinned. Both frames are varints (lengths, start deltas, span
-//! lengths; dwell, trace lengths, object ranks) from which the open
-//! rebuilds every row's offset, object and base, so their decoders read
-//! outside input with no width to lean on. A CRC catches rot, not a
-//! crafted or mis-written frame, so every damaged payload here is
-//! re-framed with a valid CRC: the decoders and the open's checks, not
-//! the checksum, give each verdict.
+//! What a warehouse open answers for damaged zone-map, directory and
+//! sort-column frames, pinned. The zone map holds the counts, span,
+//! cell and object sets and annotation sets a query prunes by, then the
+//! witness of the sort columns' object ranks (their CRC-32); directory
+//! and sort columns are varints (lengths, start deltas, span lengths;
+//! dwell, trace lengths, object ranks) from which the open rebuilds
+//! every row's offset, object and base. Their decoders read outside
+//! input with no width to lean on. A CRC catches rot, not a crafted or
+//! mis-written frame, so every damaged payload here is re-framed with a
+//! valid CRC: the decoders and the open's checks, not the frame's
+//! checksum, give each verdict.
 //!
 //! A real segment of 24 rows (multi-byte lengths, starts, dwells and
-//! ranks) is opened with each header payload cut at every length and
-//! flipped at every bit; an open that succeeds then decodes every row,
-//! whose object, base and span the damaged frame now names. Each input
-//! must come back as rows or a typed `WarehouseError`, never a panic.
-//! The test pins how many inputs end in each verdict, and a CRC-32 over
-//! every result's `Debug` text: a decoder that accepts or refuses one of
-//! these inputs differently, or reads it to different rows, moves a pin.
-//! A second test crafts each hostile value the decoders must refuse.
+//! ranks) is opened with each of those header payloads cut at every
+//! length and flipped at every bit; an open that succeeds then decodes
+//! every row, whose object, base and span the damaged frame now names.
+//! Each input must come back as rows or a typed `WarehouseError`, never
+//! a panic, and no damaged sort-column frame may come back as rows: a
+//! rank the witness does not vouch for would serve a row under another
+//! object's name. The test pins how many inputs end in each verdict,
+//! and a CRC-32 over every result's `Debug` text: a decoder that
+//! accepts or refuses one of these inputs differently, or reads it to
+//! different rows, moves a pin. A second test crafts each hostile value
+//! the decoders must refuse.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -169,7 +175,7 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
         "re-framing an intact payload changes nothing"
     );
     let mut pins = Vec::new();
-    for (frame, name) in [(1, "directory"), (2, "sort columns")] {
+    for (frame, name) in [(0, "zone map"), (1, "directory"), (2, "sort columns")] {
         let payload = &data[payloads[frame].clone()];
         let mut inputs: Vec<Vec<u8>> = (0..payload.len())
             .map(|cut| payload[..cut].to_vec())
@@ -187,6 +193,9 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
             crc.update(b"\n");
             *counts.entry(verdict).or_default() += 1;
         }
+        if frame == 2 {
+            assert_eq!(counts.get("Ok"), None, "a damaged rank was served");
+        }
         let counts = counts
             .iter()
             .map(|(verdict, n)| format!("{verdict}:{n}"))
@@ -203,6 +212,11 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
     assert_eq!(
         pins,
         [
+            "zone map, 243 bytes: 'directory count disagrees with zone map':7 \
+             'directory span disagrees with zone map':49 \
+             'sort-column object ranks disagree with their witness':32 \
+             'trailing bytes after zone map':4 BadTag:8 BadUtf8:109 LengthOverrun:371 \
+             Ok:999 UnexpectedEof:83 Unsorted:525, 0x82ec5c2e",
             "directory, 124 bytes: 'directory entry length out of bounds':6 \
              'directory overruns the file (truncated segment)':88 \
              'directory span disagrees with zone map':411 \
@@ -210,8 +224,9 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
              'trailing bytes after directory':52 LengthOverrun:75 UnexpectedEof:128 \
              rows 'row span disagrees with directory':282, 0xc77c5edf",
             "sort columns, 96 bytes: 'sort-column object index out of bounds':107 \
-             'trailing bytes after sort columns':25 LengthOverrun:75 Ok:61 UnexpectedEof:99 \
-             rows 'row disagrees with its sort columns':497, 0x5848820d",
+             'sort-column object ranks disagree with their witness':61 \
+             'trailing bytes after sort columns':25 LengthOverrun:75 UnexpectedEof:99 \
+             rows 'row disagrees with its sort columns':497, 0x1b4fd9e3",
         ],
         "verdict counts and CRC-32 of every result"
     );
@@ -269,6 +284,15 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
         .collect();
     let n = entries.len() as u64;
     assert_eq!(n, 24);
+    // The real zone-map payload, whose last four bytes are the witness
+    // of the real ranks.
+    let zone = data[payloads[0].clone()].to_vec();
+    let witness_at = zone.len() - 4;
+    assert_eq!(
+        zone[witness_at..],
+        columns.object_witness().to_le_bytes(),
+        "the zone-map frame ends with the ranks' witness"
+    );
     assert_eq!(
         open(
             &dir,
@@ -402,6 +426,35 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
                 sort_columns(n, &edited)
             },
             "'sort-column object index out of bounds'",
+        ),
+        (
+            "two rows' ranks swapped, both inside the object set",
+            2,
+            {
+                let mut edited = rows.clone();
+                assert_ne!(edited[0].2, edited[1].2);
+                let rank = edited[0].2;
+                edited[0].2 = edited[1].2;
+                edited[1].2 = rank;
+                sort_columns(n, &edited)
+            },
+            "'sort-column object ranks disagree with their witness'",
+        ),
+        (
+            "a witness that is not the ranks'",
+            0,
+            {
+                let mut edited = zone.clone();
+                edited[witness_at] ^= 1;
+                edited
+            },
+            "'sort-column object ranks disagree with their witness'",
+        ),
+        (
+            "a zone map without its witness",
+            0,
+            zone[..witness_at].to_vec(),
+            "UnexpectedEof",
         ),
     ];
     for (what, frame, payload, expected) in cases {

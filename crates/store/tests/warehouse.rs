@@ -207,7 +207,7 @@ fn referenced_v3_segment_header_region_tortured_at_every_offset() {
         store.append_segment(rows.to_vec()).unwrap();
     }
     let data = std::fs::read(pristine.0.join(segment_file_name(0))).unwrap();
-    assert_eq!(&data[..8], b"SITMSEG4", "new segments are format v4");
+    assert_eq!(&data[..8], b"SITMSEG5", "new segments are format v5");
     // Walk the four header frames (zone map, directory, sort columns,
     // rollup) to find where the trajectory region starts.
     let mut headers_end = segment::MAGIC.len();
@@ -293,11 +293,12 @@ fn referenced_v3_segment_header_region_tortured_at_every_offset() {
 }
 
 /// Length and CRC-32 of the segment file `segment_file_bytes_are_pinned`
-/// writes, recorded when format v4 (rows without their object and
-/// base, varint directory and sort columns) replaced v3, whose file
-/// here was 405 bytes with CRC-32 3 501 075 661.
-const GOLDEN_LEN: usize = 247;
-const GOLDEN_CRC: u32 = 472_598_357;
+/// writes, recorded when format v5 (zone maps of exact sets only, and
+/// the sort columns' rank witness after them) replaced v4, whose file
+/// here was 247 bytes with CRC-32 472 598 357 (and v3's 405 bytes,
+/// CRC-32 3 501 075 661).
+const GOLDEN_LEN: usize = 231;
+const GOLDEN_CRC: u32 = 627_464_175;
 
 /// The bytes of the segment format, pinned: a change to one byte of
 /// what `append_segment` writes fails here.
@@ -329,12 +330,18 @@ fn any_magic_but_the_current_one_is_refused_at_open() {
         store.append_segment(vec![traj("ta", 1, 0)]).unwrap();
     }
     let data = std::fs::read(pristine.0.join(segment_file_name(0))).unwrap();
-    assert_eq!(&data[..8], b"SITMSEG4");
+    assert_eq!(&data[..8], b"SITMSEG5");
     // Older formats, a newer one, and every single-bit damage of the
     // current magic.
-    let mut magics: Vec<[u8; 8]> = vec![*b"SITMSEG1", *b"SITMSEG2", *b"SITMSEG3", *b"SITMSEG5"];
+    let mut magics: Vec<[u8; 8]> = vec![
+        *b"SITMSEG1",
+        *b"SITMSEG2",
+        *b"SITMSEG3",
+        *b"SITMSEG4",
+        *b"SITMSEG6",
+    ];
     for bit in 0..64 {
-        let mut magic = *b"SITMSEG4";
+        let mut magic = *b"SITMSEG5";
         magic[bit / 8] ^= 1 << (bit % 8);
         magics.push(magic);
     }

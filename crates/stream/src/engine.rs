@@ -240,9 +240,9 @@ impl EngineStats {
 
 /// FNV-1a over the visit key: stable across runs and platforms, so a
 /// given visit always starts on the same worker. The hash is the shared
-/// [`sitm_store::fnv1a`] — the same function the warehouse Bloom
-/// filters probe with — so the routing constants cannot drift from the
-/// rest of the stack.
+/// [`sitm_store::fnv1a`] — the same function the store's decoded
+/// annotation-set table keys its slots by — so the routing constants
+/// cannot drift from the rest of the stack.
 pub(crate) fn shard_of(visit: VisitKey, shards: usize) -> usize {
     (sitm_store::fnv1a(&visit.0.to_le_bytes()) % shards as u64) as usize
 }

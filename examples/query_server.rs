@@ -2,7 +2,7 @@
 //! with a client — batched ingest, a mid-stream checkpoint into the
 //! warehouse, a continuous-query subscription that gets closed-visit
 //! episodes *pushed* at the ingest barrier, federated queries over
-//! live ∪ warehouse, an EXPLAIN with zone-map/Bloom pruning counts —
+//! live ∪ warehouse, an EXPLAIN with object-index/zone-map pruning counts —
 //! then shut it down gracefully.
 //!
 //! This doubles as the CI smoke test for the server (`cargo run
@@ -155,11 +155,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(history_only.len() <= live_and_history.len() + 12);
 
     // EXPLAIN a selective point query: the warehouse answers from its
-    // indexes, and zone maps + Bloom filters prune disjoint segments.
+    // indexes: the global object index skips segments without the
+    // visitor before any zone map is consulted.
     let report = client.explain(&Predicate::MovingObject("visitor-3".into()))?;
     println!(
-        "explain visitor-3: {} segments, {} zone-pruned ({} by Bloom alone), plans {:?}",
-        report.segments, report.zone_pruned, report.bloom_pruned, report.plans
+        "explain visitor-3: {} segments, {} object-pruned, {} zone-pruned, plans {:?}",
+        report.segments, report.object_pruned, report.zone_pruned, report.plans
     );
     assert_eq!(report.plans.len(), 2, "live + warehouse participants");
 

@@ -20,7 +20,7 @@
 //! | [`obs`] | `sitm-obs` | lock-cheap observability: counters, gauges, log₂ histograms, spans, hierarchical request traces, health reports, slow-query log, snapshot codecs |
 //! | [`analytics`] | `sitm-analytics` | descriptive statistics, choropleths, reports |
 //! | [`query`] | `sitm-query` | indexed trajectory retrieval: predicates, plans, aggregation, federation, the segmented warehouse |
-//! | [`store`] | `sitm-store` | binary codec, CRC-framed snapshot log (newest two records), crash recovery, compaction, the segment tier, Bloom filters |
+//! | [`store`] | `sitm-store` | binary codec, CRC-framed snapshot log (newest two records), crash recovery, compaction, the segment tier and its zone maps |
 //! | [`stream`] | `sitm-stream` | work-stealing online ingestion, live queries, batch-equivalent episodes, warehouse spill |
 //! | [`serve`] | `sitm-serve` | the network tier: concurrent TCP server + client for remote ingest and federated semantic queries |
 //! | [`ontology`] | `sitm-ontology` | triple store + CIDOC-CRM-flavoured museum knowledge base |
@@ -36,7 +36,7 @@
 //!   ingest ─▶ live state ─▶ close ─▶ finished backlog ─▶ Flusher ─▶ segment ─▶ compaction
 //!            (open visits,  (late     (take_finished,     (spill)    (sorted    (size-tiered
 //!             LiveSnapshot   events    exactly-once vs                run, zone   merge, manifest
-//!             + LiveIndex)   fenced)   checkpoints)                   map+Bloom,  rewrite)
+//!             + LiveIndex)   fenced)   checkpoints)                   map,        rewrite)
 //!                                                                    fsync)
 //!   ──────────────────────────────── serve ────────────────────────────────▶ clients
 //!            (TCP sessions: IngestBatch in; Query / QueryFederated /
@@ -72,7 +72,7 @@
 //!   behind a CRC-framed TCP protocol (a listener plus a bounded
 //!   session-worker pool): clients ingest event batches, run
 //!   sorted/paged federated queries over live ∪ warehouse, inspect
-//!   plans (including zone-map/Bloom pruning counts), trigger
+//!   plans (including object-index/zone-map pruning counts), trigger
 //!   checkpoints, and shut the pipeline down gracefully — served
 //!   results are differentially pinned equal to the in-process
 //!   `Query::execute_federated` on identical input (both are sinks of
@@ -96,7 +96,7 @@
 //! | `engine.*` | live | `events_ingested`, `events_fenced`, `visits_routed` vs `visits_stolen` (work-stealing attribution), `queue_depth.w{i}` per-worker gauges, `snapshot_cuts` / `snapshot_visits_recloned` (what a live cut re-derived), `pending_episodes` gauge |
 //! | `flush.*` | spill | `spills`, `trajectories`, `duration_ns` histogram |
 //! | `store.*` | warehouse | `segments_built`, `segments_compacted`, `segment_bytes_written`, `manifest_records`, `gc_sweeps`, `lazy_opens` (segments opened headers-only) |
-//! | `query.*` | retrieval | `segments_scanned` vs `object_pruned` vs `zone_pruned` vs `bloom_pruned`, `segment_bytes_read` / `trajectories_decoded` lazy-I/O attribution, `candidates` set-size histogram |
+//! | `query.*` | retrieval | `segments_scanned` vs `object_pruned` vs `zone_pruned`, `segment_bytes_read` / `trajectories_decoded` lazy-I/O attribution, `candidates` set-size histogram |
 //! | `serve.*` | network | `requests.{op}` / `handle_ns.{op}` per op, `bytes_in`/`bytes_out`, `errors`/`frame_errors`/`bad_requests`, `sessions_active` + `subscriptions_active` + `subscribers_active` gauges, `snapshot_build_ns`/`evaluate_ns`/`explain_snapshot_ns` read-path splits, `snapshot_cache_hits`/`snapshot_cache_misses`, `notifications_pushed`/`subscribers_dropped`/`backlog_trimmed` |
 //!
 //! (`flush.*` also carries the `backlog_trajectories` gauge — the
@@ -126,7 +126,7 @@
 //! | `snapshot_cut` | serve/live | the atomic live-cut + warehouse-guard acquisition |
 //! | `snapshot_rebuild` | live | the engine rebuilding a live snapshot on epoch-cache miss † |
 //! | `evaluate` | query | federated / segmented evaluation outside the locks († on the warehouse-only `Query` op) |
-//! | `prune` | query | object-index → Bloom → zone-map candidate pruning † |
+//! | `prune` | query | object-index → zone-map candidate pruning † |
 //! | `order_page` | query | ordering the candidates by sort-column / directory keys, as far as the page reaches † |
 //! | `fetch_rows` | query | walking the order to the page: rows re-checked and skipped by reference, the page's rows copied (cold rows read) † |
 //! | `row_read` | store | one directory-guided single-row segment read (cache miss) † |

@@ -4,7 +4,7 @@
 //! `segment_file_bytes_are_pinned`); this table covers the rest — the
 //! wire protocol's requests and responses, the stream checkpoint
 //! payload, the warehouse's manifest record and header structures (zone
-//! map, rollup, Bloom filter), and the observability payloads. A change
+//! map, rollup), and the observability payloads. A change
 //! to one byte of any of them fails here, naming the family.
 
 use std::borrow::Cow;
@@ -26,7 +26,7 @@ use sitm::serve::{
 };
 use sitm::space::CellRef;
 use sitm::store::warehouse::SegmentRef;
-use sitm::store::{crc32, Bloom, CellRollup, ManifestRecord, Record, SegmentRollup, ZoneMap};
+use sitm::store::{crc32, CellRollup, ManifestRecord, Record, SegmentRollup, ZoneMap};
 use sitm::stream::checkpoint::encode_shard;
 use sitm::stream::segmenter::SegmenterSnapshot;
 use sitm::stream::shard::{ShardSnapshot, ShardStats};
@@ -48,7 +48,7 @@ const PINS: &[(&str, usize, u32)] = &[
     ("request/health", 1, 852_952_723),
     ("request/trace", 3, 4_093_218_416),
     ("response/trajectories", 540, 4_182_575_208),
-    ("response/explained", 26, 2_414_834_987),
+    ("response/explained", 25, 2_248_861_047),
     ("response/stats", 41, 2_275_677_838),
     ("response/notification", 59, 4_062_755_156),
     ("response/metrics", 207, 2_671_553_519),
@@ -56,9 +56,8 @@ const PINS: &[(&str, usize, u32)] = &[
     ("response/traces", 114, 3_379_850_755),
     ("stream/shard_checkpoint", 479, 773_613_207),
     ("store/manifest_record", 9, 3_678_611_667),
-    ("store/zone_map", 118, 841_179_583),
+    ("store/zone_map", 98, 2_958_838_706),
     ("store/segment_rollup", 41, 658_813_108),
-    ("store/bloom", 130, 3_914_807_143),
     ("obs/metrics_snapshot", 204, 4_189_366_600),
     ("obs/trace_trees", 112, 2_149_868_195),
 ];
@@ -317,7 +316,6 @@ fn responses() -> Vec<(&'static str, Response)> {
                 ],
                 segments: 4,
                 zone_pruned: 2,
-                bloom_pruned: 1,
                 object_pruned: 1,
                 segment_bytes_read: 4_096,
                 trajectories_decoded: 7,
@@ -497,10 +495,6 @@ fn encodings() -> Vec<(&'static str, Vec<u8>)> {
     out.push((
         "store/segment_rollup",
         record(&|buf| SegmentRollup::build(&rows, 3_600).encode(buf)),
-    ));
-    out.push((
-        "store/bloom",
-        record(&|buf| Bloom::build((0..64u64).map(|i| i.wrapping_mul(0x9e37_79b9))).encode(buf)),
     ));
     out.push((
         "obs/metrics_snapshot",

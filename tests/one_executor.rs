@@ -363,14 +363,13 @@ fn traj(mo: &str, c: usize, start: i64) -> SemanticTrajectory {
     .expect("non-empty")
 }
 
-const PRUNE_COUNTERS: [&str; 4] = [
+const PRUNE_COUNTERS: [&str; 3] = [
     "query.segments_scanned",
     "query.zone_pruned",
-    "query.bloom_pruned",
     "query.object_pruned",
 ];
 
-/// `(the four pruning counters summed, query.candidates samples)`.
+/// `(the three pruning counters summed, query.candidates samples)`.
 fn query_instruments(registry: &MetricsRegistry) -> (u64, u64) {
     let pruning = PRUNE_COUNTERS
         .iter()

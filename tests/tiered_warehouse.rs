@@ -349,7 +349,7 @@ fn cold_open_decodes_nothing_and_pruned_point_queries_read_zero_bytes() {
     let bytes = registry.counter("query.segment_bytes_read");
     let decoded = registry.counter("query.trajectories_decoded");
     // Fully-pruned point queries: object index (absent object) and
-    // zone/Bloom tier (absent cell) both answer without any read.
+    // zone maps (absent cell) both answer without any read.
     let absent = Predicate::MovingObject("nobody".into());
     assert_eq!(db.count_matching(&absent), 0);
     assert!(Query::new()
@@ -451,7 +451,7 @@ fn zone_map_pruning_skips_segments_without_losing_matches() {
     );
     assert!(db.count_matching(&window) > 0);
     // A moving-object point query prunes by the *global object index*
-    // before any per-segment zone map or Bloom filter is consulted.
+    // before any per-segment zone map is consulted.
     let object = Predicate::MovingObject("mo-3-7".into());
     let plan = db.explain(&object);
     assert_eq!(plan.object_pruned, 5, "object index rejects five segments");
