@@ -32,8 +32,8 @@
 //! incrementally maintained live postings. The core always re-checks
 //! the full predicate on every candidate, so an indexed source and a
 //! scanning source are indistinguishable in their results (only in
-//! their cost — [`crate::Query::explain`] reports a source's access
-//! path). Sources without indexes inherit the default full scan.
+//! their cost — [`TrajectorySource::plan`] reports a source's
+//! candidate count). Sources without indexes inherit the default full scan.
 //!
 //! Consistency is per-source: each source contributes a snapshot of its
 //! own state at scan time (streaming engines hand out snapshot-consistent
@@ -207,7 +207,7 @@ pub fn federated_count(predicate: &Predicate, sources: &[&dyn TrajectorySource])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{AccessPath, Query, QueryPlan};
+    use crate::query::Query;
     use sitm_core::{
         Annotation, AnnotationSet, PresenceInterval, Timestamp, Trace, TransitionTaken,
     };
@@ -271,19 +271,14 @@ mod tests {
         let db = TrajectoryDb::build(vec![traj("c", 1), traj("d", 3)]);
         let sources: Vec<&dyn TrajectorySource> = vec![&live, &db];
         let p = Predicate::VisitedCell(cell(1));
-        let q = Query::new().filter(p);
-        let plans: Vec<QueryPlan> = sources.iter().map(|s| q.explain(*s)).collect();
+        let plans: Vec<Option<usize>> = sources.iter().map(|s| s.plan(&p)).collect();
+        assert_eq!(plans[0], None, "plain Vec has no indexes: a full scan");
         assert_eq!(
-            plans[0].access,
-            AccessPath::FullScan,
-            "plain Vec has no indexes"
-        );
-        assert_eq!(
-            plans[1].access,
-            AccessPath::IndexCandidates { candidates: 1 },
+            plans[1],
+            Some(1),
             "the warehouse narrows through its postings"
         );
-        assert_eq!(plans[1].total, 2);
+        assert_eq!(sources[1].len_hint(), 2);
     }
 
     #[test]

@@ -52,12 +52,13 @@
 //! [`Query::execute_segmented`], [`Query::execute_federated`], their
 //! byte sinks, [`Query::count`], [`federated_count`] and the
 //! `count_matching` methods are sinks of a few lines over it, and
-//! [`Query::explain`] plans any source without counting as a query.
+//! [`TrajectorySource::plan`] plans any source without counting as a
+//! query.
 //! Selection is index-served on *every* participant that has indexes:
 //! [`TrajectoryDb`] answers from its postings and interval trees,
 //! [`SegmentedDb`] from its object index, zone maps and per-segment
 //! postings, `sitm-stream`'s `LiveSnapshot` from the live postings its
-//! shards maintain incrementally per event — all three through the one
+//! engine maintains incrementally per event — all three through the one
 //! boolean walk, [`Predicate::narrow`]. Consistency of a live source is
 //! the snapshot's: the index rides the same consistent cut as the
 //! visible trajectory prefixes (see `sitm_stream::live_query`).
@@ -86,7 +87,7 @@ pub use aggregate::{
 pub use index::{CandidateSet, TrajId, TrajectoryDb};
 pub use interval_tree::{Entry, IntervalTree};
 pub use predicate::{DeltaVerdict, Predicate};
-pub use query::{AccessPath, Match, Query, QueryPlan, SortKey};
+pub use query::{Match, Query, SortKey};
 pub use segmented::{zone_may_match, SegmentedDb, SegmentedPlan};
 pub use wire::{
     decode_predicate, decode_wire_query, encode_predicate, encode_wire_query, WireQuery,

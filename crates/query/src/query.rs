@@ -26,11 +26,10 @@
 //! source's own indexes, ordering no further than the page reaches, a
 //! re-check of the predicate on each fetched row, then offset and
 //! limit — under `True`, the offset is skipped by position, unfetched.
-//! [`Query::explain`] reports the access path a source would take
-//! without running the query.
+//! [`TrajectorySource::plan`] reports how many candidates a source's
+//! indexes narrow a predicate to, without running the query.
 
 use std::cmp::Ordering;
-use std::fmt;
 use std::ops::ControlFlow;
 
 use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
@@ -96,54 +95,6 @@ pub struct Match<'a> {
     pub id: TrajId,
     /// The matching trajectory.
     pub trajectory: &'a SemanticTrajectory,
-}
-
-/// How the executor will reach the rows (reported by [`Query::explain`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Scan every trajectory.
-    FullScan,
-    /// Visit an explicit candidate id list derived from the indexes.
-    IndexCandidates {
-        /// Candidate count.
-        candidates: usize,
-    },
-}
-
-/// The executor's plan for one query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryPlan {
-    /// Access path.
-    pub access: AccessPath,
-    /// Predicate re-checked on each candidate.
-    pub residual: Predicate,
-    /// Collection size.
-    pub total: usize,
-}
-
-impl QueryPlan {
-    /// Candidate-to-collection ratio in `[0, 1]`; 1.0 for a full scan.
-    pub fn selectivity_bound(&self) -> f64 {
-        match (self.total, &self.access) {
-            (0, _) => 0.0,
-            (_, AccessPath::FullScan) => 1.0,
-            (total, AccessPath::IndexCandidates { candidates }) => {
-                *candidates as f64 / total as f64
-            }
-        }
-    }
-}
-
-impl fmt::Display for QueryPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.access {
-            AccessPath::FullScan => write!(f, "FullScan({} rows)", self.total)?,
-            AccessPath::IndexCandidates { candidates } => {
-                write!(f, "IndexCandidates({candidates} of {} rows)", self.total)?
-            }
-        }
-        write!(f, " filter {}", self.residual)
-    }
 }
 
 /// How rows with equal sort keys are ordered — the one thing the two
@@ -488,23 +439,6 @@ impl Query {
         &self.predicate
     }
 
-    /// Plans the query against `source` — an in-memory
-    /// [`TrajectoryDb`], the warehouse, a streaming engine's live
-    /// snapshot — without executing it: [`AccessPath::IndexCandidates`]
-    /// when the source's own indexes can narrow the predicate,
-    /// [`AccessPath::FullScan`] otherwise. Moves no per-query
-    /// instrument ([`TrajectorySource::plan`]).
-    pub fn explain(&self, source: &dyn TrajectorySource) -> QueryPlan {
-        QueryPlan {
-            access: match source.plan(&self.predicate) {
-                None => AccessPath::FullScan,
-                Some(candidates) => AccessPath::IndexCandidates { candidates },
-            },
-            residual: self.predicate.clone(),
-            total: source.len_hint(),
-        }
-    }
-
     fn page(&self, ties: Ties) -> Page<'_> {
         Page {
             predicate: &self.predicate,
@@ -779,17 +713,12 @@ mod tests {
     #[test]
     fn explain_reports_index_usage() {
         let db = db();
-        let plan = Query::new().visited(cell(2)).explain(&db);
-        assert_eq!(plan.access, AccessPath::IndexCandidates { candidates: 3 });
-        assert!((plan.selectivity_bound() - 0.75).abs() < 1e-9);
-        assert!(plan.to_string().contains("IndexCandidates"));
+        let visited = Query::new().visited(cell(2));
+        assert_eq!(db.plan(visited.predicate()), Some(3), "3 of 4 rows");
+        assert_eq!(db.len_hint(), 4);
 
-        let scan = Query::new()
-            .filter(Predicate::MinTotalDwell(Duration::seconds(1)))
-            .explain(&db);
-        assert_eq!(scan.access, AccessPath::FullScan);
-        assert_eq!(scan.selectivity_bound(), 1.0);
-        assert!(scan.to_string().contains("FullScan"));
+        let scan = Query::new().filter(Predicate::MinTotalDwell(Duration::seconds(1)));
+        assert_eq!(db.plan(scan.predicate()), None, "a full scan");
     }
 
     #[test]
@@ -814,7 +743,7 @@ mod tests {
         let db = TrajectoryDb::build(vec![]);
         assert!(Query::new().execute(&db).is_empty());
         assert_eq!(Query::new().visited(cell(0)).count(&db), 0);
-        assert_eq!(Query::new().explain(&db).selectivity_bound(), 0.0);
+        assert_eq!(db.plan(Query::new().visited(cell(0)).predicate()), Some(0));
     }
 
     #[test]

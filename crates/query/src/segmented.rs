@@ -164,8 +164,8 @@ struct SegmentPart {
     db: OnceLock<TrajectoryDb>,
 }
 
-/// How a segmented query would be served (the warehouse analogue of
-/// [`crate::QueryPlan`], with the segment dimension made visible).
+/// How a segmented query would be served: the candidate count of
+/// [`TrajectorySource::plan`], with the segment dimension made visible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentedPlan {
     /// Live segments consulted.

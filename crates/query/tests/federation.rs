@@ -18,8 +18,7 @@ use sitm_core::{
 };
 use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_query::{
-    federated_count, AccessPath, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb,
-    TrajectorySource,
+    federated_count, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb, TrajectorySource,
 };
 use sitm_store::warehouse::WarehouseConfig;
 use sitm_stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
@@ -148,16 +147,10 @@ fn explain_source_and_federated_explain_report_both_paths() {
     let live = live();
     let sources: Vec<&dyn TrajectorySource> = vec![&live, &db];
     let q = Query::new().visited(cell(2));
-    let live_plan = q.explain(sources[0]);
-    assert_eq!(live_plan.access, AccessPath::FullScan);
-    assert_eq!(live_plan.total, 3);
-    let db_plan = q.explain(sources[1]);
-    assert_eq!(
-        db_plan.access,
-        AccessPath::IndexCandidates { candidates: 3 }
-    );
-    assert_eq!(db_plan.total, 4);
-    assert!(db_plan.selectivity_bound() < 1.0);
+    assert_eq!(sources[0].plan(q.predicate()), None, "a full scan");
+    assert_eq!(sources[0].len_hint(), 3);
+    assert_eq!(sources[1].plan(q.predicate()), Some(3));
+    assert_eq!(sources[1].len_hint(), 4);
 }
 
 const KEYS: [SortKey; 6] = [

@@ -632,6 +632,14 @@ impl Segment {
         sort_columns
             .validate(zone_map.len, zone_map.objects.len() as u64, witness)
             .map_err(|what| WarehouseError::Inconsistent { id, what })?;
+        // Both frames hold the exact set of cells with a stay, so each
+        // witnesses the other.
+        if !zone_map.cells.iter().eq(rollup.cells.keys()) {
+            return Err(WarehouseError::Inconsistent {
+                id,
+                what: "rollup cells disagree with zone map",
+            });
+        }
         Ok(Segment {
             id,
             zone_map,

@@ -179,14 +179,20 @@ impl ZoneMap {
             None
         };
         let cell_count = take_count(buf, 1)?;
-        // The cells were encoded in sorted order, so collecting through a
-        // Vec lets `BTreeSet::from_iter` bulk-build the tree (one
-        // already-sorted pass) instead of rebalancing per insert — open
-        // decodes every resident zone map, so this is on the cold-open
-        // hot path.
-        let mut cell_run = Vec::with_capacity(cell_count);
+        // The cells were encoded strictly ascending, and a run that is
+        // not is refused: collected into a set, it would lose its
+        // duplicates and order silently. Collecting the checked run
+        // through a Vec lets `BTreeSet::from_iter` bulk-build the tree
+        // (one already-sorted pass) instead of rebalancing per insert —
+        // open decodes every resident zone map, so this is on the
+        // cold-open hot path.
+        let mut cell_run: Vec<CellRef> = Vec::with_capacity(cell_count);
         for _ in 0..cell_count {
-            cell_run.push(decode_cell(buf)?);
+            let cell = decode_cell(buf)?;
+            if cell_run.last().is_some_and(|&last| last >= cell) {
+                return Err(CodecError::Unsorted);
+            }
+            cell_run.push(cell);
         }
         let cells: BTreeSet<CellRef> = cell_run.into_iter().collect();
         let objects = ObjectSet::decode(buf)?;

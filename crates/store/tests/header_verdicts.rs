@@ -10,6 +10,11 @@
 //! valid CRC: the decoders and the open's checks, not the frame's
 //! checksum, give each verdict.
 //!
+//! The zone map's cell set has a second witness too: the rollup frame
+//! keys its aggregates by the same exact set of cells with a stay, so
+//! the open refuses a cell run that is not strictly ascending (a set
+//! would collapse it silently) or that differs from the rollup's.
+//!
 //! A real segment of 24 rows (multi-byte lengths, starts, dwells and
 //! ranks) is opened with each of those header payloads cut at every
 //! length and flipped at every bit; an open that succeeds then decodes
@@ -33,11 +38,12 @@ use sitm_core::{
     TransitionTaken,
 };
 use sitm_graph::{CellRef, LayerIdx, NodeId};
+use sitm_store::codec::encode_cell;
 use sitm_store::segment::{self, Corruption};
 use sitm_store::warehouse::{
     segment_file_name, SegmentDirectory, SegmentStore, SortColumns, WarehouseConfig, WarehouseError,
 };
-use sitm_store::{CodecError, Crc32};
+use sitm_store::{CodecError, Crc32, ZoneMap};
 
 struct TempDir(PathBuf);
 
@@ -214,9 +220,10 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
         [
             "zone map, 243 bytes: 'directory count disagrees with zone map':7 \
              'directory span disagrees with zone map':49 \
+             'rollup cells disagree with zone map':42 \
              'sort-column object ranks disagree with their witness':32 \
-             'trailing bytes after zone map':4 BadTag:8 BadUtf8:109 LengthOverrun:371 \
-             Ok:999 UnexpectedEof:83 Unsorted:525, 0x82ec5c2e",
+             'trailing bytes after zone map':4 BadTag:8 BadUtf8:109 LengthOverrun:316 \
+             Ok:229 UnexpectedEof:82 Unsorted:1309, 0x35f79156",
             "directory, 124 bytes: 'directory entry length out of bounds':6 \
              'directory overruns the file (truncated segment)':88 \
              'directory span disagrees with zone map':411 \
@@ -308,6 +315,34 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
         "Ok",
         "the parts re-encode the real sort columns"
     );
+    // The real zone map's cell run, to re-encode edited: the bytes
+    // before its count, and those after its last cell.
+    let cells: Vec<CellRef> = ZoneMap::decode(&mut &zone[..])
+        .unwrap()
+        .cells
+        .into_iter()
+        .collect();
+    assert!(cells.len() >= 3 && cells.len() < 128, "a one-byte count");
+    let run = |cells: &[CellRef]| {
+        let mut buf = Vec::new();
+        for &cell in cells {
+            encode_cell(&mut buf, cell);
+        }
+        buf
+    };
+    let real_run = run(&cells);
+    let run_at = zone
+        .windows(real_run.len())
+        .position(|w| w == real_run)
+        .expect("the cell run is in the zone map");
+    let with_cells = |edited: &[CellRef]| {
+        let mut buf = zone[..run_at - 1].to_vec();
+        put_u64(&mut buf, edited.len() as u64);
+        buf.extend(run(edited));
+        buf.extend_from_slice(&zone[run_at + real_run.len()..]);
+        buf
+    };
+    assert_eq!(with_cells(&cells), zone, "the parts re-encode the zone map");
     let with = |at: usize, entry: (u64, u64, u64)| {
         let mut edited = entries.clone();
         edited[at] = entry;
@@ -455,6 +490,28 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
             0,
             zone[..witness_at].to_vec(),
             "UnexpectedEof",
+        ),
+        (
+            "a zone-map cell listed twice",
+            0,
+            with_cells(&[&cells[..1], &cells].concat()),
+            "Unsorted",
+        ),
+        (
+            "a zone-map cell run out of order",
+            0,
+            {
+                let mut edited = cells.clone();
+                edited.swap(0, 1);
+                with_cells(&edited)
+            },
+            "Unsorted",
+        ),
+        (
+            "a zone map missing a cell the rollup holds",
+            0,
+            with_cells(&cells[1..]),
+            "'rollup cells disagree with zone map'",
         ),
     ];
     for (what, frame, payload, expected) in cases {

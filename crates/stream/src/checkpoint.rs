@@ -22,25 +22,47 @@
 //! [`ParallelEngine::restore`]: crate::ParallelEngine::restore
 
 use sitm_codec::{put_i64, put_str, put_u64, take_count, take_flag, take_i64, take_str, take_u64};
-use sitm_core::{OpenRun, Timestamp};
-use sitm_graph::LayerIdx;
+use sitm_core::{OpenRun, SemanticTrajectory, Timestamp, Trace, TraceError};
 use sitm_store::codec::{
-    decode_annotations, decode_cell, decode_episode, decode_presence, encode_annotations,
-    encode_cell, encode_episode, encode_presence, CodecError,
+    decode_annotations, decode_cell, decode_episode, decode_presence, decode_trajectory,
+    encode_annotations, encode_cell, encode_episode, encode_presence, encode_trajectory,
+    CodecError,
 };
 
-use crate::engine::{EngineConfig, EngineError};
+use crate::engine::{EmittedEpisode, EngineConfig, EngineError, EngineStats};
 use crate::event::VisitKey;
-use crate::segmenter::SegmenterSnapshot;
-use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::{Anomalies, OpenFix, VisitSnapshot};
 
 /// Payload format version. Version 2 added the retained live-query
 /// intervals to each visit's state; version 3 added the
 /// finished-but-unflushed trajectory backlog (the warehouse drain's
-/// exactly-once buffer). Older payloads are no longer produced, and
-/// rejecting them keeps the decoder honest.
-const VERSION: u8 = 3;
+/// exactly-once buffer); version 4 drops what the stays already say —
+/// a visit's detection layer, last start, tuple index and suppression
+/// flags, each finished row's visit key — and the counters' reserved
+/// slot. Older payloads are no longer produced, and rejecting them
+/// keeps the decoder honest.
+const VERSION: u8 = 4;
+
+/// The engine's state: what one checkpoint encodes.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct EngineState {
+    /// High-water mark of applied event times.
+    pub watermark: Option<Timestamp>,
+    /// Open visits, ordered by key.
+    pub visits: Vec<(u64, VisitSnapshot)>,
+    /// Visits that have closed, with their close instants, while their
+    /// late-event fence is alive.
+    pub closed: Vec<(u64, Timestamp)>,
+    /// Episodes finalized but not yet drained by the consumer.
+    pub pending: Vec<EmittedEpisode>,
+    /// Completed trajectories not yet taken by the warehouse drain
+    /// (retained only under [`EngineConfig::with_warehouse`]), in
+    /// [`sitm_store::sort_run`] order.
+    pub finished: Vec<SemanticTrajectory>,
+    /// Counters (`open_visits` is not stored: it is the census of
+    /// `visits`).
+    pub stats: EngineStats,
+}
 
 /// Checkpoint payload failures.
 #[derive(Debug)]
@@ -94,47 +116,46 @@ fn take_opt_i64(buf: &mut &[u8]) -> Result<Option<i64>, CheckpointError> {
 
 // --- payload ---------------------------------------------------------------
 
-/// Serializes one engine snapshot (with the predicate-table arity, for
+/// Serializes the engine's state (with the predicate-table arity, for
 /// restore-time validation).
-pub fn encode_shard(snapshot: &ShardSnapshot, predicate_count: usize) -> Vec<u8> {
+pub fn encode_state(state: &EngineState, predicate_count: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
     buf.push(VERSION);
     put_u64(&mut buf, predicate_count as u64);
-    put_opt_i64(&mut buf, snapshot.watermark.map(|t| t.0));
+    put_opt_i64(&mut buf, state.watermark.map(|t| t.0));
 
-    put_u64(&mut buf, snapshot.visits.len() as u64);
-    for (key, visit) in &snapshot.visits {
+    put_u64(&mut buf, state.visits.len() as u64);
+    for (key, visit) in &state.visits {
         put_u64(&mut buf, *key);
         encode_visit_state(&mut buf, visit);
     }
 
-    put_u64(&mut buf, snapshot.closed.len() as u64);
-    for (key, closed_at) in &snapshot.closed {
+    put_u64(&mut buf, state.closed.len() as u64);
+    for (key, closed_at) in &state.closed {
         put_u64(&mut buf, *key);
         put_i64(&mut buf, closed_at.0);
     }
 
-    put_u64(&mut buf, snapshot.pending.len() as u64);
-    for e in &snapshot.pending {
+    put_u64(&mut buf, state.pending.len() as u64);
+    for e in &state.pending {
         put_u64(&mut buf, e.visit.0);
         put_str(&mut buf, &e.moving_object);
         put_u64(&mut buf, e.predicate as u64);
         encode_episode(&mut buf, &e.episode);
     }
 
-    put_u64(&mut buf, snapshot.finished.len() as u64);
-    for (key, trajectory) in &snapshot.finished {
-        put_u64(&mut buf, *key);
-        sitm_store::codec::encode_trajectory(&mut buf, trajectory);
+    put_u64(&mut buf, state.finished.len() as u64);
+    for trajectory in &state.finished {
+        encode_trajectory(&mut buf, trajectory);
     }
 
-    encode_stats(&mut buf, &snapshot.stats);
+    encode_stats(&mut buf, &state.stats);
     buf
 }
 
-/// Deserializes one engine snapshot; returns the predicate count the
+/// Deserializes the engine's state; returns the predicate count the
 /// checkpoint was taken under.
-pub fn decode_shard(payload: &[u8]) -> Result<(ShardSnapshot, usize), CheckpointError> {
+pub fn decode_state(payload: &[u8]) -> Result<(EngineState, usize), CheckpointError> {
     let mut buf = payload;
     let predicate_count = decode_header(&mut buf)?;
     Ok((decode_body(buf, predicate_count)?, predicate_count))
@@ -155,7 +176,7 @@ fn decode_header(buf: &mut &[u8]) -> Result<usize, CheckpointError> {
 
 /// Deserializes what follows the header of a checkpoint taken under
 /// `predicate_count` predicates.
-fn decode_body(mut buf: &[u8], predicate_count: usize) -> Result<ShardSnapshot, CheckpointError> {
+fn decode_body(mut buf: &[u8], predicate_count: usize) -> Result<EngineState, CheckpointError> {
     let watermark = take_opt_i64(&mut buf)?.map(Timestamp);
 
     let visit_count = take_count(&mut buf, 1)?;
@@ -196,16 +217,14 @@ fn decode_body(mut buf: &[u8], predicate_count: usize) -> Result<ShardSnapshot, 
     let finished_count = take_count(&mut buf, 1)?;
     let mut finished = Vec::with_capacity(finished_count);
     for _ in 0..finished_count {
-        let key = take_u64(&mut buf)?;
-        let trajectory = sitm_store::codec::decode_trajectory(&mut buf)?;
-        finished.push((key, trajectory));
+        finished.push(decode_trajectory(&mut buf)?);
     }
 
     let stats = decode_stats(&mut buf)?;
     if !buf.is_empty() {
         return Err(CheckpointError::Malformed("trailing bytes"));
     }
-    Ok(ShardSnapshot {
+    Ok(EngineState {
         watermark,
         visits,
         closed,
@@ -218,17 +237,17 @@ fn decode_body(mut buf: &[u8], predicate_count: usize) -> Result<ShardSnapshot, 
 fn encode_visit_state(buf: &mut Vec<u8>, v: &VisitSnapshot) {
     put_str(buf, &v.moving_object);
     encode_annotations(buf, &v.annotations);
-    put_opt_i64(buf, v.layer.map(|l| l.index() as i64));
-    put_opt_i64(buf, v.last_start.map(|t| t.0));
     buf.push(u8::from(v.open_fix.is_some()));
     if let Some(open) = &v.open_fix {
         encode_cell(buf, open.cell);
         put_i64(buf, open.start.0);
         put_i64(buf, open.last_at.0);
     }
-    put_u64(buf, v.segmenter.index as u64);
-    for (suppressed, run) in v.segmenter.suppressed.iter().zip(&v.segmenter.open_runs) {
-        buf.push(u8::from(*suppressed));
+    put_u64(buf, v.intervals.len() as u64);
+    for interval in &v.intervals {
+        encode_presence(buf, interval);
+    }
+    for run in &v.open_runs {
         buf.push(u8::from(run.is_some()));
         if let Some(run) = run {
             put_u64(buf, run.start as u64);
@@ -236,20 +255,17 @@ fn encode_visit_state(buf: &mut Vec<u8>, v: &VisitSnapshot) {
             put_i64(buf, run.max_end.0);
         }
     }
-    put_u64(buf, v.intervals.len() as u64);
-    for interval in &v.intervals {
-        encode_presence(buf, interval);
-    }
 }
 
+/// Decodes one open visit, refusing what its own stays contradict:
+/// stays that are no trace (out of start order or on two layers), and
+/// an open run that does not start at an accepted stay.
 fn decode_visit_state(
     buf: &mut &[u8],
     predicate_count: usize,
 ) -> Result<VisitSnapshot, CheckpointError> {
     let moving_object = take_str(buf)?.to_owned();
     let annotations = decode_annotations(buf)?;
-    let layer = take_opt_i64(buf)?.map(|i| LayerIdx::from_index(i as usize));
-    let last_start = take_opt_i64(buf)?.map(Timestamp);
     let open_fix = if take_flag(buf)? {
         let cell = decode_cell(buf)?;
         let start = Timestamp(take_i64(buf)?);
@@ -265,26 +281,36 @@ fn decode_visit_state(
     } else {
         None
     };
-    let index = take_u64(buf)? as usize;
-    // Two flags per predicate at the least.
-    if predicate_count > buf.len() / 2 {
+    let interval_count = take_count(buf, 1)?;
+    let mut intervals = Vec::with_capacity(interval_count);
+    for _ in 0..interval_count {
+        intervals.push(decode_presence(buf)?);
+    }
+    let intervals = Trace::new(intervals)
+        .map_err(|e| {
+            CheckpointError::Malformed(match e {
+                TraceError::OutOfOrder { .. } => "stays out of start order",
+                TraceError::MixedLayers { .. } => "stays on two layers",
+            })
+        })?
+        .into_intervals();
+    // One flag per predicate at the least.
+    if predicate_count > buf.len() {
         return Err(CheckpointError::Malformed(
             "predicate runs past the payload",
         ));
     }
-    let mut suppressed = Vec::with_capacity(predicate_count);
     let mut open_runs = Vec::with_capacity(predicate_count);
     for _ in 0..predicate_count {
-        suppressed.push(take_flag(buf)?);
         open_runs.push(if take_flag(buf)? {
             let run = OpenRun {
                 start: take_u64(buf)? as usize,
                 start_time: Timestamp(take_i64(buf)?),
                 max_end: Timestamp(take_i64(buf)?),
             };
-            // A run opens at a tuple already consumed, and its end is
+            // A run opens at a stay already accepted, and its end is
             // at or after its start: closing it builds that interval.
-            if run.start >= index || run.max_end < run.start_time {
+            if run.start >= intervals.len() || run.max_end < run.start_time {
                 return Err(CheckpointError::Malformed("open run out of order"));
             }
             Some(run)
@@ -292,27 +318,16 @@ fn decode_visit_state(
             None
         });
     }
-    let interval_count = take_count(buf, 1)?;
-    let mut intervals = Vec::with_capacity(interval_count);
-    for _ in 0..interval_count {
-        intervals.push(decode_presence(buf)?);
-    }
     Ok(VisitSnapshot {
         moving_object,
         annotations,
-        layer,
-        last_start,
         open_fix,
-        segmenter: SegmenterSnapshot {
-            index,
-            open_runs,
-            suppressed,
-        },
+        open_runs,
         intervals,
     })
 }
 
-fn encode_stats(buf: &mut Vec<u8>, s: &ShardStats) {
+fn encode_stats(buf: &mut Vec<u8>, s: &EngineStats) {
     for v in [
         s.events,
         s.presences,
@@ -320,12 +335,8 @@ fn encode_stats(buf: &mut Vec<u8>, s: &ShardStats) {
         s.visits_opened,
         s.visits_closed,
         s.episodes,
-        // Reserved: older engines counted worker pick-ups
-        // (`batches_flushed`) here. Written as 0, ignored on read.
-        0,
         s.anomalies.out_of_order,
         s.anomalies.mixed_layer,
-        s.anomalies.instantaneous_dropped,
         s.anomalies.implicit_opens,
         s.anomalies.after_close,
         s.anomalies.not_proper,
@@ -335,26 +346,23 @@ fn encode_stats(buf: &mut Vec<u8>, s: &ShardStats) {
     }
 }
 
-fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
+fn decode_stats(buf: &mut &[u8]) -> Result<EngineStats, CheckpointError> {
     let mut take = || take_u64(buf).map_err(CheckpointError::from);
-    Ok(ShardStats {
+    Ok(EngineStats {
         events: take()?,
         presences: take()?,
         fixes: take()?,
         visits_opened: take()?,
         visits_closed: take()?,
         episodes: take()?,
-        anomalies: {
-            take()?; // the reserved slot
-            Anomalies {
-                out_of_order: take()?,
-                mixed_layer: take()?,
-                instantaneous_dropped: take()?,
-                implicit_opens: take()?,
-                after_close: take()?,
-                not_proper: take()?,
-                duplicate_opens: take()?,
-            }
+        open_visits: 0,
+        anomalies: Anomalies {
+            out_of_order: take()?,
+            mixed_layer: take()?,
+            implicit_opens: take()?,
+            after_close: take()?,
+            not_proper: take()?,
+            duplicate_opens: take()?,
         },
     })
 }
@@ -364,7 +372,7 @@ fn decode_stats(buf: &mut &[u8]) -> Result<ShardStats, CheckpointError> {
 pub(crate) fn decode_checkpoint(
     config: &EngineConfig,
     payload: &[u8],
-) -> Result<ShardSnapshot, EngineError> {
+) -> Result<EngineState, EngineError> {
     let mut buf = payload;
     let recorded = decode_header(&mut buf)?;
     if recorded != config.predicates.len() {
@@ -373,14 +381,14 @@ pub(crate) fn decode_checkpoint(
             recorded,
         });
     }
-    let mut snapshot = decode_body(buf, recorded)?;
+    let mut state = decode_body(buf, recorded)?;
     // A finished backlog checkpointed by a warehouse-draining config
     // restoring into a non-draining one: nothing will ever take it, so
     // drop it rather than hold it forever.
     if !config.retain_finished {
-        snapshot.finished.clear();
+        state.finished.clear();
     }
-    Ok(snapshot)
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -392,7 +400,7 @@ mod tests {
     use sitm_core::{
         Annotation, AnnotationSet, IntervalPredicate, PresenceInterval, TransitionTaken,
     };
-    use sitm_graph::{CellRef, NodeId};
+    use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -515,11 +523,11 @@ mod tests {
                 at: Timestamp(20),
             },
         ]);
-        let (snapshot, predicates) = decode_shard(&engine.checkpoint()).unwrap();
-        assert!(ParallelEngine::restore(config(), &encode_shard(&snapshot, predicates)).is_ok());
+        let (snapshot, predicates) = decode_state(&engine.checkpoint()).unwrap();
+        assert!(ParallelEngine::restore(config(), &encode_state(&snapshot, predicates)).is_ok());
 
         let mut reversed_run = snapshot.clone();
-        let run = reversed_run.visits[0].1.segmenter.open_runs[0]
+        let run = reversed_run.visits[0].1.open_runs[0]
             .as_mut()
             .expect("the run in cell 1 is open");
         run.max_end = Timestamp(run.start_time.0 - 1);
@@ -532,7 +540,7 @@ mod tests {
         fix.last_at = Timestamp(fix.start.0 - 1);
         for reversed in [reversed_run, reversed_fix] {
             assert!(matches!(
-                ParallelEngine::restore(config(), &encode_shard(&reversed, predicates)),
+                ParallelEngine::restore(config(), &encode_state(&reversed, predicates)),
                 Err(EngineError::Checkpoint(CheckpointError::Malformed(_)))
             ));
         }
@@ -541,24 +549,24 @@ mod tests {
     #[test]
     fn bad_version_and_truncation_are_rejected() {
         assert!(matches!(
-            decode_shard(&[]),
+            decode_state(&[]),
             Err(CheckpointError::Malformed(_))
         ));
         assert!(matches!(
-            decode_shard(&[9, 0, 0]),
+            decode_state(&[9, 0, 0]),
             Err(CheckpointError::BadVersion(9))
         ));
         // Corrupt a valid payload by truncating it anywhere: never panics.
-        let snapshot = ShardSnapshot {
+        let snapshot = EngineState {
             watermark: Some(Timestamp(5)),
             closed: vec![(1, Timestamp(3)), (2, Timestamp(4))],
-            ..ShardSnapshot::default()
+            ..EngineState::default()
         };
-        let payload = encode_shard(&snapshot, 1);
+        let payload = encode_state(&snapshot, 1);
         for cut in 0..payload.len() {
-            assert!(decode_shard(&payload[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_state(&payload[..cut]).is_err(), "cut at {cut}");
         }
-        let (back, preds) = decode_shard(&payload).unwrap();
+        let (back, preds) = decode_state(&payload).unwrap();
         assert_eq!(preds, 1);
         assert_eq!(back, snapshot);
     }

@@ -1,5 +1,5 @@
-//! The engine's configuration, errors and aggregate counters, and the
-//! hash that gives each visit its first worker.
+//! The engine's configuration, errors, counters and emitted episodes,
+//! and the hash that gives each visit its first worker.
 //!
 //! A visit's events are applied in arrival order, one slice at a time,
 //! so the worker count is invisible in the output: episodes are
@@ -7,14 +7,12 @@
 //! `tests/equivalence.rs`), and [`crate::ParallelEngine::drain`]
 //! returns them in one deterministic global order.
 
-use sitm_core::{AnnotationSet, Duration, IntervalPredicate};
+use sitm_core::{AnnotationSet, Duration, Episode, IntervalPredicate, Timestamp};
 use sitm_obs::MetricsRegistry;
 
 use crate::checkpoint::CheckpointError;
 use crate::event::VisitKey;
-use crate::shard::{ShardCtx, ShardStats};
 
-pub use crate::shard::EmittedEpisode;
 pub use crate::visit::Anomalies;
 
 /// Engine construction and restore failures.
@@ -60,7 +58,9 @@ impl From<CheckpointError> for EngineError {
 
 /// Engine configuration. Predicates are code, so the config is built at
 /// startup and re-supplied identically on restore (only *state* is
-/// checkpointed).
+/// checkpointed). The engine keeps every stay it accepts, zero-length
+/// ones too, as a batch [`sitm_core::Trace`] does; filtering §4.1's
+/// detection errors is the batch trace's job.
 pub struct EngineConfig {
     /// The episode detectors: `(P_ep, A'_traj)` pairs applied to every
     /// visit (Def. 3.4).
@@ -70,8 +70,6 @@ pub struct EngineConfig {
     /// Router batch: events the caller's thread buffers before handing
     /// them to the scheduler in one lock acquisition.
     pub batch_capacity: usize,
-    /// Drop zero-duration detections on arrival (§4.1's ~10% errors).
-    pub drop_instantaneous: bool,
     /// How long after a visit closes its late events are still fenced.
     /// The fence is *event-time deterministic*: an event timestamped at
     /// or before `close + allowed_lateness` is rejected (`after_close`),
@@ -115,7 +113,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A config with the given predicates and defaults for the rest
-    /// (2 worker threads, 128-event batches, no filtering). Two, because
+    /// (2 worker threads, 128-event batches). Two, because
     /// `parallel_ingest` of `cargo run --release -p sitm-bench --bin
     /// bench_stream` (a 500-visit Louvre feed on two CPUs) reads no
     /// faster at 4 or 8 workers than at 2.
@@ -124,22 +122,11 @@ impl EngineConfig {
             predicates,
             shards: 2,
             batch_capacity: 128,
-            drop_instantaneous: false,
             allowed_lateness: Duration::hours(24),
             fence_capacity: 131_072,
             retain_finished: false,
             channel_depth: 64,
             metrics: MetricsRegistry::global().clone(),
-        }
-    }
-
-    /// The per-visit apply context this configuration induces.
-    pub(crate) fn ctx(&self) -> ShardCtx<'_> {
-        ShardCtx {
-            predicates: &self.predicates,
-            drop_instantaneous: self.drop_instantaneous,
-            allowed_lateness: self.allowed_lateness,
-            retain_finished: self.retain_finished,
         }
     }
 
@@ -154,13 +141,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity;
-        self
-    }
-
-    /// Enables the zero-duration filter.
-    #[must_use]
-    pub fn dropping_instantaneous(mut self) -> Self {
-        self.drop_instantaneous = true;
         self
     }
 
@@ -203,7 +183,36 @@ impl EngineConfig {
     }
 }
 
-/// Aggregated engine counters.
+/// An episode the engine has finalized, tagged with its provenance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EmittedEpisode {
+    /// The visit the episode belongs to.
+    pub visit: VisitKey,
+    /// The visit's moving object (`IDmo`).
+    pub moving_object: String,
+    /// Index into the engine's predicate table.
+    pub predicate: usize,
+    /// The episode, identical to what the batch extractor produces.
+    pub episode: Episode,
+}
+
+impl EmittedEpisode {
+    /// Global deterministic ordering: by episode time, then visit, then
+    /// predicate, then range. Independent of worker count and drain timing.
+    pub fn sort_key(&self) -> (Timestamp, Timestamp, u64, usize, usize) {
+        (
+            self.episode.time.start,
+            self.episode.time.end,
+            self.visit.0,
+            self.predicate,
+            self.episode.range.start,
+        )
+    }
+}
+
+/// The engine's counters. Workers deposit per-slice deltas, a
+/// checkpoint carries the sum, and [`crate::ParallelEngine::stats`]
+/// adds the open-visit census.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Events applied.
@@ -212,29 +221,30 @@ pub struct EngineStats {
     pub presences: u64,
     /// Raw fixes applied.
     pub fixes: u64,
-    /// Visits opened.
+    /// Visits opened (explicitly or implicitly).
     pub visits_opened: u64,
     /// Visits closed.
     pub visits_closed: u64,
     /// Episodes finalized.
     pub episodes: u64,
-    /// Visits currently resident.
+    /// Visits currently resident: a census taken by `stats()`, 0 in
+    /// the deltas and not checkpointed.
     pub open_visits: u64,
     /// Rejected/adapted events.
     pub anomalies: Anomalies,
 }
 
 impl EngineStats {
-    /// Folds one counter set (plus an open-visit census) in.
-    pub fn absorb_shard(&mut self, shard: &ShardStats, open_visits: u64) {
-        self.events += shard.events;
-        self.presences += shard.presences;
-        self.fixes += shard.fixes;
-        self.visits_opened += shard.visits_opened;
-        self.visits_closed += shard.visits_closed;
-        self.episodes += shard.episodes;
-        self.anomalies.absorb(&shard.anomalies);
-        self.open_visits += open_visits;
+    /// Adds another counter set in.
+    pub fn absorb(&mut self, other: &EngineStats) {
+        self.events += other.events;
+        self.presences += other.presences;
+        self.fixes += other.fixes;
+        self.visits_opened += other.visits_opened;
+        self.visits_closed += other.visits_closed;
+        self.episodes += other.episodes;
+        self.open_visits += other.open_visits;
+        self.anomalies.absorb(&other.anomalies);
     }
 }
 
@@ -243,16 +253,16 @@ impl EngineStats {
 /// [`sitm_store::fnv1a`] — the same function the store's decoded
 /// annotation-set table keys its slots by — so the routing constants
 /// cannot drift from the rest of the stack.
-pub(crate) fn shard_of(visit: VisitKey, shards: usize) -> usize {
-    (sitm_store::fnv1a(&visit.0.to_le_bytes()) % shards as u64) as usize
+pub(crate) fn home_worker(visit: VisitKey, workers: usize) -> usize {
+    (sitm_store::fnv1a(&visit.0.to_le_bytes()) % workers as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::StreamEvent;
-    use crate::{EmittedEpisode, ParallelEngine};
-    use sitm_core::{Annotation, PresenceInterval, Timestamp, TransitionTaken};
+    use crate::ParallelEngine;
+    use sitm_core::{Annotation, PresenceInterval, TransitionTaken};
     use sitm_graph::{CellRef, LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
@@ -380,5 +390,140 @@ mod tests {
             ParallelEngine::restore(config(0), &[]),
             Err(EngineError::ZeroShards)
         ));
+    }
+
+    fn fenced(allowed_lateness: Duration) -> EngineConfig {
+        EngineConfig::new(vec![(IntervalPredicate::in_cells([cell(1)]), label("one"))])
+            .with_shards(2)
+            .with_batch_capacity(1)
+            .with_allowed_lateness(allowed_lateness)
+    }
+
+    fn open(v: u64, at: i64) -> StreamEvent {
+        StreamEvent::VisitOpened {
+            visit: VisitKey(v),
+            moving_object: "m".into(),
+            annotations: label("visit"),
+            at: Timestamp(at),
+        }
+    }
+
+    fn close(v: u64, at: i64) -> StreamEvent {
+        StreamEvent::VisitClosed {
+            visit: VisitKey(v),
+            at: Timestamp(at),
+        }
+    }
+
+    fn presence(v: u64, c: usize, start: i64, end: i64) -> StreamEvent {
+        StreamEvent::Presence {
+            visit: VisitKey(v),
+            interval: PresenceInterval::new(
+                TransitionTaken::Unknown,
+                cell(c),
+                Timestamp(start),
+                Timestamp(end),
+            ),
+        }
+    }
+
+    #[test]
+    fn close_all_flushes_open_runs_and_fences_late_events() {
+        let mut engine = ParallelEngine::new(fenced(Duration::hours(1))).unwrap();
+        engine.ingest_all([open(4, 0), presence(4, 1, 0, 10)]);
+        let pending = engine.finish();
+        assert_eq!(pending.len(), 1, "open run closed at end-of-stream");
+        assert_eq!(engine.stats().open_visits, 0);
+        // A late event for the closed visit is fenced.
+        engine.ingest(presence(4, 1, 20, 30));
+        assert!(engine.drain().is_empty());
+        assert_eq!(engine.stats().anomalies.after_close, 1);
+    }
+
+    #[test]
+    fn fence_entries_retire_past_allowed_lateness() {
+        let lateness = Duration::hours(1);
+        let mut engine = ParallelEngine::new(fenced(lateness)).unwrap();
+        engine.ingest_all([open(5, 0), close(5, 10)]);
+        // Within the lateness horizon, its bound included: fenced.
+        let edge = 10 + lateness.as_seconds();
+        engine.ingest_all([presence(5, 1, 100, 110), presence(5, 1, edge, edge + 1)]);
+        let stats = engine.stats();
+        assert_eq!(stats.anomalies.after_close, 2);
+        assert_eq!(stats.open_visits, 0);
+        // A straggler stamped beyond `close + lateness` retires the
+        // fence and re-opens the visit implicitly.
+        engine.ingest(presence(5, 1, edge + 1, edge + 2));
+        let stats = engine.stats();
+        assert_eq!(stats.anomalies.after_close, 2, "no longer fenced");
+        assert_eq!(stats.anomalies.implicit_opens, 1);
+        assert_eq!(stats.open_visits, 1);
+    }
+
+    #[test]
+    fn implicit_open_adopts_orphan_observations() {
+        let mut engine = ParallelEngine::new(fenced(Duration::hours(1))).unwrap();
+        engine.ingest(presence(9, 1, 5, 10));
+        let stats = engine.stats();
+        assert_eq!(stats.anomalies.implicit_opens, 1);
+        assert_eq!(stats.open_visits, 1);
+        let pending = engine.finish();
+        assert_eq!(pending.len(), 1);
+        assert_eq!(pending[0].moving_object, "implicit-9");
+    }
+
+    /// An engine restored from checkpoint `C` re-emits `C` byte for
+    /// byte: restore keeps every part of a checkpoint — open visits
+    /// (mid-fix, mid-run, retained prefix), fences, undrained episodes,
+    /// the finished backlog, counters, the watermark.
+    #[test]
+    fn snapshot_restore_preserves_everything() {
+        let config = || fenced(Duration::hours(1)).with_shards(3).with_warehouse();
+        let mut events = Vec::new();
+        for v in 0..12u64 {
+            let t = v as i64 * 10;
+            events.extend([open(v, t), presence(v, (v % 2) as usize, t, t + 5)]);
+            if v % 3 == 0 {
+                events.push(StreamEvent::Fix {
+                    visit: VisitKey(v),
+                    cell: cell(1),
+                    at: Timestamp(t + 6),
+                });
+            }
+            if v % 4 == 0 {
+                events.push(close(v, t + 8));
+            }
+        }
+        events.push(presence(100, 1, 0, 1));
+        let mut engine = ParallelEngine::new(config()).unwrap();
+        engine.ingest_all(events);
+        let bytes = engine.checkpoint();
+        let (snapshot, _) = crate::checkpoint::decode_state(&bytes).unwrap();
+        assert!(snapshot.visits.iter().any(|(_, v)| v.open_fix.is_some()));
+        assert!(!snapshot.closed.is_empty());
+        assert!(!snapshot.pending.is_empty());
+        assert!(!snapshot.finished.is_empty());
+
+        let mut restored = ParallelEngine::restore(config(), &bytes).unwrap();
+        assert_eq!(restored.checkpoint(), bytes);
+    }
+
+    /// A live snapshot shows every open visit's prefix; an open visit
+    /// that has accepted nothing yet is counted as unqueryable, not
+    /// dropped.
+    #[test]
+    fn live_state_exposes_prefixes() {
+        let mut engine = ParallelEngine::new(fenced(Duration::hours(1))).unwrap();
+        engine.ingest_all([open(3, 0), presence(3, 1, 0, 10), presence(3, 0, 10, 20)]);
+        let live = engine.live_snapshot();
+        assert_eq!(live.visits.len(), 1);
+        assert_eq!(live.visits[0].visit, VisitKey(3));
+        assert_eq!(live.visits[0].trajectory.trace().len(), 2);
+        assert_eq!(live.unqueryable, 0);
+        assert_eq!(live.watermark, Some(Timestamp(10)));
+        engine.ingest(open(4, 30));
+        let live = engine.live_snapshot();
+        assert_eq!(live.visits.len(), 1);
+        assert_eq!(live.unqueryable, 1, "open, nothing accepted yet");
     }
 }

@@ -18,11 +18,9 @@
 //! * [`segmenter`] — [`IncrementalSegmenter`]: predicate-driven episode
 //!   detection over one visit, emitting each [`sitm_core::Episode`] the
 //!   moment its maximal run closes;
-//! * [`shard`] — the engine's vocabulary: the per-visit apply context,
-//!   emitted episodes, counters, and the serializable engine state a
-//!   checkpoint carries;
-//! * [`engine`] — [`EngineConfig`], [`EngineError`], [`EngineStats`]
-//!   and the hash that gives each visit its first worker;
+//! * [`engine`] — [`EngineConfig`], [`EngineError`], [`EngineStats`],
+//!   [`EmittedEpisode`] and the hash that gives each visit its first
+//!   worker;
 //! * [`parallel`] — [`ParallelEngine`], the engine: N worker threads
 //!   over a work-stealing scheduler of visits (per-worker deques,
 //!   visit-affinity pinning, steal-on-idle of whole cold visits) behind
@@ -35,11 +33,12 @@
 //!   candidate narrowing with a full re-check, exactly like the
 //!   warehouse — and federated across engines and warehouses via
 //!   `sitm_query::TrajectorySource`;
-//! * [`checkpoint`] — the engine's state as bytes: what
-//!   [`ParallelEngine::checkpoint`] hands out and
+//! * [`checkpoint`] — [`checkpoint::EngineState`], the engine's state,
+//!   as bytes: what [`ParallelEngine::checkpoint`] hands out and
 //!   [`ParallelEngine::restore`] takes back, a function of the feed
-//!   alone, restored into any worker count without duplicating or
-//!   dropping episodes. Durability is the caller's;
+//!   alone that stores each fact once, restored into any worker count
+//!   without duplicating or dropping episodes. Durability is the
+//!   caller's;
 //! * [`flusher`] — [`Flusher`]: the live → warehouse spill pipeline —
 //!   drains finished visits (`take_finished`, retained under
 //!   [`EngineConfig::with_warehouse`]) out of the engine into
@@ -99,7 +98,6 @@ pub mod live_index;
 pub mod live_query;
 pub mod parallel;
 pub mod segmenter;
-pub mod shard;
 pub mod visit;
 
 pub use checkpoint::CheckpointError;

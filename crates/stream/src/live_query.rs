@@ -49,11 +49,12 @@
 //! degrades to [`CandidateSet::All`] — a full scan — rather than losing
 //! matches.
 //!
-//! `sitm_query::Query::explain` reports the access path this produces:
-//! `IndexCandidates { .. }` whenever the snapshot's index covers all
-//! visits **and** the predicate has an indexable leaf (`VisitedCell`,
+//! `TrajectorySource::plan` reports what this produces: `Some` of the
+//! candidate count whenever the snapshot's index covers all visits
+//! **and** the predicate has an indexable leaf (`VisitedCell`,
 //! `MinStayIn`, `StayOverlaps`, `SequenceContains`, `SpanOverlaps`,
-//! `MovingObject`, or any `And`/`Or` over those); `FullScan` otherwise.
+//! `MovingObject`, or any `And`/`Or` over those); `None`, a full scan,
+//! otherwise.
 //!
 //! Federation: [`LiveSnapshot`] implements
 //! [`sitm_query::TrajectorySource`] — positions are indexes into

@@ -78,7 +78,7 @@
 //!   share, a thread that just slept would preempt the router mid-call,
 //!   and the router's caller would wait out the worker's slices instead
 //!   of the worker applying them once the router is done.
-//! * **Sharded deposits** — what a slice *produces* (counters, drained
+//! * **Per-worker deposits** — what a slice *produces* (counters, drained
 //!   episodes, finished trajectories, watermark advances, and the keys
 //!   of the visits it opened, accepted an interval into or closed)
 //!   lands in the depositing worker's own `Deposit` behind its own
@@ -87,7 +87,7 @@
 //!   on the scheduler lock only to take and return slices, never to
 //!   record results. Barriers merge the per-worker deposits after
 //!   quiescing; merge order is worker index, and every consumer sorts
-//!   by a deterministic global key, so the sharding is invisible in the
+//!   by a deterministic global key, so the split is invisible in the
 //!   output.
 //! * **Barriers** — `flush`/`drain`/`take_finished`/`finish`/
 //!   `checkpoint`/`live_snapshot`/`stats`/`watermark` quiesce: they push
@@ -133,12 +133,11 @@ use std::thread::JoinHandle;
 
 use sitm_core::{Episode, SemanticTrajectory, Timestamp};
 
-use crate::checkpoint::encode_shard;
-use crate::engine::{shard_of, EngineConfig, EngineError, EngineStats};
+use crate::checkpoint::{encode_state, EngineState};
+use crate::engine::{home_worker, EmittedEpisode, EngineConfig, EngineError, EngineStats};
 use crate::event::{StreamEvent, VisitKey};
 use crate::live_index::LiveIndex;
 use crate::live_query::{LiveSnapshot, LiveVisit};
-use crate::shard::{EmittedEpisode, ShardSnapshot, ShardStats};
 use crate::visit::VisitState;
 
 /// Most ready visits a worker takes from its own deque per slice: one
@@ -305,7 +304,7 @@ impl Scheduler {
             return slot;
         }
         let closed_at = self.fenced.remove(&key);
-        let home = shard_of(VisitKey(key), workers);
+        let home = home_worker(VisitKey(key), workers);
         let slot = match self.free.pop() {
             Some(slot) => {
                 let visit = &mut self.slots[slot as usize];
@@ -502,11 +501,11 @@ enum Wait {
 #[derive(Default)]
 struct Deposit {
     /// Per-slice counter deltas, summed.
-    stats: ShardStats,
+    stats: EngineStats,
     /// Episodes finalized but not yet drained.
     pending: Vec<EmittedEpisode>,
     /// Completed trajectories not yet taken by the warehouse drain.
-    finished: Vec<(u64, SemanticTrajectory)>,
+    finished: Vec<SemanticTrajectory>,
     /// Highest event time this worker's slices applied (monotonic;
     /// merged by max across deposits).
     watermark: Option<Timestamp>,
@@ -577,7 +576,7 @@ impl ParallelMetrics {
     }
 }
 
-/// The scheduler plus the sharded deposit tier and its condition
+/// The scheduler plus the per-worker deposit tier and its condition
 /// variables.
 struct Shared {
     state: Mutex<Scheduler>,
@@ -665,10 +664,10 @@ struct HeldVisit {
 /// reuses its buffers from slice to slice.
 #[derive(Default)]
 struct SliceOutput {
-    stats: ShardStats,
+    stats: EngineStats,
     watermark: Option<Timestamp>,
     pending: Vec<EmittedEpisode>,
-    finished: Vec<(u64, SemanticTrajectory)>,
+    finished: Vec<SemanticTrajectory>,
     /// The events applied since the last [`SliceOutput::end_visit`]
     /// opened their visit, accepted an interval into it, or closed it:
     /// what a live snapshot shows of it may have changed.
@@ -694,15 +693,16 @@ fn apply_visit_event(
     key: u64,
     event: StreamEvent,
     resident: &mut Resident,
-    ctx: &crate::shard::ShardCtx<'_>,
+    config: &EngineConfig,
     scratch: &mut Vec<(usize, Episode)>,
     out: &mut SliceOutput,
 ) {
+    let predicates = &config.predicates;
     out.stats.events += 1;
     let t = event.time();
     out.watermark = Some(out.watermark.map_or(t, |w| w.max(t)));
     if let Some(closed_at) = resident.closed_at {
-        if t <= closed_at + ctx.allowed_lateness {
+        if t <= closed_at + config.allowed_lateness {
             out.stats.anomalies.after_close += 1;
             return;
         }
@@ -726,25 +726,25 @@ fn apply_visit_event(
             resident.state = Some(Box::new(VisitState::new(
                 moving_object,
                 annotations,
-                ctx,
+                predicates,
                 &mut out.stats.anomalies,
             )));
         }
         StreamEvent::Fix { cell, at, .. } => {
             out.stats.fixes += 1;
-            ensure_open(key, resident, ctx, out);
+            ensure_open(key, resident, config, out);
             let state = resident.state.as_mut().expect("ensured above");
             let before = state.retained_intervals().len();
-            state.apply_fix(cell, at, ctx, scratch, &mut out.stats.anomalies);
+            state.apply_fix(cell, at, predicates, scratch, &mut out.stats.anomalies);
             out.touched |= state.retained_intervals().len() != before;
             collect_episodes(key, state, scratch, out);
         }
         StreamEvent::Presence { interval, .. } => {
             out.stats.presences += 1;
-            ensure_open(key, resident, ctx, out);
+            ensure_open(key, resident, config, out);
             let state = resident.state.as_mut().expect("ensured above");
             let before = state.retained_intervals().len();
-            state.apply_presence(interval, ctx, scratch, &mut out.stats.anomalies);
+            state.apply_presence(interval, predicates, scratch, &mut out.stats.anomalies);
             out.touched |= state.retained_intervals().len() != before;
             collect_episodes(key, state, scratch, out);
         }
@@ -753,17 +753,17 @@ fn apply_visit_event(
                 out.stats.anomalies.after_close += 1;
                 return;
             };
-            state.close(ctx, scratch, &mut out.stats.anomalies);
+            state.close(predicates, scratch, &mut out.stats.anomalies);
             out.stats.visits_closed += 1;
             out.touched = true;
             resident.closed_at = Some(at);
             collect_episodes(key, &state, scratch, out);
-            if ctx.retain_finished {
+            if config.retain_finished {
                 // The completed trajectory heads for the warehouse
                 // tier. A visit that accepted nothing has no trace
                 // (Def. 3.1) and produces no record.
                 if let Some(trajectory) = state.into_trajectory() {
-                    out.finished.push((key, trajectory));
+                    out.finished.push(trajectory);
                 }
             }
         }
@@ -772,12 +772,7 @@ fn apply_visit_event(
 
 /// An observation for a visit never opened opens it implicitly, under
 /// the synthetic identity `implicit-{key}`, rather than dropping data.
-fn ensure_open(
-    key: u64,
-    resident: &mut Resident,
-    ctx: &crate::shard::ShardCtx<'_>,
-    out: &mut SliceOutput,
-) {
+fn ensure_open(key: u64, resident: &mut Resident, config: &EngineConfig, out: &mut SliceOutput) {
     if resident.state.is_none() {
         out.stats.anomalies.implicit_opens += 1;
         out.stats.visits_opened += 1;
@@ -785,7 +780,7 @@ fn ensure_open(
         resident.state = Some(Box::new(VisitState::new(
             format!("implicit-{key}"),
             sitm_core::AnnotationSet::from_iter([sitm_core::Annotation::goal("streamed")]),
-            ctx,
+            &config.predicates,
             &mut out.stats.anomalies,
         )));
     }
@@ -831,7 +826,6 @@ fn absorb_into_deposit(deposit: &mut Deposit, out: &mut SliceOutput) {
 /// re-enter the scheduler only for slot bookkeeping — and wake the
 /// engine thread only if it waits for what this slice made hold.
 fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
-    let ctx = config.ctx();
     let capacity = config.fence_capacity.max(1);
     let mut scratch: Vec<(usize, Episode)> = Vec::new();
     let mut slice: Vec<HeldVisit> = Vec::new();
@@ -876,7 +870,7 @@ fn worker_loop(worker: usize, shared: &Shared, config: &EngineConfig) {
                     held.key,
                     event,
                     &mut held.resident,
-                    &ctx,
+                    config,
                     &mut scratch,
                     &mut out,
                 );
@@ -1013,24 +1007,24 @@ impl ParallelEngine {
         if config.shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        let snapshot = crate::checkpoint::decode_checkpoint(&config, checkpoint)?;
+        let state = crate::checkpoint::decode_checkpoint(&config, checkpoint)?;
         let engine = Self::create(config);
         let workers = engine.workers();
         let mut guard = lock(&engine.shared.state);
         let mut seed = lock(&engine.shared.deposits[0]);
-        seed.watermark = snapshot.watermark;
-        seed.stats = snapshot.stats;
-        seed.pending = snapshot.pending;
-        seed.finished = snapshot.finished;
-        for (key, visit) in snapshot.visits {
+        seed.watermark = state.watermark;
+        seed.stats = state.stats;
+        seed.pending = state.pending;
+        seed.finished = state.finished;
+        for (key, visit) in state.visits {
             // The first cut derives the restored visit like any other
             // touched one.
             seed.touch(key);
             let slot = guard.slot_of(key, workers);
-            let state = VisitState::restore(visit, &engine.config.predicates);
-            guard.slots[slot as usize].state = Some(Box::new(state));
+            let restored = VisitState::restore(visit, &engine.config.predicates);
+            guard.slots[slot as usize].state = Some(Box::new(restored));
         }
-        for (key, at) in snapshot.closed {
+        for (key, at) in state.closed {
             // Listed closed after open: the key is fenced, not open.
             if let Some(&slot) = guard.index.get(&key) {
                 guard.slots[slot as usize].state = None;
@@ -1244,7 +1238,7 @@ impl ParallelEngine {
         let guard = self.shared.quiesce();
         let mut out: Vec<SemanticTrajectory> = Vec::new();
         self.shared
-            .sweep_deposits(|deposit| out.extend(deposit.finished.drain(..).map(|(_, t)| t)));
+            .sweep_deposits(|deposit| out.append(&mut deposit.finished));
         drop(guard);
         sitm_store::sort_run(&mut out);
         out
@@ -1256,7 +1250,6 @@ impl ParallelEngine {
         self.dirty = true;
         self.dispatch();
         let mut guard = self.shared.quiesce();
-        let ctx = self.config.ctx();
         let open = guard.open_slots();
         let mut scratch = Vec::new();
         // One deposit sweep up front: the synthesized closes stamp the
@@ -1277,7 +1270,7 @@ impl ParallelEngine {
                     at,
                 },
                 &mut resident,
-                &ctx,
+                &self.config,
                 &mut scratch,
                 &mut out,
             );
@@ -1426,12 +1419,13 @@ impl ParallelEngine {
             .iter()
             .filter(|visit| visit.state.is_some())
             .count() as u64;
-        let mut total = ShardStats::default();
+        let mut stats = EngineStats {
+            open_visits,
+            ..EngineStats::default()
+        };
         self.shared
-            .sweep_deposits(|deposit| total.absorb(&deposit.stats));
+            .sweep_deposits(|deposit| stats.absorb(&deposit.stats));
         drop(guard);
-        let mut stats = EngineStats::default();
-        stats.absorb_shard(&total, open_visits);
         stats
     }
 
@@ -1448,29 +1442,28 @@ impl ParallelEngine {
     pub fn checkpoint(&mut self) -> Vec<u8> {
         self.dispatch();
         let guard = self.shared.quiesce();
-        let mut snapshot = ShardSnapshot {
+        let mut state = EngineState {
             watermark: self.high_water(),
-            ..ShardSnapshot::default()
+            ..EngineState::default()
         };
         // Both tables, each in key order. Quiesced, every slot is open
         // or free, so every fence is in the fence table.
         for (key, slot) in guard.open_slots() {
-            let state = guard.slots[slot as usize].state.as_ref();
-            snapshot.visits.push((key, state.expect("open").snapshot()));
+            let visit = guard.slots[slot as usize].state.as_ref();
+            state.visits.push((key, visit.expect("open").snapshot()));
         }
-        snapshot.closed = guard.fenced.iter().map(|(&key, &at)| (key, at)).collect();
-        snapshot.closed.sort_unstable();
+        state.closed = guard.fenced.iter().map(|(&key, &at)| (key, at)).collect();
+        state.closed.sort_unstable();
         self.shared.sweep_deposits(|deposit| {
-            snapshot.stats.absorb(&deposit.stats);
-            snapshot.pending.extend(deposit.pending.iter().cloned());
-            snapshot.finished.extend(deposit.finished.iter().cloned());
+            state.stats.absorb(&deposit.stats);
+            state.pending.extend(deposit.pending.iter().cloned());
+            state.finished.extend(deposit.finished.iter().cloned());
         });
         drop(guard);
-        snapshot.pending.sort_by_key(|e| e.sort_key());
-        snapshot
-            .finished
-            .sort_by_key(|(key, t)| (t.start(), t.end(), *key));
-        encode_shard(&snapshot, self.config.predicates.len())
+        state.pending.sort_by_key(|e| e.sort_key());
+        // The order `take_finished` hands the backlog out in.
+        sitm_store::sort_run(&mut state.finished);
+        encode_state(&state, self.config.predicates.len())
     }
 }
 

@@ -15,24 +15,13 @@
 
 use sitm_core::{AnnotationSet, Episode, IntervalPredicate, OpenRun, PresenceInterval, RunBuilder};
 
-/// Serializable segmenter state (everything but the predicates, which are
-/// code and must be re-supplied on restore).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmenterSnapshot {
-    /// Tuples consumed so far (the next interval's trace index).
-    pub index: usize,
-    /// Per-predicate open runs.
-    pub open_runs: Vec<Option<OpenRun>>,
-    /// Per-predicate suppression (label equal to the visit's `A_traj`).
-    pub suppressed: Vec<bool>,
-}
-
 /// Predicate-driven episode detection over one visit's interval stream.
+/// The visit supplies each tuple's index (how many stays it accepted
+/// before), so the segmenter keeps only what its runs hold.
 #[derive(Debug)]
 pub struct IncrementalSegmenter {
     builders: Vec<RunBuilder>,
     suppressed: Vec<bool>,
-    index: usize,
 }
 
 impl IncrementalSegmenter {
@@ -51,7 +40,6 @@ impl IncrementalSegmenter {
                 .iter()
                 .map(|(_, label)| label == trajectory_annotations)
                 .collect(),
-            index: 0,
         }
     }
 
@@ -61,22 +49,16 @@ impl IncrementalSegmenter {
         self.suppressed.iter().filter(|&&s| s).count()
     }
 
-    /// Tuples consumed so far.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Feeds the next presence interval; pushes `(predicate_index,
-    /// episode)` for every run this interval closes.
+    /// Feeds tuple `index` of the visit's trace; pushes
+    /// `(predicate_index, episode)` for every run this interval closes.
     pub fn observe(
         &mut self,
         predicates: &[(IntervalPredicate, AnnotationSet)],
+        index: usize,
         interval: &PresenceInterval,
         out: &mut Vec<(usize, Episode)>,
     ) {
         debug_assert_eq!(predicates.len(), self.builders.len());
-        let index = self.index;
-        self.index += 1;
         for (p, builder) in self.builders.iter_mut().enumerate() {
             if self.suppressed[p] {
                 continue;
@@ -88,49 +70,40 @@ impl IncrementalSegmenter {
         }
     }
 
-    /// Ends the visit: closes every open run.
-    pub fn finish(&mut self, out: &mut Vec<(usize, Episode)>) {
+    /// Ends the visit after `tuples` tuples: closes every open run.
+    pub fn finish(&mut self, tuples: usize, out: &mut Vec<(usize, Episode)>) {
         for (p, builder) in self.builders.iter_mut().enumerate() {
             if self.suppressed[p] {
                 continue;
             }
-            if let Some(episode) = builder.close(self.index) {
+            if let Some(episode) = builder.close(tuples) {
                 out.push((p, episode));
             }
         }
     }
 
-    /// Captures checkpointable state.
-    pub fn snapshot(&self) -> SegmenterSnapshot {
-        SegmenterSnapshot {
-            index: self.index,
-            open_runs: self
-                .builders
-                .iter()
-                .map(|b| b.open_run().cloned())
-                .collect(),
-            suppressed: self.suppressed.clone(),
-        }
+    /// The per-predicate open runs: all a checkpoint stores of the
+    /// segmenter.
+    pub fn open_runs(&self) -> Vec<Option<OpenRun>> {
+        self.builders
+            .iter()
+            .map(|b| b.open_run().cloned())
+            .collect()
     }
 
-    /// Rebuilds a segmenter from a snapshot taken against the same
-    /// predicate table (labels are re-derived from `predicates`).
+    /// Rebuilds a segmenter from the open runs of one taken against the
+    /// same predicate table, for a visit annotated with
+    /// `trajectory_annotations` (labels and suppressions are re-derived).
     pub fn restore(
         predicates: &[(IntervalPredicate, AnnotationSet)],
-        snapshot: SegmenterSnapshot,
+        trajectory_annotations: &AnnotationSet,
+        open_runs: Vec<Option<OpenRun>>,
     ) -> Self {
-        let mut builders: Vec<RunBuilder> = predicates
-            .iter()
-            .map(|(_, label)| RunBuilder::new(label.clone()))
-            .collect();
-        for (builder, run) in builders.iter_mut().zip(snapshot.open_runs) {
+        let mut segmenter = IncrementalSegmenter::new(predicates, trajectory_annotations);
+        for (builder, run) in segmenter.builders.iter_mut().zip(open_runs) {
             builder.restore_run(run);
         }
-        IncrementalSegmenter {
-            builders,
-            suppressed: snapshot.suppressed,
-            index: snapshot.index,
-        }
+        segmenter
     }
 }
 
@@ -174,18 +147,18 @@ mod tests {
         let mut out = Vec::new();
         // Cells 0 1 2 0: predicate 0 runs over tuples 1..3, predicate 1
         // over 0..1 and 3..4.
-        seg.observe(&preds, &stay(0, 0, 10), &mut out);
+        seg.observe(&preds, 0, &stay(0, 0, 10), &mut out);
         assert!(out.is_empty(), "nothing closed yet");
-        seg.observe(&preds, &stay(1, 10, 20), &mut out);
+        seg.observe(&preds, 1, &stay(1, 10, 20), &mut out);
         assert_eq!(out.len(), 1, "'out' run 0..1 closed by tuple 1");
         assert_eq!(out[0].0, 1);
         assert_eq!(out[0].1.range, 0..1);
-        seg.observe(&preds, &stay(2, 20, 30), &mut out);
-        seg.observe(&preds, &stay(0, 30, 40), &mut out);
+        seg.observe(&preds, 2, &stay(2, 20, 30), &mut out);
+        seg.observe(&preds, 3, &stay(0, 30, 40), &mut out);
         assert_eq!(out.len(), 2, "'in' run 1..3 closed by tuple 3");
         assert_eq!(out[1].0, 0);
         assert_eq!(out[1].1.range, 1..3);
-        seg.finish(&mut out);
+        seg.finish(4, &mut out);
         assert_eq!(out.len(), 3, "trailing 'out' run closed at finish");
         assert_eq!(out[2].1.range, 3..4);
     }
@@ -196,9 +169,11 @@ mod tests {
         let mut seg = IncrementalSegmenter::new(&preds, &label("visit"));
         assert_eq!(seg.suppressed_count(), 1);
         let mut out = Vec::new();
-        seg.observe(&preds, &stay(0, 0, 10), &mut out);
-        seg.finish(&mut out);
+        seg.observe(&preds, 0, &stay(0, 0, 10), &mut out);
+        seg.finish(1, &mut out);
         assert!(out.is_empty(), "NotProper predicate never emits");
+        let restored = IncrementalSegmenter::restore(&preds, &label("visit"), vec![None]);
+        assert_eq!(restored.suppressed_count(), 1, "re-derived at restore");
     }
 
     #[test]
@@ -206,13 +181,13 @@ mod tests {
         let preds = predicates();
         let mut seg = IncrementalSegmenter::new(&preds, &label("visit"));
         let mut out = Vec::new();
-        seg.observe(&preds, &stay(1, 0, 10), &mut out);
-        let snapshot = seg.snapshot();
-        assert_eq!(snapshot.index, 1);
+        seg.observe(&preds, 0, &stay(1, 0, 10), &mut out);
+        let open_runs = seg.open_runs();
+        assert_eq!(open_runs[0].as_ref().map(|run| run.start), Some(0));
 
-        let mut resumed = IncrementalSegmenter::restore(&preds, snapshot);
-        resumed.observe(&preds, &stay(2, 10, 20), &mut out);
-        resumed.finish(&mut out);
+        let mut resumed = IncrementalSegmenter::restore(&preds, &label("visit"), open_runs);
+        resumed.observe(&preds, 1, &stay(2, 10, 20), &mut out);
+        resumed.finish(2, &mut out);
         let in_eps: Vec<_> = out.iter().filter(|(p, _)| *p == 0).collect();
         assert_eq!(in_eps.len(), 1);
         assert_eq!(in_eps[0].1.range, 0..2, "run spans the checkpoint");

@@ -5,19 +5,26 @@
 //! (non-decreasing tuple starts, single detection layer) — except that a
 //! violating event is *dropped and counted* instead of failing the whole
 //! trace, because a live stream has no way to reject history.
+//!
+//! A visit stores its facts once: its moving object, its annotations,
+//! its accepted stays, an open fix and the open runs. Its detection
+//! layer and last start are its stays' own, the next tuple index is how
+//! many it has, and which predicates it suppresses follows from its
+//! annotations (Def. 3.4(2)).
 
 use sitm_core::{
-    AnnotationSet, Episode, IntervalPredicate, PresenceInterval, SemanticTrajectory, Timestamp,
-    Trace, TransitionTaken,
+    AnnotationSet, Episode, IntervalPredicate, OpenRun, PresenceInterval, SemanticTrajectory,
+    Timestamp, Trace, TransitionTaken,
 };
-use sitm_graph::{CellRef, LayerIdx};
+use sitm_graph::CellRef;
 
-use crate::segmenter::{IncrementalSegmenter, SegmenterSnapshot};
-use crate::shard::ShardCtx;
+use crate::segmenter::IncrementalSegmenter;
 
 /// Counters for events the engine had to reject or adapt. Mirrors the
 /// failure modes of the batch validators (`TraceError`,
-/// `TrajectoryError::NotProper`) plus stream-only conditions.
+/// `TrajectoryError::NotProper`) plus stream-only conditions. A
+/// zero-duration stay (§4.1's detection errors) is neither: the engine
+/// keeps it, as a batch trace does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Anomalies {
     /// Intervals dropped for starting before their predecessor
@@ -26,9 +33,6 @@ pub struct Anomalies {
     /// Intervals dropped for referencing a different layer than the
     /// visit's detection layer (batch: `TraceError::MixedLayers`).
     pub mixed_layer: u64,
-    /// Zero-duration intervals filtered when the engine is configured to
-    /// drop them (§4.1's detection errors).
-    pub instantaneous_dropped: u64,
     /// Observations for visits never opened: the engine opens them
     /// implicitly rather than losing data.
     pub implicit_opens: u64,
@@ -46,7 +50,6 @@ impl Anomalies {
     pub fn total(&self) -> u64 {
         self.out_of_order
             + self.mixed_layer
-            + self.instantaneous_dropped
             + self.implicit_opens
             + self.after_close
             + self.not_proper
@@ -57,7 +60,6 @@ impl Anomalies {
     pub fn absorb(&mut self, other: &Anomalies) {
         self.out_of_order += other.out_of_order;
         self.mixed_layer += other.mixed_layer;
-        self.instantaneous_dropped += other.instantaneous_dropped;
         self.implicit_opens += other.implicit_opens;
         self.after_close += other.after_close;
         self.not_proper += other.not_proper;
@@ -76,22 +78,20 @@ pub struct OpenFix {
     pub last_at: Timestamp,
 }
 
-/// Serializable visit state.
+/// Serializable visit state: what a checkpoint stores of one open
+/// visit. Nothing here is derivable from the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VisitSnapshot {
     /// Moving-object identifier.
     pub moving_object: String,
     /// Trajectory-level annotations.
     pub annotations: AnnotationSet,
-    /// Detection layer, once known.
-    pub layer: Option<LayerIdx>,
-    /// Start of the last accepted interval.
-    pub last_start: Option<Timestamp>,
     /// Open fix-coalescing state.
     pub open_fix: Option<OpenFix>,
-    /// Segmenter state.
-    pub segmenter: SegmenterSnapshot,
-    /// Accepted intervals: the visit's trajectory prefix.
+    /// Per-predicate open runs, each starting at an accepted stay.
+    pub open_runs: Vec<Option<OpenRun>>,
+    /// Accepted intervals: the visit's trajectory prefix, in start
+    /// order on one layer.
     pub intervals: Vec<PresenceInterval>,
 }
 
@@ -103,8 +103,6 @@ pub struct VisitState {
     /// Trajectory-level annotations (`A_traj`).
     pub annotations: AnnotationSet,
     segmenter: IncrementalSegmenter,
-    layer: Option<LayerIdx>,
-    last_start: Option<Timestamp>,
     open_fix: Option<OpenFix>,
     intervals: Vec<PresenceInterval>,
 }
@@ -114,25 +112,18 @@ impl VisitState {
     pub fn new(
         moving_object: String,
         annotations: AnnotationSet,
-        ctx: &ShardCtx<'_>,
+        predicates: &[(IntervalPredicate, AnnotationSet)],
         anomalies: &mut Anomalies,
     ) -> Self {
-        let segmenter = IncrementalSegmenter::new(ctx.predicates, &annotations);
+        let segmenter = IncrementalSegmenter::new(predicates, &annotations);
         anomalies.not_proper += segmenter.suppressed_count() as u64;
         VisitState {
             moving_object,
             annotations,
             segmenter,
-            layer: None,
-            last_start: None,
             open_fix: None,
             intervals: Vec::new(),
         }
-    }
-
-    /// Presence intervals accepted so far.
-    pub fn intervals_seen(&self) -> usize {
-        self.segmenter.index()
     }
 
     /// The intervals accepted so far. The engine compares this slice's
@@ -169,7 +160,7 @@ impl VisitState {
         &mut self,
         cell: CellRef,
         at: Timestamp,
-        ctx: &ShardCtx<'_>,
+        predicates: &[(IntervalPredicate, AnnotationSet)],
         out: &mut Vec<(usize, Episode)>,
         anomalies: &mut Anomalies,
     ) {
@@ -183,9 +174,9 @@ impl VisitState {
             }
             _ => {
                 if let Some(interval) = self.close_open_fix() {
-                    self.feed(interval, ctx, out, anomalies);
+                    self.feed(interval, predicates, out, anomalies);
                 }
-                if self.last_start.is_some_and(|last| at < last) {
+                if self.intervals.last().is_some_and(|last| at < last.start()) {
                     anomalies.out_of_order += 1;
                 } else {
                     self.open_fix = Some(OpenFix {
@@ -202,27 +193,27 @@ impl VisitState {
     pub fn apply_presence(
         &mut self,
         interval: PresenceInterval,
-        ctx: &ShardCtx<'_>,
+        predicates: &[(IntervalPredicate, AnnotationSet)],
         out: &mut Vec<(usize, Episode)>,
         anomalies: &mut Anomalies,
     ) {
         if let Some(coalesced) = self.close_open_fix() {
-            self.feed(coalesced, ctx, out, anomalies);
+            self.feed(coalesced, predicates, out, anomalies);
         }
-        self.feed(interval, ctx, out, anomalies);
+        self.feed(interval, predicates, out, anomalies);
     }
 
     /// Ends the visit: closes the open fix and every open run.
     pub fn close(
         &mut self,
-        ctx: &ShardCtx<'_>,
+        predicates: &[(IntervalPredicate, AnnotationSet)],
         out: &mut Vec<(usize, Episode)>,
         anomalies: &mut Anomalies,
     ) {
         if let Some(interval) = self.close_open_fix() {
-            self.feed(interval, ctx, out, anomalies);
+            self.feed(interval, predicates, out, anomalies);
         }
-        self.segmenter.finish(out);
+        self.segmenter.finish(self.intervals.len(), out);
     }
 
     fn close_open_fix(&mut self) -> Option<PresenceInterval> {
@@ -237,29 +228,27 @@ impl VisitState {
     }
 
     /// Validated hand-off into the segmenter (the streaming analogue of
-    /// `Trace::push`).
+    /// `Trace::push`): the last accepted stay holds the visit's last
+    /// start and, the stays sharing one layer, its detection layer.
     fn feed(
         &mut self,
         interval: PresenceInterval,
-        ctx: &ShardCtx<'_>,
+        predicates: &[(IntervalPredicate, AnnotationSet)],
         out: &mut Vec<(usize, Episode)>,
         anomalies: &mut Anomalies,
     ) {
-        if ctx.drop_instantaneous && interval.is_instantaneous() {
-            anomalies.instantaneous_dropped += 1;
-            return;
+        if let Some(last) = self.intervals.last() {
+            if interval.start() < last.start() {
+                anomalies.out_of_order += 1;
+                return;
+            }
+            if interval.cell.layer != last.cell.layer {
+                anomalies.mixed_layer += 1;
+                return;
+            }
         }
-        if self.last_start.is_some_and(|last| interval.start() < last) {
-            anomalies.out_of_order += 1;
-            return;
-        }
-        if self.layer.is_some_and(|layer| interval.cell.layer != layer) {
-            anomalies.mixed_layer += 1;
-            return;
-        }
-        self.layer.get_or_insert(interval.cell.layer);
-        self.last_start = Some(interval.start());
-        self.segmenter.observe(ctx.predicates, &interval, out);
+        self.segmenter
+            .observe(predicates, self.intervals.len(), &interval, out);
         self.intervals.push(interval);
     }
 
@@ -268,25 +257,27 @@ impl VisitState {
         VisitSnapshot {
             moving_object: self.moving_object.clone(),
             annotations: self.annotations.clone(),
-            layer: self.layer,
-            last_start: self.last_start,
             open_fix: self.open_fix.clone(),
-            segmenter: self.segmenter.snapshot(),
+            open_runs: self.segmenter.open_runs(),
             intervals: self.intervals.clone(),
         }
     }
 
-    /// Rebuilds from a snapshot taken against the same predicate table.
+    /// Rebuilds from a snapshot taken against the same predicate table:
+    /// the suppressed predicates are re-derived from the annotations
+    /// (and not counted again as `not_proper`).
     pub fn restore(
         snapshot: VisitSnapshot,
         predicates: &[(IntervalPredicate, AnnotationSet)],
     ) -> Self {
         VisitState {
+            segmenter: IncrementalSegmenter::restore(
+                predicates,
+                &snapshot.annotations,
+                snapshot.open_runs,
+            ),
             moving_object: snapshot.moving_object,
             annotations: snapshot.annotations,
-            segmenter: IncrementalSegmenter::restore(predicates, snapshot.segmenter),
-            layer: snapshot.layer,
-            last_start: snapshot.last_start,
             open_fix: snapshot.open_fix,
             intervals: snapshot.intervals,
         }
@@ -296,8 +287,8 @@ impl VisitState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_core::{Annotation, Duration};
-    use sitm_graph::NodeId;
+    use sitm_core::Annotation;
+    use sitm_graph::{LayerIdx, NodeId};
 
     fn cell(n: usize) -> CellRef {
         CellRef::new(LayerIdx::from_index(0), NodeId::from_index(n))
@@ -311,38 +302,25 @@ mod tests {
         vec![(IntervalPredicate::in_cells([cell(1)]), label("one"))]
     }
 
-    fn ctx<'a>(
-        predicates: &'a [(IntervalPredicate, AnnotationSet)],
-        drop_instantaneous: bool,
-    ) -> ShardCtx<'a> {
-        ShardCtx {
-            predicates,
-            drop_instantaneous,
-            allowed_lateness: Duration::hours(1),
-            retain_finished: false,
-        }
-    }
-
     fn new_state(anoms: &mut Anomalies) -> VisitState {
-        VisitState::new("mo".into(), label("visit"), &ctx(&preds(), false), anoms)
+        VisitState::new("mo".into(), label("visit"), &preds(), anoms)
     }
 
     #[test]
     fn fixes_coalesce_into_presence_intervals() {
         let preds = preds();
-        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut state = new_state(&mut anoms);
         let mut out = Vec::new();
         // Three fixes in cell 1, one in cell 0: one interval [0, 20] in
         // cell 1 closed by the cell change, then [20, 20] open in cell 0.
-        state.apply_fix(cell(1), Timestamp(0), &ctx, &mut out, &mut anoms);
-        state.apply_fix(cell(1), Timestamp(10), &ctx, &mut out, &mut anoms);
-        state.apply_fix(cell(1), Timestamp(20), &ctx, &mut out, &mut anoms);
+        state.apply_fix(cell(1), Timestamp(0), &preds, &mut out, &mut anoms);
+        state.apply_fix(cell(1), Timestamp(10), &preds, &mut out, &mut anoms);
+        state.apply_fix(cell(1), Timestamp(20), &preds, &mut out, &mut anoms);
         assert!(out.is_empty());
-        state.apply_fix(cell(0), Timestamp(25), &ctx, &mut out, &mut anoms);
-        assert_eq!(state.intervals_seen(), 1);
-        state.close(&ctx, &mut out, &mut anoms);
+        state.apply_fix(cell(0), Timestamp(25), &preds, &mut out, &mut anoms);
+        assert_eq!(state.retained_intervals().len(), 1);
+        state.close(&preds, &mut out, &mut anoms);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1.time.start, Timestamp(0));
         assert_eq!(out[0].1.time.end, Timestamp(20));
@@ -352,7 +330,6 @@ mod tests {
     #[test]
     fn out_of_order_and_mixed_layer_are_dropped_and_counted() {
         let preds = preds();
-        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut state = new_state(&mut anoms);
         let mut out = Vec::new();
@@ -362,14 +339,14 @@ mod tests {
             Timestamp(100),
             Timestamp(200),
         );
-        state.apply_presence(ok, &ctx, &mut out, &mut anoms);
+        state.apply_presence(ok, &preds, &mut out, &mut anoms);
         let stale = PresenceInterval::new(
             TransitionTaken::Unknown,
             cell(1),
             Timestamp(50),
             Timestamp(60),
         );
-        state.apply_presence(stale, &ctx, &mut out, &mut anoms);
+        state.apply_presence(stale, &preds, &mut out, &mut anoms);
         assert_eq!(anoms.out_of_order, 1);
         let other_layer = PresenceInterval::new(
             TransitionTaken::Unknown,
@@ -377,40 +354,22 @@ mod tests {
             Timestamp(200),
             Timestamp(300),
         );
-        state.apply_presence(other_layer, &ctx, &mut out, &mut anoms);
+        state.apply_presence(other_layer, &preds, &mut out, &mut anoms);
         assert_eq!(anoms.mixed_layer, 1);
-        assert_eq!(state.intervals_seen(), 1, "both rejects left no trace");
-    }
-
-    #[test]
-    fn instantaneous_filter_honours_config() {
-        let preds = preds();
-        let keep = ctx(&preds, false);
-        let drop = ctx(&preds, true);
-        let mut anoms = Anomalies::default();
-        let mut state = new_state(&mut anoms);
-        let mut out = Vec::new();
-        let zero = PresenceInterval::new(
-            TransitionTaken::Unknown,
-            cell(1),
-            Timestamp(5),
-            Timestamp(5),
+        assert_eq!(
+            state.retained_intervals().len(),
+            1,
+            "both rejects left no trace"
         );
-        state.apply_presence(zero.clone(), &drop, &mut out, &mut anoms);
-        assert_eq!(state.intervals_seen(), 0);
-        assert_eq!(anoms.instantaneous_dropped, 1);
-        state.apply_presence(zero, &keep, &mut out, &mut anoms);
-        assert_eq!(state.intervals_seen(), 1, "kept when the filter is off");
     }
 
     #[test]
     fn snapshot_round_trips_through_restore() {
         let preds = preds();
-        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut state = new_state(&mut anoms);
         let mut out = Vec::new();
-        state.apply_fix(cell(1), Timestamp(0), &ctx, &mut out, &mut anoms);
+        state.apply_fix(cell(1), Timestamp(0), &preds, &mut out, &mut anoms);
         let snap = state.snapshot();
         assert_eq!(snap.open_fix.as_ref().unwrap().cell, cell(1));
         let restored = VisitState::restore(snap.clone(), &preds);
@@ -420,7 +379,6 @@ mod tests {
     #[test]
     fn retention_exposes_the_live_trajectory_prefix() {
         let preds = preds();
-        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut state = new_state(&mut anoms);
         let mut out = Vec::new();
@@ -433,8 +391,8 @@ mod tests {
                 Timestamp(e),
             )
         };
-        state.apply_presence(stay(1, 0, 10), &ctx, &mut out, &mut anoms);
-        state.apply_presence(stay(0, 10, 30), &ctx, &mut out, &mut anoms);
+        state.apply_presence(stay(1, 0, 10), &preds, &mut out, &mut anoms);
+        state.apply_presence(stay(0, 10, 30), &preds, &mut out, &mut anoms);
         let live = state.live_trajectory().expect("prefix available");
         assert_eq!(live.trace().len(), 2);
         assert_eq!(live.span().end, Timestamp(30));
@@ -446,7 +404,6 @@ mod tests {
     #[test]
     fn a_closed_visit_moves_out_its_live_prefix() {
         let preds = preds();
-        let ctx = ctx(&preds, false);
         let mut anoms = Anomalies::default();
         let mut out = Vec::new();
         assert!(
@@ -461,10 +418,10 @@ mod tests {
                 Timestamp(s),
                 Timestamp(e),
             );
-            state.apply_presence(stay, &ctx, &mut out, &mut anoms);
+            state.apply_presence(stay, &preds, &mut out, &mut anoms);
         }
         let live = state.live_trajectory().expect("prefix available");
-        state.close(&ctx, &mut out, &mut anoms);
+        state.close(&preds, &mut out, &mut anoms);
         assert_eq!(state.into_trajectory(), Some(live));
     }
 }

@@ -7,7 +7,7 @@ use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration,
 };
 use sitm_store::fnv1a;
-use sitm_stream::checkpoint::decode_shard;
+use sitm_stream::checkpoint::decode_state;
 use sitm_stream::{trajectory_feed, EngineConfig, ParallelEngine, StreamEvent};
 
 fn label(s: &str) -> AnnotationSet {
@@ -75,7 +75,7 @@ fn same_feed_same_bytes_for_every_worker_count_and_batch() {
             engine.ingest_all(events[half..].iter().cloned());
             let evening = engine.checkpoint();
 
-            let (snapshot, _) = decode_shard(&evening).expect("decodes");
+            let (snapshot, _) = decode_state(&evening).expect("decodes");
             assert!(
                 snapshot.closed.len() < fence_capacity,
                 "no fence was evicted"
@@ -84,7 +84,7 @@ fn same_feed_same_bytes_for_every_worker_count_and_batch() {
             match &reference {
                 None => {
                     // Every part of the payload is exercised.
-                    let (noon, _) = decode_shard(&midday).expect("decodes");
+                    let (noon, _) = decode_state(&midday).expect("decodes");
                     assert!(!noon.visits.is_empty(), "open visits");
                     assert!(!noon.closed.is_empty(), "fences");
                     assert!(!noon.pending.is_empty(), "undrained episodes");
@@ -92,8 +92,8 @@ fn same_feed_same_bytes_for_every_worker_count_and_batch() {
                     // The feed is pinned too: a change in how the seeded
                     // day becomes events moves these.
                     let pin = |payload: &[u8]| (payload.len(), fnv1a(payload));
-                    assert_eq!(pin(&midday), (14_657, 0xee29_fb16_3b68_6a06), "midday");
-                    assert_eq!(pin(&evening), (27_797, 0xd1c9_3575_9844_d4e3), "evening");
+                    assert_eq!(pin(&midday), (14_483, 0x8d9d_4a8a_7dd8_2a30), "midday");
+                    assert_eq!(pin(&evening), (27_623, 0x7719_ba97_94f6_10ab), "evening");
                     reference = Some((midday, evening));
                 }
                 Some((noon, night)) => {

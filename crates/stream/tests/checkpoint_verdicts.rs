@@ -14,11 +14,12 @@ use std::collections::BTreeMap;
 
 use sitm_codec::put_u64;
 use sitm_core::{Annotation, AnnotationSet, Duration, IntervalPredicate};
+use sitm_graph::{CellRef, LayerIdx};
 use sitm_louvre::{
     build_louvre, generate_dataset, zone_key, GeneratorConfig, LouvreModel, PaperCalibration,
 };
 use sitm_store::{CodecError, Crc32};
-use sitm_stream::checkpoint::decode_shard;
+use sitm_stream::checkpoint::{decode_state, encode_state, EngineState};
 use sitm_stream::{
     trajectory_feed, CheckpointError, EngineConfig, EngineError, ParallelEngine, StreamEvent,
 };
@@ -106,7 +107,7 @@ fn every_truncation_and_bit_flip_restores_or_errs_as_pinned() {
     let model = build_louvre();
     let bytes = checkpoint(&model);
     // Every part of the payload is exercised.
-    let (snapshot, _) = decode_shard(&bytes).expect("decodes");
+    let (snapshot, _) = decode_state(&bytes).expect("decodes");
     assert!(!snapshot.visits.is_empty(), "open visits");
     assert!(!snapshot.closed.is_empty(), "fences");
     assert!(!snapshot.pending.is_empty(), "undrained episodes");
@@ -140,15 +141,15 @@ fn every_truncation_and_bit_flip_restores_or_errs_as_pinned() {
         .join(" ");
     let crc = crc.finish();
     println!("{} bytes: {counts}, {crc:#010x}", bytes.len());
-    assert_eq!(bytes.len(), 1_857);
+    assert_eq!(bytes.len(), 1_798);
     assert_eq!(
         counts,
-        "BadTag:710 BadUtf8:2571 BadVersion:8 InvalidTrace:131 InvalidTrajectory:16 \
-         LengthOverrun:1552 Malformed:379 Ok:10399 Overflow:5 PredicateCountMismatch:8 \
-         UnexpectedEof:935",
+        "BadTag:540 BadUtf8:2448 BadVersion:8 InvalidTrace:131 InvalidTrajectory:16 \
+         LengthOverrun:1644 Malformed:1068 Ok:9428 Overflow:5 PredicateCountMismatch:8 \
+         UnexpectedEof:887",
         "verdict counts"
     );
-    assert_eq!(crc, 0xbf50_dc54, "CRC-32 of every result");
+    assert_eq!(crc, 0xee96_a607, "CRC-32 of every result");
 }
 
 /// A predicate count no configuration has, over a payload with open
@@ -171,7 +172,106 @@ fn a_crafted_predicate_count_is_refused() {
         }) if recorded as u64 == u64::MAX
     ));
     assert!(matches!(
-        decode_shard(&crafted),
+        decode_state(&crafted),
         Err(CheckpointError::Malformed(_))
     ));
+}
+
+/// A payload of the previous format, version 3, is refused like any
+/// other version: there is no reader for it.
+#[test]
+fn a_version_3_payload_is_refused() {
+    let model = build_louvre();
+    let mut bytes = checkpoint(&model);
+    assert_eq!(bytes[0], 4);
+    bytes[0] = 3;
+    assert!(matches!(
+        ParallelEngine::restore(config(&model), &bytes),
+        Err(EngineError::Checkpoint(CheckpointError::BadVersion(3)))
+    ));
+    assert!(matches!(
+        decode_state(&bytes),
+        Err(CheckpointError::BadVersion(3))
+    ));
+}
+
+/// Re-encodes `state` after `damage` and expects both `restore` and
+/// `decode_state` to refuse it as `Malformed(why)`.
+fn refused(
+    model: &LouvreModel,
+    mut state: EngineState,
+    damage: impl Fn(&mut EngineState),
+    why: &str,
+) {
+    damage(&mut state);
+    let crafted = encode_state(&state, predicates(model).len());
+    match ParallelEngine::restore(config(model), &crafted) {
+        Err(EngineError::Checkpoint(CheckpointError::Malformed(what))) => assert_eq!(what, why),
+        Err(e) => panic!("{why}: refused as {e:?}"),
+        Ok(_) => panic!("{why}: restored"),
+    }
+    match decode_state(&crafted) {
+        Err(CheckpointError::Malformed(what)) => assert_eq!(what, why),
+        other => panic!("{why}: decoded as {other:?}"),
+    }
+}
+
+/// A visit's stays are a trace prefix: in start order, on one layer.
+/// The layer and last start are not stored beside them, so a crafted
+/// visit that breaks either invariant is refused at restore, as is an
+/// open run that does not start at one of the visit's stays (the
+/// index is the stay count).
+#[test]
+fn a_visit_its_own_stays_contradict_is_refused() {
+    let model = build_louvre();
+    let (state, predicate_count) = decode_state(&checkpoint(&model)).expect("decodes");
+    assert_eq!(predicate_count, 3);
+    let (at, _) = state
+        .visits
+        .iter()
+        .enumerate()
+        .find(|(_, (_, v))| {
+            v.intervals.len() >= 2 && v.intervals[0].start() < v.intervals[1].start()
+        })
+        .expect("an open visit with two stays");
+    let run_at = state
+        .visits
+        .iter()
+        .position(|(_, v)| v.open_runs.iter().any(Option::is_some))
+        .expect("an open visit with an open run");
+    // Unharmed, the state restores.
+    assert!(ParallelEngine::restore(config(&model), &encode_state(&state, 3)).is_ok());
+
+    refused(
+        &model,
+        state.clone(),
+        |s| s.visits[at].1.intervals.swap(0, 1),
+        "stays out of start order",
+    );
+    refused(
+        &model,
+        state.clone(),
+        |s| {
+            let stay = s.visits[at].1.intervals.last_mut().expect("stays");
+            let other = LayerIdx::from_index(stay.cell.layer.index() + 1);
+            stay.cell = CellRef::new(other, stay.cell.node);
+        },
+        "stays on two layers",
+    );
+    refused(
+        &model,
+        state,
+        |s| {
+            let visit = &mut s.visits[run_at].1;
+            let stays = visit.intervals.len();
+            let run = visit
+                .open_runs
+                .iter_mut()
+                .flatten()
+                .next()
+                .expect("open run");
+            run.start = stays;
+        },
+        "open run out of order",
+    );
 }

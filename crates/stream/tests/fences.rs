@@ -16,7 +16,7 @@ use sitm_core::{
 };
 use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_obs::MetricsRegistry;
-use sitm_stream::checkpoint::{decode_shard, encode_shard};
+use sitm_stream::checkpoint::{decode_state, encode_state};
 use sitm_stream::event::sort_feed;
 use sitm_stream::{EngineConfig, EngineStats, ParallelEngine, StreamEvent, VisitKey};
 
@@ -168,7 +168,7 @@ fn the_fence_cap_evicts_the_oldest_close_instants_first() {
         for (v, base) in visits {
             feed(&mut engine, visit(v, base));
         }
-        let (snapshot, _) = decode_shard(&engine.checkpoint()).unwrap();
+        let (snapshot, _) = decode_state(&engine.checkpoint()).unwrap();
         assert_eq!(
             snapshot.closed,
             [(1, Timestamp(1_500)), (3, Timestamp(1_300))],
@@ -219,7 +219,7 @@ fn a_checkpoint_restores_its_fences() {
     let mut reference = ParallelEngine::new(config(1)).unwrap();
     feed(&mut reference, head.clone());
     let bytes = reference.checkpoint();
-    let (snapshot, _) = decode_shard(&bytes).unwrap();
+    let (snapshot, _) = decode_state(&bytes).unwrap();
     assert_eq!(snapshot.closed.len(), 6, "every close is fenced");
     assert_eq!(snapshot.visits.len(), 1, "visit 6 is open");
     feed(&mut reference, tail.clone());
@@ -246,14 +246,14 @@ fn a_checkpoint_restores_its_fences() {
 fn a_key_listed_open_and_closed_restores_fenced() {
     let mut engine = ParallelEngine::new(config(1)).unwrap();
     feed(&mut engine, vec![open(3, 100), stay(3, 1, 100)]);
-    let (mut snapshot, predicates) = decode_shard(&engine.checkpoint()).unwrap();
+    let (mut snapshot, predicates) = decode_state(&engine.checkpoint()).unwrap();
     assert_eq!(snapshot.visits.len(), 1);
     snapshot.closed.push((3, Timestamp(150)));
-    let crafted = encode_shard(&snapshot, predicates);
+    let crafted = encode_state(&snapshot, predicates);
 
     let mut restored = ParallelEngine::restore(config(2), &crafted).unwrap();
     assert_eq!(restored.stats().open_visits, 0);
-    let (again, _) = decode_shard(&restored.checkpoint()).unwrap();
+    let (again, _) = decode_state(&restored.checkpoint()).unwrap();
     assert!(again.visits.is_empty());
     assert_eq!(again.closed, [(3, Timestamp(150))]);
     feed(&mut restored, vec![stay(3, 0, 150 + LATENESS)]);

@@ -343,7 +343,7 @@ fn single_hot_shard_skew_stays_consistent() {
 
 #[test]
 fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
-    use sitm_query::{AccessPath, Query, SortKey, TrajectoryDb, TrajectorySource};
+    use sitm_query::{Query, SortKey, TrajectoryDb, TrajectorySource};
 
     let model = build_louvre();
     let dataset = small_dataset(42, 10, 4);
@@ -363,25 +363,20 @@ fn explain_reports_the_live_index_path_and_federated_queries_page_the_union() {
     // side — and the candidate count bounds the population.
     let hall = zone_cell(&model, 60886);
     let query = Query::new().visited(hall);
-    let plan = query.explain(&*snapshot);
-    match plan.access {
-        AccessPath::IndexCandidates { candidates } => {
-            assert!(candidates <= snapshot.visits.len());
-            assert_eq!(
-                candidates,
-                snapshot.count_matching(&sitm_query::Predicate::VisitedCell(hall)),
-                "cell postings are exact for VisitedCell"
-            );
-        }
-        AccessPath::FullScan => panic!("live snapshot must expose an index path"),
-    }
+    let candidates = snapshot
+        .plan(query.predicate())
+        .expect("live snapshot must expose an index path");
+    assert!(candidates <= snapshot.visits.len());
+    assert_eq!(
+        candidates,
+        snapshot.count_matching(&sitm_query::Predicate::VisitedCell(hall)),
+        "cell postings are exact for VisitedCell"
+    );
     // An unindexable predicate explains as a scan of the live side.
-    let scan_plan = Query::new()
-        .filter(sitm_query::Predicate::MinTotalDwell(
-            sitm_core::Duration::minutes(1),
-        ))
-        .explain(&*snapshot);
-    assert_eq!(scan_plan.access, AccessPath::FullScan);
+    let scan = Query::new().filter(sitm_query::Predicate::MinTotalDwell(
+        sitm_core::Duration::minutes(1),
+    ));
+    assert_eq!(snapshot.plan(scan.predicate()), None);
 
     // Sorted + limited federated execution over live state ∪ warehouse:
     // results equal the naive union filtered, sorted, and paged by hand.

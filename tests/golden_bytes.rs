@@ -27,11 +27,9 @@ use sitm::serve::{
 use sitm::space::CellRef;
 use sitm::store::warehouse::SegmentRef;
 use sitm::store::{crc32, CellRollup, ManifestRecord, Record, SegmentRollup, ZoneMap};
-use sitm::stream::checkpoint::encode_shard;
-use sitm::stream::segmenter::SegmenterSnapshot;
-use sitm::stream::shard::{ShardSnapshot, ShardStats};
+use sitm::stream::checkpoint::{encode_state, EngineState};
 use sitm::stream::visit::{OpenFix, VisitSnapshot};
-use sitm::stream::{Anomalies, EmittedEpisode, StreamEvent, VisitKey};
+use sitm::stream::{Anomalies, EmittedEpisode, EngineStats, StreamEvent, VisitKey};
 
 /// `(family, encoded length, crc32 of the encoding)`.
 const PINS: &[(&str, usize, u32)] = &[
@@ -54,7 +52,7 @@ const PINS: &[(&str, usize, u32)] = &[
     ("response/metrics", 207, 2_671_553_519),
     ("response/health", 28, 3_615_147_793),
     ("response/traces", 114, 3_379_850_755),
-    ("stream/shard_checkpoint", 479, 773_613_207),
+    ("stream/engine_checkpoint", 460, 2_657_469_137),
     ("store/manifest_record", 9, 3_678_611_667),
     ("store/zone_map", 98, 2_958_838_706),
     ("store/segment_rollup", 41, 658_813_108),
@@ -380,29 +378,23 @@ fn responses() -> Vec<(&'static str, Response)> {
     ]
 }
 
-fn shard_snapshot() -> ShardSnapshot {
+fn engine_state() -> EngineState {
     let visit = VisitSnapshot {
         moving_object: "visitor-0042".into(),
         annotations: labels(&[("goal", "visit")]),
-        layer: Some(LayerIdx::from_index(1)),
-        last_start: Some(Timestamp(1_485_945_660)),
         open_fix: Some(OpenFix {
             cell: cell(1, 300),
             start: Timestamp(1_485_945_700),
             last_at: Timestamp(1_485_945_760),
         }),
-        segmenter: SegmenterSnapshot {
-            index: 3,
-            open_runs: vec![
-                Some(OpenRun {
-                    start: 1,
-                    start_time: Timestamp(1_485_945_155),
-                    max_end: Timestamp(1_485_945_600),
-                }),
-                None,
-            ],
-            suppressed: vec![false, true],
-        },
+        open_runs: vec![
+            Some(OpenRun {
+                start: 1,
+                start_time: Timestamp(1_485_945_155),
+                max_end: Timestamp(1_485_945_600),
+            }),
+            None,
+        ],
         intervals: trajectory("visitor-0042", 1_485_945_000)
             .trace()
             .intervals()
@@ -411,33 +403,27 @@ fn shard_snapshot() -> ShardSnapshot {
     let bare = VisitSnapshot {
         moving_object: "mo".into(),
         annotations: AnnotationSet::new(),
-        layer: None,
-        last_start: None,
         open_fix: None,
-        segmenter: SegmenterSnapshot {
-            index: 0,
-            open_runs: vec![None, None],
-            suppressed: vec![false, false],
-        },
+        open_runs: vec![None, None],
         intervals: Vec::new(),
     };
-    ShardSnapshot {
+    EngineState {
         watermark: Some(Timestamp(1_485_945_760)),
         visits: vec![(3, visit), (900, bare)],
         closed: vec![(1, Timestamp(1_485_940_000)), (2, Timestamp(-4))],
         pending: vec![episode()],
-        finished: vec![(5, trajectory("visitor-7", -86_400))],
-        stats: ShardStats {
+        finished: vec![trajectory("visitor-7", -86_400)],
+        stats: EngineStats {
             events: 2_100,
             presences: 1_400,
             fixes: 300,
             visits_opened: 300,
             visits_closed: 150,
             episodes: 168,
+            open_visits: 0,
             anomalies: Anomalies {
                 out_of_order: 1,
                 mixed_layer: 2,
-                instantaneous_dropped: 3,
                 implicit_opens: 4,
                 after_close: 5,
                 not_proper: 6,
@@ -460,10 +446,7 @@ fn encodings() -> Vec<(&'static str, Vec<u8>)> {
         encode_response(&mut buf, &response);
         out.push((family, buf));
     }
-    out.push((
-        "stream/shard_checkpoint",
-        encode_shard(&shard_snapshot(), 2),
-    ));
+    out.push(("stream/engine_checkpoint", encode_state(&engine_state(), 2)));
 
     let record = |r: &dyn Fn(&mut Vec<u8>)| {
         let mut buf = Vec::new();

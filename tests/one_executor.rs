@@ -419,8 +419,8 @@ fn planning_moves_no_instrument_and_a_query_counts_once_per_warehouse() {
             .limit(3);
         let before = query_instruments(&registry);
         for source in sources {
-            let plan = q.explain(source);
-            assert_eq!(plan.total, 6, "{p}");
+            source.plan(q.predicate());
+            assert_eq!(source.len_hint(), 6, "{p}");
         }
         assert_eq!(
             query_instruments(&registry),
