@@ -12,9 +12,11 @@
 //! * **per-cell stay trees** — cell → interval tree over that cell's
 //!   stays, for `StayOverlaps` selections.
 //!
-//! Index lookups return *candidate supersets*; the engine always re-checks
-//! the full predicate against each candidate, so a lookup only has to be
-//! sound, never complete-in-itself.
+//! These answer the predicate leaves through [`LeafLookup`], the one
+//! leaf table every index shares. Index lookups return *candidate
+//! supersets*; the engine always re-checks the full predicate against
+//! each candidate, so a lookup only has to be sound, never
+//! complete-in-itself.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -25,7 +27,7 @@ use sitm_core::{Annotation, SemanticTrajectory, TimeInterval};
 use sitm_graph::CellRef;
 
 use crate::interval_tree::{Entry, IntervalTree};
-use crate::predicate::Predicate;
+use crate::predicate::{LeafLookup, Predicate};
 
 /// Dense identifier of a trajectory inside a [`TrajectoryDb`].
 pub type TrajId = u32;
@@ -71,15 +73,12 @@ impl CandidateSet {
                 let mut out = Vec::with_capacity(a.len().min(b.len()));
                 let (mut i, mut j) = (0, 0);
                 while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
+                    let (x, y) = (a[i], b[j]);
+                    if x == y {
+                        out.push(x);
                     }
+                    i += usize::from(x <= y);
+                    j += usize::from(y <= x);
                 }
                 CandidateSet::Ids(out)
             }
@@ -93,33 +92,14 @@ impl CandidateSet {
             (CandidateSet::Ids(a), CandidateSet::Ids(b)) => {
                 let mut out = Vec::with_capacity(a.len() + b.len());
                 let (mut i, mut j) = (0, 0);
-                while i < a.len() || j < b.len() {
-                    let next = match (a.get(i), b.get(j)) {
-                        (Some(&x), Some(&y)) if x == y => {
-                            i += 1;
-                            j += 1;
-                            x
-                        }
-                        (Some(&x), Some(&y)) if x < y => {
-                            i += 1;
-                            x
-                        }
-                        (Some(_), Some(&y)) => {
-                            j += 1;
-                            y
-                        }
-                        (Some(&x), None) => {
-                            i += 1;
-                            x
-                        }
-                        (None, Some(&y)) => {
-                            j += 1;
-                            y
-                        }
-                        (None, None) => unreachable!("loop condition"),
-                    };
-                    out.push(next);
+                while i < a.len() && j < b.len() {
+                    let (x, y) = (a[i], b[j]);
+                    out.push(x.min(y));
+                    i += usize::from(x <= y);
+                    j += usize::from(y <= x);
                 }
+                out.extend_from_slice(&a[i..]);
+                out.extend_from_slice(&b[j..]);
                 CandidateSet::Ids(out)
             }
         }
@@ -259,13 +239,13 @@ impl TrajectoryDb {
 
     /// Derives a candidate superset for `p` from the indexes: the
     /// shared boolean walk ([`Predicate::narrow`]) over this
-    /// collection's leaf lookups.
+    /// collection's [`LeafLookup`]s.
     ///
     /// Soundness invariant (property-tested): every trajectory matching
     /// `p` is in the returned set. The set may contain non-matches; the
     /// engine re-filters.
     pub fn candidates(&self, p: &Predicate) -> CandidateSet {
-        p.narrow(&mut |leaf| self.leaf_candidates(leaf))
+        p.narrow(self)
     }
 
     /// Can a [`TrajectoryDb`]'s indexes narrow `p` at all? `false`
@@ -279,47 +259,49 @@ impl TrajectoryDb {
         static EMPTY: OnceLock<TrajectoryDb> = OnceLock::new();
         EMPTY.get_or_init(TrajectoryDb::default).candidates(p) != CandidateSet::All
     }
+}
 
-    /// The index lookup for one non-boolean predicate node.
-    fn leaf_candidates(&self, leaf: &Predicate) -> CandidateSet {
-        let ids = match leaf {
-            Predicate::VisitedCell(cell) | Predicate::MinStayIn(cell, _) => {
-                self.with_cell(*cell).to_vec()
-            }
-            Predicate::SequenceContains(cells) => {
-                return cells
-                    .iter()
-                    .map(|c| CandidateSet::Ids(self.with_cell(*c).to_vec()))
-                    .fold(CandidateSet::All, CandidateSet::intersect)
-            }
-            Predicate::SpanOverlaps(window) => self.spans_overlapping(*window),
-            Predicate::StayOverlaps(cell, window) => {
-                let mut ids = self
-                    .stay_trees
-                    .get(cell)
-                    .map_or_else(Vec::new, |tree| tree.overlapping(*window));
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            }
-            Predicate::HasTrajAnnotation(a) => {
-                self.traj_ann_postings.get(a).cloned().unwrap_or_default()
-            }
-            Predicate::HasStayAnnotation(a) => {
-                self.stay_ann_postings.get(a).cloned().unwrap_or_default()
-            }
-            Predicate::MovingObject(id) => {
-                self.object_postings.get(id).cloned().unwrap_or_default()
-            }
-            // No posting answers a dwell bound; the boolean nodes never
-            // reach a leaf lookup.
-            Predicate::MinTotalDwell(_)
-            | Predicate::True
-            | Predicate::Not(_)
-            | Predicate::And(_)
-            | Predicate::Or(_) => return CandidateSet::All,
-        };
+/// Every leaf but a dwell bound answers from a posting or a tree.
+impl LeafLookup for TrajectoryDb {
+    fn cell(&self, cell: CellRef) -> CandidateSet {
+        CandidateSet::Ids(self.with_cell(cell).to_vec())
+    }
+
+    fn span(&self, window: TimeInterval) -> CandidateSet {
+        CandidateSet::Ids(self.spans_overlapping(window))
+    }
+
+    /// The cell's own stay tree, not the cell and span answers.
+    fn stay(&self, cell: CellRef, window: TimeInterval) -> CandidateSet {
+        let mut ids = self
+            .stay_trees
+            .get(&cell)
+            .map_or_else(Vec::new, |tree| tree.overlapping(window));
+        ids.sort_unstable();
+        ids.dedup();
         CandidateSet::Ids(ids)
+    }
+
+    fn traj_annotation(&self, annotation: &Annotation) -> CandidateSet {
+        CandidateSet::Ids(
+            self.traj_ann_postings
+                .get(annotation)
+                .cloned()
+                .unwrap_or_default(),
+        )
+    }
+
+    fn stay_annotation(&self, annotation: &Annotation) -> CandidateSet {
+        CandidateSet::Ids(
+            self.stay_ann_postings
+                .get(annotation)
+                .cloned()
+                .unwrap_or_default(),
+        )
+    }
+
+    fn moving_object(&self, id: &str) -> CandidateSet {
+        CandidateSet::Ids(self.object_postings.get(id).cloned().unwrap_or_default())
     }
 }
 

@@ -15,7 +15,8 @@
 //!   stay trees;
 //! * [`predicate`] — [`Predicate`]: a boolean algebra over the "where"
 //!   (cells, paths), "when" (windows), and "what" (annotations) of a
-//!   trajectory;
+//!   trajectory, and [`LeafLookup`], the per-leaf lookups every index
+//!   answers it through;
 //! * [`query`] — [`Query`]: a fluent builder, `EXPLAIN`-style plans,
 //!   and the crate's **one executor** — the paging core every
 //!   `execute*`, count and byte-sink entry point is a sink over;
@@ -58,8 +59,12 @@
 //! [`TrajectoryDb`] answers from its postings and interval trees,
 //! [`SegmentedDb`] from its object index, zone maps and per-segment
 //! postings, `sitm-stream`'s `LiveSnapshot` from the live postings its
-//! engine maintains incrementally per event — all three through the one
-//! boolean walk, [`Predicate::narrow`]. Consistency of a live source is
+//! engine maintains incrementally per event. One leaf table serves
+//! them all: [`Predicate::narrow`] walks the boolean structure and asks
+//! an index's [`LeafLookup`]s for the leaves, and `TrajectoryDb`, a
+//! segment's `ZoneMap` and `LiveSnapshot` implement only those lookups
+//! (a zone map answers `All` or no candidates, which is its pruning
+//! decision, [`zone_may_match`]). Consistency of a live source is
 //! the snapshot's: the index rides the same consistent cut as the
 //! visible trajectory prefixes (see `sitm_stream::live_query`).
 //!
@@ -86,7 +91,7 @@ pub use aggregate::{
 };
 pub use index::{CandidateSet, TrajId, TrajectoryDb};
 pub use interval_tree::{Entry, IntervalTree};
-pub use predicate::{DeltaVerdict, Predicate};
+pub use predicate::{DeltaVerdict, LeafLookup, Predicate};
 pub use query::{Match, Query, SortKey};
 pub use segmented::{zone_may_match, SegmentedDb, SegmentedPlan};
 pub use wire::{

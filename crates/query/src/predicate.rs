@@ -41,6 +41,45 @@ impl DeltaVerdict {
     }
 }
 
+/// What one index answers for each kind of predicate leaf: the one
+/// leaf table [`Predicate::narrow`] dispatches through, so an index
+/// (the in-memory postings, a live snapshot's, a segment's zone map)
+/// implements only its lookups. Each answer is a sound superset of the
+/// leaf's matches; a lookup the index cannot narrow answers
+/// [`CandidateSet::All`]. No index answers a total-dwell bound, so that
+/// leaf has no lookup.
+pub trait LeafLookup {
+    /// Trajectories with a stay in `cell` (`VisitedCell`, and each leg
+    /// of `SequenceContains`).
+    fn cell(&self, cell: CellRef) -> CandidateSet;
+
+    /// Trajectories whose span may overlap `window` (`SpanOverlaps`).
+    fn span(&self, window: TimeInterval) -> CandidateSet;
+
+    /// Trajectories with a stay in `cell` that may overlap `window`
+    /// (`StayOverlaps`); by default the cell's and the window's answers
+    /// intersected.
+    fn stay(&self, cell: CellRef, window: TimeInterval) -> CandidateSet {
+        self.cell(cell).intersect(self.span(window))
+    }
+
+    /// Trajectories with a stay in `cell` that may last `bound`
+    /// (`MinStayIn`); by default the cell's answer.
+    fn min_stay(&self, cell: CellRef, _bound: Duration) -> CandidateSet {
+        self.cell(cell)
+    }
+
+    /// Trajectories whose `A_traj` holds `annotation` (`HasTrajAnnotation`).
+    fn traj_annotation(&self, annotation: &Annotation) -> CandidateSet;
+
+    /// Trajectories with a stay whose `A_i` holds `annotation`
+    /// (`HasStayAnnotation`).
+    fn stay_annotation(&self, annotation: &Annotation) -> CandidateSet;
+
+    /// Trajectories of the moving object `id` (`MovingObject`).
+    fn moving_object(&self, id: &str) -> CandidateSet;
+}
+
 /// A boolean predicate over a [`SemanticTrajectory`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
@@ -212,31 +251,40 @@ impl Predicate {
         self.eval_delta(moving_object, annotations, span) != DeltaVerdict::NoMatch
     }
 
-    /// The boolean walk every index consultation shares: folds the
-    /// candidate sets `leaf` answers for the non-boolean nodes into one
-    /// for the whole predicate. `And` intersects from
-    /// [`CandidateSet::All`]; `Or` unions and stops at the first `All`
-    /// (an empty `Or` matches nothing, so it narrows to no candidates);
-    /// `Not` and `True` cannot narrow and are `All` without asking.
-    /// Sound whenever every `leaf` answer is a superset of that leaf's
-    /// matches.
-    pub fn narrow(&self, leaf: &mut dyn FnMut(&Predicate) -> CandidateSet) -> CandidateSet {
+    /// The boolean walk and the leaf dispatch every index consultation
+    /// shares: folds what `index` answers for the leaves (see
+    /// [`LeafLookup`]) into one candidate set for the whole predicate.
+    /// `And` intersects from [`CandidateSet::All`]; `Or` unions and
+    /// stops at the first `All` (an empty `Or` matches nothing, so it
+    /// narrows to no candidates); `Not`, `True` and a total-dwell bound
+    /// cannot narrow and are `All` without asking. Sound whenever every
+    /// lookup answers a superset of its leaf's matches.
+    pub fn narrow<L: LeafLookup + ?Sized>(&self, index: &L) -> CandidateSet {
         match self {
-            Predicate::True | Predicate::Not(_) => CandidateSet::All,
+            Predicate::True | Predicate::Not(_) | Predicate::MinTotalDwell(_) => CandidateSet::All,
+            Predicate::VisitedCell(cell) => index.cell(*cell),
+            Predicate::SequenceContains(cells) => cells
+                .iter()
+                .fold(CandidateSet::All, |acc, c| acc.intersect(index.cell(*c))),
+            Predicate::SpanOverlaps(window) => index.span(*window),
+            Predicate::StayOverlaps(cell, window) => index.stay(*cell, *window),
+            Predicate::MinStayIn(cell, bound) => index.min_stay(*cell, *bound),
+            Predicate::HasTrajAnnotation(a) => index.traj_annotation(a),
+            Predicate::HasStayAnnotation(a) => index.stay_annotation(a),
+            Predicate::MovingObject(id) => index.moving_object(id),
             Predicate::And(parts) => parts
                 .iter()
-                .fold(CandidateSet::All, |acc, q| acc.intersect(q.narrow(leaf))),
+                .fold(CandidateSet::All, |acc, q| acc.intersect(q.narrow(index))),
             Predicate::Or(parts) => {
                 let mut acc = CandidateSet::Ids(Vec::new());
                 for q in parts {
-                    acc = acc.union(q.narrow(leaf));
+                    acc = acc.union(q.narrow(index));
                     if acc == CandidateSet::All {
                         break;
                     }
                 }
                 acc
             }
-            p => leaf(p),
         }
     }
 
@@ -294,16 +342,7 @@ impl fmt::Display for Predicate {
         match self {
             Predicate::True => write!(f, "true"),
             Predicate::VisitedCell(c) => write!(f, "visited({c})"),
-            Predicate::SequenceContains(cells) => {
-                write!(f, "seq(")?;
-                for (i, c) in cells.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "→")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
+            Predicate::SequenceContains(cells) => write_joined(f, "seq(", cells, "→"),
             Predicate::SpanOverlaps(w) => write!(f, "span∩{w}"),
             Predicate::StayOverlaps(c, w) => write!(f, "stay({c})∩{w}"),
             Predicate::HasTrajAnnotation(a) => write!(f, "A_traj∋{a}"),
@@ -312,28 +351,27 @@ impl fmt::Display for Predicate {
             Predicate::MinStayIn(c, d) => write!(f, "stay({c})≥{d}"),
             Predicate::MovingObject(id) => write!(f, "mo={id}"),
             Predicate::Not(p) => write!(f, "¬({p})"),
-            Predicate::And(parts) => {
-                write!(f, "(")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            Predicate::Or(parts) => {
-                write!(f, "(")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∨ ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
+            Predicate::And(parts) => write_joined(f, "(", parts, " ∧ "),
+            Predicate::Or(parts) => write_joined(f, "(", parts, " ∨ "),
         }
     }
+}
+
+/// `open`, then `items` separated by `separator`, then `)`.
+fn write_joined<T: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    open: &str,
+    items: &[T],
+    separator: &str,
+) -> fmt::Result {
+    f.write_str(open)?;
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(separator)?;
+        }
+        write!(f, "{item}")?;
+    }
+    f.write_str(")")
 }
 
 #[cfg(test)]

@@ -10,18 +10,21 @@
 //!
 //! ## Two-level index consultation
 //!
-//! A predicate is narrowed in two stages, both sound:
+//! A predicate is narrowed in two stages, both sound, and both through
+//! the one leaf table ([`LeafLookup`]) every index in the stack shares:
 //!
 //! 1. **zone-map pruning** — each segment's [`ZoneMap`] (span min/max,
-//!    exact cell set, exact object set, annotation sets) is tested with
-//!    [`zone_may_match`]; a segment the predicate provably cannot match
-//!    contributes nothing and its trajectories are never touched.
-//!    Ahead of the zone maps, the store's global object index answers
-//!    the predicate's `MovingObject` leaves wherever its boolean shape
-//!    allows, naming exactly the segments holding each object
-//!    ([`SegmentedPlan::object_pruned`] counts the rest);
+//!    exact cell set, exact object set, annotation sets) answers the
+//!    leaves with `All` or no candidates, and [`zone_may_match`] is
+//!    "the walk does not answer no candidates"; a segment the predicate
+//!    provably cannot match contributes nothing and its trajectories
+//!    are never touched. Ahead of the zone maps, the store's global
+//!    object index answers the predicate's `MovingObject` leaves
+//!    wherever its boolean shape allows, naming exactly the segments
+//!    holding each object ([`SegmentedPlan::object_pruned`] counts the
+//!    rest);
 //! 2. **per-segment postings** — surviving segments answer through
-//!    their own [`TrajectoryDb`] indexes (cell/annotation/object
+//!    their own [`TrajectoryDb`] lookups (cell/annotation/object
 //!    postings, span and stay interval trees), translated into global
 //!    positions by each segment's base offset.
 //!
@@ -94,7 +97,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use sitm_core::SemanticTrajectory;
+use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
 use sitm_graph::CellRef;
 use sitm_obs::{Counter, Histogram, MetricsRegistry};
 use sitm_store::warehouse::{
@@ -104,7 +107,7 @@ use sitm_store::RecoveryReport;
 
 use crate::federation::{federated_count, Row, SortKeys, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
-use crate::predicate::Predicate;
+use crate::predicate::{LeafLookup, Predicate};
 use crate::query::SortKey;
 
 /// Can any trajectory summarized by `zone` possibly match `p`?
@@ -112,40 +115,57 @@ use crate::query::SortKey;
 /// Sound pruning: `false` is returned only when **no** trajectory in
 /// the segment can match — the caller may then skip the whole segment.
 /// `true` is always safe (the per-segment postings and the residual
-/// re-check still run). Negation is never pruned (a zone map aggregates
-/// *presence*, not absence), and conjunction prunes when any conjunct
-/// does.
+/// re-check still run). It is the shared boolean walk over the zone
+/// map's [`LeafLookup`]s, which answer `All` or no candidates: so
+/// negation is never pruned (a zone map aggregates *presence*, not
+/// absence), and conjunction prunes when any conjunct does.
 pub fn zone_may_match(zone: &ZoneMap, p: &Predicate) -> bool {
-    if zone.len == 0 {
-        return false;
+    zone.len != 0 && p.narrow(zone) != CandidateSet::Ids(Vec::new())
+}
+
+/// `All` when some trajectory of the segment may match the leaf, no
+/// candidates when none can.
+fn possible(may: bool) -> CandidateSet {
+    if may {
+        CandidateSet::All
+    } else {
+        CandidateSet::Ids(Vec::new())
     }
-    let span_allows = |window: &sitm_core::TimeInterval| match zone.span {
-        None => false,
-        Some(span) => span.overlaps(*window),
-    };
-    // The longest any *single stay* can be: every stay lies inside its
-    // trajectory's span (`Trace::span` is [min start, max end]), which
-    // lies inside the zone span. Total dwell has no such bound —
-    // overlapping stays are legal (sensor handoff jitter, see
-    // `TraceError::OutOfOrder`) and can sum past the span.
-    let max_span = zone
-        .span
-        .map(|s| s.duration())
-        .unwrap_or_else(|| sitm_core::Duration::seconds(0));
-    match p {
-        Predicate::True => true,
-        Predicate::VisitedCell(cell) => zone.may_contain_cell(cell),
-        Predicate::SequenceContains(cells) => cells.iter().all(|c| zone.may_contain_cell(c)),
-        Predicate::SpanOverlaps(window) => span_allows(window),
-        Predicate::StayOverlaps(cell, window) => zone.may_contain_cell(cell) && span_allows(window),
-        Predicate::HasTrajAnnotation(a) => zone.traj_annotations.contains(a),
-        Predicate::HasStayAnnotation(a) => zone.stay_annotations.contains(a),
-        Predicate::MinTotalDwell(_) => true,
-        Predicate::MinStayIn(cell, d) => zone.may_contain_cell(cell) && *d <= max_span,
-        Predicate::MovingObject(id) => zone.may_contain_object(id),
-        Predicate::Not(_) => true,
-        Predicate::And(parts) => parts.iter().all(|q| zone_may_match(zone, q)),
-        Predicate::Or(parts) => parts.iter().any(|q| zone_may_match(zone, q)),
+}
+
+/// A zone map's sets are exact, so each lookup says no only when no
+/// trajectory of the segment holds the value.
+impl LeafLookup for ZoneMap {
+    fn cell(&self, cell: CellRef) -> CandidateSet {
+        possible(self.may_contain_cell(&cell))
+    }
+
+    fn span(&self, window: TimeInterval) -> CandidateSet {
+        possible(self.span.is_some_and(|span| span.overlaps(window)))
+    }
+
+    /// Bounded by the zone span too: every stay lies inside its
+    /// trajectory's span (`Trace::span` is [min start, max end]), which
+    /// lies inside the zone span. Total dwell has no such bound —
+    /// overlapping stays are legal (sensor handoff jitter, see
+    /// `TraceError::OutOfOrder`) and can sum past the span.
+    fn min_stay(&self, cell: CellRef, bound: Duration) -> CandidateSet {
+        let longest = self
+            .span
+            .map_or(Duration::seconds(0), |span| span.duration());
+        possible(self.may_contain_cell(&cell) && bound <= longest)
+    }
+
+    fn traj_annotation(&self, annotation: &Annotation) -> CandidateSet {
+        possible(self.traj_annotations.contains(annotation))
+    }
+
+    fn stay_annotation(&self, annotation: &Annotation) -> CandidateSet {
+        possible(self.stay_annotations.contains(annotation))
+    }
+
+    fn moving_object(&self, id: &str) -> CandidateSet {
+        possible(self.may_contain_object(id))
     }
 }
 
@@ -491,16 +511,15 @@ impl SegmentedDb {
                 plan.pruned += 1;
                 continue;
             }
-            if !can_narrow {
-                // Every segment would answer All; say so without
-                // hydrating cold postings.
-                ids.extend(base..base + part.len as TrajId);
-                continue;
-            }
-            match self.part_db(idx).candidates(p) {
-                CandidateSet::All => {
-                    ids.extend(base..base + part.len as TrajId);
-                }
+            // When no segment could narrow, say so without hydrating
+            // cold postings.
+            let local = if can_narrow {
+                self.part_db(idx).candidates(p)
+            } else {
+                CandidateSet::All
+            };
+            match local {
+                CandidateSet::All => ids.extend(base..base + part.len as TrajId),
                 CandidateSet::Ids(local) => {
                     narrowed = true;
                     ids.extend(local.into_iter().map(|i| i + base));

@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -21,7 +20,7 @@ use sitm_query::{
     federated_count, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb, TrajectorySource,
 };
 use sitm_store::warehouse::WarehouseConfig;
-use sitm_stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
+use sitm_stream::{LiveSnapshot, VisitKey};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -183,25 +182,9 @@ fn small_strategy() -> impl Strategy<Value = SemanticTrajectory> {
         })
 }
 
-/// An indexed live snapshot holding `rows` as open visits.
+/// A live snapshot holding `rows` as open visits.
 fn live_snapshot(rows: &[SemanticTrajectory]) -> LiveSnapshot {
-    let visits: Vec<Arc<LiveVisit>> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            Arc::new(LiveVisit {
-                visit: VisitKey(i as u64),
-                trajectory: t.clone(),
-            })
-        })
-        .collect();
-    let mut index = LiveIndex::new();
-    for v in &visits {
-        for interval in v.trajectory.trace().intervals() {
-            index.observe(v.visit.0, &v.trajectory.moving_object, interval);
-        }
-    }
-    LiveSnapshot::new(visits, index)
+    LiveSnapshot::new((0..).map(VisitKey).zip(rows.iter().cloned()).collect())
 }
 
 proptest! {

@@ -320,13 +320,6 @@ impl ServeMetrics {
     }
 }
 
-/// The engine side of the pipeline — everything that mutates per
-/// event. Queries never hold this lock while evaluating: they clone
-/// the engine's epoch-cached snapshot `Arc` and leave.
-struct Core {
-    engine: ParallelEngine,
-}
-
 /// Episodes a single subscriber may hold queued before the server
 /// declares it lagged, drops the subscription, and tells it so in-band.
 const SUBSCRIBER_QUEUE_BOUND: usize = 4096;
@@ -388,7 +381,10 @@ impl Drop for Subscription {
 
 /// State shared by the listener, the workers, and the handle.
 struct Shared {
-    core: Mutex<Core>,
+    /// The engine side of the pipeline — everything that mutates per
+    /// event. Queries never hold this lock while evaluating: they clone
+    /// the engine's epoch-cached snapshot `Arc` and leave.
+    core: Mutex<ParallelEngine>,
     /// The warehouse tier. Readers (query ops) share; checkpoint and
     /// shutdown flushes take the write side. Lock order is always
     /// core → warehouse when both are held.
@@ -457,7 +453,7 @@ impl Server {
         let listener = TcpListener::bind(config.bind)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            core: Mutex::new(Core { engine }),
+            core: Mutex::new(engine),
             warehouse: RwLock::new(flusher),
             subscriptions: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -557,7 +553,7 @@ fn flush_final(shared: &Shared) {
     // Lock order: core → warehouse (matches every dual-lock site).
     let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
     let mut warehouse = shared.warehouse.write().unwrap_or_else(|p| p.into_inner());
-    let _ = warehouse.force(&mut core.engine);
+    let _ = warehouse.force(&mut core);
 }
 
 impl Drop for Server {
@@ -673,7 +669,7 @@ fn teardown_session(shared: &Shared, session: &mut SessionState) {
     let undelivered = sub.take_episodes();
     if !undelivered.is_empty() {
         let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-        core.engine.requeue_pending(undelivered);
+        core.requeue_pending(undelivered);
     }
 }
 
@@ -987,7 +983,7 @@ fn acquire_read_set<'a>(
     std::sync::RwLockReadGuard<'a, Flusher>,
 ) {
     let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-    let (snapshot, cached) = core.engine.live_snapshot_cached();
+    let (snapshot, cached) = core.live_snapshot_cached();
     let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());
     if cached {
         shared.metrics.snapshot_cache_hits.inc();
@@ -1083,8 +1079,8 @@ fn handle_request(
         Request::IngestBatch(events) => {
             let n = events.len() as u64;
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-            core.engine.ingest_all(events);
-            notify_subscribers(shared, &mut core.engine);
+            core.ingest_all(events);
+            notify_subscribers(shared, &mut core);
             Response::Ingested { events: n }
         }
         Request::Query(wire_query) => return query_page(shared, &wire_query, false, page),
@@ -1093,7 +1089,7 @@ fn handle_request(
         Request::Stats => {
             let stats = {
                 let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-                core.engine.stats()
+                core.stats()
             };
             // The breakdowns decode nothing: segment totals come from
             // the warehouse's header-frame rollups, the live tier folds
@@ -1133,9 +1129,9 @@ fn handle_request(
         }
         Request::Checkpoint => {
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-            trim_backlog(shared, &mut core.engine);
+            trim_backlog(shared, &mut core);
             let mut warehouse = shared.warehouse.write().unwrap_or_else(|p| p.into_inner());
-            match warehouse.force(&mut core.engine) {
+            match warehouse.force(&mut core) {
                 Ok(spilled) => {
                     mark_checkpoint(shared);
                     Response::Checkpointed {
@@ -1150,7 +1146,7 @@ fn handle_request(
         Request::Shutdown => {
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
             let mut warehouse = shared.warehouse.write().unwrap_or_else(|p| p.into_inner());
-            match warehouse.force(&mut core.engine) {
+            match warehouse.force(&mut core) {
                 // The session loop flips the flag *after* this response
                 // is on the wire, so the acknowledgement always arrives.
                 Ok(_) => {
@@ -1166,7 +1162,7 @@ fn handle_request(
             // is exact: every later barrier (which needs this lock)
             // notifies this subscription with a strictly greater epoch.
             let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-            let epoch = core.engine.epoch();
+            let epoch = core.epoch();
             let sub = Arc::new(Subscription::new(
                 wire_query.predicate,
                 Arc::clone(&shared.metrics.subscribers_active),
@@ -1183,7 +1179,7 @@ fn handle_request(
                 // undelivered episodes go back to the pending pool
                 // rather than silently vanishing.
                 let undelivered = old.take_episodes();
-                core.engine.requeue_pending(undelivered);
+                core.requeue_pending(undelivered);
             } else {
                 shared.metrics.subscriptions_active.add(1);
             }
@@ -1227,7 +1223,7 @@ fn build_health(shared: &Shared) -> HealthReport {
     let uptime_ms = u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX);
     let epoch = {
         let mut core = shared.core.lock().unwrap_or_else(|p| p.into_inner());
-        core.engine.epoch()
+        core.epoch()
     };
     let (flush_backlog_trajectories, warehouse_trajectories, warehouse_segments) = {
         let warehouse = shared.warehouse.read().unwrap_or_else(|p| p.into_inner());

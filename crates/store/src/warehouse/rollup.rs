@@ -146,30 +146,40 @@ impl SegmentRollup {
         }
     }
 
-    /// Decodes a rollup encoded by [`SegmentRollup::encode`].
+    /// Decodes a rollup encoded by [`SegmentRollup::encode`]. Both runs
+    /// were encoded strictly ascending, and a run that is not is
+    /// refused: inserted into a map, a repeated key would keep its last
+    /// entry's aggregates silently.
     pub fn decode(buf: &mut &[u8]) -> Result<SegmentRollup, CodecError> {
         let period_seconds = take_u64(buf)?;
         let cell_count = take_count(buf, 1)?;
         let mut cells = BTreeMap::new();
         for _ in 0..cell_count {
             let cell = decode_cell(buf)?;
-            let trajectories = take_u64(buf)?;
-            let stays = take_u64(buf)?;
-            let dwell_seconds = take_u64(buf)?;
-            cells.insert(
-                cell,
-                CellRollup {
-                    trajectories,
-                    stays,
-                    dwell_seconds,
-                },
-            );
+            if cells
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= cell)
+            {
+                return Err(CodecError::Unsorted);
+            }
+            let rollup = CellRollup {
+                trajectories: take_u64(buf)?,
+                stays: take_u64(buf)?,
+                dwell_seconds: take_u64(buf)?,
+            };
+            cells.insert(cell, rollup);
         }
         let period_count = take_count(buf, 1)?;
         let mut periods = BTreeMap::new();
         for _ in 0..period_count {
             let bucket = take_i64(buf)?;
             let n = take_u64(buf)?;
+            if periods
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= bucket)
+            {
+                return Err(CodecError::Unsorted);
+            }
             periods.insert(bucket, n);
         }
         Ok(SegmentRollup {

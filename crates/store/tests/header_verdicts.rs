@@ -1,5 +1,5 @@
-//! What a warehouse open answers for damaged zone-map, directory and
-//! sort-column frames, pinned. The zone map holds the counts, span,
+//! What a warehouse open answers for damaged zone-map, directory,
+//! sort-column and rollup frames, pinned. The zone map holds the counts, span,
 //! cell and object sets and annotation sets a query prunes by, then the
 //! witness of the sort columns' object ranks (their CRC-32); directory
 //! and sort columns are varints (lengths, start deltas, span lengths;
@@ -13,12 +13,15 @@
 //! The zone map's cell set has a second witness too: the rollup frame
 //! keys its aggregates by the same exact set of cells with a stay, so
 //! the open refuses a cell run that is not strictly ascending (a set
-//! would collapse it silently) or that differs from the rollup's.
+//! would collapse it silently) or that differs from the rollup's. The
+//! rollup's own cell and period runs must be strictly ascending too: a
+//! map would keep a repeated key's last aggregates silently.
 //!
 //! A real segment of 24 rows (multi-byte lengths, starts, dwells and
 //! ranks) is opened with each of those header payloads cut at every
 //! length and flipped at every bit; an open that succeeds then decodes
-//! every row, whose object, base and span the damaged frame now names.
+//! every row, whose object, base and span the damaged frame now names
+//! (and, for the rollup frame, shows the rollup it serves).
 //! Each input must come back as rows or a typed `WarehouseError`, never
 //! a panic, and no damaged sort-column frame may come back as rows: a
 //! rank the witness does not vouch for would serve a row under another
@@ -41,7 +44,8 @@ use sitm_graph::{CellRef, LayerIdx, NodeId};
 use sitm_store::codec::encode_cell;
 use sitm_store::segment::{self, Corruption};
 use sitm_store::warehouse::{
-    segment_file_name, SegmentDirectory, SegmentStore, SortColumns, WarehouseConfig, WarehouseError,
+    segment_file_name, CellRollup, SegmentDirectory, SegmentRollup, SegmentStore, SortColumns,
+    WarehouseConfig, WarehouseError,
 };
 use sitm_store::{CodecError, Crc32, ZoneMap};
 
@@ -161,13 +165,30 @@ fn variant(error: &WarehouseError) -> String {
 /// (`Ok`, an open error, or `rows` and the error decoding them) and the
 /// `Debug` text of the result.
 fn open(dir: &TempDir, path: &PathBuf, file: &[u8]) -> (String, String) {
+    open_showing(dir, path, file, false)
+}
+
+/// [`open`], whose `Debug` text of an opened segment starts with its
+/// rollup when `rollup` is set.
+fn open_showing(dir: &TempDir, path: &PathBuf, file: &[u8], rollup: bool) -> (String, String) {
     std::fs::write(path, file).unwrap();
     match SegmentStore::open(&dir.0, WarehouseConfig::default()) {
         Err(e) => (variant(&e), format!("{e:?}")),
-        Ok((store, _)) => match store.segments()[0].trajectories() {
-            Ok(rows) => ("Ok".into(), format!("{rows:?}")),
-            Err(e) => (format!("rows {}", variant(&e)), format!("rows {e:?}")),
-        },
+        Ok((store, _)) => {
+            let segment = &store.segments()[0];
+            let shown = if rollup {
+                format!("{:?} ", segment.rollup())
+            } else {
+                String::new()
+            };
+            match segment.trajectories() {
+                Ok(rows) => ("Ok".into(), format!("{shown}{rows:?}")),
+                Err(e) => (
+                    format!("rows {}", variant(&e)),
+                    format!("{shown}rows {e:?}"),
+                ),
+            }
+        }
     }
 }
 
@@ -181,7 +202,12 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
         "re-framing an intact payload changes nothing"
     );
     let mut pins = Vec::new();
-    for (frame, name) in [(0, "zone map"), (1, "directory"), (2, "sort columns")] {
+    for (frame, name) in [
+        (0, "zone map"),
+        (1, "directory"),
+        (2, "sort columns"),
+        (3, "rollup"),
+    ] {
         let payload = &data[payloads[frame].clone()];
         let mut inputs: Vec<Vec<u8>> = (0..payload.len())
             .map(|cut| payload[..cut].to_vec())
@@ -194,7 +220,8 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         let mut crc = Crc32::new();
         for input in &inputs {
-            let (verdict, debug) = open(&dir, &path, &reframed(&data, frame, input));
+            let file = reframed(&data, frame, input);
+            let (verdict, debug) = open_showing(&dir, &path, &file, frame == 3);
             crc.update(debug.as_bytes());
             crc.update(b"\n");
             *counts.entry(verdict).or_default() += 1;
@@ -234,6 +261,9 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
              'sort-column object ranks disagree with their witness':61 \
              'trailing bytes after sort columns':25 LengthOverrun:75 UnexpectedEof:99 \
              rows 'row disagrees with its sort columns':497, 0x1b4fd9e3",
+            "rollup, 346 bytes: 'rollup cells disagree with zone map':42 \
+             'trailing bytes after rollup':8 LengthOverrun:289 Ok:1591 UnexpectedEof:296 \
+             Unsorted:888, 0xb30c5a50",
         ],
         "verdict counts and CRC-32 of every result"
     );
@@ -262,6 +292,26 @@ fn sort_columns(count: u64, rows: &[(u64, u64, u64)]) -> Vec<u8> {
         put_u64(&mut buf, dwell);
         put_u64(&mut buf, trace_len);
         put_u64(&mut buf, object);
+    }
+    buf
+}
+
+/// A rollup payload from its parts: the period width, the cell run and
+/// the period run.
+fn rollup(period_seconds: u64, cells: &[(CellRef, CellRollup)], periods: &[(i64, u64)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u64(&mut buf, period_seconds);
+    put_u64(&mut buf, cells.len() as u64);
+    for (cell, r) in cells {
+        encode_cell(&mut buf, *cell);
+        put_u64(&mut buf, r.trajectories);
+        put_u64(&mut buf, r.stays);
+        put_u64(&mut buf, r.dwell_seconds);
+    }
+    put_u64(&mut buf, periods.len() as u64);
+    for &(bucket, n) in periods {
+        put_i64(&mut buf, bucket);
+        put_u64(&mut buf, n);
     }
     buf
 }
@@ -348,6 +398,17 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
         edited[at] = entry;
         edited
     };
+    // The real rollup's runs, as parts to edit.
+    let real_rollup = SegmentRollup::decode(&mut &data[payloads[3].clone()]).unwrap();
+    let period_seconds = real_rollup.period_seconds;
+    let rollup_cells: Vec<(CellRef, CellRollup)> = real_rollup.cells.into_iter().collect();
+    let periods: Vec<(i64, u64)> = real_rollup.periods.into_iter().collect();
+    assert!(periods.len() >= 2, "the rows span several periods");
+    assert_eq!(
+        rollup(period_seconds, &rollup_cells, &periods),
+        data[payloads[3].clone()],
+        "the parts re-encode the rollup"
+    );
     let (len0, delta1, span0) = (entries[0].0, entries[1].1, entries[0].2);
     let cases: Vec<(&str, usize, Vec<u8>, &str)> = vec![
         (
@@ -512,6 +573,26 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
             0,
             with_cells(&cells[1..]),
             "'rollup cells disagree with zone map'",
+        ),
+        (
+            "a rollup cell listed twice",
+            3,
+            rollup(
+                period_seconds,
+                &[&rollup_cells[..1], &rollup_cells].concat(),
+                &periods,
+            ),
+            "Unsorted",
+        ),
+        (
+            "rollup periods out of order",
+            3,
+            {
+                let mut edited = periods.clone();
+                edited.swap(0, 1);
+                rollup(period_seconds, &rollup_cells, &edited)
+            },
+            "Unsorted",
         ),
     ];
     for (what, frame, payload, expected) in cases {

@@ -25,14 +25,14 @@
 //!   over a work-stealing scheduler of visits (per-worker deques,
 //!   visit-affinity pinning, steal-on-idle of whole cold visits) behind
 //!   one ingest/drain/checkpoint/live-snapshot façade;
-//! * [`live_index`] — [`LiveIndex`]: incrementally maintained postings
-//!   over the open-visit population (cell → visits, moving object →
-//!   visits, span-start order), patched per touched visit at each cut;
 //! * [`live_query`] — [`LiveSnapshot`]: snapshot-consistent cuts of the
-//!   live state (open-visit trajectory prefixes), queryable with `sitm_query::Predicate` through the live index —
-//!   candidate narrowing with a full re-check, exactly like the
-//!   warehouse — and federated across engines and warehouses via
-//!   `sitm_query::TrajectorySource`;
+//!   live state (open-visit trajectory prefixes) with the postings over
+//!   them (cell → visits, moving object → visits, span-start order),
+//!   patched per touched visit at each cut; queryable with
+//!   `sitm_query::Predicate` through those postings — candidate
+//!   narrowing with a full re-check, exactly like the warehouse — and,
+//!   as a `sitm_query::TrajectorySource`, federated with other engines'
+//!   snapshots and warehouses by `Query::execute_federated`;
 //! * [`checkpoint`] — [`checkpoint::EngineState`], the engine's state,
 //!   as bytes: what [`ParallelEngine::checkpoint`] hands out and
 //!   [`ParallelEngine::restore`] takes back, a function of the feed
@@ -94,7 +94,7 @@ pub mod checkpoint;
 pub mod engine;
 pub mod event;
 pub mod flusher;
-pub mod live_index;
+mod live_index;
 pub mod live_query;
 pub mod parallel;
 pub mod segmenter;
@@ -104,7 +104,6 @@ pub use checkpoint::CheckpointError;
 pub use engine::{Anomalies, EmittedEpisode, EngineConfig, EngineError, EngineStats};
 pub use event::{trajectory_feed, StreamEvent, VisitKey};
 pub use flusher::Flusher;
-pub use live_index::LiveIndex;
 pub use live_query::{LiveSnapshot, LiveVisit};
 pub use parallel::ParallelEngine;
 pub use segmenter::IncrementalSegmenter;

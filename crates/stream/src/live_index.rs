@@ -1,11 +1,10 @@
-//! Online postings over an engine's open-visit population.
-//!
-//! The warehouse side of the query stack answers predicates through
-//! `sitm_query::TrajectoryDb`'s inverted indexes; before this module the
-//! live side answered them by scanning every retained prefix. A
-//! [`LiveIndex`] closes that gap: the engine maintains three posting
-//! structures *incrementally* — for the visits touched since its last
-//! snapshot cut — never rebuilt per query:
+//! Online postings over an engine's open-visit population, private to
+//! the crate: a [`crate::LiveSnapshot`] answers its leaf lookups
+//! (`sitm_query::LeafLookup`) from them. A [`LiveIndex`] keeps three
+//! posting structures, patched *incrementally* by the engine for the
+//! visits touched since its last snapshot cut (and built once by
+//! `LiveSnapshot::new` over the visits it is given), never rebuilt per
+//! query:
 //!
 //! * **cell postings** — cell → open visits with at least one accepted
 //!   stay there (serves `VisitedCell`, `MinStayIn`, `StayOverlaps`, and
@@ -45,7 +44,7 @@ struct IndexedVisit {
 /// Incrementally maintained postings over open visits (see the module
 /// docs for the structures and their soundness contract).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LiveIndex {
+pub(crate) struct LiveIndex {
     cells: BTreeMap<CellRef, BTreeSet<u64>>,
     objects: BTreeMap<String, BTreeSet<u64>>,
     starts: BTreeSet<(Timestamp, u64)>,
@@ -53,11 +52,6 @@ pub struct LiveIndex {
 }
 
 impl LiveIndex {
-    /// An empty index.
-    pub fn new() -> LiveIndex {
-        LiveIndex::default()
-    }
-
     /// Records one accepted presence interval for an open visit. The
     /// first observation of a visit registers its moving object and its
     /// span start; later ones only extend the cell postings when the
@@ -108,44 +102,6 @@ impl LiveIndex {
         }
     }
 
-    /// Folds another index in (postings union), consuming it — an empty
-    /// receiver adopts the donor wholesale, so the common
-    /// one-index-per-engine merge is a move, not a rebuild. Visit
-    /// populations are expected to be disjoint (each visit lives in one
-    /// engine).
-    pub fn absorb(&mut self, other: LiveIndex) {
-        if self.entries.is_empty() {
-            *self = other;
-            return;
-        }
-        for (visit, entry) in other.entries {
-            self.objects
-                .entry(entry.object.clone())
-                .or_default()
-                .insert(visit);
-            self.starts.insert((entry.start, visit));
-            for cell in &entry.cells {
-                self.cells.entry(*cell).or_default().insert(visit);
-            }
-            self.entries.insert(visit, entry);
-        }
-    }
-
-    /// Number of indexed visits.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True when the visit is indexed.
-    pub fn contains(&self, visit: u64) -> bool {
-        self.entries.contains_key(&visit)
-    }
-
     /// Open visits with at least one accepted stay in `cell`.
     pub fn visits_in_cell(&self, cell: CellRef) -> impl Iterator<Item = u64> + '_ {
         self.cells
@@ -193,13 +149,11 @@ mod tests {
 
     #[test]
     fn observe_builds_all_three_postings() {
-        let mut index = LiveIndex::new();
+        let mut index = LiveIndex::default();
         index.observe(7, "mo-7", &stay(1, 10, 20));
         index.observe(7, "mo-7", &stay(2, 20, 30));
         index.observe(7, "mo-7", &stay(1, 30, 40)); // re-entry: no-op
         index.observe(9, "mo-9", &stay(1, 5, 15));
-        assert_eq!(index.len(), 2);
-        assert!(index.contains(7) && index.contains(9));
         let mut in_one: Vec<u64> = index.visits_in_cell(cell(1)).collect();
         in_one.sort_unstable();
         assert_eq!(in_one, vec![7, 9]);
@@ -217,36 +171,17 @@ mod tests {
 
     #[test]
     fn remove_cleans_every_posting() {
-        let mut index = LiveIndex::new();
+        let mut index = LiveIndex::default();
         index.observe(1, "a", &stay(1, 0, 10));
         index.observe(1, "a", &stay(2, 10, 20));
         index.observe(2, "a", &stay(1, 3, 9));
         index.remove(1);
-        assert!(!index.contains(1));
         assert_eq!(index.visits_in_cell(cell(1)).collect::<Vec<_>>(), vec![2]);
         assert!(index.visits_in_cell(cell(2)).next().is_none());
         assert_eq!(index.visits_of_object("a").collect::<Vec<_>>(), vec![2]);
         assert_eq!(index.visits_started_by(Timestamp(100)).count(), 1);
         index.remove(2);
-        assert!(index.is_empty());
         index.remove(2); // idempotent
-        assert!(index.is_empty());
-    }
-
-    #[test]
-    fn absorb_unions_disjoint_shard_indexes() {
-        let mut a = LiveIndex::new();
-        a.observe(1, "a", &stay(1, 0, 10));
-        let mut b = LiveIndex::new();
-        b.observe(2, "b", &stay(1, 5, 15));
-        b.observe(3, "a", &stay(2, 7, 9));
-        a.absorb(b);
-        assert_eq!(a.len(), 3);
-        let mut in_one: Vec<u64> = a.visits_in_cell(cell(1)).collect();
-        in_one.sort_unstable();
-        assert_eq!(in_one, vec![1, 2]);
-        let mut of_a: Vec<u64> = a.visits_of_object("a").collect();
-        of_a.sort_unstable();
-        assert_eq!(of_a, vec![1, 3]);
+        assert_eq!(index, LiveIndex::default(), "nothing left");
     }
 }

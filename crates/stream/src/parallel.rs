@@ -101,7 +101,7 @@
 //!   the router batch, or which worker applied which visit.
 //! * **Live view** — the engine thread owns what `live_snapshot()`
 //!   shows: every open visit's prefix behind its own `Arc`, and the
-//!   [`crate::LiveIndex`] over them behind one. Workers never see it.
+//!   live postings over them behind one. Workers never see it.
 //!   At a cut (dispatch + quiesce, like every barrier) the engine
 //!   collects the touched keys from the deposits and, for each, forgets
 //!   the visit and re-derives it from its slot if it is still open —
@@ -952,13 +952,7 @@ impl LiveView {
     fn snapshot(&self, watermark: Option<Timestamp>) -> LiveSnapshot {
         let visits: Vec<Arc<LiveVisit>> = self.visits.values().flatten().cloned().collect();
         let unqueryable = self.visits.len() - visits.len();
-        LiveSnapshot::from_parts(
-            visits,
-            watermark,
-            unqueryable,
-            Arc::clone(&self.index),
-            true,
-        )
+        LiveSnapshot::from_parts(visits, watermark, unqueryable, Arc::clone(&self.index))
     }
 }
 

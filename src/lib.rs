@@ -36,7 +36,7 @@
 //!   ingest ─▶ live state ─▶ close ─▶ finished backlog ─▶ Flusher ─▶ segment ─▶ compaction
 //!            (open visits,  (late     (take_finished,     (spill)    (sorted    (size-tiered
 //!             LiveSnapshot   events    exactly-once vs                run, zone   merge, manifest
-//!             + LiveIndex)   fenced)   checkpoints)                   map,        rewrite)
+//!             + postings)    fenced)   checkpoints)                   map,        rewrite)
 //!                                                                    fsync)
 //!   ──────────────────────────────── serve ────────────────────────────────▶ clients
 //!            (TCP sessions: IngestBatch in; Query / QueryFederated /
@@ -47,7 +47,9 @@
 //! * **Live** — [`stream`]'s `ParallelEngine` applies events per visit
 //!   in arrival order, on any number of workers; `live_snapshot()` cuts a
 //!   snapshot-consistent view (open-visit prefixes + incremental
-//!   postings) queryable with [`query`]'s predicates.
+//!   postings) queryable with [`query`]'s predicates, narrowed through
+//!   the same leaf table (`query::LeafLookup`) as the warehouse's
+//!   postings and zone maps.
 //! * **Fence** — a closed visit fences its stragglers for
 //!   `allowed_lateness` (event-time deterministic, identical for any
 //!   worker count); at close, with `EngineConfig::with_warehouse()`, the

@@ -23,10 +23,9 @@ use sitm::query::{
 use sitm::space::CellRef;
 use sitm::store::encode_trajectory;
 use sitm::store::warehouse::WarehouseConfig;
-use sitm::stream::{LiveIndex, LiveSnapshot, LiveVisit, VisitKey};
+use sitm::stream::{LiveSnapshot, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -138,11 +137,8 @@ enum Kind {
         hydrated: [bool; 2],
         row_cache: bool,
     },
-    /// A live snapshot, with postings over every visit or — hand
-    /// assembled — with none, which falls back to scanning.
-    Live {
-        indexed: bool,
-    },
+    /// A live snapshot, with postings over every visit.
+    Live,
 }
 
 fn kind_strategy() -> impl Strategy<Value = Kind> {
@@ -155,7 +151,7 @@ fn kind_strategy() -> impl Strategy<Value = Kind> {
                 row_cache,
             }
         }),
-        any::<bool>().prop_map(|indexed| Kind::Live { indexed }),
+        Just(Kind::Live),
     ]
 }
 
@@ -196,7 +192,7 @@ impl Spec {
                 hydrated,
                 row_cache,
             } => Box::new(self.open_warehouse(hydrated, row_cache)),
-            Kind::Live { indexed } => Box::new(live_snapshot(&self.rows, indexed)),
+            Kind::Live => Box::new(live_snapshot(&self.rows)),
         }
     }
 
@@ -212,26 +208,8 @@ impl Spec {
     }
 }
 
-fn live_snapshot(rows: &[SemanticTrajectory], indexed: bool) -> LiveSnapshot {
-    let visits: Vec<Arc<LiveVisit>> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            Arc::new(LiveVisit {
-                visit: VisitKey(i as u64),
-                trajectory: t.clone(),
-            })
-        })
-        .collect();
-    let mut index = LiveIndex::new();
-    if indexed {
-        for v in &visits {
-            for interval in v.trajectory.trace().intervals() {
-                index.observe(v.visit.0, &v.trajectory.moving_object, interval);
-            }
-        }
-    }
-    LiveSnapshot::new(visits, index)
+fn live_snapshot(rows: &[SemanticTrajectory]) -> LiveSnapshot {
+    LiveSnapshot::new((0..).map(VisitKey).zip(rows.iter().cloned()).collect())
 }
 
 fn refs(opened: &[Box<dyn TrajectorySource>]) -> Vec<&dyn TrajectorySource> {
@@ -341,7 +319,7 @@ proptest! {
                         prop_assert_eq!(q.execute_segmented_encoded(&db, &mut bytes), want.len());
                         prop_assert_eq!(bytes, encoded(&want), "execute_segmented_encoded, {:?}", q.clone());
                     }
-                    Kind::Plain | Kind::Live { .. } => {}
+                    Kind::Plain | Kind::Live => {}
                 }
             }
         }
@@ -401,7 +379,7 @@ fn planning_moves_no_instrument_and_a_query_counts_once_per_warehouse() {
         .collect();
     let plain = rows.clone();
     let indexed = TrajectoryDb::build(rows.clone());
-    let live = live_snapshot(&rows, true);
+    let live = live_snapshot(&rows);
     let sources: [&dyn TrajectorySource; 5] =
         [&plain, &indexed, &live, &warehouses[0], &warehouses[1]];
     // Two segments a warehouse: every query scans or prunes two.
@@ -473,7 +451,7 @@ fn a_limit_zero_page_touches_nothing() {
     let registry = MetricsRegistry::new();
     let (db, _) = SegmentedDb::open(&dir.0, WarehouseConfig::default()).expect("reopen");
     let db = db.with_metrics(&registry);
-    let live = live_snapshot(&[traj("x", 1, 0)], true);
+    let live = live_snapshot(&[traj("x", 1, 0)]);
     let touched = || {
         [
             "store.lazy_opens",
