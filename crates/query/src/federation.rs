@@ -42,6 +42,7 @@
 //! contract: per-participant snapshot isolation, union of results.
 
 use sitm_core::SemanticTrajectory;
+use sitm_store::warehouse::DirectoryEntry;
 
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
 use crate::predicate::Predicate;
@@ -97,6 +98,78 @@ impl<'a> SortKeys<'a> {
         match key {
             SortKey::MovingObject => SortKeys::Object(Vec::with_capacity(entries)),
             _ => SortKeys::Int(Vec::with_capacity(entries)),
+        }
+    }
+}
+
+/// Candidates of one source in start order: ascending by
+/// [`SortKey::Start`] and, within a start, by position. A source that
+/// stores its rows in start order hands the paging core its candidates
+/// as such runs ([`TrajectorySource::start_runs`]), so a start-ordered
+/// page merges them instead of building and ordering an entry per
+/// candidate.
+#[derive(Debug)]
+pub struct StartRun<'a>(RunKeys<'a>);
+
+#[derive(Debug)]
+enum RunKeys<'a> {
+    /// Rows stored in start order (a warehouse segment's run): row `i`
+    /// is at position `base + i` and starts at `entries[i].start`;
+    /// `candidates`, when narrowed, are the positions of the run (all
+    /// of `base..base + entries.len()`).
+    Directory {
+        entries: &'a [DirectoryEntry],
+        base: TrajId,
+        candidates: Option<&'a [TrajId]>,
+    },
+    /// `(start, position)` entries, sorted.
+    Sorted(Vec<(i64, TrajId)>),
+}
+
+impl<'a> StartRun<'a> {
+    /// The rows of a directory in start order, at positions from
+    /// `base`: every row, or only the positions of `candidates` (which
+    /// ascend and lie in the run).
+    pub(crate) fn directory(
+        entries: &'a [DirectoryEntry],
+        base: TrajId,
+        candidates: Option<&'a [TrajId]>,
+    ) -> StartRun<'a> {
+        StartRun(RunKeys::Directory {
+            entries,
+            base,
+            candidates,
+        })
+    }
+
+    /// A run of `(start, position)` entries, sorted here.
+    pub(crate) fn sorted(mut entries: Vec<(i64, TrajId)>) -> StartRun<'a> {
+        entries.sort_unstable();
+        StartRun(RunKeys::Sorted(entries))
+    }
+
+    /// The number of candidates in the run.
+    pub(crate) fn len(&self) -> usize {
+        match &self.0 {
+            RunKeys::Directory {
+                candidates: Some(ids),
+                ..
+            } => ids.len(),
+            RunKeys::Directory { entries, .. } => entries.len(),
+            RunKeys::Sorted(entries) => entries.len(),
+        }
+    }
+
+    /// The `i`-th candidate: `(start, position)`.
+    pub(crate) fn get(&self, i: usize) -> (i64, TrajId) {
+        match &self.0 {
+            RunKeys::Directory {
+                entries,
+                base,
+                candidates: Some(ids),
+            } => (entries[(ids[i] - base) as usize].start, ids[i]),
+            RunKeys::Directory { entries, base, .. } => (entries[i].start, base + i as TrajId),
+            RunKeys::Sorted(entries) => entries[i],
         }
     }
 }
@@ -163,6 +236,15 @@ pub trait TrajectorySource {
                 SortKeys::Object(entries) => entries.push((&row.moving_object, source, position)),
             }
         }
+    }
+
+    /// The candidates as [`StartRun`]s, for a page ordered by
+    /// [`SortKey::Start`] — `None`, the default, when the source does
+    /// not store its rows in start order. The paging core then orders
+    /// the source's own [`TrajectorySource::sort_keys`] entries into
+    /// one run.
+    fn start_runs<'a>(&'a self, _candidates: &'a CandidateSet) -> Option<Vec<StartRun<'a>>> {
+        None
     }
 
     /// One of this source's rows as an owned value. A source that

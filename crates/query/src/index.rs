@@ -12,21 +12,26 @@
 //! * **per-cell stay trees** — cell → interval tree over that cell's
 //!   stays, for `StayOverlaps` selections.
 //!
+//! Every posting is a slice of a flat array, built in a fixed number
+//! of passes with no per-key allocation: a warehouse segment builds
+//! these on its first contact with a query, so the build is on the
+//! path of the first answer after a restart.
+//!
 //! These answer the predicate leaves through [`LeafLookup`], the one
 //! leaf table every index shares. Index lookups return *candidate
 //! supersets*; the engine always re-checks the full predicate against
 //! each candidate, so a lookup only has to be sound, never
 //! complete-in-itself.
 
-use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use sitm_core::{Annotation, SemanticTrajectory, TimeInterval};
+use sitm_core::{Annotation, SemanticTrajectory, TimeInterval, Timestamp};
 use sitm_graph::CellRef;
 
-use crate::interval_tree::{Entry, IntervalTree};
+use crate::interval_tree::{collect_overlapping, fill_max_ends, Entry, IntervalTree};
 use crate::predicate::{LeafLookup, Predicate};
 
 /// Dense identifier of a trajectory inside a [`TrajectoryDb`].
@@ -54,15 +59,22 @@ impl CandidateSet {
     /// The candidate positions inside `range`, ascending. `All` is the
     /// range itself, walked, never materialised.
     pub(crate) fn within(&self, range: Range<TrajId>) -> impl Iterator<Item = TrajId> + '_ {
-        let (all, ids) = match self {
-            CandidateSet::All => (range, &[][..]),
-            CandidateSet::Ids(ids) => {
-                let from = ids.partition_point(|&id| id < range.start);
-                let len = ids[from..].partition_point(|&id| id < range.end);
-                (0..0, &ids[from..from + len])
-            }
+        let (all, ids) = match self.ids_within(range.clone()) {
+            None => (range, &[][..]),
+            Some(ids) => (0..0, ids),
         };
         all.chain(ids.iter().copied())
+    }
+
+    /// The ids inside `range`, as a slice of the list; `None` for
+    /// `All`, which is the whole range.
+    pub(crate) fn ids_within(&self, range: Range<TrajId>) -> Option<&[TrajId]> {
+        let CandidateSet::Ids(ids) = self else {
+            return None;
+        };
+        let from = ids.partition_point(|&id| id < range.start);
+        let len = ids[from..].partition_point(|&id| id < range.end);
+        Some(&ids[from..from + len])
     }
 
     /// Set intersection (`All` is the identity).
@@ -111,38 +123,147 @@ impl CandidateSet {
 /// Storage is `Arc`-shared: [`TrajectoryDb::build_shared`] indexes a
 /// collection *without copying it*, so a warehouse segment's single
 /// decoded run can back both the segment cache and its postings.
+///
+/// The indexes are flat. Each distinct cell and annotation has a dense
+/// id (its rank among the distinct keys), and a counting sort lays
+/// every key's ids out in one array with an offset per key — the
+/// compressed-sparse-row form. A cell's stay tree is its slice of one
+/// stay table, sorted by `(start, end)` with the subtree maxima beside
+/// it. The moving-object postings keep no strings: they are the row
+/// ids sorted by a hash of the rows' own moving objects, so a lookup
+/// binary-searches a flat array and reads only the rows whose hash it
+/// hits.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryDb {
     items: Arc<Vec<SemanticTrajectory>>,
-    cell_postings: BTreeMap<CellRef, Vec<TrajId>>,
-    traj_ann_postings: BTreeMap<Annotation, Vec<TrajId>>,
-    stay_ann_postings: BTreeMap<Annotation, Vec<TrajId>>,
-    object_postings: BTreeMap<String, Vec<TrajId>>,
+    cell_postings: Postings<CellRef>,
+    traj_ann_postings: Postings<Annotation>,
+    stay_ann_postings: Postings<Annotation>,
+    /// `(object_hash(moving object), id)` of every row, ascending.
+    by_object: Vec<(u64, TrajId)>,
     span_tree: IntervalTree<TrajId>,
-    stay_trees: BTreeMap<CellRef, IntervalTree<TrajId>>,
+    /// Cell `d`'s stays (dense ids as in `cell_postings`) are
+    /// `stays[stay_offsets[d]..stay_offsets[d + 1]]`, one interval tree
+    /// per slice, its subtree maxima the same slice of `stay_max_end`.
+    stay_offsets: Vec<usize>,
+    stays: Vec<Entry<TrajId>>,
+    stay_max_end: Vec<Timestamp>,
 }
 
-/// Adds `id` to `key`'s posting list unless it ends it already. The key
-/// is looked up by reference and owned only when it is new: hydrating
-/// a segment whose rows share an annotation set or a moving object
-/// allocates nothing for the keys it has already seen.
-fn push_unique<K, Q>(postings: &mut BTreeMap<K, Vec<TrajId>>, key: &Q, id: TrajId)
-where
-    K: Borrow<Q> + Ord,
-    Q: ToOwned<Owned = K> + Ord + ?Sized,
-{
-    match postings.get_mut(key) {
-        Some(list) if list.last() == Some(&id) => {}
-        Some(list) => list.push(id),
-        None => {
-            postings.insert(key.to_owned(), vec![id]);
+/// Posting lists in compressed-sparse-row form: `keys[d]`'s ids are
+/// `ids[offsets[d]..offsets[d + 1]]`, ascending and duplicate-free, and
+/// `keys` ascends.
+#[derive(Debug, Clone)]
+struct Postings<K> {
+    keys: Vec<K>,
+    offsets: Vec<usize>,
+    ids: Vec<TrajId>,
+}
+
+impl<K> Default for Postings<K> {
+    fn default() -> Self {
+        Postings {
+            keys: Vec::new(),
+            offsets: vec![0],
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord> Postings<K> {
+    /// The dense id of `key`, if any row holds it.
+    fn rank(&self, key: &K) -> Option<usize> {
+        self.keys.binary_search(key).ok()
+    }
+
+    /// The ids of the rows holding `key`.
+    fn get(&self, key: &K) -> &[TrajId] {
+        self.rank(key)
+            .map_or(&[], |d| &self.ids[self.offsets[d]..self.offsets[d + 1]])
+    }
+}
+
+/// The hash the object postings are ordered by: `DefaultHasher::new`
+/// starts from fixed keys, so a row and a lookup of the same object
+/// always meet. Equal hashes of different objects only cost a lookup a
+/// string compare per row; nothing is stored by it.
+fn object_hash(object: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    object.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The distinct keys a build meets, each with a dense id in
+/// first-seen order. Keys are borrowed from the rows while building.
+struct Dense<K> {
+    ids: HashMap<K, u32>,
+    seen: Vec<K>,
+}
+
+impl<K: Hash + Ord + Copy> Dense<K> {
+    fn new() -> Dense<K> {
+        Dense {
+            ids: HashMap::default(),
+            seen: Vec::new(),
+        }
+    }
+
+    fn id(&mut self, key: K) -> u32 {
+        let seen = &mut self.seen;
+        *self.ids.entry(key).or_insert_with(|| {
+            seen.push(key);
+            (seen.len() - 1) as u32
+        })
+    }
+
+    /// The postings of `pairs` — `(dense id, row)`, rows ascending —
+    /// keyed by `own` of each key, keys ascending. The dense ids in
+    /// `pairs` are replaced by their keys' ranks, the ids the postings
+    /// use: two passes of a counting sort, the first counting each key's
+    /// distinct rows, the second placing them.
+    fn postings<O>(self, pairs: &mut [(u32, TrajId)], own: impl Fn(K) -> O) -> Postings<O> {
+        let mut ranked: Vec<(K, u32)> = self.seen.into_iter().zip(0..).collect();
+        ranked.sort_unstable();
+        let mut rank = vec![0u32; ranked.len()];
+        for (r, &(_, d)) in ranked.iter().enumerate() {
+            rank[d as usize] = r as u32;
+        }
+        let keys = ranked.len();
+        let mut offsets = vec![0usize; keys + 1];
+        let mut last = vec![TrajId::MAX; keys];
+        for (key, row) in pairs.iter_mut() {
+            *key = rank[*key as usize];
+            let k = *key as usize;
+            if last[k] != *row {
+                last[k] = *row;
+                offsets[k + 1] += 1;
+            }
+        }
+        for k in 0..keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut ids = vec![0; offsets[keys]];
+        let mut cursor = offsets[..keys].to_vec();
+        last.fill(TrajId::MAX);
+        for &(key, row) in pairs.iter() {
+            let k = key as usize;
+            if last[k] != row {
+                last[k] = row;
+                ids[cursor[k]] = row;
+                cursor[k] += 1;
+            }
+        }
+        Postings {
+            keys: ranked.into_iter().map(|(key, _)| own(key)).collect(),
+            offsets,
+            ids,
         }
     }
 }
 
 impl TrajectoryDb {
     /// Builds the database, consuming the trajectories and constructing
-    /// every secondary index in one pass (O(total stays · log)).
+    /// every secondary index (see [`TrajectoryDb::build_shared`]).
     pub fn build(items: Vec<SemanticTrajectory>) -> TrajectoryDb {
         TrajectoryDb::build_shared(Arc::new(items))
     }
@@ -150,47 +271,87 @@ impl TrajectoryDb {
     /// Builds the database over an already-shared collection: only the
     /// secondary indexes are constructed, the storage itself is the
     /// caller's `Arc` (zero trajectory copies).
+    ///
+    /// One pass over the rows gives every cell and annotation a dense
+    /// id and records a `(key, row)` pair per stay and per annotation;
+    /// a counting sort per posting kind turns the pairs into
+    /// compressed rows, and a second counting sort lays the stays out
+    /// by cell. Only the stay slices, the object order and the span
+    /// tree are sorted, and a segment's run is already in start order.
     pub fn build_shared(items: Arc<Vec<SemanticTrajectory>>) -> TrajectoryDb {
-        let mut cell_postings: BTreeMap<CellRef, Vec<TrajId>> = BTreeMap::new();
-        let mut traj_ann_postings: BTreeMap<Annotation, Vec<TrajId>> = BTreeMap::new();
-        let mut stay_ann_postings: BTreeMap<Annotation, Vec<TrajId>> = BTreeMap::new();
-        let mut object_postings: BTreeMap<String, Vec<TrajId>> = BTreeMap::new();
+        let stay_count: usize = items.iter().map(|t| t.trace().len()).sum();
+        let mut cells = Dense::new();
+        let mut traj_anns = Dense::new();
+        let mut stay_anns = Dense::new();
+        let mut cell_pairs = Vec::with_capacity(stay_count);
+        let mut traj_ann_pairs = Vec::with_capacity(items.len());
+        let mut stay_ann_pairs = Vec::new();
         let mut span_entries = Vec::with_capacity(items.len());
-        let mut stay_entries: BTreeMap<CellRef, Vec<Entry<TrajId>>> = BTreeMap::new();
-
+        let mut by_object = Vec::with_capacity(items.len());
         for (i, t) in items.iter().enumerate() {
             let id = i as TrajId;
             span_entries.push(Entry {
                 interval: t.span(),
                 payload: id,
             });
-            push_unique(&mut object_postings, t.moving_object.as_str(), id);
+            by_object.push((object_hash(&t.moving_object), id));
             for a in t.annotations().iter() {
-                push_unique(&mut traj_ann_postings, a, id);
+                traj_ann_pairs.push((traj_anns.id(a), id));
             }
             for stay in t.trace().intervals() {
-                push_unique(&mut cell_postings, &stay.cell, id);
-                stay_entries.entry(stay.cell).or_default().push(Entry {
-                    interval: stay.time,
-                    payload: id,
-                });
+                cell_pairs.push((cells.id(stay.cell), id));
                 for a in stay.annotations.iter() {
-                    push_unique(&mut stay_ann_postings, a, id);
+                    stay_ann_pairs.push((stay_anns.id(a), id));
                 }
             }
         }
+        by_object.sort_unstable();
+        let cell_postings = cells.postings(&mut cell_pairs, |cell| cell);
+
+        // The stay table: every stay at its cell's slice, in row order,
+        // then each slice sorted into its tree. The payload breaks ties,
+        // so the order is the one a stable sort of the row-ordered
+        // slice by `(start, end)` leaves.
+        let cell_count = cell_postings.keys.len();
+        let mut stay_offsets = vec![0usize; cell_count + 1];
+        for &(cell, _) in &cell_pairs {
+            stay_offsets[cell as usize + 1] += 1;
+        }
+        for k in 0..cell_count {
+            stay_offsets[k + 1] += stay_offsets[k];
+        }
+        let mut cursor = stay_offsets[..cell_count].to_vec();
+        let filler = Entry {
+            interval: TimeInterval::new(Timestamp(0), Timestamp(0)),
+            payload: 0,
+        };
+        let mut stays = vec![filler; stay_count];
+        let all_stays = items.iter().flat_map(|t| t.trace().intervals());
+        for (stay, &(cell, id)) in all_stays.zip(&cell_pairs) {
+            stays[cursor[cell as usize]] = Entry {
+                interval: stay.time,
+                payload: id,
+            };
+            cursor[cell as usize] += 1;
+        }
+        let mut stay_max_end = vec![Timestamp(i64::MIN); stay_count];
+        for k in 0..cell_count {
+            let slice = stay_offsets[k]..stay_offsets[k + 1];
+            let tree = &mut stays[slice.clone()];
+            tree.sort_unstable_by_key(|e| (e.interval.start, e.interval.end, e.payload));
+            fill_max_ends(tree, &mut stay_max_end[slice]);
+        }
 
         TrajectoryDb {
-            items,
             cell_postings,
-            traj_ann_postings,
-            stay_ann_postings,
-            object_postings,
+            traj_ann_postings: traj_anns.postings(&mut traj_ann_pairs, Annotation::clone),
+            stay_ann_postings: stay_anns.postings(&mut stay_ann_pairs, Annotation::clone),
+            by_object,
             span_tree: IntervalTree::build(span_entries),
-            stay_trees: stay_entries
-                .into_iter()
-                .map(|(cell, entries)| (cell, IntervalTree::build(entries)))
-                .collect(),
+            stay_offsets,
+            stays,
+            stay_max_end,
+            items,
         }
     }
 
@@ -219,14 +380,14 @@ impl TrajectoryDb {
         &self.items
     }
 
-    /// Distinct cells appearing in the collection.
+    /// Distinct cells appearing in the collection, ascending.
     pub fn cells(&self) -> impl Iterator<Item = CellRef> + '_ {
-        self.cell_postings.keys().copied()
+        self.cell_postings.keys.iter().copied()
     }
 
     /// Ids of trajectories with at least one stay in `cell`.
     pub fn with_cell(&self, cell: CellRef) -> &[TrajId] {
-        self.cell_postings.get(&cell).map_or(&[], Vec::as_slice)
+        self.cell_postings.get(&cell)
     }
 
     /// Ids of trajectories whose span overlaps `window` (sorted).
@@ -273,35 +434,41 @@ impl LeafLookup for TrajectoryDb {
 
     /// The cell's own stay tree, not the cell and span answers.
     fn stay(&self, cell: CellRef, window: TimeInterval) -> CandidateSet {
-        let mut ids = self
-            .stay_trees
-            .get(&cell)
-            .map_or_else(Vec::new, |tree| tree.overlapping(window));
+        let mut ids = Vec::new();
+        if let Some(d) = self.cell_postings.rank(&cell) {
+            let slice = self.stay_offsets[d]..self.stay_offsets[d + 1];
+            collect_overlapping(
+                &self.stays[slice.clone()],
+                &self.stay_max_end[slice],
+                window,
+                &mut ids,
+            );
+        }
         ids.sort_unstable();
         ids.dedup();
         CandidateSet::Ids(ids)
     }
 
     fn traj_annotation(&self, annotation: &Annotation) -> CandidateSet {
-        CandidateSet::Ids(
-            self.traj_ann_postings
-                .get(annotation)
-                .cloned()
-                .unwrap_or_default(),
-        )
+        CandidateSet::Ids(self.traj_ann_postings.get(annotation).to_vec())
     }
 
     fn stay_annotation(&self, annotation: &Annotation) -> CandidateSet {
-        CandidateSet::Ids(
-            self.stay_ann_postings
-                .get(annotation)
-                .cloned()
-                .unwrap_or_default(),
-        )
+        CandidateSet::Ids(self.stay_ann_postings.get(annotation).to_vec())
     }
 
+    /// The rows of `by_object`'s run of `id`'s hash that carry `id`.
     fn moving_object(&self, id: &str) -> CandidateSet {
-        CandidateSet::Ids(self.object_postings.get(id).cloned().unwrap_or_default())
+        let hash = object_hash(id);
+        let from = self.by_object.partition_point(|&(h, _)| h < hash);
+        let run = self.by_object[from..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash);
+        let rows = run.map(|&(_, row)| row);
+        CandidateSet::Ids(
+            rows.filter(|&row| self.items[row as usize].moving_object == id)
+                .collect(),
+        )
     }
 }
 

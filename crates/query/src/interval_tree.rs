@@ -41,30 +41,8 @@ impl<P: Copy> IntervalTree<P> {
     pub fn build(mut entries: Vec<Entry<P>>) -> IntervalTree<P> {
         entries.sort_by_key(|e| (e.interval.start, e.interval.end));
         let mut max_end = vec![Timestamp(i64::MIN); entries.len()];
-        if !entries.is_empty() {
-            Self::fill_max(&entries, &mut max_end, 0, entries.len());
-        }
+        fill_max_ends(&entries, &mut max_end);
         IntervalTree { entries, max_end }
-    }
-
-    /// Computes subtree maxima over the implicit tree of `range`, whose
-    /// root is the median index. Returns the subtree max.
-    fn fill_max(
-        entries: &[Entry<P>],
-        max_end: &mut [Timestamp],
-        lo: usize,
-        hi: usize,
-    ) -> Timestamp {
-        let mid = lo + (hi - lo) / 2;
-        let mut max = entries[mid].interval.end;
-        if lo < mid {
-            max = max.max(Self::fill_max(entries, max_end, lo, mid));
-        }
-        if mid + 1 < hi {
-            max = max.max(Self::fill_max(entries, max_end, mid + 1, hi));
-        }
-        max_end[mid] = max;
-        max
     }
 
     /// Number of indexed entries.
@@ -87,9 +65,7 @@ impl<P: Copy> IntervalTree<P> {
     /// `window`, in `(start, end)` order.
     pub fn overlapping(&self, window: TimeInterval) -> Vec<P> {
         let mut out = Vec::new();
-        if !self.entries.is_empty() {
-            self.collect(0, self.entries.len(), window, &mut out);
-        }
+        collect_overlapping(&self.entries, &self.max_end, window, &mut out);
         out
     }
 
@@ -97,26 +73,6 @@ impl<P: Copy> IntervalTree<P> {
     /// exit, cheaper than `overlapping().is_empty()`).
     pub fn any_overlapping(&self, window: TimeInterval) -> bool {
         !self.entries.is_empty() && self.probe(0, self.entries.len(), window)
-    }
-
-    fn collect(&self, lo: usize, hi: usize, window: TimeInterval, out: &mut Vec<P>) {
-        let mid = lo + (hi - lo) / 2;
-        // Prune: nothing in this subtree ends at/after the window start.
-        if self.max_end[mid] < window.start {
-            return;
-        }
-        if lo < mid {
-            self.collect(lo, mid, window, out);
-        }
-        let e = &self.entries[mid];
-        if e.interval.overlaps(window) {
-            out.push(e.payload);
-        }
-        // Entries right of mid all start at/after this start; if that is
-        // already past the window end the right subtree cannot overlap.
-        if mid + 1 < hi && e.interval.start <= window.end {
-            self.collect(mid + 1, hi, window, out);
-        }
     }
 
     fn probe(&self, lo: usize, hi: usize, window: TimeInterval) -> bool {
@@ -132,6 +88,73 @@ impl<P: Copy> IntervalTree<P> {
             return true;
         }
         mid + 1 < hi && e.interval.start <= window.end && self.probe(mid + 1, hi, window)
+    }
+}
+
+/// Fills `max_end` (as long as `entries`, which are sorted by `(start,
+/// end)`) with the subtree maxima of the implicit median-split tree
+/// over `entries`. A tree is its two slices, so many trees can share
+/// two flat arrays: [`crate::TrajectoryDb`] keeps every cell's stay
+/// tree as one slice of its stay table.
+pub(crate) fn fill_max_ends<P>(entries: &[Entry<P>], max_end: &mut [Timestamp]) {
+    if !entries.is_empty() {
+        fill_max(entries, max_end, 0, entries.len());
+    }
+}
+
+/// Computes subtree maxima over the implicit tree of `lo..hi`, whose
+/// root is the median index. Returns the subtree max.
+fn fill_max<P>(entries: &[Entry<P>], max_end: &mut [Timestamp], lo: usize, hi: usize) -> Timestamp {
+    let mid = lo + (hi - lo) / 2;
+    let mut max = entries[mid].interval.end;
+    if lo < mid {
+        max = max.max(fill_max(entries, max_end, lo, mid));
+    }
+    if mid + 1 < hi {
+        max = max.max(fill_max(entries, max_end, mid + 1, hi));
+    }
+    max_end[mid] = max;
+    max
+}
+
+/// Appends the payload of every entry of the tree `(entries, max_end)`
+/// (see [`fill_max_ends`]) that overlaps `window`, in `(start, end)`
+/// order.
+pub(crate) fn collect_overlapping<P: Copy>(
+    entries: &[Entry<P>],
+    max_end: &[Timestamp],
+    window: TimeInterval,
+    out: &mut Vec<P>,
+) {
+    if !entries.is_empty() {
+        collect(entries, max_end, 0, entries.len(), window, out);
+    }
+}
+
+fn collect<P: Copy>(
+    entries: &[Entry<P>],
+    max_end: &[Timestamp],
+    lo: usize,
+    hi: usize,
+    window: TimeInterval,
+    out: &mut Vec<P>,
+) {
+    let mid = lo + (hi - lo) / 2;
+    // Prune: nothing in this subtree ends at/after the window start.
+    if max_end[mid] < window.start {
+        return;
+    }
+    if lo < mid {
+        collect(entries, max_end, lo, mid, window, out);
+    }
+    let e = &entries[mid];
+    if e.interval.overlaps(window) {
+        out.push(e.payload);
+    }
+    // Entries right of mid all start at/after this start; if that is
+    // already past the window end the right subtree cannot overlap.
+    if mid + 1 < hi && e.interval.start <= window.end {
+        collect(entries, max_end, mid + 1, hi, window, out);
     }
 }
 

@@ -83,7 +83,7 @@ pub mod query;
 pub mod segmented;
 pub mod wire;
 
-pub use federation::{federated_count, Row, SortKeys, TrajectorySource};
+pub use federation::{federated_count, Row, SortKeys, StartRun, TrajectorySource};
 
 pub use aggregate::{
     detection_counts_by_cell, dwell_by_cell, flow_matrix, group_by_annotation, occupancy, top_k,

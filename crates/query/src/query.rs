@@ -29,7 +29,8 @@
 //! [`TrajectorySource::plan`] reports how many candidates a source's
 //! indexes narrow a predicate to, without running the query.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::ControlFlow;
 
 use sitm_core::{Annotation, Duration, SemanticTrajectory, TimeInterval};
@@ -38,7 +39,7 @@ use sitm_obs::trace::{child_detail, ChildSpan};
 
 use sitm_store::encode_trajectory;
 
-use crate::federation::{federated_count, Row, SortKeys, TrajectorySource};
+use crate::federation::{federated_count, Row, SortKeys, StartRun, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
 use crate::predicate::Predicate;
 use crate::segmented::SegmentedDb;
@@ -197,6 +198,18 @@ impl<'q> Page<'q> {
             .map(|source| source.candidates(self.predicate))
             .collect();
         let order_span = child_detail("order_page");
+        if key == SortKey::Start {
+            let runs = start_runs(sources, &candidates);
+            let ties_descend = !ascending && self.ties == Ties::Reversed;
+            merge_runs(
+                runs,
+                (ascending, ties_descend),
+                skip,
+                order_span,
+                &mut visit,
+            );
+            return;
+        }
         let entries = sources
             .iter()
             .zip(&candidates)
@@ -216,6 +229,180 @@ impl<'q> Page<'q> {
     }
 }
 
+/// The candidates of `sources` as start-ordered runs, each tagged with
+/// its source. A source without run order sorts its own entries into
+/// one run.
+fn start_runs<'c>(
+    sources: &[&'c dyn TrajectorySource],
+    candidates: &'c [CandidateSet],
+) -> Vec<(u32, StartRun<'c>)> {
+    let mut tagged = Vec::new();
+    for (s, source) in sources.iter().enumerate() {
+        let runs = source.start_runs(&candidates[s]).unwrap_or_else(|| {
+            let entries = candidates[s].cardinality(source.len_hint());
+            let mut keys = SortKeys::with_capacity(SortKey::Start, entries);
+            source.sort_keys(SortKey::Start, &candidates[s], s as u32, &mut keys);
+            let SortKeys::Int(entries) = keys else {
+                unreachable!("start keys are integers")
+            };
+            let entries = entries.into_iter().map(|(start, _, at)| (start, at));
+            vec![StartRun::sorted(entries.collect())]
+        });
+        tagged.extend(runs.into_iter().map(|run| (s as u32, run)));
+    }
+    tagged
+}
+
+/// One [`StartRun`] of one source, walked in the page's direction: a
+/// descending page reads the run from its end, with each start
+/// complemented (`!start` reverses the order of `i64`s exactly), so
+/// the merge below is written for ascending keys only.
+struct Cursor<'r> {
+    source: u32,
+    run: StartRun<'r>,
+    ascending: bool,
+    /// Index (in walk order) of the next candidate, and that candidate.
+    next: usize,
+    head: Option<(i64, TrajId)>,
+}
+
+impl Cursor<'_> {
+    /// The `i`-th candidate in walk order: `(directed key, position)`.
+    fn get(&self, i: usize) -> (i64, TrajId) {
+        if self.ascending {
+            self.run.get(i)
+        } else {
+            let (start, at) = self.run.get(self.run.len() - 1 - i);
+            (!start, at)
+        }
+    }
+
+    fn seek(&mut self, next: usize) {
+        self.next = next;
+        self.head = (next < self.run.len()).then(|| self.get(next));
+    }
+
+    /// How many candidates have a directed key below `key`.
+    fn below(&self, key: i64) -> usize {
+        let (mut lo, mut hi) = (0, self.run.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.get(mid).0 < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// Visits the candidates of `runs` — `(source, run)` — in start order
+/// until `visit` breaks: a k-way merge that reads each run's keys only
+/// as far as the page reaches, so a page costs its own rows, not an
+/// entry per candidate. The runs' heads wait in a binary heap, so each
+/// row costs O(log runs) comparisons however many segments there are.
+///
+/// Equal starts form a tie group, gathered from every run and ordered
+/// by `(source, position)`: ascending, or descending when
+/// `ties_descend` (a descending page under [`Ties::Reversed`]): the
+/// order [`walk_ordered`] gives the same entries under the same
+/// [`Ties`] rule.
+///
+/// `skip` entries of the order are dropped by rank, none visited:
+/// the page begins in the tie group of the smallest directed key `K`
+/// with more than `skip` entries at or below it. A binary search over
+/// the key finds `K`, counting each run by its own binary search, so
+/// the skip costs O(runs · log rows · 64) whatever the offset. The
+/// entries below `K` are passed over, and the first
+/// `skip − below` of `K`'s group dropped.
+fn merge_runs(
+    runs: Vec<(u32, StartRun<'_>)>,
+    (ascending, ties_descend): (bool, bool),
+    skip: usize,
+    order_span: ChildSpan,
+    visit: &mut dyn FnMut(usize, TrajId) -> ControlFlow<()>,
+) {
+    let mut cursors: Vec<Cursor<'_>> = runs
+        .into_iter()
+        .filter(|(_, run)| run.len() > 0)
+        .map(|(source, run)| {
+            let mut cursor = Cursor {
+                source,
+                run,
+                ascending,
+                next: 0,
+                head: None,
+            };
+            cursor.seek(0);
+            cursor
+        })
+        .collect();
+    let mut drop_first = 0;
+    if skip > 0 {
+        let total: usize = cursors.iter().map(|c| c.run.len()).sum();
+        if skip >= total {
+            return;
+        }
+        let at_or_below = |key: i64| -> usize {
+            let key = key.checked_add(1);
+            let run = |c: &Cursor<'_>| key.map_or(c.run.len(), |key| c.below(key));
+            cursors.iter().map(run).sum()
+        };
+        let first = cursors.iter().map(|c| c.get(0).0).min();
+        let last = cursors.iter().map(|c| c.get(c.run.len() - 1).0).max();
+        let (mut lo, mut hi) = (first.expect("a run"), last.expect("a run"));
+        while lo < hi {
+            let mid = ((lo as i128 + hi as i128) >> 1) as i64;
+            if at_or_below(mid) > skip {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let mut below = 0;
+        for cursor in &mut cursors {
+            cursor.seek(cursor.below(lo));
+            below += cursor.next;
+        }
+        drop_first = skip - below;
+    }
+    drop(order_span);
+    let _fetch = child_detail("fetch_rows");
+    // The cursors' heads by `(directed key, cursor)`, smallest first.
+    let mut heads: BinaryHeap<Reverse<(i64, usize)>> = cursors
+        .iter()
+        .enumerate()
+        .filter_map(|(c, cursor)| cursor.head.map(|(key, _)| Reverse((key, c))))
+        .collect();
+    let mut group: Vec<(u32, TrajId)> = Vec::new();
+    while let Some(&Reverse((key, _))) = heads.peek() {
+        group.clear();
+        while let Some(mut top) = heads.peek_mut().filter(|top| top.0 .0 == key) {
+            let cursor = &mut cursors[top.0 .1];
+            while let Some((_, at)) = cursor.head.filter(|&(k, _)| k == key) {
+                group.push((cursor.source, at));
+                cursor.seek(cursor.next + 1);
+            }
+            match cursor.head {
+                Some((next, _)) => top.0 .0 = next,
+                None => drop(PeekMut::pop(top)),
+            }
+        }
+        if ties_descend {
+            group.sort_unstable_by(|a, b| b.cmp(a));
+        } else {
+            group.sort_unstable();
+        }
+        for &(source, at) in &group[drop_first..] {
+            if visit(source as usize, at).is_break() {
+                return;
+            }
+        }
+        drop_first = 0;
+    }
+}
+
 /// Visits `entries` in order until `visit` breaks, sorting no further
 /// than the page reaches. `(skip, reach)`: the first `skip` entries of
 /// the order are dropped by position — one select, no entry visited,
@@ -228,7 +415,8 @@ impl<'q> Page<'q> {
 /// The caller skips by position only when no entry can be rejected
 /// (`skip = offset`, `reach = limit` under [`Predicate::True`]); for
 /// any other predicate `skip` is 0, `reach` is `offset + limit`, and
-/// `visit` skips matches by reference.
+/// `visit` skips matches by reference. A page by [`SortKey::Start`]
+/// does not come here: [`merge_runs`] walks it.
 ///
 /// The one comparator behind both [`Ties`] rules orders whole entries
 /// — `(key, source, position)` — and a descending sort is that order
@@ -308,22 +496,32 @@ fn walk_ordered<K: Ord>(
 ///    ascending positions). A `limit` of 0 returns before this step.
 /// 2. **order** — without an `order_by`, sources are walked one after
 ///    another in position order and the walk stops when the page is
-///    full. With one, every candidate contributes a `(key, source,
-///    position)` entry ([`TrajectorySource::sort_keys`] — a warehouse
-///    reads them off its offset directories and sort columns, decoding
-///    nothing); only the first `offset + limit` entries of the order
-///    are selected and sorted. The rest stay unordered unless the
-///    re-check rejects so many of those that the page is still short —
-///    only then is the remainder sorted and the walk continued.
-///    Sorting candidates and filtering lazily equals filter-then-sort:
+///    full. By [`SortKey::Start`], the sources' candidates come as
+///    sorted runs ([`TrajectorySource::start_runs`]: a warehouse's
+///    segments each store a run sorted by start; a source without run
+///    order, such as a [`TrajectoryDb`] or a live snapshot, sorts its
+///    own entries into one run) and a k-way merge walks them by
+///    `(start, source, position)` as far as the page reaches: no entry
+///    is built per candidate of a warehouse. By any other
+///    key, every candidate contributes a `(key, source, position)`
+///    entry ([`TrajectorySource::sort_keys`] — a warehouse reads them
+///    off its offset directories and sort columns, decoding nothing);
+///    only the first `offset + limit` entries of the order are
+///    selected and sorted. The rest stay unordered unless the re-check
+///    rejects so many of those that the page is still short — only
+///    then is the remainder sorted and the walk continued. Sorting
+///    candidates and filtering lazily equals filter-then-sort:
 ///    dropping non-matches preserves the order of what remains.
 ///    Under [`Predicate::True`] every candidate matches, so the
-///    `offset` is skipped by order position instead: one select drops
-///    the first `offset` entries unsorted, and only the `limit` after
-///    them are selected and sorted. Without an `order_by`, whole
-///    sources and runs of positions are skipped by count. Either way
-///    no skipped row is fetched, and a page costs its key extraction
-///    plus its own rows, whatever its offset.
+///    `offset` is skipped by order position instead: the merge finds
+///    the start the page begins at by binary search over each run (its
+///    tie group is ordered by `(source, position)` and entered part
+///    way), and the entry walk drops the first `offset` entries with
+///    one select, unsorted, and selects and sorts only the `limit`
+///    after them. Without an `order_by`, whole sources and runs of
+///    positions are skipped by count. Either way no skipped row is
+///    fetched, and a page costs its own rows — plus its key extraction
+///    where it builds entries — whatever its offset.
 /// 3. **fetch → re-check → skip → emit** — each row is fetched alone
 ///    ([`TrajectorySource::row`]: borrowed when resident, read when
 ///    not), the full predicate re-checked on it, `offset` matches

@@ -105,7 +105,7 @@ use sitm_store::warehouse::{
 };
 use sitm_store::RecoveryReport;
 
-use crate::federation::{federated_count, Row, SortKeys, TrajectorySource};
+use crate::federation::{federated_count, Row, SortKeys, StartRun, TrajectorySource};
 use crate::index::{CandidateSet, TrajId, TrajectoryDb};
 use crate::predicate::{LeafLookup, Predicate};
 use crate::query::SortKey;
@@ -297,7 +297,9 @@ impl SegmentedDb {
     }
 
     /// The postings of part `idx`, hydrating them on first contact from
-    /// the store segment's cached (`Arc`-shared) decode.
+    /// the store segment's cached (`Arc`-shared) decode. The decode and
+    /// the postings build are one `segment_hydrate` span, once per
+    /// segment.
     ///
     /// # Panics
     ///
@@ -306,6 +308,7 @@ impl SegmentedDb {
     fn part_db(&self, idx: usize) -> &TrajectoryDb {
         let part = &self.parts[idx];
         part.db.get_or_init(|| {
+            let _hydrate = sitm_obs::trace::child_detail("segment_hydrate");
             let segment = &self.store.segments()[idx];
             let run = segment.trajectories().unwrap_or_else(|e| {
                 panic!("segment {} body corrupt at hydration: {e}", segment.id)
@@ -481,8 +484,12 @@ impl SegmentedDb {
     /// The one pruning pass: object index, then zone maps, then the
     /// surviving segments' postings.
     /// Returns what each stage rejected beside what is left.
+    ///
+    /// The position list is built only once some segment narrows: the
+    /// segments that answered `All` before that are back-filled then,
+    /// so a pass that narrows nothing (every page under `True`)
+    /// allocates no list.
     fn prune(&self, p: &Predicate) -> (SegmentedPlan, CandidateSet) {
-        let mut ids: Vec<TrajId> = Vec::new();
         let mut plan = SegmentedPlan {
             segments: self.parts.len(),
             pruned: 0,
@@ -490,24 +497,28 @@ impl SegmentedDb {
             candidates: None,
             total: self.total,
         };
-        let mut narrowed = false;
+        // `Some` once a segment narrowed; before that, the parts that
+        // answered `All`.
+        let mut ids: Option<Vec<TrajId>> = None;
+        let mut unnarrowed: Vec<usize> = Vec::new();
+        let rows = |idx: usize| self.bases[idx]..self.bases[idx] + self.parts[idx].len as TrajId;
+        let back_fill = |unnarrowed: &mut Vec<usize>| unnarrowed.drain(..).flat_map(rows).collect();
         let object_filter = self.object_segment_filter(p);
         let can_narrow = TrajectoryDb::can_narrow(p);
         let segments = self.store.segments();
         for (idx, part) in self.parts.iter().enumerate() {
-            let base = self.bases[idx];
             // Stage 0: the global object index — exact, cross-segment,
             // cheaper than any zone probe.
             if let Some(filter) = &object_filter {
                 if filter.binary_search(&part.id).is_err() {
-                    narrowed = true;
+                    ids.get_or_insert_with(|| back_fill(&mut unnarrowed));
                     plan.object_pruned += 1;
                     continue;
                 }
             }
             let zone = &segments[idx].zone_map;
             if !zone_may_match(zone, p) {
-                narrowed = true;
+                ids.get_or_insert_with(|| back_fill(&mut unnarrowed));
                 plan.pruned += 1;
                 continue;
             }
@@ -518,17 +529,19 @@ impl SegmentedDb {
             } else {
                 CandidateSet::All
             };
-            match local {
-                CandidateSet::All => ids.extend(base..base + part.len as TrajId),
-                CandidateSet::Ids(local) => {
-                    narrowed = true;
+            match (local, &mut ids) {
+                (CandidateSet::All, Some(ids)) => ids.extend(rows(idx)),
+                (CandidateSet::All, None) => unnarrowed.push(idx),
+                (CandidateSet::Ids(local), ids) => {
+                    let base = self.bases[idx];
+                    let ids = ids.get_or_insert_with(|| back_fill(&mut unnarrowed));
                     ids.extend(local.into_iter().map(|i| i + base));
                 }
             }
         }
-        if !narrowed {
+        let Some(ids) = ids else {
             return (plan, CandidateSet::All);
-        }
+        };
         plan.candidates = Some(ids.len());
         (plan, CandidateSet::Ids(ids))
     }
@@ -629,6 +642,25 @@ impl TrajectorySource for SegmentedDb {
                 }
             }
         }
+    }
+
+    /// Each non-empty segment is one run: its rows are stored in run
+    /// order, `(start, end, bytes)`, so its candidates already ascend
+    /// by start, and the directory holds every start.
+    fn start_runs<'a>(&'a self, candidates: &'a CandidateSet) -> Option<Vec<StartRun<'a>>> {
+        let segments = self.bases.iter().zip(self.store.segments());
+        let runs = segments.filter(|(_, segment)| !segment.is_empty());
+        Some(
+            runs.map(|(&base, segment)| {
+                let rows = base..base + segment.len() as TrajId;
+                StartRun::directory(
+                    &segment.directory().entries,
+                    base,
+                    candidates.ids_within(rows),
+                )
+            })
+            .collect(),
+        )
     }
 
     fn materialize(&self, row: Row<'_>) -> SemanticTrajectory {

@@ -7,7 +7,10 @@
 //! shapes over hydrated, cold and mixed warehouses, that the segmented
 //! pushdown returns the oracle's page from both of its sinks — among
 //! them every page of a walk under `True`, whose offset the core skips
-//! by position.
+//! by position — and that a page ordered by start, which merges the
+//! segments' sorted runs and skips an offset by rank, is the oracle's
+//! page at every offset over segments whose rows tie on start across
+//! their boundaries, alone and federated beside a live snapshot.
 
 use proptest::prelude::*;
 
@@ -20,6 +23,7 @@ use sitm_query::{
     CandidateSet, Predicate, Query, SegmentedDb, SortKey, TrajId, TrajectoryDb, TrajectorySource,
 };
 use sitm_store::warehouse::WarehouseConfig;
+use sitm_stream::{LiveSnapshot, VisitKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -196,6 +200,31 @@ fn rows(db: &SegmentedDb) -> Vec<SemanticTrajectory> {
     (0..db.len() as TrajId)
         .map(|at| db.row(at).into_owned())
         .collect()
+}
+
+/// A row starting at one of four instants, so starts tie within a
+/// segment and across segment boundaries; it visits cell 0 or 1 and
+/// lasts a varying time.
+fn tied_strategy() -> impl Strategy<Value = SemanticTrajectory> {
+    (0u8..5, 0i64..4, 0usize..2, 1i64..4).prop_map(|(mo, slot, c, stays)| {
+        let start = slot * 100;
+        let intervals = (0..stays)
+            .map(|k| {
+                PresenceInterval::new(
+                    TransitionTaken::Unknown,
+                    cell(c + k as usize % 2),
+                    Timestamp(start + 10 * k),
+                    Timestamp(start + 10 * k + 5 + mo as i64),
+                )
+            })
+            .collect();
+        SemanticTrajectory::new(
+            format!("mo-{mo}"),
+            Trace::new(intervals).expect("ordered stays"),
+            AnnotationSet::from_iter([Annotation::goal("visit")]),
+        )
+        .expect("non-empty trace and annotations")
+    })
 }
 
 proptest! {
@@ -397,4 +426,110 @@ proptest! {
         want.sort();
         prop_assert_eq!(got, want);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A start-ordered page merges the segments' runs and, under
+    /// `True`, skips its offset by rank. Over four to six segments
+    /// whose rows tie on start across their boundaries, every offset
+    /// from 0 to past the end (so before, at and after every boundary
+    /// of positions and of tie groups), ascending and descending, is
+    /// the oracle's page from both sinks: through `execute_segmented`
+    /// (ties reversed wholesale) and through a federated page beside a
+    /// live snapshot (ties in source order), hydrated and cold, under
+    /// `True` (the rank skip), a narrowing predicate (runs of
+    /// candidates) and one every row is a candidate of but few match
+    /// (the skip by reference).
+    #[test]
+    fn start_pages_over_tied_segments_equal_the_oracle(
+        pool in prop::collection::vec(tied_strategy(), 48..49),
+        sizes in prop::collection::vec(1usize..8, 4..7),
+        live_rows in prop::collection::vec(tied_strategy(), 0..6),
+    ) {
+        let tmp = TempDir::new();
+        let config = WarehouseConfig { fanout: 64, ..WarehouseConfig::default() };
+        {
+            let (mut db, _) = SegmentedDb::open(&tmp.0, config).expect("open");
+            let mut from = 0;
+            for size in &sizes {
+                db.flush(pool[from..from + size].to_vec()).expect("flush");
+                from += size;
+            }
+            prop_assert_eq!(db.segments().len(), sizes.len());
+        }
+        let total: usize = sizes.iter().sum();
+        let live = live_snapshot(&live_rows);
+        let hydrated = SegmentedDb::open(&tmp.0, config).expect("reopen").0;
+        for segment in hydrated.segments() {
+            segment.trajectories().expect("hydrate");
+        }
+        let cold = || SegmentedDb::open(&tmp.0, config).expect("reopen").0;
+        let predicates = [
+            Predicate::True,
+            Predicate::VisitedCell(cell(0)),
+            Predicate::MinTotalDwell(Duration::seconds(14)),
+        ];
+        for (state, db) in [("hydrated", &hydrated), ("cold", &cold())] {
+            for p in &predicates {
+                for ascending in [true, false] {
+                    for offset in 0..=total + live_rows.len() + 2 {
+                        for limit in [None, Some(1), Some(4)] {
+                            let mut q = Query::new()
+                                .filter(p.clone())
+                                .order_by(SortKey::Start, ascending)
+                                .offset(offset);
+                            if let Some(n) = limit {
+                                q = q.limit(n);
+                            }
+                            let alone: Vec<SemanticTrajectory> = q
+                                .oracle(&[db], true)
+                                .into_iter()
+                                .map(|row| row.into_owned())
+                                .collect();
+                            prop_assert_eq!(&q.execute_segmented(db), &alone, "{}: {:?}", state, q);
+                            let mut bytes = Vec::new();
+                            prop_assert_eq!(q.execute_segmented_encoded(db, &mut bytes), alone.len());
+                            prop_assert_eq!(&bytes, &encoded(&alone), "{} byte sink: {:?}", state, q);
+
+                            let sources: [&dyn TrajectorySource; 2] = [&live, db];
+                            let federated: Vec<SemanticTrajectory> = q
+                                .oracle(&sources, false)
+                                .into_iter()
+                                .map(|row| row.into_owned())
+                                .collect();
+                            prop_assert_eq!(
+                                &q.execute_federated(&sources), &federated,
+                                "{} federated: {:?}", state, q
+                            );
+                            let mut bytes = Vec::new();
+                            prop_assert_eq!(
+                                q.execute_federated_encoded(&sources, &mut bytes),
+                                federated.len()
+                            );
+                            prop_assert_eq!(
+                                &bytes, &encoded(&federated),
+                                "{} federated byte sink: {:?}", state, q
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A live snapshot holding `rows` as open visits.
+fn live_snapshot(rows: &[SemanticTrajectory]) -> LiveSnapshot {
+    LiveSnapshot::new((0..).map(VisitKey).zip(rows.iter().cloned()).collect())
+}
+
+/// `rows` as the byte sinks append them.
+fn encoded(rows: &[SemanticTrajectory]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for t in rows {
+        sitm_store::encode_trajectory(&mut bytes, t);
+    }
+    bytes
 }

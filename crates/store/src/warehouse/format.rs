@@ -632,14 +632,9 @@ impl Segment {
         sort_columns
             .validate(zone_map.len, zone_map.objects.len() as u64, witness)
             .map_err(|what| WarehouseError::Inconsistent { id, what })?;
-        // Both frames hold the exact set of cells with a stay, so each
-        // witnesses the other.
-        if !zone_map.cells.iter().eq(rollup.cells.keys()) {
-            return Err(WarehouseError::Inconsistent {
-                id,
-                what: "rollup cells disagree with zone map",
-            });
-        }
+        rollup
+            .check_against(&zone_map)
+            .map_err(|what| WarehouseError::Inconsistent { id, what })?;
         Ok(Segment {
             id,
             zone_map,
@@ -692,7 +687,6 @@ impl Segment {
         if let Some(resident) = self.loaded.get() {
             return Ok(&resident.run);
         }
-        let _hydrate = sitm_obs::trace::child_detail("segment_hydrate");
         let resident = self.decode_all()?;
         Ok(&self.loaded.get_or_init(|| resident).run)
     }

@@ -9,6 +9,7 @@ use sitm_codec::{put_i64, put_u64, take_count, take_i64, take_u64};
 use sitm_core::SemanticTrajectory;
 use sitm_graph::CellRef;
 
+use super::index::ZoneMap;
 use crate::codec::{decode_cell, encode_cell, CodecError};
 
 /// Per-cell pre-aggregates of one segment (the GROUP BY axes of
@@ -127,6 +128,50 @@ impl SegmentRollup {
         for (bucket, n) in &other.periods {
             *self.periods.entry(*bucket).or_insert(0) += n;
         }
+    }
+
+    /// Checks the rollup against the zone map of the same rows, the
+    /// witness of every aggregate a segment opens with. Both frames
+    /// hold the exact set of cells with a stay; no cell counts more
+    /// trajectories than the segment holds or than its own stays, nor
+    /// dwells longer than its stays could inside the zone span; no
+    /// period counts more trajectories than the segment holds or lies
+    /// outside the span's buckets; and the period width is the one
+    /// every segment is built with, so rollups merge.
+    pub(super) fn check_against(&self, zone: &ZoneMap) -> Result<(), &'static str> {
+        if !zone.cells.iter().eq(self.cells.keys()) {
+            return Err("rollup cells disagree with zone map");
+        }
+        if self.period_seconds != DEFAULT_ROLLUP_PERIOD_SECONDS {
+            return Err("rollup period width is not the warehouse's");
+        }
+        let span = zone
+            .span
+            .map(|s| (s.start.as_seconds(), s.end.as_seconds()));
+        let longest = span.map_or(0, |(start, end)| end.abs_diff(start));
+        for cell in self.cells.values() {
+            if cell.trajectories > zone.len || cell.trajectories > cell.stays {
+                return Err("rollup cell counts more trajectories than it can");
+            }
+            if u128::from(cell.dwell_seconds) > u128::from(cell.stays) * u128::from(longest) {
+                return Err("rollup cell dwells longer than its stays can");
+            }
+        }
+        let period = self.period_seconds as i64;
+        let buckets = span.map(|(start, end)| start.div_euclid(period)..=end.div_euclid(period));
+        for (&bucket, &n) in &self.periods {
+            if n > zone.len {
+                return Err("rollup period counts more trajectories than the segment holds");
+            }
+            let inside = bucket.rem_euclid(period) == 0
+                && buckets
+                    .as_ref()
+                    .is_some_and(|buckets| buckets.contains(&bucket.div_euclid(period)));
+            if !inside {
+                return Err("rollup period outside the zone span");
+            }
+        }
+        Ok(())
     }
 
     /// Encodes the rollup.

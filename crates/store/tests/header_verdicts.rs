@@ -15,7 +15,12 @@
 //! the open refuses a cell run that is not strictly ascending (a set
 //! would collapse it silently) or that differs from the rollup's. The
 //! rollup's own cell and period runs must be strictly ascending too: a
-//! map would keep a repeated key's last aggregates silently.
+//! map would keep a repeated key's last aggregates silently. And the
+//! zone map bounds the rollup's aggregates: a cell counts at most the
+//! segment's trajectories and its own stays, and dwells at most its
+//! stays times the zone span; a period counts at most the segment's
+//! trajectories and lies inside the span's buckets; the period width
+//! is the warehouse's.
 //!
 //! A real segment of 24 rows (multi-byte lengths, starts, dwells and
 //! ranks) is opened with each of those header payloads cut at every
@@ -261,9 +266,13 @@ fn every_truncation_and_bit_flip_of_a_header_payload_opens_or_errs_as_pinned() {
              'sort-column object ranks disagree with their witness':61 \
              'trailing bytes after sort columns':25 LengthOverrun:75 UnexpectedEof:99 \
              rows 'row disagrees with its sort columns':497, 0x1b4fd9e3",
-            "rollup, 346 bytes: 'rollup cells disagree with zone map':42 \
-             'trailing bytes after rollup':8 LengthOverrun:289 Ok:1591 UnexpectedEof:296 \
-             Unsorted:888, 0xb30c5a50",
+            "rollup, 346 bytes: 'rollup cell counts more trajectories than it can':385 \
+             'rollup cells disagree with zone map':42 \
+             'rollup period counts more trajectories than the segment holds':8 \
+             'rollup period outside the zone span':58 \
+             'rollup period width is not the warehouse's':14 \
+             'trailing bytes after rollup':8 LengthOverrun:289 Ok:1126 UnexpectedEof:296 \
+             Unsorted:888, 0xe30cb068",
         ],
         "verdict counts and CRC-32 of every result"
     );
@@ -295,6 +304,9 @@ fn sort_columns(count: u64, rows: &[(u64, u64, u64)]) -> Vec<u8> {
     }
     buf
 }
+
+/// A rollup's period run: `(bucket, trajectories)`.
+type Periods = Vec<(i64, u64)>;
 
 /// A rollup payload from its parts: the period width, the cell run and
 /// the period run.
@@ -402,13 +414,26 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
     let real_rollup = SegmentRollup::decode(&mut &data[payloads[3].clone()]).unwrap();
     let period_seconds = real_rollup.period_seconds;
     let rollup_cells: Vec<(CellRef, CellRollup)> = real_rollup.cells.into_iter().collect();
-    let periods: Vec<(i64, u64)> = real_rollup.periods.into_iter().collect();
+    let periods: Periods = real_rollup.periods.into_iter().collect();
     assert!(periods.len() >= 2, "the rows span several periods");
     assert_eq!(
         rollup(period_seconds, &rollup_cells, &periods),
         data[payloads[3].clone()],
         "the parts re-encode the rollup"
     );
+    let zone_map = ZoneMap::decode(&mut &zone[..]).unwrap();
+    let span = zone_map.span.expect("rows");
+    let longest = span.duration().as_seconds() as u64;
+    let with_cell = |edit: &dyn Fn(&mut CellRollup)| {
+        let mut edited = rollup_cells.clone();
+        edit(&mut edited[0].1);
+        rollup(period_seconds, &edited, &periods)
+    };
+    let with_periods = |edit: &dyn Fn(&mut Periods)| {
+        let mut edited = periods.clone();
+        edit(&mut edited);
+        rollup(period_seconds, &rollup_cells, &edited)
+    };
     let (len0, delta1, span0) = (entries[0].0, entries[1].1, entries[0].2);
     let cases: Vec<(&str, usize, Vec<u8>, &str)> = vec![
         (
@@ -594,7 +619,77 @@ fn each_hostile_header_value_is_refused_with_a_typed_error() {
             },
             "Unsorted",
         ),
+        (
+            "a rollup cell with more trajectories than the segment",
+            3,
+            with_cell(&|cell| {
+                cell.trajectories = n + 1;
+                cell.stays = n + 1;
+            }),
+            "'rollup cell counts more trajectories than it can'",
+        ),
+        (
+            "a rollup cell with more trajectories than stays",
+            3,
+            with_cell(&|cell| cell.trajectories = cell.stays + 1),
+            "'rollup cell counts more trajectories than it can'",
+        ),
+        (
+            "a rollup cell dwelling longer than its stays can",
+            3,
+            with_cell(&|cell| cell.dwell_seconds = cell.stays * longest + 1),
+            "'rollup cell dwells longer than its stays can'",
+        ),
+        (
+            "a rollup period counting more trajectories than the segment",
+            3,
+            with_periods(&|periods| periods[0].1 = n + 1),
+            "'rollup period counts more trajectories than the segment holds'",
+        ),
+        (
+            "a rollup period past the zone span",
+            3,
+            with_periods(&|periods| {
+                let last = periods.last().expect("periods").0;
+                periods.push((last + period_seconds as i64, 1));
+            }),
+            "'rollup period outside the zone span'",
+        ),
+        (
+            "a rollup period before the zone span",
+            3,
+            with_periods(&|periods| periods.insert(0, (periods[0].0 - period_seconds as i64, 1))),
+            "'rollup period outside the zone span'",
+        ),
+        (
+            "a rollup period off the bucket grid",
+            3,
+            with_periods(&|periods| periods[0].0 += 1),
+            "'rollup period outside the zone span'",
+        ),
+        (
+            "a rollup period width not the warehouse's",
+            3,
+            rollup(period_seconds / 2, &rollup_cells, &periods),
+            "'rollup period width is not the warehouse's'",
+        ),
     ];
+    // The bounds are tight: the real rollup meets each of them.
+    assert!(periods.iter().all(|&(_, count)| count <= n));
+    assert_eq!(
+        open(
+            &dir,
+            &path,
+            &reframed(
+                &data,
+                3,
+                &with_cell(&|cell| cell.dwell_seconds = cell.stays * longest)
+            )
+        )
+        .0,
+        "Ok",
+        "a dwell of the whole span per stay is possible"
+    );
     for (what, frame, payload, expected) in cases {
         let (verdict, debug) = open(&dir, &path, &reframed(&data, frame, &payload));
         assert_eq!(verdict, expected, "{what}: {debug}");

@@ -129,10 +129,10 @@
 //! | `snapshot_rebuild` | live | the engine rebuilding a live snapshot on epoch-cache miss † |
 //! | `evaluate` | query | federated / segmented evaluation outside the locks († on the warehouse-only `Query` op) |
 //! | `prune` | query | object-index → zone-map candidate pruning † |
-//! | `order_page` | query | ordering the candidates by sort-column / directory keys, as far as the page reaches † |
+//! | `order_page` | query | ordering the candidates by sort-column / directory keys, as far as the page reaches (by start: gathering the segments' sorted runs and skipping the offset by rank) † |
 //! | `fetch_rows` | query | walking the order to the page: rows re-checked and skipped by reference, the page's rows copied (cold rows read) † |
 //! | `row_read` | store | one directory-guided single-row segment read (cache miss) † |
-//! | `segment_hydrate` | store | a segment's first full decode † |
+//! | `segment_hydrate` | query | a segment's first contact: the full decode and the postings build † |
 //! | `wire_write` | serve | encoding + writing the response frame |
 //!
 //! († = **detail tier**: recorded on one request in
